@@ -24,6 +24,7 @@ Everything is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Mapping
 
 from .char_polyhedron import FPolyhedron
@@ -43,12 +44,11 @@ from .exact_algebra import (
 )
 from .local_frame import (
     NEW,
-    OLD,
     BoundaryComponent,
     Frame,
     NuStar,
+    add_old_boundary,
     compute_directrix,
-    directrix_of_JO,
     initial_form,
     nu_star,
 )
@@ -169,9 +169,26 @@ class ChartState:
             if g.field != self.field:
                 raise InputError("generator field does not match the chart")
 
-    @property
+    # nu*, the directrix and the log-directrix are derived once per chart
+    # state; every consumer reads these instead of recomputing them.
+
+    @cached_property
     def nu(self) -> NuStar:
         return nu_star(self.generators)
+
+    @cached_property
+    def directrix(self) -> tuple[int, tuple[Polynomial, ...]]:
+        """(r, forms) of the directrix of the generators' initial forms."""
+        initials = [initial_form(g, g.variables) for g in self.generators]
+        r, forms = compute_directrix(initials, self.frame)
+        return r, tuple(forms)
+
+    @cached_property
+    def log_directrix(self) -> tuple[int, tuple[Polynomial, ...]]:
+        """(e^O, forms): the directrix with the old boundary folded in."""
+        e_o, forms = add_old_boundary(*self.directrix, self.frame,
+                                      self.variables)
+        return e_o, tuple(forms)
 
     def old_components(self) -> tuple[BoundaryComponent, ...]:
         return self.frame.old_components()
@@ -209,15 +226,12 @@ def make_chart(
 
 def directrix_dimension(chart: ChartState) -> int:
     """e(X,x): ambient dimension minus the rank of the directrix equations."""
-    initials = [initial_form(g, g.variables) for g in chart.generators]
-    rank, _forms = compute_directrix(initials, chart.frame)
-    return len(chart.variables) - rank
+    return len(chart.variables) - chart.directrix[0]
 
 
 def directrix_dimension_old(chart: ChartState) -> int:
     """e^O(X,x): same, with the old boundary folded into the ideal."""
-    e_o, _forms = directrix_of_JO(list(chart.generators), chart.frame)
-    return e_o
+    return chart.log_directrix[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +340,19 @@ def permissible_check(chart: ChartState, center: Center) -> PermissibilityReport
                 "does not contain the center (the number of old components "
                 "would not be constant along it)")
     return PermissibilityReport(ok=not violations, violations=tuple(violations))
+
+
+def is_permissible_curve(chart: ChartState, variables: tuple[str, ...]) -> bool:
+    """Whether V(variables) is usable as a coordinate-curve center.
+
+    A curve the chart's frame rejects as a center shape (it misses part of
+    the y-block, say) counts as not permissible, like any other violation.
+    """
+    try:
+        return permissible_check(
+            chart, Center(variables, COORDINATE_CURVE)).ok
+    except InputError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +683,9 @@ def classify_point(parent: ChartState, child: ChartState) -> str:
     directrix dimension e) and ``very_O_near`` (O-near, very near, and the
     same log-directrix dimension e^O).
     """
-    nu_parent = nu_star(parent.generators)
-    nu_child = nu_star(child.generators)
-    if nu_child < nu_parent:
+    if child.nu < parent.nu:
         return DROPPED
-    if nu_parent < nu_child:
+    if parent.nu < child.nu:
         raise InputError(
             "the multiplicity invariant increased across the blow-up; "
             "the center cannot have been permissible")

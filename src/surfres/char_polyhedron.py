@@ -29,15 +29,13 @@ from .exact_algebra import (
     Polynomial,
     PRIME_FIELD,
     RATIONALS,
-    RATIONAL_FUNCTIONS,
-    RatFunc,
     ScopeError,
     hasse_derivative,
     ord_at,
     p_th_root,
     substitute,
 )
-from .local_frame import Frame, row_reduce
+from .local_frame import Frame, initial_form, row_reduce
 
 MINIMAL = "minimal"
 EMPTY = "empty"
@@ -96,9 +94,6 @@ class FPolyhedron:
     @property
     def is_empty(self) -> bool:
         return not self.vertices
-
-    def min_vertex(self) -> Point:
-        return min(self.vertices)
 
     def member(self, p: Point) -> bool:
         """Whether the point belongs to the F-subset."""
@@ -484,7 +479,8 @@ def normalize_at_vertex(
         earlier = []
         for j in range(i):
             nu_j = generator_order(out[j], frame)
-            F_j = _pure_y_part(initial_total(out[j]), frame, nu_j)
+            initial = initial_form(out[j], out[j].variables)
+            F_j = _pure_y_part(initial, frame, nu_j)
             le = _leading_exponent(F_j, frame)
             if le is not None:
                 lc = F_j.coefficient(
@@ -526,13 +522,6 @@ def normalize_at_vertex(
         else:
             raise RuntimeError("normalization did not terminate")
     return out
-
-
-def initial_total(g: Polynomial) -> Polynomial:
-    """Initial form with respect to all variables of the generator's ring."""
-    from .local_frame import initial_form
-
-    return initial_form(g, g.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +742,7 @@ def _uni_roots(a: list[Any], field: FieldDescriptor) -> tuple[list[Any], bool]:
         return roots, True
     if field.kind == RATIONALS:
         # rational root theorem on the denominator-cleared polynomial
-        from math import gcd, lcm
+        from math import lcm
 
         denlcm = 1
         for c in a:

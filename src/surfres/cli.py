@@ -47,7 +47,6 @@ from .char_polyhedron import delta, face_numbers, prepare, sigma
 from .exact_algebra import (
     FieldDescriptor,
     InputError,
-    Polynomial,
     ScopeError,
     parse_polynomial,
     to_string,
@@ -63,6 +62,7 @@ from .invariant import (
 from .local_frame import NEW, OLD, BoundaryComponent
 from .resolution_driver import (
     DEFAULT_LABELS,
+    FRESH_LABELS,
     SCOPE_ERROR,
     chart_to_jsonable,
     check_monotone,
@@ -97,9 +97,21 @@ def _expect(data: dict, key: str, kind: type, where: str) -> Any:
     return value
 
 
+def _string_list(data: dict, key: str, where: str) -> list[str]:
+    value = _expect(data, key, list, where)
+    if not all(isinstance(v, str) for v in value):
+        raise InputError(f"{where}.{key}: expected a list of strings")
+    return value
+
+
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{where}: expected an object")
+    return value
+
+
 def _field_from(data: Any) -> FieldDescriptor:
-    if not isinstance(data, dict):
-        raise InputError("jobspec.field: expected an object")
+    _object(data, "jobspec.field")
     kind = _expect(data, "kind", str, "jobspec.field")
     if kind == "rationals":
         return FieldDescriptor.rationals()
@@ -129,7 +141,7 @@ def _scalar(field: FieldDescriptor, variables: tuple[str, ...],
     p = parse_polynomial(value, field, variables)
     if not p.terms:
         return field.zero()
-    if len(p.terms) == 1 and p.terms[0][0].is_unit():
+    if len(p.terms) == 1 and p.terms[0][0].is_unit:
         return p.terms[0][1]
     raise InputError(f"{where}: {value!r} is not a constant")
 
@@ -152,8 +164,7 @@ def _stratum_from(data: Any, field: FieldDescriptor,
     comps = []
     for i, entry in enumerate(data):
         where = f"jobspec.stratum[{i}]"
-        if not isinstance(entry, dict):
-            raise InputError(f"{where}: expected an object")
+        _object(entry, where)
         names = _expect(entry, "variables", list, where)
         label = _expect(entry, "label", int, where)
         conditions = tuple(
@@ -172,9 +183,7 @@ def _stratum_from(data: Any, field: FieldDescriptor,
 def build_chart(job: dict) -> ChartState:
     """Turn a parsed job document into a chart state."""
     field = _field_from(_expect(job, "field", dict, "jobspec"))
-    variables = tuple(_expect(job, "variables", list, "jobspec"))
-    if not all(isinstance(v, str) for v in variables):
-        raise InputError("jobspec.variables: expected a list of strings")
+    variables = tuple(_string_list(job, "variables", "jobspec"))
     texts = _expect(job, "generators", list, "jobspec")
     if not texts:
         raise InputError("jobspec.generators: at least one generator is needed")
@@ -192,8 +201,7 @@ def build_chart(job: dict) -> ChartState:
         boundary = []
         for i, entry in enumerate(boundary_data):
             where = f"jobspec.boundary[{i}]"
-            if not isinstance(entry, dict):
-                raise InputError(f"{where}: expected an object")
+            _object(entry, where)
             status = entry.get("status", NEW)
             if status not in (OLD, NEW):
                 raise InputError(f"{where}.status: expected 'old' or 'new'")
@@ -215,8 +223,7 @@ def build_chart(job: dict) -> ChartState:
         names = []
         for i, entry in enumerate(boundary_data):
             where = f"jobspec.boundary[{i}]"
-            if not isinstance(entry, dict):
-                raise InputError(f"{where}: expected an object")
+            _object(entry, where)
             name = _expect(entry, "generator", str, where)
             if name not in variables:
                 raise InputError(
@@ -257,10 +264,17 @@ def _center_from(job: dict, chart: ChartState) -> Center:
 
 
 def _options(job: dict) -> dict:
-    options = job.get("options", {})
-    if not isinstance(options, dict):
-        raise InputError("jobspec.options: expected an object")
-    return options
+    return _object(job.get("options", {}), "jobspec.options")
+
+
+def _int_option(job: dict, key: str, default: int, minimum: int) -> int:
+    value = _options(job).get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise InputError(
+            f"jobspec.options.{key}: expected an integer >= {minimum}, "
+            f"got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +311,8 @@ def _vertices(poly) -> list[list[Any]]:
 
 def report_polyhedron(job: dict) -> dict:
     chart = build_chart(job)
-    options = _options(job)
-    budget = options.get("budget", 64)
-    sigma_budget = options.get("sigma_budget", 32)
+    budget = _int_option(job, "budget", 64, 1)
+    sigma_budget = _int_option(job, "sigma_budget", 32, 1)
     result = prepare(chart.generators, chart.frame, budget=budget)
     poly = result.polyhedron
     report = {
@@ -379,8 +392,7 @@ def _declared_points(job: dict, chart: ChartState) -> dict | None:
     data = job.get("declared_points")
     if data is None:
         return None
-    if not isinstance(data, dict):
-        raise InputError("jobspec.declared_points: expected an object")
+    _object(data, "jobspec.declared_points")
     out = {}
     for chart_id, moves_list in data.items():
         if not isinstance(moves_list, list):
@@ -389,8 +401,7 @@ def _declared_points(job: dict, chart: ChartState) -> dict | None:
         parsed = []
         for i, moves_data in enumerate(moves_list):
             where = f"jobspec.declared_points.{chart_id}[{i}]"
-            if not isinstance(moves_data, dict):
-                raise InputError(f"{where}: expected an object")
+            _object(moves_data, where)
             parsed.append({
                 v: _move_value(chart.field, chart.variables, m, f"{where}.{v}")
                 for v, m in moves_data.items()
@@ -401,9 +412,12 @@ def _declared_points(job: dict, chart: ChartState) -> dict | None:
 
 def _run_resolve(job: dict):
     chart = build_chart(job)
-    options = _options(job)
-    max_steps = options.get("max_steps", 64)
-    label_mode = options.get("label_mode", DEFAULT_LABELS)
+    max_steps = _int_option(job, "max_steps", 64, 0)
+    label_mode = _options(job).get("label_mode", DEFAULT_LABELS)
+    if label_mode not in (DEFAULT_LABELS, FRESH_LABELS):
+        raise InputError(
+            f"jobspec.options.label_mode: expected {DEFAULT_LABELS!r} or "
+            f"{FRESH_LABELS!r}, got {label_mode!r}")
     return resolve(chart, max_steps=max_steps, label_mode=label_mode,
                    declared_points=_declared_points(job, chart))
 
@@ -427,37 +441,35 @@ def report_resolve(job: dict) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _dot_from_stored(data: dict) -> str:
-    """Render a previously exported trace document as DOT."""
-    def esc(text: str) -> str:
-        return text.replace("\\", "\\\\").replace('"', '\\"')
-
-    charts = data.get("charts")
-    if not isinstance(charts, list):
-        raise InputError("stored trace: missing charts[]")
-    lines = ["digraph trace {", "  node [shape=box];"]
-    for chart in charts:
-        label = esc(chart["id"]) + "\\n" + esc("; ".join(chart["generators"]))
-        lines.append(f'  "{esc(chart["id"])}" [label="{label}"];')
-    for chart in charts:
-        parent = chart.get("parent")
-        if parent is None:
-            continue
-        edge = "V(" + ", ".join(chart.get("center", ())) + ") / " \
-            + chart.get("chart_var", "?")
-        lines.append(
-            f'  "{esc(parent)}" -> "{esc(chart["id"])}" '
-            f'[label="{esc(edge)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _stored_trace(job: dict) -> dict:
+    """The stored trace of an export job, checked for what rendering reads."""
+    where = "jobspec.trace"
+    trace = _object(job["trace"], where)
+    ids = set()
+    for i, chart in enumerate(_expect(trace, "charts", list, where)):
+        at = f"{where}.charts[{i}]"
+        ids.add(_expect(_object(chart, at), "id", str, at))
+        _string_list(chart, "generators", at)
+        if not isinstance(chart.get("chart_var", ""), str):
+            raise InputError(f"{at}.chart_var: expected a string")
+    for i, event in enumerate(_expect(trace, "events", list, where)):
+        at = f"{where}.events[{i}]"
+        _expect(_object(event, at), "chart", str, at)
+        _string_list(_expect(event, "center", dict, at), "variables",
+                     f"{at}.center")
+        unknown = [c for c in _string_list(event, "created", at)
+                   if c not in ids]
+        if unknown:
+            raise InputError(f"{at}.created: unknown chart(s) {unknown}")
+    return trace
 
 
 def run_export(job: dict, fmt: str) -> str:
     if "trace" in job and "generators" not in job:
-        stored = job["trace"]
+        trace = _stored_trace(job)
         if fmt == "json":
-            return json.dumps(stored, indent=2) + "\n"
-        return _dot_from_stored(stored)
+            return json.dumps(trace, indent=2) + "\n"
+        return trace_to_dot(trace)
     trace = _run_resolve(job)
     if fmt == "json":
         return json.dumps(trace_to_jsonable(trace), indent=2) + "\n"

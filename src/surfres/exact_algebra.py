@@ -378,13 +378,6 @@ class FieldDescriptor:
             return Fq((n,), self.characteristic, self.modulus, self.generator_name)
         return RatFunc((n,), (1,), self.characteristic, self.transcendental_name or "t")
 
-    def from_fraction(self, a: int, b: int) -> Any:
-        if b == 0:
-            raise InputError("zero denominator in coefficient")
-        if self.kind == RATIONALS:
-            return Fraction(a, b)
-        return self.from_int(a) / self.from_int(b)
-
     def transcendental(self) -> Any:
         if self.kind != RATIONAL_FUNCTIONS:
             raise InputError("this field has no transcendental element")
@@ -400,11 +393,6 @@ class FieldDescriptor:
     def is_perfect(self) -> bool:
         """Whether the Frobenius map is surjective (vacuously true in char 0)."""
         return self.kind != RATIONAL_FUNCTIONS
-
-    def format(self, c: Any) -> str:
-        if self.kind == RATIONALS:
-            return str(c)
-        return str(c)
 
 
 def p_th_root(c: Any, field: FieldDescriptor) -> Any | None:
@@ -487,14 +475,6 @@ class Monomial:
 
     def divides(self, other: "Monomial") -> bool:
         return all(other.exponent(v) >= e for v, e in self.exps)
-
-    def div(self, other: "Monomial") -> "Monomial":
-        d = self.as_dict()
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) - e
-            if d[v] < 0:
-                raise InputError("monomial division with negative result")
-        return Monomial.from_dict(d)
 
     @property
     def is_unit(self) -> bool:

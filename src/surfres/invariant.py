@@ -26,20 +26,18 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .blowup_engine import (
-    COORDINATE_CURVE,
-    Center,
     ChartState,
     StratumComponent,
+    _is_coordinate_generator,
     directrix_dimension,
     directrix_dimension_old,
-    permissible_check,
+    is_permissible_curve,
 )
 from .char_polyhedron import (
     BUDGET_EXHAUSTED,
     FPolyhedron,
     delta,
     face_numbers,
-    polyhedron_of,
     prepare,
     sigma_search,
 )
@@ -56,9 +54,9 @@ from .exact_algebra import (
 from .local_frame import (
     Frame,
     NuStar,
+    add_old_boundary,
     compose_with_old_boundary,
     compute_directrix,
-    directrix_of_JO,
     initial_form,
     nu_star,
     row_reduce,
@@ -96,17 +94,14 @@ class CaseInfo:
 
 def chart_is_regular(chart: ChartState) -> bool:
     """Whether the chart origin is a regular (or empty) point of the variety."""
-    orders = nu_star(chart.generators).orders
+    orders = chart.nu.orders
     if orders[0] == 0:
         return True  # a unit generator: the chart misses the variety
     if orders[-1] > 1:
         return False
     # all generators have order one; regularity needs independent initials
-    rows = []
-    for g in chart.generators:
-        lin = initial_form(g, g.variables)
-        rows.append([lin.coefficient(Monomial.from_dict({v: 1}))
-                     for v in chart.variables])
+    initials = [initial_form(g, g.variables) for g in chart.generators]
+    rows = _linear_rows(initials, chart.variables, chart.field)
     return len(row_reduce(rows, chart.field)) == len(chart.generators)
 
 
@@ -127,7 +122,7 @@ def classify_case(chart: ChartState) -> CaseInfo:
     (several components, a curve that is not permissible, or a component
     with non-coordinate equations).
     """
-    if nu_star(chart.generators).orders[0] == 0:
+    if chart.nu.orders[0] == 0:
         return CaseInfo(CASE_V)
     if chart_is_regular(chart) and not chart.frame.old_components():
         return CaseInfo(CASE_V)
@@ -142,14 +137,9 @@ def classify_case(chart: ChartState) -> CaseInfo:
         comp = comps[0]
         if comp.is_coordinate and len(comp.variables) == n:
             return CaseInfo(CASE_I, comps)
-        if comp.is_coordinate and len(comp.variables) == n - 1:
-            try:
-                report = permissible_check(
-                    chart, Center(comp.variables, COORDINATE_CURVE))
-            except InputError:
-                return CaseInfo(CASE_III, comps)
-            if report.ok:
-                return CaseInfo(CASE_II, comps)
+        if (comp.is_coordinate and len(comp.variables) == n - 1
+                and is_permissible_curve(chart, comp.variables)):
+            return CaseInfo(CASE_II, comps)
     return CaseInfo(CASE_III, comps)
 
 
@@ -160,7 +150,7 @@ def classify_case(chart: ChartState) -> CaseInfo:
 
 def iota0(chart: ChartState) -> tuple[NuStar, int, int, int]:
     """(nu*, number of old boundary components, e, e^O)."""
-    nu = nu_star(chart.generators)
+    nu = chart.nu
     n_old = len(chart.frame.old_components())
     if nu.orders[0] == 0:
         return (nu, n_old, 0, 0)
@@ -232,18 +222,6 @@ def adapt_frame_to_forms(
         replace(b, generator=rewrite(b.generator)) for b in frame.boundary)
     return new_gens, Frame(u_block=u_block, y_block=y_block,
                            boundary=boundary)
-
-
-def _coordinate_of(g: Polynomial) -> str | None:
-    terms = list(g.terms)
-    if len(terms) != 1:
-        return None
-    d = terms[0][0].as_dict()
-    if len(d) == 1:
-        (var, exp), = d.items()
-        if exp == 1:
-            return var
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +307,8 @@ def iota_c(
     initials = [initial_form(g, g.variables) for g in gens]
     r_c, forms_c = compute_directrix(initials, chart.frame)
     e_c = len(chart.variables) - r_c
-    e_c_old, forms_c_old = directrix_of_JO(gens, chart.frame)
+    e_c_old, forms_c_old = add_old_boundary(r_c, forms_c, chart.frame,
+                                            chart.variables)
 
     if e_c == 0:
         delta_c: Fraction | float = INF
@@ -358,7 +337,7 @@ def iota_c(
 def _new_component_variables(frame: Frame) -> list[str]:
     out = []
     for comp in frame.new_components():
-        var = _coordinate_of(comp.generator)
+        var = _is_coordinate_generator(comp.generator)
         if var is None:
             raise ScopeError(
                 "a new boundary component is not a coordinate divisor in "
@@ -395,7 +374,7 @@ def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
     if case.tag == CASE_V:
         return _ALL_ZERO
 
-    e_old, forms = directrix_of_JO(list(chart.generators), chart.frame)
+    e_old, forms = chart.log_directrix
     if e_old == 0:
         return _ALL_ZERO
     if e_old > 2:

@@ -14,7 +14,7 @@ status (old/new).  On top of it this module computes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from .exact_algebra import (
@@ -687,19 +687,27 @@ def directrix_of_JO(
     """
     if not gens:
         raise InputError("directrix_of_JO needs at least one generator")
-    field = gens[0].field
-    variables = gens[0].variables
     initials = [initial_form(g, g.variables) for g in gens]
     r, forms = compute_directrix(initials, frame)
-    extra = []
-    for b in frame.old_components():
-        phi = initial_form(b.generator, b.generator.variables)
-        extra.append(phi)
+    return add_old_boundary(r, forms, frame, gens[0].variables)
+
+
+def add_old_boundary(
+    r: int, forms: Sequence[Polynomial], frame: Frame,
+    variables: tuple[str, ...],
+) -> tuple[int, list[Polynomial]]:
+    """Fold the old boundary into a directrix (r, forms): e^O and its forms.
+
+    The old boundary generators' initial forms join the directrix forms and
+    the union is re-minimized.
+    """
+    extra = [initial_form(b.generator, b.generator.variables)
+             for b in frame.old_components()]
     if not extra:
-        e_o = len(variables) - r
-        return e_o, forms
+        return len(variables) - r, list(forms)
+    field = extra[0].field
     rows = []
-    for f in forms + extra:
+    for f in list(forms) + extra:
         if int(f.total_degree()) != 1:
             # A boundary initial of degree 1 is guaranteed by regularity; the
             # directrix forms are linear by construction.

@@ -25,7 +25,7 @@ every tracked point above every center.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 from .blowup_engine import (
@@ -40,6 +40,7 @@ from .blowup_engine import (
     _is_coordinate_generator,
     blow_up_chart,
     classify_point,
+    is_permissible_curve,
     locate_point,
     permissible_check,
 )
@@ -65,11 +66,8 @@ from .invariant import (
 from .local_frame import (
     BoundaryComponent,
     Frame,
-    NEW,
     OLD,
-    compute_directrix,
     initial_form,
-    nu_star,
 )
 
 # -- labelling modes ---------------------------------------------------------
@@ -294,7 +292,7 @@ def _fresh_components(chart: ChartState) -> list[RawComponent]:
             "stratum computation needs a principal generator; supply the "
             "component list for multi-generator charts")
     f = chart.generators[0]
-    order = int(nu_star(chart.generators).orders[0])
+    order = chart.nu.orders[0]
     if order == 0:
         return []
     if order == 1:
@@ -438,9 +436,7 @@ def select_center(chart: ChartState) -> CenterChoice:
             return CenterChoice(Center(comp.variables, CLOSED_POINT),
                                 comp.label, comp)
         if len(comp.variables) == n - 1:
-            report = permissible_check(
-                chart, Center(comp.variables, COORDINATE_CURVE))
-            if report.ok:
+            if is_permissible_curve(chart, comp.variables):
                 return CenterChoice(Center(comp.variables, COORDINATE_CURVE),
                                     comp.label, comp)
             return CenterChoice(Center(chart.variables, CLOSED_POINT),
@@ -484,16 +480,18 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class ResolutionTrace:
-    """The chart tree, the ordered blow-up events, and the final status."""
+    """The chart tree, the ordered blow-up events, and the final status.
+
+    ``iotas`` holds the invariant the resolver computed for a chart, keyed
+    by chart id, for the charts whose stored state it evaluated.
+    """
 
     label_mode: str
     status: str
     charts: dict[str, ChartState]
     events: tuple[TraceEvent, ...]
     error: str | None = None
-
-    def chart(self, chart_id: str) -> ChartState:
-        return self.charts[chart_id]
+    iotas: dict[str, IotaInvariant] = dataclass_field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -524,38 +522,29 @@ def initial_chart(
         boundary.append(BoundaryComponent(
             generator=Polynomial.variable(field, variables, v),
             status=OLD, birth_step=0, cid=i))
-    y_vars = _coordinate_directrix_vars(f, variables)
-    y_block = tuple(y_vars or ())
+    chart = ChartState(chart_id=chart_id, field=field, variables=variables,
+                       generators=(f,),
+                       frame=Frame(u_block=variables, y_block=(),
+                                   boundary=tuple(boundary)))
+    y_block = _coordinate_directrix_vars(chart) or ()
     u_block = tuple(v for v in variables if v not in set(y_block))
-    frame = Frame(u_block=u_block, y_block=y_block,
-                  boundary=tuple(boundary))
-    return ChartState(chart_id=chart_id, field=field, variables=variables,
-                      generators=(f,), frame=frame)
+    return replace(chart, frame=Frame(u_block=u_block, y_block=y_block,
+                                      boundary=tuple(boundary)))
 
 
-def _coordinate_directrix_vars(
-    f: Polynomial, variables: tuple[str, ...]
-) -> tuple[str, ...] | None:
+def _coordinate_directrix_vars(chart: ChartState) -> tuple[str, ...] | None:
     """The directrix coordinates when every directrix form is a single
     variable, else None."""
-    ini = initial_form(f, f.variables)
-    if ini.is_zero or ini.total_degree() == 0:
-        return None
-    _r, forms = compute_directrix(
-        [ini], Frame(u_block=variables, y_block=()))
     names = []
-    for form in forms:
+    for form in chart.directrix[1]:
         if len(form.terms) != 1:
             return None
-        mono, _c = form.terms[0]
-        if mono.degree() != 1:
-            return None
-        names.append(_support(mono)[0])
-    return tuple(v for v in variables if v in set(names))
+        names.append(_support(form.terms[0][0])[0])
+    return tuple(v for v in chart.variables if v in set(names))
 
 
 def _is_finished(chart: ChartState) -> bool:
-    orders = nu_star(chart.generators).orders
+    orders = chart.nu.orders
     if orders[0] == 0:
         return True
     return orders[-1] <= 1 and not chart.stratum
@@ -584,10 +573,8 @@ def _plain_delta(chart: ChartState):
     """delta of the prepared polyhedron in a directrix-adapted frame, or
     None when it cannot be computed within budget."""
     try:
-        ini = [initial_form(g, g.variables) for g in chart.generators]
-        _r, forms = compute_directrix(ini, chart.frame)
         gens, frame = adapt_frame_to_forms(
-            list(chart.generators), chart.frame, forms)
+            list(chart.generators), chart.frame, chart.directrix[1])
         if frame.e == 0 or frame.e > 2:
             return None
         result = prepare(gens, frame)
@@ -596,10 +583,6 @@ def _plain_delta(chart: ChartState):
         return delta(result.polyhedron)
     except (InputError, ScopeError):
         return None
-
-
-def _directrix_chart_vars(chart: ChartState) -> tuple[str, ...] | None:
-    return _coordinate_directrix_vars(chart.generators[0], chart.variables)
 
 
 def resolve(
@@ -668,7 +651,7 @@ def resolve(
             steps += 1
             parent_iota = iota_of(chart)
             parent_51 = not any(c.original for c in (chart.stratum or ()))
-            directrix_vars = _directrix_chart_vars(chart)
+            directrix_vars = _coordinate_directrix_vars(chart)
             parent_delta = None
             created: list[str] = []
             records: list[PointRecord] = []
@@ -738,6 +721,8 @@ def resolve(
                     stored = replace(stored, stratum=_label_components(
                         stored, stored_fresh, label_mode, reset=True))
                 charts[stored.chart_id] = stored
+                if stored is pre:
+                    iota_cache[pre.chart_id] = child_iota
                 created.append(stored.chart_id)
                 queue.append(stored.chart_id)
 
@@ -763,7 +748,8 @@ def resolve(
         error = str(exc)
 
     return ResolutionTrace(label_mode=label_mode, status=status,
-                           charts=charts, events=tuple(events), error=error)
+                           charts=charts, events=tuple(events), error=error,
+                           iotas=iota_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -895,27 +881,47 @@ def _dot_escape(text: str) -> str:
             .replace("\n", "\\n"))
 
 
-def trace_to_dot(trace: ResolutionTrace) -> str:
-    """Graphviz rendering: charts as nodes (generator plus invariant case),
-    blow-ups as edges labelled with the center and the chart variable."""
-    lines = ["digraph resolution {", "  node [shape=box];"]
-    for chart in trace.charts.values():
-        gen = ", ".join(to_string(g) for g in chart.generators)
+def _case_line(trace: ResolutionTrace, chart_id: str) -> str:
+    """The invariant case of a chart, as recorded by the resolver when it
+    evaluated this chart state and computed here otherwise."""
+    iota = trace.iotas.get(chart_id)
+    if iota is None:
         try:
-            case = compute_iota(chart).case
-            tag = f"case {case}"
+            iota = compute_iota(trace.charts[chart_id])
         except (InputError, ScopeError):
-            tag = "unresolved"
-        label = _dot_escape(f"{chart.chart_id}\n{gen}\n{tag}")
-        lines.append(f'  "{_dot_escape(chart.chart_id)}" [label="{label}"];')
-    for ev in trace.events:
-        center = "V(" + ", ".join(ev.center.variables) + ")"
-        for child_id in ev.created:
-            child = trace.charts[child_id]
-            var = child.lineage.chart_var if child.lineage else "?"
-            lines.append(
-                f'  "{_dot_escape(ev.chart_id)}" -> '
-                f'"{_dot_escape(child_id)}" '
-                f'[label="{_dot_escape(center + " / " + var)}"];')
+            return "unresolved"
+    return f"case {iota.case}"
+
+
+def trace_to_dot(trace: ResolutionTrace | Mapping[str, Any]) -> str:
+    """Graphviz rendering: charts as nodes (id, generators and, on a live
+    trace, the invariant case), blow-ups as edges labelled with the center
+    and the chart variable.
+
+    ``trace`` is a live trace or a stored trace document in the shape
+    ``trace_to_jsonable`` writes; a stored document carries no case, so
+    its nodes show none.
+    """
+    cases: dict[str, str] = {}
+    if isinstance(trace, ResolutionTrace):
+        cases = {cid: _case_line(trace, cid) for cid in trace.charts}
+        trace = trace_to_jsonable(trace)
+    chart_vars = {}
+    lines = ["digraph resolution {", "  node [shape=box];"]
+    for chart in trace["charts"]:
+        cid = chart["id"]
+        chart_vars[cid] = chart.get("chart_var", "?")
+        parts = [cid, ", ".join(chart["generators"])]
+        if cid in cases:
+            parts.append(cases[cid])
+        label = _dot_escape("\n".join(parts))
+        lines.append(f'  "{_dot_escape(cid)}" [label="{label}"];')
+    for ev in trace["events"]:
+        parent = _dot_escape(ev["chart"])
+        center = "V(" + ", ".join(ev["center"]["variables"]) + ")"
+        for child_id in ev["created"]:
+            edge = _dot_escape(center + " / " + chart_vars[child_id])
+            lines.append(f'  "{parent}" -> "{_dot_escape(child_id)}" '
+                         f'[label="{edge}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

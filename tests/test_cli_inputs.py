@@ -1,0 +1,173 @@
+"""Malformed options, moves and stored traces end in exit 2 with a message;
+the center-selection fallback resolves jobs whose stratum curve is not a
+valid center shape."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from surfres.cli import EXIT_INPUT, EXIT_OK, main
+
+SURFACE_JOB = {
+    "field": {"kind": "rationals"},
+    "variables": ["x", "y", "z"],
+    "generators": ["x^2 + y^9*z^10"],
+}
+
+# singular along x = -1, y = z = 0
+SHIFTED_JOB = {
+    "field": {"kind": "rationals"},
+    "variables": ["x", "y", "z"],
+    "generators": ["z^2 - x*y^2 - y^2"],
+}
+
+
+def run(tmp_path, capsys, argv_head, job, name="job.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(job))
+    code = main([argv_head, str(path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured.out, captured.err
+
+
+def test_f5_curve_outside_the_y_block_falls_back_to_the_closed_point(
+        tmp_path, capsys):
+    job = {"field": {"kind": "prime_field", "characteristic": 5},
+           "variables": ["x", "y", "z"],
+           "generators": ["x^3 + y^3 + x*z^3"]}
+    code, out, err = run(tmp_path, capsys, "resolve", job)
+    assert code == EXIT_OK, err
+    report = json.loads(out)
+    assert report["trace"]["status"] == "resolved"
+    assert report["monotone"]["ok"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "invariant"])
+def test_string_and_integer_moves_give_identical_reports(
+        tmp_path, capsys, command):
+    reports = []
+    for value in ("-1", -1):
+        job = dict(SHIFTED_JOB, point={"moves": {"x": value}})
+        code, out, err = run(tmp_path, capsys, command, job)
+        assert code == EXIT_OK, err
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["command"] == command
+
+
+def test_string_and_integer_declared_points_give_identical_reports(
+        tmp_path, capsys):
+    reports = []
+    for value in ("1", 1):
+        job = dict(SURFACE_JOB, declared_points={"root/z": [{"y": value}]})
+        code, out, err = run(tmp_path, capsys, "resolve", job)
+        assert code == EXIT_OK, err
+        reports.append(out)
+    assert reports[0] == reports[1]
+    points = [rec["point"] for ev in json.loads(reports[0])["trace"]["events"]
+              for rec in ev["records"]]
+    assert "y" in points
+
+
+@pytest.mark.parametrize("value", ["x", "1 + y", "1/2*z"])
+def test_non_constant_move_is_an_input_error(tmp_path, capsys, value):
+    job = dict(SHIFTED_JOB, point={"moves": {"x": value}})
+    code, _out, err = run(tmp_path, capsys, "analyze", job)
+    assert code == EXIT_INPUT
+    assert "jobspec.point.moves.x" in err
+    assert "not a constant" in err
+
+
+@pytest.mark.parametrize("command, options, field", [
+    ("resolve", {"max_steps": "10"}, "max_steps"),
+    ("resolve", {"max_steps": -1}, "max_steps"),
+    ("resolve", {"max_steps": True}, "max_steps"),
+    ("resolve", {"max_steps": 2.5}, "max_steps"),
+    ("resolve", {"label_mode": "newest"}, "label_mode"),
+    ("polyhedron", {"budget": "5"}, "budget"),
+    ("polyhedron", {"budget": 0}, "budget"),
+    ("polyhedron", {"budget": False}, "budget"),
+    ("polyhedron", {"sigma_budget": None}, "sigma_budget"),
+    ("polyhedron", {"sigma_budget": 0}, "sigma_budget"),
+    ("export", {"max_steps": "3"}, "max_steps"),
+])
+def test_bad_option_is_an_input_error_naming_the_field(
+        tmp_path, capsys, command, options, field):
+    job = dict(SURFACE_JOB, options=options)
+    code, _out, err = run(tmp_path, capsys, command, job)
+    assert code == EXIT_INPUT
+    assert f"jobspec.options.{field}" in err
+
+
+def test_smallest_valid_options_are_accepted(tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys, "resolve",
+                         dict(SURFACE_JOB, options={"max_steps": 0}))
+    assert code == EXIT_OK, err
+    assert json.loads(out)["trace"]["status"] == "step_limit"
+    code, out, err = run(tmp_path, capsys, "polyhedron",
+                         dict(SURFACE_JOB,
+                              options={"budget": 1, "sigma_budget": 1}))
+    assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize("trace, where", [
+    (5, "jobspec.trace"),
+    ([], "jobspec.trace"),
+    ({}, "jobspec.trace"),
+    ({"charts": 3, "events": []}, "jobspec.trace.charts"),
+    ({"charts": [7], "events": []}, "jobspec.trace.charts[0]"),
+    ({"charts": [{"generators": ["x"]}], "events": []},
+     "jobspec.trace.charts[0]"),
+    ({"charts": [{"id": "root", "generators": "x"}], "events": []},
+     "jobspec.trace.charts[0].generators"),
+    ({"charts": [{"id": "root", "generators": [1]}], "events": []},
+     "jobspec.trace.charts[0].generators"),
+    ({"charts": [{"id": "root", "generators": ["x"], "chart_var": 1}],
+      "events": []}, "jobspec.trace.charts[0].chart_var"),
+    ({"charts": [{"id": "root", "generators": ["x"]}]}, "jobspec.trace"),
+    ({"charts": [{"id": "root", "generators": ["x"]}], "events": [1]},
+     "jobspec.trace.events[0]"),
+    ({"charts": [{"id": "root", "generators": ["x"]}],
+      "events": [{"chart": "root", "center": {"variables": ["x"]},
+                  "created": ["root/x"]}]},
+     "jobspec.trace.events[0].created"),
+    ({"charts": [{"id": "root", "generators": ["x"]}],
+      "events": [{"chart": "root", "center": {"variables": ["x"]},
+                  "created": [["root"]]}]},
+     "jobspec.trace.events[0].created"),
+    ({"charts": [{"id": "root", "generators": ["x"]}],
+      "events": [{"chart": "root", "center": [], "created": []}]},
+     "jobspec.trace.events[0]"),
+])
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_malformed_stored_trace_is_an_input_error(
+        tmp_path, capsys, trace, where, fmt):
+    path = tmp_path / "stored.json"
+    path.write_text(json.dumps({"trace": trace}))
+    code = main(["export", str(path), "--format", fmt])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert "Traceback" not in err
+    assert where in err
+
+
+def test_minimal_stored_trace_renders(tmp_path, capsys):
+    trace = {"charts": [{"id": "root", "generators": ["x^2 + y*z"]},
+                        {"id": "root/x", "generators": ["x + y*z"],
+                         "chart_var": "x"}],
+             "events": [{"chart": "root",
+                         "center": {"variables": ["x", "y", "z"]},
+                         "created": ["root/x"]}]}
+    path = tmp_path / "stored.json"
+    path.write_text(json.dumps({"trace": trace}))
+    assert main(["export", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        'digraph resolution {\n'
+        '  node [shape=box];\n'
+        '  "root" [label="root\\nx^2 + y*z"];\n'
+        '  "root/x" [label="root/x\\nx + y*z"];\n'
+        '  "root" -> "root/x" [label="V(x, y, z) / x"];\n'
+        '}\n')
