@@ -520,7 +520,8 @@ def normalize_at_vertex(
                     "the supplied generators are not a standard basis"
                 )
         else:
-            raise RuntimeError("normalization did not terminate")
+            raise ScopeError(
+                "normalization did not terminate within 200 reduction steps")
     return out
 
 

@@ -15,8 +15,9 @@ blowup      blow up one center and classify every chart origin above it
 resolve     run the resolution loop and check strict decrease
 export      render a resolution trace as DOT or JSON
 
-Exit codes: 0 success, 2 malformed input, 3 out-of-scope request,
-4 monotonicity failure.  All diagnostics go to stderr; reports to stdout or
+Exit codes: 0 success, 2 malformed input, 3 out-of-scope request (including
+a polynomial text too large to expand), 4 monotonicity failure or a broken
+resolution law.  All diagnostics go to stderr; reports to stdout or
 the --output path.  Identical jobs produce byte-identical reports.
 
 Infinity is serialized as the string "inf" and non-integral rationals as
@@ -64,6 +65,7 @@ from .resolution_driver import (
     DEFAULT_LABELS,
     FRESH_LABELS,
     SCOPE_ERROR,
+    LawViolation,
     chart_to_jsonable,
     check_monotone,
     initial_chart,
@@ -91,7 +93,7 @@ def _expect(data: dict, key: str, kind: type, where: str) -> Any:
     if key not in data:
         raise InputError(f"{where}: missing required field {key!r}")
     value = data[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise InputError(
             f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -102,6 +104,10 @@ def _string_list(data: dict, key: str, where: str) -> list[str]:
     if not all(isinstance(v, str) for v in value):
         raise InputError(f"{where}.{key}: expected a list of strings")
     return value
+
+
+def _int_field(data: dict, key: str, default: int, where: str) -> int:
+    return _expect(data, key, int, where) if key in data else default
 
 
 def _object(value: Any, where: str) -> dict:
@@ -165,17 +171,23 @@ def _stratum_from(data: Any, field: FieldDescriptor,
     for i, entry in enumerate(data):
         where = f"jobspec.stratum[{i}]"
         _object(entry, where)
-        names = _expect(entry, "variables", list, where)
+        names = _string_list(entry, "variables", where)
+        unknown = [v for v in names if v not in variables]
+        if unknown:
+            raise InputError(f"{where}.variables: unknown variable(s) {unknown}")
         label = _expect(entry, "label", int, where)
-        conditions = tuple(
-            parse_polynomial(q, field, variables)
-            for q in entry.get("conditions", ()))
+        texts = _string_list(entry, "conditions", where) \
+            if "conditions" in entry else ()
+        original = entry.get("original")
+        if original is not None and not isinstance(original, bool):
+            raise InputError(f"{where}.original: expected true, false or null")
         comps.append(StratumComponent(
-            cid=entry.get("cid", i),
+            cid=_int_field(entry, "cid", i, where),
             variables=tuple(names),
             label=label,
-            conditions=conditions,
-            original=entry.get("original"),
+            conditions=tuple(parse_polynomial(q, field, variables)
+                             for q in texts),
+            original=original,
         ))
     return tuple(comps)
 
@@ -184,7 +196,7 @@ def build_chart(job: dict) -> ChartState:
     """Turn a parsed job document into a chart state."""
     field = _field_from(_expect(job, "field", dict, "jobspec"))
     variables = tuple(_string_list(job, "variables", "jobspec"))
-    texts = _expect(job, "generators", list, "jobspec")
+    texts = _string_list(job, "generators", "jobspec")
     if not texts:
         raise InputError("jobspec.generators: at least one generator is needed")
     generators = tuple(
@@ -196,8 +208,8 @@ def build_chart(job: dict) -> ChartState:
 
     if "frame" in job:
         frame_data = _expect(job, "frame", dict, "jobspec")
-        u_block = tuple(_expect(frame_data, "u", list, "jobspec.frame"))
-        y_block = tuple(_expect(frame_data, "y", list, "jobspec.frame"))
+        u_block = tuple(_string_list(frame_data, "u", "jobspec.frame"))
+        y_block = tuple(_string_list(frame_data, "y", "jobspec.frame"))
         boundary = []
         for i, entry in enumerate(boundary_data):
             where = f"jobspec.boundary[{i}]"
@@ -209,8 +221,8 @@ def build_chart(job: dict) -> ChartState:
                 generator=parse_polynomial(
                     _expect(entry, "generator", str, where), field, variables),
                 status=status,
-                birth_step=entry.get("birth", 0),
-                cid=entry.get("cid", i),
+                birth_step=_int_field(entry, "birth", 0, where),
+                cid=_int_field(entry, "cid", i, where),
             ))
         chart = make_chart(field, variables, generators, u_block, y_block,
                            tuple(boundary))
@@ -256,7 +268,7 @@ def build_chart(job: dict) -> ChartState:
 def _center_from(job: dict, chart: ChartState) -> Center:
     if "center" in job:
         data = _expect(job, "center", dict, "jobspec")
-        names = tuple(_expect(data, "variables", list, "jobspec.center"))
+        names = tuple(_string_list(data, "variables", "jobspec.center"))
         kind = CLOSED_POINT if len(names) == len(chart.variables) \
             else COORDINATE_CURVE
         return Center(names, data.get("kind", kind))
@@ -564,6 +576,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScopeError as err:
         print(f"scope error: {err}", file=sys.stderr)
         return EXIT_SCOPE
+    except LawViolation as err:
+        print(f"law violation: {err}", file=sys.stderr)
+        return EXIT_MONOTONE
     except BrokenPipeError:
         # the consumer (e.g. `head`) closed stdout; swallow the tail quietly
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -486,8 +486,50 @@ class Monomial:
 # ---------------------------------------------------------------------------
 
 def _term_sort_key(variables: tuple[str, ...], m: Monomial) -> tuple:
-    vec = tuple(-m.exponent(v) for v in variables)
-    return (m.degree(), vec)
+    exps = dict(m.exps)
+    vec = tuple([-exps.get(v, 0) for v in variables])
+    return (-sum(vec), vec)
+
+
+def _mul_into(acc: dict, a: Iterable[tuple[tuple, Any]],
+              b: list[tuple[tuple, Any]]) -> None:
+    """Add the product of the term lists ``a`` and ``b`` into ``acc``.
+
+    Term lists and ``acc`` are keyed by a monomial's sorted ``exps`` tuple,
+    so no ``Monomial`` is built until the caller canonicalises the result.
+    """
+    for m1, c1 in a:
+        d1 = dict(m1)
+        for m2, c2 in b:
+            if not m2:
+                m = m1
+            elif not m1:
+                m = m2
+            else:
+                d = d1.copy()
+                for v, e in m2:
+                    d[v] = d.get(v, 0) + e
+                m = tuple(sorted(d.items()))
+            c = c1 * c2
+            s = acc.get(m)
+            acc[m] = c if s is None else s + c
+
+
+def _power(base: "Polynomial", e: int, multiply) -> "Polynomial":
+    """base**e by repeated squaring, forming every product with ``multiply``."""
+    result = Polynomial.constant(base.field, base.variables, base.field.one())
+    while e:
+        if e & 1:
+            result = multiply(result, base)
+        e >>= 1
+        if e:
+            base = multiply(base, base)
+    return result
+
+
+def _from_term_map(field: FieldDescriptor, variables: tuple[str, ...],
+                   acc: Mapping[tuple, Any]) -> "Polynomial":
+    return Polynomial.make(field, variables, {Monomial(m): c for m, c in acc.items()})
 
 
 @dataclass(frozen=True)
@@ -592,26 +634,15 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        acc: dict[Monomial, Any] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1.mul(m2)
-                c = c1 * c2
-                s = acc.get(m)
-                acc[m] = c if s is None else s + c
-        return Polynomial.make(self.field, self.variables, acc)
+        acc: dict[tuple, Any] = {}
+        _mul_into(acc, [(m.exps, c) for m, c in self.terms],
+                  [(m.exps, c) for m, c in other.terms])
+        return _from_term_map(self.field, self.variables, acc)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise InputError("negative polynomial power")
-        out = Polynomial.constant(self.field, self.variables, self.field.one())
-        base = self
-        while e > 0:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, Polynomial.__mul__)
 
     def scale(self, c: Any) -> "Polynomial":
         if not c:
@@ -721,52 +752,68 @@ def hasse_derivative(f: Polynomial, a: Mapping[str, int]) -> Polynomial:
     return Polynomial.make(f.field, f.variables, acc)
 
 
+def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomial:
+    """f with every assigned variable replaced by its expression at once.
+
+    The terms of f are grouped by the exponents of the assigned variables.
+    Each group's remaining part is multiplied by the cached powers of the
+    expressions, and every product is added into one term map, which is
+    canonicalised once at the end.  Since f is read only once, the
+    replacements are simultaneous.
+    """
+    index = {v: i for i, v in enumerate(assignments)}
+    groups: dict[tuple[int, ...], list[tuple[tuple, Any]]] = {}
+    for m, c in f.terms:
+        key = [0] * len(index)
+        rest = []
+        for v, e in m.exps:
+            i = index.get(v)
+            if i is None:
+                rest.append((v, e))
+            else:
+                key[i] = e
+        groups.setdefault(tuple(key), []).append((tuple(rest), c))
+
+    unit = [((), f.field.one())]
+    powers = [[unit, [(m.exps, c) for m, c in expr.terms]]
+              for expr in assignments.values()]
+
+    def power(i: int, e: int) -> list[tuple[tuple, Any]]:
+        cached = powers[i]
+        while len(cached) <= e:
+            acc: dict[tuple, Any] = {}
+            _mul_into(acc, cached[-1], cached[1])
+            cached.append([(m, c) for m, c in acc.items() if c])
+        return cached[e]
+
+    result: dict[tuple, Any] = {}
+    for key, part in groups.items():
+        factors = [power(i, e) for i, e in enumerate(key) if e]
+        for factor in factors[:-1]:
+            acc = {}
+            _mul_into(acc, part, factor)
+            part = [(m, c) for m, c in acc.items() if c]
+        _mul_into(result, part, factors[-1] if factors else unit)
+    return _from_term_map(f.field, f.variables, result)
+
+
 def substitute(f: Polynomial, var: str, expr: Polynomial) -> Polynomial:
     """Replace ``var`` by ``expr`` in f, fully expanded and canonicalized."""
     if var not in f.variables:
         raise InputError(f"unknown variable {var!r} in substitute")
     f._check_compatible(expr)
-    # Group terms by the exponent of var and expand with cached powers.
-    by_exp: dict[int, dict[Monomial, Any]] = {}
-    for m, c in f.terms:
-        e = m.exponent(var)
-        rest = Monomial.from_dict({v: k for v, k in m.exps if v != var})
-        bucket = by_exp.setdefault(e, {})
-        s = bucket.get(rest)
-        bucket[rest] = c if s is None else s + c
-    result = Polynomial.zero(f.field, f.variables)
-    power = Polynomial.constant(f.field, f.variables, f.field.one())
-    cached: dict[int, Polynomial] = {0: power}
-    max_e = max(by_exp) if by_exp else 0
-    for e in range(1, max_e + 1):
-        cached[e] = cached[e - 1] * expr
-    for e, bucket in sorted(by_exp.items()):
-        partial = Polynomial.make(f.field, f.variables, bucket)
-        result = result + partial * cached[e]
-    return result
+    return _evaluate(f, {var: expr})
 
 
 def substitute_many(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomial:
     """Simultaneous substitution (applied against the original variables)."""
     if not assignments:
         return f
-    # Rename through fresh shadow variables so the substitution is simultaneous.
-    shadow = {v: f"__tmp_{i}__" for i, v in enumerate(assignments)}
-    extended_vars = f.variables + tuple(shadow[v] for v in assignments)
-    lifted = Polynomial.make(
-        f.field,
-        extended_vars,
-        {m: c for m, c in f.terms},
-    )
-    for v, sv in shadow.items():
-        lifted = substitute(lifted, v, Polynomial.variable(f.field, extended_vars, sv))
-    for v, expr in assignments.items():
-        lifted_expr = Polynomial.make(f.field, extended_vars, {m: c for m, c in expr.terms})
-        lifted = substitute(lifted, shadow[v], lifted_expr)
-    for sv in shadow.values():
-        if sv in lifted.support_variables():  # pragma: no cover - defensive
-            raise InputError("simultaneous substitution failed to eliminate shadows")
-    return Polynomial.make(f.field, f.variables, {m: c for m, c in lifted.terms})
+    for var, expr in assignments.items():
+        if var not in f.variables:
+            raise InputError(f"unknown variable {var!r} in substitute")
+        f._check_compatible(expr)
+    return _evaluate(f, assignments)
 
 
 def divide_exactly(f: Polynomial, var: str, power: int) -> Polynomial:
@@ -785,6 +832,11 @@ def divide_exactly(f: Polynomial, var: str, power: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+# Largest product of two operands' term counts that the parser multiplies out
+# (beyond it, ScopeError).  No job of the test suite or the benchmark needs
+# more than 6; at 10**5 the refusal comes within a fraction of a second.
+MAX_PARSE_PRODUCT = 10**5
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|\-|/|\(|\)))")
 
@@ -879,7 +931,7 @@ class _Parser:
             tok = self.peek()
             if tok == ("op", "*"):
                 self.take()
-                result = result * self.power()
+                result = self.multiply(result, self.power())
             elif tok == ("op", "/"):
                 self.take()
                 divisor = self.power()
@@ -896,8 +948,16 @@ class _Parser:
             kind, text = self.take()
             if kind != "int":
                 raise InputError("exponent must be a nonnegative integer")
-            return base ** int(text)
+            return _power(base, int(text), self.multiply)
         return base
+
+    def multiply(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        if len(a.terms) * len(b.terms) > MAX_PARSE_PRODUCT:
+            raise ScopeError(
+                f"expanding the polynomial text needs a product of "
+                f"{len(a.terms)} by {len(b.terms)} terms, over the limit of "
+                f"{MAX_PARSE_PRODUCT} term products (MAX_PARSE_PRODUCT)")
+        return a * b
 
     def atom(self) -> Polynomial:
         kind, text = self.take()

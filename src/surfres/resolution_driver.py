@@ -81,6 +81,21 @@ RESOLVED = "resolved"
 STEP_LIMIT = "step_limit"
 SCOPE_ERROR = "scope_error"
 
+# -- laws checked at every blow-up --------------------------------------------
+
+LAW_DIRECTRIX_DROPS = "directrix-chart-drops"
+LAW_DELTA_DROPS_BY_ONE = "delta-drops-by-one"
+LAW_NO_ORIGINAL_REAPPEARS = "no-original-component-reappears"
+LAW_NEW_COMPONENTS_PERMISSIBLE = "new-components-permissible"
+
+
+class LawViolation(RuntimeError):
+    """A blow-up broke one of the laws ``resolve`` checks; ``law`` names it."""
+
+    def __init__(self, law: str, detail: str):
+        super().__init__(f"{law}: {detail}")
+        self.law = law
+
 
 # ---------------------------------------------------------------------------
 # the maximal stratum of one chart
@@ -607,7 +622,8 @@ def resolve(
     addition to the chart origin.
 
     Scope errors abort the loop and return the partial trace with status
-    ``scope_error``; exceeding ``max_steps`` returns ``step_limit``.
+    ``scope_error``; exceeding ``max_steps`` returns ``step_limit``.  A
+    blow-up that breaks one of the ``LAW_*`` laws raises ``LawViolation``.
     """
     charts: dict[str, ChartState] = {root.chart_id: root}
     events: list[TraceEvent] = []
@@ -669,8 +685,10 @@ def resolve(
                     comparison=compare_iota(child_iota, parent_iota)))
 
                 # No point of a directrix-variable chart stays near.
-                if directrix_vars is not None and w in directrix_vars:
-                    assert classification == DROPPED, (
+                if (directrix_vars is not None and w in directrix_vars
+                        and classification != DROPPED):
+                    raise LawViolation(
+                        LAW_DIRECTRIX_DROPS,
                         f"near point in directrix chart {pre.chart_id}")
                 # delta drops by exactly one at very near points over a
                 # closed-point center when e = 1.
@@ -680,14 +698,17 @@ def resolve(
                     if parent_delta is None:
                         parent_delta = _plain_delta(chart)
                     child_delta = _plain_delta(pre)
-                    if parent_delta is not None and child_delta is not None:
-                        assert child_delta == parent_delta - 1, (
-                            f"delta law violated at {pre.chart_id}: "
-                            f"{parent_delta} -> {child_delta}")
+                    if (parent_delta is not None and child_delta is not None
+                            and child_delta != parent_delta - 1):
+                        raise LawViolation(
+                            LAW_DELTA_DROPS_BY_ONE,
+                            f"{pre.chart_id}: {parent_delta} -> {child_delta}")
                 # Once no original component remains, none reappears while
                 # the log-multiplicity value is unchanged.
-                if parent_51 and not _log_dropped(chart, pre):
-                    assert not any(c.original for c in pre.stratum), (
+                if (parent_51 and not _log_dropped(chart, pre)
+                        and any(c.original for c in pre.stratum)):
+                    raise LawViolation(
+                        LAW_NO_ORIGINAL_REAPPEARS,
                         f"original component reappeared in {pre.chart_id}")
                 # Newly created curve components of the multiple locus at
                 # log-equimultiple points are regular permissible curves.
@@ -704,10 +725,12 @@ def resolve(
                             continue
                         report = permissible_check(
                             pre, Center(comp.variables, COORDINATE_CURVE))
-                        assert report.ok, (
-                            f"new component V({', '.join(comp.variables)}) "
-                            f"in {pre.chart_id} is not permissible: "
-                            + "; ".join(report.violations))
+                        if not report.ok:
+                            raise LawViolation(
+                                LAW_NEW_COMPONENTS_PERMISSIBLE,
+                                f"new component V({', '.join(comp.variables)}) "
+                                f"in {pre.chart_id} is not permissible: "
+                                + "; ".join(report.violations))
 
                 stored = pre
                 if _log_dropped(chart, pre):
