@@ -62,14 +62,13 @@ def _canonical_vertices(dim: int, points: Sequence[Point]) -> tuple[Point, ...]:
         return ()
     if dim == 1:
         return (min(pts),)
-    # dominance filter: drop p when some other q <= p coordinatewise
+    # dominance filter: drop p when some other q <= p coordinatewise; every
+    # such q comes before p in sorted order, so p stays when its second
+    # coordinate is below that of every earlier point
     kept = []
     for p in pts:
-        if not any(
-            q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts
-        ):
+        if not kept or p[1] < kept[-1][1]:
             kept.append(p)
-    kept.sort()
     hull: list[Point] = []
     for p in kept:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
@@ -181,26 +180,35 @@ def generator_order(g: Polynomial, frame: Frame) -> int:
     return int(ord_at(g, frame.variables))
 
 
-def _points_of_generator(g: Polynomial, frame: Frame) -> list[Point]:
-    nu = generator_order(g, frame)
-    uset = frame.u_block
+def _split_terms(g: Polynomial, frame: Frame) -> list[tuple[list[int], int]]:
+    """Each term's u-exponents (in u-block order) and y-degree, read in one
+    scan of its monomial."""
+    u_index = {u: i for i, u in enumerate(frame.u_block)}
     yset = set(frame.y_block)
-    points = []
-    in_u_ideal = True
+    zero = [0] * len(u_index)
+    out = []
     for m, _ in g.terms:
-        b = m.degree(yset)
-        a_total = m.degree(set(uset))
-        if a_total == 0:
-            in_u_ideal = False
-        if b < nu:
-            denom = nu - b
-            points.append(tuple(Fraction(m.exponent(u), denom) for u in uset))
-    if in_u_ideal:
+        a = zero.copy()
+        b = 0
+        for v, e in m.exps:
+            i = u_index.get(v)
+            if i is not None:
+                a[i] = e
+            elif v in yset:
+                b += e
+        out.append((a, b))
+    return out
+
+
+def _points_of_generator(g: Polynomial, frame: Frame) -> list[Point]:
+    split = _split_terms(g, frame)
+    nu = min(sum(a) + b for a, b in split)
+    if all(any(a) for a, _ in split):
         raise InputError(
             "generator lies in the ideal generated by the u-block; "
             "no valid (u; y) expansion"
         )
-    return points
+    return [tuple([Fraction(x, nu - b) for x in a]) for a, b in split if b < nu]
 
 
 def polyhedron_of(gens: Sequence[Polynomial], frame: Frame) -> FPolyhedron:
@@ -236,23 +244,25 @@ def _term_point(m: Monomial, nu: int, frame: Frame) -> Point | None:
 
 def vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> VertexInitial:
     """F_i(Y) plus the terms whose polyhedron point equals the vertex v."""
-    poly = polyhedron_of(gens, frame)
-    if v not in poly.vertices:
+    if v not in polyhedron_of(gens, frame).vertices:
         raise InputError(f"{v} is not a vertex of the polyhedron")
+    return _vertex_initial(gens, frame, v)
+
+
+def _vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> VertexInitial:
+    """``vertex_initial`` at a point already known to be a vertex."""
     forms = []
     orders = []
-    yset = set(frame.y_block)
     for g in gens:
-        nu = generator_order(g, frame)
+        split = _split_terms(g, frame)
+        nu = min(sum(a) + b for a, b in split)
         orders.append(nu)
         term_map: dict[Monomial, Any] = {}
-        for m, c in g.terms:
-            if m.degree() == nu and m.degree(yset) == nu:
+        for (m, c), (a, b) in zip(g.terms, split):
+            if b == nu and m.degree() == nu:
                 term_map[m] = c  # the pure-Y initial part F_i(Y)
-            else:
-                pt = _term_point(m, nu, frame)
-                if pt == v:
-                    term_map[m] = c
+            elif b < nu and tuple([Fraction(x, nu - b) for x in a]) == v:
+                term_map[m] = c
         forms.append(Polynomial.make(g.field, g.variables, term_map))
     return VertexInitial(v, tuple(forms), tuple(orders), frame)
 
@@ -586,8 +596,8 @@ def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> Prepa
     escape = None
     stable = None
     status = MINIMAL
+    poly = polyhedron_of(current, frame)  # always the polyhedron of current
     while True:
-        poly = polyhedron_of(current, frame)
         if poly.is_empty:
             status = EMPTY
             break
@@ -599,10 +609,10 @@ def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> Prepa
         normalized = normalize_at_vertex(current, frame, v)
         if normalized != current:
             current = normalized
-            new_poly = polyhedron_of(current, frame)
-            if v not in new_poly.vertices:
+            poly = polyhedron_of(current, frame)
+            if v not in poly.vertices:
                 continue
-        vi = vertex_initial(current, frame, v)
+        vi = _vertex_initial(current, frame, v)
         lam = is_solvable(vi, field)
         if lam is None:
             certified.add(v)
@@ -616,28 +626,26 @@ def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> Prepa
                 current = [substitute(g, y_name, replacement) for g in current]
         changes.append({"vertex": v, "witness": lam})
         solved.append(v)
-        after = polyhedron_of(current, frame)
+        poly = polyhedron_of(current, frame)
         snapshots.append(
-            tuple(w for w in after.vertices if _axis_of(w) is None)
+            tuple(w for w in poly.vertices if _axis_of(w) is None)
         )
         if escape is None and _detect_escape(solved, snapshots):
             escape = ESCAPE_ANNOTATION
             stable = FPolyhedron.from_points(
-                after.dim, [w for w in after.vertices if _axis_of(w) != _axis_of(v)]
+                poly.dim, [w for w in poly.vertices if _axis_of(w) != _axis_of(v)]
             )
         if len(solved) >= budget:
-            poly = polyhedron_of(current, frame)
             if poly.is_empty:
                 status = EMPTY
             else:
                 remaining = [w for w in poly.vertices if w not in certified]
                 status = BUDGET_EXHAUSTED if remaining else MINIMAL
             break
-    final_poly = polyhedron_of(current, frame)
     return PreparationResult(
         generators=tuple(current),
         changes=tuple(changes),
-        polyhedron=final_poly,
+        polyhedron=poly,
         status=status,
         solved_vertices=tuple(solved),
         escape_annotation=escape,
@@ -861,12 +869,11 @@ def sigma_search(
     current = list(gens)
     subs: list[dict] = []
     certified = True
-    poly = polyhedron_of(current, work_frame)
+    poly = polyhedron_of(current, work_frame)  # always the polyhedron of current
     _, beta, _, s = face_numbers(poly, 1)
     if beta < 1:
         return SigmaResult(Fraction(1), True, (), tuple(current))
     for _ in range(budget):
-        poly = polyhedron_of(current, work_frame)
         alpha, beta, _, s = face_numbers(poly, 1)
         if s == INF:
             return SigmaResult(INF, certified, tuple(subs), tuple(current))
@@ -901,11 +908,10 @@ def sigma_search(
         current = list(prep.generators)
         if prep.status == BUDGET_EXHAUSTED:
             certified = False
-        new_poly = polyhedron_of(current, work_frame)
-        _, _, _, s_new = face_numbers(new_poly, 1)
+        poly = prep.polyhedron
+        _, _, _, s_new = face_numbers(poly, 1)
         if not (s_new > s):
             raise RuntimeError("straightening substitution failed to increase s")
-    poly = polyhedron_of(current, work_frame)
     _, _, _, s = face_numbers(poly, 1)
     return SigmaResult(max(Fraction(1), s) if s != INF else INF, False, tuple(subs), tuple(current))
 

@@ -49,6 +49,7 @@ from .exact_algebra import (
     FieldDescriptor,
     InputError,
     ScopeError,
+    coefficient_text,
     parse_polynomial,
     to_string,
 )
@@ -339,7 +340,7 @@ def report_polyhedron(job: dict) -> dict:
         "preparation_log": [
             {
                 "vertex": [value_to_jsonable(c) for c in change["vertex"]],
-                "witness": [str(x) for x in change["witness"]],
+                "witness": [coefficient_text(x) for x in change["witness"]],
             }
             for change in result.changes
         ],

@@ -13,7 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Any, Iterable, Mapping
 
 INF = float("inf")
@@ -301,6 +303,11 @@ class RatFunc:
 # field descriptors
 # ---------------------------------------------------------------------------
 
+# Largest characteristic of a field (beyond it, ScopeError).  Vertex
+# solvability and root finding over F_p search the whole field, and the
+# primality check is trial division.
+MAX_CHARACTERISTIC = 100
+
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
 RATIONAL_FUNCTIONS = "rational_functions_over_prime_field"
@@ -329,9 +336,12 @@ class FieldDescriptor:
         if self.kind == RATIONALS:
             if self.characteristic != 0:
                 raise InputError("the rationals have characteristic 0")
-        else:
-            if not _is_prime(self.characteristic):
-                raise InputError(f"characteristic must be prime, got {self.characteristic}")
+        elif self.characteristic > MAX_CHARACTERISTIC:
+            raise ScopeError(
+                f"characteristic {self.characteristic} is over the limit of "
+                f"{MAX_CHARACTERISTIC} (MAX_CHARACTERISTIC)")
+        elif not _is_prime(self.characteristic):
+            raise InputError(f"characteristic must be prime, got {self.characteristic}")
         if self.kind == RATIONAL_FUNCTIONS and not self.transcendental_name:
             raise InputError("rational function fields need a transcendental name")
         if self.kind != RATIONAL_FUNCTIONS and self.transcendental_name is not None:
@@ -485,31 +495,38 @@ class Monomial:
 # polynomials
 # ---------------------------------------------------------------------------
 
-def _term_sort_key(variables: tuple[str, ...], m: Monomial) -> tuple:
-    exps = dict(m.exps)
-    vec = tuple([-exps.get(v, 0) for v in variables])
-    return (-sum(vec), vec)
+@lru_cache(maxsize=256)
+def _layout(variables: tuple[str, ...]) -> tuple[dict[str, int], list[int]]:
+    """Each variable's position, and the positions in name order."""
+    return ({v: i for i, v in enumerate(variables)},
+            sorted(range(len(variables)), key=variables.__getitem__))
+
+
+def _exponent_vectors(p: "Polynomial") -> list[tuple[tuple[int, ...], Any]]:
+    """p's terms with each monomial as an exponent vector aligned with
+    ``p.variables``."""
+    index = _layout(p.variables)[0]
+    zero = [0] * len(index)
+    out = []
+    for m, c in p.terms:
+        vec = zero.copy()
+        for v, e in m.exps:
+            vec[index[v]] = e
+        out.append((tuple(vec), c))
+    return out
 
 
 def _mul_into(acc: dict, a: Iterable[tuple[tuple, Any]],
               b: list[tuple[tuple, Any]]) -> None:
     """Add the product of the term lists ``a`` and ``b`` into ``acc``.
 
-    Term lists and ``acc`` are keyed by a monomial's sorted ``exps`` tuple,
-    so no ``Monomial`` is built until the caller canonicalises the result.
+    Term lists and ``acc`` are keyed by exponent vectors aligned with one
+    variable tuple, so a product of two monomials is one tuple addition and
+    no ``Monomial`` is built until the caller canonicalises the result.
     """
     for m1, c1 in a:
-        d1 = dict(m1)
         for m2, c2 in b:
-            if not m2:
-                m = m1
-            elif not m1:
-                m = m2
-            else:
-                d = d1.copy()
-                for v, e in m2:
-                    d[v] = d.get(v, 0) + e
-                m = tuple(sorted(d.items()))
+            m = tuple(map(add, m1, m2))
             c = c1 * c2
             s = acc.get(m)
             acc[m] = c if s is None else s + c
@@ -527,9 +544,25 @@ def _power(base: "Polynomial", e: int, multiply) -> "Polynomial":
     return result
 
 
-def _from_term_map(field: FieldDescriptor, variables: tuple[str, ...],
-                   acc: Mapping[tuple, Any]) -> "Polynomial":
-    return Polynomial.make(field, variables, {Monomial(m): c for m, c in acc.items()})
+def _vector_order(term: tuple[tuple[int, ...], Any]) -> tuple:
+    """Sort key of a term keyed by its exponent vector: descending in this
+    key is the canonical order (ascending total degree, then descending
+    exponent vector)."""
+    return (-sum(term[0]), term[0])
+
+
+def _from_vectors(field: FieldDescriptor, variables: tuple[str, ...],
+                  acc: Mapping[tuple[int, ...], Any]) -> "Polynomial":
+    """The polynomial of a term map keyed by exponent vectors aligned with
+    ``variables``: zero coefficients dropped, the canonical order read from
+    the vectors, and one ``Monomial`` built per term."""
+    by_name = _layout(variables)[1]
+    items = [(vec, c) for vec, c in acc.items() if c]
+    items.sort(key=_vector_order, reverse=True)
+    terms = tuple(
+        (Monomial(tuple([(variables[i], vec[i]) for i in by_name if vec[i]])), c)
+        for vec, c in items)
+    return Polynomial(field, variables, terms)
 
 
 @dataclass(frozen=True)
@@ -551,19 +584,22 @@ class Polynomial:
         field: FieldDescriptor, variables: Iterable[str], term_map: Mapping[Monomial, Any]
     ) -> "Polynomial":
         vs = tuple(variables)
-        seen = set(vs)
-        if len(seen) != len(vs):
+        index = _layout(vs)[0]
+        if len(index) != len(vs):
             raise InputError("duplicate ambient variable names")
-        clean: list[tuple[Monomial, Any]] = []
+        keyed: list[tuple[tuple[int, ...], tuple[Monomial, Any]]] = []
         for m, c in term_map.items():
             if not c:
                 continue
-            for v, _ in m.exps:
-                if v not in seen:
+            vec = [0] * len(vs)
+            for v, e in m.exps:
+                i = index.get(v)
+                if i is None:
                     raise InputError(f"monomial uses unknown variable {v!r}")
-            clean.append((m, c))
-        clean.sort(key=lambda mc: _term_sort_key(vs, mc[0]))
-        return Polynomial(field, vs, tuple(clean))
+                vec[i] = e
+            keyed.append((tuple(vec), (m, c)))
+        keyed.sort(key=_vector_order, reverse=True)
+        return Polynomial(field, vs, tuple([mc for _, mc in keyed]))
 
     @staticmethod
     def zero(field: FieldDescriptor, variables: Iterable[str]) -> "Polynomial":
@@ -635,9 +671,8 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         acc: dict[tuple, Any] = {}
-        _mul_into(acc, [(m.exps, c) for m, c in self.terms],
-                  [(m.exps, c) for m, c in other.terms])
-        return _from_term_map(self.field, self.variables, acc)
+        _mul_into(acc, _exponent_vectors(self), _exponent_vectors(other))
+        return _from_vectors(self.field, self.variables, acc)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -661,13 +696,20 @@ class Polynomial:
         return to_string(self)
 
 
+def coefficient_text(c: Any) -> str:
+    """``str(c)``, with a coefficient too long for the interpreter's
+    integer-to-text limit reported as ``ScopeError``."""
+    try:
+        return str(c)
+    except ValueError as err:
+        raise ScopeError(f"a coefficient is too large to print: {err}") from None
+
+
 def _format_coefficient(field: FieldDescriptor, c: Any) -> tuple[str, str]:
     """Split a coefficient into (sign, magnitude-string); sign is '+' or '-'."""
-    if field.kind == RATIONALS:
-        if c < 0:
-            return "-", str(-c)
-        return "+", str(c)
-    return "+", str(c)
+    if field.kind == RATIONALS and c < 0:
+        return "-", coefficient_text(-c)
+    return "+", coefficient_text(c)
 
 
 def to_string(f: Polynomial) -> str:
@@ -759,27 +801,27 @@ def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomia
     Each group's remaining part is multiplied by the cached powers of the
     expressions, and every product is added into one term map, which is
     canonicalised once at the end.  Since f is read only once, the
-    replacements are simultaneous.
+    replacements are simultaneous.  Monomials are exponent vectors aligned
+    with f's variables throughout.  A power of a zero, constant or one-term
+    expression (such as the blow-up's v -> v*w) is formed in closed form.
     """
-    index = {v: i for i, v in enumerate(assignments)}
+    index = _layout(f.variables)[0]
+    slots = [index[v] for v in assignments]
     groups: dict[tuple[int, ...], list[tuple[tuple, Any]]] = {}
-    for m, c in f.terms:
-        key = [0] * len(index)
-        rest = []
-        for v, e in m.exps:
-            i = index.get(v)
-            if i is None:
-                rest.append((v, e))
-            else:
-                key[i] = e
-        groups.setdefault(tuple(key), []).append((tuple(rest), c))
+    for vec, c in _exponent_vectors(f):
+        rest = list(vec)
+        for i in slots:
+            rest[i] = 0
+        groups.setdefault(tuple([vec[i] for i in slots]), []).append(
+            (tuple(rest), c))
 
-    unit = [((), f.field.one())]
-    powers = [[unit, [(m.exps, c) for m, c in expr.terms]]
-              for expr in assignments.values()]
+    unit = [((0,) * len(index), f.field.one())]
+    powers = [[unit, _exponent_vectors(expr)] for expr in assignments.values()]
 
     def power(i: int, e: int) -> list[tuple[tuple, Any]]:
         cached = powers[i]
+        if len(cached[1]) < 2:
+            return [(tuple([x * e for x in vec]), c ** e) for vec, c in cached[1]]
         while len(cached) <= e:
             acc: dict[tuple, Any] = {}
             _mul_into(acc, cached[-1], cached[1])
@@ -794,7 +836,7 @@ def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomia
             _mul_into(acc, part, factor)
             part = [(m, c) for m, c in acc.items() if c]
         _mul_into(result, part, factors[-1] if factors else unit)
-    return _from_term_map(f.field, f.variables, result)
+    return _from_vectors(f.field, f.variables, result)
 
 
 def substitute(f: Polynomial, var: str, expr: Polynomial) -> Polynomial:
@@ -837,6 +879,24 @@ def divide_exactly(f: Polynomial, var: str, power: int) -> Polynomial:
 # (beyond it, ScopeError).  No job of the test suite or the benchmark needs
 # more than 6; at 10**5 the refusal comes within a fraction of a second.
 MAX_PARSE_PRODUCT = 10**5
+# Largest exponent the parser accepts (beyond it, ScopeError).  The largest
+# exponent the test suite parses is 316, the benchmark's 23.
+MAX_PARSE_EXPONENT = 1000
+# Most decimal digits of an integer in the text, and about the most of a
+# rational coefficient a power in the text may build (beyond them,
+# ScopeError); well under the interpreter's limit on converting integers to
+# and from text.
+MAX_PARSE_DIGITS = 1000
+_MAX_PARSE_BITS = MAX_PARSE_DIGITS * 10 // 3
+
+
+def _coefficient_bits(f: "Polynomial") -> int:
+    """Bit length of the largest numerator or denominator among f's
+    rational coefficients; 0 over the other fields."""
+    if f.field.kind != RATIONALS:
+        return 0
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for _, c in f.terms), default=0)
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|\-|/|\(|\)))")
 
@@ -948,8 +1008,25 @@ class _Parser:
             kind, text = self.take()
             if kind != "int":
                 raise InputError("exponent must be a nonnegative integer")
-            return _power(base, int(text), self.multiply)
+            e = self.integer(text)
+            if e > MAX_PARSE_EXPONENT:
+                raise ScopeError(
+                    f"the exponent {e} in the polynomial text is over the "
+                    f"limit of {MAX_PARSE_EXPONENT} (MAX_PARSE_EXPONENT)")
+            # a coefficient c > 1 has c**e >= 2**((bits - 1) * e)
+            if (_coefficient_bits(base) - 1) * e > _MAX_PARSE_BITS:
+                raise ScopeError(
+                    f"a power in the polynomial text builds a coefficient of "
+                    f"more than {MAX_PARSE_DIGITS} digits (MAX_PARSE_DIGITS)")
+            return _power(base, e, self.multiply)
         return base
+
+    def integer(self, text: str) -> int:
+        if len(text) > MAX_PARSE_DIGITS:
+            raise ScopeError(
+                f"an integer of {len(text)} digits in the polynomial text is "
+                f"over the limit of {MAX_PARSE_DIGITS} digits (MAX_PARSE_DIGITS)")
+        return int(text)
 
     def multiply(self, a: Polynomial, b: Polynomial) -> Polynomial:
         if len(a.terms) * len(b.terms) > MAX_PARSE_PRODUCT:
@@ -962,7 +1039,8 @@ class _Parser:
     def atom(self) -> Polynomial:
         kind, text = self.take()
         if kind == "int":
-            return Polynomial.constant(self.field, self.variables, self.field.from_int(int(text)))
+            return Polynomial.constant(self.field, self.variables,
+                                       self.field.from_int(self.integer(text)))
         if kind == "name":
             if text in self.variables:
                 return Polynomial.variable(self.field, self.variables, text)

@@ -25,6 +25,7 @@ from .exact_algebra import (
     Polynomial,
     RATIONAL_FUNCTIONS,
     RatFunc,
+    ScopeError,
     fp_mul,
     fp_trim,
     hasse_derivative,
@@ -35,6 +36,13 @@ from .exact_algebra import (
 
 OLD = "old"
 NEW = "new"
+
+# Largest degree of an initial form whose ridge (hence directrix) is computed
+# (beyond it, ScopeError).  The ridge's linear algebra grows steeply with the
+# degree: on a 2-CPU VM, analyze of (x+y+z)^8 over Q takes about 1 s,
+# (x+y+z)^12 about 6 s and (x+y+z)^20 over a minute.  The test suite needs
+# degree 5, the benchmark 3.
+MAX_DIRECTRIX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -489,6 +497,11 @@ def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
     for f in gens:
         if not _is_homogeneous(f):
             raise InputError(f"ridge input is not homogeneous: {f}")
+    degree = max(int(f.total_degree()) for f in gens)
+    if degree > MAX_DIRECTRIX_DEGREE:
+        raise ScopeError(
+            f"the directrix of an initial form of degree {degree} is over the "
+            f"limit of {MAX_DIRECTRIX_DEGREE} (MAX_DIRECTRIX_DEGREE)")
     closure = _derivative_closure(gens)
     if not closure:
         return []

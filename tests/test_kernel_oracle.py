@@ -223,3 +223,130 @@ def test_printing_round_trips(field):
             c = parse_polynomial(rng.choice(extra), field, VARIABLES)
             f = f * c
         assert parse_polynomial(to_string(f), field, VARIABLES) == f
+
+
+# -- a ring whose variable tuple is not in name order -------------------------
+#
+# Products and substitutions work on exponent vectors aligned with the ring's
+# variable tuple, while a Monomial lists its (name, exponent) pairs in name
+# order; here the two orders differ.
+
+UNSORTED = ("z", "a", "y")
+UNSORTED_SYMBOLS = sympy.symbols(UNSORTED)
+
+
+def unsorted_polynomial(rng: random.Random, field: FieldDescriptor,
+                        max_terms: int = 5, max_exp: int = 3) -> Polynomial:
+    terms: dict[Monomial, Any] = {}
+    for _ in range(rng.randint(0, max_terms)):
+        m = Monomial.from_dict({v: rng.randint(0, max_exp) for v in UNSORTED
+                                if rng.random() < 0.5})
+        terms[m] = random_coefficient(rng, field)
+    return Polynomial.make(field, UNSORTED, terms)
+
+
+def unsorted_expression(rng: random.Random, field: FieldDescriptor) -> Polynomial:
+    """A zero, constant, one-term or general expression (the first three
+    have closed-form powers)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Polynomial.zero(field, UNSORTED)
+    if kind == 1:
+        return Polynomial.constant(field, UNSORTED, random_coefficient(rng, field))
+    if kind == 2:
+        m = Monomial.from_dict({v: rng.randint(0, 3) for v in UNSORTED})
+        return Polynomial.make(field, UNSORTED, {m: random_coefficient(rng, field)})
+    return unsorted_polynomial(rng, field, 3, 2)
+
+
+def unsorted_lift(f: Polynomial) -> sympy.Expr:
+    expr = sympy.Integer(0)
+    for m, c in f.terms:
+        coeff = (sympy.Integer(c.value) if f.field.characteristic
+                 else sympy.Rational(c.numerator, c.denominator))
+        expr += coeff * sympy.Mul(*(s ** m.exponent(v)
+                                    for v, s in zip(UNSORTED, UNSORTED_SYMBOLS)))
+    return expr
+
+
+def unsorted_poly(expr: Any, field: FieldDescriptor) -> sympy.Poly:
+    if field.characteristic:
+        return sympy.Poly(sympy.expand(expr), *UNSORTED_SYMBOLS,
+                          modulus=field.characteristic)
+    return sympy.Poly(sympy.expand(expr), *UNSORTED_SYMBOLS, domain="QQ")
+
+
+def assert_canonical(f: Polynomial) -> None:
+    """Every monomial lists its names in name order, and the terms are in
+    the order ``Polynomial.make`` gives."""
+    for m, _ in f.terms:
+        assert m == Monomial.from_dict(m.as_dict())
+    assert f == Polynomial.make(f.field, f.variables, dict(f.terms))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=field_id)
+def test_unsorted_ring_products_and_powers_match_sympy(field):
+    rng = random.Random(6000 + field.characteristic)
+    for _ in range(CASES):
+        f = unsorted_polynomial(rng, field)
+        g = unsorted_polynomial(rng, field)
+        product = f * g
+        assert_canonical(product)
+        assert unsorted_poly(unsorted_lift(product), field) == unsorted_poly(
+            unsorted_lift(f) * unsorted_lift(g), field)
+        e = rng.randint(0, 4)
+        small = unsorted_polynomial(rng, field, 3, 2)
+        assert_canonical(small ** e)
+        assert unsorted_poly(unsorted_lift(small ** e), field) == unsorted_poly(
+            unsorted_lift(small) ** e, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=field_id)
+def test_unsorted_ring_substitutions_match_sympy(field):
+    rng = random.Random(7000 + field.characteristic)
+    for _ in range(CASES):
+        f = unsorted_polynomial(rng, field, 6, 6)
+        var = rng.choice(UNSORTED)
+        expr = unsorted_expression(rng, field)
+        got = substitute(f, var, expr)
+        assert_canonical(got)
+        expected = unsorted_lift(f).xreplace(
+            {UNSORTED_SYMBOLS[UNSORTED.index(var)]: unsorted_lift(expr)})
+        assert unsorted_poly(unsorted_lift(got), field) == unsorted_poly(
+            expected, field)
+        chosen = rng.sample(UNSORTED, rng.randint(1, 3))
+        assignments = {v: unsorted_expression(rng, field) for v in chosen}
+        got = substitute_many(f, assignments)
+        assert_canonical(got)
+        expected = unsorted_lift(f).xreplace(
+            {UNSORTED_SYMBOLS[UNSORTED.index(v)]: unsorted_lift(e)
+             for v, e in assignments.items()})
+        assert unsorted_poly(unsorted_lift(got), field) == unsorted_poly(
+            expected, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=field_id)
+def test_unsorted_ring_printing_round_trips(field):
+    rng = random.Random(8000 + field.characteristic)
+    for _ in range(CASES):
+        f = unsorted_polynomial(rng, field)
+        assert parse_polynomial(to_string(f), field, UNSORTED) == f
+
+
+def test_closed_form_powers_of_one_term_expressions():
+    field = FIELDS[0]
+    f = parse_polynomial("y^40*z + 3*y^2 - a", field, UNSORTED)
+    w = parse_polynomial("-2/3*a*y", field, UNSORTED)
+    got = substitute(f, "y", w)
+    assert got == parse_polynomial(
+        "(-2/3)^40*a^40*y^40*z + 4/3*a^2*y^2 - a", field, UNSORTED)
+    assert substitute(f, "y", Polynomial.zero(field, UNSORTED)) \
+        == parse_polynomial("-a", field, UNSORTED)
+    assert substitute(f, "y", parse_polynomial("2", field, UNSORTED)) \
+        == parse_polynomial("2^40*z + 12 - a", field, UNSORTED)
+    # the blow-up's v -> v*w on a huge power is one step, not 10**11
+    huge = Polynomial.make(field, UNSORTED,
+                           {Monomial.from_dict({"y": 10**11, "a": 1}): field.one()})
+    blown_up = substitute(huge, "y", parse_polynomial("y*z", field, UNSORTED))
+    assert blown_up.terms == (
+        (Monomial.from_dict({"y": 10**11, "z": 10**11, "a": 1}), field.one()),)
