@@ -347,7 +347,7 @@ def _solve_char0(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | None:
                 rhs.append(target)
     # solve rows * lam = rhs by elimination on the augmented matrix
     aug = [row + [b] for row, b in zip(rows, rhs)]
-    rref = row_reduce(aug, field) if aug else []
+    rref = row_reduce(aug, field)
     lam = [field.zero()] * r
     for row in rref:
         lead = next((c for c, x in enumerate(row) if x), None)
@@ -430,19 +430,7 @@ def is_solvable(vi: VertexInitial, field: FieldDescriptor) -> tuple[Any, ...] | 
         return None
     r = vi.frame.r
     if field.kind in (PRIME_FIELD, FINITE_EXTENSION):
-        if field.kind == PRIME_FIELD:
-            elements = [field.from_int(i) for i in range(field.characteristic)]
-        else:
-            p = field.characteristic
-            deg = len(field.modulus or ()) - 1
-            elements = []
-            for combo in itertools.product(range(p), repeat=deg):
-                from .exact_algebra import Fq
-
-                elements.append(
-                    Fq(tuple(combo), p, field.modulus, field.generator_name or "s")
-                )
-        for lam in itertools.product(elements, repeat=r):
+        for lam in itertools.product(field.elements(), repeat=r):
             if any(lam) and _verify_witness(vi, lam):
                 return tuple(lam)
         return None
@@ -731,24 +719,8 @@ def _uni_roots(a: list[Any], field: FieldDescriptor) -> tuple[list[Any], bool]:
         raise InputError("zero constraint polynomial has every root")
     if len(a) == 1:
         return [], True
-    if field.kind == PRIME_FIELD:
-        roots = [
-            field.from_int(i)
-            for i in range(field.characteristic)
-            if not _uni_eval(a, field.from_int(i), field)
-        ]
-        return roots, True
-    if field.kind == FINITE_EXTENSION:
-        from .exact_algebra import Fq
-
-        p = field.characteristic
-        deg = len(field.modulus or ()) - 1
-        roots = []
-        for combo in itertools.product(range(p), repeat=deg):
-            x = Fq(tuple(combo), p, field.modulus, field.generator_name or "s")
-            if not _uni_eval(a, x, field):
-                roots.append(x)
-        return roots, True
+    if field.kind in (PRIME_FIELD, FINITE_EXTENSION):
+        return [x for x in field.elements() if not _uni_eval(a, x, field)], True
     if field.kind == RATIONALS:
         # rational root theorem on the denominator-cleared polynomial
         from math import lcm

@@ -50,6 +50,7 @@ from .exact_algebra import (
     InputError,
     ScopeError,
     coefficient_text,
+    ord_at,
     parse_polynomial,
     to_string,
 )
@@ -266,6 +267,31 @@ def build_chart(job: dict) -> ChartState:
     return chart
 
 
+def _check_stratum_orders(job: dict, chart: ChartState) -> None:
+    """Refuse a job's coordinate stratum component along which a generator
+    has lower order than at the origin.
+
+    Such a component is not in the maximal-order locus, and a center chosen
+    from the stratum could blow up a point that needs no blow-up.  Only the
+    commands whose center comes from the stratum check it.
+    """
+    if "stratum" not in job:
+        return
+    for comp in chart.stratum or ():
+        if comp.conditions:
+            continue
+        for g in chart.generators:
+            along, at = ord_at(g, comp.variables), ord_at(g, g.variables)
+            if along < at:
+                i = next(i for i, entry in enumerate(job["stratum"])
+                         if tuple(entry["variables"]) == comp.variables)
+                raise InputError(
+                    f"jobspec.stratum[{i}].variables: the generator {g} has "
+                    f"order {along} along V({', '.join(comp.variables)}) but "
+                    f"{at} at the origin; the component is not in the "
+                    "maximal-order locus")
+
+
 def _center_from(job: dict, chart: ChartState) -> Center:
     if "center" in job:
         data = _expect(job, "center", dict, "jobspec")
@@ -273,6 +299,7 @@ def _center_from(job: dict, chart: ChartState) -> Center:
         kind = CLOSED_POINT if len(names) == len(chart.variables) \
             else COORDINATE_CURVE
         return Center(names, data.get("kind", kind))
+    _check_stratum_orders(job, chart)
     return select_center(chart).center
 
 
@@ -425,6 +452,7 @@ def _declared_points(job: dict, chart: ChartState) -> dict | None:
 
 def _run_resolve(job: dict):
     chart = build_chart(job)
+    _check_stratum_orders(job, chart)
     max_steps = _int_option(job, "max_steps", 64, 0)
     label_mode = _options(job).get("label_mode", DEFAULT_LABELS)
     if label_mode not in (DEFAULT_LABELS, FRESH_LABELS):

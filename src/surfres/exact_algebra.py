@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
 from operator import add
 from typing import Any, Iterable, Mapping
@@ -398,6 +399,18 @@ class FieldDescriptor:
             raise InputError("this field has no extension generator")
         assert self.modulus is not None and self.generator_name is not None
         return Fq((0, 1), self.characteristic, self.modulus, self.generator_name)
+
+    def elements(self) -> list[Any]:
+        """Every element of a finite field: F_p as 0, ..., p-1, and F_p[s]/(m)
+        by coefficient tuples in ``itertools.product`` order."""
+        p = self.characteristic
+        if self.kind == PRIME_FIELD:
+            return [self.from_int(i) for i in range(p)]
+        if self.kind == FINITE_EXTENSION:
+            assert self.modulus is not None and self.generator_name is not None
+            return [Fq(combo, p, self.modulus, self.generator_name)
+                    for combo in product(range(p), repeat=len(self.modulus) - 1)]
+        raise InputError(f"the field {self.kind} is not finite")
 
     @property
     def is_perfect(self) -> bool:

@@ -57,6 +57,7 @@ from .local_frame import (
     add_old_boundary,
     compose_with_old_boundary,
     compute_directrix,
+    form_row,
     initial_form,
     nu_star,
     row_reduce,
@@ -101,7 +102,7 @@ def chart_is_regular(chart: ChartState) -> bool:
         return False
     # all generators have order one; regularity needs independent initials
     initials = [initial_form(g, g.variables) for g in chart.generators]
-    rows = _linear_rows(initials, chart.variables, chart.field)
+    rows = [form_row(f, chart.variables) for f in initials]
     return len(row_reduce(rows, chart.field)) == len(chart.generators)
 
 
@@ -163,17 +164,6 @@ def iota0(chart: ChartState) -> tuple[NuStar, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _linear_rows(forms: Sequence[Polynomial], order: Sequence[str],
-                 field: FieldDescriptor) -> list[list[Any]]:
-    rows = []
-    for f in forms:
-        if f.is_zero or int(f.total_degree()) != 1:
-            raise InputError("directrix forms must be nonzero linear forms")
-        rows.append([f.coefficient(Monomial.from_dict({v: 1}))
-                     for v in order])
-    return rows
-
-
 def adapt_frame_to_forms(
     gens: Sequence[Polynomial],
     frame: Frame,
@@ -193,7 +183,7 @@ def adapt_frame_to_forms(
     field = gens[0].field
     variables = gens[0].variables
     order = tuple(frame.y_block) + tuple(frame.u_block)
-    rref = row_reduce(_linear_rows(forms, order, field), field) if forms else []
+    rref = row_reduce([form_row(f, order) for f in forms], field)
 
     pivots: list[str] = []
     subs: dict[str, Polynomial] = {}

@@ -10,12 +10,26 @@ status (old/new).  On top of it this module computes:
 * the directrix (largest linear subspace of the ridge's zero locus), via
   q-th roots over perfect fields and semilinear splitting over F_p(t);
 * the directrix of the ideal multiplied by the old boundary components.
+
+The exact linear algebra runs on one routine, ``echelon_add``, which adds a
+vector to a reduced echelon basis kept as pivot column -> row;
+``row_reduce`` and ``matrix_kernel`` fold it over their rows.  The ridge
+writes a form of degree d as a coefficient row over
+``monomials_of_degree(n, d)``, the degree-d monomials in one fixed order: the
+Hasse-derivative closure is one echelon basis per degree, an ideal slice is
+the echelon basis of the generators' monomial multiples, a slice's additive
+forms are its rows with pure-power pivots when the mixed monomials lead the
+columns, and the containment certificate reduces each degree of the closure
+against that degree of the additive forms' ideal.  ``form_row`` and
+``row_form`` turn forms sum_i c_i v_i^q into coefficient rows and back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from functools import lru_cache
+from operator import add
+from typing import Any, Iterable, Iterator, Sequence
 
 from .exact_algebra import (
     INF,
@@ -26,6 +40,7 @@ from .exact_algebra import (
     RATIONAL_FUNCTIONS,
     RatFunc,
     ScopeError,
+    _exponent_vectors,
     fp_mul,
     fp_trim,
     hasse_derivative,
@@ -39,9 +54,9 @@ NEW = "new"
 
 # Largest degree of an initial form whose ridge (hence directrix) is computed
 # (beyond it, ScopeError).  The ridge's linear algebra grows steeply with the
-# degree: on a 2-CPU VM, analyze of (x+y+z)^8 over Q takes about 1 s,
-# (x+y+z)^12 about 6 s and (x+y+z)^20 over a minute.  The test suite needs
-# degree 5, the benchmark 3.
+# degree: on a 2-CPU machine, analyze of (x+y+z)^8 over Q takes about 0.4 s
+# and of (x+y+z+w)^8 about 1.1 s.  The test suite needs degree 5, the
+# benchmark 3.
 MAX_DIRECTRIX_DEGREE = 8
 
 
@@ -216,62 +231,90 @@ def compose_with_old_boundary(gens: Sequence[Polynomial], frame: Frame) -> list[
 # small exact linear algebra (rows are lists of field elements)
 # ---------------------------------------------------------------------------
 
+def echelon_add(echelon: dict[int, list[Any]], vec: Sequence[Any],
+                field: FieldDescriptor) -> int | None:
+    """Add a vector to a reduced echelon basis; the new pivot, or None.
+
+    ``echelon`` maps each pivot column to its row, which has a 1 there, 0 in
+    every other pivot column and 0 before its pivot.  The vector is reduced
+    against the rows; if anything is left it is scaled to a leading 1, its
+    leading column is cleared from the other rows and it joins the basis
+    with that column as its pivot.  None means the vector was dependent and
+    nothing changed.  Rows are replaced, never changed in place.
+    """
+    for col, row in echelon.items():
+        c = vec[col]
+        if c:
+            vec = [a - c * b if b else a for a, b in zip(vec, row)]
+    lead = next((i for i, x in enumerate(vec) if x), None)
+    if lead is None:
+        return None
+    inv = field.one() / vec[lead]
+    vec = [x * inv if x else x for x in vec]
+    for col, row in echelon.items():
+        c = row[lead]
+        if c:
+            echelon[col] = [a - c * b if b else a for a, b in zip(row, vec)]
+    echelon[lead] = vec
+    return lead
+
+
 def row_reduce(rows: list[list[Any]], field: FieldDescriptor) -> list[list[Any]]:
     """Reduced row echelon form; zero rows dropped."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[tuple[int, int]] = []  # (row index, col index)
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = field.one() / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    return [mat[r] for r, _ in pivots]
+    echelon: dict[int, list[Any]] = {}
+    for row in rows:
+        echelon_add(echelon, row, field)
+    return [echelon[col] for col in sorted(echelon)]
 
 
 def matrix_kernel(rows: list[list[Any]], ncols: int, field: FieldDescriptor) -> list[list[Any]]:
     """Basis of the right kernel of the matrix given by ``rows``."""
-    rref = row_reduce(rows, field) if rows else []
-    pivot_cols = []
-    for r in rref:
-        for c, x in enumerate(r):
-            if x:
-                pivot_cols.append(c)
-                break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
+    echelon: dict[int, list[Any]] = {}
+    for row in rows:
+        echelon_add(echelon, row, field)
     zero, one = field.zero(), field.one()
-    for fc in free_cols:
+    basis = []
+    for fc in range(ncols):
+        if fc in echelon:
+            continue
         vec = [zero] * ncols
         vec[fc] = one
-        for r, pc in zip(rref, pivot_cols):
-            vec[pc] = -r[fc]
+        for pc, row in echelon.items():
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
 
-def _reduce_vector(vec: list[Any], echelon: list[list[Any]], field: FieldDescriptor) -> list[Any]:
-    """Reduce a vector against echelon rows (each with a leading 1)."""
-    out = list(vec)
-    for row in echelon:
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None and out[lead]:
-            factor = out[lead]
-            out = [a - factor * b for a, b in zip(out, row)]
-    return out
+def monomials_of_degree(n: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """Every exponent vector of n variables with the given total degree, in
+    ascending lexicographic order: the degree-d monomials."""
+    if n == 0:
+        if degree == 0:
+            yield ()
+        return
+    for e in range(degree + 1):
+        for tail in monomials_of_degree(n - 1, degree - e):
+            yield (e,) + tail
+
+
+@lru_cache(maxsize=64)
+def _column_index(n: int, degree: int) -> dict[tuple[int, ...], int]:
+    """Column of each degree-d monomial (degrees stay under the ridge's cap)."""
+    return {m: i for i, m in enumerate(monomials_of_degree(n, degree))}
+
+
+def form_row(f: Polynomial, variables: Sequence[str], degree: int = 1) -> list[Any]:
+    """The coefficients c_i of a form sum_i c_i * v_i^degree over the variables."""
+    if f.is_zero or int(f.total_degree()) != degree:
+        raise InputError(f"expected a nonzero form of degree {degree}, got {f}")
+    return [f.coefficient(Monomial.from_dict({v: degree})) for v in variables]
+
+
+def row_form(row: Sequence[Any], field: FieldDescriptor,
+             variables: tuple[str, ...], degree: int = 1) -> Polynomial:
+    """The form sum_i c_i * v_i^degree of coefficients c_i over the variables."""
+    return Polynomial.make(field, variables, {
+        Monomial.from_dict({v: degree}): c for v, c in zip(variables, row) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -285,89 +328,34 @@ def _is_homogeneous(f: Polynomial) -> bool:
     return len(degs) == 1
 
 
-def _derivative_closure(initials: Sequence[Polynomial]) -> dict[int, list[Polynomial]]:
-    """Smallest span containing the inputs and stable under Hasse derivatives.
+def _derivative_closure(gens: Sequence[Polynomial]) -> dict[int, dict[int, list[Any]]]:
+    """Smallest span containing the forms and stable under Hasse derivatives.
 
-    Returned per total degree as echelon bases (coefficient rows over the
-    degree's monomial list).
+    Returned per total degree d as a reduced echelon basis over the columns
+    ``monomials_of_degree(n, d)``.
     """
-    field = initials[0].field
-    variables = initials[0].variables
-    by_degree: dict[int, list[Polynomial]] = {}
-    pending: list[Polynomial] = []
-    for f in initials:
-        if not f.is_zero:
-            pending.append(f)
-
-    # Echelon bookkeeping per degree: monomial order + echelon rows.
-    monos: dict[int, list[Monomial]] = {}
-    rows: dict[int, list[list[Any]]] = {}
-
-    def add(f: Polynomial) -> bool:
-        """Insert f into the span; True if it was independent."""
-        d = int(f.total_degree())
-        mlist = monos.setdefault(d, [])
-        tm = f.term_map()
-        for m in tm:
-            if m not in mlist:
-                mlist.append(m)
-                for row in rows.get(d, []):
-                    row.append(field.zero())
-        vec = [tm.get(m, field.zero()) for m in mlist]
-        ech = rows.setdefault(d, [])
-        red = _reduce_vector(vec, ech, field)
-        lead = next((c for c, x in enumerate(red) if x), None)
-        if lead is None:
-            return False
-        inv = field.one() / red[lead]
-        red = [x * inv for x in red]
-        for i, row in enumerate(ech):
-            if row[lead]:
-                factor = row[lead]
-                ech[i] = [a - factor * b for a, b in zip(row, red)]
-        ech.append(red)
-        by_degree.setdefault(d, []).append(f)
-        return True
-
+    field = gens[0].field
+    n = len(gens[0].variables)
+    closure: dict[int, dict[int, list[Any]]] = {}
+    pending = [f for f in gens if not f.is_constant()]
     while pending:
         f = pending.pop()
-        if f.is_zero or f.is_constant():
-            continue
-        if not add(f):
-            continue
         d = int(f.total_degree())
-        # All Hasse derivatives of orders 1 .. d-1 (multi-indices).
-        supp = sorted(f.support_variables())
-
-        def gen_orders(idx: int, remaining: int, current: dict[str, int]):
-            if idx == len(supp):
-                if current:
-                    yield dict(current)
-                return
-            v = supp[idx]
-            for e in range(remaining + 1):
-                if e:
-                    current[v] = e
-                yield from gen_orders(idx + 1, remaining - e, current)
-                if e:
-                    del current[v]
-
-        for a in gen_orders(0, d - 1, {}):
-            df = hasse_derivative(f, a)
-            if not df.is_zero and not df.is_constant():
-                pending.append(df)
-
-    # Rebuild clean echelon bases per degree as polynomials.
-    out: dict[int, list[Polynomial]] = {}
-    for d, mlist in monos.items():
-        basis = []
-        for row in rows.get(d, []):
-            term_map = {m: c for m, c in zip(mlist, row) if c}
-            if term_map:
-                basis.append(Polynomial.make(field, variables, term_map))
-        if basis:
-            out[d] = basis
-    return out
+        index = _column_index(n, d)
+        row = [field.zero()] * len(index)
+        for m, c in _exponent_vectors(f):
+            row[index[m]] = c
+        if echelon_add(closure.setdefault(d, {}), row, field) is None:
+            continue
+        # Every Hasse derivative of orders 1 .. d-1 (a derivative of a
+        # dependent form lies in the span of the derivatives already queued).
+        support = sorted(f.support_variables())
+        for total in range(1, d):
+            for a in monomials_of_degree(len(support), total):
+                df = hasse_derivative(f, dict(zip(support, a)))
+                if not df.is_zero:
+                    pending.append(df)
+    return closure
 
 
 def _p_power_degrees(max_degree: int, p: int) -> list[int]:
@@ -381,72 +369,29 @@ def _p_power_degrees(max_degree: int, p: int) -> list[int]:
     return out
 
 
-def _all_monomials(variables: tuple[str, ...], degree: int) -> list[Monomial]:
-    if degree == 0:
-        return [Monomial()]
-    out = []
-
-    def rec(idx: int, remaining: int, current: dict[str, int]):
-        if idx == len(variables) - 1:
-            current[variables[idx]] = remaining
-            out.append(Monomial.from_dict(current))
-            del current[variables[idx]]
-            return
-        for e in range(remaining + 1):
-            if e:
-                current[variables[idx]] = e
-            rec(idx + 1, remaining - e, current)
-            if e:
-                del current[variables[idx]]
-
-    rec(0, degree, {})
-    return out
-
-
 def _ideal_slice(
-    generators: Sequence[Polynomial], degree: int,
-    field: FieldDescriptor, variables: tuple[str, ...],
-) -> list[Polynomial]:
-    """Echelon basis of the degree-d part of the homogeneous ideal."""
-    spanning: list[Polynomial] = []
-    for g in generators:
-        d = int(g.total_degree())
-        if d > degree:
+    generators: Sequence[list[tuple[tuple[int, ...], Any]]],
+    columns: Sequence[tuple[int, ...]], field: FieldDescriptor,
+) -> dict[int, list[Any]]:
+    """Reduced echelon basis, over the given columns (the monomials of one
+    degree q in some order), of the degree-q part of the homogeneous ideal
+    generated by the forms, each given as (exponent vector, coefficient)
+    terms."""
+    n, q = len(columns[0]), sum(columns[0])
+    index = {m: i for i, m in enumerate(columns)}
+    echelon: dict[int, list[Any]] = {}
+    for terms in generators:
+        d = sum(terms[0][0])
+        if d > q:
             continue
-        for m in _all_monomials(variables, degree - d):
-            spanning.append(g.monomial_multiple(m))
-    if not spanning:
-        return []
-    monos = _all_monomials(variables, degree)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for f in spanning:
-        row = [field.zero()] * len(monos)
-        for m, c in f.terms:
-            row[index[m]] = c
-        rows.append(row)
-    basis = []
-    for row in row_reduce(rows, field):
-        term_map = {m: c for m, c in zip(monos, row) if c}
-        basis.append(Polynomial.make(field, variables, term_map))
-    return basis
-
-
-def _in_span(f: Polynomial, basis: Sequence[Polynomial], field: FieldDescriptor) -> bool:
-    """Whether f lies in the linear span of the given polynomials."""
-    monos: list[Monomial] = []
-    for g in list(basis) + [f]:
-        for m, _ in g.terms:
-            if m not in monos:
-                monos.append(m)
-    rows = []
-    for g in basis:
-        tm = g.term_map()
-        rows.append([tm.get(m, field.zero()) for m in monos])
-    ech = row_reduce(rows, field) if rows else []
-    tm = f.term_map()
-    vec = _reduce_vector([tm.get(m, field.zero()) for m in monos], ech, field)
-    return not any(vec)
+        for shift in monomials_of_degree(n, q - d):
+            row = [field.zero()] * len(columns)
+            for m, c in terms:
+                row[index[tuple(map(add, m, shift))]] = c
+            echelon_add(echelon, row, field)
+            if len(echelon) == len(columns):
+                return echelon
+    return echelon
 
 
 def _normalize_sigma_vector(vec: list[Any], field: FieldDescriptor) -> list[Any]:
@@ -505,69 +450,47 @@ def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
     closure = _derivative_closure(gens)
     if not closure:
         return []
-    p = field.characteristic
-    max_degree = max(closure)
     n = len(variables)
-    closure_basis = [f for fs in closure.values() for f in fs]
+    closure_terms = [
+        [(m, c) for m, c in zip(monomials_of_degree(n, d), row) if c]
+        for d, echelon in closure.items() for row in echelon.values()]
 
     chosen: list[tuple[int, list[Any]]] = []  # (degree q, coefficient vector)
-    for q in _p_power_degrees(max_degree, p):
-        basis = _ideal_slice(closure_basis, q, field, variables)
-        if not basis:
-            continue
-        # Coefficients of each basis element on pure q-th powers vs the rest.
-        pure = [Monomial.from_dict({v: q}) for v in variables]
-        other: list[Monomial] = []
-        for f in basis:
-            for m, _ in f.terms:
-                if m not in pure and m not in other:
-                    other.append(m)
-        # Kernel of the "non-pure part" map: combinations supported purely.
-        constraint_rows = [
-            [f.coefficient(m) for f in basis] for m in other
-        ]
-        kern = matrix_kernel(constraint_rows, len(basis), field)
-        candidates = []
-        for lam in kern:
-            vec = [field.zero()] * n
-            for coeff, f in zip(lam, basis):
-                if coeff:
-                    for i, v in enumerate(variables):
-                        vec[i] = vec[i] + coeff * f.coefficient(pure[i])
-            if any(vec):
-                candidates.append(vec)
-        if not candidates:
-            continue
-        # Reduce candidates modulo (q/q_j)-th Frobenius lifts of chosen sigmas.
-        lifted = []
-        for qj, cj in chosen:
-            power = q // qj
-            lifted.append([c ** power for c in cj])
-        echelon = row_reduce(lifted, field) if lifted else []
-        for vec in candidates:
-            red = _reduce_vector(vec, echelon, field)
-            lead = next((c for c, x in enumerate(red) if x), None)
-            if lead is None:
+    for q in _p_power_degrees(max(closure), field.characteristic):
+        # The additive forms of the slice are the combinations with no mixed
+        # monomial.  With the mixed monomials as the leading columns, a row
+        # whose pivot is a pure q-th power is zero on every mixed column; and
+        # a combination of the rows takes its coefficient on a row at that
+        # row's pivot, so it is zero on the mixed columns only if it leaves
+        # out every row with a mixed pivot.  Hence the rows with pure pivots
+        # span exactly the slice's additive forms.
+        pure = [tuple(q if j == i else 0 for j in range(n)) for i in range(n)]
+        pure_set = set(pure)
+        mixed = [m for m in monomials_of_degree(n, q) if m not in pure_set]
+        k = len(mixed)
+        slice_echelon = _ideal_slice(closure_terms, mixed + pure, field)
+        # Keep those independent of the Frobenius lifts of the forms chosen
+        # in lower degrees: sigma^(q/q_j) has coefficients c^(q/q_j).
+        lifted: dict[int, list[Any]] = {}
+        for qj, vec in chosen:
+            echelon_add(lifted, [c ** (q // qj) for c in vec], field)
+        for col in sorted(slice_echelon):
+            if col < k:
                 continue
-            inv = field.one() / red[lead]
-            red = [x * inv for x in red]
-            chosen.append((q, red))
-            echelon = row_reduce(echelon + [red], field)
+            lead = echelon_add(lifted, slice_echelon[col][k:], field)
+            if lead is not None:
+                chosen.append((q, lifted[lead]))
 
-    out = []
-    for q, vec in chosen:
-        nvec = _normalize_sigma_vector(vec, field)
-        term_map = {
-            Monomial.from_dict({v: q}): c for v, c in zip(variables, nvec) if c
-        }
-        out.append(Polynomial.make(field, variables, term_map))
+    out = [row_form(_normalize_sigma_vector(vec, field), field, variables, q)
+           for q, vec in chosen]
 
-    # Containment certificate: the derivative closure (hence the inputs) lies
-    # in the ideal generated by the additive forms.
-    for f in closure_basis:
-        d = int(f.total_degree())
-        slice_basis = _ideal_slice(out, d, field, variables)
-        if not _in_span(f, slice_basis, field):
+    # Containment certificate: each degree of the derivative closure (hence
+    # the inputs) lies in the same degree of the ideal of the additive forms.
+    out_terms = [_exponent_vectors(s) for s in out]
+    for d, echelon in closure.items():
+        slice_echelon = _ideal_slice(out_terms, list(monomials_of_degree(n, d)), field)
+        if any(echelon_add(slice_echelon, row, field) is not None
+               for row in echelon.values()):
             raise RuntimeError(
                 "ridge certificate failed: closure element outside the additive ideal"
             )
@@ -671,14 +594,10 @@ def compute_directrix(
     rows: list[list[Any]] = []
     for s in sigmas:
         q = int(s.total_degree())
-        vec = [s.coefficient(Monomial.from_dict({v: q})) for v in variables]
-        rows.extend(_linear_conditions(q, vec, field))
-    rref = row_reduce(rows, field) if rows else []
+        rows.extend(_linear_conditions(q, form_row(s, variables, q), field))
+    rref = row_reduce(rows, field)
     r = len(rref)
-    forms = []
-    for row in rref:
-        term_map = {Monomial.from_dict({v: 1}): c for v, c in zip(variables, row) if c}
-        forms.append(Polynomial.make(field, variables, term_map))
+    forms = [row_form(row, field, variables) for row in rref]
     # Certificate: every direction in the cut-out subspace leaves each input
     # invariant under translation.
     for w in matrix_kernel(rref, len(variables), field):
@@ -719,17 +638,5 @@ def add_old_boundary(
     if not extra:
         return len(variables) - r, list(forms)
     field = extra[0].field
-    rows = []
-    for f in list(forms) + extra:
-        if int(f.total_degree()) != 1:
-            # A boundary initial of degree 1 is guaranteed by regularity; the
-            # directrix forms are linear by construction.
-            raise InputError("non-linear form while combining directrix with boundary")
-        rows.append([f.coefficient(Monomial.from_dict({v: 1})) for v in variables])
-    rref = row_reduce(rows, field)
-    combined = []
-    for row in rref:
-        term_map = {Monomial.from_dict({v: 1}): c for v, c in zip(variables, row) if c}
-        combined.append(Polynomial.make(field, variables, term_map))
-    e_o = len(variables) - len(rref)
-    return e_o, combined
+    rref = row_reduce([form_row(f, variables) for f in list(forms) + extra], field)
+    return len(variables) - len(rref), [row_form(row, field, variables) for row in rref]

@@ -68,6 +68,7 @@ from .local_frame import (
     Frame,
     OLD,
     initial_form,
+    monomials_of_degree,
 )
 
 # -- labelling modes ---------------------------------------------------------
@@ -104,27 +105,13 @@ class LawViolation(RuntimeError):
 RawComponent = tuple[frozenset, Polynomial | None]
 
 
-def _exponent_maps(total: int, variables: Sequence[str]) -> Iterable[dict]:
-    """All exponent assignments over the variables with the given total."""
-    if not variables:
-        if total == 0:
-            yield {}
-        return
-    head, rest = variables[0], variables[1:]
-    for e in range(total + 1):
-        for tail in _exponent_maps(total - e, rest):
-            if e:
-                tail[head] = e
-            yield tail
-
-
 def _hasse_constraints(f: Polynomial, order: int) -> list[Polynomial]:
     """All nonzero Hasse derivatives of f of differentiation order < order."""
     out: list[Polynomial] = []
     seen: set = set()
     for total in range(order):
-        for a in _exponent_maps(total, f.variables):
-            g = hasse_derivative(f, a)
+        for a in monomials_of_degree(len(f.variables), total):
+            g = hasse_derivative(f, dict(zip(f.variables, a)))
             if g.is_zero or g in seen:
                 continue
             seen.add(g)
@@ -428,7 +415,11 @@ def select_center(chart: ChartState) -> CenterChoice:
     coordinate curve likewise; anything else (several components meeting
     at the origin, or a non-permissible curve) falls back to the closed
     point.  A minimal component cut by a non-coordinate condition is out
-    of scope, as is one of intermediate dimension.
+    of scope, as is one of intermediate dimension, and so is, when the
+    maximal order is at least 2, a minimal component on which every
+    generator vanishes and whose codimension is at most the number of
+    generators: it is a whole component of the variety, which is then not
+    reduced.
     """
     comps = chart.stratum
     if comps is None:
@@ -444,6 +435,16 @@ def select_center(chart: ChartState) -> CenterChoice:
                 "the minimal-label stratum component is cut by the "
                 f"non-coordinate condition {to_string(c.conditions[0])}; "
                 "blowing it up is out of scope")
+    if chart.nu.orders[-1] >= 2:
+        for c in pool:
+            names = set(c.variables)
+            if len(names) <= len(chart.generators) and all(
+                    names.intersection(_support(m))
+                    for g in chart.generators for m, _c in g.terms):
+                raise ScopeError(
+                    f"stratum component V({', '.join(c.variables)}) is a "
+                    "component of the variety of order at least 2; the input "
+                    "is not reduced")
     n = len(chart.variables)
     if len(pool) == 1:
         comp = pool[0]

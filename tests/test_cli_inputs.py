@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from surfres.cli import EXIT_INPUT, EXIT_OK, main
+from surfres.cli import EXIT_INPUT, EXIT_OK, EXIT_SCOPE, main
 
 SURFACE_JOB = {
     "field": {"kind": "rationals"},
@@ -171,3 +171,50 @@ def test_minimal_stored_trace_renders(tmp_path, capsys):
         '  "root/x" [label="root/x\\nx + y*z"];\n'
         '  "root" -> "root/x" [label="V(x, y, z) / x"];\n'
         '}\n')
+
+
+@pytest.mark.parametrize("variables, field", [
+    (["x", "y"], {"kind": "rationals"}),
+    (["x", "y"], {"kind": "rational_functions", "characteristic": 3,
+                  "parameter": "t"}),
+    (["x", "y", "z"], {"kind": "rationals"}),
+])
+def test_non_reduced_input_is_a_scope_error(tmp_path, capsys, variables,
+                                            field):
+    # V(y) is the maximal-order locus of y^2 and a whole component of it
+    job = {"field": field, "variables": variables, "generators": ["y^2"]}
+    code, out, err = run(tmp_path, capsys, "resolve", job)
+    assert code == EXIT_SCOPE, err
+    trace = json.loads(out)["trace"]
+    assert trace["status"] == "scope_error"
+    assert "V(y)" in trace["error"] and "not reduced" in trace["error"]
+    assert trace["steps"] == 0
+
+
+# the regular surface y with a stratum component V(z) along which y has
+# order 0: choosing a center from it would blow up a smooth point
+OFF_LOCUS_JOB = {
+    "field": {"kind": "rationals"},
+    "variables": ["z", "a", "y"],
+    "generators": ["y"],
+    "stratum": [{"variables": ["z", "a", "y"], "label": 0, "original": True},
+                {"variables": ["z"], "label": 1}],
+}
+
+
+@pytest.mark.parametrize("command", ["resolve", "export", "blowup"])
+def test_stratum_outside_the_maximal_order_locus_is_refused(
+        tmp_path, capsys, command):
+    code, _out, err = run(tmp_path, capsys, command, OFF_LOCUS_JOB)
+    assert code == EXIT_INPUT
+    assert "jobspec.stratum[1].variables" in err
+    assert "order 0 along V(z) but 1 at the origin" in err
+
+
+def test_stratum_on_the_maximal_order_locus_is_accepted(tmp_path, capsys):
+    job = dict(SURFACE_JOB, stratum=[
+        {"variables": ["x", "y"], "label": 0},
+        {"variables": ["x", "z"], "label": 0}])
+    code, out, err = run(tmp_path, capsys, "resolve", job)
+    assert code == EXIT_OK, err
+    assert json.loads(out)["monotone"]["ok"]

@@ -11,6 +11,7 @@ import pytest
 from surfres.exact_algebra import (
     FieldDescriptor,
     Fp,
+    Fq,
     InputError,
     Monomial,
     Polynomial,
@@ -353,3 +354,16 @@ def test_round_trip_rational_functions():
     f = Polynomial.make(K, ("x", "y"), {Monomial.from_dict({"x": 1, "y": 2}): c,
                                         Monomial(): t})
     assert parse_polynomial(to_string(f), K, ("x", "y")) == f
+
+
+def test_finite_field_elements_in_product_order():
+    assert F5.elements() == [F5.from_int(i) for i in range(5)]
+    modulus = (1, 1, 1)  # s^2 + s + 1 over F_2
+    F4 = FieldDescriptor.finite_extension(2, modulus)
+    assert F4.elements() == [
+        Fq(combo, 2, modulus, "s")
+        for combo in itertools.product(range(2), repeat=2)]
+    assert len(set(map(str, F4.elements()))) == 4
+    for field in (QQ, FieldDescriptor.rational_functions(3, "t")):
+        with pytest.raises(InputError):
+            field.elements()
