@@ -32,7 +32,6 @@ from .exact_algebra import (
     PRIME_FIELD,
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     ScopeError,
     fp_divmod,
@@ -241,16 +240,10 @@ def directrix_dimension_old(chart: ChartState) -> int:
 
 def _is_coordinate_generator(g: Polynomial) -> str | None:
     """The variable v when g is a unit multiple of v, else None."""
-    terms = list(g.terms)
-    if len(terms) != 1:
+    if len(g.vectors) != 1:
         return None
-    mono, _c = terms[0]
-    d = mono.as_dict()
-    if len(d) == 1:
-        (var, exp), = d.items()
-        if exp == 1:
-            return var
-    return None
+    vec = g.vectors[0][0]
+    return g.variables[vec.index(1)] if sum(vec) == 1 else None
 
 
 def _canonical_center(chart: ChartState, center: Center) -> Center:
@@ -362,7 +355,8 @@ def is_permissible_curve(chart: ChartState, variables: tuple[str, ...]) -> bool:
 
 def _variable_multiplicity(g: Polynomial, var: str) -> int:
     """The largest k with var^k dividing g (g assumed nonzero)."""
-    return min(mono.exponent(var) for mono, _c in g.terms)
+    i = g.positions([var])[0]
+    return min(vec[i] for vec, _c in g.vectors)
 
 
 def _strict_transform(g: Polynomial, subs: Mapping[str, Polynomial],
@@ -521,17 +515,18 @@ def _univariate_condition(cond: Polynomial, var: str) -> tuple[int, ...]:
     if support - {var}:
         raise InputError(
             f"the condition for {var!r} must be univariate in {var!r}")
-    degree = int(cond.total_degree())
-    coeffs = []
-    for i in range(degree + 1):
-        c = cond.coefficient(Monomial.from_dict({var: i} if i else {}))
-        coeffs.append(c.value if c else 0)
+    if cond.is_zero:
+        raise InputError(f"the condition for {var!r} is zero")
+    # every term is a power of var, so its total degree is its exponent
+    coeffs = [0] * (int(cond.total_degree()) + 1)
+    for vec, c in cond.vectors:
+        coeffs[sum(vec)] = c.value
     return fp_trim(tuple(coeffs), field.characteristic)
 
 
 def _lift_polynomial(f: Polynomial, new_field: FieldDescriptor) -> Polynomial:
-    terms = {m: _lift_element(c, new_field) for m, c in f.terms}
-    return Polynomial.make(new_field, f.variables, terms)
+    return Polynomial.from_vectors(new_field, f.variables, {
+        vec: _lift_element(c, new_field) for vec, c in f.vectors})
 
 
 def _lift_element(c: Any, new_field: FieldDescriptor) -> Any:

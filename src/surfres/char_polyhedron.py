@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
+from operator import add, ge, sub
 from typing import Any, Sequence
 
 from .exact_algebra import (
@@ -180,35 +182,27 @@ def generator_order(g: Polynomial, frame: Frame) -> int:
     return int(ord_at(g, frame.variables))
 
 
-def _split_terms(g: Polynomial, frame: Frame) -> list[tuple[list[int], int]]:
-    """Each term's u-exponents (in u-block order) and y-degree, read in one
-    scan of its monomial."""
-    u_index = {u: i for i, u in enumerate(frame.u_block)}
-    yset = set(frame.y_block)
-    zero = [0] * len(u_index)
-    out = []
-    for m, _ in g.terms:
-        a = zero.copy()
-        b = 0
-        for v, e in m.exps:
-            i = u_index.get(v)
-            if i is not None:
-                a[i] = e
-            elif v in yset:
-                b += e
-        out.append((a, b))
-    return out
+def _point(vec: tuple[int, ...], nu: int, ui: Sequence[int],
+           yi: Sequence[int]) -> Point | None:
+    """The point A/(nu - |B|) of the term u^A y^B with exponent vector vec
+    (u and y at the positions ui and yi) of a generator of order nu; None
+    when |B| >= nu."""
+    b = sum([vec[i] for i in yi])
+    if b >= nu:
+        return None
+    return tuple([Fraction(vec[i], nu - b) for i in ui])
 
 
 def _points_of_generator(g: Polynomial, frame: Frame) -> list[Point]:
-    split = _split_terms(g, frame)
-    nu = min(sum(a) + b for a, b in split)
-    if all(any(a) for a, _ in split):
+    ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
+    if all(any(vec[i] for i in ui) for vec, _ in g.vectors):
         raise InputError(
             "generator lies in the ideal generated by the u-block; "
             "no valid (u; y) expansion"
         )
-    return [tuple([Fraction(x, nu - b) for x in a]) for a, b in split if b < nu]
+    nu = generator_order(g, frame)
+    points = [_point(vec, nu, ui, yi) for vec, _ in g.vectors]
+    return [pt for pt in points if pt is not None]
 
 
 def polyhedron_of(gens: Sequence[Polynomial], frame: Frame) -> FPolyhedron:
@@ -235,6 +229,7 @@ class VertexInitial:
 
 
 def _term_point(m: Monomial, nu: int, frame: Frame) -> Point | None:
+    """``_point`` of a term given by its monomial."""
     b = m.degree(set(frame.y_block))
     if b >= nu:
         return None
@@ -254,26 +249,22 @@ def _vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> Verte
     forms = []
     orders = []
     for g in gens:
-        split = _split_terms(g, frame)
-        nu = min(sum(a) + b for a, b in split)
+        ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
+        nu = generator_order(g, frame)
         orders.append(nu)
-        term_map: dict[Monomial, Any] = {}
-        for (m, c), (a, b) in zip(g.terms, split):
-            if b == nu and m.degree() == nu:
-                term_map[m] = c  # the pure-Y initial part F_i(Y)
-            elif b < nu and tuple([Fraction(x, nu - b) for x in a]) == v:
-                term_map[m] = c
-        forms.append(Polynomial.make(g.field, g.variables, term_map))
+        forms.append(Polynomial.from_vectors(g.field, g.variables, {
+            vec: c for vec, c in g.vectors
+            # the pure-Y initial part F_i(Y), and the terms at the vertex
+            if (sum(vec) == nu and sum([vec[i] for i in yi]) == nu)
+            or _point(vec, nu, ui, yi) == v}))
     return VertexInitial(v, tuple(forms), tuple(orders), frame)
 
 
 def _pure_y_part(form: Polynomial, frame: Frame, nu: int) -> Polynomial:
-    yset = set(frame.y_block)
-    return Polynomial.make(
-        form.field,
-        form.variables,
-        {m: c for m, c in form.terms if m.degree(yset) == nu and m.degree() == nu},
-    )
+    yi = form.positions(frame.y_block)
+    return Polynomial.from_vectors(form.field, form.variables, {
+        vec: c for vec, c in form.vectors
+        if sum(vec) == nu and sum([vec[i] for i in yi]) == nu})
 
 
 def _u_power_monomial(frame: Frame, v: Point, multiple: int = 1) -> Monomial:
@@ -321,27 +312,24 @@ def _solve_char0(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | None:
     r = frame.r
     rows: list[list[Any]] = []
     rhs: list[Any] = []
-    uv = _u_power_monomial(frame, vi.vertex)
+    zero = field.zero()
     for form, nu in zip(vi.forms, vi.orders):
+        yi = form.positions(frame.y_block)
+        uv = [0] * len(form.variables)  # the exponent vector of u^v
+        for i, coord in zip(form.positions(frame.u_block), vi.vertex):
+            uv[i] = int(coord)
         F = _pure_y_part(form, frame, nu)
-        partials = [hasse_derivative(F, {y: 1}) for y in frame.y_block]
+        partials = [dict(hasse_derivative(F, {y: 1}).vectors)
+                    for y in frame.y_block]
+        targets = dict(form.vectors)
         # match coefficients of u^v * y^B over all |B| = nu - 1
-        monos = set()
-        for dF in partials:
-            for m, _ in dF.terms:
-                monos.add(m)
-        for m, _ in form.terms:
-            if m.degree(set(frame.y_block)) == nu - 1:
-                stripped = m.as_dict()
-                for u, e in uv.exps:
-                    if stripped.get(u, 0) < e:
-                        break
-                    stripped[u] -= e
-                else:
-                    monos.add(Monomial.from_dict(stripped))
-        for m in sorted(monos, key=lambda mm: mm.exps):
-            row = [dF.coefficient(m) for dF in partials]
-            target = form.coefficient(m.mul(uv))
+        monos = {m for dF in partials for m in dF}
+        for vec in targets:
+            if sum([vec[i] for i in yi]) == nu - 1 and all(map(ge, vec, uv)):
+                monos.add(tuple(map(sub, vec, uv)))
+        for m in sorted(monos):
+            row = [dF.get(m, zero) for dF in partials]
+            target = targets.get(tuple(map(add, m, uv)), zero)
             if any(row) or target:
                 rows.append(row)
                 rhs.append(target)
@@ -383,11 +371,9 @@ def _solve_ratfunc(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | Non
             return None
         a = _p_adic_valuation(nu, p)
         d = p ** a
-        binom = field.from_int(_binomial_mod(nu, d, p))
-        target_mono = Monomial.from_dict({y_name: nu - d}).mul(
-            _u_power_monomial(frame, vi.vertex, d)
-        )
-        coeff = form.coefficient(target_mono)
+        binom = field.from_int(comb(nu, d) % p)
+        coeff = form.coefficient(Monomial.from_dict({
+            y_name: nu - d, **_u_power_monomial(frame, vi.vertex, d).as_dict()}))
         lam_d = coeff / (binom * c)
         cand = lam_d
         for _ in range(a):
@@ -400,23 +386,6 @@ def _solve_ratfunc(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | Non
         elif lam != cand:
             return None
     return [lam if lam is not None else field.zero()]
-
-
-def _binomial_mod(n: int, k: int, p: int) -> int:
-    # Lucas reduction of C(n, k) modulo p
-    out = 1
-    while n or k:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        num = den = 1
-        for i in range(kd):
-            num = num * (nd - i) % p
-            den = den * (i + 1) % p
-        out = out * num * pow(den, p - 2, p) % p
-        n //= p
-        k //= p
-    return out
 
 
 def is_solvable(vi: VertexInitial, field: FieldDescriptor) -> tuple[Any, ...] | None:
@@ -447,16 +416,12 @@ def is_solvable(vi: VertexInitial, field: FieldDescriptor) -> tuple[Any, ...] | 
 # normalization
 # ---------------------------------------------------------------------------
 
-def _leading_exponent(F: Polynomial, frame: Frame) -> tuple[int, ...] | None:
-    """Lex-largest y-exponent vector of a pure-Y form; None for zero."""
-    if F.is_zero:
-        return None
-    best = None
-    for m, _ in F.terms:
-        vec = tuple(m.exponent(y) for y in frame.y_block)
-        if best is None or vec > best:
-            best = vec
-    return best
+def _leading_term(F: Polynomial, frame: Frame) -> tuple[tuple[int, ...], Any] | None:
+    """The lex-largest y-exponent vector of a pure-Y form and its
+    coefficient; None for zero."""
+    yi = F.positions(frame.y_block)
+    return max(((tuple([vec[i] for i in yi]), c) for vec, c in F.vectors),
+               key=lambda term: term[0], default=None)
 
 
 def normalize_at_vertex(
@@ -471,47 +436,41 @@ def normalize_at_vertex(
     out = list(gens)
     if len(out) < 2:
         return out
-    field = out[0].field
-    yvars = frame.y_block
+    field, variables = out[0].field, out[0].variables
+    ui, yi = out[0].positions(frame.u_block), out[0].positions(frame.y_block)
     for i in range(1, len(out)):
         earlier = []
         for j in range(i):
             nu_j = generator_order(out[j], frame)
             initial = initial_form(out[j], out[j].variables)
-            F_j = _pure_y_part(initial, frame, nu_j)
-            le = _leading_exponent(F_j, frame)
-            if le is not None:
-                lc = F_j.coefficient(
-                    Monomial.from_dict({y: e for y, e in zip(yvars, le) if e})
-                )
-                earlier.append((le, lc, out[j]))
+            lead = _leading_term(_pure_y_part(initial, frame, nu_j), frame)
+            if lead is not None:
+                earlier.append((*lead, out[j]))
         fuse = 200
         while fuse > 0:
             fuse -= 1
             nu_i = generator_order(out[i], frame)
             target = None
-            for m, c in sorted(
-                out[i].terms,
-                key=lambda mc: tuple(-mc[0].exponent(y) for y in yvars),
+            for vec, c in sorted(
+                out[i].vectors, key=lambda t: tuple([-t[0][k] for k in yi])
             ):
-                if _term_point(m, nu_i, frame) != v:
+                if _point(vec, nu_i, ui, yi) != v:
                     continue
-                b_vec = tuple(m.exponent(y) for y in yvars)
+                b_vec = tuple([vec[k] for k in yi])
                 for le, lc, f_j in earlier:
-                    if all(bb >= ll for bb, ll in zip(b_vec, le)):
-                        target = (m, c, le, lc, f_j)
+                    if all(map(ge, b_vec, le)):
+                        target = (vec, c, le, lc, f_j)
                         break
                 if target:
                     break
             if target is None:
                 break
-            m, c, le, lc, f_j = target
-            quot_exps = m.as_dict()
-            for y, e in zip(yvars, le):
-                if e:
-                    quot_exps[y] = quot_exps.get(y, 0) - e
-            multiplier = Monomial.from_dict(quot_exps)
-            out[i] = out[i] - f_j.monomial_multiple(multiplier, c / lc)
+            vec, c, le, lc, f_j = target
+            quot = list(vec)
+            for k, e in zip(yi, le):
+                quot[k] -= e
+            out[i] = out[i] - f_j * Polynomial.from_vectors(
+                field, variables, {tuple(quot): c / lc})
             if out[i].is_zero:
                 raise InputError(
                     "normalization cancelled a generator completely; "
@@ -653,23 +612,6 @@ class SigmaResult:
     generators: tuple[Polynomial, ...]
 
 
-def _uni_coeffs(g: Polynomial, var: str) -> list[Any]:
-    """Coefficients of a univariate polynomial (in ``var``), low to high."""
-    deg = 0
-    for m, _ in g.terms:
-        deg = max(deg, m.exponent(var))
-    out = [g.field.zero()] * (deg + 1)
-    for m, c in g.terms:
-        e = m.exponent(var)
-        rest = {vv: ee for vv, ee in m.exps if vv != var}
-        if rest:
-            raise InputError("constraint polynomial is not univariate")
-        out[e] = out[e] + c
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
 def _uni_trim(a: list[Any]) -> list[Any]:
     out = list(a)
     while out and not out[-1]:
@@ -723,8 +665,6 @@ def _uni_roots(a: list[Any], field: FieldDescriptor) -> tuple[list[Any], bool]:
         return [x for x in field.elements() if not _uni_eval(a, x, field)], True
     if field.kind == RATIONALS:
         # rational root theorem on the denominator-cleared polynomial
-        from math import lcm
-
         denlcm = 1
         for c in a:
             denlcm = lcm(denlcm, c.denominator)
@@ -793,29 +733,28 @@ def _face_constraints(
     u1, u2 = frame.u_block
     constraints: list[list[Any]] = []
     for g in gens:
-        ext = g.variables + (cvar,)
-        lifted = Polynomial.make(field, ext, dict(g.terms))
+        lifted = g.extended(cvar)
+        ext = lifted.variables
         shift = Polynomial.variable(field, ext, u2) + Polynomial.make(
             field, ext, {Monomial.from_dict({cvar: 1, u1: m_exp}): field.one()}
         )
         moved = substitute(lifted, u2, shift)
         nu = generator_order(g, frame)
-        # collect coefficient polynomials in __C__ per (A, B) monomial
-        buckets: dict[Monomial, dict[Monomial, Any]] = {}
-        for m, c in moved.terms:
-            cexp = m.exponent(cvar)
-            rest = Monomial.from_dict({vv: ee for vv, ee in m.exps if vv != cvar})
-            bucket = buckets.setdefault(rest, {})
-            key = Monomial.from_dict({cvar: cexp})
-            bucket[key] = bucket.get(key, field.zero()) + c
+        ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
+        # the coefficient polynomial in __C__ (last coordinate) per (A, B)
+        buckets: dict[tuple[int, ...], dict[int, Any]] = {}
+        for vec, c in moved.vectors:
+            buckets.setdefault(vec[:-1], {})[vec[-1]] = c
         for rest, bucket in buckets.items():
-            pt = _term_point(rest, nu, frame)
+            pt = _point(rest, nu, ui, yi)
             if pt is None:
                 continue
             on_line = pt[0] / m_exp + pt[1] == alpha / m_exp + beta
             if on_line and pt[0] > alpha:
-                poly_c = Polynomial.make(field, (cvar,), bucket)
-                constraints.append(_uni_coeffs(poly_c, cvar))
+                coeffs = [field.zero()] * (max(bucket) + 1)  # low to high
+                for e, c in bucket.items():
+                    coeffs[e] = c
+                constraints.append(coeffs)
     return constraints
 
 
@@ -905,18 +844,12 @@ def in_delta(
     if delta_value == INF:
         raise InputError("in_delta needs a finite delta")
     out = []
-    uset = set(frame.u_block)
-    yset = set(frame.y_block)
     for g in gens:
-        vals = []
-        for m, _ in g.terms:
-            vals.append(m.degree(yset) + Fraction(m.degree(uset), 1) / delta_value)
+        ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
+        vals = [sum([vec[i] for i in yi])
+                + Fraction(sum([vec[i] for i in ui]), 1) / delta_value
+                for vec, _ in g.vectors]
         lo = min(vals)
-        out.append(
-            Polynomial.make(
-                g.field,
-                g.variables,
-                {m: c for (m, c), val in zip(g.terms, vals) if val == lo},
-            )
-        )
+        out.append(Polynomial.from_vectors(g.field, g.variables, {
+            vec: c for (vec, c), val in zip(g.vectors, vals) if val == lo}))
     return out

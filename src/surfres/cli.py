@@ -147,10 +147,8 @@ def _scalar(field: FieldDescriptor, variables: tuple[str, ...],
     if not isinstance(value, str):
         raise InputError(f"{where}: expected a number or string")
     p = parse_polynomial(value, field, variables)
-    if not p.terms:
-        return field.zero()
-    if len(p.terms) == 1 and p.terms[0][0].is_unit:
-        return p.terms[0][1]
+    if p.is_constant():
+        return p.constant_coefficient()
     raise InputError(f"{where}: {value!r} is not a constant")
 
 
@@ -271,9 +269,11 @@ def _check_stratum_orders(job: dict, chart: ChartState) -> None:
     """Refuse a job's coordinate stratum component along which a generator
     has lower order than at the origin.
 
-    Such a component is not in the maximal-order locus, and a center chosen
-    from the stratum could blow up a point that needs no blow-up.  Only the
-    commands whose center comes from the stratum check it.
+    Such a component is not in the maximal-order locus: a center chosen
+    from it could blow up a point that needs no blow-up, and an invariant
+    read from it describes a subvariety that need not lie on the surface.
+    ``resolve``, ``export``, ``invariant``, ``polyhedron`` and ``blowup``
+    without a center check it; ``analyze`` takes the stratum as given.
     """
     if "stratum" not in job:
         return
@@ -351,6 +351,7 @@ def _vertices(poly) -> list[list[Any]]:
 
 def report_polyhedron(job: dict) -> dict:
     chart = build_chart(job)
+    _check_stratum_orders(job, chart)
     budget = _int_option(job, "budget", 64, 1)
     sigma_budget = _int_option(job, "sigma_budget", 32, 1)
     result = prepare(chart.generators, chart.frame, budget=budget)
@@ -399,6 +400,7 @@ def report_polyhedron(job: dict) -> dict:
 
 def report_invariant(job: dict) -> dict:
     chart = build_chart(job)
+    _check_stratum_orders(job, chart)
     report = {
         "command": "invariant",
         **_chart_summary(chart),
@@ -512,6 +514,8 @@ def run_export(job: dict, fmt: str) -> str:
             return json.dumps(trace, indent=2) + "\n"
         return trace_to_dot(trace)
     trace = _run_resolve(job)
+    if trace.status == SCOPE_ERROR:
+        raise ScopeError(trace.error)
     if fmt == "json":
         return json.dumps(trace_to_jsonable(trace), indent=2) + "\n"
     return trace_to_dot(trace)

@@ -2,8 +2,11 @@
 
 Supported coefficient fields: the rationals, prime fields F_p, finite
 extensions F_p[s]/(m(s)), and rational function fields F_p(t) in one
-transcendental.  Polynomials are immutable sparse maps from monomials to
-nonzero coefficients, with a fixed ambient variable list per chart.
+transcendental.  A polynomial has a fixed ambient variable list per chart
+and stores each term once, as an exponent vector aligned with that list and
+a nonzero coefficient, in one canonical order; every operation works on the
+vectors and ends in one canonicalising constructor.  ``Monomial`` names a
+term by its variables, for the public constructors and the ``terms`` view.
 
 Everything here is pure and hashable; all arithmetic is exact.
 """
@@ -13,11 +16,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
 from operator import add
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 INF = float("inf")
 
@@ -463,7 +466,11 @@ def p_th_root(c: Any, field: FieldDescriptor) -> Any | None:
 
 @dataclass(frozen=True)
 class Monomial:
-    """A power product, stored as a sorted tuple of (variable, exponent > 0)."""
+    """A power product, stored as a sorted tuple of (variable, exponent > 0).
+
+    Polynomials store exponent vectors; a Monomial names a term by its
+    variables in the public constructors and in ``Polynomial.terms``.
+    """
 
     exps: tuple[tuple[str, int], ...] = ()
 
@@ -490,15 +497,6 @@ class Monomial:
         vs = set(vars)
         return sum(e for v, e in self.exps if v in vs)
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        d = self.as_dict()
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial.from_dict(d)
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(other.exponent(v) >= e for v, e in self.exps)
-
     @property
     def is_unit(self) -> bool:
         return not self.exps
@@ -515,27 +513,30 @@ def _layout(variables: tuple[str, ...]) -> tuple[dict[str, int], list[int]]:
             sorted(range(len(variables)), key=variables.__getitem__))
 
 
-def _exponent_vectors(p: "Polynomial") -> list[tuple[tuple[int, ...], Any]]:
-    """p's terms with each monomial as an exponent vector aligned with
-    ``p.variables``."""
-    index = _layout(p.variables)[0]
-    zero = [0] * len(index)
-    out = []
-    for m, c in p.terms:
-        vec = zero.copy()
-        for v, e in m.exps:
-            vec[index[v]] = e
-        out.append((tuple(vec), c))
-    return out
+def name_order(variables: tuple[str, ...]) -> list[int]:
+    """The positions of the variables sorted by name: the order in which a
+    ``Monomial`` lists the variables of a term."""
+    return _layout(variables)[1]
+
+
+def _vector_of(m: Monomial, variables: tuple[str, ...]) -> tuple[int, ...]:
+    """The exponent vector of m aligned with ``variables``."""
+    index = _layout(variables)[0]
+    vec = [0] * len(variables)
+    for v, e in m.exps:
+        i = index.get(v)
+        if i is None:
+            raise InputError(f"monomial uses unknown variable {v!r}")
+        vec[i] = e
+    return tuple(vec)
 
 
 def _mul_into(acc: dict, a: Iterable[tuple[tuple, Any]],
-              b: list[tuple[tuple, Any]]) -> None:
+              b: Sequence[tuple[tuple, Any]]) -> None:
     """Add the product of the term lists ``a`` and ``b`` into ``acc``.
 
     Term lists and ``acc`` are keyed by exponent vectors aligned with one
-    variable tuple, so a product of two monomials is one tuple addition and
-    no ``Monomial`` is built until the caller canonicalises the result.
+    variable tuple, so a product of two monomials is one tuple addition.
     """
     for m1, c1 in a:
         for m2, c2 in b:
@@ -564,31 +565,30 @@ def _vector_order(term: tuple[tuple[int, ...], Any]) -> tuple:
     return (-sum(term[0]), term[0])
 
 
-def _from_vectors(field: FieldDescriptor, variables: tuple[str, ...],
-                  acc: Mapping[tuple[int, ...], Any]) -> "Polynomial":
-    """The polynomial of a term map keyed by exponent vectors aligned with
-    ``variables``: zero coefficients dropped, the canonical order read from
-    the vectors, and one ``Monomial`` built per term."""
-    by_name = _layout(variables)[1]
-    items = [(vec, c) for vec, c in acc.items() if c]
-    items.sort(key=_vector_order, reverse=True)
-    terms = tuple(
-        (Monomial(tuple([(variables[i], vec[i]) for i in by_name if vec[i]])), c)
-        for vec, c in items)
-    return Polynomial(field, variables, terms)
+def _canonical(field: FieldDescriptor, variables: tuple[str, ...],
+               terms: Iterable[tuple[tuple[int, ...], Any]]) -> "Polynomial":
+    """The polynomial of (exponent vector, coefficient) terms with distinct
+    vectors aligned with ``variables``: zero coefficients dropped and the
+    rest sorted into the canonical order.  Every polynomial is built here."""
+    kept = [term for term in terms if term[1]]
+    kept.sort(key=_vector_order, reverse=True)
+    return Polynomial(field, variables, tuple(kept))
 
 
 @dataclass(frozen=True)
 class Polynomial:
     """Sparse multivariate polynomial over an exact field.
 
-    ``terms`` is canonically ordered (ascending total degree, then by the
-    exponent vector), which makes equality, hashing, and printing stable.
+    ``vectors`` holds each term once, as an exponent vector aligned with
+    ``variables`` and a nonzero coefficient, in canonical order (ascending
+    total degree, then descending exponent vector), which makes equality,
+    hashing, and printing stable.  ``terms`` lists the same terms as
+    (``Monomial``, coefficient) pairs, built on first use.
     """
 
     field: FieldDescriptor
     variables: tuple[str, ...]
-    terms: tuple[tuple[Monomial, Any], ...]
+    vectors: tuple[tuple[tuple[int, ...], Any], ...]
 
     # -- constructors -------------------------------------------------------
 
@@ -597,22 +597,19 @@ class Polynomial:
         field: FieldDescriptor, variables: Iterable[str], term_map: Mapping[Monomial, Any]
     ) -> "Polynomial":
         vs = tuple(variables)
-        index = _layout(vs)[0]
-        if len(index) != len(vs):
+        if len(_layout(vs)[0]) != len(vs):
             raise InputError("duplicate ambient variable names")
-        keyed: list[tuple[tuple[int, ...], tuple[Monomial, Any]]] = []
-        for m, c in term_map.items():
-            if not c:
-                continue
-            vec = [0] * len(vs)
-            for v, e in m.exps:
-                i = index.get(v)
-                if i is None:
-                    raise InputError(f"monomial uses unknown variable {v!r}")
-                vec[i] = e
-            keyed.append((tuple(vec), (m, c)))
-        keyed.sort(key=_vector_order, reverse=True)
-        return Polynomial(field, vs, tuple([mc for _, mc in keyed]))
+        return _canonical(field, vs, [
+            (_vector_of(m, vs), c) for m, c in term_map.items() if c])
+
+    @staticmethod
+    def from_vectors(
+        field: FieldDescriptor, variables: Iterable[str],
+        term_map: Mapping[tuple[int, ...], Any],
+    ) -> "Polynomial":
+        """The polynomial of a map from exponent vectors aligned with
+        ``variables`` to coefficients."""
+        return _canonical(field, tuple(variables), term_map.items())
 
     @staticmethod
     def zero(field: FieldDescriptor, variables: Iterable[str]) -> "Polynomial":
@@ -629,20 +626,43 @@ class Polynomial:
             raise InputError(f"unknown variable {name!r}")
         return Polynomial.make(field, vs, {Monomial.from_dict({name: 1}): field.one()})
 
+    def extended(self, name: str) -> "Polynomial":
+        """The same polynomial in the ring with ``name`` appended to the
+        variables."""
+        if name in self.variables:
+            raise InputError(f"variable {name!r} is already in the ring")
+        return _canonical(self.field, self.variables + (name,),
+                          [(vec + (0,), c) for vec, c in self.vectors])
+
     # -- basic queries -------------------------------------------------------
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Monomial, Any], ...]:
+        """The terms as (Monomial, coefficient) pairs, in canonical order."""
+        vs, by_name = self.variables, _layout(self.variables)[1]
+        return tuple(
+            (Monomial(tuple([(vs[i], vec[i]) for i in by_name if vec[i]])), c)
+            for vec, c in self.vectors)
+
+    def positions(self, names: Iterable[str]) -> list[int]:
+        """The position of each named variable in ``variables``, and so in
+        every exponent vector."""
+        index = _layout(self.variables)[0]
+        return [index[v] for v in names]
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.vectors
 
     def term_map(self) -> dict[Monomial, Any]:
         return dict(self.terms)
 
     def coefficient(self, m: Monomial) -> Any:
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return self.field.zero()
+        try:
+            vec = _vector_of(m, self.variables)
+        except InputError:
+            return self.field.zero()
+        return next((c for v, c in self.vectors if v == vec), self.field.zero())
 
     def constant_coefficient(self) -> Any:
         return self.coefficient(Monomial())
@@ -650,16 +670,14 @@ class Polynomial:
     def total_degree(self) -> int | float:
         if self.is_zero:
             return -INF
-        return max(m.degree() for m, _ in self.terms)
+        return sum(self.vectors[-1][0])  # the canonical order ends at the top degree
 
     def is_constant(self) -> bool:
-        return all(m.is_unit for m, _ in self.terms)
+        return self.total_degree() <= 0
 
     def support_variables(self) -> set[str]:
-        out: set[str] = set()
-        for m, _ in self.terms:
-            out.update(v for v, _ in m.exps)
-        return out
+        return {self.variables[i]
+                for vec, _ in self.vectors for i, e in enumerate(vec) if e}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -669,23 +687,23 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        acc = self.term_map()
-        for m, c in other.terms:
+        acc = dict(self.vectors)
+        for m, c in other.vectors:
             s = acc.get(m)
             acc[m] = c if s is None else s + c
-        return Polynomial.make(self.field, self.variables, acc)
+        return _canonical(self.field, self.variables, acc.items())
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial.make(self.field, self.variables, {m: -c for m, c in self.terms})
+        return _canonical(self.field, self.variables, [(m, -c) for m, c in self.vectors])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         acc: dict[tuple, Any] = {}
-        _mul_into(acc, _exponent_vectors(self), _exponent_vectors(other))
-        return _from_vectors(self.field, self.variables, acc)
+        _mul_into(acc, self.vectors, other.vectors)
+        return _canonical(self.field, self.variables, acc.items())
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -693,15 +711,14 @@ class Polynomial:
         return _power(self, e, Polynomial.__mul__)
 
     def scale(self, c: Any) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.field, self.variables)
-        return Polynomial.make(self.field, self.variables, {m: cc * c for m, cc in self.terms})
+        return _canonical(self.field, self.variables,
+                          [(m, cc * c) for m, cc in self.vectors])
 
     def monomial_multiple(self, m: Monomial, c: Any | None = None) -> "Polynomial":
         coeff = self.field.one() if c is None else c
-        return Polynomial.make(
-            self.field, self.variables, {mm.mul(m): cc * coeff for mm, cc in self.terms}
-        )
+        shift = _vector_of(m, self.variables)
+        return _canonical(self.field, self.variables, [
+            (tuple(map(add, vec, shift)), cc * coeff) for vec, cc in self.vectors])
 
     # -- rendering -----------------------------------------------------------
 
@@ -731,16 +748,10 @@ def to_string(f: Polynomial) -> str:
         return "0"
     pieces: list[str] = []
     one = f.field.one()
-    for m, c in f.terms:
+    for vec, c in f.vectors:
         sign, mag = _format_coefficient(f.field, c)
-        mono_parts = []
-        for v in f.variables:
-            e = m.exponent(v)
-            if e == 1:
-                mono_parts.append(v)
-            elif e > 1:
-                mono_parts.append(f"{v}^{e}")
-        mono = "*".join(mono_parts)
+        mono = "*".join(v if e == 1 else f"{v}^{e}"
+                        for v, e in zip(f.variables, vec) if e)
         if not mono:
             body = mag
         elif (c == one and sign == "+") or (mag == "1"):
@@ -770,8 +781,8 @@ def ord_at(f: Polynomial, prime_vars: Iterable[str]) -> int | float:
             raise InputError(f"unknown variable {v!r} in ord_at")
     if f.is_zero:
         return INF
-    vset = set(vs)
-    return min(m.degree(vset) for m, _ in f.terms)
+    pos = f.positions(set(vs))
+    return min(sum(vec[i] for i in pos) for vec, _ in f.vectors)
 
 
 def hasse_derivative(f: Polynomial, a: Mapping[str, int]) -> Polynomial:
@@ -783,28 +794,22 @@ def hasse_derivative(f: Polynomial, a: Mapping[str, int]) -> Polynomial:
     for v in a:
         if v not in f.variables:
             raise InputError(f"unknown variable {v!r} in hasse_derivative")
-    order = {v: e for v, e in a.items() if e}
-    acc: dict[Monomial, Any] = {}
-    for m, c in f.terms:
+    order = [(i, e) for i, e in zip(f.positions(a), a.values()) if e]
+    acc: dict[tuple[int, ...], Any] = {}
+    for vec, c in f.vectors:
         factor = 1
-        new_exps = m.as_dict()
-        ok = True
-        for v, e in order.items():
-            have = new_exps.get(v, 0)
-            if have < e:
-                ok = False
+        new = list(vec)
+        for i, e in order:
+            if vec[i] < e:
                 break
-            factor *= comb(have, e)
-            new_exps[v] = have - e
-        if not ok:
-            continue
-        coeff = c * f.field.from_int(factor)
-        if not coeff:
-            continue
-        mm = Monomial.from_dict(new_exps)
-        s = acc.get(mm)
-        acc[mm] = coeff if s is None else s + coeff
-    return Polynomial.make(f.field, f.variables, acc)
+            factor *= comb(vec[i], e)
+            new[i] = vec[i] - e
+        else:
+            coeff = c * f.field.from_int(factor)
+            m = tuple(new)
+            s = acc.get(m)
+            acc[m] = coeff if s is None else s + coeff
+    return _canonical(f.field, f.variables, acc.items())
 
 
 def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomial:
@@ -821,7 +826,7 @@ def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomia
     index = _layout(f.variables)[0]
     slots = [index[v] for v in assignments]
     groups: dict[tuple[int, ...], list[tuple[tuple, Any]]] = {}
-    for vec, c in _exponent_vectors(f):
+    for vec, c in f.vectors:
         rest = list(vec)
         for i in slots:
             rest[i] = 0
@@ -829,7 +834,7 @@ def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomia
             (tuple(rest), c))
 
     unit = [((0,) * len(index), f.field.one())]
-    powers = [[unit, _exponent_vectors(expr)] for expr in assignments.values()]
+    powers = [[unit, expr.vectors] for expr in assignments.values()]
 
     def power(i: int, e: int) -> list[tuple[tuple, Any]]:
         cached = powers[i]
@@ -849,7 +854,7 @@ def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomia
             _mul_into(acc, part, factor)
             part = [(m, c) for m, c in acc.items() if c]
         _mul_into(result, part, factors[-1] if factors else unit)
-    return _from_vectors(f.field, f.variables, result)
+    return _canonical(f.field, f.variables, result.items())
 
 
 def substitute(f: Polynomial, var: str, expr: Polynomial) -> Polynomial:
@@ -873,15 +878,15 @@ def substitute_many(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Pol
 
 def divide_exactly(f: Polynomial, var: str, power: int) -> Polynomial:
     """Divide f by var**power, requiring exact divisibility."""
-    acc: dict[Monomial, Any] = {}
-    for m, c in f.terms:
-        e = m.exponent(var)
-        if e < power:
+    if var not in f.variables:
+        raise InputError(f"unknown variable {var!r} in divide_exactly")
+    i = f.positions([var])[0]
+    out = []
+    for vec, c in f.vectors:
+        if vec[i] < power:
             raise InputError(f"{var}^{power} does not divide every term")
-        d = m.as_dict()
-        d[var] = e - power
-        acc[Monomial.from_dict(d)] = c
-    return Polynomial.make(f.field, f.variables, acc)
+        out.append((vec[:i] + (vec[i] - power,) + vec[i + 1:], c))
+    return _canonical(f.field, f.variables, out)
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +914,7 @@ def _coefficient_bits(f: "Polynomial") -> int:
     if f.field.kind != RATIONALS:
         return 0
     return max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                for _, c in f.terms), default=0)
+                for _, c in f.vectors), default=0)
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|\-|/|\(|\)))")
 
@@ -1042,10 +1047,10 @@ class _Parser:
         return int(text)
 
     def multiply(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        if len(a.terms) * len(b.terms) > MAX_PARSE_PRODUCT:
+        if len(a.vectors) * len(b.vectors) > MAX_PARSE_PRODUCT:
             raise ScopeError(
                 f"expanding the polynomial text needs a product of "
-                f"{len(a.terms)} by {len(b.terms)} terms, over the limit of "
+                f"{len(a.vectors)} by {len(b.vectors)} terms, over the limit of "
                 f"{MAX_PARSE_PRODUCT} term products (MAX_PARSE_PRODUCT)")
         return a * b
 

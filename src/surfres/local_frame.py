@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, le
 from typing import Any, Iterable, Iterator, Sequence
 
 from .exact_algebra import (
@@ -40,7 +40,8 @@ from .exact_algebra import (
     RATIONAL_FUNCTIONS,
     RatFunc,
     ScopeError,
-    _exponent_vectors,
+    fp_divmod,
+    fp_gcd,
     fp_mul,
     fp_trim,
     hasse_derivative,
@@ -168,11 +169,11 @@ def initial_form(f: Polynomial, at: Iterable[str]) -> Polynomial:
     for v in vs:
         if v not in f.variables:
             raise InputError(f"unknown variable {v!r} in initial_form")
-    degrees = [m.degree(vs) for m, _ in f.terms]
+    pos = f.positions(vs)
+    degrees = [sum([vec[i] for i in pos]) for vec, _ in f.vectors]
     lo = min(degrees)
-    return Polynomial.make(
-        f.field, f.variables, {m: c for (m, c), d in zip(f.terms, degrees) if d == lo}
-    )
+    return Polynomial.from_vectors(f.field, f.variables, {
+        vec: c for (vec, c), d in zip(f.vectors, degrees) if d == lo})
 
 
 def nu_star(gens: Sequence[Polynomial]) -> NuStar:
@@ -203,11 +204,11 @@ def check_standard_basis_necessary(gens: Sequence[Polynomial]) -> None:
             raise InputError("standard basis generators must have nondecreasing order")
     initials = [initial_form(g, g.variables) for g in gens]
     for j, earlier in enumerate(initials):
-        if len(earlier.terms) != 1:
+        if len(earlier.vectors) != 1:
             continue
-        mono_j = earlier.terms[0][0]
+        mono_j = earlier.vectors[0][0]
         for i in range(j + 1, len(initials)):
-            if all(mono_j.divides(m) for m, _ in initials[i].terms):
+            if all(all(map(le, mono_j, vec)) for vec, _ in initials[i].vectors):
                 raise InputError(
                     "redundant standard basis: an earlier initial form divides a later one"
                 )
@@ -324,8 +325,7 @@ def row_form(row: Sequence[Any], field: FieldDescriptor,
 def _is_homogeneous(f: Polynomial) -> bool:
     if f.is_zero:
         return True
-    degs = {m.degree() for m, _ in f.terms}
-    return len(degs) == 1
+    return len({sum(vec) for vec, _ in f.vectors}) == 1
 
 
 def _derivative_closure(gens: Sequence[Polynomial]) -> dict[int, dict[int, list[Any]]]:
@@ -343,7 +343,7 @@ def _derivative_closure(gens: Sequence[Polynomial]) -> dict[int, dict[int, list[
         d = int(f.total_degree())
         index = _column_index(n, d)
         row = [field.zero()] * len(index)
-        for m, c in _exponent_vectors(f):
+        for m, c in f.vectors:
             row[index[m]] = c
         if echelon_add(closure.setdefault(d, {}), row, field) is None:
             continue
@@ -400,8 +400,6 @@ def _normalize_sigma_vector(vec: list[Any], field: FieldDescriptor) -> list[Any]
         lead = next(c for c in vec if c)
         inv = field.one() / lead
         return [c * inv for c in vec]
-    from .exact_algebra import fp_divmod, fp_gcd
-
     p = field.characteristic
     den_lcm: tuple[int, ...] = (1,)
     for c in vec:
@@ -486,7 +484,7 @@ def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
 
     # Containment certificate: each degree of the derivative closure (hence
     # the inputs) lies in the same degree of the ideal of the additive forms.
-    out_terms = [_exponent_vectors(s) for s in out]
+    out_terms = [s.vectors for s in out]
     for d, echelon in closure.items():
         slice_echelon = _ideal_slice(out_terms, list(monomials_of_degree(n, d)), field)
         if any(echelon_add(slice_echelon, row, field) is not None
@@ -564,10 +562,9 @@ def _linear_conditions(sigma_degree: int, vec: list[Any], field: FieldDescriptor
 def translation_invariant(f: Polynomial, w: Sequence[Any]) -> bool:
     """Whether f(X + T*w) == f(X) identically for the direction vector w."""
     field, vs = f.field, f.variables
-    tvar = "__T__"
-    ext = vs + (tvar,)
-    lift = Polynomial.make(field, ext, dict(f.terms))
-    t_poly = Polynomial.variable(field, ext, tvar)
+    lift = f.extended("__T__")
+    ext = lift.variables
+    t_poly = Polynomial.variable(field, ext, "__T__")
     assignments = {}
     for v, c in zip(vs, w):
         if c:

@@ -51,6 +51,7 @@ from .exact_algebra import (
     Polynomial,
     ScopeError,
     hasse_derivative,
+    name_order,
     parse_polynomial,
     substitute_many,
     to_string,
@@ -119,8 +120,10 @@ def _hasse_constraints(f: Polynomial, order: int) -> list[Polynomial]:
     return out
 
 
-def _support(m) -> tuple[str, ...]:
-    return tuple(v for v, _e in m.exps)
+def _support(vec: tuple[int, ...], variables: tuple[str, ...]) -> tuple[str, ...]:
+    """The variables of an exponent vector, in name order (as a Monomial
+    lists them)."""
+    return tuple(variables[i] for i in name_order(variables) if vec[i])
 
 
 def _solve_components(
@@ -154,15 +157,14 @@ def _solve_components(
         if not residues:
             found.append((fixed, None))
             continue
-        if any(len(r.terms) == 1 and r.terms[0][0].is_unit for r in residues):
+        if any(r.is_constant() for r in residues):
             continue  # a nonzero constant survives: no solution above `fixed`
-        monomials = [r.terms[0][0] for r in residues if len(r.terms) == 1]
-        if monomials:
-            pick = min(
-                monomials,
-                key=lambda m: (len(m.exps),
-                               tuple(order[v] for v in _support(m))))
-            for v in _support(pick):
+        supports = [_support(r.vectors[0][0], r.variables)
+                    for r in residues if len(r.vectors) == 1]
+        if supports:
+            pick = min(supports,
+                       key=lambda s: (len(s), tuple(order[v] for v in s)))
+            for v in pick:
                 stack.append(fixed | {v})
             continue
         distinct = set(residues)
@@ -173,11 +175,10 @@ def _solve_components(
             continue
         # several distinct non-monomial residues: keep branching on the
         # smallest-support term to stay complete for coordinate components
-        terms = [m for r in residues for m, _c in r.terms if not m.is_unit]
-        pick = min(
-            terms,
-            key=lambda m: (len(m.exps), tuple(order[v] for v in _support(m))))
-        for v in _support(pick):
+        supports = [_support(vec, r.variables)
+                    for r in residues for vec, _c in r.vectors if any(vec)]
+        pick = min(supports, key=lambda s: (len(s), tuple(order[v] for v in s)))
+        for v in pick:
             stack.append(fixed | {v})
     return _maximal_components(found, field, variables)
 
@@ -269,15 +270,15 @@ def _tail_components(chart: ChartState, f: Polynomial) -> list[RawComponent]:
     obstruct transversality.
     """
     lin = initial_form(f, f.variables)
-    support = [v for v in chart.variables
-               if any(m.exponent(v) for m, _c in lin.terms)]
+    used = lin.support_variables()
+    support = [v for v in chart.variables if v in used]
     boundary = set(_boundary_vars(chart))
     if any(v not in boundary for v in support):
         return []  # the tangent space is transverse to the boundary
     if len(support) == 1:
-        w = support[0]
-        if all(m.exponent(w) for m, _c in f.terms):
-            return []  # the hypersurface coincides with the divisor V(w)
+        i = f.positions(support)[0]
+        if all(vec[i] for vec, _c in f.vectors):
+            return []  # the hypersurface is that coordinate's divisor
     zero = {v: Polynomial.zero(chart.field, chart.variables) for v in support}
     residue = substitute_many(f, zero)
     if residue.is_zero:
@@ -437,10 +438,10 @@ def select_center(chart: ChartState) -> CenterChoice:
                 "blowing it up is out of scope")
     if chart.nu.orders[-1] >= 2:
         for c in pool:
-            names = set(c.variables)
-            if len(names) <= len(chart.generators) and all(
-                    names.intersection(_support(m))
-                    for g in chart.generators for m, _c in g.terms):
+            pos = chart.generators[0].positions(set(c.variables))
+            if len(pos) <= len(chart.generators) and all(
+                    any(vec[i] for i in pos)
+                    for g in chart.generators for vec, _c in g.vectors):
                 raise ScopeError(
                     f"stratum component V({', '.join(c.variables)}) is a "
                     "component of the variety of order at least 2; the input "
@@ -553,9 +554,9 @@ def _coordinate_directrix_vars(chart: ChartState) -> tuple[str, ...] | None:
     variable, else None."""
     names = []
     for form in chart.directrix[1]:
-        if len(form.terms) != 1:
+        if len(form.vectors) != 1:
             return None
-        names.append(_support(form.terms[0][0])[0])
+        names.append(_support(form.vectors[0][0], form.variables)[0])
     return tuple(v for v in chart.variables if v in set(names))
 
 

@@ -202,7 +202,8 @@ OFF_LOCUS_JOB = {
 }
 
 
-@pytest.mark.parametrize("command", ["resolve", "export", "blowup"])
+@pytest.mark.parametrize("command", ["resolve", "export", "blowup",
+                                     "invariant", "polyhedron"])
 def test_stratum_outside_the_maximal_order_locus_is_refused(
         tmp_path, capsys, command):
     code, _out, err = run(tmp_path, capsys, command, OFF_LOCUS_JOB)
@@ -218,3 +219,41 @@ def test_stratum_on_the_maximal_order_locus_is_accepted(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, "resolve", job)
     assert code == EXIT_OK, err
     assert json.loads(out)["monotone"]["ok"]
+
+
+# over F2 the minimal-label stratum component of this chart is cut by a
+# non-coordinate condition, so its resolution ends in a scope error
+F2_SCOPE_JOB = {
+    "field": {"kind": "prime_field", "characteristic": 2},
+    "variables": ["u1", "u2", "y"],
+    "generators": ["y^4 + y^2 + u1^6 + u2^5"],
+    "frame": {"u": ["u1", "u2"], "y": ["y"]},
+}
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_of_a_resolution_ending_in_a_scope_error_exits_3(
+        tmp_path, capsys, fmt):
+    code, out, _err = run(tmp_path, capsys, "resolve", F2_SCOPE_JOB)
+    assert code == EXIT_SCOPE
+    error = json.loads(out)["trace"]["error"]
+    path = tmp_path / "job.json"
+    code = main(["export", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCOPE
+    assert captured.out == ""
+    assert captured.err == f"scope error: {error}\n"
+
+
+@pytest.mark.parametrize("condition, message", [
+    ("1", "is not irreducible"),
+    ("0", "is zero"),
+])
+def test_constant_point_condition_is_an_input_error(tmp_path, capsys,
+                                                    condition, message):
+    job = {"field": {"kind": "prime_field", "characteristic": 2},
+           "variables": ["x", "y", "z"], "generators": ["x^2 + y^3 + z^5"],
+           "point": {"moves": {"x": {"root_of": condition}}}}
+    code, _out, err = run(tmp_path, capsys, "analyze", job)
+    assert code == EXIT_INPUT
+    assert f"the condition for 'x' {message}" in err

@@ -36,6 +36,7 @@ from surfres.resolution_driver import (
     RESOLVED,
     SCOPE_ERROR,
     STEP_LIMIT,
+    _solve_components,
     check_monotone,
     initial_chart,
     max_stratum,
@@ -441,3 +442,18 @@ def test_trace_renders_to_dot():
     assert '"root"' in dot
     assert "->" in dot
     assert "V(x, y, z)" in dot
+
+
+def test_component_order_follows_variable_names_in_an_unsorted_ring():
+    # _solve_components branches on a monomial's variables in name order
+    # (the order a Monomial lists them), not in the ring's order
+    ring = ("z", "a", "y")
+
+    def components(*texts):
+        constraints = [parse_polynomial(t, QQ, ring) for t in texts]
+        return [tuple(sorted(names)) for names, _cond
+                in _solve_components(constraints, QQ, ring)]
+
+    assert components("z*a") == [("z",), ("a",)]
+    assert components("z*a*y") == [("z",), ("y",), ("a",)]
+    assert components("z*a", "a*y") == [("y", "z"), ("a",)]

@@ -4,6 +4,7 @@ Products, powers, substitutions and Hasse derivatives of seeded random
 polynomials over Q and F_p (p = 2, 3, 5) are checked against sympy, and the
 substitutions also against the earlier shadow-variable implementation, kept
 below as the old-path oracle.  Printing and re-parsing must round-trip.
+Every result is also checked to be in canonical form.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from surfres.exact_algebra import (
     InputError,
     Monomial,
     Polynomial,
+    divide_exactly,
     hasse_derivative,
     parse_polynomial,
     substitute,
@@ -132,6 +134,19 @@ def old_substitute_many(f: Polynomial,
     return Polynomial.make(f.field, f.variables, dict(lifted.terms))
 
 
+def assert_canonical_form(f: Polynomial) -> None:
+    """f equals, and hashes like, what ``Polynomial.make`` builds from its
+    own terms; no coefficient is zero; and the terms are listed in strictly
+    descending canonical order: ascending total degree, then descending
+    exponent vector."""
+    again = Polynomial.make(f.field, f.variables, f.term_map())
+    assert f == again and hash(f) == hash(again)
+    assert all(c for _, c in f.terms)
+    keys = [(-m.degree(), tuple(m.exponent(v) for v in f.variables))
+            for m, _ in f.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+
+
 # -- tests -------------------------------------------------------------------
 
 @pytest.mark.parametrize("field", FIELDS, ids=field_id)
@@ -144,6 +159,11 @@ def test_products_and_powers_match_sympy(field):
         e = rng.randint(0, 4)
         small = random_polynomial(rng, field, 3, 2)
         assert to_sympy(small ** e) == to_sympy(small) ** e
+        x = Polynomial.variable(field, VARIABLES, "x")
+        quotient = divide_exactly(f * g * x ** e, "x", e)
+        for result in (f * g, small ** e, quotient):
+            assert_canonical_form(result)
+        assert quotient == f * g
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=field_id)
@@ -157,6 +177,7 @@ def test_substitute_matches_sympy_and_the_old_path(field):
         assert got == old_substitute(f, var, expr)
         expected = lift(f).xreplace({SYMBOLS[VARIABLES.index(var)]: lift(expr)})
         assert to_sympy(got) == as_poly(expected, field)
+        assert_canonical_form(got)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=field_id)
@@ -179,6 +200,7 @@ def test_substitute_many_is_simultaneous(field):
         expected = lift(f).xreplace({SYMBOLS[VARIABLES.index(v)]: lift(e)
                                      for v, e in assignments.items()})
         assert to_sympy(got) == as_poly(expected, field)
+        assert_canonical_form(got)
 
 
 def test_substitute_many_swap_is_not_sequential():
@@ -207,6 +229,7 @@ def test_hasse_derivative_matches_sympy(field):
         f = random_polynomial(rng, field, 5, 5)
         a = {v: rng.randint(0, 3) for v in rng.sample(VARIABLES, 2)}
         assert to_sympy(hasse_derivative(f, a)) == sympy_hasse(f, a)
+        assert_canonical_form(hasse_derivative(f, a))
 
 
 @pytest.mark.parametrize("field", FIELDS + [
@@ -223,6 +246,7 @@ def test_printing_round_trips(field):
             c = parse_polynomial(rng.choice(extra), field, VARIABLES)
             f = f * c
         assert parse_polynomial(to_string(f), field, VARIABLES) == f
+        assert_canonical_form(parse_polynomial(to_string(f), field, VARIABLES))
 
 
 # -- a ring whose variable tuple is not in name order -------------------------
@@ -292,11 +316,13 @@ def test_unsorted_ring_products_and_powers_match_sympy(field):
         g = unsorted_polynomial(rng, field)
         product = f * g
         assert_canonical(product)
+        assert_canonical_form(product)
         assert unsorted_poly(unsorted_lift(product), field) == unsorted_poly(
             unsorted_lift(f) * unsorted_lift(g), field)
         e = rng.randint(0, 4)
         small = unsorted_polynomial(rng, field, 3, 2)
         assert_canonical(small ** e)
+        assert_canonical_form(small ** e)
         assert unsorted_poly(unsorted_lift(small ** e), field) == unsorted_poly(
             unsorted_lift(small) ** e, field)
 
@@ -310,6 +336,7 @@ def test_unsorted_ring_substitutions_match_sympy(field):
         expr = unsorted_expression(rng, field)
         got = substitute(f, var, expr)
         assert_canonical(got)
+        assert_canonical_form(got)
         expected = unsorted_lift(f).xreplace(
             {UNSORTED_SYMBOLS[UNSORTED.index(var)]: unsorted_lift(expr)})
         assert unsorted_poly(unsorted_lift(got), field) == unsorted_poly(
@@ -318,6 +345,7 @@ def test_unsorted_ring_substitutions_match_sympy(field):
         assignments = {v: unsorted_expression(rng, field) for v in chosen}
         got = substitute_many(f, assignments)
         assert_canonical(got)
+        assert_canonical_form(got)
         expected = unsorted_lift(f).xreplace(
             {UNSORTED_SYMBOLS[UNSORTED.index(v)]: unsorted_lift(e)
              for v, e in assignments.items()})
@@ -331,6 +359,7 @@ def test_unsorted_ring_printing_round_trips(field):
     for _ in range(CASES):
         f = unsorted_polynomial(rng, field)
         assert parse_polynomial(to_string(f), field, UNSORTED) == f
+        assert_canonical_form(parse_polynomial(to_string(f), field, UNSORTED))
 
 
 def test_closed_form_powers_of_one_term_expressions():

@@ -1,0 +1,70 @@
+"""The term representation stays inside ``exact_algebra``.
+
+A polynomial stores its terms as exponent vectors; ``Polynomial.terms`` is
+a view of them as ``Monomial``s, and ``Monomial.exps`` is that view's own
+encoding.  No other module of the package reads either attribute or uses a
+private name of ``exact_algebra``, so how terms are stored is decided in one
+module.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "surfres"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "exact_algebra.py")
+FORBIDDEN_ATTRIBUTES = ("terms", "exps")
+
+
+def violations(source: str, name: str) -> list[str]:
+    """Each read of ``.terms`` or ``.exps`` and each use of a private name
+    of ``exact_algebra`` in the module source, as ``name:line what``."""
+    tree = ast.parse(source, filename=name)
+    aliases = set()  # names the module binds to exact_algebra itself
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name.split(".")[-1] == "exact_algebra":
+                    aliases.add(alias.asname or alias.name)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in FORBIDDEN_ATTRIBUTES:
+                out.append(f"{name}:{node.lineno} reads .{node.attr}")
+            elif (node.attr.startswith("_") and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                out.append(f"{name}:{node.lineno} uses exact_algebra.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[-1] == "exact_algebra"):
+            out.extend(f"{name}:{node.lineno} imports {alias.name}"
+                       for alias in node.names if alias.name.startswith("_"))
+    return out
+
+
+def test_every_package_module_is_checked():
+    names = {p.name for p in MODULES}
+    assert {"char_polyhedron.py", "local_frame.py", "blowup_engine.py",
+            "invariant.py", "resolution_driver.py", "cli.py"} <= names
+
+
+def test_the_check_finds_each_kind_of_violation():
+    source = (
+        "from .exact_algebra import Polynomial, _layout\n"
+        "from . import exact_algebra as ea\n"
+        "def f(g):\n"
+        "    return g.terms, g.terms[0][0].exps, ea._canonical\n")
+    assert sorted(violations(source, "m.py")) == [
+        "m.py:1 imports _layout",
+        "m.py:4 reads .exps",
+        "m.py:4 reads .terms",
+        "m.py:4 reads .terms",
+        "m.py:4 uses exact_algebra._canonical",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_no_term_representation(path):
+    assert violations(path.read_text(encoding="utf-8"), path.name) == []
