@@ -29,14 +29,12 @@ from typing import Any, Mapping
 
 from .char_polyhedron import FPolyhedron
 from .exact_algebra import (
-    PRIME_FIELD,
     FieldDescriptor,
     InputError,
     Polynomial,
     ScopeError,
-    fp_divmod,
-    fp_trim,
     ord_at,
+    residue_extension,
     substitute_many,
     divide_exactly,
     to_string,
@@ -478,52 +476,6 @@ def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartSta
 # ---------------------------------------------------------------------------
 
 
-def _fp_poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility over F_p (degrees here are tiny)."""
-    coeffs = fp_trim(coeffs, p)
-    d = len(coeffs) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-
-    def monics(deg: int):
-        if deg == 0:
-            yield (1,)
-            return
-        span = [()]
-        for _ in range(deg):
-            span = [s + (c,) for s in span for c in range(p)]
-        for lower in span:
-            yield lower + (1,)
-
-    for deg in range(1, d // 2 + 1):
-        for g in monics(deg):
-            _q, r = fp_divmod(coeffs, g, p)
-            if not r:
-                return False
-    return True
-
-
-def _univariate_condition(cond: Polynomial, var: str) -> tuple[int, ...]:
-    """Ascending F_p coefficient tuple of a univariate condition in var."""
-    field = cond.field
-    if field.kind != PRIME_FIELD:
-        raise ScopeError(
-            "residue-field extensions are only supported over prime fields")
-    support = cond.support_variables()
-    if support - {var}:
-        raise InputError(
-            f"the condition for {var!r} must be univariate in {var!r}")
-    if cond.is_zero:
-        raise InputError(f"the condition for {var!r} is zero")
-    # every term is a power of var, so its total degree is its exponent
-    coeffs = [0] * (int(cond.total_degree()) + 1)
-    for vec, c in cond.vectors:
-        coeffs[sum(vec)] = c.value
-    return fp_trim(tuple(coeffs), field.characteristic)
-
-
 def _lift_polynomial(f: Polynomial, new_field: FieldDescriptor) -> Polynomial:
     return Polynomial.from_vectors(new_field, f.variables, {
         vec: _lift_element(c, new_field) for vec, c in f.vectors})
@@ -572,24 +524,9 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
 
     if conditions:
         (var, cond), = conditions.items()
-        coeffs = _univariate_condition(cond, var)
-        p = field.characteristic
-        if not _fp_poly_is_irreducible(coeffs, p):
-            raise InputError(
-                f"the condition for {var!r} is not irreducible over F_{p}")
-        degree = len(coeffs) - 1
-        if degree == 1:
-            # linear condition: an ordinary rational translation
-            # c0 + c1 v = 0  =>  v = -c0/c1
-            a = -field.from_int(coeffs[0]) / field.from_int(coeffs[1])
-            values[var] = a
-        else:
-            monic = coeffs
-            lead = monic[-1]
-            if lead != 1:
-                inv = pow(lead, p - 2, p)
-                monic = fp_trim(tuple(c * inv for c in monic), p)
-            new_field = FieldDescriptor.finite_extension(p, monic, name="s")
+        new_field, root = residue_extension(cond, var)
+        degree = int(cond.total_degree())
+        if new_field != field:
             generators = tuple(_lift_polynomial(g, new_field) for g in generators)
             boundary = tuple(
                 replace(b, generator=_lift_polynomial(b.generator, new_field))
@@ -599,10 +536,8 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
                     replace(c, conditions=tuple(
                         _lift_polynomial(q, new_field) for q in c.conditions))
                     for c in stratum)
-            lifted_values = {
-                v: _lift_element(a, new_field) for v, a in values.items()}
-            values = lifted_values
-            values[var] = new_field.generator()
+            values = {v: _lift_element(a, new_field) for v, a in values.items()}
+        values[var] = root
 
     if not any(values.values()) and new_field == field:
         return chart

@@ -35,6 +35,7 @@ from .exact_algebra import (
     hasse_derivative,
     ord_at,
     p_th_root,
+    q_th_root,
     substitute,
 )
 from .local_frame import Frame, initial_form, row_reduce
@@ -374,13 +375,9 @@ def _solve_ratfunc(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | Non
         binom = field.from_int(comb(nu, d) % p)
         coeff = form.coefficient(Monomial.from_dict({
             y_name: nu - d, **_u_power_monomial(frame, vi.vertex, d).as_dict()}))
-        lam_d = coeff / (binom * c)
-        cand = lam_d
-        for _ in range(a):
-            root = p_th_root(cand, field)
-            if root is None:
-                return None
-            cand = root
+        cand = q_th_root(coeff / (binom * c), d, field)
+        if cand is None:
+            return None
         if lam is None:
             lam = cand
         elif lam != cand:

@@ -48,6 +48,7 @@ from .char_polyhedron import delta, face_numbers, prepare, sigma
 from .exact_algebra import (
     FieldDescriptor,
     InputError,
+    Polynomial,
     ScopeError,
     coefficient_text,
     ord_at,
@@ -152,14 +153,18 @@ def _scalar(field: FieldDescriptor, variables: tuple[str, ...],
     raise InputError(f"{where}: {value!r} is not a constant")
 
 
-def _move_value(field: FieldDescriptor, variables: tuple[str, ...],
+def _move_value(field: FieldDescriptor, variables: tuple[str, ...], var: str,
                 value: Any, where: str) -> Any:
+    """A point move of ``var``: a coordinate, or a condition ``root_of`` in
+    the variable ``name`` (default ``s``), returned as the same polynomial in
+    ``var``."""
     if isinstance(value, dict):
         text = _expect(value, "root_of", str, where)
         name = value.get("name", "s")
         if not isinstance(name, str):
             raise InputError(f"{where}.name: expected a string")
-        return parse_polynomial(text, field, (name,))
+        cond = parse_polynomial(text, field, (name,))
+        return Polynomial.from_vectors(field, (var,), dict(cond.vectors))
     return _scalar(field, variables, value, where)
 
 
@@ -257,7 +262,7 @@ def build_chart(job: dict) -> ChartState:
         point = _expect(job, "point", dict, "jobspec")
         moves_data = _expect(point, "moves", dict, "jobspec.point")
         moves = {
-            v: _move_value(chart.field, chart.variables, m,
+            v: _move_value(chart.field, chart.variables, v, m,
                            f"jobspec.point.moves.{v}")
             for v, m in moves_data.items()
         }
@@ -445,7 +450,7 @@ def _declared_points(job: dict, chart: ChartState) -> dict | None:
             where = f"jobspec.declared_points.{chart_id}[{i}]"
             _object(moves_data, where)
             parsed.append({
-                v: _move_value(chart.field, chart.variables, m, f"{where}.{v}")
+                v: _move_value(chart.field, chart.variables, v, m, f"{where}.{v}")
                 for v, m in moves_data.items()
             })
         out[chart_id] = tuple(parsed)

@@ -8,6 +8,12 @@ a nonzero coefficient, in one canonical order; every operation works on the
 vectors and ends in one canonicalising constructor.  ``Monomial`` names a
 term by its variables, for the public constructors and the ``terms`` view.
 
+Univariate polynomials over F_p, the numerators and denominators of F_p(t)
+and the elements and moduli of F_p[s]/(m), are coefficient tuples known only
+to this module: it alone does their arithmetic, Frobenius splitting in
+F_p(t), q-th roots, the irreducibility test behind residue extensions, and
+the normal form of vectors over F_p(t).
+
 Everything here is pure and hashable; all arithmetic is exact.
 """
 
@@ -20,7 +26,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
 from operator import add
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 INF = float("inf")
 
@@ -46,6 +52,19 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _power(base: Any, e: int, one: Any, multiply: Callable[[Any, Any], Any]) -> Any:
+    """base**e by repeated squaring from ``one``, forming every product with
+    ``multiply``; ``one`` when e <= 0."""
+    result = one
+    while e > 0:
+        if e & 1:
+            result = multiply(result, base)
+        e >>= 1
+        if e:
+            base = multiply(base, base)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +136,24 @@ def fp_monic(a: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 
 def fp_pow_mod(a: tuple[int, ...], e: int, mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    base = fp_divmod(a, mod, p)[1]
-    while e > 0:
-        if e & 1:
-            result = fp_divmod(fp_mul(result, base, p), mod, p)[1]
-        base = fp_divmod(fp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
+    return _power(fp_divmod(a, mod, p)[1], e, (1,),
+                  lambda x, y: fp_divmod(fp_mul(x, y, p), mod, p)[1])
+
+
+def fp_is_irreducible(a: tuple[int, ...], p: int) -> bool:
+    """Whether a is irreducible over F_p, by Ben-Or's test (M. Ben-Or,
+    "Probabilistic algorithms in finite fields", 1981): f of degree d is
+    irreducible iff gcd(x^(p^i) - x mod f, f) = 1 for 1 <= i <= d/2."""
+    f = fp_trim(a, p)
+    if len(f) < 2:
+        return False
+    x = (0, 1)
+    power = x
+    for _ in range((len(f) - 1) // 2):
+        power = fp_pow_mod(power, p, f, p)
+        if fp_gcd(fp_add(power, fp_neg(x, p), p), f, p) != (1,):
+            return False
+    return True
 
 
 def fp_format(a: tuple[int, ...], name: str) -> str:
@@ -283,14 +312,7 @@ class RatFunc:
         return self._make(fp_mul(self.num, other.den, self.p), fp_mul(self.den, other.num, self.p))
 
     def __pow__(self, e: int) -> "RatFunc":
-        out = self._make((1,), (1,))
-        base = self
-        while e > 0:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, self._make((1,), (1,)), RatFunc.__mul__)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -307,8 +329,9 @@ class RatFunc:
 # field descriptors
 # ---------------------------------------------------------------------------
 
-# Largest characteristic of a field (beyond it, ScopeError).  Vertex
-# solvability and root finding over F_p search the whole field, and the
+# Largest characteristic of a field, and largest number of elements of a
+# finite field searched whole (beyond them, ScopeError).  Vertex solvability
+# and root finding over finite fields search the whole field, and the
 # primality check is trial division.
 MAX_CHARACTERISTIC = 100
 
@@ -405,14 +428,20 @@ class FieldDescriptor:
 
     def elements(self) -> list[Any]:
         """Every element of a finite field: F_p as 0, ..., p-1, and F_p[s]/(m)
-        by coefficient tuples in ``itertools.product`` order."""
+        by coefficient tuples in ``itertools.product`` order.  A field of more
+        than ``MAX_CHARACTERISTIC`` elements is a ``ScopeError``."""
         p = self.characteristic
         if self.kind == PRIME_FIELD:
             return [self.from_int(i) for i in range(p)]
         if self.kind == FINITE_EXTENSION:
             assert self.modulus is not None and self.generator_name is not None
+            d = len(self.modulus) - 1
+            if p ** d > MAX_CHARACTERISTIC:
+                raise ScopeError(
+                    f"searching the field of {p}^{d} elements is over the limit "
+                    f"of {MAX_CHARACTERISTIC} elements (MAX_CHARACTERISTIC)")
             return [Fq(combo, p, self.modulus, self.generator_name)
-                    for combo in product(range(p), repeat=len(self.modulus) - 1)]
+                    for combo in product(range(p), repeat=d)]
         raise InputError(f"the field {self.kind} is not finite")
 
     @property
@@ -421,12 +450,28 @@ class FieldDescriptor:
         return self.kind != RATIONAL_FUNCTIONS
 
 
-def p_th_root(c: Any, field: FieldDescriptor) -> Any | None:
-    """The unique d with d^p = c, or None when c is not a p-th power.
+def frobenius_split(c: RatFunc, q: int) -> list[RatFunc]:
+    """Write c in F_p(t) as sum_j t^j * a_j^q for q a power of p; returns
+    [a_0, ..., a_{q-1}].
+
+    Uses c = (num * den^(q-1)) / den^q and the fact that F_p coefficients are
+    Frobenius-fixed, so grouping numerator exponents modulo q gives exact
+    q-th roots slice by slice.
+    """
+    p = c.p
+    num = fp_mul(c.num, _power(c.den, q - 1, (1,), lambda a, b: fp_mul(a, b, p)), p)
+    return [RatFunc(num[j::q], c.den, p, c.name) for j in range(q)]
+
+
+def q_th_root(c: Any, q: int, field: FieldDescriptor) -> Any | None:
+    """The unique d with d^q = c for q a power of the characteristic (or
+    q = 1), or None when c is not a q-th power.
 
     Total over perfect fields of characteristic p; partial over F_p(t);
-    undefined (error) in characteristic 0.
+    undefined (error) in characteristic 0 unless q = 1.
     """
+    if q == 1:
+        return c
     p = field.characteristic
     if p == 0:
         raise UnsupportedOperationError("p-th roots are undefined in characteristic 0")
@@ -434,30 +479,73 @@ def p_th_root(c: Any, field: FieldDescriptor) -> Any | None:
         return c  # Frobenius is the identity on F_p
     if field.kind == FINITE_EXTENSION:
         assert field.modulus is not None
+        # Frobenius has order d on F_{p^d}, so x -> x^(q^(d-1)) inverts
+        # x -> x^q; modulo the order p^d - 1 of the unit group that exponent
+        # is p^((-a) mod d) for q = p^a.
         d = len(field.modulus) - 1
-        return c ** (p ** (d - 1))
-    # F_p(t): a reduced fraction is a p-th power iff numerator and denominator
-    # separately have all exponents divisible by p.
-    assert isinstance(c, RatFunc)
-    if not c.num:
-        return c
+        return c ** pow(q, d - 1, p ** d - 1)
+    head, *rest = frobenius_split(c, q)
+    return None if any(rest) else head
 
-    def _root(coeffs: tuple[int, ...]) -> tuple[int, ...] | None:
-        if (len(coeffs) - 1) % p != 0:
-            return None
-        out = [0] * ((len(coeffs) - 1) // p + 1)
-        for i, a in enumerate(coeffs):
-            if i % p == 0:
-                out[i // p] = a
-            elif a != 0:
-                return None
-        return tuple(out)
 
-    rn = _root(c.num)
-    rd = _root(c.den)
-    if rn is None or rd is None:
-        return None
-    return RatFunc(rn, rd, p, c.name)
+def p_th_root(c: Any, field: FieldDescriptor) -> Any | None:
+    """The unique d with d^p = c, or None when c is not a p-th power.
+
+    Total over perfect fields of characteristic p; partial over F_p(t);
+    undefined (error) in characteristic 0.
+    """
+    return q_th_root(c, field.characteristic, field)
+
+
+def primitive_vector(vec: Sequence[RatFunc]) -> list[RatFunc]:
+    """The multiple of a nonzero vector over F_p(t) whose entries are
+    polynomials with no common factor and whose first nonzero entry is monic
+    in t; every nonzero multiple of ``vec`` gives the same vector."""
+    lead = next(i for i, c in enumerate(vec) if c)
+    p, name = vec[lead].p, vec[lead].name
+    den: tuple[int, ...] = (1,)
+    for c in vec:
+        den = fp_mul(den, c.den, p)
+    scaled = [c * RatFunc(den, (1,), p, name) for c in vec]
+    common: tuple[int, ...] = ()
+    for c in scaled:
+        common = fp_gcd(common, c.num, p)
+    # common is monic, so the first entry divided by it keeps its leading
+    # coefficient
+    unit = RatFunc(fp_mul(common, (scaled[lead].num[-1],), p), (1,), p, name)
+    return [c / unit for c in scaled]
+
+
+def residue_extension(cond: Polynomial, var: str) -> tuple[FieldDescriptor, Any]:
+    """The residue field of the closed point where the univariate condition
+    ``cond`` in ``var`` holds, and the coordinate of ``var`` there.
+
+    ``cond`` must be irreducible over a prime field F_p.  A linear condition
+    gives F_p and its root; one of degree d >= 2 gives F_p[s]/(m), with m the
+    condition made monic, and the generator s.
+    """
+    field = cond.field
+    if field.kind != PRIME_FIELD:
+        raise ScopeError(
+            "residue-field extensions are only supported over prime fields")
+    if cond.support_variables() - {var}:
+        raise InputError(
+            f"the condition for {var!r} must be univariate in {var!r}")
+    if cond.is_zero:
+        raise InputError(f"the condition for {var!r} is zero")
+    p = field.characteristic
+    # every term is a power of var, so its total degree is its exponent
+    coeffs = [0] * (int(cond.total_degree()) + 1)
+    for vec, c in cond.vectors:
+        coeffs[sum(vec)] = c.value
+    modulus = fp_monic(fp_trim(coeffs, p), p)
+    if not fp_is_irreducible(modulus, p):
+        raise InputError(
+            f"the condition for {var!r} is not irreducible over F_{p}")
+    if len(modulus) == 2:
+        return field, field.from_int(-modulus[0])
+    extension = FieldDescriptor.finite_extension(p, modulus, name="s")
+    return extension, extension.generator()
 
 
 # ---------------------------------------------------------------------------
@@ -544,18 +632,6 @@ def _mul_into(acc: dict, a: Iterable[tuple[tuple, Any]],
             c = c1 * c2
             s = acc.get(m)
             acc[m] = c if s is None else s + c
-
-
-def _power(base: "Polynomial", e: int, multiply) -> "Polynomial":
-    """base**e by repeated squaring, forming every product with ``multiply``."""
-    result = Polynomial.constant(base.field, base.variables, base.field.one())
-    while e:
-        if e & 1:
-            result = multiply(result, base)
-        e >>= 1
-        if e:
-            base = multiply(base, base)
-    return result
 
 
 def _vector_order(term: tuple[tuple[int, ...], Any]) -> tuple:
@@ -708,7 +784,8 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise InputError("negative polynomial power")
-        return _power(self, e, Polynomial.__mul__)
+        one = Polynomial.constant(self.field, self.variables, self.field.one())
+        return _power(self, e, one, Polynomial.__mul__)
 
     def scale(self, c: Any) -> "Polynomial":
         return _canonical(self.field, self.variables,
@@ -1036,7 +1113,8 @@ class _Parser:
                 raise ScopeError(
                     f"a power in the polynomial text builds a coefficient of "
                     f"more than {MAX_PARSE_DIGITS} digits (MAX_PARSE_DIGITS)")
-            return _power(base, e, self.multiply)
+            one = Polynomial.constant(self.field, self.variables, self.field.one())
+            return _power(base, e, one, self.multiply)
         return base
 
     def integer(self, text: str) -> int:

@@ -8,7 +8,8 @@ status (old/new).  On top of it this module computes:
   with infinity padding, so a shorter list dominates its extensions);
 * the ridge of a cone (additive generators of the saturated derivative span);
 * the directrix (largest linear subspace of the ridge's zero locus), via
-  q-th roots over perfect fields and semilinear splitting over F_p(t);
+  q-th roots over perfect fields and Frobenius splitting over F_p(t), both
+  done by ``exact_algebra``;
 * the directrix of the ideal multiplied by the old boundary components.
 
 The exact linear algebra runs on one routine, ``echelon_add``, which adds a
@@ -38,15 +39,12 @@ from .exact_algebra import (
     Monomial,
     Polynomial,
     RATIONAL_FUNCTIONS,
-    RatFunc,
     ScopeError,
-    fp_divmod,
-    fp_gcd,
-    fp_mul,
-    fp_trim,
+    frobenius_split,
     hasse_derivative,
     ord_at,
-    p_th_root,
+    primitive_vector,
+    q_th_root,
     substitute_many,
 )
 
@@ -396,30 +394,11 @@ def _ideal_slice(
 
 def _normalize_sigma_vector(vec: list[Any], field: FieldDescriptor) -> list[Any]:
     """Pick a readable representative: clear F_p(t) denominators, lead with 1."""
-    if field.kind != RATIONAL_FUNCTIONS:
-        lead = next(c for c in vec if c)
-        inv = field.one() / lead
-        return [c * inv for c in vec]
-    p = field.characteristic
-    den_lcm: tuple[int, ...] = (1,)
-    for c in vec:
-        if c:
-            g = fp_gcd(den_lcm, c.den, p)
-            den_lcm = fp_mul(fp_divmod(den_lcm, g, p)[0], c.den, p)
-    scaled = [c * RatFunc(den_lcm, (1,), p, field.transcendental_name or "t") for c in vec]
-    num_gcd: tuple[int, ...] = ()
-    for c in scaled:
-        if c:
-            num_gcd = fp_gcd(num_gcd, c.num, p) if num_gcd else c.num
-    if num_gcd and num_gcd != (1,):
-        inv = RatFunc((1,), (1,), p) / RatFunc(num_gcd, (1,), p, field.transcendental_name or "t")
-        scaled = [c * inv for c in scaled]
-    # make the leading coefficient monic in t
-    lead = next(c for c in scaled if c)
-    if lead.den == (1,) and lead.num and lead.num[-1] != 1:
-        unit = RatFunc((lead.num[-1],), (1,), p)
-        scaled = [c / unit for c in scaled]
-    return scaled
+    if field.kind == RATIONAL_FUNCTIONS:
+        return primitive_vector(vec)
+    lead = next(c for c in vec if c)
+    inv = field.one() / lead
+    return [c * inv for c in vec]
 
 
 def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
@@ -499,59 +478,18 @@ def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
 # directrix
 # ---------------------------------------------------------------------------
 
-def _q_th_root(c: Any, q: int, field: FieldDescriptor) -> Any | None:
-    """Inverse of x -> x^q for q a power of the characteristic (or q = 1)."""
-    if q == 1:
-        return c
-    p = field.characteristic
-    out = c
-    while q > 1:
-        out = p_th_root(out, field)
-        if out is None:
-            return None
-        q //= p
-    return out
-
-
-def _ratfunc_semilinear_split(c: RatFunc, q: int) -> list[RatFunc]:
-    """Write c in F_p(t) as sum_j t^j * a_j^q; returns [a_0, ..., a_{q-1}].
-
-    Uses c = (num * den^{q-1}) / den^q and the fact that F_p coefficients are
-    Frobenius-fixed, so grouping numerator exponents modulo q gives exact
-    q-th roots slice by slice.
-    """
-    p = c.p
-    num = fp_mul(c.num, _fp_pow(c.den, q - 1, p), p)
-    out = []
-    for j in range(q):
-        sliced = tuple(num[i] for i in range(j, len(num), q))
-        out.append(RatFunc(fp_trim(sliced, p), c.den, p, c.name))
-    return out
-
-
-def _fp_pow(a: tuple[int, ...], e: int, p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    base = a
-    while e > 0:
-        if e & 1:
-            result = fp_mul(result, base, p)
-        base = fp_mul(base, base, p)
-        e >>= 1
-    return result
-
-
 def _linear_conditions(sigma_degree: int, vec: list[Any], field: FieldDescriptor) -> list[list[Any]]:
     """Linear conditions over k cutting out the k-points of ker(sigma)."""
     q = sigma_degree
     if q == 1:
         return [list(vec)]
     if field.is_perfect:
-        row = [_q_th_root(c, q, field) for c in vec]
+        row = [q_th_root(c, q, field) for c in vec]
         assert all(r is not None for r in row)
         return [row]
     # F_p(t): split every coefficient over the k^q-basis 1, t, ..., t^{q-1}.
     rows: list[list[Any]] = []
-    splits = [_ratfunc_semilinear_split(c, q) for c in vec]
+    splits = [frobenius_split(c, q) for c in vec]
     for j in range(q):
         row = [s[j] for s in splits]
         if any(row):

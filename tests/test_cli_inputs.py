@@ -257,3 +257,51 @@ def test_constant_point_condition_is_an_input_error(tmp_path, capsys,
     code, _out, err = run(tmp_path, capsys, "analyze", job)
     assert code == EXIT_INPUT
     assert f"the condition for 'x' {message}" in err
+
+
+F2_CUSP = {"field": {"kind": "prime_field", "characteristic": 2},
+           "variables": ["x", "y", "z"], "generators": ["z^2 + y^3 + x^2*y^2"]}
+
+
+@pytest.mark.parametrize("move", [
+    {"root_of": "s^2+s+1"},
+    {"root_of": "a^2+a+1", "name": "a"},
+    {"root_of": "x^2+x+1", "name": "x"},
+])
+def test_a_root_of_condition_may_name_its_variable_freely(tmp_path, capsys,
+                                                         move):
+    reference = {"root_of": "x^2+x+1", "name": "x"}
+    outputs = []
+    for m in (move, reference):
+        job = dict(F2_CUSP, point={"moves": {"x": m}})
+        code, out, err = run(tmp_path, capsys, "analyze", job)
+        assert code == EXIT_OK, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_degree_8_residue_extension_of_f97_is_located(tmp_path, capsys):
+    job = {"field": {"kind": "prime_field", "characteristic": 97},
+           "variables": ["x", "y", "z"], "generators": ["z^2 + y^3 + x^2*y^2"],
+           "point": {"moves": {"x": {
+               "root_of": "x^8+77*x^7+55*x^6+2*x^5+28*x^4+2*x^3+50*x^2+18*x+4",
+               "name": "x"}}}}
+    code, out, err = run(tmp_path, capsys, "analyze", job)
+    assert code == EXIT_OK, err
+    assert json.loads(out)["generators"]
+
+
+@pytest.mark.parametrize("condition, expected", [
+    ("x^2+x+1", EXIT_OK),
+    ("x^6+x+1", EXIT_OK),
+    ("x^20+x^18+x^17+x^15+x^12+x^11+x^10+x^8+x^4+x+1", EXIT_SCOPE),
+])
+def test_only_small_residue_fields_are_searched_whole(tmp_path, capsys,
+                                                      condition, expected):
+    job = {"field": {"kind": "prime_field", "characteristic": 2},
+           "variables": ["x", "y", "z"], "generators": ["z^2 + y^2*z + y^4"],
+           "point": {"moves": {"x": {"root_of": condition, "name": "x"}}}}
+    code, _out, err = run(tmp_path, capsys, "polyhedron", job)
+    assert code == expected, err
+    if expected == EXIT_SCOPE:
+        assert "MAX_CHARACTERISTIC" in err

@@ -16,11 +16,18 @@ from surfres.exact_algebra import (
     Monomial,
     Polynomial,
     RatFunc,
+    ScopeError,
     UnsupportedOperationError,
+    fp_divmod,
+    fp_gcd,
+    fp_is_irreducible,
+    fp_mul,
     hasse_derivative,
     ord_at,
     p_th_root,
     parse_polynomial,
+    primitive_vector,
+    q_th_root,
     substitute,
     substitute_many,
     to_string,
@@ -301,6 +308,131 @@ def test_p_th_root_char_zero_rejected():
 
 
 # ---------------------------------------------------------------------------
+# q-th roots, irreducibility and normal forms over F_p[t]
+# ---------------------------------------------------------------------------
+
+def old_p_th_root(c, field):
+    """p-th roots as computed before ``q_th_root``: a power of the generator
+    over F_{p^d}, and over F_p(t) the numerator and denominator rooted
+    separately."""
+    p = field.characteristic
+    if field.kind == "prime_field":
+        return c
+    if field.kind == "finite_field_extension":
+        return c ** (p ** (len(field.modulus) - 2))
+    if not c.num:
+        return c
+
+    def root(coeffs):
+        if (len(coeffs) - 1) % p != 0:
+            return None
+        out = [0] * ((len(coeffs) - 1) // p + 1)
+        for i, a in enumerate(coeffs):
+            if i % p == 0:
+                out[i // p] = a
+            elif a != 0:
+                return None
+        return tuple(out)
+
+    rn, rd = root(c.num), root(c.den)
+    if rn is None or rd is None:
+        return None
+    return RatFunc(rn, rd, p, c.name)
+
+
+def old_q_th_root(c, q, field):
+    """The reference q-th root: the old p-th root, iterated."""
+    while q > 1:
+        c = old_p_th_root(c, field)
+        if c is None:
+            return None
+        q //= field.characteristic
+    return c
+
+
+def random_ratfunc(rng, p):
+    num = tuple(rng.randrange(p) for _ in range(rng.randint(0, 4)))
+    den = tuple(rng.randrange(p) for _ in range(rng.randint(0, 3))) + (
+        rng.randrange(1, p),)
+    return RatFunc(num, den, p, "t")
+
+
+def _root_cases():
+    rng = random.Random(20141)
+    for p, modulus in ((5, None), (2, (1, 1, 1)), (2, (1, 1, 0, 1))):
+        field = (FieldDescriptor.prime_field(p) if modulus is None
+                 else FieldDescriptor.finite_extension(p, modulus))
+        yield field, field.elements()
+    for p in (2, 3, 5):
+        field = FieldDescriptor.rational_functions(p, "t")
+        elements = [random_ratfunc(rng, p) for _ in range(12)]
+        yield field, elements + [c ** p for c in elements] + [
+            c ** (p * p) for c in elements[:4]]
+
+
+@pytest.mark.parametrize("field, elements", list(_root_cases()),
+                         ids=["F5", "F4", "F8", "F2(t)", "F3(t)", "F5(t)"])
+def test_q_th_root_matches_the_iterated_p_th_root(field, elements):
+    p = field.characteristic
+    for q in (p, p * p):
+        for c in elements:
+            assert q_th_root(c, q, field) == old_q_th_root(c, q, field)
+            assert q_th_root(c ** q, q, field) == c
+
+
+def test_q_th_root_in_characteristic_zero_only_for_q_one():
+    assert q_th_root(Fraction(4), 1, QQ) == Fraction(4)
+    with pytest.raises(UnsupportedOperationError):
+        q_th_root(Fraction(4), 2, QQ)
+
+
+def test_fp_is_irreducible_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.galoistools import gf_irreducible_p
+    for p, top in ((2, 6), (3, 6), (5, 4), (7, 4)):
+        for d in range(top + 1):
+            for lower in itertools.product(range(p), repeat=d):
+                for lead in range(1, p):
+                    a = lower + (lead,)
+                    expected = d >= 1 and gf_irreducible_p(
+                        list(reversed(a)), p, sympy.ZZ)
+                    assert fp_is_irreducible(a, p) == expected, (a, p)
+
+
+def old_primitive_vector(vec, p):
+    """The normal form as computed before ``primitive_vector``: clear the
+    least common multiple of the denominators, divide by the gcd of the
+    numerators, then make the first nonzero entry monic."""
+    den_lcm = (1,)
+    for c in vec:
+        if c:
+            g = fp_gcd(den_lcm, c.den, p)
+            den_lcm = fp_mul(fp_divmod(den_lcm, g, p)[0], c.den, p)
+    scaled = [c * RatFunc(den_lcm, (1,), p) for c in vec]
+    num_gcd = ()
+    for c in scaled:
+        if c:
+            num_gcd = fp_gcd(num_gcd, c.num, p) if num_gcd else c.num
+    scaled = [c / RatFunc(num_gcd, (1,), p) for c in scaled]
+    lead = next(c for c in scaled if c)
+    return [c / RatFunc((lead.num[-1],), (1,), p) for c in scaled]
+
+
+def test_primitive_vector_matches_the_lcm_normal_form():
+    rng = random.Random(7975)
+    for p in (2, 3, 5):
+        for _ in range(60):
+            vec = [random_ratfunc(rng, p) for _ in range(rng.randint(1, 4))]
+            if not any(vec):
+                continue
+            expected = old_primitive_vector(vec, p)
+            assert primitive_vector(vec) == expected
+            factor = random_ratfunc(rng, p)
+            if factor:
+                assert primitive_vector([c * factor for c in vec]) == expected
+
+
+# ---------------------------------------------------------------------------
 # parsing and printing
 # ---------------------------------------------------------------------------
 
@@ -367,3 +499,11 @@ def test_finite_field_elements_in_product_order():
     for field in (QQ, FieldDescriptor.rational_functions(3, "t")):
         with pytest.raises(InputError):
             field.elements()
+
+
+def test_finite_fields_over_the_size_limit_are_not_searched():
+    F64 = FieldDescriptor.finite_extension(2, (1, 1, 0, 0, 0, 0, 1))
+    assert len(F64.elements()) == 64
+    F128 = FieldDescriptor.finite_extension(2, (1, 1, 0, 0, 0, 0, 0, 1))
+    with pytest.raises(ScopeError, match="MAX_CHARACTERISTIC"):
+        F128.elements()

@@ -1,10 +1,13 @@
-"""The term representation stays inside ``exact_algebra``.
+"""The term representation and the F_p[t] tuples stay inside ``exact_algebra``.
 
 A polynomial stores its terms as exponent vectors; ``Polynomial.terms`` is
 a view of them as ``Monomial``s, and ``Monomial.exps`` is that view's own
-encoding.  No other module of the package reads either attribute or uses a
-private name of ``exact_algebra``, so how terms are stored is decided in one
-module.
+encoding.  Univariate polynomials over F_p are coefficient tuples: the
+``num`` and ``den`` of an F_p(t) element, the ``coeffs`` of an F_p[s]/(m)
+element and the ``modulus`` of its field, handled by the ``fp_`` routines.
+No other module of the package reads any of these attributes, imports an
+``fp_`` routine or uses a private name of ``exact_algebra``, so how terms
+and tuples are stored is decided in one module.
 """
 
 from __future__ import annotations
@@ -16,12 +19,18 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "surfres"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "exact_algebra.py")
-FORBIDDEN_ATTRIBUTES = ("terms", "exps")
+FORBIDDEN_ATTRIBUTES = ("terms", "exps", "num", "den", "coeffs", "modulus")
+
+
+def _forbidden_name(name: str) -> bool:
+    """A name of ``exact_algebra`` no other module may use."""
+    return name.startswith("_") or name.startswith("fp_")
 
 
 def violations(source: str, name: str) -> list[str]:
-    """Each read of ``.terms`` or ``.exps`` and each use of a private name
-    of ``exact_algebra`` in the module source, as ``name:line what``."""
+    """Each read of a forbidden attribute and each use of a private or
+    ``fp_`` name of ``exact_algebra`` in the module source, as
+    ``name:line what``."""
     tree = ast.parse(source, filename=name)
     aliases = set()  # names the module binds to exact_algebra itself
     for node in ast.walk(tree):
@@ -34,13 +43,13 @@ def violations(source: str, name: str) -> list[str]:
         if isinstance(node, ast.Attribute):
             if node.attr in FORBIDDEN_ATTRIBUTES:
                 out.append(f"{name}:{node.lineno} reads .{node.attr}")
-            elif (node.attr.startswith("_") and isinstance(node.value, ast.Name)
+            elif (_forbidden_name(node.attr) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases):
                 out.append(f"{name}:{node.lineno} uses exact_algebra.{node.attr}")
         elif (isinstance(node, ast.ImportFrom) and node.module
               and node.module.split(".")[-1] == "exact_algebra"):
             out.extend(f"{name}:{node.lineno} imports {alias.name}"
-                       for alias in node.names if alias.name.startswith("_"))
+                       for alias in node.names if _forbidden_name(alias.name))
     return out
 
 
@@ -52,16 +61,24 @@ def test_every_package_module_is_checked():
 
 def test_the_check_finds_each_kind_of_violation():
     source = (
-        "from .exact_algebra import Polynomial, _layout\n"
+        "from .exact_algebra import Polynomial, _layout, fp_mul\n"
         "from . import exact_algebra as ea\n"
         "def f(g):\n"
-        "    return g.terms, g.terms[0][0].exps, ea._canonical\n")
+        "    return g.terms, g.terms[0][0].exps, ea._canonical\n"
+        "def h(c, k):\n"
+        "    return c.num, c.den, c.coeffs, k.modulus, ea.fp_gcd\n")
     assert sorted(violations(source, "m.py")) == [
         "m.py:1 imports _layout",
+        "m.py:1 imports fp_mul",
         "m.py:4 reads .exps",
         "m.py:4 reads .terms",
         "m.py:4 reads .terms",
         "m.py:4 uses exact_algebra._canonical",
+        "m.py:6 reads .coeffs",
+        "m.py:6 reads .den",
+        "m.py:6 reads .modulus",
+        "m.py:6 reads .num",
+        "m.py:6 uses exact_algebra.fp_gcd",
     ]
 
 
