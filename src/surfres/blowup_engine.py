@@ -476,15 +476,6 @@ def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartSta
 # ---------------------------------------------------------------------------
 
 
-def _lift_polynomial(f: Polynomial, new_field: FieldDescriptor) -> Polynomial:
-    return Polynomial.from_vectors(new_field, f.variables, {
-        vec: _lift_element(c, new_field) for vec, c in f.vectors})
-
-
-def _lift_element(c: Any, new_field: FieldDescriptor) -> Any:
-    return new_field.from_int(c.value)
-
-
 def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
     """Move the chart origin to another closed point of the current chart.
 
@@ -527,16 +518,16 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
         new_field, root = residue_extension(cond, var)
         degree = int(cond.total_degree())
         if new_field != field:
-            generators = tuple(_lift_polynomial(g, new_field) for g in generators)
+            generators = tuple(g.over(new_field) for g in generators)
             boundary = tuple(
-                replace(b, generator=_lift_polynomial(b.generator, new_field))
+                replace(b, generator=b.generator.over(new_field))
                 for b in boundary)
             if stratum is not None:
                 stratum = tuple(
                     replace(c, conditions=tuple(
-                        _lift_polynomial(q, new_field) for q in c.conditions))
+                        q.over(new_field) for q in c.conditions))
                     for c in stratum)
-            values = {v: _lift_element(a, new_field) for v, a in values.items()}
+            values = {v: new_field.embed(a) for v, a in values.items()}
         values[var] = root
 
     if not any(values.values()) and new_field == field:

@@ -320,9 +320,9 @@ def _solve_char0(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | None:
         for i, coord in zip(form.positions(frame.u_block), vi.vertex):
             uv[i] = int(coord)
         F = _pure_y_part(form, frame, nu)
-        partials = [dict(hasse_derivative(F, {y: 1}).vectors)
+        partials = [hasse_derivative(F, {y: 1}).coefficient_map()
                     for y in frame.y_block]
-        targets = dict(form.vectors)
+        targets = form.coefficient_map()
         # match coefficients of u^v * y^B over all |B| = nu - 1
         monos = {m for dF in partials for m in dF}
         for vec in targets:
@@ -417,7 +417,8 @@ def _leading_term(F: Polynomial, frame: Frame) -> tuple[tuple[int, ...], Any] | 
     """The lex-largest y-exponent vector of a pure-Y form and its
     coefficient; None for zero."""
     yi = F.positions(frame.y_block)
-    return max(((tuple([vec[i] for i in yi]), c) for vec, c in F.vectors),
+    return max(((tuple([vec[i] for i in yi]), c)
+                for vec, c in F.coefficient_map().items()),
                key=lambda term: term[0], default=None)
 
 
@@ -449,7 +450,8 @@ def normalize_at_vertex(
             nu_i = generator_order(out[i], frame)
             target = None
             for vec, c in sorted(
-                out[i].vectors, key=lambda t: tuple([-t[0][k] for k in yi])
+                out[i].coefficient_map().items(),
+                key=lambda t: tuple([-t[0][k] for k in yi])
             ):
                 if _point(vec, nu_i, ui, yi) != v:
                     continue
@@ -750,7 +752,7 @@ def _face_constraints(
             if on_line and pt[0] > alpha:
                 coeffs = [field.zero()] * (max(bucket) + 1)  # low to high
                 for e, c in bucket.items():
-                    coeffs[e] = c
+                    coeffs[e] = field.to_public(c)
                 constraints.append(coeffs)
     return constraints
 

@@ -8,6 +8,19 @@ a nonzero coefficient, in one canonical order; every operation works on the
 vectors and ends in one canonicalising constructor.  ``Monomial`` names a
 term by its variables, for the public constructors and the ``terms`` view.
 
+Stored coefficients are field-native, so the kernel loops do plain integer
+arithmetic: over Q an integral coefficient is an ``int`` and only one with a
+denominator is a ``Fraction``; over F_p a coefficient is its residue, an
+``int`` in [0, p); over F_p[s]/(m) and F_p(t) it is the ``Fq``/``RatFunc``
+element itself.  Inside a loop F_p sums may run unreduced; they are reduced
+mod p wherever zero terms are dropped.  The public elements are ``Fraction``
+over Q and ``Fp`` over F_p.  The conversions live in ``FieldDescriptor``:
+``to_native`` (used by the one canonicalising constructor, which accepts
+public and native elements alike and refuses any other type, such as the
+float of an ``int / int``) and ``to_public`` (used by ``terms``,
+``coefficient`` and ``coefficient_map``, the only ways coefficients leave
+this module).
+
 Univariate polynomials over F_p, the numerators and denominators of F_p(t)
 and the elements and moduli of F_p[s]/(m), are coefficient tuples known only
 to this module: it alone does their arithmetic, Frobenius splitting in
@@ -334,6 +347,12 @@ class RatFunc:
 # and root finding over finite fields search the whole field, and the
 # primality check is trial division.
 MAX_CHARACTERISTIC = 100
+# Largest degree of the condition defining a residue-field extension (beyond
+# it, ScopeError).  The irreducibility test costs about d^3 log p steps: a
+# degree-200 condition over F_97 took 3 s, one of degree 32 takes well under
+# a tenth of a second.  Fields of more than MAX_CHARACTERISTIC elements are
+# still refused wherever they would be searched whole.
+MAX_RESIDUE_DEGREE = 32
 
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
@@ -449,6 +468,55 @@ class FieldDescriptor:
         """Whether the Frobenius map is surjective (vacuously true in char 0)."""
         return self.kind != RATIONAL_FUNCTIONS
 
+    def embed(self, c: Fp) -> Any:
+        """The image in this field of an element of its prime field."""
+        if not isinstance(c, Fp) or c.p != self.characteristic:
+            raise TypeError(f"{c!r} is not an element of F_{self.characteristic}")
+        return self.from_int(c.value)
+
+    # -- native coefficients (see the module docstring) ----------------------
+
+    def to_native(self, c: Any) -> Any:
+        """The stored form of a public or native element of this field; a
+        TypeError for anything else."""
+        kind = self.kind
+        if kind == RATIONALS:
+            if type(c) is int:
+                return c
+            if isinstance(c, Fraction):
+                return c.numerator if c.denominator == 1 else c
+        elif kind == PRIME_FIELD:
+            if type(c) is int:
+                return c % self.characteristic
+            if isinstance(c, Fp) and c.p == self.characteristic:
+                return c.value
+        elif kind == FINITE_EXTENSION:
+            if (isinstance(c, Fq) and c.p == self.characteristic
+                    and c.modulus == self.modulus):
+                return c
+        elif isinstance(c, RatFunc) and c.p == self.characteristic:
+            return c
+        raise TypeError(f"{c!r} is not an element of the field {self.kind}")
+
+    def to_public(self, c: Any) -> Any:
+        """The public element (``Fraction``, ``Fp``, ``Fq`` or ``RatFunc``)
+        of a stored coefficient."""
+        if self.kind == RATIONALS:
+            return c if type(c) is Fraction else Fraction(c)
+        if self.kind == PRIME_FIELD:
+            return Fp(c, self.characteristic)
+        return c
+
+    def native_int(self, n: int) -> Any:
+        """The stored form of the integer n."""
+        return n if self.kind in (RATIONALS, PRIME_FIELD) else self.from_int(n)
+
+    def native_power(self, c: Any, e: int) -> Any:
+        """c**e for a stored coefficient c and e >= 0."""
+        if self.kind == PRIME_FIELD:
+            return pow(c, e, self.characteristic)
+        return c ** e
+
 
 def frobenius_split(c: RatFunc, q: int) -> list[RatFunc]:
     """Write c in F_p(t) as sum_j t^j * a_j^q for q a power of p; returns
@@ -534,10 +602,15 @@ def residue_extension(cond: Polynomial, var: str) -> tuple[FieldDescriptor, Any]
     if cond.is_zero:
         raise InputError(f"the condition for {var!r} is zero")
     p = field.characteristic
+    degree = int(cond.total_degree())
+    if degree > MAX_RESIDUE_DEGREE:
+        raise ScopeError(
+            f"the condition for {var!r} has degree {degree}, over the limit "
+            f"of {MAX_RESIDUE_DEGREE} (MAX_RESIDUE_DEGREE)")
     # every term is a power of var, so its total degree is its exponent
-    coeffs = [0] * (int(cond.total_degree()) + 1)
+    coeffs = [0] * (degree + 1)
     for vec, c in cond.vectors:
-        coeffs[sum(vec)] = c.value
+        coeffs[sum(vec)] = c
     modulus = fp_monic(fp_trim(coeffs, p), p)
     if not fp_is_irreducible(modulus, p):
         raise InputError(
@@ -641,12 +714,28 @@ def _vector_order(term: tuple[tuple[int, ...], Any]) -> tuple:
     return (-sum(term[0]), term[0])
 
 
+def _native_terms(field: FieldDescriptor,
+                  terms: Iterable[tuple[tuple, Any]]) -> list[tuple[tuple, Any]]:
+    """The terms with nonzero coefficient, each coefficient in the field's
+    stored form (``FieldDescriptor.to_native``): F_p sums reduced mod p and
+    integral fractions made ints.  Plain ints skip the conversion call."""
+    native = field.to_native
+    if field.kind == RATIONALS:
+        return [(m, n) for m, c in terms if (n := c if type(c) is int else native(c))]
+    if field.kind == PRIME_FIELD:
+        p = field.characteristic
+        return [(m, n) for m, c in terms
+                if (n := c % p if type(c) is int else native(c))]
+    return [(m, c) for m, c in terms if native(c)]
+
+
 def _canonical(field: FieldDescriptor, variables: tuple[str, ...],
                terms: Iterable[tuple[tuple[int, ...], Any]]) -> "Polynomial":
     """The polynomial of (exponent vector, coefficient) terms with distinct
-    vectors aligned with ``variables``: zero coefficients dropped and the
-    rest sorted into the canonical order.  Every polynomial is built here."""
-    kept = [term for term in terms if term[1]]
+    vectors aligned with ``variables``: coefficients public or native, put
+    in stored form, zeros dropped and the rest sorted into the canonical
+    order.  Every polynomial is built here."""
+    kept = _native_terms(field, terms)
     kept.sort(key=_vector_order, reverse=True)
     return Polynomial(field, variables, tuple(kept))
 
@@ -656,10 +745,14 @@ class Polynomial:
     """Sparse multivariate polynomial over an exact field.
 
     ``vectors`` holds each term once, as an exponent vector aligned with
-    ``variables`` and a nonzero coefficient, in canonical order (ascending
-    total degree, then descending exponent vector), which makes equality,
-    hashing, and printing stable.  ``terms`` lists the same terms as
-    (``Monomial``, coefficient) pairs, built on first use.
+    ``variables`` and a nonzero coefficient in the field's stored form (an
+    ``int`` for integral rationals and F_p residues, see the module
+    docstring), in canonical order (ascending total degree, then descending
+    exponent vector), which makes equality, hashing, and printing stable.
+    ``terms`` lists the same terms as (``Monomial``, coefficient) pairs with
+    public coefficients (``Fraction``, ``Fp``, ...), built on first use;
+    ``coefficient`` and ``coefficient_map`` also hand out public elements,
+    and every constructor accepts public and stored elements alike.
     """
 
     field: FieldDescriptor
@@ -700,7 +793,7 @@ class Polynomial:
         vs = tuple(variables)
         if name not in vs:
             raise InputError(f"unknown variable {name!r}")
-        return Polynomial.make(field, vs, {Monomial.from_dict({name: 1}): field.one()})
+        return Polynomial.make(field, vs, {Monomial.from_dict({name: 1}): field.native_int(1)})
 
     def extended(self, name: str) -> "Polynomial":
         """The same polynomial in the ring with ``name`` appended to the
@@ -716,9 +809,23 @@ class Polynomial:
     def terms(self) -> tuple[tuple[Monomial, Any], ...]:
         """The terms as (Monomial, coefficient) pairs, in canonical order."""
         vs, by_name = self.variables, _layout(self.variables)[1]
+        public = self.field.to_public
         return tuple(
-            (Monomial(tuple([(vs[i], vec[i]) for i in by_name if vec[i]])), c)
+            (Monomial(tuple([(vs[i], vec[i]) for i in by_name if vec[i]])), public(c))
             for vec, c in self.vectors)
+
+    def coefficient_map(self) -> dict[tuple[int, ...], Any]:
+        """Each exponent vector's coefficient, as a public element."""
+        public = self.field.to_public
+        return {vec: public(c) for vec, c in self.vectors}
+
+    def over(self, field: FieldDescriptor) -> "Polynomial":
+        """The same polynomial over ``field``, an extension of this
+        polynomial's prime field F_p."""
+        if self.field.kind != PRIME_FIELD or field.characteristic != self.field.characteristic:
+            raise InputError(f"{field.kind} does not extend {self.field.kind}")
+        return _canonical(field, self.variables,
+                          [(vec, field.from_int(c)) for vec, c in self.vectors])
 
     def positions(self, names: Iterable[str]) -> list[int]:
         """The position of each named variable in ``variables``, and so in
@@ -738,7 +845,10 @@ class Polynomial:
             vec = _vector_of(m, self.variables)
         except InputError:
             return self.field.zero()
-        return next((c for v, c in self.vectors if v == vec), self.field.zero())
+        for v, c in self.vectors:
+            if v == vec:
+                return self.field.to_public(c)
+        return self.field.zero()
 
     def constant_coefficient(self) -> Any:
         return self.coefficient(Monomial())
@@ -788,11 +898,12 @@ class Polynomial:
         return _power(self, e, one, Polynomial.__mul__)
 
     def scale(self, c: Any) -> "Polynomial":
+        c = self.field.to_native(c)
         return _canonical(self.field, self.variables,
                           [(m, cc * c) for m, cc in self.vectors])
 
     def monomial_multiple(self, m: Monomial, c: Any | None = None) -> "Polynomial":
-        coeff = self.field.one() if c is None else c
+        coeff = self.field.native_int(1) if c is None else self.field.to_native(c)
         shift = _vector_of(m, self.variables)
         return _canonical(self.field, self.variables, [
             (tuple(map(add, vec, shift)), cc * coeff) for vec, cc in self.vectors])
@@ -824,7 +935,7 @@ def to_string(f: Polynomial) -> str:
     if f.is_zero:
         return "0"
     pieces: list[str] = []
-    one = f.field.one()
+    one = f.field.native_int(1)
     for vec, c in f.vectors:
         sign, mag = _format_coefficient(f.field, c)
         mono = "*".join(v if e == 1 else f"{v}^{e}"
@@ -872,6 +983,7 @@ def hasse_derivative(f: Polynomial, a: Mapping[str, int]) -> Polynomial:
         if v not in f.variables:
             raise InputError(f"unknown variable {v!r} in hasse_derivative")
     order = [(i, e) for i, e in zip(f.positions(a), a.values()) if e]
+    native_int = f.field.native_int
     acc: dict[tuple[int, ...], Any] = {}
     for vec, c in f.vectors:
         factor = 1
@@ -882,7 +994,7 @@ def hasse_derivative(f: Polynomial, a: Mapping[str, int]) -> Polynomial:
             factor *= comb(vec[i], e)
             new[i] = vec[i] - e
         else:
-            coeff = c * f.field.from_int(factor)
+            coeff = c * native_int(factor)
             m = tuple(new)
             s = acc.get(m)
             acc[m] = coeff if s is None else s + coeff
@@ -910,17 +1022,19 @@ def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomia
         groups.setdefault(tuple([vec[i] for i in slots]), []).append(
             (tuple(rest), c))
 
-    unit = [((0,) * len(index), f.field.one())]
+    field = f.field
+    unit = [((0,) * len(index), field.native_int(1))]
     powers = [[unit, expr.vectors] for expr in assignments.values()]
 
     def power(i: int, e: int) -> list[tuple[tuple, Any]]:
         cached = powers[i]
         if len(cached[1]) < 2:
-            return [(tuple([x * e for x in vec]), c ** e) for vec, c in cached[1]]
+            return [(tuple([x * e for x in vec]), field.native_power(c, e))
+                    for vec, c in cached[1]]
         while len(cached) <= e:
             acc: dict[tuple, Any] = {}
             _mul_into(acc, cached[-1], cached[1])
-            cached.append([(m, c) for m, c in acc.items() if c])
+            cached.append(_native_terms(field, acc.items()))
         return cached[e]
 
     result: dict[tuple, Any] = {}
@@ -929,9 +1043,9 @@ def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomia
         for factor in factors[:-1]:
             acc = {}
             _mul_into(acc, part, factor)
-            part = [(m, c) for m, c in acc.items() if c]
+            part = _native_terms(field, acc.items())
         _mul_into(result, part, factors[-1] if factors else unit)
-    return _canonical(f.field, f.variables, result.items())
+    return _canonical(field, f.variables, result.items())
 
 
 def substitute(f: Polynomial, var: str, expr: Polynomial) -> Polynomial:
@@ -1136,7 +1250,7 @@ class _Parser:
         kind, text = self.take()
         if kind == "int":
             return Polynomial.constant(self.field, self.variables,
-                                       self.field.from_int(self.integer(text)))
+                                       self.field.native_int(self.integer(text)))
         if kind == "name":
             if text in self.variables:
                 return Polynomial.variable(self.field, self.variables, text)

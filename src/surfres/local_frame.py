@@ -53,10 +53,10 @@ NEW = "new"
 
 # Largest degree of an initial form whose ridge (hence directrix) is computed
 # (beyond it, ScopeError).  The ridge's linear algebra grows steeply with the
-# degree: on a 2-CPU machine, analyze of (x+y+z)^8 over Q takes about 0.4 s
-# and of (x+y+z+w)^8 about 1.1 s.  The test suite needs degree 5, the
-# benchmark 3.
-MAX_DIRECTRIX_DEGREE = 8
+# degree: on a 2-CPU machine, analyze of (x+y+z)^10 over Q takes about
+# 0.45 s and of (x+y+z+w)^10 about 3 s.  Apart from the test of this cap,
+# the test suite needs degree 5, the benchmark 3.
+MAX_DIRECTRIX_DEGREE = 10
 
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ def _derivative_closure(gens: Sequence[Polynomial]) -> dict[int, dict[int, list[
         d = int(f.total_degree())
         index = _column_index(n, d)
         row = [field.zero()] * len(index)
-        for m, c in f.vectors:
+        for m, c in f.coefficient_map().items():
             row[index[m]] = c
         if echelon_add(closure.setdefault(d, {}), row, field) is None:
             continue
@@ -463,7 +463,7 @@ def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
 
     # Containment certificate: each degree of the derivative closure (hence
     # the inputs) lies in the same degree of the ideal of the additive forms.
-    out_terms = [s.vectors for s in out]
+    out_terms = [list(s.coefficient_map().items()) for s in out]
     for d, echelon in closure.items():
         slice_echelon = _ideal_slice(out_terms, list(monomials_of_degree(n, d)), field)
         if any(echelon_add(slice_echelon, row, field) is not None

@@ -95,7 +95,7 @@ from test_char_polyhedron import (
     random_instance,
     raw_points,
 )
-from test_exact_algebra import taylor_expansion_matches
+from test_exact_algebra import stored_form_problems, taylor_expansion_matches
 from test_invariant import origin_component, whirl_chart
 from test_local_frame import brute_force_directrix_dim, random_homogeneous
 
@@ -497,6 +497,24 @@ def test_criterion_7_strict_decrease_across_the_corpus(corpus_traces):
     assert total_pairs > 300
     print(f"criterion 7: PASS — {len(corpus_traces)} traces, "
           f"{total_pairs} strictly decreasing point pairs, all <= 64 steps")
+
+
+def test_every_stored_coefficient_of_the_corpus_is_field_native(corpus_traces):
+    """Each generator, boundary generator and stratum condition of every
+    chart of the corpus stores an int or a Fraction with a denominator over
+    Q, and a residue in [0, p) over F_p: no float and no integral Fraction
+    survives a resolution."""
+    checked = 0
+    for name, trace in corpus_traces:
+        for chart in trace.charts.values():
+            polys = list(chart.generators)
+            polys.extend(comp.generator for comp in chart.frame.boundary)
+            for comp in chart.stratum or ():
+                polys.extend(comp.conditions)
+            for f in polys:
+                assert stored_form_problems(f) == [], (name, chart.chart_id)
+                checked += 1
+    assert checked > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -507,3 +507,91 @@ def test_finite_fields_over_the_size_limit_are_not_searched():
     F128 = FieldDescriptor.finite_extension(2, (1, 1, 0, 0, 0, 0, 0, 1))
     with pytest.raises(ScopeError, match="MAX_CHARACTERISTIC"):
         F128.elements()
+
+
+# ---------------------------------------------------------------------------
+# stored coefficients: field-native form, public elements at the boundary
+# ---------------------------------------------------------------------------
+
+def stored_form_problems(f: Polynomial) -> list[str]:
+    """Each stored coefficient of f that is not in its field's native form:
+    over Q an int or a Fraction with a denominator, over F_p an int residue
+    in [0, p), and never zero."""
+    kind, p = f.field.kind, f.field.characteristic
+    problems = []
+    for vec, c in f.vectors:
+        if kind == "rationals":
+            ok = (type(c) is int and c != 0) or (
+                type(c) is Fraction and c.denominator != 1)
+        elif kind == "prime_field":
+            ok = type(c) is int and 0 < c < p
+        else:
+            ok = type(c) in (Fq, RatFunc) and bool(c)
+        if not ok:
+            problems.append(f"{vec}: {c!r}")
+    return problems
+
+
+@pytest.mark.parametrize("field", [QQ, F5, FieldDescriptor.prime_field(97)],
+                         ids=lambda k: f"F{k.characteristic}" if k.characteristic else "Q")
+def test_constructors_refuse_floats(field):
+    vs = ("x", "y")
+    half = 1 / 2  # a float: int / int is true division
+    with pytest.raises(TypeError):
+        Polynomial.make(field, vs, {Monomial.from_dict({"x": 1}): half})
+    with pytest.raises(TypeError):
+        Polynomial.from_vectors(field, vs, {(1, 0): 1.0})
+    with pytest.raises(TypeError):
+        Polynomial.constant(field, vs, 2.0)
+    with pytest.raises(TypeError):
+        parse_polynomial("x + y", field, vs).scale(half)
+    with pytest.raises(TypeError):
+        parse_polynomial("x", field, vs).monomial_multiple(
+            Monomial.from_dict({"y": 1}), 3.0)
+
+
+def test_constructors_refuse_elements_of_another_field():
+    vs = ("x",)
+    with pytest.raises(TypeError):
+        Polynomial.constant(F5, vs, Fp(2, 3))
+    with pytest.raises(TypeError):
+        Polynomial.constant(F5, vs, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        Polynomial.constant(QQ, vs, Fp(2, 5))
+    K = FieldDescriptor.rational_functions(3, "t")
+    with pytest.raises(TypeError):
+        Polynomial.constant(K, vs, 2)
+    F4 = FieldDescriptor.finite_extension(2, (1, 1, 1))
+    F8 = FieldDescriptor.finite_extension(2, (1, 1, 0, 1))
+    with pytest.raises(TypeError):
+        Polynomial.constant(F4, vs, F8.generator())
+
+
+def test_public_and_stored_elements_build_the_same_polynomial():
+    vs = ("x", "y")
+    F97 = FieldDescriptor.prime_field(97)
+    x = Monomial.from_dict({"x": 1})
+    assert Polynomial.make(QQ, vs, {x: Fraction(6, 3), Monomial(): Fraction(1, 2)}) \
+        == Polynomial.from_vectors(QQ, vs, {(1, 0): 2, (0, 0): Fraction(1, 2)})
+    assert Polynomial.make(F97, vs, {x: Fp(-1, 97)}) \
+        == Polynomial.from_vectors(F97, vs, {(1, 0): 96}) \
+        == Polynomial.from_vectors(F97, vs, {(1, 0): -1}) \
+        == Polynomial.from_vectors(F97, vs, {(1, 0): 96 + 97 * 10**30})
+    f = Polynomial.make(QQ, vs, {x: Fraction(1, 2)}) * Polynomial.make(
+        QQ, vs, {Monomial.from_dict({"y": 1}): Fraction(2)})
+    assert f.vectors == (((1, 1), 1),) and type(f.vectors[0][1]) is int
+    assert f.terms[0][1] == 1 and type(f.terms[0][1]) is Fraction
+    assert Polynomial.from_vectors(F97, vs, {(1, 0): 97}).is_zero
+
+
+def test_lifting_to_a_residue_extension():
+    F4 = FieldDescriptor.finite_extension(2, (1, 1, 1))
+    f = parse_polynomial("x^2 + x*y + 1", F2, ("x", "y"))
+    lifted = f.over(F4)
+    assert lifted == parse_polynomial("x^2 + x*y + 1", F4, ("x", "y"))
+    assert stored_form_problems(lifted) == []
+    assert F4.embed(F2.one()) == F4.one()
+    with pytest.raises(TypeError):
+        F4.embed(F5.one())
+    with pytest.raises(InputError):
+        f.over(FieldDescriptor.finite_extension(3, (1, 0, 1)))

@@ -4,7 +4,11 @@ Products, powers, substitutions and Hasse derivatives of seeded random
 polynomials over Q and F_p (p = 2, 3, 5) are checked against sympy, and the
 substitutions also against the earlier shadow-variable implementation, kept
 below as the old-path oracle.  Printing and re-parsing must round-trip.
-Every result is also checked to be in canonical form.
+Every result is also checked to be in canonical form.  Stored
+coefficients are field-native (ints for integral rationals and for F_p
+residues): mixed integral and fractional rationals, and long F_97
+accumulations that run unreduced, are checked against sympy too, and so are
+the public elements the polynomials hand out.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import pytest
 
 from surfres.exact_algebra import (
     FieldDescriptor,
+    Fp,
     InputError,
     Monomial,
     Polynomial,
@@ -28,6 +33,8 @@ from surfres.exact_algebra import (
     substitute_many,
     to_string,
 )
+
+from test_exact_algebra import stored_form_problems
 
 sympy = pytest.importorskip("sympy")
 
@@ -379,3 +386,114 @@ def test_closed_form_powers_of_one_term_expressions():
     blown_up = substitute(huge, "y", parse_polynomial("y*z", field, UNSORTED))
     assert blown_up.terms == (
         (Monomial.from_dict({"y": 10**11, "z": 10**11, "a": 1}), field.one()),)
+
+
+# -- stored coefficients against sympy ----------------------------------------
+
+QQ = FIELDS[0]
+F97 = FieldDescriptor.prime_field(97)
+
+
+def mixed_rational_polynomial(rng: random.Random, max_terms: int = 6,
+                              max_exp: int = 3) -> Polynomial:
+    """Integral and fractional coefficients side by side, so that int and
+    Fraction meet in every product and sum."""
+    terms: dict[Monomial, Any] = {}
+    for _ in range(rng.randint(1, max_terms)):
+        m = Monomial.from_dict({v: rng.randint(0, max_exp) for v in VARIABLES
+                                if rng.random() < 0.5})
+        terms[m] = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+    return Polynomial.make(QQ, VARIABLES, terms)
+
+
+def dense_f97_polynomial(rng: random.Random, degree: int) -> Polynomial:
+    """Every monomial of total degree <= ``degree`` in x, y, z with a
+    coefficient in 80..96, so that each product sums many large residues."""
+    terms = {}
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            for c in range(degree + 1 - a - b):
+                terms[Monomial.from_dict({"x": a, "y": b, "z": c})] = \
+                    F97.from_int(rng.randint(80, 96))
+    return Polynomial.make(F97, VARIABLES, terms)
+
+
+def from_sympy(poly: sympy.Poly, field: FieldDescriptor) -> Polynomial:
+    """The polynomial of a sympy result, built by ``Polynomial.make`` from
+    public elements."""
+    terms = {}
+    for exps, c in poly.terms():
+        m = Monomial.from_dict(dict(zip(VARIABLES, exps)))
+        terms[m] = (field.from_int(int(c)) if field.characteristic
+                    else Fraction(int(c.p), int(c.q)))
+    return Polynomial.make(field, VARIABLES, terms)
+
+
+def assert_public_view(f: Polynomial) -> None:
+    """``terms``, ``coefficient`` and ``constant_coefficient`` hand out the
+    public element type, also for an absent term."""
+    public = Fp if f.field.characteristic else Fraction
+    assert all(type(c) is public for _, c in f.terms)
+    for m, c in f.terms:
+        got = f.coefficient(m)
+        assert type(got) is public and got == c
+    assert type(f.constant_coefficient()) is public
+    assert type(f.coefficient(Monomial.from_dict({"w": 99}))) is public
+
+
+def assert_matches(got: Polynomial, expected: sympy.Poly) -> None:
+    """got is the sympy result, stored natively, and equals and hashes like
+    the same polynomial built from public elements."""
+    assert to_sympy(got) == expected
+    assert stored_form_problems(got) == []
+    assert_public_view(got)
+    built = from_sympy(expected, got.field)
+    assert got == built and hash(got) == hash(built)
+    assert got.vectors == built.vectors
+
+
+def test_mixed_integral_and_fractional_rationals_match_sympy():
+    rng = random.Random(9000)
+    for _ in range(CASES):
+        f = mixed_rational_polynomial(rng)
+        g = mixed_rational_polynomial(rng, 3, 2)
+        assert_matches(f * g, to_sympy(f) * to_sympy(g))
+        assert_matches(f + g, to_sympy(f) + to_sympy(g))
+        assert_matches(f - g, to_sympy(f) - to_sympy(g))
+        assert_matches(g ** 3, to_sympy(g) ** 3)
+        c = Fraction(rng.randint(1, 9), rng.choice([1, 2, 3]))
+        assert_matches(f.scale(c), to_sympy(f) * sympy.Rational(c.numerator, c.denominator))
+        var = rng.choice(VARIABLES)
+        expected = lift(f).xreplace({SYMBOLS[VARIABLES.index(var)]: lift(g)})
+        assert_matches(substitute(f, var, g), as_poly(expected, QQ))
+        a = {v: rng.randint(0, 2) for v in rng.sample(VARIABLES, 2)}
+        assert_matches(hasse_derivative(f, a), sympy_hasse(f, a))
+
+
+def test_denominators_that_cancel_are_stored_as_ints():
+    f = parse_polynomial("1/2*x + 1/3*y", QQ, VARIABLES)
+    g = parse_polynomial("2*x + 3*y", QQ, VARIABLES)
+    product = f * g
+    assert product == parse_polynomial("x^2 + 13/6*x*y + y^2", QQ, VARIABLES)
+    assert [type(c) for _, c in product.vectors] == [int, Fraction, int]
+    assert stored_form_problems(substitute(f, "x", g)) == []
+
+
+def test_long_f97_accumulations_match_sympy():
+    rng = random.Random(9700)
+    for degree in (2, 3):
+        f = dense_f97_polynomial(rng, degree)
+        g = dense_f97_polynomial(rng, 2)
+        assert_matches(f * g, to_sympy(f) * to_sympy(g))
+        assert_matches(g ** 4, to_sympy(g) ** 4)
+        assert_matches(f + f.scale(F97.from_int(96)),
+                       to_sympy(f) * 0)  # f - f, through unreduced sums
+        assert_matches(-f, -to_sympy(f))
+        expected = lift(f).xreplace({SYMBOLS[0]: lift(g)})
+        assert_matches(substitute(f, "x", g), as_poly(expected, F97))
+        assignments = {"y": g, "z": parse_polynomial("96*z + 95*x", F97, VARIABLES)}
+        expected = lift(f).xreplace({SYMBOLS[1]: lift(g),
+                                     SYMBOLS[2]: lift(assignments["z"])})
+        assert_matches(substitute_many(f, assignments), as_poly(expected, F97))
+        a = {"x": 2, "y": 1}
+        assert_matches(hasse_derivative(g ** 3, a), sympy_hasse(g ** 3, a))

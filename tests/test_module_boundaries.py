@@ -5,9 +5,11 @@ a view of them as ``Monomial``s, and ``Monomial.exps`` is that view's own
 encoding.  Univariate polynomials over F_p are coefficient tuples: the
 ``num`` and ``den`` of an F_p(t) element, the ``coeffs`` of an F_p[s]/(m)
 element and the ``modulus`` of its field, handled by the ``fp_`` routines.
+Stored coefficients are field-native (an F_p coefficient is an int residue),
+and ``Fp`` is only the public element type they are converted to and from.
 No other module of the package reads any of these attributes, imports an
-``fp_`` routine or uses a private name of ``exact_algebra``, so how terms
-and tuples are stored is decided in one module.
+``fp_`` routine or ``Fp``, or uses a private name of ``exact_algebra``, so
+how terms, coefficients and tuples are stored is decided in one module.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ FORBIDDEN_ATTRIBUTES = ("terms", "exps", "num", "den", "coeffs", "modulus")
 
 def _forbidden_name(name: str) -> bool:
     """A name of ``exact_algebra`` no other module may use."""
-    return name.startswith("_") or name.startswith("fp_")
+    return name.startswith("_") or name.startswith("fp_") or name == "Fp"
 
 
 def violations(source: str, name: str) -> list[str]:
@@ -66,7 +68,10 @@ def test_the_check_finds_each_kind_of_violation():
         "def f(g):\n"
         "    return g.terms, g.terms[0][0].exps, ea._canonical\n"
         "def h(c, k):\n"
-        "    return c.num, c.den, c.coeffs, k.modulus, ea.fp_gcd\n")
+        "    return c.num, c.den, c.coeffs, k.modulus, ea.fp_gcd\n"
+        "from .exact_algebra import Fp\n"
+        "def g(p):\n"
+        "    return ea.Fp(1, p)\n")
     assert sorted(violations(source, "m.py")) == [
         "m.py:1 imports _layout",
         "m.py:1 imports fp_mul",
@@ -79,6 +84,8 @@ def test_the_check_finds_each_kind_of_violation():
         "m.py:6 reads .modulus",
         "m.py:6 reads .num",
         "m.py:6 uses exact_algebra.fp_gcd",
+        "m.py:7 imports Fp",
+        "m.py:9 uses exact_algebra.Fp",
     ]
 
 

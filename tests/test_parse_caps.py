@@ -4,15 +4,17 @@ and a message naming the limit, quickly and never with a traceback."""
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
 
-from surfres.cli import EXIT_OK, EXIT_SCOPE, main
+from surfres.cli import EXIT_INPUT, EXIT_OK, EXIT_SCOPE, main
 from surfres.local_frame import MAX_DIRECTRIX_DEGREE
 from surfres.exact_algebra import (
     MAX_PARSE_DIGITS,
     MAX_PARSE_EXPONENT,
+    MAX_RESIDUE_DEGREE,
     FieldDescriptor,
     ScopeError,
     parse_polynomial,
@@ -114,6 +116,46 @@ def test_high_order_initial_form_is_a_scope_error(tmp_path, capsys):
     code, err, _ = run(tmp_path, capsys, "analyze",
                        surface(f"(x+y+z)^{MAX_DIRECTRIX_DEGREE}"))
     assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize("degree, expected", [(10, EXIT_OK), (11, EXIT_SCOPE)])
+def test_the_directrix_degree_cap_is_ten(tmp_path, capsys, degree, expected):
+    assert MAX_DIRECTRIX_DEGREE == 10
+    code, err, elapsed = run(tmp_path, capsys, "analyze",
+                             surface(f"(x+y+z)^{degree}"))
+    assert code == expected, err
+    if expected == EXIT_SCOPE:
+        assert "MAX_DIRECTRIX_DEGREE" in err
+    assert elapsed < 10
+
+
+def root_of_job(degree, seed):
+    """analyze at a root of a seeded random monic condition over F_97."""
+    rng = random.Random(seed)
+    condition = " + ".join([f"x^{degree}"] + [
+        f"{rng.randrange(1, 97)}*x^{i}" for i in range(degree - 1, 0, -1)]
+        + [str(rng.randrange(1, 97))])
+    return {"field": {"kind": "prime_field", "characteristic": 97},
+            "variables": ["x", "y", "z"], "generators": ["z^2 + y^3 + x^2*y^2"],
+            "point": {"moves": {"x": {"root_of": condition, "name": "x"}}}}
+
+
+def test_a_high_degree_residue_condition_is_a_scope_error(tmp_path, capsys):
+    # the irreducibility test of a degree-200 condition took 3 s before the cap
+    code, err, elapsed = run(tmp_path, capsys, "analyze", root_of_job(200, 1))
+    assert code == EXIT_SCOPE
+    assert "MAX_RESIDUE_DEGREE" in err
+    assert elapsed < 1
+    # at the limit: seed 7 gives an irreducible condition, the test's
+    # costliest case, and a reducible one is an input error
+    code, err, elapsed = run(tmp_path, capsys, "analyze",
+                             root_of_job(MAX_RESIDUE_DEGREE, 7))
+    assert code == EXIT_OK, err
+    assert elapsed < 5
+    code, err, _ = run(tmp_path, capsys, "analyze",
+                       root_of_job(MAX_RESIDUE_DEGREE, 1))
+    assert code == EXIT_INPUT
+    assert "not irreducible" in err
 
 
 def test_caps_in_the_library():

@@ -46,6 +46,7 @@ from surfres.resolution_driver import FRESH_LABELS, initial_chart, resolve
 
 from test_acceptance import random_vertical_chart
 from test_char_polyhedron import FRAME_U12_Y, random_instance
+from test_exact_algebra import stored_form_problems
 from test_invariant import whirl_chart
 
 QQ = FieldDescriptor.rationals()
@@ -418,6 +419,21 @@ def test_criterion_6_instances_match_the_earlier_preparation(budget):
         check_case(name, gens, frame, budget)
         checked += 1
     assert checked >= 110
+
+
+def test_prepared_generators_are_stored_natively():
+    """Every coefficient ``prepare`` leaves (after translations, and after
+    the normalisation's divisions on the two-generator charts) is an int or a
+    Fraction with a denominator over Q, and a residue in [0, p) over F_p."""
+    checked = 0
+    for name, gens, frame in criterion_6_cases() + two_generator_cases():
+        result = outcome(prepare, gens, frame, budget=8)
+        if not isinstance(result, PreparationResult):
+            continue
+        for g in result.generators:
+            assert stored_form_problems(g) == [], name
+        checked += 1
+    assert checked >= 150
 
 
 def test_vertex_initial_matches_at_every_vertex(named_cases):
