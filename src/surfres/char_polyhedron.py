@@ -6,7 +6,8 @@ origin) and takes the positive-orthant convex hull.  On top of it:
 
 * ``delta`` and the side face numbers (alpha, beta, gamma, s);
 * vertex initial forms, solvability of a vertex, and normalization;
-* the vertex-preparation loop with a solving budget and escape detection;
+* the vertex-preparation loop with a solving budget and escape detection,
+  run modulo a box span on one generator;
 * the ``sigma`` invariant computed by iterated face straightening
   u2 <- u2 + c * u1^m over polynomial translations.
 
@@ -16,7 +17,7 @@ All coordinates are exact rationals; infinity is ``float("inf")``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, lcm
 from operator import add, ge, sub
@@ -485,15 +486,49 @@ def normalize_at_vertex(
 # preparation loop
 # ---------------------------------------------------------------------------
 
+class _OnDemand:
+    """A dataclass field holding its value, or a function that computes
+    the value the first time the field is read."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            raise AttributeError(self.slot)  # the field has no default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class PreparationResult:
-    generators: tuple[Polynomial, ...]
+    """The outcome of ``prepare``.
+
+    ``generators`` are the exactly prepared generators.  A run that went on
+    modulo a box span (see ``prepare``) holds the exact generators of its
+    switch and replays the later entries of ``changes`` on them the first
+    time ``generators`` is read, so a caller that reads only the polyhedron
+    and the status never builds them.  The constructor also takes the
+    generators themselves, and equality compares the replayed ones.
+    """
+
+    generators: tuple[Polynomial, ...] = _OnDemand()  # type: ignore[assignment]
     changes: tuple[dict, ...]
     polyhedron: FPolyhedron
     status: str
     solved_vertices: tuple[Point, ...]
     escape_annotation: str | None = None
     stable_polyhedron: FPolyhedron | None = None
+
+
+# solving steps a one-generator run takes exactly before it may go on
+# modulo a box span
+_EXACT_STEPS = 2
 
 
 def _axis_of(v: Point) -> int | None:
@@ -523,6 +558,166 @@ def _detect_escape(
     return snapshots[-3] == snapshots[-2] == snapshots[-1]
 
 
+def _replay(gens: Sequence[Polynomial], frame: Frame,
+            changes: Sequence[dict]) -> tuple[Polynomial, ...]:
+    """The generators after the translations y_j <- y_j - lambda_j u^v of a
+    change log."""
+    current = tuple(gens)
+    for change in changes:
+        minus = [-c for c in change["witness"]]
+        current = tuple(_translated(g, frame, change["vertex"], minus)
+                        for g in current)
+    return current
+
+
+@dataclass(frozen=True)
+class _Box:
+    """The span J_c of ``prepare``: the terms u^a y^B of a generator of
+    order ``order`` with a_i + floor_i * |B| >= order * corner_i for every
+    coordinate i."""
+
+    corner: Point
+    floor: Point
+    order: int
+
+    def reduce(self, g: Polynomial, frame: Frame) -> Polynomial:
+        """g with its terms in J_c dropped."""
+        ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
+        # the weights and bounds times a common denominator, as ints
+        d = lcm(*[x.denominator for x in self.floor + self.corner])
+        bounds = [(i, int(f * d), int(self.order * c * d))
+                  for i, f, c in zip(ui, self.floor, self.corner)]
+        kept = {}
+        for vec, c in g.vectors:
+            b = sum([vec[i] for i in yi])
+            if not all(vec[i] * d + f * b >= m for i, f, m in bounds):
+                kept[vec] = c
+        return Polynomial.from_vectors(g.field, g.variables, kept)
+
+
+def _drift_end(solved: Sequence[Point], budget: int) -> Point:
+    """Where the solved vertices are headed at the end of the budget: their
+    last step taken again at each remaining step, scaled up by the ratio of
+    the last two steps when it exceeds 1, plus one in each coordinate that
+    grows (so that a box with this corner keeps the term of the vertex the
+    budget ends on)."""
+    step = list(map(sub, solved[-1], solved[-2]))
+    ratio = Fraction(1)
+    if len(solved) >= 3:
+        before = list(map(sub, solved[-2], solved[-3]))
+        ratio = max([s / b for s, b in zip(step, before) if b > 0] + [ratio])
+    scale = sum(ratio ** k for k in range(1, budget + 2 - len(solved)))
+    return tuple(x + s * scale + (1 if s > 0 else 0)
+                 for x, s in zip(solved[-1], step))
+
+
+@dataclass
+class _Run:
+    """The state of a preparation loop."""
+
+    current: list[Polynomial]
+    poly: FPolyhedron  # always the polyhedron of current
+    changes: list[dict]
+    solved: list[Point]
+    snapshots: list[tuple[Point, ...]]
+    certified: set[Point]
+    escape: str | None = None
+    stable: FPolyhedron | None = None
+    status: str = MINIMAL
+
+    def result(self, generators: Any) -> PreparationResult:
+        return PreparationResult(
+            generators=generators,
+            changes=tuple(self.changes),
+            polyhedron=self.poly,
+            status=self.status,
+            solved_vertices=tuple(self.solved),
+            escape_annotation=self.escape,
+            stable_polyhedron=self.stable,
+        )
+
+
+def _advance(run: _Run, frame: Frame, budget: int, pause: int | None = None,
+             box: _Box | None = None) -> bool:
+    """Run the loop on ``run`` until it ends (True, with ``run.status``
+    set), or until it would examine a vertex after ``pause`` solving steps
+    or a check of the ``box`` fails (False)."""
+    field = run.current[0].field
+    while True:
+        poly = run.poly
+        if box is not None and not poly.member(box.corner):
+            return False  # check 1
+        uncertified = [v for v in poly.vertices if v not in run.certified]
+        if poly.is_empty:
+            run.status = EMPTY
+            return True
+        if not uncertified:
+            run.status = MINIMAL
+            return True
+        if len(run.solved) >= budget:
+            run.status = BUDGET_EXHAUSTED
+            return True
+        if len(run.solved) == pause:
+            return False
+        v = min(uncertified)
+        if box is not None and all(map(ge, v, box.corner)):
+            return False  # check 2
+        normalized = normalize_at_vertex(run.current, frame, v)
+        if normalized != run.current:
+            run.current = normalized
+            run.poly = polyhedron_of(run.current, frame)
+            if v not in run.poly.vertices:
+                continue
+        vi = _vertex_initial(run.current, frame, v)
+        lam = is_solvable(vi, field)
+        if lam is None:
+            run.certified.add(v)
+            continue
+        minus = [-c for c in lam]
+        run.current = [_translated(g, frame, v, minus) for g in run.current]
+        if box is not None:
+            run.current = [box.reduce(g, frame) for g in run.current]
+        run.changes.append({"vertex": v, "witness": lam})
+        run.solved.append(v)
+        run.poly = poly = polyhedron_of(run.current, frame)
+        run.snapshots.append(
+            tuple(w for w in poly.vertices if _axis_of(w) is None))
+        if run.escape is None and _detect_escape(run.solved, run.snapshots):
+            run.escape = ESCAPE_ANNOTATION
+            run.stable = FPolyhedron.from_points(
+                poly.dim, [w for w in poly.vertices if _axis_of(w) != _axis_of(v)])
+
+
+def _run_modulo_a_box(switch: _Run, frame: Frame, budget: int) -> _Run | None:
+    """The one-generator run from the state ``switch`` to its end modulo a
+    box whose two checks held throughout (see ``prepare``), or None."""
+    g = switch.current[0]
+    nu = generator_order(g, frame)
+    if _pure_y_part(g, frame, nu).is_zero:
+        return None
+    vs = switch.poly.vertices
+    corner = floor = tuple(min(v[i] for v in vs) for i in range(frame.e))
+    seen = switch.solved
+    # a corner from the drift at the switch, then one enlarged by the drift
+    # that a failed run saw
+    for _ in range(2):
+        enlarged = tuple(map(max, corner, _drift_end(seen, budget)))
+        if enlarged == corner:
+            return None
+        corner = enlarged
+        box = _Box(corner, floor, nu)
+        current = [box.reduce(g, frame) for g in switch.current]
+        trial = replace(switch, current=current,
+                        poly=polyhedron_of(current, frame),
+                        changes=list(switch.changes), solved=list(switch.solved),
+                        snapshots=list(switch.snapshots),
+                        certified=set(switch.certified))
+        if _advance(trial, frame, budget, box=box):
+            return trial
+        seen = trial.solved
+    return None
+
+
 def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> PreparationResult:
     """Drive the vertex-preparation loop until minimal, empty, or out of budget.
 
@@ -530,73 +725,58 @@ def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> Prepa
     vertex; when the vertex is solvable the y-block is translated by the
     witness (y_j <- y_j - lambda_j u^v) and the loop restarts.  The budget
     counts solving steps.
+
+    A run on one generator f of order N, where normalization does nothing,
+    may spend most of its budget translating terms far from the vertices.
+    After ``_EXACT_STEPS`` solving steps such a run, if it is still going,
+    goes on modulo a box span (the vertex preparation of Hironaka,
+    "Characteristic polyhedra of singularities", 1967, as Cossart, Jannsen
+    and Saito use it, read modulo terms that cannot reach a vertex):
+
+    * Let delta be the componentwise minimum of the polyhedron P at the
+      switch, give a term u^a y^B the weight a_i + delta_i |B| in coordinate
+      i, and pick a corner c >= delta, c != delta.  J_c is the span of the
+      terms whose weight is at least N c_i in *every* coordinate.
+    * J_c is stable under the loop: a later translation has its vertex v in
+      P_t, which lies in P, so v >= delta, and it turns u^a y^B into terms
+      u^(a + k v) y^B' with |B'| = |B| - k, whose weights are no smaller.
+      So the generator is reduced modulo J_c at the switch and after every
+      translation, and the reduced g_t differs from the exact f_t by an
+      element of J_c.  The pure part F(Y) (|B| = N, a = 0) is untouched by
+      translations and weighs N delta_i < N c_i where c_i > delta_i, so it
+      stays in g_t, which keeps the order N.
+    * A term of J_c with |B| < N has a_i >= N c_i - delta_i |B| >=
+      c_i (N - |B|), so its point a / (N - |B|) lies in c + R>=0^n.
+      Check 1, at every step: c lies in the polyhedron of g_t.  Then those
+      points add nothing to it, and it is the polyhedron of f_t.
+    * Check 2, before every vertex v is examined: v is not >= c.  Then no
+      term of J_c has the point v, so g_t and f_t have the same initial
+      form at v and the same witness.  (A vertex of a polyhedron that
+      contains c is >= c only when it is c, so check 2 only acts there.)
+
+    The span is cut out by a box, not by a half-space |a| >= N |c|: the
+    box's dropped points lie in c + R>=0^n, which check 1 puts inside the
+    polyhedron, while a half-space reaches the axes, where it can drop the
+    term that carries a vertex (u1^8 in y + u2^2 + u1^5*u2 + u1^8 once the
+    loop walks up the u2-axis).  With both checks holding, the reduced run
+    takes exactly the steps of the exact loop.  Its corner is where the
+    solved vertices are headed at the end of the budget (``_drift_end``);
+    when a check fails the corner is enlarged once by what that run saw,
+    and after that the exact loop resumes from the state saved at the
+    switch.  The exact generators are replayed from that state on demand
+    (see ``PreparationResult``).  Runs on two or more generators stay
+    exact.
     """
     if budget < 1:
         raise InputError("preparation budget must be >= 1")
-    field = gens[0].field
-    current = list(gens)
-    changes: list[dict] = []
-    solved: list[Point] = []
-    snapshots: list[tuple[Point, ...]] = []
-    certified: set[Point] = set()
-    escape = None
-    stable = None
-    status = MINIMAL
-    poly = polyhedron_of(current, frame)  # always the polyhedron of current
-    while True:
-        if poly.is_empty:
-            status = EMPTY
-            break
-        uncertified = [v for v in poly.vertices if v not in certified]
-        if not uncertified:
-            status = MINIMAL
-            break
-        v = min(uncertified)
-        normalized = normalize_at_vertex(current, frame, v)
-        if normalized != current:
-            current = normalized
-            poly = polyhedron_of(current, frame)
-            if v not in poly.vertices:
-                continue
-        vi = _vertex_initial(current, frame, v)
-        lam = is_solvable(vi, field)
-        if lam is None:
-            certified.add(v)
-            continue
-        uv = _u_power_monomial(frame, v)
-        for y_name, coeff in zip(frame.y_block, lam):
-            if coeff:
-                replacement = Polynomial.variable(field, current[0].variables, y_name) - (
-                    Polynomial.make(field, current[0].variables, {uv: coeff})
-                )
-                current = [substitute(g, y_name, replacement) for g in current]
-        changes.append({"vertex": v, "witness": lam})
-        solved.append(v)
-        poly = polyhedron_of(current, frame)
-        snapshots.append(
-            tuple(w for w in poly.vertices if _axis_of(w) is None)
-        )
-        if escape is None and _detect_escape(solved, snapshots):
-            escape = ESCAPE_ANNOTATION
-            stable = FPolyhedron.from_points(
-                poly.dim, [w for w in poly.vertices if _axis_of(w) != _axis_of(v)]
-            )
-        if len(solved) >= budget:
-            if poly.is_empty:
-                status = EMPTY
-            else:
-                remaining = [w for w in poly.vertices if w not in certified]
-                status = BUDGET_EXHAUSTED if remaining else MINIMAL
-            break
-    return PreparationResult(
-        generators=tuple(current),
-        changes=tuple(changes),
-        polyhedron=poly,
-        status=status,
-        solved_vertices=tuple(solved),
-        escape_annotation=escape,
-        stable_polyhedron=stable,
-    )
+    run = _Run(list(gens), polyhedron_of(gens, frame), [], [], [], set())
+    if len(gens) == 1 and not _advance(run, frame, budget, pause=_EXACT_STEPS):
+        trial = _run_modulo_a_box(run, frame, budget)
+        if trial is not None:
+            switch, log = run.current, trial.changes[len(run.changes):]
+            return trial.result(lambda: _replay(switch, frame, log))
+    _advance(run, frame, budget)  # resumes a paused run; a finished one stays
+    return run.result(tuple(run.current))
 
 
 # ---------------------------------------------------------------------------

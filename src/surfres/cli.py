@@ -27,6 +27,7 @@ Infinity is serialized as the string "inf" and non-integral rationals as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -532,22 +533,26 @@ def run_export(job: dict, fmt: str) -> str:
 
 
 def _read_job(path: str) -> dict:
-    if path == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    else:
-        try:
+    source = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as err:
-            raise InputError(f"cannot read job file {path!r}: {err}") from err
-        source = path
+    except OSError as err:
+        raise InputError(f"cannot read job file {path!r}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise InputError(f"{source}: the job document is not UTF-8 text: "
+                         f"{err.reason} at byte {err.start}") from err
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise InputError(
             f"{source}: invalid JSON at line {err.lineno} column "
             f"{err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise InputError(f"{source}: the job document nests too deeply") from err
     if not isinstance(data, dict):
         raise InputError(f"{source}: the job document must be a JSON object")
     return data
@@ -556,11 +561,15 @@ def _read_job(path: str) -> dict:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as err:
+        raise InputError(f"cannot write report file {output!r}: {err}") from err
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surfres",

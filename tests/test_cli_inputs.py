@@ -4,10 +4,13 @@ valid center shape."""
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
+from surfres import cli
 from surfres.cli import EXIT_INPUT, EXIT_OK, EXIT_SCOPE, main
 
 SURFACE_JOB = {
@@ -305,3 +308,93 @@ def test_only_small_residue_fields_are_searched_whole(tmp_path, capsys,
     assert code == expected, err
     if expected == EXIT_SCOPE:
         assert "MAX_CHARACTERISTIC" in err
+
+
+# ---------------------------------------------------------------------------
+# reading the job, writing the report, parsing the command line
+# ---------------------------------------------------------------------------
+
+SMALL_JOB = {
+    "field": {"kind": "rationals"},
+    "variables": ["x", "y", "z"],
+    "generators": ["x^2 + y^3 + z^4"],
+}
+
+
+def job_file(tmp_path, job=SMALL_JOB):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    return str(path)
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_an_unwritable_report_path_is_an_input_error(tmp_path, capsys, target):
+    output = tmp_path / "missing" / "out.json" if target == "missing directory" \
+        else tmp_path
+    code = main(["analyze", job_file(tmp_path), "-o", str(output)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert f"cannot write report file {str(output)!r}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_a_job_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_bytes(json.dumps(SMALL_JOB).encode("utf-16"))
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "the job document is not UTF-8 text" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_job_on_stdin_that_is_not_utf8_is_an_input_error(capsys, monkeypatch):
+    data = json.dumps(SMALL_JOB).encode("utf-16")
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code = main(["analyze", "-"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "<stdin>: the job document is not UTF-8 text" in captured.err
+
+
+def test_a_deeply_nested_job_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text("[" * 100_000)
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "the job document nests too deeply" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_the_cached_parser_answers_as_a_parser_built_per_call(tmp_path, capsys):
+    """Consecutive in-process calls of different subcommands, a usage error
+    and --help print the same and end with the same code whether the parser
+    is built for each call or once."""
+    job = job_file(tmp_path)
+    calls = [["analyze", job], ["polyhedron", job], ["frobnicate", job],
+             ["invariant", job], ["export", "--help"],
+             ["export", job, "--format", "json"], ["analyze"], ["analyze", job]]
+
+    def answers(fresh_parser):
+        out = []
+        for argv in calls:
+            if fresh_parser:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as done:
+                code = done.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    fresh = answers(True)
+    assert answers(False) == fresh
+    assert cli._parser() is cli._parser()
+    assert [code for code, _out, _err in fresh] == [0, 0, 2, 0, 0, 0, 2, 0]
+    assert fresh[2][2].startswith("usage: surfres")
+    assert fresh[4][1].startswith("usage: surfres export")
+    assert fresh[0] == fresh[-1]
