@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .char_polyhedron import FPolyhedron
 from .exact_algebra import (
@@ -411,12 +411,8 @@ def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartSta
 
     step = chart.step + 1
 
-    new_boundary: list[BoundaryComponent] = []
-    for comp in chart.frame.boundary:
-        st = _strict_transform(comp.generator, subs, w, None)
-        if st.constant_coefficient():
-            continue  # misses the new chart origin
-        new_boundary.append(replace(comp, generator=st))
+    new_boundary = _moved_boundary(
+        chart.frame.boundary, lambda g: _strict_transform(g, subs, w, None))
     max_cid = max((c.cid for c in chart.frame.boundary), default=-1)
     new_boundary.append(BoundaryComponent(
         generator=w_poly,
@@ -433,24 +429,17 @@ def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartSta
                       boundary=tuple(new_boundary))
 
     new_stratum: tuple[StratumComponent, ...] | None = None
+    center_comp: StratumComponent | None = None
     if chart.stratum is not None:
         kept = []
         for comp in chart.stratum:
             if not comp.is_coordinate:
                 continue  # must be recomputed from scratch downstream
-            if w in comp.variables:
-                continue  # the strict transform misses the new origin
-            kept.append(comp)
+            if center_comp is None and set(comp.variables) == set(center.variables):
+                center_comp = comp
+            if w not in comp.variables:
+                kept.append(comp)  # else its strict transform misses the origin
         new_stratum = tuple(kept)
-
-    center_label: int | None = None
-    center_was_component = False
-    if chart.stratum is not None:
-        for comp in chart.stratum:
-            if comp.is_coordinate and set(comp.variables) == set(center.variables):
-                center_label = comp.label
-                center_was_component = True
-                break
 
     return ChartState(
         chart_id=f"{chart.chart_id}/{w}",
@@ -464,11 +453,22 @@ def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartSta
             parent_id=chart.chart_id,
             center=center,
             chart_var=w,
-            center_label=center_label,
-            center_was_component=center_was_component,
+            center_label=None if center_comp is None else center_comp.label,
+            center_was_component=center_comp is not None,
         ),
         residue_degree=chart.residue_degree,
     )
+
+
+def _moved_boundary(
+    boundary: tuple[BoundaryComponent, ...],
+    move: Callable[[Polynomial], Polynomial],
+) -> list[BoundaryComponent]:
+    """Each boundary component with its generator moved, dropping those
+    that no longer pass through the chart origin."""
+    moved = ((comp, move(comp.generator)) for comp in boundary)
+    return [replace(comp, generator=g) for comp, g in moved
+            if not g.constant_coefficient()]
 
 
 # ---------------------------------------------------------------------------
@@ -546,32 +546,18 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
     if any(g.is_zero for g in new_generators):
         raise InputError("the located point is not on the hypersurface")
 
-    new_boundary: list[BoundaryComponent] = []
-    for comp in boundary:
-        g2 = shift(comp.generator)
-        if g2.constant_coefficient():
-            continue  # the component does not pass through the new point
-        new_boundary.append(replace(comp, generator=g2))
+    new_boundary = _moved_boundary(boundary, shift)
 
     new_stratum: tuple[StratumComponent, ...] | None = None
     if stratum is not None:
         kept = []
         for comp in stratum:
-            if any(v in values and values[v] for v in comp.variables):
-                continue  # coordinate part misses the new point
-            new_conditions = []
-            missed = False
-            for q in comp.conditions:
-                q2 = shift(q)
-                if q2.is_zero:
-                    continue
-                if q2.constant_coefficient():
-                    missed = True
-                    break
-                new_conditions.append(q2)
-            if missed:
-                continue
-            kept.append(replace(comp, conditions=tuple(new_conditions)))
+            moved = [shift(q) for q in comp.conditions]
+            if (any(values.get(v) for v in comp.variables)
+                    or any(q.constant_coefficient() for q in moved)):
+                continue  # the component misses the new point
+            kept.append(replace(comp, conditions=tuple(
+                q for q in moved if not q.is_zero)))
         new_stratum = tuple(kept)
 
     suffix = ",".join(

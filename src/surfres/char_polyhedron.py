@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt, lcm
 from operator import add, ge, sub
 from typing import Any, Sequence
 
@@ -833,6 +833,15 @@ def _uni_eval(a: list[Any], x: Any, field: FieldDescriptor) -> Any:
     return out
 
 
+# Bound on the rational root search of a sigma constraint of degree at least
+# 2 over Q: the product of the constraint's end coefficients may be at most
+# its square (beyond it, ScopeError).  The search divides each end
+# coefficient by every integer up to its square root, then tries every
+# quotient of their divisors; at the bound that is at most about 10**5
+# divisions and 4 * 10**4 candidate roots, under a second on a 2-CPU machine.
+MAX_ROOT_SEARCH = 10**5
+
+
 def _uni_roots(a: list[Any], field: FieldDescriptor) -> tuple[list[Any], bool]:
     """(roots found in the field, certified-complete flag)."""
     a = _uni_trim(a)
@@ -840,6 +849,8 @@ def _uni_roots(a: list[Any], field: FieldDescriptor) -> tuple[list[Any], bool]:
         raise InputError("zero constraint polynomial has every root")
     if len(a) == 1:
         return [], True
+    if len(a) == 2:
+        return [-a[0] / a[1]], True
     if field.kind in (PRIME_FIELD, FINITE_EXTENSION):
         return [x for x in field.elements() if not _uni_eval(a, x, field)], True
     if field.kind == RATIONALS:
@@ -855,16 +866,15 @@ def _uni_roots(a: list[Any], field: FieldDescriptor) -> tuple[list[Any], bool]:
             roots.append(Fraction(0))
         if ints:
             a0, an = abs(ints[0]), abs(ints[-1])
+            if a0 * an > MAX_ROOT_SEARCH ** 2:
+                raise ScopeError(
+                    "the rational roots of a sigma constraint whose end "
+                    "coefficients multiply to over the square of "
+                    f"{MAX_ROOT_SEARCH} (MAX_ROOT_SEARCH) are not searched")
 
             def divisors(n: int) -> list[int]:
-                out = []
-                d = 1
-                while d * d <= n:
-                    if n % d == 0:
-                        out.append(d)
-                        out.append(n // d)
-                    d += 1
-                return sorted(set(out))
+                small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+                return sorted(set(small + [n // d for d in small]))
 
             for num in divisors(a0):
                 for den in divisors(an):
@@ -1001,7 +1011,10 @@ def sigma_search(
         poly = prep.polyhedron
         _, _, _, s_new = face_numbers(poly, 1)
         if not (s_new > s):
-            raise RuntimeError("straightening substitution failed to increase s")
+            if not certified:  # the polyhedron compared is not final
+                return SigmaResult(max(Fraction(1), s), False, tuple(subs), tuple(current))
+            raise ScopeError(f"sigma on side {side}: a straightening substitution "
+                             "left the first face's inverse slope unchanged")
     _, _, _, s = face_numbers(poly, 1)
     return SigmaResult(max(Fraction(1), s) if s != INF else INF, False, tuple(subs), tuple(current))
 

@@ -437,12 +437,6 @@ def compute_iota(chart: ChartState) -> IotaInvariant:
 
 
 def _cmp_value(a: Any, b: Any) -> int:
-    if isinstance(a, NuStar) or isinstance(b, NuStar):
-        if not (isinstance(a, NuStar) and isinstance(b, NuStar)):
-            raise InputError("cannot compare a nu* slot with a scalar slot")
-        if a < b:
-            return -1
-        return 1 if b < a else 0
     if a < b:
         return -1
     return 1 if b < a else 0

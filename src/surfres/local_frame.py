@@ -28,7 +28,7 @@ against that degree of the additive forms' ideal.  ``form_row`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import add, le
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -113,7 +113,8 @@ class Frame:
         return tuple(b for b in self.boundary if b.status == NEW)
 
 
-@dataclass(frozen=True, order=False)
+@total_ordering
+@dataclass(frozen=True)
 class NuStar:
     """Nondecreasing order vector, ordered lexicographically with inf padding.
 
@@ -133,26 +134,8 @@ class NuStar:
             if a < 0:
                 raise InputError("nu_star entries must be nonnegative")
 
-    def _cmp(self, other: "NuStar") -> int:
-        n = max(len(self.orders), len(other.orders))
-        for i in range(n):
-            a = self.orders[i] if i < len(self.orders) else INF
-            b = other.orders[i] if i < len(other.orders) else INF
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-
     def __lt__(self, other: "NuStar") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "NuStar") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "NuStar") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "NuStar") -> bool:
-        return self._cmp(other) >= 0
+        return self.orders + (INF,) < other.orders + (INF,)
 
 
 # ---------------------------------------------------------------------------

@@ -159,27 +159,19 @@ def _solve_components(
             continue
         if any(r.is_constant() for r in residues):
             continue  # a nonzero constant survives: no solution above `fixed`
-        supports = [_support(r.vectors[0][0], r.variables)
-                    for r in residues if len(r.vectors) == 1]
-        if supports:
-            pick = min(supports,
-                       key=lambda s: (len(s), tuple(order[v] for v in s)))
-            for v in pick:
-                stack.append(fixed | {v})
-            continue
-        distinct = set(residues)
-        if len(distinct) == 1:
+        monomials = [r for r in residues if len(r.vectors) == 1]
+        if not monomials and len(set(residues)) == 1:
             r = residues[0]
             if not r.constant_coefficient():
                 found.append((fixed, r))
             continue
-        # several distinct non-monomial residues: keep branching on the
-        # smallest-support term to stay complete for coordinate components
-        supports = [_support(vec, r.variables)
-                    for r in residues for vec, _c in r.vectors if any(vec)]
+        # branch on a smallest support: of a monomial residue, or with none
+        # (several distinct non-monomial residues) of a term, which keeps
+        # the search complete for coordinate components
+        supports = [_support(vec, r.variables) for r in monomials or residues
+                    for vec, _c in r.vectors if any(vec)]
         pick = min(supports, key=lambda s: (len(s), tuple(order[v] for v in s)))
-        for v in pick:
-            stack.append(fixed | {v})
+        stack.extend(fixed | {v} for v in pick)
     return _maximal_components(found, field, variables)
 
 
@@ -222,16 +214,10 @@ def _maximal_components(
     return keep
 
 
-def _old_boundary_vars(chart: ChartState) -> list[str] | None:
-    """Variables of the old boundary components, None when one of them is
-    not a coordinate divisor."""
-    out = []
-    for comp in chart.frame.old_components():
-        name = _is_coordinate_generator(comp.generator)
-        if name is None:
-            return None
-        out.append(name)
-    return out
+def _divisor_vars(components: Iterable[BoundaryComponent]) -> list[str | None]:
+    """The variable of each boundary component, None for one that is not a
+    coordinate divisor."""
+    return [_is_coordinate_generator(comp.generator) for comp in components]
 
 
 def _refine_by_old_components(
@@ -240,25 +226,14 @@ def _refine_by_old_components(
     """Drop components along which the number of old boundary components is
     smaller than at the origin (the log-multiplicity would not be constant
     along them); when nothing is left, the origin itself is the stratum."""
-    old_vars = _old_boundary_vars(chart)
-    if old_vars == []:
+    old_vars = _divisor_vars(chart.frame.old_components())
+    if not old_vars:
         return comps
-    if old_vars is None:
-        kept: list[RawComponent] = []
-    else:
-        kept = [c for c in comps if all(v in c[0] for v in old_vars)]
+    # a non-coordinate old component (None) is in no component's variables
+    kept = [c for c in comps if all(v in c[0] for v in old_vars)]
     if kept:
         return kept
     return [(frozenset(chart.variables), None)]
-
-
-def _boundary_vars(chart: ChartState) -> list[str]:
-    out = []
-    for comp in chart.frame.boundary:
-        name = _is_coordinate_generator(comp.generator)
-        if name is not None:
-            out.append(name)
-    return out
 
 
 def _tail_components(chart: ChartState, f: Polynomial) -> list[RawComponent]:
@@ -272,7 +247,7 @@ def _tail_components(chart: ChartState, f: Polynomial) -> list[RawComponent]:
     lin = initial_form(f, f.variables)
     used = lin.support_variables()
     support = [v for v in chart.variables if v in used]
-    boundary = set(_boundary_vars(chart))
+    boundary = set(_divisor_vars(chart.frame.boundary))
     if any(v not in boundary for v in support):
         return []  # the tangent space is transverse to the boundary
     if len(support) == 1:
@@ -568,15 +543,9 @@ def _is_finished(chart: ChartState) -> bool:
 
 
 def _log_value(chart: ChartState) -> tuple:
+    """The log-multiplicity value: nu* and the number of old boundary
+    components, compared lexicographically."""
     return (chart.nu, len(chart.frame.old_components()))
-
-
-def _log_dropped(parent: ChartState, child: ChartState) -> bool:
-    p_nu, p_old = _log_value(parent)
-    c_nu, c_old = _log_value(child)
-    if c_nu < p_nu:
-        return True
-    return not (p_nu < c_nu) and c_old < p_old
 
 
 def _reset_boundary(chart: ChartState) -> ChartState:
@@ -602,6 +571,20 @@ def _plain_delta(chart: ChartState):
         return None
 
 
+def _point_record(
+    parent: ChartState, parent_iota: IotaInvariant, point_chart: ChartState,
+    point: str,
+) -> PointRecord:
+    """Classify a tracked point above the parent and compare its invariant
+    with the parent's."""
+    classification = classify_point(parent, point_chart)
+    iota = compute_iota(point_chart)
+    return PointRecord(
+        chart_id=point_chart.chart_id, parent_id=parent.chart_id, point=point,
+        classification=classification, iota_before=parent_iota,
+        iota_after=iota, comparison=compare_iota(iota, parent_iota))
+
+
 def resolve(
     root: ChartState,
     max_steps: int = 64,
@@ -610,18 +593,21 @@ def resolve(
 ) -> ResolutionTrace:
     """Run the blow-up loop until every chart is finished.
 
-    Each round removes one chart from the work queue, selects its center,
-    blows up every chart of the center, classifies the child origins
-    against the parent origin, and records the invariant before and after
-    (computed on the state before any history reset, which is what the
-    strict-decrease statement refers to).  When the log-multiplicity
-    value drops at a child origin, the child starts a new era: labels
-    restart at 0 and, when the multiplicity itself dropped, all boundary
-    components become old.
+    Each round removes one chart from the work queue, selects its center
+    and blows it up in every chart of the center.  Every tracked point (each
+    child origin, then each point declared on that child) has its stratum
+    labelled against the carried components and goes through one record
+    path, ``_point_record``: it is classified against the parent origin and
+    its invariant compared with the parent's, both on the state before any
+    history reset, which is what the strict-decrease statement refers to.
+    At a child origin the ``LAW_*`` laws are then checked, and whether the
+    log-multiplicity value dropped is decided once.  When it dropped, the
+    child starts a new era: labels restart at 0 and, when the multiplicity
+    itself dropped, all boundary components become old.
 
     ``declared_points`` maps a chart id to move-dictionaries for
-    ``locate_point``; each declared point is classified and recorded in
-    addition to the chart origin.
+    ``locate_point``; each declared point is recorded in addition to the
+    chart origin.
 
     Scope errors abort the loop and return the partial trace with status
     ``scope_error``; exceeding ``max_steps`` returns ``step_limit``.  A
@@ -678,13 +664,10 @@ def resolve(
                 fresh = _fresh_components(child)
                 pre = replace(child, stratum=_label_components(
                     child, fresh, label_mode, reset=False))
-                classification = classify_point(chart, pre)
-                child_iota = compute_iota(pre)
-                records.append(PointRecord(
-                    chart_id=pre.chart_id, parent_id=chart.chart_id,
-                    point="origin", classification=classification,
-                    iota_before=parent_iota, iota_after=child_iota,
-                    comparison=compare_iota(child_iota, parent_iota)))
+                record = _point_record(chart, parent_iota, pre, "origin")
+                records.append(record)
+                classification = record.classification
+                dropped = _log_value(pre) < _log_value(chart)
 
                 # No point of a directrix-variable chart stays near.
                 if (directrix_vars is not None and w in directrix_vars
@@ -707,7 +690,7 @@ def resolve(
                             f"{pre.chart_id}: {parent_delta} -> {child_delta}")
                 # Once no original component remains, none reappears while
                 # the log-multiplicity value is unchanged.
-                if (parent_51 and not _log_dropped(chart, pre)
+                if (parent_51 and not dropped
                         and any(c.original for c in pre.stratum)):
                     raise LawViolation(
                         LAW_NO_ORIGINAL_REAPPEARS,
@@ -717,8 +700,7 @@ def resolve(
                 # (Tail charts of multiplicity one track failures of normal
                 # crossings instead, where this does not apply.)
                 if (chart.nu.orders[-1] >= 2
-                        and classification != DROPPED
-                        and not _log_dropped(chart, pre)):
+                        and classification != DROPPED and not dropped):
                     carried_cids = {c.cid for c in (child.stratum or ())}
                     for comp in pre.stratum:
                         if (comp.cid in carried_cids or not comp.is_coordinate
@@ -735,7 +717,7 @@ def resolve(
                                 + "; ".join(report.violations))
 
                 stored = pre
-                if _log_dropped(chart, pre):
+                if dropped:
                     stored_fresh = fresh
                     if pre.nu < chart.nu:
                         # all boundary components become old, which can
@@ -747,23 +729,17 @@ def resolve(
                         stored, stored_fresh, label_mode, reset=True))
                 charts[stored.chart_id] = stored
                 if stored is pre:
-                    iota_cache[pre.chart_id] = child_iota
+                    iota_cache[pre.chart_id] = record.iota_after
                 created.append(stored.chart_id)
                 queue.append(stored.chart_id)
 
                 for moves in (declared_points or {}).get(pre.chart_id, ()):
                     located = locate_point(pre, moves)
-                    located_fresh = _fresh_components(located)
-                    located = replace(located, stratum=_label_components(
-                        located, located_fresh, label_mode, reset=False))
-                    located_iota = compute_iota(located)
-                    point = located.chart_id.split("@")[-1]
-                    records.append(PointRecord(
-                        chart_id=located.chart_id, parent_id=chart.chart_id,
-                        point=point,
-                        classification=classify_point(chart, located),
-                        iota_before=parent_iota, iota_after=located_iota,
-                        comparison=compare_iota(located_iota, parent_iota)))
+                    located = replace(located,
+                                      stratum=max_stratum(located, label_mode))
+                    records.append(_point_record(
+                        chart, parent_iota, located,
+                        located.chart_id.split("@")[-1]))
             events.append(TraceEvent(
                 step=steps, chart_id=chart.chart_id, center=choice.center,
                 center_label=choice.label, created=tuple(created),

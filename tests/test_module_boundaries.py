@@ -10,6 +10,9 @@ and ``Fp`` is only the public element type they are converted to and from.
 No other module of the package reads any of these attributes, imports an
 ``fp_`` routine or ``Fp``, or uses a private name of ``exact_algebra``, so
 how terms, coefficients and tuples are stored is decided in one module.
+
+Outside the ridge and directrix certificates, no module raises a bare
+``RuntimeError``, which no documented exit code covers.
 """
 
 from __future__ import annotations
@@ -92,3 +95,54 @@ def test_the_check_finds_each_kind_of_violation():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_no_term_representation(path):
     assert violations(path.read_text(encoding="utf-8"), path.name) == []
+
+
+# ---------------------------------------------------------------------------
+# internal errors
+# ---------------------------------------------------------------------------
+
+# A valid job ends on a documented exit code; the CLI maps InputError,
+# ScopeError and LawViolation to them, and a bare RuntimeError escapes as a
+# traceback.  The only sites left to raise one are the ridge and directrix
+# certificates, which check a computation against its own result, so they
+# fail only on a defect in the program.
+RUNTIME_ERROR_SITES = ["local_frame.py:compute_directrix",
+                       "local_frame.py:compute_ridge"]
+
+
+def runtime_error_sites(source: str, name: str) -> list[str]:
+    """``name:function`` of each ``raise RuntimeError`` in the module
+    source, by the top-level function it is in (``<module>`` outside any)."""
+    out = []
+    for top in ast.parse(source, filename=name).body:
+        where = (top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    out.append(f"{name}:{where}")
+    return out
+
+
+def test_the_runtime_error_check_finds_each_site():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise RuntimeError('boom')\n"
+        "    def g():\n"
+        "        raise RuntimeError\n"
+        "    raise ScopeError('documented')\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        raise RuntimeError('in a method')\n"
+        "raise RuntimeError('at import')\n")
+    assert runtime_error_sites(source, "m.py") == [
+        "m.py:f", "m.py:f", "m.py:<module>", "m.py:<module>"]
+
+
+def test_only_the_certificates_raise_a_bare_runtime_error():
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in runtime_error_sites(path.read_text(encoding="utf-8"),
+                                             path.name)]
+    assert sorted(sites) == RUNTIME_ERROR_SITES
