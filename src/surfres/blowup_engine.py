@@ -38,6 +38,7 @@ from .exact_algebra import (
     substitute_many,
     divide_exactly,
     to_string,
+    translate,
 )
 from .local_frame import (
     NEW,
@@ -533,14 +534,12 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
     if not any(values.values()) and new_field == field:
         return chart
 
-    shifts = {
-        v: (Polynomial.variable(new_field, chart.variables, v)
-            + Polynomial.constant(new_field, chart.variables, a))
-        for v, a in values.items() if a
-    }
-
     def shift(f: Polynomial) -> Polynomial:
-        return substitute_many(f, shifts) if shifts else f
+        # constant moves commute, so one v <- v + a at a time
+        for v, a in values.items():
+            if a:
+                f = translate(f, v, a, {})
+        return f
 
     new_generators = tuple(shift(g) for g in generators)
     if any(g.is_zero for g in new_generators):

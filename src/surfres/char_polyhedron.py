@@ -11,7 +11,11 @@ origin) and takes the positive-orthant convex hull.  On top of it:
 * the ``sigma`` invariant computed by iterated face straightening
   u2 <- u2 + c * u1^m over polynomial translations.
 
-All coordinates are exact rationals; infinity is ``float("inf")``.
+Points are built on the integer lattice: each point A/(nu - |B|) is scaled
+by the lcm L of the nu - |B| that occur, and the hull is taken on those ints.
+Vertices are handed out as exact rationals (``Fraction``), as is every other
+coordinate; infinity is ``float("inf")``.  Every move x <- x + c * monomial
+is ``exact_algebra.translate``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, isqrt, lcm
 from operator import add, ge, sub
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .exact_algebra import (
     INF,
@@ -37,7 +41,7 @@ from .exact_algebra import (
     ord_at,
     p_th_root,
     q_th_root,
-    substitute,
+    translate,
 )
 from .local_frame import Frame, initial_form, row_reduce
 
@@ -54,11 +58,12 @@ Point = tuple[Fraction, ...]
 # F-polyhedra
 # ---------------------------------------------------------------------------
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
+def _cross(o: Sequence, a: Sequence, b: Sequence) -> Any:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _canonical_vertices(dim: int, points: Sequence[Point]) -> tuple[Point, ...]:
+def _canonical_vertices(dim: int, points: Sequence[Sequence]) -> tuple:
+    """The hull's vertices, ascending, for rational or int points."""
     pts = sorted(set(points))
     if not pts:
         return ()
@@ -73,7 +78,7 @@ def _canonical_vertices(dim: int, points: Sequence[Point]) -> tuple[Point, ...]:
     for p in pts:
         if not kept or p[1] < kept[-1][1]:
             kept.append(p)
-    hull: list[Point] = []
+    hull: list = []
     for p in kept:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
@@ -184,36 +189,52 @@ def generator_order(g: Polynomial, frame: Frame) -> int:
     return int(ord_at(g, frame.variables))
 
 
-def _point(vec: tuple[int, ...], nu: int, ui: Sequence[int],
-           yi: Sequence[int]) -> Point | None:
-    """The point A/(nu - |B|) of the term u^A y^B with exponent vector vec
-    (u and y at the positions ui and yi) of a generator of order nu; None
-    when |B| >= nu."""
-    b = sum([vec[i] for i in yi])
-    if b >= nu:
-        return None
-    return tuple([Fraction(vec[i], nu - b) for i in ui])
+def _at_point(v: Point, nu: int, ui: Sequence[int],
+              yi: Sequence[int]) -> Callable[[tuple[int, ...]], bool]:
+    """Whether a term of a generator of order nu has the point v, on ints:
+    a_i q_i == p_i (nu - |B|) for v_i = p_i / q_i."""
+    ratios = [(i, x.numerator, x.denominator) for i, x in zip(ui, v)]
+
+    def test(vec: tuple[int, ...]) -> bool:
+        d = nu - sum([vec[i] for i in yi])
+        return d > 0 and all([vec[i] * q == p * d for i, p, q in ratios])
+    return test
+
+
+def _scan(g: Polynomial, frame: Frame) -> list[tuple[tuple[int, ...], int]]:
+    """The pairs (A, nu - |B|) of the terms u^A y^B of g with |B| < nu, in
+    term order, from one pass that also finds the order nu and refuses a
+    generator in the u-ideal."""
+    ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
+    rows = [(tuple([vec[i] for i in ui]), sum([vec[i] for i in yi]))
+            for vec, _ in g.vectors]
+    if all(any(a) for a, _ in rows):
+        raise InputError("generator lies in the ideal generated by the u-block; "
+                         "no valid (u; y) expansion")
+    nu = min([sum(a) + b for a, b in rows])
+    return [(a, nu - b) for a, b in rows if b < nu]
 
 
 def _points_of_generator(g: Polynomial, frame: Frame) -> list[Point]:
-    ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
-    if all(any(vec[i] for i in ui) for vec, _ in g.vectors):
-        raise InputError(
-            "generator lies in the ideal generated by the u-block; "
-            "no valid (u; y) expansion"
-        )
-    nu = generator_order(g, frame)
-    points = [_point(vec, nu, ui, yi) for vec, _ in g.vectors]
-    return [pt for pt in points if pt is not None]
+    """The points A/(nu - |B|) of ``_scan``, as exact rationals."""
+    return [tuple([Fraction(x, d) for x in a]) for a, d in _scan(g, frame)]
+
+
+def _lattice_vertices(dim: int, pairs: Iterable[tuple[tuple[int, ...], int]]) -> tuple[Point, ...]:
+    """``_canonical_vertices`` of the points A/d of the pairs (A, d > 0),
+    hulled on ints: scaled by the lcm L of the d's, then divided by L."""
+    pairs = set(pairs)
+    scale = lcm(*{d for _, d in pairs})
+    scaled = [tuple([x * (scale // d) for x in a]) for a, d in pairs]
+    return tuple(tuple([Fraction(x, scale) for x in v])
+                 for v in _canonical_vertices(dim, scaled))
 
 
 def polyhedron_of(gens: Sequence[Polynomial], frame: Frame) -> FPolyhedron:
     """The projected polyhedron of the generators in the given frame."""
     _check_frame_for_polyhedron(gens, frame)
-    points: list[Point] = []
-    for g in gens:
-        points.extend(_points_of_generator(g, frame))
-    return FPolyhedron.from_points(frame.e, points)
+    return FPolyhedron(frame.e, _lattice_vertices(
+        frame.e, [pair for g in gens for pair in _scan(g, frame)]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +252,7 @@ class VertexInitial:
 
 
 def _term_point(m: Monomial, nu: int, frame: Frame) -> Point | None:
-    """``_point`` of a term given by its monomial."""
+    """The point A/(nu - |B|) of the term u^A y^B; None when |B| >= nu."""
     b = m.degree(set(frame.y_block))
     if b >= nu:
         return None
@@ -254,11 +275,12 @@ def _vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> Verte
         ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
         nu = generator_order(g, frame)
         orders.append(nu)
+        at_v = _at_point(v, nu, ui, yi)
         forms.append(Polynomial.from_vectors(g.field, g.variables, {
             vec: c for vec, c in g.vectors
             # the pure-Y initial part F_i(Y), and the terms at the vertex
             if (sum(vec) == nu and sum([vec[i] for i in yi]) == nu)
-            or _point(vec, nu, ui, yi) == v}))
+            or at_v(vec)}))
     return VertexInitial(v, tuple(forms), tuple(orders), frame)
 
 
@@ -281,16 +303,11 @@ def _u_power_monomial(frame: Frame, v: Point, multiple: int = 1) -> Monomial:
 
 
 def _translated(F: Polynomial, frame: Frame, v: Point, lam: Sequence[Any]) -> Polynomial:
-    """F(Y + lambda * U^v) via simultaneous substitution."""
-    out = F
-    uv = _u_power_monomial(frame, v)
+    """F(Y + lambda * U^v); the moves y_j <- y_j + lambda_j U^v commute."""
+    uv = _u_power_monomial(frame, v).as_dict()
     for y_name, coeff in zip(frame.y_block, lam):
-        if coeff:
-            shift = Polynomial.variable(F.field, F.variables, y_name) + Polynomial.make(
-                F.field, F.variables, {uv: coeff}
-            )
-            out = substitute(out, y_name, shift)
-    return out
+        F = translate(F, y_name, coeff, uv)
+    return F
 
 
 def _verify_witness(vi: VertexInitial, lam: Sequence[Any]) -> bool:
@@ -353,9 +370,8 @@ def _solve_char0(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | None:
 def _solve_ratfunc(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | None:
     frame = vi.frame
     if frame.r != 1:
-        for lam0 in ([field.zero()],):
-            if _verify_witness(vi, lam0):
-                return lam0
+        if _verify_witness(vi, [field.zero()]):
+            return [field.zero()]
         raise ScopeError(
             "vertex solvability over F_p(t) is supported for a single y variable"
         )
@@ -448,13 +464,13 @@ def normalize_at_vertex(
         fuse = 200
         while fuse > 0:
             fuse -= 1
-            nu_i = generator_order(out[i], frame)
+            at_v = _at_point(v, generator_order(out[i], frame), ui, yi)
             target = None
             for vec, c in sorted(
                 out[i].coefficient_map().items(),
                 key=lambda t: tuple([-t[0][k] for k in yi])
             ):
-                if _point(vec, nu_i, ui, yi) != v:
+                if not at_v(vec):
                     continue
                 b_vec = tuple([vec[k] for k in yi])
                 for le, lc, f_j in earlier:
@@ -922,24 +938,18 @@ def _face_constraints(
     u1, u2 = frame.u_block
     constraints: list[list[Any]] = []
     for g in gens:
-        lifted = g.extended(cvar)
-        ext = lifted.variables
-        shift = Polynomial.variable(field, ext, u2) + Polynomial.make(
-            field, ext, {Monomial.from_dict({cvar: 1, u1: m_exp}): field.one()}
-        )
-        moved = substitute(lifted, u2, shift)
+        moved = translate(g.extended(cvar), u2, field.one(), {cvar: 1, u1: m_exp})
         nu = generator_order(g, frame)
         ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
         # the coefficient polynomial in __C__ (last coordinate) per (A, B)
         buckets: dict[tuple[int, ...], dict[int, Any]] = {}
         for vec, c in moved.vectors:
             buckets.setdefault(vec[:-1], {})[vec[-1]] = c
+        line = alpha + m_exp * beta  # the face: a1 + m a2 = line (nu - |B|)
         for rest, bucket in buckets.items():
-            pt = _point(rest, nu, ui, yi)
-            if pt is None:
-                continue
-            on_line = pt[0] / m_exp + pt[1] == alpha / m_exp + beta
-            if on_line and pt[0] > alpha:
+            d = nu - sum([rest[i] for i in yi])
+            a1, a2 = [rest[i] for i in ui]
+            if d > 0 and a1 + m_exp * a2 == line * d and a1 > alpha * d:
                 coeffs = [field.zero()] * (max(bucket) + 1)  # low to high
                 for e, c in bucket.items():
                     coeffs[e] = field.to_public(c)
@@ -999,10 +1009,7 @@ def sigma_search(
             )
         c = roots[0]
         u1, u2 = work_frame.u_block
-        shift = Polynomial.variable(field, current[0].variables, u2) + Polynomial.make(
-            field, current[0].variables, {Monomial.from_dict({u1: m_exp}): c}
-        )
-        current = [substitute(gg, u2, shift) for gg in current]
+        current = [translate(gg, u2, c, {u1: m_exp}) for gg in current]
         subs.append({"variable": u2, "coefficient": c, "exponent": m_exp})
         prep = prepare(current, work_frame, budget=prepare_budget)
         current = list(prep.generators)

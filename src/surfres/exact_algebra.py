@@ -7,6 +7,9 @@ and stores each term once, as an exponent vector aligned with that list and
 a nonzero coefficient, in one canonical order; every operation works on the
 vectors and ends in one canonicalising constructor.  ``Monomial`` names a
 term by its variables, for the public constructors and the ``terms`` view.
+``substitute`` and ``substitute_many`` replace variables by polynomials;
+``translate`` is the one kernel for a move x <- x + c * monomial, expanded
+by the binomial theorem on the exponent vectors.
 
 Stored coefficients are field-native, so the kernel loops do plain integer
 arithmetic: over Q an integral coefficient is an ``int`` and only one with a
@@ -658,10 +661,6 @@ class Monomial:
         vs = set(vars)
         return sum(e for v, e in self.exps if v in vs)
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.exps
-
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -1065,6 +1064,44 @@ def substitute_many(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Pol
             raise InputError(f"unknown variable {var!r} in substitute")
         f._check_compatible(expr)
     return _evaluate(f, assignments)
+
+
+def translate(f: Polynomial, var: str, c: Any, shift: Mapping[str, int]) -> Polynomial:
+    """f with ``var`` replaced by var + c * prod(v^shift[v]), for c in f's
+    field (public or stored) and a shift that does not name ``var``.
+
+    A term a * var^b expands by the binomial theorem into the terms
+    C(b, k) c^k a var^(b-k) prod(v^(k shift[v])), formed on the exponent
+    vectors and canonicalised once; over F_p, C(b, k) and c^k are reduced.
+    """
+    field, index = f.field, _layout(f.variables)[0]
+    if (var not in index or not set(shift) <= index.keys() - {var}
+            or any(type(e) is not int or e < 0 for e in shift.values())):
+        raise InputError(f"cannot translate {var!r} by the monomial {dict(shift)}")
+    try:
+        c = field.to_native(c)
+    except TypeError as err:
+        raise InputError(str(err)) from None
+    if not c:
+        return f
+    step = [shift.get(v, 0) for v in f.variables]
+    i = index[var]
+    step[i] = -1
+    p, native_int = field.characteristic, field.native_int
+    exponents = {vec[i] for vec, _ in f.vectors}
+    powers = [field.native_power(c, k) for k in range(max(exponents, default=0) + 1)]
+    # each exponent b of var -> [(the move k * step, C(b, k) c^k) for k = 1..b]
+    rows = {b: [(tuple([k * s for s in step]), native_int(n) * powers[k])
+                for k in range(1, b + 1) if (n := comb(b, k) % p if p else comb(b, k))]
+            for b in exponents}
+    acc = dict(f.vectors)  # the terms of k = 0
+    for vec, a in f.vectors:
+        for move, factor in rows[vec[i]]:
+            m = tuple(map(add, vec, move))
+            t = a * factor
+            s = acc.get(m)
+            acc[m] = t if s is None else s + t
+    return _canonical(field, f.variables, acc.items())
 
 
 def divide_exactly(f: Polynomial, var: str, power: int) -> Polynomial:

@@ -48,8 +48,8 @@ from .exact_algebra import (
     Monomial,
     Polynomial,
     ScopeError,
-    substitute_many,
     to_string,
+    translate,
 )
 from .local_frame import (
     Frame,
@@ -180,28 +180,22 @@ def adapt_frame_to_forms(
     """
     if not gens:
         raise InputError("adapt_frame_to_forms needs generators")
-    field = gens[0].field
-    variables = gens[0].variables
     order = tuple(frame.y_block) + tuple(frame.u_block)
-    rref = row_reduce([form_row(f, order) for f in forms], field)
+    rref = row_reduce([form_row(f, order) for f in forms], gens[0].field)
 
     pivots: list[str] = []
-    subs: dict[str, Polynomial] = {}
+    moves = []  # v <- v - c * w for each entry c of w in the tail of v
     for row in rref:
         idx = next(i for i, c in enumerate(row) if c)
-        pivot = order[idx]
-        pivots.append(pivot)
-        tail_terms = {
-            Monomial.from_dict({order[i]: 1}): c
-            for i, c in enumerate(row) if c and i != idx
-        }
-        if tail_terms:
-            tail = Polynomial.make(field, variables, tail_terms)
-            subs[pivot] = (
-                Polynomial.variable(field, variables, pivot) - tail)
+        pivots.append(order[idx])
+        moves.extend((order[idx], -c, {order[i]: 1})
+                     for i, c in enumerate(row) if c and i != idx)
 
     def rewrite(g: Polynomial) -> Polynomial:
-        return substitute_many(g, subs) if subs else g
+        # a tail holds no pivot (the rows are reduced), so the moves commute
+        for var, c, shift in moves:
+            g = translate(g, var, c, shift)
+        return g
 
     new_gens = tuple(rewrite(g) for g in gens)
     pivot_set = set(pivots)

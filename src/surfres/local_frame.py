@@ -45,7 +45,7 @@ from .exact_algebra import (
     ord_at,
     primitive_vector,
     q_th_root,
-    substitute_many,
+    translate,
 )
 
 OLD = "old"
@@ -482,15 +482,10 @@ def _linear_conditions(sigma_degree: int, vec: list[Any], field: FieldDescriptor
 
 def translation_invariant(f: Polynomial, w: Sequence[Any]) -> bool:
     """Whether f(X + T*w) == f(X) identically for the direction vector w."""
-    field, vs = f.field, f.variables
-    lift = f.extended("__T__")
-    ext = lift.variables
-    t_poly = Polynomial.variable(field, ext, "__T__")
-    assignments = {}
-    for v, c in zip(vs, w):
-        if c:
-            assignments[v] = Polynomial.variable(field, ext, v) + t_poly.scale(c)
-    shifted = substitute_many(lift, assignments)
+    lift = shifted = f.extended("__T__")
+    # one x_i <- x_i + w_i T at a time: T is never moved, so the moves commute
+    for v, c in zip(f.variables, w):
+        shifted = translate(shifted, v, c, {"__T__": 1})
     return shifted == lift
 
 

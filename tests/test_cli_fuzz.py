@@ -12,6 +12,7 @@ derandomized and bounded, so the file runs the same examples every time.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -43,7 +44,10 @@ def mostly(valid, malformed):
         lambda i: malformed if i == 0 else valid)
 
 
-def texts(names):
+@functools.lru_cache(maxsize=None)
+def texts(names: tuple[str, ...]):
+    """Generator texts over the variable names; built once per name tuple,
+    since building the recursive strategy costs more than drawing from it."""
     atoms = st.one_of(st.sampled_from(names), st.sampled_from(names),
                       st.integers(0, 12).map(str),
                       mostly(st.sampled_from(names), st.sampled_from(HUGE)))
@@ -101,13 +105,13 @@ def jobs(draw):
     names = [v for v in variables if isinstance(v, str)] \
         if isinstance(variables, list) else []
     names = names or NAMES
-    text = texts(names)
+    text = texts(tuple(names))
     job = {
         "field": draw(fields),
         "variables": variables,
         "generators": draw(mostly(
             st.lists(mostly(text, st.one_of(
-                texts(NAMES), st.sampled_from(MALFORMED_TEXT),
+                texts(tuple(NAMES)), st.sampled_from(MALFORMED_TEXT),
                 st.sampled_from([5, None, ["x"], {"x": 1}]))),
                 min_size=1, max_size=draw(mostly(st.just(1), st.just(2)))),
             st.sampled_from([[], "x^2", None]))),

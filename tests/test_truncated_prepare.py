@@ -138,21 +138,21 @@ def outcome(fn, *args, **kwargs):
 
 @contextmanager
 def largest_substitution():
-    """Records the term count of the largest polynomial ``substitute``
+    """Records the term count of the largest polynomial ``translate``
     returns inside ``prepare`` while the context is open."""
     seen = [0]
-    original = cp.substitute
+    original = cp.translate
 
     def counted(*args, **kwargs):
         out = original(*args, **kwargs)
         seen[0] = max(seen[0], len(out.vectors))
         return out
 
-    cp.substitute = counted
+    cp.translate = counted
     try:
         yield seen
     finally:
-        cp.substitute = original
+        cp.translate = original
 
 
 @pytest.fixture(scope="module")

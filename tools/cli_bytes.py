@@ -1,0 +1,118 @@
+"""Record or compare the bytes of a fixed set of ``surfres`` CLI runs.
+
+Every run calls ``surfres.cli.main`` in this process with a job document on
+stdin, and is stored as the sha256 of the job, its exit code, stdout and
+stderr.  The run set:
+
+* the four named jobs of the acceptance corpus and the surfaces of
+  ``perfbench/pool.json`` whose ``resolve_s`` is below 0.4, each through
+  ``resolve``, ``export --format dot``, ``export --format json``,
+  ``invariant`` and ``analyze``;
+* ``polyhedron`` at budgets 8 and 24 on every chart of the four named
+  traces, in the chart's own frame and in its directrix-adapted frame, the
+  jobs of ``tests/test_sigma_exits.py::named_chart_jobs``.
+
+The chart jobs are built by this tree's library, so a tree that builds a
+chart or its adapted frame differently gives a different digest, or a run
+key that the other side lacks; ``--compare`` reports both.
+
+    python3 tools/cli_bytes.py --record before.json
+    python3 tools/cli_bytes.py --compare before.json
+
+``--compare`` prints every run whose bytes differ, or that is missing on
+one side, and exits 1 if there is any.  The script reads ``perfbench/`` and
+writes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import time
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/ or tests/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+import corpus  # noqa: E402  (perfbench/corpus.py)
+from test_sigma_exits import named_chart_jobs  # noqa: E402
+
+from surfres import cli  # noqa: E402
+
+POOL_RESOLVE_S = 0.4
+SURFACE_COMMANDS = (("resolve",), ("export", "--format", "dot"),
+                    ("export", "--format", "json"), ("invariant",), ("analyze",))
+CHART_BUDGETS = (8, 24)
+
+
+def run_digest(args: tuple[str, ...], job: dict) -> str:
+    """The sha256 of the job, exit code, stdout and stderr of one CLI run;
+    an uncaught exception counts as exit 1 with its last line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(job))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([args[0], "-", *args[1:]])
+            except Exception as exc:  # a traceback is part of the bytes too
+                code = 1
+                err.write("".join(traceback.format_exception_only(exc)))
+    finally:
+        sys.stdin = saved
+    blob = json.dumps([job, code, out.getvalue(), err.getvalue()], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def surface_jobs() -> dict[str, dict]:
+    jobs = dict(corpus.NAMED_JOBS)
+    for s in corpus.load_pool():
+        if s["resolve_s"] < POOL_RESOLVE_S:
+            jobs[f"{s['field']}:{s['text']}"] = corpus.surface_job(
+                s["field"], s["text"])
+    return jobs
+
+
+def digests() -> dict[str, str]:
+    out = {}
+    for key, job in surface_jobs().items():
+        for args in SURFACE_COMMANDS:
+            out[f"{' '.join(args)} | {key}"] = run_digest(args, job)
+    for key, job in named_chart_jobs().items():
+        for budget in CHART_BUDGETS:
+            out[f"polyhedron budget {budget} | {key}"] = run_digest(
+                ("polyhedron",), dict(job, options={"budget": budget}))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--record", metavar="PATH", help="write the digests here")
+    mode.add_argument("--compare", metavar="PATH",
+                      help="compare with the digests recorded here")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    now = digests()
+    elapsed = time.perf_counter() - start
+    if args.record:
+        Path(args.record).write_text(json.dumps(now, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {len(now)} runs in {elapsed:.0f} s")
+        return 0
+    before = json.loads(Path(args.compare).read_text())
+    differ = sorted(k for k in before.keys() | now.keys()
+                    if before.get(k) != now.get(k))
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(now)} runs in {elapsed:.0f} s, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
