@@ -35,8 +35,9 @@ from .exact_algebra import (
     ScopeError,
     ord_at,
     residue_extension,
-    substitute_many,
+    blow_up_monomials,
     divide_exactly,
+    restrict_to_zero,
     to_string,
     translate,
 )
@@ -167,8 +168,9 @@ class ChartState:
             if g.field != self.field:
                 raise InputError("generator field does not match the chart")
 
-    # nu*, the directrix and the log-directrix are derived once per chart
-    # state; every consumer reads these instead of recomputing them.
+    # nu*, the directrix and the log-directrix are derived on first read and
+    # kept on this state; a ``dataclasses.replace`` copy starts without them,
+    # and inside a ``resolve`` takes its directrix from the per-run memo.
 
     @cached_property
     def nu(self) -> NuStar:
@@ -272,9 +274,7 @@ def _canonical_center(chart: ChartState, center: Center) -> Center:
 
 def _vanishes_on(g: Polynomial, variables: tuple[str, ...]) -> bool:
     """Whether g restricts to zero on V(variables)."""
-    zero = Polynomial.zero(g.field, g.variables)
-    restricted = substitute_many(g, {v: zero for v in variables})
-    return restricted.is_zero
+    return restrict_to_zero(g, variables).is_zero
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,7 @@ def _variable_multiplicity(g: Polynomial, var: str) -> int:
     return min(vec[i] for vec, _c in g.vectors)
 
 
-def _strict_transform(g: Polynomial, subs: Mapping[str, Polynomial],
+def _strict_transform(g: Polynomial, center: tuple[str, ...],
                       chart_var: str, expected: int | None) -> Polynomial:
     """Total transform divided by the exact exceptional multiplicity.
 
@@ -366,7 +366,7 @@ def _strict_transform(g: Polynomial, subs: Mapping[str, Polynomial],
     total transform must equal it (multiplicativity along a permissible
     center); a mismatch is a hard internal error.
     """
-    total = substitute_many(g, subs)
+    total = blow_up_monomials(g, center, chart_var)
     if total.is_zero:
         raise InputError("zero total transform")
     mult = _variable_multiplicity(total, chart_var)
@@ -399,24 +399,20 @@ def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartSta
             "center is not permissible: " + "; ".join(report.violations))
 
     w = chart_var
-    w_poly = Polynomial.variable(chart.field, chart.variables, w)
-    subs = {
-        v: Polynomial.variable(chart.field, chart.variables, v) * w_poly
-        for v in center.variables if v != w
-    }
-
     new_generators = tuple(
-        _strict_transform(g, subs, w, int(ord_at(g, center.variables)))
+        _strict_transform(g, center.variables, w,
+                          int(ord_at(g, center.variables)))
         for g in chart.generators
     )
 
     step = chart.step + 1
 
     new_boundary = _moved_boundary(
-        chart.frame.boundary, lambda g: _strict_transform(g, subs, w, None))
+        chart.frame.boundary,
+        lambda g: _strict_transform(g, center.variables, w, None))
     max_cid = max((c.cid for c in chart.frame.boundary), default=-1)
     new_boundary.append(BoundaryComponent(
-        generator=w_poly,
+        generator=Polynomial.variable(chart.field, chart.variables, w),
         status=NEW,
         birth_step=step,
         cid=max_cid + 1,

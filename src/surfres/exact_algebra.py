@@ -8,8 +8,10 @@ a nonzero coefficient, in one canonical order; every operation works on the
 vectors and ends in one canonicalising constructor.  ``Monomial`` names a
 term by its variables, for the public constructors and the ``terms`` view.
 ``substitute`` and ``substitute_many`` replace variables by polynomials;
-``translate`` is the one kernel for a move x <- x + c * monomial, expanded
-by the binomial theorem on the exponent vectors.
+the monomial maps of the resolution have their own kernels on the exponent
+vectors: ``translate`` for a move x <- x + c * monomial (by the binomial
+theorem), ``blow_up_monomials`` for a blow-up's total transform v <- v * w,
+and ``restrict_to_zero`` for the restriction to a coordinate subspace.
 
 Stored coefficients are field-native, so the kernel loops do plain integer
 arithmetic: over Q an integral coefficient is an ``int`` and only one with a
@@ -1009,7 +1011,7 @@ def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomia
     canonicalised once at the end.  Since f is read only once, the
     replacements are simultaneous.  Monomials are exponent vectors aligned
     with f's variables throughout.  A power of a zero, constant or one-term
-    expression (such as the blow-up's v -> v*w) is formed in closed form.
+    expression (such as v -> v*w) is formed in closed form.
     """
     index = _layout(f.variables)[0]
     slots = [index[v] for v in assignments]
@@ -1064,6 +1066,35 @@ def substitute_many(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Pol
             raise InputError(f"unknown variable {var!r} in substitute")
         f._check_compatible(expr)
     return _evaluate(f, assignments)
+
+
+def blow_up_monomials(f: Polynomial, center: Sequence[str], var: str) -> Polynomial:
+    """The total transform of f in the blow-up chart of ``var``: every other
+    variable v of ``center`` replaced by v * var.
+
+    On exponent vectors a term's exponent of ``var`` becomes the sum of its
+    exponents over the center, and every other exponent is unchanged.  The
+    map is injective, since the other exponents are kept and the old exponent
+    of ``var`` is the new one minus the others' sum over the center; so no
+    two terms collide, the coefficients are unchanged, and one
+    ``_canonical`` sorts the result.
+    """
+    if var not in center:
+        raise InputError(f"chart variable {var!r} is not in the center")
+    i, slots = f.positions([var])[0], f.positions(set(center))
+    return _canonical(f.field, f.variables, [
+        (vec[:i] + (sum([vec[j] for j in slots]),) + vec[i + 1:], c)
+        for vec, c in f.vectors])
+
+
+def restrict_to_zero(f: Polynomial, variables: Iterable[str]) -> Polynomial:
+    """f restricted to V(variables): the terms with no exponent on any of
+    the named variables."""
+    slots = f.positions(variables)
+    if not slots:
+        return f
+    return _canonical(f.field, f.variables, [
+        (vec, c) for vec, c in f.vectors if not any([vec[j] for j in slots])])
 
 
 def translate(f: Polynomial, var: str, c: Any, shift: Mapping[str, int]) -> Polynomial:

@@ -9,7 +9,8 @@ status (old/new).  On top of it this module computes:
 * the ridge of a cone (additive generators of the saturated derivative span);
 * the directrix (largest linear subspace of the ridge's zero locus), via
   q-th roots over perfect fields and Frobenius splitting over F_p(t), both
-  done by ``exact_algebra``;
+  done by ``exact_algebra``, memoised inside a ``directrix_memo`` block (one
+  ``resolve`` run) and nowhere else;
 * the directrix of the ideal multiplied by the old boundary components.
 
 The exact linear algebra runs on one routine, ``echelon_add``, which adds a
@@ -27,6 +28,8 @@ against that degree of the additive forms' ideal.  ``form_row`` and
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from operator import add, le
@@ -489,6 +492,25 @@ def translation_invariant(f: Polynomial, w: Sequence[Any]) -> bool:
     return shifted == lift
 
 
+# nonzero initial forms -> (r, forms) in a ``directrix_memo`` block, else None
+_DIRECTRIX_MEMO: ContextVar[dict | None] = ContextVar("directrix_memo", default=None)
+
+
+@contextmanager
+def directrix_memo() -> Iterator[None]:
+    """Memoise ``compute_directrix`` until the block ends; a nested block
+    reuses the open memo.  ``resolve`` opens one for its whole run, where
+    many charts, and the states ``dataclasses.replace`` makes of one, share
+    initial forms.  Outside every block nothing is memoised.
+    """
+    token = None if _DIRECTRIX_MEMO.get() is not None else _DIRECTRIX_MEMO.set({})
+    try:
+        yield
+    finally:
+        if token is not None:
+            _DIRECTRIX_MEMO.reset(token)
+
+
 def compute_directrix(
     initials: Sequence[Polynomial], frame: Frame
 ) -> tuple[int, list[Polynomial]]:
@@ -497,10 +519,17 @@ def compute_directrix(
     Returns (r, forms): r independent linear forms cutting out the directrix,
     so e = dim(ambient) - r.  Certified by the translation test on a basis of
     the directrix before returning.
+
+    Inside a ``directrix_memo`` block the result is looked up by the tuple of
+    nonzero initial forms, which hold their field (residue extensions
+    included) and variables; ``frame`` is not read, so it is not in the key.
     """
     gens = [f for f in initials if not f.is_zero]
     if not gens:
         return 0, []
+    memo, key = _DIRECTRIX_MEMO.get(), tuple(gens)
+    if memo is not None and (hit := memo.get(key)) is not None:
+        return hit[0], list(hit[1])
     field = gens[0].field
     variables = gens[0].variables
     sigmas = compute_ridge(gens)
@@ -519,6 +548,8 @@ def compute_directrix(
                 raise RuntimeError(
                     "directrix certificate failed: translation moved an initial form"
                 )
+    if memo is not None:
+        memo[key] = r, tuple(forms)
     return r, forms
 
 

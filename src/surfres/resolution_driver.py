@@ -53,7 +53,7 @@ from .exact_algebra import (
     hasse_derivative,
     name_order,
     parse_polynomial,
-    substitute_many,
+    restrict_to_zero,
     to_string,
 )
 from .invariant import (
@@ -68,6 +68,7 @@ from .local_frame import (
     BoundaryComponent,
     Frame,
     OLD,
+    directrix_memo,
     initial_form,
     monomials_of_degree,
 )
@@ -127,9 +128,7 @@ def _support(vec: tuple[int, ...], variables: tuple[str, ...]) -> tuple[str, ...
 
 
 def _solve_components(
-    constraints: Sequence[Polynomial],
-    field: FieldDescriptor,
-    variables: tuple[str, ...],
+    constraints: Sequence[Polynomial], variables: tuple[str, ...],
 ) -> list[RawComponent]:
     """Coordinate subspaces (plus single-condition refinements) inside the
     common zero locus of the constraints.
@@ -148,10 +147,9 @@ def _solve_components(
         if fixed in seen:
             continue
         seen.add(fixed)
-        zero = {v: Polynomial.zero(field, variables) for v in fixed}
         residues = []
         for g in constraints:
-            r = substitute_many(g, zero) if zero else g
+            r = restrict_to_zero(g, fixed)
             if not r.is_zero:
                 residues.append(r)
         if not residues:
@@ -172,13 +170,10 @@ def _solve_components(
                     for vec, _c in r.vectors if any(vec)]
         pick = min(supports, key=lambda s: (len(s), tuple(order[v] for v in s)))
         stack.extend(fixed | {v} for v in pick)
-    return _maximal_components(found, field, variables)
+    return _maximal_components(found)
 
 
-def _component_contains(
-    a: RawComponent, b: RawComponent,
-    field: FieldDescriptor, variables: tuple[str, ...],
-) -> bool:
+def _component_contains(a: RawComponent, b: RawComponent) -> bool:
     """Whether the zero set of component a contains that of component b."""
     vars_a, cond_a = a
     vars_b, cond_b = b
@@ -186,27 +181,22 @@ def _component_contains(
         return False
     if cond_a is None:
         return True
-    zero = {v: Polynomial.zero(field, variables) for v in vars_b}
-    residue = substitute_many(cond_a, zero) if zero else cond_a
+    residue = restrict_to_zero(cond_a, vars_b)
     if residue.is_zero:
         return True
     return cond_b is not None and residue == cond_b
 
 
-def _maximal_components(
-    comps: list[RawComponent],
-    field: FieldDescriptor,
-    variables: tuple[str, ...],
-) -> list[RawComponent]:
+def _maximal_components(comps: list[RawComponent]) -> list[RawComponent]:
     keep = []
     for i, c in enumerate(comps):
         redundant = False
         for j, d in enumerate(comps):
             if i == j or c == d:
                 continue
-            if _component_contains(d, c, field, variables):
+            if _component_contains(d, c):
                 # ties (mutual containment) keep the earlier one
-                if not (_component_contains(c, d, field, variables) and i < j):
+                if not (_component_contains(c, d) and i < j):
                     redundant = True
                     break
         if not redundant:
@@ -254,11 +244,10 @@ def _tail_components(chart: ChartState, f: Polynomial) -> list[RawComponent]:
         i = f.positions(support)[0]
         if all(vec[i] for vec, _c in f.vectors):
             return []  # the hypersurface is that coordinate's divisor
-    zero = {v: Polynomial.zero(chart.field, chart.variables) for v in support}
-    residue = substitute_many(f, zero)
+    residue = restrict_to_zero(f, support)
     if residue.is_zero:
         return [(frozenset(support), None)]
-    pieces = _solve_components([residue], chart.field, chart.variables)
+    pieces = _solve_components([residue], chart.variables)
     return [(vars_ | frozenset(support), cond) for vars_, cond in pieces]
 
 
@@ -276,7 +265,7 @@ def _fresh_components(chart: ChartState) -> list[RawComponent]:
     if order == 1:
         return _tail_components(chart, f)
     constraints = _hasse_constraints(f, order)
-    comps = _solve_components(constraints, chart.field, chart.variables)
+    comps = _solve_components(constraints, chart.variables)
     for names, condition in comps:
         if not names:
             # a component with no coordinate part (such as the diagonal
@@ -585,6 +574,7 @@ def _point_record(
         iota_after=iota, comparison=compare_iota(iota, parent_iota))
 
 
+@directrix_memo()
 def resolve(
     root: ChartState,
     max_steps: int = 64,
@@ -594,16 +584,17 @@ def resolve(
     """Run the blow-up loop until every chart is finished.
 
     Each round removes one chart from the work queue, selects its center
-    and blows it up in every chart of the center.  Every tracked point (each
-    child origin, then each point declared on that child) has its stratum
-    labelled against the carried components and goes through one record
-    path, ``_point_record``: it is classified against the parent origin and
-    its invariant compared with the parent's, both on the state before any
-    history reset, which is what the strict-decrease statement refers to.
-    At a child origin the ``LAW_*`` laws are then checked, and whether the
-    log-multiplicity value dropped is decided once.  When it dropped, the
-    child starts a new era: labels restart at 0 and, when the multiplicity
-    itself dropped, all boundary components become old.
+    and blows it up in every chart of the center; one directrix memo
+    (``local_frame.directrix_memo``) serves the whole run.  Every tracked
+    point (each child origin, then each point declared on that child) has
+    its stratum labelled against the carried components and goes through
+    one record path, ``_point_record``: it is classified against the parent
+    origin and its invariant compared with the parent's, both on the state
+    before any history reset, which is what the strict-decrease statement
+    refers to.  At a child origin the ``LAW_*`` laws are then checked, and
+    whether the log-multiplicity value dropped is decided once.  When it
+    dropped, the child starts a new era: labels restart at 0 and, when the
+    multiplicity itself dropped, all boundary components become old.
 
     ``declared_points`` maps a chart id to move-dictionaries for
     ``locate_point``; each declared point is recorded in addition to the

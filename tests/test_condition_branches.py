@@ -132,7 +132,7 @@ def test_reported_containment_holds_on_every_point():
     with_condition = 0
     for a, b in [(rng.choice(components), rng.choice(components))
                  for _ in range(600)]:
-        if _component_contains(raw(*a), raw(*b), F3, XYZ):
+        if _component_contains(raw(*a), raw(*b)):
             assert zero_sets[b] <= zero_sets[a], (a, b)
             with_condition += a[1] is not None
     assert with_condition > 20
@@ -154,7 +154,7 @@ def test_reported_containment_holds_on_every_point():
     ((frozenset("xy"), "z^2 + y"), (frozenset("x"), None), False),
 ])
 def test_containment_with_a_condition_matches_brute_force(a, b, expected):
-    assert _component_contains(raw(*a), raw(*b), F3, XYZ) is expected
+    assert _component_contains(raw(*a), raw(*b)) is expected
     assert (zero_set(*b) <= zero_set(*a)) is expected
 
 

@@ -452,7 +452,7 @@ def test_component_order_follows_variable_names_in_an_unsorted_ring():
     def components(*texts):
         constraints = [parse_polynomial(t, QQ, ring) for t in texts]
         return [tuple(sorted(names)) for names, _cond
-                in _solve_components(constraints, QQ, ring)]
+                in _solve_components(constraints, ring)]
 
     assert components("z*a") == [("z",), ("a",)]
     assert components("z*a*y") == [("z",), ("y",), ("a",)]

@@ -10,7 +10,10 @@ stderr.  The run set:
   ``invariant`` and ``analyze``;
 * ``polyhedron`` at budgets 8 and 24 on every chart of the four named
   traces, in the chart's own frame and in its directrix-adapted frame, the
-  jobs of ``tests/test_sigma_exits.py::named_chart_jobs``.
+  jobs of ``tests/test_sigma_exits.py::named_chart_jobs``;
+* ``blowup`` on every chart of the four named traces with a non-empty
+  stratum, each job rebuilt from the chart as ``export --format json``
+  writes it (frame, boundary and stratum included).
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -51,9 +54,9 @@ SURFACE_COMMANDS = (("resolve",), ("export", "--format", "dot"),
 CHART_BUDGETS = (8, 24)
 
 
-def run_digest(args: tuple[str, ...], job: dict) -> str:
-    """The sha256 of the job, exit code, stdout and stderr of one CLI run;
-    an uncaught exception counts as exit 1 with its last line on stderr."""
+def run_cli(args: tuple[str, ...], job: dict) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one CLI run on the job; an
+    uncaught exception counts as exit 1 with its last line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(json.dumps(job))
@@ -66,7 +69,12 @@ def run_digest(args: tuple[str, ...], job: dict) -> str:
                 err.write("".join(traceback.format_exception_only(exc)))
     finally:
         sys.stdin = saved
-    blob = json.dumps([job, code, out.getvalue(), err.getvalue()], sort_keys=True)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_digest(args: tuple[str, ...], job: dict) -> str:
+    """The sha256 of the job, exit code, stdout and stderr of one CLI run."""
+    blob = json.dumps([job, *run_cli(args, job)], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -79,6 +87,37 @@ def surface_jobs() -> dict[str, dict]:
     return jobs
 
 
+def exported_chart_job(chart: dict, field: dict) -> dict:
+    """The job that rebuilds one chart of an exported trace, stratum
+    included."""
+    return {
+        "field": field,
+        "variables": chart["variables"],
+        "generators": chart["generators"],
+        "frame": {"u": chart["u_block"], "y": chart["y_block"]},
+        "boundary": [{"generator": b["generator"], "status": b["status"],
+                      "birth": b["birth_step"], "cid": b["cid"]}
+                     for b in chart["boundary"]],
+        "stratum": [{key: c[key] for key in
+                     ("variables", "label", "cid", "original", "conditions")}
+                    for c in chart["stratum"]],
+    }
+
+
+def blowup_jobs() -> dict[str, dict]:
+    """The ``blowup`` job of every named-trace chart with a non-empty
+    stratum, keyed by trace name and chart id."""
+    jobs = {}
+    for name, job in corpus.NAMED_JOBS.items():
+        code, out, _err = run_cli(("export", "--format", "json"), job)
+        if code:
+            raise SystemExit(f"export of {name} exited {code}")
+        for chart in json.loads(out)["charts"]:
+            if chart["stratum"]:
+                jobs[f"{name}:{chart['id']}"] = exported_chart_job(chart, job["field"])
+    return jobs
+
+
 def digests() -> dict[str, str]:
     out = {}
     for key, job in surface_jobs().items():
@@ -88,6 +127,8 @@ def digests() -> dict[str, str]:
         for budget in CHART_BUDGETS:
             out[f"polyhedron budget {budget} | {key}"] = run_digest(
                 ("polyhedron",), dict(job, options={"budget": budget}))
+    for key, job in blowup_jobs().items():
+        out[f"blowup | {key}"] = run_digest(("blowup",), job)
     return out
 
 
