@@ -36,6 +36,7 @@ from .blowup_engine import (
 from .char_polyhedron import (
     BUDGET_EXHAUSTED,
     FPolyhedron,
+    PreparationResult,
     delta,
     face_numbers,
     prepare,
@@ -208,6 +209,32 @@ def adapt_frame_to_forms(
                            boundary=boundary)
 
 
+def prepare_adapted(
+    gens: Sequence[Polynomial],
+    frame: Frame,
+    with_old_boundary: bool,
+    quantity: str,
+) -> PreparationResult:
+    """Prepare generators in a frame adapted to a directrix.
+
+    Every delta of the invariant (delta_C, delta_C^O, delta^O), the
+    polyhedron whose faces and sigma ``iota_poly`` reads when e^O = 2, and
+    the driver's delta law come from this one preparation.  The caller
+    adapts the frame (``adapt_frame_to_forms``), because ``iota_poly``
+    checks the new boundary components and orders the u-block between
+    adapting and preparing.  With ``with_old_boundary`` the generators are
+    first multiplied by the old boundary components.  Running out of budget
+    is a scope error naming the ``quantity`` being computed.
+    """
+    if with_old_boundary:
+        gens = compose_with_old_boundary(list(gens), frame)
+    result = prepare(gens, frame)
+    if result.status == BUDGET_EXHAUSTED:
+        raise ScopeError(
+            f"preparation budget exhausted while computing {quantity}")
+    return result
+
+
 # ---------------------------------------------------------------------------
 # iota_c
 # ---------------------------------------------------------------------------
@@ -251,25 +278,12 @@ def _ideal_of_c(comps: Sequence[StratumComponent],
     return gens
 
 
-def _delta_of(gens: Sequence[Polynomial], frame: Frame) -> Fraction | float:
-    """delta of the prepared polyhedron; scope error on budget exhaustion."""
-    result = prepare(gens, frame)
-    if result.status == BUDGET_EXHAUSTED:
-        raise ScopeError("preparation budget exhausted while computing delta")
-    return delta(result.polyhedron)
-
-
-def iota_c(
-    chart: ChartState,
-    case: CaseInfo | None = None,
-    c_generators: Sequence[Polynomial] | None = None,
-) -> tuple:
+def iota_c(chart: ChartState, case: CaseInfo | None = None) -> tuple:
     """The six-slot stratum part (nu*(I_C), |O_C|, e_C, e_C^O, d_C, d_C^O).
 
     Outside Case III the tuple is formal: all-zero in Cases IV and V, and
     all-zero with a trailing 1 in Cases I and II (where C itself is the
-    next center).  ``c_generators`` overrides the ideal of C, for unions
-    that have no coordinate product presentation.
+    next center).
     """
     if case is None:
         case = classify_case(chart)
@@ -278,10 +292,7 @@ def iota_c(
     if case.tag in (CASE_I, CASE_II):
         return (FORMAL_ZERO, 0, 0, 0, 0, 1)
 
-    if c_generators is not None:
-        gens = list(c_generators)
-    else:
-        gens = _ideal_of_c(case.components, chart.field, chart.variables)
+    gens = _ideal_of_c(case.components, chart.field, chart.variables)
     if not gens or any(g.is_zero for g in gens):
         raise InputError("the ideal of C needs nonzero generators")
 
@@ -294,23 +305,14 @@ def iota_c(
     e_c_old, forms_c_old = add_old_boundary(r_c, forms_c, chart.frame,
                                             chart.variables)
 
-    if e_c == 0:
-        delta_c: Fraction | float = INF
-    else:
-        adapted_gens, adapted_frame = adapt_frame_to_forms(
-            gens, chart.frame, forms_c)
-        delta_c = _delta_of(adapted_gens, adapted_frame)
+    def delta_in(forms: Sequence[Polynomial], with_old_boundary: bool):
+        adapted = adapt_frame_to_forms(gens, chart.frame, forms)
+        return delta(prepare_adapted(*adapted, with_old_boundary,
+                                     "delta").polyhedron)
 
-    if e_c_old == 0:
-        delta_c_old: Fraction | float = INF
-    else:
-        adapted_gens, adapted_frame = adapt_frame_to_forms(
-            gens, chart.frame, forms_c_old)
-        composed = compose_with_old_boundary(list(adapted_gens),
-                                             adapted_frame)
-        delta_c_old = _delta_of(composed, adapted_frame)
-
-    return (nu_c, n_old, e_c, e_c_old, delta_c, delta_c_old)
+    return (nu_c, n_old, e_c, e_c_old,
+            delta_in(forms_c, False) if e_c else INF,
+            delta_in(forms_c_old, True) if e_c_old else INF)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +370,8 @@ def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
         list(chart.generators), chart.frame, forms)
 
     if e_old == 1:
-        composed = compose_with_old_boundary(list(adapted_gens),
-                                             adapted_frame)
-        return (0, 0, 0, _delta_of(composed, adapted_frame))
+        prepared = prepare_adapted(adapted_gens, adapted_frame, True, "delta")
+        return (0, 0, 0, delta(prepared.polyhedron))
 
     # e^O = 2: the tuple is infinite unless the stratum has moved on (no
     # original component through the point) and the point lies on at least
@@ -386,20 +387,13 @@ def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
         adapted_frame = Frame((u2, u1), adapted_frame.y_block,
                               adapted_frame.boundary)
 
-    composed = compose_with_old_boundary(list(adapted_gens), adapted_frame)
-    prepared = prepare(composed, adapted_frame)
-    if prepared.status == BUDGET_EXHAUSTED:
-        raise ScopeError(
-            "preparation budget exhausted while computing iota_poly")
+    prepared = prepare_adapted(adapted_gens, adapted_frame, True, "iota_poly")
     poly = prepared.polyhedron
     if poly.is_empty:
         return _ALL_INF
-
-    if len(new_vars) == 1:
-        return _side_tuple(prepared.generators, adapted_frame, poly, 1)
-    side1 = _side_tuple(prepared.generators, adapted_frame, poly, 1)
-    side2 = _side_tuple(prepared.generators, adapted_frame, poly, 2)
-    return side1 if _lex_cmp(side1, side2) <= 0 else side2
+    sides = (1,) if len(new_vars) == 1 else (1, 2)
+    return min(_side_tuple(prepared.generators, adapted_frame, poly, side)
+               for side in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +424,16 @@ def compute_iota(chart: ChartState) -> IotaInvariant:
     )
 
 
-def _cmp_value(a: Any, b: Any) -> int:
-    if a < b:
-        return -1
-    return 1 if b < a else 0
-
-
-def _lex_cmp(a: Sequence[Any], b: Sequence[Any]) -> int:
-    if len(a) != len(b):
-        raise InputError("cannot compare tuples of different shapes")
-    for x, y in zip(a, b):
-        c = _cmp_value(x, y)
-        if c:
-            return c
-    return 0
-
-
 def compare_iota(a: IotaInvariant, b: IotaInvariant) -> str:
-    """Lexicographic comparison across all fourteen slots of the invariant."""
-    c = _lex_cmp(a.as_tuple(), b.as_tuple())
-    if c < 0:
+    """Lexicographic comparison across all fourteen slots of the invariant.
+
+    Python's tuple order is that comparison: every slot is a ``NuStar``
+    (totally ordered), an int, a ``Fraction`` or ``INF``.
+    """
+    x, y = a.as_tuple(), b.as_tuple()
+    if x < y:
         return LESS
-    return GREATER if c > 0 else EQUAL
+    return GREATER if y < x else EQUAL
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,6 @@ class BoundaryComponent:
     status: str
     birth_step: int = 0
     cid: int = -1
-    label: int | None = None
 
     def __post_init__(self) -> None:
         if self.status not in (OLD, NEW):

@@ -44,7 +44,7 @@ from .blowup_engine import (
     locate_point,
     permissible_check,
 )
-from .char_polyhedron import BUDGET_EXHAUSTED, delta, prepare
+from .char_polyhedron import delta
 from .exact_algebra import (
     FieldDescriptor,
     InputError,
@@ -63,6 +63,7 @@ from .invariant import (
     compare_iota,
     compute_iota,
     iota_to_jsonable,
+    prepare_adapted,
 )
 from .local_frame import (
     BoundaryComponent,
@@ -552,10 +553,7 @@ def _plain_delta(chart: ChartState):
             list(chart.generators), chart.frame, chart.directrix[1])
         if frame.e == 0 or frame.e > 2:
             return None
-        result = prepare(gens, frame)
-        if result.status == BUDGET_EXHAUSTED:
-            return None
-        return delta(result.polyhedron)
+        return delta(prepare_adapted(gens, frame, False, "delta").polyhedron)
     except (InputError, ScopeError):
         return None
 

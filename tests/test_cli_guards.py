@@ -8,11 +8,13 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from surfres import resolution_driver
+from surfres.blowup_engine import NEAR, PermissibilityReport
 from surfres.cli import EXIT_INPUT, EXIT_MONOTONE, EXIT_OK, EXIT_SCOPE, main
 from surfres.exact_algebra import (
     MAX_PARSE_PRODUCT,
@@ -151,4 +153,69 @@ def test_broken_delta_law_exits_4_under_optimisation(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == EXIT_MONOTONE, done.stderr
     assert resolution_driver.LAW_DELTA_DROPS_BY_ONE in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+# Each breaker takes a setattr and forces one law of the resolution loop to
+# fail on SURFACE_JOB, through a module-level name of the driver.
+
+def classify_every_point_near(set_attr):
+    # a near point in a chart of a directrix variable
+    set_attr(resolution_driver, "classify_point", lambda parent, child: NEAR)
+
+
+def make_depth_two_components_original(set_attr):
+    # no component is original one blow-up down, every one is two down
+    label = resolution_driver._label_components
+
+    def relabel(chart, fresh, label_mode, reset):
+        original = chart.chart_id.count("/") >= 2
+        return tuple(replace(c, original=original)
+                     for c in label(chart, fresh, label_mode, reset))
+    set_attr(resolution_driver, "_label_components", relabel)
+
+
+def fail_every_permissibility_check(set_attr):
+    set_attr(resolution_driver, "permissible_check",
+             lambda chart, center: PermissibilityReport(False, ("forced",)))
+
+
+BREAKERS = {
+    resolution_driver.LAW_DIRECTRIX_DROPS: classify_every_point_near,
+    resolution_driver.LAW_NO_ORIGINAL_REAPPEARS:
+        make_depth_two_components_original,
+    resolution_driver.LAW_NEW_COMPONENTS_PERMISSIBLE:
+        fail_every_permissibility_check,
+}
+
+
+@pytest.mark.parametrize("law", sorted(BREAKERS))
+def test_broken_law_exits_4(tmp_path, capsys, monkeypatch, law):
+    code, _out, err = run(tmp_path, capsys, "resolve", SURFACE_JOB)
+    assert code == EXIT_OK, err
+    BREAKERS[law](monkeypatch.setattr)
+    code, out, err = run(tmp_path, capsys, "resolve", SURFACE_JOB)
+    assert code == EXIT_MONOTONE
+    assert law in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("law", sorted(BREAKERS))
+def test_broken_law_exits_4_under_optimisation(tmp_path, law):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(SURFACE_JOB))
+    script = (
+        "import sys\n"
+        "from surfres import cli\n"
+        "from test_cli_guards import BREAKERS\n"
+        "BREAKERS[sys.argv[2]](setattr)\n"
+        "sys.exit(cli.main(['resolve', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), str(Path(__file__).resolve().parent)]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(path), law],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_MONOTONE, done.stderr
+    assert law in done.stderr
+    assert done.stdout == ""
     assert "Traceback" not in done.stderr

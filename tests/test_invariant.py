@@ -34,6 +34,7 @@ from surfres.invariant import (
     GREATER,
     LESS,
     IotaInvariant,
+    _ideal_of_c,
     adapt_frame_to_forms,
     classify_case,
     compare_iota,
@@ -218,15 +219,29 @@ def test_iota_c_conditioned_component_gets_a_finite_delta():
     assert classify_case(chart).tag == CASE_III
     assert iota_c(chart) == (NuStar((1, 2)), 0, 1, 1, F(3, 2), F(3, 2))
 
+    # delta_C^O is read after multiplying by the old boundary y + z^2: in the
+    # frame adapted to (x, y), x*(y + z^2) has the point 2 < 5/2
+    boundary = (BoundaryComponent(poly("y + z^2", QQ, ("x", "y", "z")), OLD,
+                                  0, 0),)
+    chart = chart_with("x^2 + y^9*z^10", boundary=boundary,
+                       stratum=[StratumComponent(
+                           0, ("x",), 0,
+                           conditions=(poly("y^2 + z^5", QQ,
+                                            ("x", "y", "z")),))])
+    assert iota_c(chart) == (NuStar((1, 2)), 1, 1, 1, F(5, 2), 2)
+
 
 def test_iota_c_supplied_generators_override():
     chart = chart_with("x^2 + y^9*z^10",
                        stratum=[origin_component(("x", "y"), 0),
                                 origin_component(("x", "z"), 0, cid=1)])
+    # the ideal iota_c builds for V(x, y) u V(x, z) is (x, y*z), so no
+    # generators need to be supplied
     supplied = [poly("x", QQ, ("x", "y", "z")),
                 poly("y*z", QQ, ("x", "y", "z"))]
-    assert iota_c(chart, c_generators=supplied) == \
-        (NuStar((1, 2)), 0, 0, 0, INF, INF)
+    case = classify_case(chart)
+    assert _ideal_of_c(case.components, QQ, chart.variables) == supplied
+    assert iota_c(chart) == (NuStar((1, 2)), 0, 0, 0, INF, INF)
 
 
 def test_iota_c_counts_old_components():

@@ -14,20 +14,32 @@ search does bounded work.
   an 18-digit constant costs no divisor search; over Q a constraint of
   degree at least 2 whose end coefficients multiply to more than
   ``MAX_ROOT_SEARCH`` squared is a scope error.
+* The roots of a constraint of degree at least 2 are all the roots in the
+  field: over F_p and F_p[s]/(m) against evaluation at every element by
+  integer arithmetic, over Q against sympy, with the root 0 found and the
+  factor X stripped before the divisor search.
+* The search stops without a root over F_2(t), where s^2 + t has none
+  (uncertified), and when its budget of substitutions runs out: the slope
+  reached so far, uncertified, after exactly the substitutions that
+  straighten the faces.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from surfres import char_polyhedron as cp
 from surfres.cli import EXIT_INPUT, EXIT_OK, EXIT_SCOPE, main
 from surfres.exact_algebra import (
+    INF,
+    PRIME_FIELD,
     FieldDescriptor,
     InputError,
     ScopeError,
@@ -152,3 +164,141 @@ def test_uni_roots_reads_a_linear_root_and_caps_the_divisor_search():
     for ends in [(-(bound ** 2 + 1), 1), (1, bound ** 2 + 1), (-bound * 10, bound)]:
         with pytest.raises(ScopeError, match="MAX_ROOT_SEARCH"):
             cp._uni_roots([Fraction(ends[0]), Fraction(0), Fraction(ends[1])], QQ)
+
+
+# F_p and F_p[s]/(m), the modulus listed low to high
+FINITE_FIELDS = {
+    "F2": FieldDescriptor.prime_field(2),
+    "F5": FieldDescriptor.prime_field(5),
+    "F7": FieldDescriptor.prime_field(7),
+    "F4": FieldDescriptor.finite_extension(2, (1, 1, 1)),
+    "F8": FieldDescriptor.finite_extension(2, (1, 1, 0, 1)),
+    "F9": FieldDescriptor.finite_extension(3, (1, 0, 1)),
+}
+
+
+def coefficient_tuple(x, field) -> tuple[int, ...]:
+    """An element of F_p or F_p[s]/(m) as its coefficients in 1, s, s^2..."""
+    if field.kind == PRIME_FIELD:
+        return (x.value,)
+    d = len(field.modulus) - 1
+    return tuple(x.coeffs) + (0,) * (d - len(x.coeffs))
+
+
+def brute_force_roots(coeffs, field) -> list[tuple[int, ...]]:
+    """Every element where the polynomial (coefficients low to high)
+    vanishes, by integer arithmetic modulo p and m."""
+    p = field.characteristic
+    m = list(field.modulus) if field.modulus else [0, 1]
+    d = len(m) - 1
+
+    def times(a, b):
+        out = [0] * (2 * d)
+        for i, j in product(range(d), repeat=2):
+            out[i + j] += a[i] * b[j]
+        for k in range(2 * d - 1, d - 1, -1):  # s^k -> s^k - out[k] * m
+            for j in range(d + 1):
+                out[k - d + j] -= out[k] * m[j]
+        return [c % p for c in out[:d]]
+
+    coeffs = [coefficient_tuple(c, field) for c in coeffs]
+    roots = []
+    for x in product(range(p), repeat=d):
+        total, power = [0] * d, [1] + [0] * (d - 1)
+        for c in coeffs:
+            total = [(a + b) % p for a, b in zip(total, times(list(c), power))]
+            power = times(power, list(x))
+        if not any(total):
+            roots.append(x)
+    return roots
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_FIELDS))
+def test_uni_roots_over_a_finite_field_are_every_root(name):
+    field = FINITE_FIELDS[name]
+    elements = field.elements()
+    rng = random.Random(name)
+    seen_roots = 0
+    for _ in range(60):
+        # a random polynomial times a product of linear factors
+        coeffs = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
+        coeffs.append(field.one())
+        for _ in range(rng.randint(0, 2)):
+            r = rng.choice(elements)
+            coeffs = [(coeffs[i - 1] if i else field.zero())
+                      - (r * coeffs[i] if i < len(coeffs) else field.zero())
+                      for i in range(len(coeffs) + 1)]
+        if len(coeffs) < 3:
+            continue
+        roots, certified = cp._uni_roots(coeffs, field)
+        assert certified
+        expected = brute_force_roots(coeffs, field)
+        assert sorted(coefficient_tuple(r, field) for r in roots) == expected
+        seen_roots += len(expected)
+    assert seen_roots
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_uni_roots_over_q_match_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    rng = random.Random(seed)
+    with_zero_root = 0
+    for _ in range(40):
+        factors = [[Fraction(0), Fraction(1)]] * rng.randint(0, 2)  # X^k
+        factors += [[Fraction(-rng.randint(-6, 6), rng.randint(1, 4)),
+                     Fraction(1)] for _ in range(rng.randint(0, 2))]
+        factors.append(rng.choice([[1], [1, 0, 1], [-2, 0, 1], [1, 1, 1]]))
+        coeffs = [Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 3]))]
+        for f in factors:
+            coeffs = [sum((coeffs[i] * f[k - i] for i in range(len(coeffs))
+                           if 0 <= k - i < len(f)), Fraction(0))
+                      for k in range(len(coeffs) + len(f) - 1)]
+        if len(coeffs) < 3:
+            continue
+        expected = sorted(
+            Fraction(int(r.p), int(r.q)) for r in sympy.Poly(
+                [sympy.Rational(c.numerator, c.denominator)
+                 for c in reversed(coeffs)], X, domain="QQ").ground_roots())
+        assert cp._uni_roots(coeffs, QQ) == (expected, True)
+        with_zero_root += coeffs[0] == 0
+    assert with_zero_root
+
+
+def test_sigma_search_with_no_root_of_the_constraint_is_uncertified():
+    field = FieldDescriptor.rational_functions(2, "t")
+    # prepared: its two vertices (1/2, 1) and (3/2, 0) are not integral
+    gens = [parse_polynomial("y^2 + u1*u2^2 + t*u1^3", field, U1U2Y)]
+    assert cp.prepare(gens, FRAME_U12_Y).generators == tuple(gens)
+    # u2 <- u2 + c*u1 leaves (c^2 + t)*u1^3 on the first face, and
+    # c^2 = t has no solution: the degree of a square is even
+    result = cp.sigma_search(gens, FRAME_U12_Y, 1)
+    assert (result.value, result.certified, result.substitutions) == (
+        1, False, ())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sigma_search_out_of_budget_is_uncertified(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    exponents = sorted(rng.sample(range(2, 9), 3))
+    constants = [Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+                 for _ in exponents]
+
+    def slide(terms):
+        return " + ".join(f"({c})*u1^{e}" for c, e in terms) or "0"
+
+    terms = list(zip(constants, exponents))
+    text = f"y^2 + u1^2*(u2 - ({slide(terms)}))^2"
+    gens = [parse_polynomial(text, QQ, U1U2Y)]
+    full = cp.sigma_search(gens, FRAME_U12_Y, 1)
+    assert full.value == INF and full.certified
+    for budget in (1, 2, 3):
+        result = cp.sigma_search(gens, FRAME_U12_Y, 1, budget=budget)
+        assert not result.certified
+        assert [(s["coefficient"], s["exponent"])
+                for s in result.substitutions] == terms[:budget]
+        assert result.value == (exponents[budget] if budget < 3 else INF)
+        left = f"y^2 + u1^2*(u2 - ({slide(terms[budget:])}))^2"
+        got = sympy.sympify(to_string(result.generators[0]).replace("^", "**"))
+        assert sympy.expand(got - sympy.sympify(left.replace("^", "**"))) == 0
