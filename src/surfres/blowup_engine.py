@@ -129,7 +129,6 @@ class Lineage:
     center: Center
     chart_var: str
     center_label: int | None = None
-    center_was_component: bool = False
 
 
 @dataclass(frozen=True)
@@ -451,7 +450,6 @@ def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartSta
             center=center,
             chart_var=w,
             center_label=None if center_comp is None else center_comp.label,
-            center_was_component=center_comp is not None,
         ),
         residue_degree=chart.residue_degree,
     )
@@ -482,7 +480,9 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
     non-rational point: the residue field is extended by a root and the
     variable translated by that root).  The new point must stay on the
     exceptional divisor: the chart variable that created this chart cannot
-    be assigned a nonzero coordinate.
+    be assigned a nonzero coordinate.  A point off the hypersurface gives a
+    chart with nu* = (0).  The generator of an extended residue field must
+    not share its name with a chart variable, or the two would print alike.
     """
     field = chart.field
     unknown = [v for v in moves if v not in chart.variables]
@@ -503,11 +503,7 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
         raise ScopeError(
             "only one residue-field extension per location step is supported")
 
-    new_field = field
-    degree = 1
-    generators = chart.generators
-    boundary = chart.frame.boundary
-    stratum = chart.stratum
+    new_field, degree = field, 1
     values: dict[str, Any] = dict(translations)
 
     if conditions:
@@ -515,38 +511,33 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
         new_field, root = residue_extension(cond, var)
         degree = int(cond.total_degree())
         if new_field != field:
-            generators = tuple(g.over(new_field) for g in generators)
-            boundary = tuple(
-                replace(b, generator=b.generator.over(new_field))
-                for b in boundary)
-            if stratum is not None:
-                stratum = tuple(
-                    replace(c, conditions=tuple(
-                        q.over(new_field) for q in c.conditions))
-                    for c in stratum)
+            if new_field.generator_name in chart.variables:
+                raise InputError(
+                    f"the residue field generator {new_field.generator_name!r}"
+                    " is also a chart variable; rename that variable")
             values = {v: new_field.embed(a) for v, a in values.items()}
         values[var] = root
 
-    if not any(values.values()) and new_field == field:
+    extended = new_field != field
+    if not any(values.values()) and not extended:
         return chart
 
     def shift(f: Polynomial) -> Polynomial:
-        # constant moves commute, so one v <- v + a at a time
+        # the lift, then one constant move v <- v + a at a time (they commute)
+        if extended:
+            f = f.over(new_field)
         for v, a in values.items():
             if a:
                 f = translate(f, v, a, {})
         return f
 
-    new_generators = tuple(shift(g) for g in generators)
-    if any(g.is_zero for g in new_generators):
-        raise InputError("the located point is not on the hypersurface")
-
-    new_boundary = _moved_boundary(boundary, shift)
+    new_generators = tuple(shift(g) for g in chart.generators)
+    new_boundary = _moved_boundary(chart.frame.boundary, shift)
 
     new_stratum: tuple[StratumComponent, ...] | None = None
-    if stratum is not None:
+    if chart.stratum is not None:
         kept = []
-        for comp in stratum:
+        for comp in chart.stratum:
             moved = [shift(q) for q in comp.conditions]
             if (any(values.get(v) for v in comp.variables)
                     or any(q.constant_coefficient() for q in moved)):

@@ -980,19 +980,16 @@ def sigma_search(
     subs: list[dict] = []
     certified = True
     poly = polyhedron_of(current, work_frame)  # always the polyhedron of current
-    _, beta, _, s = face_numbers(poly, 1)
-    if beta < 1:
+    if face_numbers(poly, 1)[1] < 1:  # beta < 1
         return SigmaResult(Fraction(1), True, (), tuple(current))
     for _ in range(budget):
         alpha, beta, _, s = face_numbers(poly, 1)
-        if s == INF:
-            return SigmaResult(INF, certified, tuple(subs), tuple(current))
-        if s.denominator != 1 or s < 1:
-            return SigmaResult(max(Fraction(1), s), certified, tuple(subs), tuple(current))
+        if s == INF or s.denominator != 1 or s < 1:
+            break
         m_exp = int(s)
         constraints = _face_constraints(current, work_frame, m_exp, alpha, beta)
         if not constraints:
-            return SigmaResult(max(Fraction(1), s), certified, tuple(subs), tuple(current))
+            break
         g = constraints[0]
         for extra in constraints[1:]:
             g = _uni_gcd(g, extra, field)
@@ -1000,13 +997,11 @@ def sigma_search(
                 break
         g = _uni_trim(g)
         if len(g) <= 1:
-            # no common root: the face cannot be straightened further
-            return SigmaResult(max(Fraction(1), s), certified, tuple(subs), tuple(current))
+            break  # no common root: the face cannot be straightened further
         roots, roots_certified = _uni_roots(g, field)
         if not roots:
-            return SigmaResult(
-                max(Fraction(1), s), certified and roots_certified, tuple(subs), tuple(current)
-            )
+            certified = certified and roots_certified
+            break
         c = roots[0]
         u1, u2 = work_frame.u_block
         current = [translate(gg, u2, c, {u1: m_exp}) for gg in current]
@@ -1019,11 +1014,14 @@ def sigma_search(
         _, _, _, s_new = face_numbers(poly, 1)
         if not (s_new > s):
             if not certified:  # the polyhedron compared is not final
-                return SigmaResult(max(Fraction(1), s), False, tuple(subs), tuple(current))
+                break
             raise ScopeError(f"sigma on side {side}: a straightening substitution "
                              "left the first face's inverse slope unchanged")
-    _, _, _, s = face_numbers(poly, 1)
-    return SigmaResult(max(Fraction(1), s) if s != INF else INF, False, tuple(subs), tuple(current))
+    else:  # the budget ran out before the slope settled
+        _, _, _, s = face_numbers(poly, 1)
+        certified = False
+    # max keeps INF, which exceeds every Fraction
+    return SigmaResult(max(Fraction(1), s), certified, tuple(subs), tuple(current))
 
 
 def sigma(

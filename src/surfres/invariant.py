@@ -99,12 +99,8 @@ def chart_is_regular(chart: ChartState) -> bool:
     orders = chart.nu.orders
     if orders[0] == 0:
         return True  # a unit generator: the chart misses the variety
-    if orders[-1] > 1:
-        return False
-    # all generators have order one; regularity needs independent initials
-    initials = [initial_form(g, g.variables) for g in chart.generators]
-    rows = [form_row(f, chart.variables) for f in initials]
-    return len(row_reduce(rows, chart.field)) == len(chart.generators)
+    # order one and independent initial forms, whose span is the directrix
+    return orders[-1] == 1 and chart.directrix[0] == len(chart.generators)
 
 
 def classify_case(chart: ChartState) -> CaseInfo:
@@ -366,6 +362,12 @@ def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
     if e_old > 2:
         raise ScopeError(f"log-directrix dimension {e_old} is out of scope")
 
+    # e^O = 2: the tuple is infinite unless the stratum has moved on (no
+    # original component through the point) and the point lies on at least
+    # one new boundary component; adapting the frame changes neither
+    if e_old == 2 and (case.components or not chart.frame.new_components()):
+        return _ALL_INF
+
     adapted_gens, adapted_frame = adapt_frame_to_forms(
         list(chart.generators), chart.frame, forms)
 
@@ -373,14 +375,7 @@ def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
         prepared = prepare_adapted(adapted_gens, adapted_frame, True, "delta")
         return (0, 0, 0, delta(prepared.polyhedron))
 
-    # e^O = 2: the tuple is infinite unless the stratum has moved on (no
-    # original component through the point) and the point lies on at least
-    # one new boundary component.
-    if case.components:
-        return _ALL_INF
     new_vars = _new_component_variables(adapted_frame)
-    if not new_vars:
-        return _ALL_INF
 
     if len(new_vars) == 1 and adapted_frame.u_block[0] != new_vars[0]:
         u1, u2 = adapted_frame.u_block

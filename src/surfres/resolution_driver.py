@@ -38,6 +38,7 @@ from .blowup_engine import (
     ChartState,
     StratumComponent,
     _is_coordinate_generator,
+    _vanishes_on,
     blow_up_chart,
     classify_point,
     is_permissible_curve,
@@ -322,7 +323,6 @@ def _label_components(
             continue
         label = chart.step
         if (label_mode == DEFAULT_LABELS and lineage is not None
-                and lineage.center_was_component
                 and lineage.center_label is not None):
             center = lineage.center
             if center.kind == CLOSED_POINT:
@@ -403,10 +403,8 @@ def select_center(chart: ChartState) -> CenterChoice:
                 "blowing it up is out of scope")
     if chart.nu.orders[-1] >= 2:
         for c in pool:
-            pos = chart.generators[0].positions(set(c.variables))
-            if len(pos) <= len(chart.generators) and all(
-                    any(vec[i] for i in pos)
-                    for g in chart.generators for vec, _c in g.vectors):
+            if len(c.variables) <= len(chart.generators) and all(
+                    _vanishes_on(g, c.variables) for g in chart.generators):
                 raise ScopeError(
                     f"stratum component V({', '.join(c.variables)}) is a "
                     "component of the variety of order at least 2; the input "
@@ -532,12 +530,6 @@ def _is_finished(chart: ChartState) -> bool:
     return orders[-1] <= 1 and not chart.stratum
 
 
-def _log_value(chart: ChartState) -> tuple:
-    """The log-multiplicity value: nu* and the number of old boundary
-    components, compared lexicographically."""
-    return (chart.nu, len(chart.frame.old_components()))
-
-
 def _reset_boundary(chart: ChartState) -> ChartState:
     """All boundary components become old (the multiplicity just dropped)."""
     frame = chart.frame
@@ -610,22 +602,10 @@ def resolve(
     error: str | None = None
     steps = 0
 
-    if root.stratum is None:
-        try:
-            root = replace(root, stratum=max_stratum(root, label_mode))
-            charts[root.chart_id] = root
-        except ScopeError as err:
-            return ResolutionTrace(label_mode, SCOPE_ERROR, charts,
-                                   tuple(events), error=str(err))
-
-    def iota_of(chart: ChartState) -> IotaInvariant:
-        cached = iota_cache.get(chart.chart_id)
-        if cached is None:
-            cached = compute_iota(chart)
-            iota_cache[chart.chart_id] = cached
-        return cached
-
     try:
+        if root.stratum is None:
+            charts[root.chart_id] = replace(
+                root, stratum=max_stratum(root, label_mode))
         while queue:
             chart = charts[queue.popleft()]
             if _is_finished(chart):
@@ -642,8 +622,8 @@ def resolve(
                     "the maximal-order locus; cannot pick a center")
             choice = select_center(chart)
             steps += 1
-            parent_iota = iota_of(chart)
-            parent_51 = not any(c.original for c in (chart.stratum or ()))
+            parent_iota = iota_cache.get(chart.chart_id) or compute_iota(chart)
+            iota_cache[chart.chart_id] = parent_iota
             directrix_vars = _coordinate_directrix_vars(chart)
             parent_delta = None
             created: list[str] = []
@@ -656,7 +636,8 @@ def resolve(
                 record = _point_record(chart, parent_iota, pre, "origin")
                 records.append(record)
                 classification = record.classification
-                dropped = _log_value(pre) < _log_value(chart)
+                # iota0 opens with the log-multiplicity value (nu*, |O|)
+                dropped = record.iota_after.iota0[:2] < parent_iota.iota0[:2]
 
                 # No point of a directrix-variable chart stays near.
                 if (directrix_vars is not None and w in directrix_vars
@@ -679,8 +660,8 @@ def resolve(
                             f"{pre.chart_id}: {parent_delta} -> {child_delta}")
                 # Once no original component remains, none reappears while
                 # the log-multiplicity value is unchanged.
-                if (parent_51 and not dropped
-                        and any(c.original for c in pre.stratum)):
+                if (not dropped and any(c.original for c in pre.stratum)
+                        and not any(c.original for c in chart.stratum)):
                     raise LawViolation(
                         LAW_NO_ORIGINAL_REAPPEARS,
                         f"original component reappeared in {pre.chart_id}")
@@ -688,8 +669,7 @@ def resolve(
                 # log-equimultiple points are regular permissible curves.
                 # (Tail charts of multiplicity one track failures of normal
                 # crossings instead, where this does not apply.)
-                if (chart.nu.orders[-1] >= 2
-                        and classification != DROPPED and not dropped):
+                if chart.nu.orders[-1] >= 2 and not dropped:
                     carried_cids = {c.cid for c in (child.stratum or ())}
                     for comp in pre.stratum:
                         if (comp.cid in carried_cids or not comp.is_coordinate

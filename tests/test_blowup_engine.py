@@ -474,7 +474,6 @@ def test_stratum_components_follow_the_blow_up():
         ),
     )
     child = blow_up_chart(chart, Center(("x", "y"), COORDINATE_CURVE), "y")
-    assert child.lineage.center_was_component
     assert child.lineage.center_label == 0
     # V(x, y) contains the chart variable, the conditioned component is not
     # carried over, and V(x, z) survives with its identity intact.
@@ -485,5 +484,4 @@ def test_stratum_none_stays_none():
     chart = surface_chart("x^2 + y^9*z^10")
     child = blow_up_chart(chart, Center(("x", "y", "z"), CLOSED_POINT), "z")
     assert child.stratum is None
-    assert not child.lineage.center_was_component
     assert child.lineage.center_label is None

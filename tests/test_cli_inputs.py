@@ -48,12 +48,20 @@ def test_f5_curve_outside_the_y_block_falls_back_to_the_closed_point(
     assert report["monotone"]["ok"]
 
 
+def moved_job(base: dict, moves: dict) -> dict:
+    return dict(base, point={"moves": moves})
+
+
+def declared_job(value) -> dict:
+    return dict(SURFACE_JOB, declared_points={"root/z": [{"y": value}]})
+
+
 @pytest.mark.parametrize("command", ["analyze", "invariant"])
 def test_string_and_integer_moves_give_identical_reports(
         tmp_path, capsys, command):
     reports = []
     for value in ("-1", -1):
-        job = dict(SHIFTED_JOB, point={"moves": {"x": value}})
+        job = moved_job(SHIFTED_JOB, {"x": value})
         code, out, err = run(tmp_path, capsys, command, job)
         assert code == EXIT_OK, err
         reports.append(out)
@@ -65,7 +73,7 @@ def test_string_and_integer_declared_points_give_identical_reports(
         tmp_path, capsys):
     reports = []
     for value in ("1", 1):
-        job = dict(SURFACE_JOB, declared_points={"root/z": [{"y": value}]})
+        job = declared_job(value)
         code, out, err = run(tmp_path, capsys, "resolve", job)
         assert code == EXIT_OK, err
         reports.append(out)
@@ -75,9 +83,12 @@ def test_string_and_integer_declared_points_give_identical_reports(
     assert "y" in points
 
 
-@pytest.mark.parametrize("value", ["x", "1 + y", "1/2*z"])
+NON_CONSTANT_MOVES = ["x", "1 + y", "1/2*z"]
+
+
+@pytest.mark.parametrize("value", NON_CONSTANT_MOVES)
 def test_non_constant_move_is_an_input_error(tmp_path, capsys, value):
-    job = dict(SHIFTED_JOB, point={"moves": {"x": value}})
+    job = moved_job(SHIFTED_JOB, {"x": value})
     code, _out, err = run(tmp_path, capsys, "analyze", job)
     assert code == EXIT_INPUT
     assert "jobspec.point.moves.x" in err
@@ -248,15 +259,15 @@ def test_export_of_a_resolution_ending_in_a_scope_error_exits_3(
     assert captured.err == f"scope error: {error}\n"
 
 
-@pytest.mark.parametrize("condition, message", [
-    ("1", "is not irreducible"),
-    ("0", "is zero"),
-])
+F2_SURFACE = {"field": {"kind": "prime_field", "characteristic": 2},
+              "variables": ["x", "y", "z"], "generators": ["x^2 + y^3 + z^5"]}
+CONSTANT_CONDITIONS = [("1", "is not irreducible"), ("0", "is zero")]
+
+
+@pytest.mark.parametrize("condition, message", CONSTANT_CONDITIONS)
 def test_constant_point_condition_is_an_input_error(tmp_path, capsys,
                                                     condition, message):
-    job = {"field": {"kind": "prime_field", "characteristic": 2},
-           "variables": ["x", "y", "z"], "generators": ["x^2 + y^3 + z^5"],
-           "point": {"moves": {"x": {"root_of": condition}}}}
+    job = moved_job(F2_SURFACE, {"x": {"root_of": condition}})
     code, _out, err = run(tmp_path, capsys, "analyze", job)
     assert code == EXIT_INPUT
     assert f"the condition for 'x' {message}" in err
@@ -266,48 +277,101 @@ F2_CUSP = {"field": {"kind": "prime_field", "characteristic": 2},
            "variables": ["x", "y", "z"], "generators": ["z^2 + y^3 + x^2*y^2"]}
 
 
-@pytest.mark.parametrize("move", [
+ROOT_OF_MOVES = [
     {"root_of": "s^2+s+1"},
     {"root_of": "a^2+a+1", "name": "a"},
     {"root_of": "x^2+x+1", "name": "x"},
-])
+]
+ROOT_OF_REFERENCE = {"root_of": "x^2+x+1", "name": "x"}
+
+
+@pytest.mark.parametrize("move", ROOT_OF_MOVES)
 def test_a_root_of_condition_may_name_its_variable_freely(tmp_path, capsys,
                                                          move):
-    reference = {"root_of": "x^2+x+1", "name": "x"}
     outputs = []
-    for m in (move, reference):
-        job = dict(F2_CUSP, point={"moves": {"x": m}})
+    for m in (move, ROOT_OF_REFERENCE):
+        job = moved_job(F2_CUSP, {"x": m})
         code, out, err = run(tmp_path, capsys, "analyze", job)
         assert code == EXIT_OK, err
         outputs.append(out)
     assert outputs[0] == outputs[1]
 
 
+F97_DEGREE_8_JOB = moved_job(
+    {"field": {"kind": "prime_field", "characteristic": 97},
+     "variables": ["x", "y", "z"], "generators": ["z^2 + y^3 + x^2*y^2"]},
+    {"x": {"root_of": "x^8+77*x^7+55*x^6+2*x^5+28*x^4+2*x^3+50*x^2+18*x+4",
+           "name": "x"}})
+
+
 def test_a_degree_8_residue_extension_of_f97_is_located(tmp_path, capsys):
-    job = {"field": {"kind": "prime_field", "characteristic": 97},
-           "variables": ["x", "y", "z"], "generators": ["z^2 + y^3 + x^2*y^2"],
-           "point": {"moves": {"x": {
-               "root_of": "x^8+77*x^7+55*x^6+2*x^5+28*x^4+2*x^3+50*x^2+18*x+4",
-               "name": "x"}}}}
-    code, out, err = run(tmp_path, capsys, "analyze", job)
+    code, out, err = run(tmp_path, capsys, "analyze", F97_DEGREE_8_JOB)
     assert code == EXIT_OK, err
     assert json.loads(out)["generators"]
 
 
-@pytest.mark.parametrize("condition, expected", [
+F2_SEARCHED = {"field": {"kind": "prime_field", "characteristic": 2},
+               "variables": ["x", "y", "z"],
+               "generators": ["z^2 + y^2*z + y^4"]}
+SEARCHED_CONDITIONS = [
     ("x^2+x+1", EXIT_OK),
     ("x^6+x+1", EXIT_OK),
     ("x^20+x^18+x^17+x^15+x^12+x^11+x^10+x^8+x^4+x+1", EXIT_SCOPE),
-])
+]
+
+
+@pytest.mark.parametrize("condition, expected", SEARCHED_CONDITIONS)
 def test_only_small_residue_fields_are_searched_whole(tmp_path, capsys,
                                                       condition, expected):
-    job = {"field": {"kind": "prime_field", "characteristic": 2},
-           "variables": ["x", "y", "z"], "generators": ["z^2 + y^2*z + y^4"],
-           "point": {"moves": {"x": {"root_of": condition, "name": "x"}}}}
+    job = moved_job(F2_SEARCHED, {"x": {"root_of": condition, "name": "x"}})
     code, _out, err = run(tmp_path, capsys, "polyhedron", job)
     assert code == expected, err
     if expected == EXIT_SCOPE:
         assert "MAX_CHARACTERISTIC" in err
+
+
+@pytest.mark.parametrize("command, job", [
+    ("analyze", moved_job(dict(F2_CUSP, variables=["s", "y", "z"],
+                               generators=["s^2 + y^3 + z^5 + s*y^2"]),
+                          {"y": {"root_of": "a^2+a+1", "name": "a"}})),
+    ("resolve", dict(F2_CUSP, variables=["x", "y", "s"],
+                     generators=["x^2 + y^3 + s^5"],
+                     declared_points={"root/s": [
+                         {"y": {"root_of": "y^2+y+1", "name": "y"}}]})),
+], ids=["point", "declared_points"])
+def test_a_residue_generator_named_like_a_variable_is_refused(
+        tmp_path, capsys, command, job):
+    # the generator s of F_2[s]/(s^2+s+1) would print like the variable s
+    code, out, err = run(tmp_path, capsys, command, job)
+    assert code == EXIT_INPUT, out
+    assert "'s'" in err
+
+
+def point_jobs() -> dict[str, tuple[str, dict]]:
+    """The jobs of this module that locate a point through ``point`` or
+    ``declared_points``, keyed by name and paired with their command; the
+    refused name clashes above are left out."""
+    jobs = {}
+    for command in ("analyze", "invariant"):
+        for value in ("-1", -1):
+            jobs[f"{command} x={value!r}"] = (
+                command, moved_job(SHIFTED_JOB, {"x": value}))
+    for value in ("1", 1):
+        jobs[f"declared y={value!r}"] = ("resolve", declared_job(value))
+    for value in NON_CONSTANT_MOVES:
+        jobs[f"non-constant x={value}"] = (
+            "analyze", moved_job(SHIFTED_JOB, {"x": value}))
+    for condition, _message in CONSTANT_CONDITIONS:
+        jobs[f"constant root_of {condition}"] = (
+            "analyze", moved_job(F2_SURFACE, {"x": {"root_of": condition}}))
+    for move in ROOT_OF_MOVES:  # the reference move is among them
+        jobs[f"cusp {json.dumps(move, sort_keys=True)}"] = (
+            "analyze", moved_job(F2_CUSP, {"x": move}))
+    jobs["f97 degree 8"] = ("analyze", F97_DEGREE_8_JOB)
+    for condition, _code in SEARCHED_CONDITIONS:
+        jobs[f"searched root_of {condition}"] = ("polyhedron", moved_job(
+            F2_SEARCHED, {"x": {"root_of": condition, "name": "x"}}))
+    return jobs
 
 
 # ---------------------------------------------------------------------------

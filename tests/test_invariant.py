@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from surfres import invariant
 from surfres.blowup_engine import (
     CLOSED_POINT,
     Center,
@@ -342,6 +343,23 @@ def test_iota_poly_infinite_without_new_components():
     chart = chart_with("x^2 + y^9*z^10",
                        stratum=[origin_component(("x", "y"), 1)])
     assert iota_poly(chart) == (INF, INF, INF, INF)
+
+
+def test_iota_poly_infinite_exits_never_adapt_the_frame(monkeypatch):
+    # an original component through the point, and no new component: both
+    # e^O = 2 exits are read off the chart's own frame
+    charts = [
+        whirl_chart(stratum=[origin_component(("u1", "u2", "y"), 0)]),
+        chart_with("x^2 + y^9*z^10", stratum=[origin_component(("x", "y"), 1)]),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("adapt_frame_to_forms called")
+
+    monkeypatch.setattr(invariant, "adapt_frame_to_forms", refuse)
+    for chart in charts:
+        assert chart.log_directrix[0] == 2
+        assert iota_poly(chart) == (INF, INF, INF, INF)
 
 
 # ---------------------------------------------------------------------------

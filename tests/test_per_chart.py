@@ -6,20 +6,38 @@ cached ``ChartState.directrix`` / ``log_directrix`` must equal fresh
 ``compute_directrix`` / ``directrix_of_JO`` results, the invariants the
 resolver keeps on the trace must equal fresh ``compute_iota`` results, and
 ``trace_to_dot`` must equal a renderer that recomputes the invariant of
-every chart.
+every chart.  ``chart_is_regular``, which reads the rank of the linear
+initial forms off the cached directrix, must agree with the rank of those
+forms row-reduced afresh, on every named-trace chart and on seeded charts
+of two or three generators over Q, F_2, F_3, F_3(t) and F_4.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import re
 
 import pytest
 
+from surfres.blowup_engine import make_chart
 from surfres.cli import EXIT_OK, main
-from surfres.exact_algebra import FieldDescriptor, InputError, ScopeError, to_string
-from surfres.invariant import compute_iota
-from surfres.local_frame import compute_directrix, directrix_of_JO, initial_form, nu_star
+from surfres.exact_algebra import (
+    FieldDescriptor,
+    InputError,
+    ScopeError,
+    parse_polynomial,
+    to_string,
+)
+from surfres.invariant import chart_is_regular, compute_iota
+from surfres.local_frame import (
+    compute_directrix,
+    directrix_of_JO,
+    form_row,
+    initial_form,
+    nu_star,
+    row_reduce,
+)
 from surfres.resolution_driver import (
     FRESH_LABELS,
     initial_chart,
@@ -115,6 +133,86 @@ def test_resolver_iotas_equal_fresh_invariants(named_traces):
         assert set(trace.iotas) <= set(trace.charts)
         for chart_id, iota in trace.iotas.items():
             assert iota == compute_iota(trace.charts[chart_id]), chart_id
+
+
+def rank_rule_regular(chart) -> bool:
+    """Regularity as the rank of the row-reduced linear initial forms."""
+    orders = chart.nu.orders
+    if orders[0] == 0:
+        return True
+    if orders[-1] > 1:
+        return False
+    rows = [form_row(initial_form(g, g.variables), chart.variables)
+            for g in chart.generators]
+    return len(row_reduce(rows, chart.field)) == len(chart.generators)
+
+
+# each field with the coefficients its seeded generators draw from
+REGULARITY_FIELDS = {
+    "Q": (FieldDescriptor.rationals(), ["1", "(-1)", "2", "(1/2)"]),
+    "F2": (FieldDescriptor.prime_field(2), ["1"]),
+    "F3": (FieldDescriptor.prime_field(3), ["1", "2"]),
+    "F3(t)": (FieldDescriptor.rational_functions(3, "t"),
+              ["1", "2", "t", "(t+1)"]),
+    "F4": (FieldDescriptor.finite_extension(2, (1, 1, 1)), ["1", "s", "(s+1)"]),
+}
+
+
+def seeded_regularity_charts(field, coeffs, rng, count=40):
+    """Charts of two or three generators in x, y, z: linear parts drawn
+    freely or as a multiple of an earlier one (dependent), a higher-order
+    tail, now and then a generator of order 2, and now and then a unit."""
+    def coefficient():
+        return rng.choice(coeffs)
+
+    def linear():
+        while True:
+            terms = [f"{coefficient()}*{v}" for v in XYZ if rng.random() < 0.5]
+            if terms:
+                return " + ".join(terms)
+
+    charts = []
+    for _ in range(count):
+        parts = []
+        for _ in range(rng.choice((2, 3))):
+            if parts and rng.random() < 0.4:
+                part = f"{coefficient()}*({rng.choice(parts)})"
+            else:
+                part = linear()
+            parts.append(part)
+        texts = [f"{part} + {coefficient()}*{rng.choice(XYZ)}^{rng.choice((2, 3))}"
+                 for part in parts]
+        if rng.random() < 0.2:
+            texts[rng.randrange(len(texts))] = f"{rng.choice(XYZ)}^2 + y*z^2"
+        if rng.random() < 0.15:
+            texts[rng.randrange(len(texts))] += " + 1"
+        gens = tuple(parse_polynomial(t, field, XYZ) for t in texts)
+        charts.append(make_chart(field, XYZ, gens, XYZ, ()))
+    return charts
+
+
+def test_regularity_reads_the_directrix_rank_on_named_charts(named_traces):
+    checked = 0
+    for trace in named_traces.values():
+        for chart in trace.charts.values():
+            assert chart_is_regular(chart) == rank_rule_regular(chart), \
+                chart.chart_id
+            checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("name", sorted(REGULARITY_FIELDS))
+def test_regularity_reads_the_directrix_rank_on_seeded_charts(name):
+    field, coeffs = REGULARITY_FIELDS[name]
+    order_one_answers = set()
+    for chart in seeded_regularity_charts(field, coeffs, random.Random(name)):
+        expected = rank_rule_regular(chart)
+        assert chart_is_regular(chart) == expected, [
+            to_string(g) for g in chart.generators]
+        if set(chart.nu.orders) == {1}:
+            order_one_answers.add(expected)
+    # charts of order one with independent and with dependent linear parts
+    assert order_one_answers == {True, False}
 
 
 def test_dot_equals_reference_renderer(named_traces):

@@ -13,7 +13,10 @@ stderr.  The run set:
   jobs of ``tests/test_sigma_exits.py::named_chart_jobs``;
 * ``blowup`` on every chart of the four named traces with a non-empty
   stratum, each job rebuilt from the chart as ``export --format json``
-  writes it (frame, boundary and stratum included).
+  writes it (frame, boundary and stratum included);
+* the jobs of ``tests/test_cli_inputs.py::point_jobs``, which locate a point
+  through ``point`` (a coordinate or a ``root_of`` condition) or through
+  ``declared_points``, each under the command its test runs.
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -44,6 +47,7 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/ or tests/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import corpus  # noqa: E402  (perfbench/corpus.py)
+from test_cli_inputs import point_jobs  # noqa: E402
 from test_sigma_exits import named_chart_jobs  # noqa: E402
 
 from surfres import cli  # noqa: E402
@@ -129,6 +133,8 @@ def digests() -> dict[str, str]:
                 ("polyhedron",), dict(job, options={"budget": budget}))
     for key, job in blowup_jobs().items():
         out[f"blowup | {key}"] = run_digest(("blowup",), job)
+    for key, (command, job) in point_jobs().items():
+        out[f"{command} | point {key}"] = run_digest((command,), job)
     return out
 
 
