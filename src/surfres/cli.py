@@ -29,9 +29,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .blowup_engine import (
@@ -72,9 +74,9 @@ from .resolution_driver import (
     LawViolation,
     chart_to_jsonable,
     check_monotone,
-    initial_chart,
     max_stratum,
     resolve,
+    root_chart,
     select_center,
     trace_to_dot,
     trace_to_jsonable,
@@ -202,6 +204,11 @@ def build_chart(job: dict) -> ChartState:
     """Turn a parsed job document into a chart state."""
     field = _field_from(_expect(job, "field", dict, "jobspec"))
     variables = tuple(_string_list(job, "variables", "jobspec"))
+    if field.transcendental_name in variables:
+        raise InputError(
+            f"jobspec.field.parameter: {field.transcendental_name!r} is also a "
+            "chart variable, so no generator could name the field's parameter; "
+            "rename one of them")
     texts = _string_list(job, "generators", "jobspec")
     if not texts:
         raise InputError("jobspec.generators: at least one generator is needed")
@@ -248,7 +255,7 @@ def build_chart(job: dict) -> ChartState:
                     f"{where}.generator: {name!r} is not a variable; "
                     "supply an explicit frame for general divisors")
             names.append(name)
-        chart = initial_chart(field, variables, texts[0], tuple(names))
+        chart = root_chart(generators[0], tuple(names))
 
     if "stratum" in job:
         chart = replace(
@@ -517,14 +524,93 @@ def run_export(job: dict, fmt: str) -> str:
     if "trace" in job and "generators" not in job:
         trace = _stored_trace(job)
         if fmt == "json":
-            return json.dumps(trace, indent=2) + "\n"
+            return _report_text(trace) + "\n"
         return trace_to_dot(trace)
     trace = _run_resolve(job)
     if trace.status == SCOPE_ERROR:
         raise ScopeError(trace.error)
     if fmt == "json":
-        return json.dumps(trace_to_jsonable(trace), indent=2) + "\n"
+        return _report_text(trace_to_jsonable(trace)) + "\n"
     return trace_to_dot(trace)
+
+
+# ---------------------------------------------------------------------------
+# report text
+# ---------------------------------------------------------------------------
+
+
+def _scalar_text(value: Any) -> str | None:
+    """A JSON scalar as the stdlib encoder writes it; None for anything
+    else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _write_container(value: Any, newline: str, out: list[str]) -> None:
+    """Append the text of a dict, list or tuple whose closing bracket
+    follows ``newline``, one fragment per scalar entry."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in value.items():
+            text = _scalar_text(item)
+            if text is None:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_container(item, inner, out)
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {text}")
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for item in value:
+            text = _scalar_text(item)
+            if text is None:
+                out.append(sep)
+                _write_container(item, inner, out)
+            else:
+                out.append(sep + text)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _report_text(value: Any) -> str:
+    """The text the stdlib's ``json.dumps`` writes at indent 2, byte for
+    byte, for a value built of dicts with string keys, lists, tuples and
+    JSON scalars.  The stdlib has no C encoder for indented output; this
+    writer calls its C string escaper and builds one fragment per entry."""
+    text = _scalar_text(value)
+    if text is not None:
+        return text
+    out: list[str] = []
+    _write_container(value, "\n", out)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +696,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     else:
         _emit(run_export(job, args.format), args.output)
         return EXIT_OK
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    _emit(_report_text(report) + "\n", args.output)
     return code
 
 

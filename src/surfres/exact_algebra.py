@@ -1167,13 +1167,14 @@ MAX_PARSE_DIGITS = 1000
 _MAX_PARSE_BITS = MAX_PARSE_DIGITS * 10 // 3
 
 
-def _coefficient_bits(f: "Polynomial") -> int:
-    """Bit length of the largest numerator or denominator among f's
-    rational coefficients; 0 over the other fields."""
-    if f.field.kind != RATIONALS:
+def _coefficient_bits(field: FieldDescriptor, terms: dict) -> int:
+    """Bit length of the largest numerator or denominator among the stored
+    coefficients of a parse node over the rationals; 0 over the other
+    fields."""
+    if field.kind != RATIONALS:
         return 0
     return max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                for _, c in f.vectors), default=0)
+                for c in terms.values()), default=0)
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|\-|/|\(|\)))")
 
@@ -1210,6 +1211,11 @@ class _Parser:
 
     Division is only allowed by constants (coefficients).  NAME resolves to an
     ambient variable, or to the field's transcendental / extension generator.
+
+    Every node is a dict from exponent vector (aligned with ``variables``)
+    to a nonzero stored coefficient: zero terms are dropped after each
+    operation, so the caps see the term counts of the canonical polynomials,
+    and ``parse`` builds the one ``Polynomial``.
     """
 
     def __init__(self, tokens: list[tuple[str, str]], field: FieldDescriptor,
@@ -1218,6 +1224,8 @@ class _Parser:
         self.i = 0
         self.field = field
         self.variables = variables
+        self.index = _layout(variables)[0]
+        self.origin = (0,) * len(variables)
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -1234,13 +1242,17 @@ class _Parser:
         if tok != ("op", op):
             raise InputError(f"expected {op!r} in polynomial text")
 
+    def nonzero(self, terms: Iterable[tuple[tuple, Any]]) -> dict:
+        """The node of the terms with nonzero coefficient, stored form."""
+        return dict(_native_terms(self.field, terms))
+
     def parse(self) -> Polynomial:
         result = self.expr()
         if self.peek() is not None:
             raise InputError(f"trailing tokens in polynomial text: {self.peek()!r}")
-        return result
+        return _canonical(self.field, self.variables, result.items())
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         negate = False
         tok = self.peek()
         if tok == ("op", "-"):
@@ -1248,21 +1260,25 @@ class _Parser:
             negate = True
         elif tok == ("op", "+"):
             self.take()
-        result = self.term()
+        acc = self.term()
         if negate:
-            result = -result
+            acc = {m: -c for m, c in acc.items()}
         while True:
             tok = self.peek()
             if tok == ("op", "+"):
                 self.take()
-                result = result + self.term()
+                for m, c in self.term().items():
+                    s = acc.get(m)
+                    acc[m] = c if s is None else s + c
             elif tok == ("op", "-"):
                 self.take()
-                result = result - self.term()
+                for m, c in self.term().items():
+                    s = acc.get(m)
+                    acc[m] = -c if s is None else s - c
             else:
-                return result
+                return self.nonzero(acc.items())
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         result = self.power()
         while True:
             tok = self.peek()
@@ -1272,13 +1288,17 @@ class _Parser:
             elif tok == ("op", "/"):
                 self.take()
                 divisor = self.power()
-                if not divisor.is_constant() or divisor.is_zero:
+                # a nonzero constant is the one term at the origin
+                if list(divisor) != [self.origin]:
                     raise InputError("division is only allowed by nonzero coefficients")
-                result = result.scale(self.field.one() / divisor.constant_coefficient())
+                field = self.field
+                inverse = field.to_native(
+                    field.one() / field.to_public(divisor[self.origin]))
+                result = self.nonzero([(m, c * inverse) for m, c in result.items()])
             else:
                 return result
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         base = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
@@ -1291,11 +1311,11 @@ class _Parser:
                     f"the exponent {e} in the polynomial text is over the "
                     f"limit of {MAX_PARSE_EXPONENT} (MAX_PARSE_EXPONENT)")
             # a coefficient c > 1 has c**e >= 2**((bits - 1) * e)
-            if (_coefficient_bits(base) - 1) * e > _MAX_PARSE_BITS:
+            if (_coefficient_bits(self.field, base) - 1) * e > _MAX_PARSE_BITS:
                 raise ScopeError(
                     f"a power in the polynomial text builds a coefficient of "
                     f"more than {MAX_PARSE_DIGITS} digits (MAX_PARSE_DIGITS)")
-            one = Polynomial.constant(self.field, self.variables, self.field.one())
+            one = {self.origin: self.field.native_int(1)}
             return _power(base, e, one, self.multiply)
         return base
 
@@ -1306,28 +1326,40 @@ class _Parser:
                 f"over the limit of {MAX_PARSE_DIGITS} digits (MAX_PARSE_DIGITS)")
         return int(text)
 
-    def multiply(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        if len(a.vectors) * len(b.vectors) > MAX_PARSE_PRODUCT:
+    def multiply(self, a: dict, b: dict) -> dict:
+        if len(a) * len(b) > MAX_PARSE_PRODUCT:
             raise ScopeError(
                 f"expanding the polynomial text needs a product of "
-                f"{len(a.vectors)} by {len(b.vectors)} terms, over the limit of "
+                f"{len(a)} by {len(b)} terms, over the limit of "
                 f"{MAX_PARSE_PRODUCT} term products (MAX_PARSE_PRODUCT)")
-        return a * b
+        acc: dict[tuple, Any] = {}
+        _mul_into(acc, a.items(), b.items())
+        return self.nonzero(acc.items())
 
-    def atom(self) -> Polynomial:
+    def leaf(self, vec: tuple[int, ...], c: Any) -> dict:
+        """The node of one term.  A ring with a repeated variable name is
+        refused here, at the first atom, so the errors of the text before
+        it come first."""
+        if len(self.index) != len(self.variables):
+            raise InputError("duplicate ambient variable names")
+        return self.nonzero([(vec, c)])
+
+    def atom(self) -> dict:
         kind, text = self.take()
+        field = self.field
         if kind == "int":
-            return Polynomial.constant(self.field, self.variables,
-                                       self.field.native_int(self.integer(text)))
+            return self.leaf(self.origin, field.native_int(self.integer(text)))
         if kind == "name":
-            if text in self.variables:
-                return Polynomial.variable(self.field, self.variables, text)
-            if (self.field.kind == RATIONAL_FUNCTIONS
-                    and text == self.field.transcendental_name):
-                return Polynomial.constant(self.field, self.variables, self.field.transcendental())
-            if (self.field.kind == FINITE_EXTENSION
-                    and text == self.field.generator_name):
-                return Polynomial.constant(self.field, self.variables, self.field.generator())
+            if text in self.index:
+                vec = [0] * len(self.variables)
+                vec[self.index[text]] = 1
+                return self.leaf(tuple(vec), field.native_int(1))
+            if (field.kind == RATIONAL_FUNCTIONS
+                    and text == field.transcendental_name):
+                return self.leaf(self.origin, field.transcendental())
+            if (field.kind == FINITE_EXTENSION
+                    and text == field.generator_name):
+                return self.leaf(self.origin, field.generator())
             raise InputError(f"unknown variable {text!r}")
         if (kind, text) == ("op", "("):
             inner = self.expr()

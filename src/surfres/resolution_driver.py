@@ -484,17 +484,24 @@ def initial_chart(
     variables: tuple[str, ...],
     text: str,
     boundary_vars: tuple[str, ...] = (),
-    chart_id: str = "root",
 ) -> ChartState:
-    """Build a root chart from a polynomial string.
+    """Build a root chart from a polynomial string (see ``root_chart``)."""
+    return root_chart(parse_polynomial(text, field, variables), boundary_vars)
+
+
+def root_chart(
+    f: Polynomial,
+    boundary_vars: tuple[str, ...] = (),
+) -> ChartState:
+    """Build a root chart of the hypersurface f = 0.
 
     The frame is adapted to the directrix when its forms are coordinate
     (those variables become the y-block); otherwise the frame is neutral.
     Boundary variables are installed as old components.
     """
-    f = parse_polynomial(text, field, variables)
     if f.is_zero:
         raise InputError("the hypersurface polynomial must be nonzero")
+    field, variables = f.field, f.variables
     boundary = []
     for i, v in enumerate(boundary_vars):
         if v not in variables:
@@ -502,7 +509,7 @@ def initial_chart(
         boundary.append(BoundaryComponent(
             generator=Polynomial.variable(field, variables, v),
             status=OLD, birth_step=0, cid=i))
-    chart = ChartState(chart_id=chart_id, field=field, variables=variables,
+    chart = ChartState(chart_id="root", field=field, variables=variables,
                        generators=(f,),
                        frame=Frame(u_block=variables, y_block=(),
                                    boundary=tuple(boundary)))

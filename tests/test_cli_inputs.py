@@ -347,6 +347,26 @@ def test_a_residue_generator_named_like_a_variable_is_refused(
     assert "'s'" in err
 
 
+F3T_CUSP = {
+    "field": {"kind": "rational_functions", "characteristic": 3,
+              "parameter": "y"},
+    "variables": ["x", "y", "z"],
+    "generators": ["x^2 + y^3 + z^5"],
+}
+
+
+@pytest.mark.parametrize("command, renamed_code", [
+    ("analyze", EXIT_OK), ("invariant", EXIT_OK), ("resolve", EXIT_SCOPE)])
+def test_a_field_parameter_named_like_a_variable_is_refused(
+        tmp_path, capsys, command, renamed_code):
+    # no generator text could name the parameter y: y parses as the variable
+    code, out, err = run(tmp_path, capsys, command, F3T_CUSP)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "jobspec.field.parameter" in err and "'y'" in err
+    renamed = dict(F3T_CUSP, field=dict(F3T_CUSP["field"], parameter="t"))
+    assert run(tmp_path, capsys, command, renamed)[0] == renamed_code
+
+
 def point_jobs() -> dict[str, tuple[str, dict]]:
     """The jobs of this module that locate a point through ``point`` or
     ``declared_points``, keyed by name and paired with their command; the

@@ -16,7 +16,10 @@ stderr.  The run set:
   writes it (frame, boundary and stratum included);
 * the jobs of ``tests/test_cli_inputs.py::point_jobs``, which locate a point
   through ``point`` (a coordinate or a ``root_of`` condition) or through
-  ``declared_points``, each under the command its test runs.
+  ``declared_points``, each under the command its test runs;
+* ``export --format json`` and ``export --format dot`` of each named job's
+  stored trace: its ``export --format json`` output fed back as
+  ``{"trace": ...}``.
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -55,6 +58,7 @@ from surfres import cli  # noqa: E402
 POOL_RESOLVE_S = 0.4
 SURFACE_COMMANDS = (("resolve",), ("export", "--format", "dot"),
                     ("export", "--format", "json"), ("invariant",), ("analyze",))
+STORED_COMMANDS = (("export", "--format", "json"), ("export", "--format", "dot"))
 CHART_BUDGETS = (8, 24)
 
 
@@ -108,17 +112,26 @@ def exported_chart_job(chart: dict, field: dict) -> dict:
     }
 
 
-def blowup_jobs() -> dict[str, dict]:
-    """The ``blowup`` job of every named-trace chart with a non-empty
-    stratum, keyed by trace name and chart id."""
-    jobs = {}
+def named_traces() -> dict[str, dict]:
+    """Each named job's trace as ``export --format json`` writes it."""
+    traces = {}
     for name, job in corpus.NAMED_JOBS.items():
         code, out, _err = run_cli(("export", "--format", "json"), job)
         if code:
             raise SystemExit(f"export of {name} exited {code}")
-        for chart in json.loads(out)["charts"]:
+        traces[name] = json.loads(out)
+    return traces
+
+
+def blowup_jobs(traces: dict[str, dict]) -> dict[str, dict]:
+    """The ``blowup`` job of every named-trace chart with a non-empty
+    stratum, keyed by trace name and chart id."""
+    jobs = {}
+    for name, trace in traces.items():
+        field = corpus.NAMED_JOBS[name]["field"]
+        for chart in trace["charts"]:
             if chart["stratum"]:
-                jobs[f"{name}:{chart['id']}"] = exported_chart_job(chart, job["field"])
+                jobs[f"{name}:{chart['id']}"] = exported_chart_job(chart, field)
     return jobs
 
 
@@ -131,8 +144,13 @@ def digests() -> dict[str, str]:
         for budget in CHART_BUDGETS:
             out[f"polyhedron budget {budget} | {key}"] = run_digest(
                 ("polyhedron",), dict(job, options={"budget": budget}))
-    for key, job in blowup_jobs().items():
+    traces = named_traces()
+    for key, job in blowup_jobs(traces).items():
         out[f"blowup | {key}"] = run_digest(("blowup",), job)
+    for key, trace in traces.items():
+        for args in STORED_COMMANDS:
+            out[f"{' '.join(args)} | stored {key}"] = run_digest(
+                args, {"trace": trace})
     for key, (command, job) in point_jobs().items():
         out[f"{command} | point {key}"] = run_digest((command,), job)
     return out
