@@ -189,11 +189,18 @@ class ChartState:
                                       self.variables)
         return e_o, tuple(forms)
 
-    def old_components(self) -> tuple[BoundaryComponent, ...]:
-        return self.frame.old_components()
 
-    def new_components(self) -> tuple[BoundaryComponent, ...]:
-        return self.frame.new_components()
+def iota0(chart: ChartState) -> tuple[NuStar, int, int, int]:
+    """(nu*, |O(x)|, e, e^O): the multiplicity vector, the number of old
+    boundary components, the directrix dimension (the ambient dimension
+    minus the rank of the directrix equations) and the log-directrix
+    dimension; both dimensions are 0 off the variety."""
+    nu = chart.nu
+    n_old = len(chart.frame.old_components())
+    if nu.orders[0] == 0:
+        return (nu, n_old, 0, 0)
+    return (nu, n_old, len(chart.variables) - chart.directrix[0],
+            chart.log_directrix[0])
 
 
 def make_chart(
@@ -203,34 +210,10 @@ def make_chart(
     u_block: tuple[str, ...],
     y_block: tuple[str, ...],
     boundary: tuple[BoundaryComponent, ...] = (),
-    chart_id: str = "root",
-    step: int = 0,
 ) -> ChartState:
-    """Convenience constructor wiring a frame into a fresh chart state."""
-    frame = Frame(u_block=u_block, y_block=y_block, boundary=boundary)
-    return ChartState(
-        chart_id=chart_id,
-        field=field,
-        variables=variables,
-        generators=generators,
-        frame=frame,
-        step=step,
-    )
-
-
-# ---------------------------------------------------------------------------
-# directrix dimensions (shared by classification and the invariant module)
-# ---------------------------------------------------------------------------
-
-
-def directrix_dimension(chart: ChartState) -> int:
-    """e(X,x): ambient dimension minus the rank of the directrix equations."""
-    return len(chart.variables) - chart.directrix[0]
-
-
-def directrix_dimension_old(chart: ChartState) -> int:
-    """e^O(X,x): same, with the old boundary folded into the ideal."""
-    return chart.log_directrix[0]
+    """Convenience constructor wiring a frame into a fresh root chart state."""
+    return ChartState(chart_id="root", field=field, variables=variables,
+                      generators=generators, frame=Frame(u_block, y_block, boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +551,15 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
 
 
 def classify_point(parent: ChartState, child: ChartState) -> str:
-    """Compare the child chart origin with the parent point.
+    """Compare the child chart origin with the parent point, slot by slot
+    of ``iota0``.
 
     Returns the strongest applicable tag among ``dropped`` (the multiplicity
     invariant improved), ``near`` (same nu*), ``O_near`` (near and the same
     number of old boundary components), ``very_near`` (near and the same
     directrix dimension e) and ``very_O_near`` (O-near, very near, and the
-    same log-directrix dimension e^O).
+    same log-directrix dimension e^O).  nu* is compared first, so a dropped
+    point needs no directrix.
     """
     if child.nu < parent.nu:
         return DROPPED
@@ -582,11 +567,12 @@ def classify_point(parent: ChartState, child: ChartState) -> str:
         raise InputError(
             "the multiplicity invariant increased across the blow-up; "
             "the center cannot have been permissible")
-    o_near = len(child.old_components()) == len(parent.old_components())
-    very_near = directrix_dimension(child) == directrix_dimension(parent)
-    if o_near and very_near:
-        if directrix_dimension_old(child) == directrix_dimension_old(parent):
-            return VERY_O_NEAR
+    _, n_old, e, e_old = iota0(parent)
+    _, child_n_old, child_e, child_e_old = iota0(child)
+    o_near = child_n_old == n_old
+    very_near = child_e == e
+    if o_near and very_near and child_e_old == e_old:
+        return VERY_O_NEAR
     if very_near:
         return VERY_NEAR
     if o_near:

@@ -32,7 +32,6 @@ from .exact_algebra import (
     FINITE_EXTENSION,
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     PRIME_FIELD,
     RATIONALS,
@@ -215,11 +214,6 @@ def _scan(g: Polynomial, frame: Frame) -> list[tuple[tuple[int, ...], int]]:
     return [(a, nu - b) for a, b in rows if b < nu]
 
 
-def _points_of_generator(g: Polynomial, frame: Frame) -> list[Point]:
-    """The points A/(nu - |B|) of ``_scan``, as exact rationals."""
-    return [tuple([Fraction(x, d) for x in a]) for a, d in _scan(g, frame)]
-
-
 def _lattice_vertices(dim: int, pairs: Iterable[tuple[tuple[int, ...], int]]) -> tuple[Point, ...]:
     """``_canonical_vertices`` of the points A/d of the pairs (A, d > 0),
     hulled on ints: scaled by the lcm L of the d's, then divided by L."""
@@ -249,15 +243,6 @@ class VertexInitial:
     forms: tuple[Polynomial, ...]
     orders: tuple[int, ...]
     frame: Frame
-
-
-def _term_point(m: Monomial, nu: int, frame: Frame) -> Point | None:
-    """The point A/(nu - |B|) of the term u^A y^B; None when |B| >= nu."""
-    b = m.degree(set(frame.y_block))
-    if b >= nu:
-        return None
-    denom = nu - b
-    return tuple(Fraction(m.exponent(u), denom) for u in frame.u_block)
 
 
 def vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> VertexInitial:
@@ -291,20 +276,20 @@ def _pure_y_part(form: Polynomial, frame: Frame, nu: int) -> Polynomial:
         if sum(vec) == nu and sum([vec[i] for i in yi]) == nu})
 
 
-def _u_power_monomial(frame: Frame, v: Point, multiple: int = 1) -> Monomial:
+def _u_power(frame: Frame, v: Point, multiple: int = 1) -> dict[str, int]:
+    """The exponents of U^(multiple * v) by u-variable; they must be ints."""
     exps = {}
     for u, coord in zip(frame.u_block, v):
         e = coord * multiple
         if e.denominator != 1:
             raise InputError("non-integral u-power requested")
-        if e:
-            exps[u] = int(e)
-    return Monomial.from_dict(exps)
+        exps[u] = int(e)
+    return exps
 
 
 def _translated(F: Polynomial, frame: Frame, v: Point, lam: Sequence[Any]) -> Polynomial:
     """F(Y + lambda * U^v); the moves y_j <- y_j + lambda_j U^v commute."""
-    uv = _u_power_monomial(frame, v).as_dict()
+    uv = _u_power(frame, v)
     for y_name, coeff in zip(frame.y_block, lam):
         F = translate(F, y_name, coeff, uv)
     return F
@@ -375,23 +360,22 @@ def _solve_ratfunc(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | Non
         raise ScopeError(
             "vertex solvability over F_p(t) is supported for a single y variable"
         )
-    p = field.characteristic
-    y_name = frame.y_block[0]
+    p, y, zero = field.characteristic, frame.y_block[0], field.zero()
     lam = None
     for form, nu in zip(vi.forms, vi.orders):
-        F = _pure_y_part(form, frame, nu)
-        if F.is_zero:
+        if _pure_y_part(form, frame, nu).is_zero:
             if not form.is_zero:
                 return None
             continue
-        c = F.coefficient(Monomial.from_dict({y_name: nu}))
+        # the coefficients of y^nu and of y^(nu - d) U^(d v) in the form
+        coefficients = form.coefficient_map()
+        c = coefficients.get(tuple(nu if v == y else 0 for v in form.variables), zero)
         if not c:
             return None
-        a = _p_adic_valuation(nu, p)
-        d = p ** a
+        d = p ** _p_adic_valuation(nu, p)
         binom = field.from_int(comb(nu, d) % p)
-        coeff = form.coefficient(Monomial.from_dict({
-            y_name: nu - d, **_u_power_monomial(frame, vi.vertex, d).as_dict()}))
+        exps = {y: nu - d, **_u_power(frame, vi.vertex, d)}
+        coeff = coefficients.get(tuple(exps.get(v, 0) for v in form.variables), zero)
         cand = q_th_root(coeff / (binom * c), d, field)
         if cand is None:
             return None
@@ -932,27 +916,34 @@ def _face_constraints(
     alpha: Fraction, beta: Fraction,
 ) -> list[list[Any]]:
     """Constraint polynomials (univariate in the slide coefficient) whose
-    common vanishing straightens the first face of slope -1/m."""
+    common vanishing straightens the first face of slope -1/m.
+
+    The coefficient of c^k in g(u2 + c * u1^m) is u1^(k m) D^(k) g, where
+    D^(k) is the k-th Hasse derivative in u2; so the constraint of a point
+    u^A y^B on the face line collects, for each k, the coefficient of
+    u^A y^B / u1^(k m) in D^(k) g.
+    """
     field = gens[0].field
-    cvar = "__C__"
-    u1, u2 = frame.u_block
+    u2 = frame.u_block[1]
     constraints: list[list[Any]] = []
     for g in gens:
-        moved = translate(g.extended(cvar), u2, field.one(), {cvar: 1, u1: m_exp})
         nu = generator_order(g, frame)
         ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
-        # the coefficient polynomial in __C__ (last coordinate) per (A, B)
+        # the coefficient polynomial in c per exponent vector (A, B)
         buckets: dict[tuple[int, ...], dict[int, Any]] = {}
-        for vec, c in moved.vectors:
-            buckets.setdefault(vec[:-1], {})[vec[-1]] = c
+        for k in range(max([vec[ui[1]] for vec, _ in g.vectors]) + 1):
+            for vec, c in hasse_derivative(g, {u2: k}).coefficient_map().items():
+                moved = list(vec)
+                moved[ui[0]] += k * m_exp
+                buckets.setdefault(tuple(moved), {})[k] = c
         line = alpha + m_exp * beta  # the face: a1 + m a2 = line (nu - |B|)
-        for rest, bucket in buckets.items():
-            d = nu - sum([rest[i] for i in yi])
-            a1, a2 = [rest[i] for i in ui]
+        for vec, bucket in buckets.items():
+            d = nu - sum([vec[i] for i in yi])
+            a1, a2 = [vec[i] for i in ui]
             if d > 0 and a1 + m_exp * a2 == line * d and a1 > alpha * d:
                 coeffs = [field.zero()] * (max(bucket) + 1)  # low to high
-                for e, c in bucket.items():
-                    coeffs[e] = field.to_public(c)
+                for k, c in bucket.items():
+                    coeffs[k] = c
                 constraints.append(coeffs)
     return constraints
 
@@ -1022,12 +1013,6 @@ def sigma_search(
         certified = False
     # max keeps INF, which exceeds every Fraction
     return SigmaResult(max(Fraction(1), s), certified, tuple(subs), tuple(current))
-
-
-def sigma(
-    gens: Sequence[Polynomial], frame: Frame, side: int, budget: int = 32
-) -> Fraction | float:
-    return sigma_search(gens, frame, side, budget).value
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .blowup_engine import (
     locate_point,
     make_chart,
 )
-from .char_polyhedron import delta, face_numbers, prepare, sigma
+from .char_polyhedron import delta, face_numbers, prepare, sigma_search
 from .exact_algebra import (
     FieldDescriptor,
     InputError,
@@ -404,8 +404,8 @@ def report_polyhedron(job: dict) -> dict:
         }
         report["sigma"] = {
             f"side{side}": value_to_jsonable(
-                sigma(result.generators, chart.frame, side,
-                      budget=sigma_budget))
+                sigma_search(result.generators, chart.frame, side,
+                             budget=sigma_budget).value)
             for side in (1, 2)
         }
     return report
@@ -631,8 +631,19 @@ def _read_job(path: str) -> dict:
     except UnicodeDecodeError as err:
         raise InputError(f"{source}: the job document is not UTF-8 text: "
                          f"{err.reason} at byte {err.start}") from err
+    # every number of a job is finite: json.loads would take the words NaN,
+    # Infinity and -Infinity, and numbers such as 1e400 overflow to inf
+    def refuse(word: str) -> None:
+        raise InputError(f"{source}: {word} is not a JSON number")
+
+    def number(text: str) -> float:
+        value = float(text)
+        if math.isinf(value):
+            raise InputError(f"{source}: the number {text} overflows a float")
+        return value
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=refuse, parse_float=number)
     except json.JSONDecodeError as err:
         raise InputError(
             f"{source}: invalid JSON at line {err.lineno} column "

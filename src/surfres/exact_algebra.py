@@ -796,14 +796,6 @@ class Polynomial:
             raise InputError(f"unknown variable {name!r}")
         return Polynomial.make(field, vs, {Monomial.from_dict({name: 1}): field.native_int(1)})
 
-    def extended(self, name: str) -> "Polynomial":
-        """The same polynomial in the ring with ``name`` appended to the
-        variables."""
-        if name in self.variables:
-            raise InputError(f"variable {name!r} is already in the ring")
-        return _canonical(self.field, self.variables + (name,),
-                          [(vec + (0,), c) for vec, c in self.vectors])
-
     # -- basic queries -------------------------------------------------------
 
     @cached_property
@@ -837,9 +829,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.vectors
-
-    def term_map(self) -> dict[Monomial, Any]:
-        return dict(self.terms)
 
     def coefficient(self, m: Monomial) -> Any:
         try:
@@ -902,12 +891,6 @@ class Polynomial:
         c = self.field.to_native(c)
         return _canonical(self.field, self.variables,
                           [(m, cc * c) for m, cc in self.vectors])
-
-    def monomial_multiple(self, m: Monomial, c: Any | None = None) -> "Polynomial":
-        coeff = self.field.native_int(1) if c is None else self.field.to_native(c)
-        shift = _vector_of(m, self.variables)
-        return _canonical(self.field, self.variables, [
-            (tuple(map(add, vec, shift)), cc * coeff) for vec, cc in self.vectors])
 
     # -- rendering -----------------------------------------------------------
 

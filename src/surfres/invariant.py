@@ -4,7 +4,8 @@ For a point on a (log-)surface presented as a chart state this module
 computes
 
 * ``iota0``  = (nu*, |O(x)|, e, e^O): the multiplicity vector, the number
-  of old boundary components, and the plain/log directrix dimensions;
+  of old boundary components, and the plain/log directrix dimensions, read
+  by ``blowup_engine.iota0`` (the nearness classification reads it too);
 * ``iota_c``: a six-slot tuple measuring the original part C of the maximal
   stratum through the point -- identically "zero" when C is empty or the
   point is regular, a fixed formal value when C itself is the next center
@@ -29,8 +30,7 @@ from .blowup_engine import (
     ChartState,
     StratumComponent,
     _is_coordinate_generator,
-    directrix_dimension,
-    directrix_dimension_old,
+    iota0,
     is_permissible_curve,
 )
 from .char_polyhedron import (
@@ -46,7 +46,6 @@ from .exact_algebra import (
     INF,
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     ScopeError,
     to_string,
@@ -139,21 +138,6 @@ def classify_case(chart: ChartState) -> CaseInfo:
                 and is_permissible_curve(chart, comp.variables)):
             return CaseInfo(CASE_II, comps)
     return CaseInfo(CASE_III, comps)
-
-
-# ---------------------------------------------------------------------------
-# iota0
-# ---------------------------------------------------------------------------
-
-
-def iota0(chart: ChartState) -> tuple[NuStar, int, int, int]:
-    """(nu*, number of old boundary components, e, e^O)."""
-    nu = chart.nu
-    n_old = len(chart.frame.old_components())
-    if nu.orders[0] == 0:
-        return (nu, n_old, 0, 0)
-    return (nu, n_old, directrix_dimension(chart),
-            directrix_dimension_old(chart))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +253,8 @@ def _ideal_of_c(comps: Sequence[StratumComponent],
         raise ScopeError("components of the union are not distinct")
     gens = [Polynomial.variable(field, variables, v)
             for v in sorted(common, key=variables.index)]
-    product = Monomial.from_dict({v: 1 for v in extras})
-    gens.append(Polynomial.make(field, variables, {product: field.one()}))
+    product = tuple(int(v in extras) for v in variables)
+    gens.append(Polynomial.from_vectors(field, variables, {product: field.one()}))
     return gens
 
 

@@ -32,14 +32,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from operator import add, le
+from operator import add
 from typing import Any, Iterable, Iterator, Sequence
 
 from .exact_algebra import (
     INF,
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     RATIONAL_FUNCTIONS,
     ScopeError,
@@ -171,43 +170,11 @@ def nu_star(gens: Sequence[Polynomial]) -> NuStar:
     return NuStar(tuple(sorted(orders)))
 
 
-def check_standard_basis_necessary(gens: Sequence[Polynomial]) -> None:
-    """Cheap necessary conditions for a caller-asserted standard basis.
-
-    Checks that orders are nondecreasing as given and that no single-term
-    initial form of an earlier generator divides every term of a later one.
-    """
-    orders = []
-    for g in gens:
-        if g.is_zero:
-            raise InputError("zero generator in standard basis")
-        orders.append(int(ord_at(g, g.variables)))
-    for a, b in zip(orders, orders[1:]):
-        if a > b:
-            raise InputError("standard basis generators must have nondecreasing order")
-    initials = [initial_form(g, g.variables) for g in gens]
-    for j, earlier in enumerate(initials):
-        if len(earlier.vectors) != 1:
-            continue
-        mono_j = earlier.vectors[0][0]
-        for i in range(j + 1, len(initials)):
-            if all(all(map(le, mono_j, vec)) for vec, _ in initials[i].vectors):
-                raise InputError(
-                    "redundant standard basis: an earlier initial form divides a later one"
-                )
-
-
 def compose_with_old_boundary(gens: Sequence[Polynomial], frame: Frame) -> list[Polynomial]:
     """Multiply every generator by the product of the old boundary generators."""
-    old = frame.old_components()
-    if not old:
-        return list(gens)
-    out = []
-    for g in gens:
-        acc = g
-        for b in old:
-            acc = acc * b.generator
-        out.append(acc)
+    out = list(gens)
+    for b in frame.old_components():
+        out = [g * b.generator for g in out]
     return out
 
 
@@ -287,18 +254,26 @@ def _column_index(n: int, degree: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomials_of_degree(n, degree))}
 
 
+def _pure_power(n: int, i: int, degree: int) -> tuple[int, ...]:
+    """The exponent vector of v_i^degree among n variables."""
+    return (0,) * i + (degree,) + (0,) * (n - i - 1)
+
+
 def form_row(f: Polynomial, variables: Sequence[str], degree: int = 1) -> list[Any]:
     """The coefficients c_i of a form sum_i c_i * v_i^degree over the variables."""
     if f.is_zero or int(f.total_degree()) != degree:
         raise InputError(f"expected a nonzero form of degree {degree}, got {f}")
-    return [f.coefficient(Monomial.from_dict({v: degree})) for v in variables]
+    coefficients, zero, n = f.coefficient_map(), f.field.zero(), len(f.variables)
+    return [coefficients.get(_pure_power(n, i, degree), zero)
+            for i in f.positions(variables)]
 
 
 def row_form(row: Sequence[Any], field: FieldDescriptor,
              variables: tuple[str, ...], degree: int = 1) -> Polynomial:
     """The form sum_i c_i * v_i^degree of coefficients c_i over the variables."""
-    return Polynomial.make(field, variables, {
-        Monomial.from_dict({v: degree}): c for v, c in zip(variables, row) if c})
+    n = len(variables)
+    return Polynomial.from_vectors(field, variables, {
+        _pure_power(n, i, degree): c for i, c in enumerate(row) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +458,26 @@ def _linear_conditions(sigma_degree: int, vec: list[Any], field: FieldDescriptor
 
 
 def translation_invariant(f: Polynomial, w: Sequence[Any]) -> bool:
-    """Whether f(X + T*w) == f(X) identically for the direction vector w."""
-    lift = shifted = f.extended("__T__")
-    # one x_i <- x_i + w_i T at a time: T is never moved, so the moves commute
+    """Whether f(X + T*w) == f(X) identically for the direction vector w.
+
+    Pick a pivot i with w_i != 0 and change coordinates by phi:
+    x_j <- x_j + (w_j / w_i) x_i for every other j with w_j != 0, one
+    ``translate`` each; x_i is never moved, so the moves commute.  phi sends
+    e_i to w / w_i, so g = f(phi(Y)) satisfies
+    g(Y + s e_i) = f(phi(Y) + (s / w_i) w).  Since phi is invertible, f is
+    invariant under translation by w exactly when g(Y + s e_i) = g(Y)
+    identically, that is, when every Hasse derivative of g in y_i of
+    positive order vanishes, which is when no term of g contains y_i.
+    Hasse derivatives make this hold in every characteristic.
+    """
+    i = next((k for k, c in enumerate(w) if c), None)
+    if i is None:
+        return True
+    pivot, scale = f.variables[i], f.field.one() / w[i]
     for v, c in zip(f.variables, w):
-        shifted = translate(shifted, v, c, {"__T__": 1})
-    return shifted == lift
+        if c and v != pivot:
+            f = translate(f, v, c * scale, {pivot: 1})
+    return not any(vec[i] for vec, _ in f.vectors)
 
 
 # nonzero initial forms -> (r, forms) in a ``directrix_memo`` block, else None

@@ -362,15 +362,11 @@ def max_stratum(
 
 @dataclass(frozen=True)
 class CenterChoice:
-    """The selected center plus the stratum component it came from."""
+    """The selected center plus the label of the stratum component it came
+    from (None for a closed-point fallback)."""
 
     center: Center
     label: int | None
-    component: StratumComponent | None
-
-    @property
-    def was_component(self) -> bool:
-        return self.component is not None
 
 
 def select_center(chart: ChartState) -> CenterChoice:
@@ -414,18 +410,17 @@ def select_center(chart: ChartState) -> CenterChoice:
         comp = pool[0]
         if len(comp.variables) == n:
             return CenterChoice(Center(comp.variables, CLOSED_POINT),
-                                comp.label, comp)
+                                comp.label)
         if len(comp.variables) == n - 1:
             if is_permissible_curve(chart, comp.variables):
                 return CenterChoice(Center(comp.variables, COORDINATE_CURVE),
-                                    comp.label, comp)
-            return CenterChoice(Center(chart.variables, CLOSED_POINT),
-                                None, None)
+                                    comp.label)
+            return CenterChoice(Center(chart.variables, CLOSED_POINT), None)
         raise ScopeError(
             f"stratum component V({', '.join(comp.variables)}) has "
             "codimension below a curve; the input is not reduced of "
             "dimension at most two")
-    return CenterChoice(Center(chart.variables, CLOSED_POINT), None, None)
+    return CenterChoice(Center(chart.variables, CLOSED_POINT), None)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +475,10 @@ class ResolutionTrace:
 
 
 def initial_chart(
-    field: FieldDescriptor,
-    variables: tuple[str, ...],
-    text: str,
-    boundary_vars: tuple[str, ...] = (),
+    field: FieldDescriptor, variables: tuple[str, ...], text: str,
 ) -> ChartState:
     """Build a root chart from a polynomial string (see ``root_chart``)."""
-    return root_chart(parse_polynomial(text, field, variables), boundary_vars)
+    return root_chart(parse_polynomial(text, field, variables))
 
 
 def root_chart(
@@ -741,10 +733,6 @@ class MonotonicityReport:
     ok: bool
     checked: int
     violations: tuple[dict, ...]
-
-    @property
-    def first_violation(self) -> dict | None:
-        return self.violations[0] if self.violations else None
 
 
 def check_monotone(trace: ResolutionTrace) -> MonotonicityReport:

@@ -54,7 +54,7 @@ from surfres.char_polyhedron import (
     face_numbers,
     polyhedron_of,
     prepare,
-    sigma,
+    sigma_search,
 )
 from surfres.exact_algebra import (
     INF,
@@ -217,7 +217,7 @@ def test_criterion_2_imperfect_residue_fields():
         assert ppoly.vertices == ((F(1), F(1, p)),)
         alpha, beta, _gamma, _s = face_numbers(ppoly, 1)
         assert (alpha, beta) == (F(1), F(1, p))
-        assert sigma([g], fr, side=1) == F(1)
+        assert sigma_search([g], fr, side=1).value == F(1)
     print("criterion 2: PASS — e = e^O = 1, vertex (1, 1/p), "
           "(alpha, beta, sigma) = (1, 1/p, 1) for p in {2, 3}")
 
@@ -490,7 +490,7 @@ def test_criterion_7_strict_decrease_across_the_corpus(corpus_traces):
         assert trace.status == RESOLVED, name
         assert len(trace.events) <= 64, (name, len(trace.events))
         report = check_monotone(trace)
-        assert report.ok, (name, report.first_violation)
+        assert report.ok, (name, report.violations[0])
         assert report.checked == sum(
             len(ev.records) for ev in trace.events), name
         total_pairs += report.checked

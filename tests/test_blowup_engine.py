@@ -19,8 +19,7 @@ from surfres.blowup_engine import (
     StratumComponent,
     blow_up_chart,
     classify_point,
-    directrix_dimension,
-    directrix_dimension_old,
+    iota0,
     locate_point,
     make_chart,
     permissible_check,
@@ -314,11 +313,11 @@ def test_classify_very_near_when_old_components_are_lost():
     chart = whirl_chart(statuses=(OLD, OLD))
     child = blow_up_chart(chart, Center(("u1", "u2", "y"), CLOSED_POINT), "u1")
     located = locate_point(child, {"u2": QQ.from_int(-1)})
-    assert len(chart.old_components()) == 2
+    assert len(chart.frame.old_components()) == 2
     # V(u1)'s strict transform misses the whole u1-chart and V(u2)'s misses
     # the located point; only the new exceptional divisor passes through.
-    assert len(located.old_components()) == 0
-    assert len(located.new_components()) == 1
+    assert len(located.frame.old_components()) == 0
+    assert len(located.frame.new_components()) == 1
     assert classify_point(chart, located) == VERY_NEAR
 
 
@@ -327,8 +326,8 @@ def test_classify_o_near_and_plain_near():
     e_drop = make_chart(QQ, ("x", "y", "z"),
                         (poly("x^2 + y^2 + z^5", QQ, ("x", "y", "z")),),
                         ("z",), ("x", "y"))
-    assert directrix_dimension(parent_plain) == 2
-    assert directrix_dimension(e_drop) == 1
+    assert iota0(parent_plain)[2] == 2
+    assert iota0(e_drop)[2] == 1
     assert classify_point(parent_plain, e_drop) == O_NEAR
 
     boundary = (BoundaryComponent(poly("y", QQ, ("x", "y", "z")), OLD, 0, 0),)
@@ -343,8 +342,8 @@ def test_directrix_dimensions_with_old_boundary():
     )
     chart = whirl_chart(statuses=(OLD, OLD))
     assert chart.frame.boundary == boundary
-    assert directrix_dimension(chart) == 2
-    assert directrix_dimension_old(chart) == 0
+    assert iota0(chart)[2] == 2
+    assert iota0(chart)[3] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from surfres.char_polyhedron import (
     normalize_at_vertex,
     polyhedron_of,
     prepare,
-    sigma,
     sigma_search,
     vertex_initial,
 )
@@ -447,7 +446,7 @@ def test_sigma_straightening_example():
 def test_sigma_no_improvement_example():
     f = parse_polynomial("y^2 + u1*v2^3 + u1^5", QQ, ("u1", "v2", "y"))
     fr = Frame(("u1", "v2"), ("y",))
-    assert sigma([f], fr, side=1) == F(4, 3)
+    assert sigma_search([f], fr, side=1).value == F(4, 3)
 
 
 def test_sigma_small_beta_is_one():
@@ -455,7 +454,7 @@ def test_sigma_small_beta_is_one():
         K = FieldDescriptor.rational_functions(p, "t")
         f = parse_polynomial(f"z^{p} + phi*u1^{p}", K, ("u1", "phi", "z"))
         fr = Frame(("u1", "phi"), ("z",))
-        assert sigma([f], fr, side=1) == F(1)
+        assert sigma_search([f], fr, side=1).value == F(1)
 
 
 def test_sigma_side_two():

@@ -453,6 +453,52 @@ def test_a_deeply_nested_job_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+# Python's json module reads the words NaN, Infinity and -Infinity, and a
+# number such as 1e400 as inf; a report written from them would not be JSON.
+@pytest.mark.parametrize("text, message", [
+    ('{"trace": {"charts": [], "events": [], "note": NaN, "big": 1e400}}',
+     "NaN is not a JSON number"),
+    ('{"trace": {"charts": [], "events": [], "big": 1e400}}',
+     "the number 1e400 overflows a float"),
+    ('{"trace": {"charts": [], "events": [], "big": -1e400}}',
+     "the number -1e400 overflows a float"),
+    ('{"trace": {"charts": [], "events": [], "big": Infinity}}',
+     "Infinity is not a JSON number"),
+    ('{"trace": {"charts": [], "events": [], "big": [-Infinity]}}',
+     "-Infinity is not a JSON number"),
+])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_a_stored_trace_with_a_non_finite_number_is_an_input_error(
+        tmp_path, capsys, text, message, fmt):
+    path = tmp_path / "stored.json"
+    path.write_text(text)
+    code = main(["export", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}: {message}\n"
+
+
+def test_an_overflowing_option_is_an_input_error_naming_the_source(
+        capsys, monkeypatch):
+    text = json.dumps(SURFACE_JOB)[:-1] + ', "options": {"max_steps": 1e400}}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(["resolve", "-"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.err == (
+        "input error: <stdin>: the number 1e400 overflows a float\n")
+
+
+def test_finite_floats_still_reach_the_option_checks(capsys, monkeypatch):
+    text = json.dumps(dict(SURFACE_JOB, options={"max_steps": 1.5e300}))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(["resolve", "-"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "jobspec.options.max_steps" in captured.err
+
+
 def test_the_cached_parser_answers_as_a_parser_built_per_call(tmp_path, capsys):
     """Consecutive in-process calls of different subcommands, a usage error
     and --help print the same and end with the same code whether the parser

@@ -165,7 +165,7 @@ def test_two_crossing_label_zero_lines_select_the_origin():
     choice = select_center(chart)
     assert choice.center.variables == ("x", "y", "z")
     assert choice.center.kind == CLOSED_POINT
-    assert not choice.was_component
+    assert choice.label is None
 
 
 def test_single_permissible_curve_is_selected():
@@ -175,7 +175,7 @@ def test_single_permissible_curve_is_selected():
     assert choice.center.variables == ("x", "y")
     assert choice.center.kind == COORDINATE_CURVE
     assert choice.label == 0
-    assert choice.was_component
+    assert choice.label is not None
 
 
 def test_smallest_label_wins_even_when_positive():
@@ -205,7 +205,7 @@ def test_curve_leaving_an_old_divisor_falls_back_to_the_origin():
     choice = select_center(with_old)
     assert choice.center.kind == CLOSED_POINT
     assert choice.center.variables == ("x", "y", "z")
-    assert not choice.was_component
+    assert choice.label is None
 
     without = chart_with("y + x^2", u_block=("x", "z"), y_block=("y",),
                          boundary=(old_divisor("y"),), stratum=stratum)
@@ -385,7 +385,7 @@ def test_corrupted_trace_fails_the_monotonicity_check():
     broken = replace(trace, events=(broken_event,) + trace.events[1:])
     report = check_monotone(broken)
     assert not report.ok
-    first = report.first_violation
+    first = report.violations[0]
     assert first["step"] == event.step
     assert first["comparison"] == EQUAL
     assert first["iota_before"] == first["iota_after"]

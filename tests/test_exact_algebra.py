@@ -194,7 +194,7 @@ def taylor_expansion_matches(f: Polynomial) -> bool:
             continue
         dz = Polynomial.make(field, ext, dict(d.terms))
         zmono = Monomial.from_dict({shift[v]: e for v, e in a.items()})
-        total = total + dz.monomial_multiple(zmono)
+        total = total + dz * Polynomial.make(field, ext, {zmono: field.one()})
     return shifted == total
 
 
@@ -546,8 +546,8 @@ def test_constructors_refuse_floats(field):
     with pytest.raises(TypeError):
         parse_polynomial("x + y", field, vs).scale(half)
     with pytest.raises(TypeError):
-        parse_polynomial("x", field, vs).monomial_multiple(
-            Monomial.from_dict({"y": 1}), 3.0)
+        parse_polynomial("x", field, vs) * Polynomial.make(
+            field, vs, {Monomial.from_dict({"y": 1}): 3.0})
 
 
 def test_constructors_refuse_elements_of_another_field():

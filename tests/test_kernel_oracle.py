@@ -146,7 +146,7 @@ def assert_canonical_form(f: Polynomial) -> None:
     own terms; no coefficient is zero; and the terms are listed in strictly
     descending canonical order: ascending total degree, then descending
     exponent vector."""
-    again = Polynomial.make(f.field, f.variables, f.term_map())
+    again = Polynomial.make(f.field, f.variables, dict(f.terms))
     assert f == again and hash(f) == hash(again)
     assert all(c for _, c in f.terms)
     keys = [(-m.degree(), tuple(m.exponent(v) for v in f.variables))

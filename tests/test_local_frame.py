@@ -18,7 +18,6 @@ from surfres.local_frame import (
     BoundaryComponent,
     Frame,
     NuStar,
-    check_standard_basis_necessary,
     compose_with_old_boundary,
     compute_directrix,
     compute_ridge,
@@ -88,18 +87,6 @@ def test_nu_star_examples():
     assert nu_star([parse_polynomial("y", QQ, ("y",))]) == NuStar((1,))
     g = parse_polynomial("x*(x^2 + y^3)", QQ, ("x", "y"))
     assert nu_star([g]) == NuStar((3,))
-
-
-def test_standard_basis_necessary_check():
-    vs = ("u1", "y1", "y2")
-    f1 = parse_polynomial("y1^2", QQ, vs)
-    f2 = parse_polynomial("y2^3 + u1^4", QQ, vs)
-    check_standard_basis_necessary([f1, f2])
-    with pytest.raises(InputError):
-        check_standard_basis_necessary([f2, f1])  # orders decrease
-    with pytest.raises(InputError):
-        # y1^2 divides the initial form y1^2*y2 of the second generator
-        check_standard_basis_necessary([f1, parse_polynomial("y1^2*y2 + u1^9", QQ, vs)])
 
 
 # ---------------------------------------------------------------------------

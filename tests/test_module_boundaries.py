@@ -2,14 +2,16 @@
 
 A polynomial stores its terms as exponent vectors; ``Polynomial.terms`` is
 a view of them as ``Monomial``s, and ``Monomial.exps`` is that view's own
-encoding.  Univariate polynomials over F_p are coefficient tuples: the
-``num`` and ``den`` of an F_p(t) element, the ``coeffs`` of an F_p[s]/(m)
-element and the ``modulus`` of its field, handled by the ``fp_`` routines.
+encoding; the other modules work on the exponent vectors alone.
+Univariate polynomials over F_p are coefficient tuples: the ``num`` and
+``den`` of an F_p(t) element, the ``coeffs`` of an F_p[s]/(m) element and
+the ``modulus`` of its field, handled by the ``fp_`` routines.
 Stored coefficients are field-native (an F_p coefficient is an int residue),
 and ``Fp`` is only the public element type they are converted to and from.
 No other module of the package reads any of these attributes, imports an
-``fp_`` routine or ``Fp``, or uses a private name of ``exact_algebra``, so
-how terms, coefficients and tuples are stored is decided in one module.
+``fp_`` routine, ``Fp`` or ``Monomial``, or uses a private name of
+``exact_algebra``, so how terms, coefficients and tuples are stored is
+decided in one module.
 
 Outside the ridge and directrix certificates, no module raises a bare
 ``RuntimeError``, which no documented exit code covers.
@@ -29,7 +31,7 @@ FORBIDDEN_ATTRIBUTES = ("terms", "exps", "num", "den", "coeffs", "modulus")
 
 def _forbidden_name(name: str) -> bool:
     """A name of ``exact_algebra`` no other module may use."""
-    return name.startswith("_") or name.startswith("fp_") or name == "Fp"
+    return name.startswith("_") or name.startswith("fp_") or name in ("Fp", "Monomial")
 
 
 def violations(source: str, name: str) -> list[str]:
@@ -74,10 +76,15 @@ def test_the_check_finds_each_kind_of_violation():
         "    return c.num, c.den, c.coeffs, k.modulus, ea.fp_gcd\n"
         "from .exact_algebra import Fp\n"
         "def g(p):\n"
-        "    return ea.Fp(1, p)\n")
+        "    return ea.Fp(1, p)\n"
+        "from .exact_algebra import INF, Monomial\n"
+        "def h(f):\n"
+        "    return f.coefficient(ea.Monomial.from_dict({'x': 1}))\n")
     assert sorted(violations(source, "m.py")) == [
         "m.py:1 imports _layout",
         "m.py:1 imports fp_mul",
+        "m.py:10 imports Monomial",
+        "m.py:12 uses exact_algebra.Monomial",
         "m.py:4 reads .exps",
         "m.py:4 reads .terms",
         "m.py:4 reads .terms",

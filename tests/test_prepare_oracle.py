@@ -104,6 +104,21 @@ def old_points_of_generator(g: Polynomial, frame: Frame):
     return points
 
 
+def term_point(m: Monomial, nu: int, frame: Frame):
+    """The point A/(nu - |B|) of the term u^A y^B; None when |B| >= nu."""
+    b = m.degree(set(frame.y_block))
+    if b >= nu:
+        return None
+    denom = nu - b
+    return tuple(Fraction(m.exponent(u), denom) for u in frame.u_block)
+
+
+def points_of_generator(g: Polynomial, frame: Frame):
+    """The points A/(nu - |B|) of ``char_polyhedron._scan``, as exact
+    rationals."""
+    return [tuple([Fraction(x, d) for x in a]) for a, d in cp._scan(g, frame)]
+
+
 def old_polyhedron_of(gens, frame):
     cp._check_frame_for_polyhedron(gens, frame)
     points = []
@@ -127,7 +142,7 @@ def old_vertex_initial(gens, frame, v):
             if m.degree() == nu and m.degree(yset) == nu:
                 term_map[m] = c
             else:
-                pt = cp._term_point(m, nu, frame)
+                pt = term_point(m, nu, frame)
                 if pt == v:
                     term_map[m] = c
         forms.append(Polynomial.make(g.field, g.variables, term_map))
@@ -163,7 +178,7 @@ def old_prepare(gens, frame, budget=64):
         if lam is None:
             certified.add(v)
             continue
-        uv = cp._u_power_monomial(frame, v)
+        uv = Monomial.from_dict(cp._u_power(frame, v))
         for y_name, coeff in zip(frame.y_block, lam):
             if coeff:
                 replacement = Polynomial.variable(
@@ -454,7 +469,7 @@ def test_vertex_initial_matches_at_every_vertex(named_cases):
 def test_points_match_on_every_generator(named_cases):
     for name, gens, frame in named_cases + criterion_6_cases(30):
         for g in gens:
-            assert outcome(cp._points_of_generator, g, frame) == outcome(
+            assert outcome(points_of_generator, g, frame) == outcome(
                 old_points_of_generator, g, frame), name
 
 

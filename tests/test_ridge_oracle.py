@@ -137,7 +137,7 @@ def old_derivative_closure(initials):
     def add(f):
         d = int(f.total_degree())
         mlist = monos.setdefault(d, [])
-        tm = f.term_map()
+        tm = dict(f.terms)
         for m in tm:
             if m not in mlist:
                 mlist.append(m)
@@ -237,7 +237,7 @@ def old_ideal_slice(generators, degree, field, variables):
         if d > degree:
             continue
         for m in old_all_monomials(variables, degree - d):
-            spanning.append(g.monomial_multiple(m))
+            spanning.append(g * Polynomial.make(field, variables, {m: field.one()}))
     if not spanning:
         return []
     monos = old_all_monomials(variables, degree)
@@ -263,10 +263,10 @@ def old_in_span(f, basis, field):
                 monos.append(m)
     rows = []
     for g in basis:
-        tm = g.term_map()
+        tm = dict(g.terms)
         rows.append([tm.get(m, field.zero()) for m in monos])
     ech = old_row_reduce(rows, field) if rows else []
-    tm = f.term_map()
+    tm = dict(f.terms)
     vec = old_reduce_vector([tm.get(m, field.zero()) for m in monos], ech, field)
     return not any(vec)
 

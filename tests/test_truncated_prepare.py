@@ -29,6 +29,7 @@ from surfres.char_polyhedron import (
 from surfres.exact_algebra import (
     FieldDescriptor,
     InputError,
+    Monomial,
     Polynomial,
     ScopeError,
     parse_polynomial,
@@ -88,7 +89,7 @@ def exact_prepare(gens, frame, budget=64):
         if lam is None:
             certified.add(v)
             continue
-        uv = cp._u_power_monomial(frame, v)
+        uv = Monomial.from_dict(cp._u_power(frame, v))
         for y_name, coeff in zip(frame.y_block, lam):
             if coeff:
                 replacement = Polynomial.variable(
