@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from .char_polyhedron import FPolyhedron
 from .exact_algebra import (
@@ -35,9 +35,8 @@ from .exact_algebra import (
     ScopeError,
     ord_at,
     residue_extension,
-    blow_up_monomials,
-    divide_exactly,
     restrict_to_zero,
+    strict_transform,
     to_string,
     translate,
 )
@@ -254,9 +253,11 @@ def _canonical_center(chart: ChartState, center: Center) -> Center:
     return Center(variables=ordered, kind=center.kind)
 
 
-def _vanishes_on(g: Polynomial, variables: tuple[str, ...]) -> bool:
-    """Whether g restricts to zero on V(variables)."""
-    return restrict_to_zero(g, variables).is_zero
+def is_variety_component(chart: ChartState, variables: tuple[str, ...]) -> bool:
+    """Whether V(variables) is a whole component of the chart's variety: it
+    lies on the variety, of codimension at most the number of generators."""
+    return len(variables) <= len(chart.generators) and all(
+        restrict_to_zero(g, variables).is_zero for g in chart.generators)
 
 
 @dataclass(frozen=True)
@@ -294,11 +295,7 @@ def permissible_check(chart: ChartState, center: Center) -> PermissibilityReport
             violations.append(
                 f"generator {to_string(g)} has order {o_center} along the "
                 f"center but order {o_origin} at the origin")
-    # A center of codimension larger than the variety's may (and for curve
-    # centers must) lie on the variety; only a center of codimension at most
-    # the number of generators can swallow a whole irreducible component.
-    if len(center.variables) <= len(chart.generators) and all(
-            _vanishes_on(g, center.variables) for g in chart.generators):
+    if is_variety_component(chart, center.variables):
         violations.append(
             "the center contains an irreducible component of the variety")
     for comp in chart.frame.boundary:
@@ -329,36 +326,38 @@ def is_permissible_curve(chart: ChartState, variables: tuple[str, ...]) -> bool:
         return False
 
 
+def own_center(chart: ChartState,
+               comps: Sequence[StratumComponent]) -> Center | None:
+    """The closed point or permissible coordinate curve that the components
+    are, when they are one coordinate component of that shape, else None."""
+    if len(comps) != 1 or not comps[0].is_coordinate:
+        return None
+    variables, n = comps[0].variables, len(chart.variables)
+    if len(variables) == n:
+        return Center(variables, CLOSED_POINT)
+    if len(variables) == n - 1 and is_permissible_curve(chart, variables):
+        return Center(variables, COORDINATE_CURVE)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the blow-up
 # ---------------------------------------------------------------------------
 
 
-def _variable_multiplicity(g: Polynomial, var: str) -> int:
-    """The largest k with var^k dividing g (g assumed nonzero)."""
-    i = g.positions([var])[0]
-    return min(vec[i] for vec, _c in g.vectors)
-
-
 def _strict_transform(g: Polynomial, center: tuple[str, ...],
                       chart_var: str, expected: int | None) -> Polynomial:
-    """Total transform divided by the exact exceptional multiplicity.
-
-    When ``expected`` is given the multiplicity of ``chart_var`` in the
-    total transform must equal it (multiplicativity along a permissible
-    center); a mismatch is a hard internal error.
-    """
-    total = blow_up_monomials(g, center, chart_var)
-    if total.is_zero:
+    """The strict transform of g; when ``expected`` is given the power of
+    ``chart_var`` divided out must equal it (multiplicativity along a
+    permissible center), and a mismatch is a hard internal error."""
+    strict, mult = strict_transform(g, center, chart_var)
+    if strict.is_zero:
         raise InputError("zero total transform")
-    mult = _variable_multiplicity(total, chart_var)
     if expected is not None and mult != expected:
         raise InputError(
             f"exceptional multiplicity {mult} of {to_string(g)} does not "
             f"match the order {expected} along the center")
-    if mult == 0:
-        return total
-    return divide_exactly(total, chart_var, mult)
+    return strict
 
 
 def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartState:

@@ -62,6 +62,7 @@ from .invariant import (
     chart_is_regular,
     classify_case,
     compute_iota,
+    in_case_v,
     iota0,
     iota_to_jsonable,
     value_to_jsonable,
@@ -264,7 +265,7 @@ def build_chart(job: dict) -> ChartState:
         try:
             chart = replace(chart, stratum=max_stratum(chart))
         except ScopeError:
-            pass
+            pass  # ``polyhedron`` and ``blowup`` with a center need none
 
     if "point" in job:
         point = _expect(job, "point", dict, "jobspec")
@@ -275,6 +276,15 @@ def build_chart(job: dict) -> ChartState:
             for v, m in moves_data.items()
         }
         chart = locate_point(chart, moves)
+    return chart
+
+
+def _stratum_read(chart: ChartState) -> ChartState:
+    """The chart with its maximal stratum, for a command about to read it:
+    ``build_chart`` leaves out one it cannot compute, and computing it here
+    gives the command that scope error, as ``resolve`` meets it at its root."""
+    if chart.stratum is None and not in_case_v(chart):
+        return replace(chart, stratum=max_stratum(chart))
     return chart
 
 
@@ -343,7 +353,7 @@ def _chart_summary(chart: ChartState) -> dict:
 
 
 def report_analyze(job: dict) -> dict:
-    chart = build_chart(job)
+    chart = _stratum_read(build_chart(job))
     nu, n_old, e, e_old = iota0(chart)
     return {
         "command": "analyze",
@@ -412,7 +422,7 @@ def report_polyhedron(job: dict) -> dict:
 
 
 def report_invariant(job: dict) -> dict:
-    chart = build_chart(job)
+    chart = _stratum_read(build_chart(job))
     _check_stratum_orders(job, chart)
     report = {
         "command": "invariant",
@@ -426,6 +436,8 @@ def report_invariant(job: dict) -> dict:
 
 def report_blowup(job: dict) -> dict:
     chart = build_chart(job)
+    if "center" not in job:
+        chart = _stratum_read(chart)
     center = _center_from(job, chart)
     children = []
     for w in center.variables:

@@ -10,8 +10,9 @@ term by its variables, for the public constructors and the ``terms`` view.
 ``substitute`` and ``substitute_many`` replace variables by polynomials;
 the monomial maps of the resolution have their own kernels on the exponent
 vectors: ``translate`` for a move x <- x + c * monomial (by the binomial
-theorem), ``blow_up_monomials`` for a blow-up's total transform v <- v * w,
-and ``restrict_to_zero`` for the restriction to a coordinate subspace.
+theorem), ``strict_transform`` for a blow-up's strict transform (the total
+transform v <- v * w divided by its power of w), and ``restrict_to_zero`` for
+the restriction to a coordinate subspace.
 
 Stored coefficients are field-native, so the kernel loops do plain integer
 arithmetic: over Q an integral coefficient is an ``int`` and only one with a
@@ -1051,23 +1052,25 @@ def substitute_many(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Pol
     return _evaluate(f, assignments)
 
 
-def blow_up_monomials(f: Polynomial, center: Sequence[str], var: str) -> Polynomial:
-    """The total transform of f in the blow-up chart of ``var``: every other
-    variable v of ``center`` replaced by v * var.
+def strict_transform(f: Polynomial, center: Sequence[str], var: str) -> tuple[Polynomial, int]:
+    """(strict, m): f in the blow-up chart of ``var`` (every other variable v
+    of ``center`` replaced by v * var), divided by var^m, the largest power
+    of var dividing that total transform.
 
-    On exponent vectors a term's exponent of ``var`` becomes the sum of its
-    exponents over the center, and every other exponent is unchanged.  The
-    map is injective, since the other exponents are kept and the old exponent
-    of ``var`` is the new one minus the others' sum over the center; so no
-    two terms collide, the coefficients are unchanged, and one
-    ``_canonical`` sorts the result.
+    On exponent vectors a term's exponent of ``var`` becomes its sum over
+    the center minus m, and every other exponent is kept.  The map is
+    injective, since the old exponent of ``var`` is the new one plus m minus
+    the others' sum over the center; so no two terms collide, the
+    coefficients are unchanged, and one ``_canonical`` sorts the result.
     """
     if var not in center:
         raise InputError(f"chart variable {var!r} is not in the center")
     i, slots = f.positions([var])[0], f.positions(set(center))
+    sums = [sum([vec[j] for j in slots]) for vec, _c in f.vectors]
+    m = min(sums, default=0)
     return _canonical(f.field, f.variables, [
-        (vec[:i] + (sum([vec[j] for j in slots]),) + vec[i + 1:], c)
-        for vec, c in f.vectors])
+        (vec[:i] + (s - m,) + vec[i + 1:], c)
+        for (vec, c), s in zip(f.vectors, sums)]), m
 
 
 def restrict_to_zero(f: Polynomial, variables: Iterable[str]) -> Polynomial:
@@ -1118,19 +1121,6 @@ def translate(f: Polynomial, var: str, c: Any, shift: Mapping[str, int]) -> Poly
     return _canonical(field, f.variables, acc.items())
 
 
-def divide_exactly(f: Polynomial, var: str, power: int) -> Polynomial:
-    """Divide f by var**power, requiring exact divisibility."""
-    if var not in f.variables:
-        raise InputError(f"unknown variable {var!r} in divide_exactly")
-    i = f.positions([var])[0]
-    out = []
-    for vec, c in f.vectors:
-        if vec[i] < power:
-            raise InputError(f"{var}^{power} does not divide every term")
-        out.append((vec[:i] + (vec[i] - power,) + vec[i + 1:], c))
-    return _canonical(f.field, f.variables, out)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -1159,7 +1149,8 @@ def _coefficient_bits(field: FieldDescriptor, terms: dict) -> int:
     return max((max(c.numerator.bit_length(), c.denominator.bit_length())
                 for c in terms.values()), default=0)
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|\-|/|\(|\)))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME.pattern})|(\^|\*|\+|\-|/|\(|\)))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -1352,8 +1343,17 @@ class _Parser:
 
 
 def parse_polynomial(text: str, field: FieldDescriptor, variables: Iterable[str]) -> Polynomial:
-    """Parse polynomial text over the given field and ambient variable list."""
+    """Parse polynomial text over the given field and ambient variable list.
+    Every variable and the parameter of F_p(t) must be a NAME of the grammar,
+    or a printed polynomial could read back as another one."""
     vs = tuple(variables)
+    spelled = vs + ((field.transcendental_name,)
+                    if field.kind == RATIONAL_FUNCTIONS else ())
+    for name in spelled:
+        if not _NAME.fullmatch(name):
+            raise InputError(
+                f"the name {name!r} cannot be written in polynomial text: a "
+                "name is a letter or '_' followed by letters, digits or '_'")
     tokens = _tokenize(text)
     if not tokens:
         raise InputError("empty polynomial text")

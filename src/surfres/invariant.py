@@ -27,11 +27,12 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .blowup_engine import (
+    CLOSED_POINT,
     ChartState,
     StratumComponent,
     _is_coordinate_generator,
     iota0,
-    is_permissible_curve,
+    own_center,
 )
 from .char_polyhedron import (
     BUDGET_EXHAUSTED,
@@ -102,6 +103,14 @@ def chart_is_regular(chart: ChartState) -> bool:
     return orders[-1] == 1 and chart.directrix[0] == len(chart.generators)
 
 
+def in_case_v(chart: ChartState) -> bool:
+    """Whether the chart misses the variety, or its origin is a regular
+    point with no old boundary component through it: Case V, the one case
+    that ``classify_case`` decides without reading the stratum."""
+    return chart.nu.orders[0] == 0 or (
+        chart_is_regular(chart) and not chart.frame.old_components())
+
+
 def classify_case(chart: ChartState) -> CaseInfo:
     """Classify the chart origin by the original part C of the maximal stratum.
 
@@ -114,14 +123,13 @@ def classify_case(chart: ChartState) -> CaseInfo:
     through the origin that are strict transforms of the components present
     when the current log-multiplicity value was first attained
     (``original`` components; freshly created components never belong to
-    C): Case IV when C is empty, Case I when C is the origin itself, Case
-    II when C is one permissible coordinate curve, Case III otherwise
-    (several components, a curve that is not permissible, or a component
-    with non-coordinate equations).
+    C): Case IV when C is empty; when C is its own center
+    (``blowup_engine.own_center``), Case I for the origin itself and Case
+    II for one permissible coordinate curve; Case III otherwise (several
+    components, a curve that is not permissible, or a component with
+    non-coordinate equations).
     """
-    if chart.nu.orders[0] == 0:
-        return CaseInfo(CASE_V)
-    if chart_is_regular(chart) and not chart.frame.old_components():
+    if in_case_v(chart):
         return CaseInfo(CASE_V)
     if chart.stratum is None:
         raise InputError(
@@ -129,15 +137,10 @@ def classify_case(chart: ChartState) -> CaseInfo:
     comps = tuple(c for c in chart.stratum if c.original)
     if not comps:
         return CaseInfo(CASE_IV)
-    n = len(chart.variables)
-    if len(comps) == 1:
-        comp = comps[0]
-        if comp.is_coordinate and len(comp.variables) == n:
-            return CaseInfo(CASE_I, comps)
-        if (comp.is_coordinate and len(comp.variables) == n - 1
-                and is_permissible_curve(chart, comp.variables)):
-            return CaseInfo(CASE_II, comps)
-    return CaseInfo(CASE_III, comps)
+    center = own_center(chart, comps)
+    if center is None:
+        return CaseInfo(CASE_III, comps)
+    return CaseInfo(CASE_I if center.kind == CLOSED_POINT else CASE_II, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +200,15 @@ def prepare_adapted(
 ) -> PreparationResult:
     """Prepare generators in a frame adapted to a directrix.
 
-    Every delta of the invariant (delta_C, delta_C^O, delta^O), the
-    polyhedron whose faces and sigma ``iota_poly`` reads when e^O = 2, and
-    the driver's delta law come from this one preparation.  The caller
-    adapts the frame (``adapt_frame_to_forms``), because ``iota_poly``
-    checks the new boundary components and orders the u-block between
-    adapting and preparing.  With ``with_old_boundary`` the generators are
-    first multiplied by the old boundary components.  Running out of budget
-    is a scope error naming the ``quantity`` being computed.
+    Every delta (through ``delta_in``: delta_C, delta_C^O, delta^O and the
+    driver's delta law) and the polyhedron whose faces and sigma
+    ``iota_poly`` reads when e^O = 2 come from this one preparation.  The
+    caller adapts the frame (``adapt_frame_to_forms``), because
+    ``iota_poly`` checks the new boundary components and orders the u-block
+    between adapting and preparing.  With ``with_old_boundary`` the
+    generators are first multiplied by the old boundary components.
+    Running out of budget is a scope error naming the ``quantity`` being
+    computed.
     """
     if with_old_boundary:
         gens = compose_with_old_boundary(list(gens), frame)
@@ -213,6 +217,15 @@ def prepare_adapted(
         raise ScopeError(
             f"preparation budget exhausted while computing {quantity}")
     return result
+
+
+def delta_in(gens: Sequence[Polynomial], frame: Frame,
+             forms: Sequence[Polynomial], with_old_boundary: bool) -> Any:
+    """delta of the generators prepared (``prepare_adapted``) in the frame
+    adapted to the forms of a (log-)directrix."""
+    adapted = adapt_frame_to_forms(gens, frame, forms)
+    return delta(prepare_adapted(*adapted, with_old_boundary,
+                                 "delta").polyhedron)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +298,9 @@ def iota_c(chart: ChartState, case: CaseInfo | None = None) -> tuple:
     e_c_old, forms_c_old = add_old_boundary(r_c, forms_c, chart.frame,
                                             chart.variables)
 
-    def delta_in(forms: Sequence[Polynomial], with_old_boundary: bool):
-        adapted = adapt_frame_to_forms(gens, chart.frame, forms)
-        return delta(prepare_adapted(*adapted, with_old_boundary,
-                                     "delta").polyhedron)
-
     return (nu_c, n_old, e_c, e_c_old,
-            delta_in(forms_c, False) if e_c else INF,
-            delta_in(forms_c_old, True) if e_c_old else INF)
+            delta_in(gens, chart.frame, forms_c, False) if e_c else INF,
+            delta_in(gens, chart.frame, forms_c_old, True) if e_c_old else INF)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +360,11 @@ def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
     if e_old == 2 and (case.components or not chart.frame.new_components()):
         return _ALL_INF
 
+    if e_old == 1:
+        return (0, 0, 0, delta_in(chart.generators, chart.frame, forms, True))
+
     adapted_gens, adapted_frame = adapt_frame_to_forms(
         list(chart.generators), chart.frame, forms)
-
-    if e_old == 1:
-        prepared = prepare_adapted(adapted_gens, adapted_frame, True, "delta")
-        return (0, 0, 0, delta(prepared.polyhedron))
-
     new_vars = _new_component_variables(adapted_frame)
 
     if len(new_vars) == 1 and adapted_frame.u_block[0] != new_vars[0]:

@@ -38,14 +38,13 @@ from .blowup_engine import (
     ChartState,
     StratumComponent,
     _is_coordinate_generator,
-    _vanishes_on,
     blow_up_chart,
     classify_point,
-    is_permissible_curve,
+    is_variety_component,
     locate_point,
+    own_center,
     permissible_check,
 )
-from .char_polyhedron import delta
 from .exact_algebra import (
     FieldDescriptor,
     InputError,
@@ -60,11 +59,10 @@ from .exact_algebra import (
 from .invariant import (
     LESS,
     IotaInvariant,
-    adapt_frame_to_forms,
     compare_iota,
     compute_iota,
+    delta_in,
     iota_to_jsonable,
-    prepare_adapted,
 )
 from .local_frame import (
     BoundaryComponent,
@@ -372,16 +370,15 @@ class CenterChoice:
 def select_center(chart: ChartState) -> CenterChoice:
     """The component of smallest label when usable, else the closed point.
 
-    The pool is the set of stratum components of minimal label.  A single
-    coordinate point component is blown up as such; a single permissible
-    coordinate curve likewise; anything else (several components meeting
-    at the origin, or a non-permissible curve) falls back to the closed
-    point.  A minimal component cut by a non-coordinate condition is out
-    of scope, as is one of intermediate dimension, and so is, when the
-    maximal order is at least 2, a minimal component on which every
-    generator vanishes and whose codimension is at most the number of
-    generators: it is a whole component of the variety, which is then not
-    reduced.
+    The pool is the set of stratum components of minimal label.  When the
+    pool is its own center (``own_center``: a single coordinate point, or
+    a single permissible coordinate curve) that center is blown up;
+    anything else (several components meeting at the origin, or a
+    non-permissible curve) falls back to the closed point.  A minimal
+    component cut by a non-coordinate condition is out of scope, as is one
+    of intermediate dimension, and so is, when the maximal order is at
+    least 2, a minimal component that is a whole component of the variety
+    (``is_variety_component``), which is then not reduced.
     """
     comps = chart.stratum
     if comps is None:
@@ -399,25 +396,17 @@ def select_center(chart: ChartState) -> CenterChoice:
                 "blowing it up is out of scope")
     if chart.nu.orders[-1] >= 2:
         for c in pool:
-            if len(c.variables) <= len(chart.generators) and all(
-                    _vanishes_on(g, c.variables) for g in chart.generators):
+            if is_variety_component(chart, c.variables):
                 raise ScopeError(
                     f"stratum component V({', '.join(c.variables)}) is a "
                     "component of the variety of order at least 2; the input "
                     "is not reduced")
-    n = len(chart.variables)
-    if len(pool) == 1:
-        comp = pool[0]
-        if len(comp.variables) == n:
-            return CenterChoice(Center(comp.variables, CLOSED_POINT),
-                                comp.label)
-        if len(comp.variables) == n - 1:
-            if is_permissible_curve(chart, comp.variables):
-                return CenterChoice(Center(comp.variables, COORDINATE_CURVE),
-                                    comp.label)
-            return CenterChoice(Center(chart.variables, CLOSED_POINT), None)
+    center = own_center(chart, pool)
+    if center is not None:
+        return CenterChoice(center, min_label)
+    if len(pool) == 1 and len(pool[0].variables) < len(chart.variables) - 1:
         raise ScopeError(
-            f"stratum component V({', '.join(comp.variables)}) has "
+            f"stratum component V({', '.join(pool[0].variables)}) has "
             "codimension below a curve; the input is not reduced of "
             "dimension at most two")
     return CenterChoice(Center(chart.variables, CLOSED_POINT), None)
@@ -538,13 +527,13 @@ def _reset_boundary(chart: ChartState) -> ChartState:
 
 def _plain_delta(chart: ChartState):
     """delta of the prepared polyhedron in a directrix-adapted frame, or
-    None when it cannot be computed within budget."""
+    None when the directrix dimension is not 1 or 2, or delta cannot be
+    computed within budget."""
     try:
-        gens, frame = adapt_frame_to_forms(
-            list(chart.generators), chart.frame, chart.directrix[1])
-        if frame.e == 0 or frame.e > 2:
+        r, forms = chart.directrix
+        if not 0 < len(chart.variables) - r <= 2:
             return None
-        return delta(prepare_adapted(gens, frame, False, "delta").polyhedron)
+        return delta_in(chart.generators, chart.frame, forms, False)
     except (InputError, ScopeError):
         return None
 

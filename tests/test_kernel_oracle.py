@@ -26,7 +26,6 @@ from surfres.exact_algebra import (
     InputError,
     Monomial,
     Polynomial,
-    divide_exactly,
     hasse_derivative,
     parse_polynomial,
     substitute,
@@ -166,11 +165,8 @@ def test_products_and_powers_match_sympy(field):
         e = rng.randint(0, 4)
         small = random_polynomial(rng, field, 3, 2)
         assert to_sympy(small ** e) == to_sympy(small) ** e
-        x = Polynomial.variable(field, VARIABLES, "x")
-        quotient = divide_exactly(f * g * x ** e, "x", e)
-        for result in (f * g, small ** e, quotient):
+        for result in (f * g, small ** e):
             assert_canonical_form(result)
-        assert quotient == f * g
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=field_id)

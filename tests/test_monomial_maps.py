@@ -1,10 +1,11 @@
 """Oracle tests of the two monomial-map kernels of the resolution.
 
-* ``exact_algebra.blow_up_monomials`` (the total transform v <- v * w in
-  the chart of w, as a sum of exponents over the center) against
-  ``substitute_many`` with the products v * w written out, for every center
-  of two to four variables and every chart variable in it.  The map is
-  injective on exponent vectors, so the term count is kept.
+* ``exact_algebra.strict_transform`` (the total transform v <- v * w in
+  the chart of w, as a sum of exponents over the center, divided by its
+  power m of w) against ``substitute_many`` with the products v * w written
+  out, divided by the least exponent of w in that total transform, for
+  every center of two to four variables and every chart variable in it.
+  The map is injective on exponent vectors, so the term count is kept.
 * ``exact_algebra.restrict_to_zero`` (the terms with no exponent on the
   named variables) against ``substitute_many`` with those variables set to
   the zero polynomial, for every subset of the variables.
@@ -24,8 +25,9 @@ import pytest
 from surfres.exact_algebra import (
     InputError,
     Polynomial,
-    blow_up_monomials,
+    ord_at,
     restrict_to_zero,
+    strict_transform,
     substitute_many,
 )
 
@@ -38,13 +40,21 @@ SUBSETS = [subset for k in range(len(VARIABLES) + 1)
            for subset in itertools.combinations(VARIABLES, k)]
 
 
-def blown_up_by_substitution(f: Polynomial, center: tuple[str, ...],
-                             var: str) -> Polynomial:
-    """The oracle: every other center variable v replaced by v * var."""
+def strict_by_substitution(f: Polynomial, center: tuple[str, ...],
+                           var: str) -> tuple[Polynomial, int]:
+    """The oracle: every other center variable v replaced by v * var, and
+    the total transform divided by the least exponent m of var in it;
+    returns the quotient and m."""
     def variable(v):
         return Polynomial.variable(f.field, f.variables, v)
-    return substitute_many(f, {v: variable(v) * variable(var)
-                               for v in center if v != var})
+    total = substitute_many(f, {v: variable(v) * variable(var)
+                                for v in center if v != var})
+    i = f.variables.index(var)
+    m = min((mono.exponent(var) for mono, _c in total.terms), default=0)
+    quotient = Polynomial.from_vectors(f.field, f.variables, {
+        vec[:i] + (vec[i] - m,) + vec[i + 1:]: c
+        for vec, c in total.coefficient_map().items()})
+    return quotient, m
 
 
 def restricted_by_substitution(f: Polynomial,
@@ -58,18 +68,21 @@ def restricted_by_substitution(f: Polynomial,
 def test_blow_up_matches_substitution(name):
     field = FIELDS[name]
     rng = random.Random(f"blow-up:{name}")
-    checked = 0
+    checked = divided = 0
     for _ in range(CASES):
         f = random_polynomial(rng, field)
         for center in CENTERS:
             for var in center:
-                total = blow_up_monomials(f, center, var)
-                assert total == blown_up_by_substitution(f, center, var), (
+                strict, m = strict_transform(f, center, var)
+                assert (strict, m) == strict_by_substitution(f, center, var), (
                     str(f), center, var)
-                assert len(total.vectors) == len(f.vectors)
-                assert stored_form_problems(total) == []
+                assert m == (ord_at(f, center) if f.vectors else 0)
+                assert len(strict.vectors) == len(f.vectors)
+                assert stored_form_problems(strict) == []
                 checked += 1
+                divided += m > 0
     assert checked == CASES * sum(len(c) for c in CENTERS)
+    assert divided  # some total transform is divided, so the test can see m
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -96,4 +109,4 @@ def test_restriction_to_nothing_is_the_polynomial_itself():
 def test_a_chart_variable_outside_the_center_is_an_input_error():
     f = random_polynomial(random.Random("bad"), FIELDS["F3"])
     with pytest.raises(InputError):
-        blow_up_monomials(f, ("x", "y"), "z")
+        strict_transform(f, ("x", "y"), "z")
