@@ -6,15 +6,13 @@ exit with each code and, for the scope errors (exit 3), how many fall in
 each family: the error message with its polynomials, chart ids and
 coordinate subspaces masked.
 
-    python3 tools/pool_tally.py            # the table
-    python3 tools/pool_tally.py --jobs     # also one line per non-zero exit
+    python3 tools/pool_tally.py
 
 The script reads ``perfbench/`` and writes nothing there.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -28,8 +26,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 import corpus  # noqa: E402  (perfbench/corpus.py)
 from cli_bytes import run_cli  # noqa: E402
-
-EXIT_SCOPE = 3
+from surfres.cli import EXIT_SCOPE  # noqa: E402
 
 
 def family(message: str) -> str:
@@ -41,31 +38,16 @@ def family(message: str) -> str:
     return re.sub(r"condition .*", "condition …", head)
 
 
-def resolve_error(out: str, err: str) -> str:
-    """The error's message: the trace's error when ``resolve`` wrote a
-    report, else the diagnostic on stderr."""
-    if out:
-        return json.loads(out)["trace"]["error"] or ""
-    return err.strip().removeprefix("scope error: ")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", action="store_true",
-                        help="also print every job that does not exit 0")
-    args = parser.parse_args(argv)
+def main() -> int:
     start = time.perf_counter()
     codes: Counter[int] = Counter()
     families: Counter[str] = Counter()
     for s in corpus.load_pool():
-        code, out, err = run_cli(("resolve",),
-                                 corpus.surface_job(s["field"], s["text"]))
+        code, out, _ = run_cli(("resolve",),
+                               corpus.surface_job(s["field"], s["text"]))
         codes[code] += 1
         if code == EXIT_SCOPE:
-            families[family(resolve_error(out, err))] += 1
-        if args.jobs and code:
-            print(f"exit {code}: {s['field']} {s['text']}: "
-                  f"{resolve_error(out, err)}")
+            families[family(json.loads(out)["trace"]["error"])] += 1
     elapsed = time.perf_counter() - start
     print(f"{sum(codes.values())} surfaces in {elapsed:.0f} s")
     for code in sorted(codes):
