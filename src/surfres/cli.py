@@ -201,8 +201,16 @@ def _stratum_from(data: Any, field: FieldDescriptor,
     return tuple(comps)
 
 
-def build_chart(job: dict) -> ChartState:
-    """Turn a parsed job document into a chart state."""
+def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
+    """Turn a parsed job document into a chart state.
+
+    The maximal stratum comes from the job when it gives one.  Otherwise a
+    one-generator chart gets it at its origin, before any ``point`` moves
+    it, and any chart gets it at the located point when the command reads
+    it (``reads_stratum``) outside Case V.  A command that reads it meets
+    the scope error of a stratum that cannot be computed, as ``resolve``
+    meets it at its root; the others build the chart without one.
+    """
     field = _field_from(_expect(job, "field", dict, "jobspec"))
     variables = tuple(_string_list(job, "variables", "jobspec"))
     if field.transcendental_name in variables:
@@ -258,14 +266,15 @@ def build_chart(job: dict) -> ChartState:
             names.append(name)
         chart = root_chart(generators[0], tuple(names))
 
+    unavailable = None  # the scope error of the origin's stratum
     if "stratum" in job:
         chart = replace(
             chart, stratum=_stratum_from(job["stratum"], field, variables))
     elif len(chart.generators) == 1 and chart.stratum is None:
         try:
             chart = replace(chart, stratum=max_stratum(chart))
-        except ScopeError:
-            pass  # ``polyhedron`` and ``blowup`` with a center need none
+        except ScopeError as err:
+            unavailable = err
 
     if "point" in job:
         point = _expect(job, "point", dict, "jobspec")
@@ -275,16 +284,14 @@ def build_chart(job: dict) -> ChartState:
                            f"jobspec.point.moves.{v}")
             for v, m in moves_data.items()
         }
-        chart = locate_point(chart, moves)
-    return chart
+        located = locate_point(chart, moves)
+        if located is not chart:
+            chart, unavailable = located, None
 
-
-def _stratum_read(chart: ChartState) -> ChartState:
-    """The chart with its maximal stratum, for a command about to read it:
-    ``build_chart`` leaves out one it cannot compute, and computing it here
-    gives the command that scope error, as ``resolve`` meets it at its root."""
-    if chart.stratum is None and not in_case_v(chart):
-        return replace(chart, stratum=max_stratum(chart))
+    if reads_stratum and chart.stratum is None and not in_case_v(chart):
+        if unavailable is not None:
+            raise unavailable
+        chart = replace(chart, stratum=max_stratum(chart))
     return chart
 
 
@@ -353,7 +360,7 @@ def _chart_summary(chart: ChartState) -> dict:
 
 
 def report_analyze(job: dict) -> dict:
-    chart = _stratum_read(build_chart(job))
+    chart = build_chart(job, reads_stratum=True)
     nu, n_old, e, e_old = iota0(chart)
     return {
         "command": "analyze",
@@ -377,6 +384,15 @@ def report_polyhedron(job: dict) -> dict:
     _check_stratum_orders(job, chart)
     budget = _int_option(job, "budget", 64, 1)
     sigma_budget = _int_option(job, "sigma_budget", 32, 1)
+    if ("frame" not in job and chart.frame.e > 2 and not chart.frame.y_block
+            and chart.directrix[0]):
+        # ``root_chart`` put every variable in u: the directrix is not a
+        # coordinate subspace
+        forms = ", ".join(to_string(f) for f in chart.directrix[1])
+        raise ScopeError(
+            f"polyhedron: no frame could be inferred, since the directrix "
+            f"({forms}) is not a coordinate subspace; supply a frame (u and "
+            "y blocks) in the job")
     result = prepare(chart.generators, chart.frame, budget=budget)
     poly = result.polyhedron
     report = {
@@ -422,7 +438,7 @@ def report_polyhedron(job: dict) -> dict:
 
 
 def report_invariant(job: dict) -> dict:
-    chart = _stratum_read(build_chart(job))
+    chart = build_chart(job, reads_stratum=True)
     _check_stratum_orders(job, chart)
     report = {
         "command": "invariant",
@@ -435,9 +451,7 @@ def report_invariant(job: dict) -> dict:
 
 
 def report_blowup(job: dict) -> dict:
-    chart = build_chart(job)
-    if "center" not in job:
-        chart = _stratum_read(chart)
+    chart = build_chart(job, reads_stratum="center" not in job)
     center = _center_from(job, chart)
     children = []
     for w in center.variables:

@@ -7,10 +7,17 @@ status (old/new).  On top of it this module computes:
 * initial forms and the ``nu_star`` order vector (compared lexicographically
   with infinity padding, so a shorter list dominates its extensions);
 * the ridge of a cone (additive generators of the saturated derivative span);
-* the directrix (largest linear subspace of the ridge's zero locus), via
-  q-th roots over perfect fields and Frobenius splitting over F_p(t), both
-  done by ``exact_algebra``, memoised inside a ``directrix_memo`` block (one
-  ``resolve`` run) and nowhere else;
+* the directrix (largest linear subspace of the ridge's zero locus),
+  memoised inside a ``directrix_memo`` block (one ``resolve`` run) and
+  nowhere else.  It takes one of two paths, split on the characteristic p
+  and the largest degree d of the forms.  When p = 0 or d < p the ridge's
+  only slice is its linear part, the span of the (deg f - 1)-th Hasse
+  derivatives of the forms f, so the directrix is the common kernel of those
+  linear forms, read straight off the terms.  When p > 0 and d >= p it is
+  cut out by the ridge's additive forms, via q-th roots over perfect fields
+  and Frobenius splitting over F_p(t), both done by ``exact_algebra``.
+  ``compute_directrix`` gives the argument that both paths agree; the
+  translation certificate checks the result on both;
 * the directrix of the ideal multiplied by the old boundary components.
 
 The exact linear algebra runs on one routine, ``echelon_add``, which adds a
@@ -53,11 +60,14 @@ from .exact_algebra import (
 OLD = "old"
 NEW = "new"
 
-# Largest degree of an initial form whose ridge (hence directrix) is computed
-# (beyond it, ScopeError).  The ridge's linear algebra grows steeply with the
-# degree: on a 2-CPU machine, analyze of (x+y+z)^10 over Q takes about
-# 0.45 s and of (x+y+z+w)^10 about 3 s.  Apart from the test of this cap,
-# the test suite needs degree 5, the benchmark 3.
+# Largest degree of an initial form whose directrix is computed (beyond it,
+# ScopeError), on both paths of ``compute_directrix``.  On the ridge path
+# (p > 0 and a degree >= p) the linear algebra grows steeply with the degree:
+# on a 2-CPU machine, analyze of (x+y+z)^10 over F_3 takes about 0.17 s and
+# of (x+y+z+w)^10 about 1.05 s.  Over Q the directrix is read off the linear
+# derivatives, and the two take about 0.16 s and 0.23 s (each run includes
+# about 0.1 s of interpreter start and imports).  Apart from the test of this
+# cap, the test suite needs degree 5, the benchmark 3.
 MAX_DIRECTRIX_DEGREE = 10
 
 
@@ -286,33 +296,50 @@ def _is_homogeneous(f: Polynomial) -> bool:
     return len({sum(vec) for vec, _ in f.vectors}) == 1
 
 
+def _top_degree(gens: Sequence[Polynomial]) -> int:
+    """The largest degree of the nonzero forms, each checked homogeneous and
+    the largest checked against ``MAX_DIRECTRIX_DEGREE``."""
+    for f in gens:
+        if not _is_homogeneous(f):
+            raise InputError(f"ridge input is not homogeneous: {f}")
+    degree = max(int(f.total_degree()) for f in gens)
+    if degree > MAX_DIRECTRIX_DEGREE:
+        raise ScopeError(
+            f"the directrix of an initial form of degree {degree} is over the "
+            f"limit of {MAX_DIRECTRIX_DEGREE} (MAX_DIRECTRIX_DEGREE)")
+    return degree
+
+
 def _derivative_closure(gens: Sequence[Polynomial]) -> dict[int, dict[int, list[Any]]]:
     """Smallest span containing the forms and stable under Hasse derivatives.
 
     Returned per total degree d as a reduced echelon basis over the columns
-    ``monomials_of_degree(n, d)``.
+    ``monomials_of_degree(n, d)``.  It is spanned by the D_a f of the input
+    forms f with 0 <= |a| <= deg f - 1: since D_b D_a = C(a+b, a) D_{a+b},
+    a derivative of one of them is a multiple of another.
     """
     field = gens[0].field
     n = len(gens[0].variables)
     closure: dict[int, dict[int, list[Any]]] = {}
-    pending = [f for f in gens if not f.is_constant()]
-    while pending:
-        f = pending.pop()
-        d = int(f.total_degree())
-        index = _column_index(n, d)
-        row = [field.zero()] * len(index)
-        for m, c in f.coefficient_map().items():
-            row[index[m]] = c
-        if echelon_add(closure.setdefault(d, {}), row, field) is None:
+    for f in gens:
+        if f.is_constant():
             continue
-        # Every Hasse derivative of orders 1 .. d-1 (a derivative of a
-        # dependent form lies in the span of the derivatives already queued).
         support = sorted(f.support_variables())
-        for total in range(1, d):
-            for a in monomials_of_degree(len(support), total):
-                df = hasse_derivative(f, dict(zip(support, a)))
-                if not df.is_zero:
-                    pending.append(df)
+        derivatives = [f] + [
+            hasse_derivative(f, dict(zip(support, a)))
+            for total in range(1, int(f.total_degree()))
+            for a in monomials_of_degree(len(support), total)]
+        # Highest orders first: over F_p(t) this order keeps the echelon
+        # rows' entries smaller than the reverse one does.
+        for df in reversed(derivatives):
+            if df.is_zero:
+                continue
+            d = int(df.total_degree())
+            index = _column_index(n, d)
+            row = [field.zero()] * len(index)
+            for m, c in df.coefficient_map().items():
+                row[index[m]] = c
+            echelon_add(closure.setdefault(d, {}), row, field)
     return closure
 
 
@@ -376,14 +403,7 @@ def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
         return []
     field = gens[0].field
     variables = gens[0].variables
-    for f in gens:
-        if not _is_homogeneous(f):
-            raise InputError(f"ridge input is not homogeneous: {f}")
-    degree = max(int(f.total_degree()) for f in gens)
-    if degree > MAX_DIRECTRIX_DEGREE:
-        raise ScopeError(
-            f"the directrix of an initial form of degree {degree} is over the "
-            f"limit of {MAX_DIRECTRIX_DEGREE} (MAX_DIRECTRIX_DEGREE)")
+    _top_degree(gens)
     closure = _derivative_closure(gens)
     if not closure:
         return []
@@ -499,6 +519,33 @@ def directrix_memo() -> Iterator[None]:
             _DIRECTRIX_MEMO.reset(token)
 
 
+def _directrix_rows(gens: Sequence[Polynomial]) -> list[list[Any]]:
+    """Linear conditions over k whose common zeros are the directrix of the
+    nonzero forms; ``compute_directrix`` gives the two paths and why."""
+    field, variables = gens[0].field, gens[0].variables
+    degree, p = _top_degree(gens), field.characteristic
+    if p and degree >= p:
+        rows: list[list[Any]] = []
+        for s in compute_ridge(gens):
+            q = int(s.total_degree())
+            rows.extend(_linear_conditions(q, form_row(s, variables, q), field))
+        return rows
+    # The row of D_a f: the term c x^m with m = a + e_i gives m_i c at column i.
+    zero, n = field.zero(), len(variables)
+    ints = [field.from_int(e) for e in range(degree + 1)]
+    derivatives: dict[tuple[int, tuple[int, ...]], list[Any]] = {}
+    for k, f in enumerate(gens):
+        for m, c in f.coefficient_map().items():
+            for i, e in enumerate(m):
+                if e:
+                    a = (k, m[:i] + (e - 1,) + m[i + 1:])
+                    row = derivatives.get(a)
+                    if row is None:
+                        row = derivatives[a] = [zero] * n
+                    row[i] = ints[e] * c
+    return list(derivatives.values())
+
+
 def compute_directrix(
     initials: Sequence[Polynomial], frame: Frame
 ) -> tuple[int, list[Polynomial]]:
@@ -507,6 +554,29 @@ def compute_directrix(
     Returns (r, forms): r independent linear forms cutting out the directrix,
     so e = dim(ambient) - r.  Certified by the translation test on a basis of
     the directrix before returning.
+
+    The condition rows come from one of two paths, split on the largest
+    degree d of the forms and the characteristic p:
+
+    * p > 0 and d >= p: the ridge (``compute_ridge``), each additive form
+      sum_i c_i v_i^q read as its conditions over k (``_linear_conditions``).
+    * p = 0 or d < p: the rows D_a f, |a| = deg f - 1, of the forms f,
+      straight from their terms.  This is the ridge's answer:
+
+      (i) D_b D_a = C(a+b, a) D_{a+b}, so the degree-1 part of the
+          derivative closure is the span of the D_a f with |a| = deg f - 1;
+          with no q = p^k > 1 at or below d, the ridge's only slice is
+          q = 1, which is that span.
+      (ii) If f is invariant under translation by w, so is every Hasse
+          derivative of f, and a linear form invariant under w vanishes at
+          w; so the true directrix T lies inside the computed kernel W.
+      (iii) The translation certificate below proves W inside T.  It also
+          implies the ridge's containment certificate for these inputs,
+          since f in k[L] puts every derivative of f in the ideal (L).
+
+    Both paths reduce their rows to the canonical reduced echelon form of
+    the same span, so (r, forms) does not depend on the path.  The cap
+    ``MAX_DIRECTRIX_DEGREE`` and the homogeneity check come first on both.
 
     Inside a ``directrix_memo`` block the result is looked up by the tuple of
     nonzero initial forms, which hold their field (residue extensions
@@ -520,12 +590,7 @@ def compute_directrix(
         return hit[0], list(hit[1])
     field = gens[0].field
     variables = gens[0].variables
-    sigmas = compute_ridge(gens)
-    rows: list[list[Any]] = []
-    for s in sigmas:
-        q = int(s.total_degree())
-        rows.extend(_linear_conditions(q, form_row(s, variables, q), field))
-    rref = row_reduce(rows, field)
+    rref = row_reduce(_directrix_rows(gens), field)
     r = len(rref)
     forms = [row_form(row, field, variables) for row in rref]
     # Certificate: every direction in the cut-out subspace leaves each input

@@ -9,7 +9,11 @@ stratum that cannot be computed.
   command that reads it (``analyze``, ``invariant``, ``blowup`` without a
   center, ``resolve`` and ``export``) exits 3 with the reason, while
   ``polyhedron`` and ``blowup`` with a center, which do not read it, still
-  exit 0.
+  exit 0.  The stratum is computed once: the error a reading command
+  reports is the one met when the chart was built.
+* A frameless ``polyhedron`` job whose directrix is not a coordinate
+  subspace, so that no frame can be inferred, exits 3 and asks for a
+  frame; a job that supplies a frame with three u-variables exits 2.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 
 import pytest
 
+from surfres import cli
 from surfres.cli import EXIT_INPUT, EXIT_OK, EXIT_SCOPE, main
 
 
@@ -119,9 +124,68 @@ def test_blowup_with_a_center_does_not_read_the_stratum(tmp_path, capsys,
     assert code == EXIT_OK and len(json.loads(out)["children"]) == 3
 
 
-# the frameless job has three u-variables, which ``polyhedron`` refuses
+# the frameless job gets no frame, which ``polyhedron`` refuses (below)
 @pytest.mark.parametrize("name", ["no coordinate part, framed",
                                   "two generators"])
 def test_polyhedron_does_not_read_the_stratum(tmp_path, capsys, name):
     code, out, _err = run(tmp_path, capsys, ("polyhedron",), JOBS[name][0])
     assert code == EXIT_OK and json.loads(out)["command"] == "polyhedron"
+
+
+@pytest.fixture
+def stratum_calls(monkeypatch):
+    """The chart id of every ``max_stratum`` call the CLI makes."""
+    calls = []
+    max_stratum = cli.max_stratum
+
+    def counted(chart, *rest):
+        calls.append(chart.chart_id)
+        return max_stratum(chart, *rest)
+    monkeypatch.setattr(cli, "max_stratum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("args", [("analyze",), ("invariant",), ("blowup",)],
+                         ids=" ".join)
+@pytest.mark.parametrize("name", JOBS)
+def test_the_stratum_is_computed_once(tmp_path, capsys, stratum_calls,
+                                      args, name):
+    assert run(tmp_path, capsys, args, JOBS[name][0])[0] == EXIT_SCOPE
+    assert stratum_calls == ["root"]
+
+
+def test_a_located_point_gets_its_own_stratum(tmp_path, capsys,
+                                              stratum_calls):
+    """The origin's stratum fails; the point y = 1 is another chart, whose
+    stratum is computed there (and fails the same way)."""
+    job = dict(NO_COORDINATE_PART, point={"moves": {"y": 1}})
+    code, _out, err = run(tmp_path, capsys, ("analyze",), job)
+    assert code == EXIT_SCOPE and JOBS["no coordinate part"][1] in err
+    assert stratum_calls == ["root", "root@y"]
+
+
+# -- a frameless polyhedron job -------------------------------------------------
+
+NO_FRAME = {
+    "Q (x+y)^2 + z^3": dict(NO_COORDINATE_PART, field={"kind": "rationals"},
+                           generators=["(x+y)^2 + z^3"]),
+    "F2 x^2 + z^2": NO_COORDINATE_PART,
+}
+
+
+@pytest.mark.parametrize("name", NO_FRAME)
+def test_a_frameless_polyhedron_without_a_coordinate_directrix_is_out_of_scope(
+        tmp_path, capsys, name):
+    code, out, err = run(tmp_path, capsys, ("polyhedron",), NO_FRAME[name])
+    assert code == EXIT_SCOPE and out == ""
+    assert "no frame could be inferred" in err
+    assert "supply a frame" in err
+
+
+@pytest.mark.parametrize("name", NO_FRAME)
+def test_a_supplied_frame_with_three_u_variables_is_an_input_error(
+        tmp_path, capsys, name):
+    job = dict(NO_FRAME[name], frame={"u": ["x", "y", "z"], "y": []})
+    code, out, err = run(tmp_path, capsys, ("polyhedron",), job)
+    assert code == EXIT_INPUT and out == ""
+    assert "polyhedron invariants need |u| <= 2, got 3" in err

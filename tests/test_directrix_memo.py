@@ -2,8 +2,9 @@
 
 ``local_frame.compute_directrix`` looks its result up by the tuple of
 nonzero initial forms inside a ``directrix_memo`` block, which ``resolve``
-opens for its whole run.  These tests count the ridge computations behind
-it: outside a block nothing is memoised, inside a run each distinct tuple of
+opens for its whole run.  These tests count the directrix computations
+behind it (calls of ``_directrix_rows``, where both of its paths start):
+outside a block nothing is memoised, inside a run each distinct tuple of
 initial forms is computed once, and two runs share nothing.  The traces are
 the same with the memo swapped for one that never remembers, on the named
 jobs, on seeded surfaces over Q, F_2, F_3 and F_5 and on a run with a
@@ -45,14 +46,15 @@ SEEDED_SURFACES = 12
 
 @pytest.fixture
 def ridge_calls(monkeypatch):
-    """The inputs of every ridge computation, as tuples, in call order."""
+    """The inputs of every uncached directrix computation, as tuples, in
+    call order."""
     calls = []
-    ridge = local_frame.compute_ridge
+    rows = local_frame._directrix_rows
 
     def counted(initials):
         calls.append(tuple(initials))
-        return ridge(initials)
-    monkeypatch.setattr(local_frame, "compute_ridge", counted)
+        return rows(initials)
+    monkeypatch.setattr(local_frame, "_directrix_rows", counted)
     return calls
 
 

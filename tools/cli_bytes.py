@@ -19,7 +19,12 @@ stderr.  The run set:
   ``declared_points``, each under the command its test runs;
 * ``export --format json`` and ``export --format dot`` of each named job's
   stored trace: its ``export --format json`` output fed back as
-  ``{"trace": ...}``.
+  ``{"trace": ...}``;
+* ``analyze`` and ``invariant`` of the frameless ``boundary_jobs``, whose
+  initial forms sit on both sides of the characteristic, where the
+  directrix changes from the linear derivatives to the ridge: F_5 at
+  degrees 4, 5 and 6, F_3 at 2, 3 and 4, F_2(t) and F_3(t) at p - 1 and p,
+  and (x+y+z)^10 and (x+y+z)^11 over Q, at and over ``MAX_DIRECTRIX_DEGREE``.
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -60,6 +65,16 @@ SURFACE_COMMANDS = (("resolve",), ("export", "--format", "dot"),
                     ("export", "--format", "json"), ("invariant",), ("analyze",))
 STORED_COMMANDS = (("export", "--format", "json"), ("export", "--format", "dot"))
 CHART_BUDGETS = (8, 24)
+BOUNDARY_COMMANDS = (("analyze",), ("invariant",))
+# field document and initial-form degrees of the boundary jobs
+BOUNDARY_DEGREES = (
+    ({"kind": "prime_field", "characteristic": 5}, (4, 5, 6)),
+    ({"kind": "prime_field", "characteristic": 3}, (2, 3, 4)),
+    ({"kind": "rational_functions", "characteristic": 2, "parameter": "t"},
+     (1, 2)),
+    ({"kind": "rational_functions", "characteristic": 3, "parameter": "t"},
+     (2, 3)),
+)
 
 
 def run_cli(args: tuple[str, ...], job: dict) -> tuple[int, str, str]:
@@ -92,6 +107,28 @@ def surface_jobs() -> dict[str, dict]:
         if s["resolve_s"] < POOL_RESOLVE_S:
             jobs[f"{s['field']}:{s['text']}"] = corpus.surface_job(
                 s["field"], s["text"])
+    return jobs
+
+
+def boundary_jobs() -> dict[str, dict]:
+    """Frameless one-generator jobs whose initial form has a fixed degree d:
+    a power of a linear form, a form in all three variables (d > 1), and
+    over F_p(t) one with a coefficient that is not a p-th power."""
+    jobs = {}
+    for field, degrees in BOUNDARY_DEGREES:
+        for d in degrees:
+            texts = [f"(x+y)^{d} + z^{d + 1}"]
+            if d > 1:
+                texts.append(f"x^{d} + y^{d} + x*z^{d - 1}")
+            if field["kind"] == "rational_functions":
+                texts.append(f"x^{d} + t*y^{d} + z^{d + 1}")
+            for text in texts:
+                jobs[f"{field['kind']} {field['characteristic']}:{text}"] = {
+                    "field": field, "variables": corpus.XYZ,
+                    "generators": [text]}
+    for d in (10, 11):
+        text = f"(x+y+z)^{d}"
+        jobs[f"rationals:{text}"] = corpus.surface_job("Q", text)
     return jobs
 
 
@@ -153,6 +190,9 @@ def digests() -> dict[str, str]:
                 args, {"trace": trace})
     for key, (command, job) in point_jobs().items():
         out[f"{command} | point {key}"] = run_digest((command,), job)
+    for key, job in boundary_jobs().items():
+        for args in BOUNDARY_COMMANDS:
+            out[f"{' '.join(args)} | boundary {key}"] = run_digest(args, job)
     return out
 
 
