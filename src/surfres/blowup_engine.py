@@ -7,9 +7,10 @@ and the operations that drive a resolution process:
 * ``permissible_check`` -- decide whether a coordinate subvariety is a
   permissible blow-up center (equimultiple, no component swallowed,
   normal crossings with the boundary),
-* ``blow_up_chart``  -- pass to one affine chart of the blow-up, taking
+* ``blow_up``        -- pass to the affine charts of the blow-up, taking
   strict transforms of the defining ideal and of every boundary component
-  and appending the new exceptional divisor,
+  and appending the new exceptional divisor (``blow_up_chart`` builds one
+  of them),
 * ``locate_point``   -- move the chart origin to another closed point of
   the exceptional divisor, extending the residue field if the point is not
   rational,
@@ -167,8 +168,10 @@ class ChartState:
                 raise InputError("generator field does not match the chart")
 
     # nu*, the directrix and the log-directrix are derived on first read and
-    # kept on this state; a ``dataclasses.replace`` copy starts without them,
-    # and inside a ``resolve`` takes its directrix from the per-run memo.
+    # kept on this state.  ``replace_chart`` copies a state with the values
+    # its changes leave valid (``_CACHE_READS``); a ``dataclasses.replace``
+    # copy starts without them, and inside a ``resolve`` takes its directrix
+    # from the per-run memo.
 
     @cached_property
     def nu(self) -> NuStar:
@@ -187,6 +190,27 @@ class ChartState:
         e_o, forms = add_old_boundary(*self.directrix, self.frame,
                                       self.variables)
         return e_o, tuple(forms)
+
+
+# the fields each cached value of a ``ChartState`` reads: nu* reads the
+# generators, the directrix their initial forms (``compute_directrix`` does
+# not read the frame), the log-directrix also which boundary components are
+# old
+_CACHE_READS = {
+    "nu": ("generators",),
+    "directrix": ("generators",),
+    "log_directrix": ("generators", "frame", "variables"),
+}
+
+
+def replace_chart(chart: ChartState, **changes: Any) -> ChartState:
+    """``dataclasses.replace`` for a chart state, keeping each cached value
+    that reads none of the changed fields."""
+    copy = replace(chart, **changes)
+    for name, reads in _CACHE_READS.items():
+        if name in chart.__dict__ and changes.keys().isdisjoint(reads):
+            copy.__dict__[name] = chart.__dict__[name]
+    return copy
 
 
 def iota0(chart: ChartState) -> tuple[NuStar, int, int, int]:
@@ -360,31 +384,51 @@ def _strict_transform(g: Polynomial, center: tuple[str, ...],
     return strict
 
 
-def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartState:
-    """The affine chart D+(chart_var) of the blow-up of the chart in V(center).
-
-    The substitution is w -> w * chart_var for every center variable w other
-    than chart_var; each generator is divided exactly by chart_var to the
-    order of the generator along the center, and that division is asserted
-    to be exact of exactly that order.  Boundary components are replaced by
-    their strict transforms (dropped when they miss the new origin) and the
-    exceptional divisor V(chart_var) is appended as a new component.
-    """
-    center = _canonical_center(chart, center)
-    if chart_var not in center.variables:
-        raise InputError(
-            f"chart variable {chart_var!r} must belong to the center")
+def _permissible_orders(chart: ChartState, center: Center) -> tuple[int, ...]:
+    """Each generator's order along a canonical center, once the center has
+    passed ``permissible_check``."""
     report = permissible_check(chart, center)
     if not report.ok:
         raise InputError(
             "center is not permissible: " + "; ".join(report.violations))
+    return tuple(int(ord_at(g, center.variables)) for g in chart.generators)
 
-    w = chart_var
+
+def blow_up(chart: ChartState, center: Center) -> tuple[ChartState, ...]:
+    """The affine charts D+(w) of the blow-up of the chart in V(center), one
+    for each center variable w in the order ``center`` lists them.
+
+    The center is canonicalised and checked, and each generator's order
+    along it taken, once for all the charts.  In the chart of w every other
+    center variable v is replaced by v * w; each generator is divided
+    exactly by w to its order along the center, and that division is
+    asserted to be exact of exactly that order.  Boundary components are
+    replaced by their strict transforms (dropped when they miss the new
+    origin) and the exceptional divisor V(w) is appended as a new component.
+    """
+    canonical = _canonical_center(chart, center)
+    orders = _permissible_orders(chart, canonical)
+    return tuple(_chart_of(chart, canonical, orders, w)
+                 for w in center.variables)
+
+
+def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartState:
+    """The chart D+(chart_var) of ``blow_up``, after the same checks."""
+    canonical = _canonical_center(chart, center)
+    if chart_var not in canonical.variables:
+        raise InputError(
+            f"chart variable {chart_var!r} must belong to the center")
+    return _chart_of(chart, canonical, _permissible_orders(chart, canonical),
+                     chart_var)
+
+
+def _chart_of(chart: ChartState, center: Center, orders: tuple[int, ...],
+              w: str) -> ChartState:
+    """The chart D+(w) of ``blow_up`` in a canonical permissible center,
+    given each generator's order along it."""
     new_generators = tuple(
-        _strict_transform(g, center.variables, w,
-                          int(ord_at(g, center.variables)))
-        for g in chart.generators
-    )
+        _strict_transform(g, center.variables, w, order)
+        for g, order in zip(chart.generators, orders))
 
     step = chart.step + 1
 
@@ -442,10 +486,11 @@ def _moved_boundary(
     move: Callable[[Polynomial], Polynomial],
 ) -> list[BoundaryComponent]:
     """Each boundary component with its generator moved, dropping those
-    that no longer pass through the chart origin."""
+    that no longer pass through the chart origin; a component whose
+    generator the move leaves unchanged is kept as it is."""
     moved = ((comp, move(comp.generator)) for comp in boundary)
-    return [replace(comp, generator=g) for comp, g in moved
-            if not g.constant_coefficient()]
+    return [comp if g == comp.generator else replace(comp, generator=g)
+            for comp, g in moved if not g.constant_coefficient()]
 
 
 # ---------------------------------------------------------------------------

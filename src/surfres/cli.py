@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
@@ -42,10 +41,11 @@ from .blowup_engine import (
     Center,
     ChartState,
     StratumComponent,
-    blow_up_chart,
+    blow_up,
     classify_point,
     locate_point,
     make_chart,
+    replace_chart,
 )
 from .char_polyhedron import delta, face_numbers, prepare, sigma_search
 from .exact_algebra import (
@@ -268,11 +268,11 @@ def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
 
     unavailable = None  # the scope error of the origin's stratum
     if "stratum" in job:
-        chart = replace(
+        chart = replace_chart(
             chart, stratum=_stratum_from(job["stratum"], field, variables))
     elif len(chart.generators) == 1 and chart.stratum is None:
         try:
-            chart = replace(chart, stratum=max_stratum(chart))
+            chart = replace_chart(chart, stratum=max_stratum(chart))
         except ScopeError as err:
             unavailable = err
 
@@ -291,7 +291,7 @@ def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
     if reads_stratum and chart.stratum is None and not in_case_v(chart):
         if unavailable is not None:
             raise unavailable
-        chart = replace(chart, stratum=max_stratum(chart))
+        chart = replace_chart(chart, stratum=max_stratum(chart))
     return chart
 
 
@@ -453,14 +453,11 @@ def report_invariant(job: dict) -> dict:
 def report_blowup(job: dict) -> dict:
     chart = build_chart(job, reads_stratum="center" not in job)
     center = _center_from(job, chart)
-    children = []
-    for w in center.variables:
-        child = blow_up_chart(chart, center, w)
-        children.append({
-            "chart_var": w,
-            "classification": classify_point(chart, child),
-            "chart": chart_to_jsonable(child),
-        })
+    children = [{
+        "chart_var": child.lineage.chart_var,
+        "classification": classify_point(chart, child),
+        "chart": chart_to_jsonable(child),
+    } for child in blow_up(chart, center)]
     return {
         "command": "blowup",
         **_chart_summary(chart),

@@ -793,9 +793,14 @@ class Polynomial:
     @staticmethod
     def variable(field: FieldDescriptor, variables: Iterable[str], name: str) -> "Polynomial":
         vs = tuple(variables)
-        if name not in vs:
+        index = _layout(vs)[0]
+        if name not in index:
             raise InputError(f"unknown variable {name!r}")
-        return Polynomial.make(field, vs, {Monomial.from_dict({name: 1}): field.native_int(1)})
+        if len(index) != len(vs):
+            raise InputError("duplicate ambient variable names")
+        vec = [0] * len(vs)
+        vec[index[name]] = 1
+        return _canonical(field, vs, [(tuple(vec), field.native_int(1))])
 
     # -- basic queries -------------------------------------------------------
 
@@ -842,7 +847,11 @@ class Polynomial:
         return self.field.zero()
 
     def constant_coefficient(self) -> Any:
-        return self.coefficient(Monomial())
+        # the canonical order starts at the lowest degree: a constant term
+        # comes first
+        if self.vectors and not any(self.vectors[0][0]):
+            return self.field.to_public(self.vectors[0][1])
+        return self.field.zero()
 
     def total_degree(self) -> int | float:
         if self.is_zero:
@@ -955,6 +964,9 @@ def ord_at(f: Polynomial, prime_vars: Iterable[str]) -> int | float:
     if f.is_zero:
         return INF
     pos = f.positions(set(vs))
+    if len(pos) == len(f.variables):
+        # the canonical order starts at the lowest total degree
+        return sum(f.vectors[0][0])
     return min(sum(vec[i] for i in pos) for vec, _ in f.vectors)
 
 

@@ -38,12 +38,13 @@ from .blowup_engine import (
     ChartState,
     StratumComponent,
     _is_coordinate_generator,
-    blow_up_chart,
+    blow_up,
     classify_point,
     is_variety_component,
     locate_point,
     own_center,
     permissible_check,
+    replace_chart,
 )
 from .exact_algebra import (
     FieldDescriptor,
@@ -340,7 +341,7 @@ def max_stratum(
 ) -> tuple[StratumComponent, ...]:
     """Labelled components of the maximal stratum through the chart origin.
 
-    For a chart fresh out of ``blow_up_chart`` the carried strict
+    For a chart fresh out of ``blow_up`` the carried strict
     transforms (stored in ``chart.stratum``) keep their cid and label;
     everything else is new and labelled by the chart's step count, except
     that in the default mode a component dominating the blown-up center
@@ -496,8 +497,8 @@ def root_chart(
                                    boundary=tuple(boundary)))
     y_block = _coordinate_directrix_vars(chart) or ()
     u_block = tuple(v for v in variables if v not in set(y_block))
-    return replace(chart, frame=Frame(u_block=u_block, y_block=y_block,
-                                      boundary=tuple(boundary)))
+    return replace_chart(chart, frame=Frame(u_block=u_block, y_block=y_block,
+                                            boundary=tuple(boundary)))
 
 
 def _coordinate_directrix_vars(chart: ChartState) -> tuple[str, ...] | None:
@@ -519,10 +520,13 @@ def _is_finished(chart: ChartState) -> bool:
 
 
 def _reset_boundary(chart: ChartState) -> ChartState:
-    """All boundary components become old (the multiplicity just dropped)."""
+    """All boundary components become old (the multiplicity just dropped).
+    The copy keeps nu* and the directrix; the log-directrix reads which
+    components are old, so it is derived again."""
     frame = chart.frame
     boundary = tuple(replace(b, status=OLD) for b in frame.boundary)
-    return replace(chart, frame=Frame(frame.u_block, frame.y_block, boundary))
+    return replace_chart(
+        chart, frame=Frame(frame.u_block, frame.y_block, boundary))
 
 
 def _plain_delta(chart: ChartState):
@@ -562,17 +566,19 @@ def resolve(
     """Run the blow-up loop until every chart is finished.
 
     Each round removes one chart from the work queue, selects its center
-    and blows it up in every chart of the center; one directrix memo
-    (``local_frame.directrix_memo``) serves the whole run.  Every tracked
-    point (each child origin, then each point declared on that child) has
-    its stratum labelled against the carried components and goes through
-    one record path, ``_point_record``: it is classified against the parent
-    origin and its invariant compared with the parent's, both on the state
-    before any history reset, which is what the strict-decrease statement
-    refers to.  At a child origin the ``LAW_*`` laws are then checked, and
-    whether the log-multiplicity value dropped is decided once.  When it
-    dropped, the child starts a new era: labels restart at 0 and, when the
-    multiplicity itself dropped, all boundary components become old.
+    and blows it up once (``blow_up`` builds every chart of the center);
+    the states made of each child keep what it derived (``replace_chart``),
+    and one directrix memo (``local_frame.directrix_memo``) serves the
+    whole run.  Every tracked point (each child origin, then each point
+    declared on that child) has its stratum labelled against the carried
+    components and goes through one record path, ``_point_record``: it is
+    classified against the parent origin and its invariant compared with
+    the parent's, both on the state before any history reset, which is what
+    the strict-decrease statement refers to.  At a child origin the
+    ``LAW_*`` laws are then checked, and whether the log-multiplicity value
+    dropped is decided once.  When it dropped, the child starts a new era:
+    labels restart at 0 and, when the multiplicity itself dropped, all
+    boundary components become old.
 
     ``declared_points`` maps a chart id to move-dictionaries for
     ``locate_point``; each declared point is recorded in addition to the
@@ -592,7 +598,7 @@ def resolve(
 
     try:
         if root.stratum is None:
-            charts[root.chart_id] = replace(
+            charts[root.chart_id] = replace_chart(
                 root, stratum=max_stratum(root, label_mode))
         while queue:
             chart = charts[queue.popleft()]
@@ -616,10 +622,10 @@ def resolve(
             parent_delta = None
             created: list[str] = []
             records: list[PointRecord] = []
-            for w in choice.center.variables:
-                child = blow_up_chart(chart, choice.center, w)
+            for child in blow_up(chart, choice.center):
+                w = child.lineage.chart_var
                 fresh = _fresh_components(child)
-                pre = replace(child, stratum=_label_components(
+                pre = replace_chart(child, stratum=_label_components(
                     child, fresh, label_mode, reset=False))
                 record = _point_record(chart, parent_iota, pre, "origin")
                 records.append(record)
@@ -682,7 +688,7 @@ def resolve(
                         # count constant), so recompute it
                         stored = _reset_boundary(stored)
                         stored_fresh = _fresh_components(stored)
-                    stored = replace(stored, stratum=_label_components(
+                    stored = replace_chart(stored, stratum=_label_components(
                         stored, stored_fresh, label_mode, reset=True))
                 charts[stored.chart_id] = stored
                 if stored is pre:
@@ -692,8 +698,8 @@ def resolve(
 
                 for moves in (declared_points or {}).get(pre.chart_id, ()):
                     located = locate_point(pre, moves)
-                    located = replace(located,
-                                      stratum=max_stratum(located, label_mode))
+                    located = replace_chart(
+                        located, stratum=max_stratum(located, label_mode))
                     records.append(_point_record(
                         chart, parent_iota, located,
                         located.chart_id.split("@")[-1]))

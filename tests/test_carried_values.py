@@ -1,0 +1,165 @@
+"""The values a chart-state copy carries are the values of its fields.
+
+``blowup_engine.replace_chart`` copies a ``ChartState`` and keeps each
+cached value (``nu``, ``directrix``, ``log_directrix``) that reads none of
+the changed fields.  Every copy that ``resolve`` and ``cli.build_chart``
+make goes through it: the states ``resolve`` records and stores, on the
+named traces in both label modes and on 40 pool surfaces, and the charts
+``build_chart`` makes for the named jobs, for every chart of the named
+traces rebuilt as a job, and for the point jobs.  Each copy, and each
+stored state, must give the same three values as a ``ChartState`` built
+fresh from its fields, outside every directrix memo.
+"""
+
+from __future__ import annotations
+
+from dataclasses import fields
+
+import pytest
+
+from surfres import cli, resolution_driver
+from surfres.blowup_engine import ChartState, make_chart, replace_chart
+from surfres.exact_algebra import (
+    FieldDescriptor,
+    InputError,
+    ScopeError,
+    parse_polynomial,
+)
+from surfres.local_frame import NEW, OLD, BoundaryComponent
+from surfres.resolution_driver import (
+    DEFAULT_LABELS,
+    FRESH_LABELS,
+    _reset_boundary,
+    chart_to_jsonable,
+    initial_chart,
+    resolve,
+)
+
+from test_blow_up_once import named_roots, pool_surfaces
+from test_cli_inputs import point_jobs
+
+CACHED = ("nu", "directrix", "log_directrix")
+QQ = FieldDescriptor.rationals()
+XYZ = ("x", "y", "z")
+NAMED_JOBS = {
+    "surface": {"field": {"kind": "rationals"}, "variables": list(XYZ),
+                "generators": ["x^2 + y^9*z^10"]},
+    "cubic": {"field": {"kind": "rationals"}, "variables": list(XYZ),
+              "generators": ["z^3 + x^2*y^2*z + x^3*y^3"]},
+    "two-divisor": {
+        "field": {"kind": "rationals"}, "variables": ["u1", "u2", "y"],
+        "generators": ["y^2 + (u2 + u1)^3 + u1^7"],
+        "frame": {"u": ["u1", "u2"], "y": ["y"]},
+        "boundary": [{"generator": "u1", "status": "new", "cid": 0},
+                     {"generator": "u2", "status": "new", "cid": 1}]},
+}
+
+
+def fresh(state: ChartState) -> ChartState:
+    return ChartState(**{f.name: getattr(state, f.name)
+                         for f in fields(ChartState)})
+
+
+def assert_carries_its_own_values(state: ChartState) -> None:
+    twin = fresh(state)
+    for name in CACHED:
+        assert getattr(state, name) == getattr(twin, name), (
+            state.chart_id, name)
+
+
+@pytest.fixture
+def copies(monkeypatch) -> list[tuple[ChartState, set[str]]]:
+    """Every copy ``replace_chart`` makes while the test runs, with the
+    names of the cached values it carried when it was made."""
+    made: list[tuple[ChartState, set[str]]] = []
+
+    def recording(chart, **changes):
+        copy = replace_chart(chart, **changes)
+        made.append((copy, set(CACHED) & copy.__dict__.keys()))
+        return copy
+
+    for module in (resolution_driver, cli):
+        monkeypatch.setattr(module, "replace_chart", recording)
+    return made
+
+
+def traced_runs():
+    for root, options in named_roots().values():
+        for mode in (DEFAULT_LABELS, FRESH_LABELS):
+            yield resolve(root, **dict(options, label_mode=mode))
+    for field, text in pool_surfaces():
+        yield resolve(initial_chart(field, XYZ, text))
+
+
+def test_every_state_resolve_makes_holds_the_values_of_its_fields(copies):
+    stored = 0
+    for trace in traced_runs():
+        for state in trace.charts.values():
+            assert_carries_its_own_values(state)
+            stored += 1
+    for copy, _carried in copies:
+        assert_carries_its_own_values(copy)
+    assert stored > 500 and len(copies) > stored
+    # every copy starts with a value its source derived, some with all three
+    assert all(carried for _c, carried in copies)
+    assert any(carried == set(CACHED) for _c, carried in copies)
+
+
+def exported_jobs():
+    """Every chart of the named traces as a ``blowup`` job, stratum and
+    boundary statuses included."""
+    for root, options in named_roots().values():
+        trace = resolve(root, **options)
+        for chart in trace.charts.values():
+            doc = chart_to_jsonable(chart)
+            yield {
+                "field": {"kind": "rationals"},
+                "variables": doc["variables"],
+                "generators": doc["generators"],
+                "frame": {"u": doc["u_block"], "y": doc["y_block"]},
+                "boundary": [{"generator": b["generator"],
+                              "status": b["status"], "cid": b["cid"]}
+                             for b in doc["boundary"]],
+                "stratum": [{key: c[key] for key in
+                             ("variables", "label", "cid", "original",
+                              "conditions")}
+                            for c in doc["stratum"]],
+            }
+
+
+def test_every_copy_build_chart_makes_holds_the_values_of_its_fields(copies):
+    jobs = [*NAMED_JOBS.values(), *exported_jobs(),
+            *(job for _command, job in point_jobs().values())]
+    built = 0
+    for job in jobs:
+        for reads_stratum in (False, True):
+            try:
+                chart = cli.build_chart(job, reads_stratum)
+            except (InputError, ScopeError):
+                continue
+            assert_carries_its_own_values(chart)
+            built += 1
+    for copy, _carried in copies:
+        assert_carries_its_own_values(copy)
+    assert built > 300 and len(copies) > built
+    assert any(carried for _c, carried in copies)
+
+
+def test_a_reset_boundary_derives_the_log_directrix_again():
+    """The exceptional divisor V(z) is new and then old; the directrix
+    V(x) does not hold it, so e^O drops from 2 to 1 while nu* and the
+    directrix stay."""
+    f = parse_polynomial("x^2 + y^3 + z^5", QQ, XYZ)
+    z = parse_polynomial("z", QQ, XYZ)
+    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",),
+                       (BoundaryComponent(z, NEW, 1, 0),))
+    assert chart.log_directrix[0] == 2 and chart.nu.orders == (2,)
+    reset = _reset_boundary(chart)
+    assert reset.frame.boundary[0].status == OLD
+    assert {"nu", "directrix"} <= reset.__dict__.keys()
+    assert reset.log_directrix[0] == 1
+    assert_carries_its_own_values(reset)
+    # a copy that changes only the stratum keeps all three
+    same = replace_chart(chart, stratum=())
+    assert set(CACHED) <= same.__dict__.keys()
+    assert_carries_its_own_values(same)

@@ -24,7 +24,16 @@ stderr.  The run set:
   initial forms sit on both sides of the characteristic, where the
   directrix changes from the linear derivatives to the ridge: F_5 at
   degrees 4, 5 and 6, F_3 at 2, 3 and 4, F_2(t) and F_3(t) at p - 1 and p,
-  and (x+y+z)^10 and (x+y+z)^11 over Q, at and over ``MAX_DIRECTRIX_DEGREE``.
+  and (x+y+z)^10 and (x+y+z)^11 over Q, at and over ``MAX_DIRECTRIX_DEGREE``;
+* ``polyhedron`` at budget 8 of the 25 ``boundary_jobs`` and of the four
+  named jobs as they stand, so every job but the two-divisor chart has its
+  frame inferred by ``cli.build_chart``;
+* ``blowup`` without a center of every surface job above, where
+  ``cli.build_chart`` computes the stratum and ``select_center`` picks the
+  center;
+* ``blowup`` of each named job at the closed point, its variables listed in
+  reverse order, so the children come out in an order other than the
+  frame's.
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -66,6 +75,7 @@ SURFACE_COMMANDS = (("resolve",), ("export", "--format", "dot"),
 STORED_COMMANDS = (("export", "--format", "json"), ("export", "--format", "dot"))
 CHART_BUDGETS = (8, 24)
 BOUNDARY_COMMANDS = (("analyze",), ("invariant",))
+FRAMELESS_BUDGET = 8
 # field document and initial-form degrees of the boundary jobs
 BOUNDARY_DEGREES = (
     ({"kind": "prime_field", "characteristic": 5}, (4, 5, 6)),
@@ -190,9 +200,23 @@ def digests() -> dict[str, str]:
                 args, {"trace": trace})
     for key, (command, job) in point_jobs().items():
         out[f"{command} | point {key}"] = run_digest((command,), job)
-    for key, job in boundary_jobs().items():
+    boundary = boundary_jobs()
+    for key, job in boundary.items():
         for args in BOUNDARY_COMMANDS:
             out[f"{' '.join(args)} | boundary {key}"] = run_digest(args, job)
+    budget = {"options": {"budget": FRAMELESS_BUDGET}}
+    for key, job in boundary.items():
+        out[f"polyhedron budget {FRAMELESS_BUDGET} | boundary {key}"] = \
+            run_digest(("polyhedron",), dict(job, **budget))
+    for key, job in corpus.NAMED_JOBS.items():
+        out[f"polyhedron budget {FRAMELESS_BUDGET} | named {key}"] = \
+            run_digest(("polyhedron",), dict(job, **budget))
+    for key, job in surface_jobs().items():
+        out[f"blowup | surface {key}"] = run_digest(("blowup",), job)
+    for key, job in corpus.NAMED_JOBS.items():
+        center = {"variables": job["variables"][::-1]}
+        out[f"blowup reversed point | {key}"] = run_digest(
+            ("blowup",), dict(job, center=center))
     return out
 
 
