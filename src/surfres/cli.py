@@ -33,7 +33,7 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .blowup_engine import (
     CLOSED_POINT,
@@ -201,6 +201,26 @@ def _stratum_from(data: Any, field: FieldDescriptor,
     return tuple(comps)
 
 
+def _proportional(g: Polynomial, h: Polynomial) -> bool:
+    """Whether two nonzero polynomials agree up to a nonzero constant
+    factor.  Comparing the exponent vectors first keeps the test cheap on
+    distinct divisors, which every chart job has."""
+    return ([vec for vec, _c in g.vectors] == [vec for vec, _c in h.vectors]
+            and g.scale(h.vectors[0][1]) == h.scale(g.vectors[0][1]))
+
+
+def _refuse_repeated_divisor(entries: Sequence[Any],
+                             same: Callable[[Any, Any], bool]) -> None:
+    """Refuse two boundary entries that name one divisor: it would be
+    counted as two components."""
+    for j, b in enumerate(entries):
+        for i in range(j):
+            if same(entries[i], b):
+                raise InputError(
+                    f"jobspec.boundary[{j}]: names the same divisor as "
+                    f"jobspec.boundary[{i}]; list each divisor once")
+
+
 def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
     """Turn a parsed job document into a chart state.
 
@@ -246,6 +266,8 @@ def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
                 birth_step=_int_field(entry, "birth", 0, where),
                 cid=_int_field(entry, "cid", i, where),
             ))
+        _refuse_repeated_divisor([b.generator for b in boundary],
+                                 _proportional)
         chart = make_chart(field, variables, generators, u_block, y_block,
                            tuple(boundary))
     else:
@@ -264,6 +286,7 @@ def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
                     f"{where}.generator: {name!r} is not a variable; "
                     "supply an explicit frame for general divisors")
             names.append(name)
+        _refuse_repeated_divisor(names, str.__eq__)
         chart = root_chart(generators[0], tuple(names))
 
     unavailable = None  # the scope error of the origin's stratum
@@ -467,12 +490,24 @@ def report_blowup(job: dict) -> dict:
 
 
 def _declared_points(job: dict, chart: ChartState) -> dict | None:
+    """The points declared on charts of the blow-ups, by chart id.  A
+    declared point is compared with the origin of its chart's parent, so
+    each key names a chart that a blow-up creates: the root's id followed
+    by one or more chart variables, each after a '/'."""
     data = job.get("declared_points")
     if data is None:
         return None
     _object(data, "jobspec.declared_points")
     out = {}
     for chart_id, moves_list in data.items():
+        prefix, _, path = chart_id.partition("/")
+        if prefix != chart.chart_id or not all(
+                v in chart.variables for v in path.split("/")):
+            raise InputError(
+                f"jobspec.declared_points.{chart_id}: no blow-up creates this "
+                f"chart; a key is {chart.chart_id!r} followed by chart "
+                "variables, each after a '/', such as "
+                f"'{chart.chart_id}/{chart.variables[0]}'")
         if not isinstance(moves_list, list):
             raise InputError(
                 f"jobspec.declared_points.{chart_id}: expected a list")
@@ -533,7 +568,9 @@ def _stored_trace(job: dict) -> dict:
             raise InputError(f"{at}.chart_var: expected a string")
     for i, event in enumerate(_expect(trace, "events", list, where)):
         at = f"{where}.events[{i}]"
-        _expect(_object(event, at), "chart", str, at)
+        chart_id = _expect(_object(event, at), "chart", str, at)
+        if chart_id not in ids:
+            raise InputError(f"{at}.chart: unknown chart {chart_id!r}")
         _string_list(_expect(event, "center", dict, at), "variables",
                      f"{at}.center")
         unknown = [c for c in _string_list(event, "created", at)

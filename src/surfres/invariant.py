@@ -10,7 +10,8 @@ computes
   stratum through the point -- identically "zero" when C is empty or the
   point is regular, a fixed formal value when C itself is the next center
   (an isolated point or a permissible curve), and the full tuple
-  (nu*(I_C), |O_C(x)|, e_C, e_C^O, delta_C, delta_C^O) otherwise;
+  (nu*(I_C), |O_C(x)|, e_C, e_C^O, delta_C, delta_C^O) otherwise: iota0
+  of the chart state of I_C, then its two deltas (``chart_delta``);
 * ``iota_poly``: the polyhedral tail (beta, gamma, sigma, alpha) read off
   the prepared characteristic polyhedron of the log-ideal in a frame
   adapted to the log-directrix, with the side convention driven by the
@@ -55,12 +56,8 @@ from .exact_algebra import (
 from .local_frame import (
     Frame,
     NuStar,
-    add_old_boundary,
     compose_with_old_boundary,
-    compute_directrix,
     form_row,
-    initial_form,
-    nu_star,
     row_reduce,
 )
 
@@ -200,8 +197,8 @@ def prepare_adapted(
 ) -> PreparationResult:
     """Prepare generators in a frame adapted to a directrix.
 
-    Every delta (through ``delta_in``: delta_C, delta_C^O, delta^O and the
-    driver's delta law) and the polyhedron whose faces and sigma
+    Every delta (through ``chart_delta``: delta_C, delta_C^O, delta^O and
+    the driver's delta law) and the polyhedron whose faces and sigma
     ``iota_poly`` reads when e^O = 2 come from this one preparation.  The
     caller adapts the frame (``adapt_frame_to_forms``), because
     ``iota_poly`` checks the new boundary components and orders the u-block
@@ -219,13 +216,13 @@ def prepare_adapted(
     return result
 
 
-def delta_in(gens: Sequence[Polynomial], frame: Frame,
-             forms: Sequence[Polynomial], with_old_boundary: bool) -> Any:
-    """delta of the generators prepared (``prepare_adapted``) in the frame
-    adapted to the forms of a (log-)directrix."""
-    adapted = adapt_frame_to_forms(gens, frame, forms)
-    return delta(prepare_adapted(*adapted, with_old_boundary,
-                                 "delta").polyhedron)
+def chart_delta(chart: ChartState, log: bool) -> Any:
+    """delta of the chart's generators prepared (``prepare_adapted``) in the
+    frame adapted to the forms of its directrix, or with ``log`` of its
+    log-directrix, the old boundary components folded in (delta^O)."""
+    forms = (chart.log_directrix if log else chart.directrix)[1]
+    adapted = adapt_frame_to_forms(chart.generators, chart.frame, forms)
+    return delta(prepare_adapted(*adapted, log, "delta").polyhedron)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,8 @@ def iota_c(chart: ChartState, case: CaseInfo | None = None) -> tuple:
 
     Outside Case III the tuple is formal: all-zero in Cases IV and V, and
     all-zero with a trailing 1 in Cases I and II (where C itself is the
-    next center).
+    next center).  In Case III it is ``iota0`` of the chart state of I_C,
+    then its delta and delta^O.
     """
     if case is None:
         case = classify_case(chart)
@@ -285,22 +283,13 @@ def iota_c(chart: ChartState, case: CaseInfo | None = None) -> tuple:
     if case.tag in (CASE_I, CASE_II):
         return (FORMAL_ZERO, 0, 0, 0, 0, 1)
 
-    gens = _ideal_of_c(case.components, chart.field, chart.variables)
-    if not gens or any(g.is_zero for g in gens):
-        raise InputError("the ideal of C needs nonzero generators")
-
-    nu_c = nu_star(gens)
-    n_old = len(chart.frame.old_components())
-
-    initials = [initial_form(g, g.variables) for g in gens]
-    r_c, forms_c = compute_directrix(initials, chart.frame)
-    e_c = len(chart.variables) - r_c
-    e_c_old, forms_c_old = add_old_boundary(r_c, forms_c, chart.frame,
-                                            chart.variables)
-
+    c = replace(chart, generators=tuple(
+        _ideal_of_c(case.components, chart.field, chart.variables)),
+        stratum=None)
+    nu_c, n_old, e_c, e_c_old = iota0(c)
     return (nu_c, n_old, e_c, e_c_old,
-            delta_in(gens, chart.frame, forms_c, False) if e_c else INF,
-            delta_in(gens, chart.frame, forms_c_old, True) if e_c_old else INF)
+            chart_delta(c, False) if e_c else INF,
+            chart_delta(c, True) if e_c_old else INF)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +350,7 @@ def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
         return _ALL_INF
 
     if e_old == 1:
-        return (0, 0, 0, delta_in(chart.generators, chart.frame, forms, True))
+        return (0, 0, 0, chart_delta(chart, True))
 
     adapted_gens, adapted_frame = adapt_frame_to_forms(
         list(chart.generators), chart.frame, forms)

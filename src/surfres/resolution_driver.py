@@ -60,9 +60,9 @@ from .exact_algebra import (
 from .invariant import (
     LESS,
     IotaInvariant,
+    chart_delta,
     compare_iota,
     compute_iota,
-    delta_in,
     iota_to_jsonable,
 )
 from .local_frame import (
@@ -70,7 +70,6 @@ from .local_frame import (
     Frame,
     OLD,
     directrix_memo,
-    initial_form,
     monomials_of_degree,
 )
 
@@ -235,8 +234,7 @@ def _tail_components(chart: ChartState, f: Polynomial) -> list[RawComponent]:
     intersection of the hypersurface with the boundary divisors that
     obstruct transversality.
     """
-    lin = initial_form(f, f.variables)
-    used = lin.support_variables()
+    used = chart.directrix[1][0].support_variables()  # the tangent plane
     support = [v for v in chart.variables if v in used]
     boundary = set(_divisor_vars(chart.frame.boundary))
     if any(v not in boundary for v in support):
@@ -488,6 +486,8 @@ def root_chart(
     for i, v in enumerate(boundary_vars):
         if v not in variables:
             raise InputError(f"boundary variable {v!r} is not a coordinate")
+        if v in boundary_vars[:i]:
+            raise InputError(f"boundary variable {v!r} is repeated")
         boundary.append(BoundaryComponent(
             generator=Polynomial.variable(field, variables, v),
             status=OLD, birth_step=0, cid=i))
@@ -504,12 +504,10 @@ def root_chart(
 def _coordinate_directrix_vars(chart: ChartState) -> tuple[str, ...] | None:
     """The directrix coordinates when every directrix form is a single
     variable, else None."""
-    names = []
-    for form in chart.directrix[1]:
-        if len(form.vectors) != 1:
-            return None
-        names.append(_support(form.vectors[0][0], form.variables)[0])
-    return tuple(v for v in chart.variables if v in set(names))
+    names = {_is_coordinate_generator(form) for form in chart.directrix[1]}
+    if None in names:
+        return None
+    return tuple(v for v in chart.variables if v in names)
 
 
 def _is_finished(chart: ChartState) -> bool:
@@ -534,10 +532,9 @@ def _plain_delta(chart: ChartState):
     None when the directrix dimension is not 1 or 2, or delta cannot be
     computed within budget."""
     try:
-        r, forms = chart.directrix
-        if not 0 < len(chart.variables) - r <= 2:
+        if not 0 < len(chart.variables) - chart.directrix[0] <= 2:
             return None
-        return delta_in(chart.generators, chart.frame, forms, False)
+        return chart_delta(chart, False)
     except (InputError, ScopeError):
         return None
 

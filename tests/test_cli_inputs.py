@@ -1,4 +1,5 @@
-"""Malformed options, moves and stored traces end in exit 2 with a message;
+"""Malformed options, moves, boundaries, declared points and stored traces
+end in exit 2 with a message;
 the center-selection fallback resolves jobs whose stratum curve is not a
 valid center shape."""
 
@@ -12,6 +13,8 @@ import pytest
 
 from surfres import cli
 from surfres.cli import EXIT_INPUT, EXIT_OK, EXIT_SCOPE, main
+from surfres.exact_algebra import FieldDescriptor, InputError, parse_polynomial
+from surfres.resolution_driver import root_chart
 
 SURFACE_JOB = {
     "field": {"kind": "rationals"},
@@ -155,6 +158,10 @@ def test_smallest_valid_options_are_accepted(tmp_path, capsys):
     ({"charts": [{"id": "root", "generators": ["x"]}],
       "events": [{"chart": "root", "center": [], "created": []}]},
      "jobspec.trace.events[0]"),
+    ({"charts": [{"id": "a", "generators": []}],
+      "events": [{"chart": "zz", "center": {"variables": []},
+                  "created": ["a"]}]},
+     "jobspec.trace.events[0].chart: unknown chart 'zz'"),
 ])
 @pytest.mark.parametrize("fmt", ["dot", "json"])
 def test_malformed_stored_trace_is_an_input_error(
@@ -166,6 +173,52 @@ def test_malformed_stored_trace_is_an_input_error(
     assert code == EXIT_INPUT
     assert "Traceback" not in err
     assert where in err
+
+
+# V(y) twice, by name in a frameless job and by proportional generators
+# (y and 2*y) in a framed one: one divisor listed twice is refused, where it
+# was counted as two old components
+REPEATED_DIVISORS = {
+    "frameless": dict(SURFACE_JOB, boundary=[{"generator": "y"},
+                                             {"generator": "y"}]),
+    "framed": dict(SURFACE_JOB, frame={"u": ["y", "z"], "y": ["x"]},
+                   boundary=[{"generator": "y", "status": "old"},
+                             {"generator": "z", "status": "old"},
+                             {"generator": "2*y", "status": "old"}]),
+}
+CHART_COMMANDS = ["analyze", "polyhedron", "invariant", "blowup", "resolve"]
+
+
+@pytest.mark.parametrize("command", CHART_COMMANDS)
+@pytest.mark.parametrize("kind, first, second", [
+    ("frameless", 0, 1), ("framed", 0, 2)])
+def test_a_boundary_listing_one_divisor_twice_is_refused(
+        tmp_path, capsys, command, kind, first, second):
+    code, out, err = run(tmp_path, capsys, command, REPEATED_DIVISORS[kind])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert (f"jobspec.boundary[{second}]: names the same divisor as "
+            f"jobspec.boundary[{first}]") in err
+
+
+def test_root_chart_refuses_a_repeated_boundary_name():
+    f = parse_polynomial("x^2 + y^3*z^4", FieldDescriptor.rationals(),
+                         ("x", "y", "z"))
+    assert len(root_chart(f, ("y", "z")).frame.old_components()) == 2
+    with pytest.raises(InputError, match="'y' is repeated"):
+        root_chart(f, ("y", "z", "y"))
+
+
+# a declared point is compared with its chart's parent, so it sits on a
+# chart that a blow-up creates: "root/" and chart variables, "/" between
+@pytest.mark.parametrize("key", [
+    "root", "nonexistent", "root/u1", "root//z", "root/z/", "/z", "root/z/w"])
+def test_a_declared_point_on_a_chart_no_blow_up_creates_is_refused(
+        tmp_path, capsys, key):
+    job = dict(SURFACE_JOB, declared_points={key: [{"y": 1}]})
+    code, out, err = run(tmp_path, capsys, "resolve", job)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert f"jobspec.declared_points.{key}: no blow-up creates this chart" \
+        in err
 
 
 def test_minimal_stored_trace_renders(tmp_path, capsys):

@@ -15,6 +15,11 @@ decided in one module.
 
 Outside the ridge and directrix certificates, no module raises a bare
 ``RuntimeError``, which no documented exit code covers.
+
+nu*, the directrix and the log-directrix are derived in one place: outside
+``local_frame``, which defines them, only ``blowup_engine`` (the
+``ChartState`` properties) calls ``nu_star``, ``compute_directrix`` or
+``add_old_boundary``; every other module reads them off a chart state.
 """
 
 from __future__ import annotations
@@ -153,3 +158,54 @@ def test_only_the_certificates_raise_a_bare_runtime_error():
              for site in runtime_error_sites(path.read_text(encoding="utf-8"),
                                              path.name)]
     assert sorted(sites) == RUNTIME_ERROR_SITES
+
+
+# ---------------------------------------------------------------------------
+# one derivation of nu*, the directrix and the log-directrix
+# ---------------------------------------------------------------------------
+
+DERIVATIONS = ("nu_star", "compute_directrix", "add_old_boundary")
+DERIVING_MODULES = ("local_frame.py", "blowup_engine.py")
+
+
+def derivation_calls(source: str, name: str) -> list[str]:
+    """``name:line function`` of each call of a ``DERIVATIONS`` function in
+    the module source, by bare name or as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute)
+                      else None)
+            if called in DERIVATIONS:
+                out.append(f"{name}:{node.lineno} {called}")
+    return out
+
+
+def test_the_derivation_check_finds_each_call():
+    source = (
+        "from .local_frame import nu_star, compute_directrix\n"
+        "from . import local_frame as lf\n"
+        "def f(c, gens):\n"
+        "    nu = nu_star(gens)\n"
+        "    r, forms = lf.compute_directrix(gens, c.frame)\n"
+        "    return lf.add_old_boundary(r, forms, c.frame, c.variables), nu\n"
+        "def g(c):\n"
+        "    return c.nu, c.directrix, c.log_directrix\n")
+    assert derivation_calls(source, "m.py") == [
+        "m.py:4 nu_star", "m.py:5 compute_directrix",
+        "m.py:6 add_old_boundary"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name not in DERIVING_MODULES], ids=lambda p: p.name)
+def test_only_the_chart_state_derives_nu_star_and_the_directrix(path):
+    assert derivation_calls(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_chart_state_is_the_derivation_outside_local_frame():
+    source = (PACKAGE / "blowup_engine.py").read_text(encoding="utf-8")
+    assert sorted(c.split()[1] for c in derivation_calls(
+        source, "blowup_engine.py")) == sorted(DERIVATIONS)

@@ -5,16 +5,22 @@ bodies.
 through ``blowup_engine.own_center``; ``select_center`` and
 ``permissible_check`` test for a whole component of the variety through
 ``blowup_engine.is_variety_component``; and the driver's ``_plain_delta``
-reads delta through ``invariant.delta_in``.  The bodies each had before
-are kept below as oracles, and both sides must give the same answer, or
-raise the same error, on every chart of the four named traces (in both
-labelling modes) and of seeded surface traces over Q, F_2, F_3 and F_5.
+reads delta through ``invariant.chart_delta``.  ``iota_c`` reads
+nu*(I_C), e_C and e_C^O off the chart state of the ideal of C and its
+deltas through ``chart_delta``, as ``iota_poly`` reads delta^O at e^O = 1.
+The bodies each had before (``iota_c`` and ``iota_poly`` with their
+``delta_in``, which took the generators, the frame and the forms of a
+(log-)directrix) are kept below as oracles, and both sides must give the
+same answer, or raise the same error, on every chart of the four named
+traces (in both labelling modes) and of seeded surface traces over Q, F_2,
+F_3 and F_5.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +30,7 @@ from surfres.blowup_engine import (
     Center,
     ChartState,
     StratumComponent,
+    iota0,
     is_permissible_curve,
     is_variety_component,
     make_chart,
@@ -32,6 +39,7 @@ from surfres.blowup_engine import (
 )
 from surfres.char_polyhedron import delta
 from surfres.exact_algebra import (
+    INF,
     FieldDescriptor,
     InputError,
     ScopeError,
@@ -45,11 +53,23 @@ from surfres.invariant import (
     CASE_III,
     CASE_IV,
     CASE_V,
+    FORMAL_ZERO,
     CaseInfo,
+    _ideal_of_c,
     adapt_frame_to_forms,
     chart_is_regular,
     classify_case,
+    iota_c,
+    iota_poly,
     prepare_adapted,
+)
+from surfres.local_frame import (
+    OLD,
+    BoundaryComponent,
+    add_old_boundary,
+    compute_directrix,
+    initial_form,
+    nu_star,
 )
 from surfres.resolution_driver import (
     DEFAULT_LABELS,
@@ -67,6 +87,7 @@ from test_invariant import whirl_chart
 QQ = FieldDescriptor.rationals()
 XYZ = ("x", "y", "z")
 SEEDED_SURFACES = 10
+CASE_III_CHARTS = 43
 
 
 # -- the earlier bodies, kept as oracles -------------------------------------
@@ -149,6 +170,44 @@ def old_plain_delta(chart: ChartState):
         return None
 
 
+def old_delta_in(gens, frame, forms, with_old_boundary):
+    adapted = adapt_frame_to_forms(gens, frame, forms)
+    return delta(prepare_adapted(*adapted, with_old_boundary,
+                                 "delta").polyhedron)
+
+
+def old_iota_c(chart: ChartState, case: CaseInfo) -> tuple:
+    if case.tag in (CASE_IV, CASE_V):
+        return (FORMAL_ZERO, 0, 0, 0, 0, 0)
+    if case.tag in (CASE_I, CASE_II):
+        return (FORMAL_ZERO, 0, 0, 0, 0, 1)
+
+    gens = _ideal_of_c(case.components, chart.field, chart.variables)
+    if not gens or any(g.is_zero for g in gens):
+        raise InputError("the ideal of C needs nonzero generators")
+
+    nu_c = nu_star(gens)
+    n_old = len(chart.frame.old_components())
+
+    initials = [initial_form(g, g.variables) for g in gens]
+    r_c, forms_c = compute_directrix(initials, chart.frame)
+    e_c = len(chart.variables) - r_c
+    e_c_old, forms_c_old = add_old_boundary(r_c, forms_c, chart.frame,
+                                            chart.variables)
+
+    return (nu_c, n_old, e_c, e_c_old,
+            old_delta_in(gens, chart.frame, forms_c, False) if e_c else INF,
+            old_delta_in(gens, chart.frame, forms_c_old, True)
+            if e_c_old else INF)
+
+
+def old_iota_poly_at_e_o_1(chart: ChartState, case: CaseInfo) -> tuple:
+    if case.tag == CASE_V:
+        return (0, 0, 0, 0)
+    forms = chart.log_directrix[1]
+    return (0, 0, 0, old_delta_in(chart.generators, chart.frame, forms, True))
+
+
 def outcome(rule, chart):
     """The rule's value on the chart, or the type and text of its error."""
     try:
@@ -219,6 +278,72 @@ def test_plain_delta_matches_its_earlier_body(charts):
         assert value == old_plain_delta(chart), key
         computed += value is not None
     assert computed > 50
+
+
+def case_of(chart: ChartState) -> CaseInfo | None:
+    case = outcome(classify_case, chart)
+    return case if isinstance(case, CaseInfo) else None
+
+
+def test_iota_c_matches_its_earlier_body(charts):
+    case_iii = 0
+    for key, chart in charts.items():
+        case = case_of(chart)
+        if case is None or case.tag != CASE_III:
+            continue
+        case_iii += 1
+        assert outcome(lambda c: iota_c(c, case), chart) == outcome(
+            lambda c: old_iota_c(c, case), chart), key
+    assert case_iii == CASE_III_CHARTS
+
+
+# a cusp as the one original component: finite delta_C, and delta_C^O
+# finite where the old boundary leaves e_C^O = 1, infinite where it leaves 0
+@pytest.mark.parametrize("cusp, boundary, deltas", [
+    ("y^2 - z^3", (), (Fraction(3, 2), Fraction(3, 2))),
+    ("y^2 - z^3", ("y",), (Fraction(3, 2), Fraction(3, 2))),
+    ("y^2 - z^5", ("z",), (Fraction(5, 2), INF)),
+    ("y^3 - z^4", ("z",), (Fraction(4, 3), INF)),
+])
+def test_iota_c_matches_its_earlier_body_on_a_cusp(cusp, boundary, deltas):
+    f = parse_polynomial(f"x^2 + ({cusp})^3", QQ, XYZ)
+    old = tuple(BoundaryComponent(parse_polynomial(v, QQ, XYZ), OLD, 0, i)
+                for i, v in enumerate(boundary))
+    chart = replace(make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",), old),
+                    stratum=(StratumComponent(0, ("x",), 0, (
+                        parse_polynomial(cusp, QQ, XYZ),)),))
+    case = classify_case(chart)
+    assert case.tag == CASE_III
+    assert iota_c(chart, case) == old_iota_c(chart, case)
+    assert iota_c(chart, case)[4:] == deltas
+
+
+def test_iota_c_of_a_component_that_misses_the_point_reads_iota0():
+    # a job may give a condition that is a unit at the origin, so C misses
+    # the point: iota0 of C reads dimensions 0 off the variety, where the
+    # earlier body took the directrix of a constant initial form
+    f = parse_polynomial("x^2 + y^3*z^4", QQ, XYZ)
+    chart = replace(make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",)),
+                    stratum=(StratumComponent(0, ("x",), 0, (
+                        parse_polynomial("1 + y", QQ, XYZ),)),))
+    case = classify_case(chart)
+    assert case.tag == CASE_III
+    assert iota_c(chart, case)[1:] == (0, 0, 0, INF, INF)
+    assert old_iota_c(chart, case)[1:] == (0, 2, 2, INF, INF)
+    assert iota_c(chart, case)[0] == old_iota_c(chart, case)[0]
+
+
+def test_iota_poly_at_log_directrix_dimension_one_matches_its_earlier_body(
+        charts):
+    compared = 0
+    for key, chart in charts.items():
+        case = case_of(chart)
+        if case is None or outcome(iota0, chart)[3:] != (1,):
+            continue
+        compared += 1
+        assert outcome(lambda c: iota_poly(c, case), chart) == outcome(
+            lambda c: old_iota_poly_at_e_o_1(c, case), chart), key
+    assert compared > 50
 
 
 # -- the shared rules on charts built to need them ----------------------------
