@@ -33,7 +33,7 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .blowup_engine import (
     CLOSED_POINT,
@@ -59,6 +59,7 @@ from .exact_algebra import (
     to_string,
 )
 from .invariant import (
+    IotaInvariant,
     chart_is_regular,
     classify_case,
     compute_iota,
@@ -73,6 +74,9 @@ from .resolution_driver import (
     FRESH_LABELS,
     SCOPE_ERROR,
     LawViolation,
+    MonotonicityReport,
+    PointRecord,
+    ResolutionTrace,
     chart_to_jsonable,
     check_monotone,
     max_stratum,
@@ -80,7 +84,6 @@ from .resolution_driver import (
     root_chart,
     select_center,
     trace_to_dot,
-    trace_to_jsonable,
 )
 
 EXIT_OK = 0
@@ -280,6 +283,12 @@ def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
         for i, entry in enumerate(boundary_data):
             where = f"jobspec.boundary[{i}]"
             _object(entry, where)
+            if entry.get("status", OLD) != OLD or "birth" in entry \
+                    or "cid" in entry:
+                raise InputError(
+                    f"{where}: 'status' 'new', 'birth' and 'cid' need a "
+                    "frame (u and y blocks) in the job; without one every "
+                    "boundary component is an old coordinate divisor")
             name = _expect(entry, "generator", str, where)
             if name not in variables:
                 raise InputError(
@@ -310,12 +319,29 @@ def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
         located = locate_point(chart, moves)
         if located is not chart:
             chart, unavailable = located, None
+    if "stratum" in job:
+        _refuse_components_off_the_origin(chart)
 
     if reads_stratum and chart.stratum is None and not in_case_v(chart):
         if unavailable is not None:
             raise unavailable
         chart = replace_chart(chart, stratum=max_stratum(chart))
     return chart
+
+
+def _refuse_components_off_the_origin(chart: ChartState) -> None:
+    """Refuse a job's stratum component with a condition that does not
+    vanish at the chart origin: the component misses the point, so no
+    case, invariant or center of the point can be read from it.  A
+    ``point`` move keeps only the components through the new origin, so
+    only an unmoved chart can hold one, at its index in the job."""
+    for i, comp in enumerate(chart.stratum):
+        for j, q in enumerate(comp.conditions):
+            if q.constant_coefficient():
+                raise InputError(
+                    f"jobspec.stratum[{i}].conditions[{j}]: {to_string(q)} "
+                    "does not vanish at the chart origin, so the component "
+                    "misses the point; list only components through it")
 
 
 def _check_stratum_orders(job: dict, chart: ChartState) -> None:
@@ -536,23 +562,16 @@ def _run_resolve(job: dict):
                    declared_points=_declared_points(job, chart))
 
 
-def report_resolve(job: dict) -> tuple[dict, int]:
+def report_resolve(job: dict) -> tuple[str, int]:
+    """The ``resolve`` report's text and the exit code."""
     trace = _run_resolve(job)
     mono = check_monotone(trace)
-    report = {
-        "command": "resolve",
-        "trace": trace_to_jsonable(trace),
-        "monotone": {
-            "ok": mono.ok,
-            "checked": mono.checked,
-            "violations": list(mono.violations),
-        },
-    }
+    text = _resolve_text(trace, mono) + "\n"
     if trace.status == SCOPE_ERROR:
-        return report, EXIT_SCOPE
+        return text, EXIT_SCOPE
     if not mono.ok:
-        return report, EXIT_MONOTONE
-    return report, EXIT_OK
+        return text, EXIT_MONOTONE
+    return text, EXIT_OK
 
 
 def _stored_trace(job: dict) -> dict:
@@ -590,7 +609,7 @@ def run_export(job: dict, fmt: str) -> str:
     if trace.status == SCOPE_ERROR:
         raise ScopeError(trace.error)
     if fmt == "json":
-        return _report_text(trace_to_jsonable(trace)) + "\n"
+        return _trace_text(trace, "\n") + "\n"
     return trace_to_dot(trace)
 
 
@@ -660,17 +679,138 @@ def _write_container(value: Any, newline: str, out: list[str]) -> None:
             f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _json_text(value: Any, newline: str) -> str:
+    """``_report_text(value)`` placed where its closing bracket follows
+    ``newline``."""
+    text = _scalar_text(value)
+    if text is not None:
+        return text
+    out: list[str] = []
+    _write_container(value, newline, out)
+    return "".join(out)
+
+
 def _report_text(value: Any) -> str:
     """The text the stdlib's ``json.dumps`` writes at indent 2, byte for
     byte, for a value built of dicts with string keys, lists, tuples and
     JSON scalars.  The stdlib has no C encoder for indented output; this
     writer calls its C string escaper and builds one fragment per entry."""
-    text = _scalar_text(value)
-    if text is not None:
-        return text
-    out: list[str] = []
-    _write_container(value, "\n", out)
-    return "".join(out)
+    return _json_text(value, "\n")
+
+
+# The ``resolve`` report and a live trace's ``export --format json`` text
+# are written straight from the trace's objects, with the bytes that
+# ``_report_text`` writes for ``trace_to_jsonable``'s tree.  Each writer
+# takes the ``newline`` (line break and indent) before its closing bracket.
+
+_str = encode_basestring_ascii
+
+
+def _list_text(texts: list[str], newline: str) -> str:
+    """A JSON array of item texts written one level below ``newline``."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _names_text(names: Iterable[str], newline: str) -> str:
+    return _list_text([_str(name) for name in names], newline)
+
+
+def _iota_text(iota: IotaInvariant, memo: dict) -> str:
+    """The text of ``iota_to_jsonable(iota)`` at depth 0.  ``memo`` keeps it
+    by the iota object's identity, and each slot value's text by its type
+    and value, for one report."""
+    text = memo.get(id(iota))
+    if text is None:
+        parts = []
+        for values in (iota.iota0, iota.iota_c, iota.iota_poly):
+            slots = []
+            for v in values:
+                slot = memo.get((type(v), v))
+                if slot is None:
+                    slot = memo[type(v), v] = _json_text(
+                        value_to_jsonable(v), "\n    ")
+                slots.append(slot)
+            parts.append(_list_text(slots, "\n  "))
+        text = memo[id(iota)] = (
+            f'{{\n  "case": {_str(iota.case)},\n  "iota0": {parts[0]},'
+            f'\n  "iota_c": {parts[1]},\n  "iota_poly": {parts[2]}\n}}')
+    return text
+
+
+def _chart_text(chart: ChartState, newline: str) -> str:
+    """The text of ``chart_to_jsonable(chart)``."""
+    i, ii = newline + "  ", newline + "    "
+    iii = ii + "  "
+    boundary = _list_text([
+        f'{{{iii}"generator": {_str(to_string(b.generator))},{iii}"status": '
+        f'{_str(b.status)},{iii}"birth_step": {_scalar_text(b.birth_step)},'
+        f'{iii}"cid": {_scalar_text(b.cid)}{ii}}}' for b in chart.frame.boundary], i)
+    stratum = "null" if chart.stratum is None else _list_text([
+        f'{{{iii}"cid": {_scalar_text(c.cid)},{iii}"variables": '
+        f'{_names_text(c.variables, iii)},{iii}"label": {_scalar_text(c.label)},'
+        f'{iii}"original": {_scalar_text(c.original)},{iii}"conditions": '
+        f'{_names_text(map(to_string, c.conditions), iii)}{ii}}}'
+        for c in chart.stratum], i)
+    tail = "" if chart.lineage is None else (
+        f',{i}"parent": {_str(chart.lineage.parent_id)},{i}"center": '
+        f'{_names_text(chart.lineage.center.variables, i)},'
+        f'{i}"chart_var": {_str(chart.lineage.chart_var)}')
+    return (
+        f'{{{i}"id": {_str(chart.chart_id)},{i}"step": {_scalar_text(chart.step)},'
+        f'{i}"variables": {_names_text(chart.variables, i)},{i}"generators": '
+        f'{_names_text(map(to_string, chart.generators), i)},{i}"u_block": '
+        f'{_names_text(chart.frame.u_block, i)},{i}"y_block": '
+        f'{_names_text(chart.frame.y_block, i)},{i}"boundary": {boundary},'
+        f'{i}"stratum": {stratum},{i}"residue_degree": '
+        f'{_scalar_text(chart.residue_degree)}{tail}{newline}}}')
+
+
+def _record_text(rec: PointRecord, newline: str, memo: dict) -> str:
+    """The text of ``record_to_jsonable(rec)``; its iotas come from
+    ``_iota_text``, placed at their depth."""
+    i = newline + "  "
+    before = _iota_text(rec.iota_before, memo).replace("\n", i)
+    after = _iota_text(rec.iota_after, memo).replace("\n", i)
+    return (
+        f'{{{i}"chart": {_str(rec.chart_id)},{i}"parent": {_str(rec.parent_id)},'
+        f'{i}"point": {_str(rec.point)},{i}"classification": '
+        f'{_str(rec.classification)},{i}"iota_before": {before},'
+        f'{i}"iota_after": {after},{i}"comparison": {_str(rec.comparison)}'
+        f'{newline}}}')
+
+
+def _trace_text(trace: ResolutionTrace, newline: str) -> str:
+    """The text of ``trace_to_jsonable(trace)``, in one pass."""
+    i, ii = newline + "  ", newline + "    "
+    iii, iv = ii + "  ", ii + "    "
+    memo: dict = {}
+    events = [
+        f'{{{iii}"step": {_scalar_text(ev.step)},{iii}"chart": {_str(ev.chart_id)},'
+        f'{iii}"center": {{{iv}"variables": {_names_text(ev.center.variables, iv)},'
+        f'{iv}"kind": {_str(ev.center.kind)},{iv}"label": '
+        f'{_scalar_text(ev.center_label)}{iii}}},{iii}"created": '
+        f'{_names_text(ev.created, iii)},{iii}"records": '
+        f'{_list_text([_record_text(r, iv, memo) for r in ev.records], iii)}{ii}}}'
+        for ev in trace.events]
+    return (
+        f'{{{i}"label_mode": {_str(trace.label_mode)},{i}"status": '
+        f'{_str(trace.status)},{i}"error": {_scalar_text(trace.error)},{i}"steps": '
+        f'{_scalar_text(len(trace.events))},{i}"charts": '
+        f'{_list_text([_chart_text(c, ii) for c in trace.charts.values()], i)},'
+        f'{i}"events": {_list_text(events, i)}{newline}}}')
+
+
+def _resolve_text(trace: ResolutionTrace, mono: MonotonicityReport) -> str:
+    """The ``resolve`` report; its ``monotone`` part, violations included,
+    goes through the generic writer."""
+    monotone = {"ok": mono.ok, "checked": mono.checked,
+                "violations": list(mono.violations)}
+    return ('{\n  "command": "resolve",\n  "trace": '
+            + _trace_text(trace, "\n  ") + ',\n  "monotone": '
+            + _json_text(monotone, "\n  ") + "\n}")
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +866,10 @@ def _emit(text: str, output: str | None) -> None:
         raise InputError(f"cannot write report file {output!r}: {err}") from err
 
 
+REPORTS = {"analyze": report_analyze, "polyhedron": report_polyhedron,
+           "invariant": report_invariant, "blowup": report_blowup}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -754,20 +898,14 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     job = _read_job(args.job)
-    if args.command == "analyze":
-        report, code = report_analyze(job), EXIT_OK
-    elif args.command == "polyhedron":
-        report, code = report_polyhedron(job), EXIT_OK
-    elif args.command == "invariant":
-        report, code = report_invariant(job), EXIT_OK
-    elif args.command == "blowup":
-        report, code = report_blowup(job), EXIT_OK
-    elif args.command == "resolve":
-        report, code = report_resolve(job)
+    if args.command == "resolve":
+        text, code = report_resolve(job)
+    elif args.command == "export":
+        text, code = run_export(job, args.format), EXIT_OK
     else:
-        _emit(run_export(job, args.format), args.output)
-        return EXIT_OK
-    _emit(_report_text(report) + "\n", args.output)
+        report = REPORTS[args.command](job)
+        text, code = _report_text(report) + "\n", EXIT_OK
+    _emit(text, args.output)
     return code
 
 

@@ -857,26 +857,35 @@ def trace_to_dot(trace: ResolutionTrace | Mapping[str, Any]) -> str:
 
     ``trace`` is a live trace or a stored trace document in the shape
     ``trace_to_jsonable`` writes; a stored document carries no case, so
-    its nodes show none.
+    its nodes show none.  Either is first read into (id, generator texts,
+    chart variable) node rows and (parent, center variables, created) edge
+    rows.
     """
     cases: dict[str, str] = {}
     if isinstance(trace, ResolutionTrace):
         cases = {cid: _case_line(trace, cid) for cid in trace.charts}
-        trace = trace_to_jsonable(trace)
-    chart_vars = {}
+        nodes = [(c.chart_id, [to_string(g) for g in c.generators],
+                  "?" if c.lineage is None else c.lineage.chart_var)
+                 for c in trace.charts.values()]
+        edges = [(ev.chart_id, ev.center.variables, ev.created)
+                 for ev in trace.events]
+    else:
+        nodes = [(c["id"], c["generators"], c.get("chart_var", "?"))
+                 for c in trace["charts"]]
+        edges = [(ev["chart"], ev["center"]["variables"], ev["created"])
+                 for ev in trace["events"]]
+    chart_vars = {cid: var for cid, _gens, var in nodes}
     lines = ["digraph resolution {", "  node [shape=box];"]
-    for chart in trace["charts"]:
-        cid = chart["id"]
-        chart_vars[cid] = chart.get("chart_var", "?")
-        parts = [cid, ", ".join(chart["generators"])]
+    for cid, gens, _var in nodes:
+        parts = [cid, ", ".join(gens)]
         if cid in cases:
             parts.append(cases[cid])
         label = _dot_escape("\n".join(parts))
         lines.append(f'  "{_dot_escape(cid)}" [label="{label}"];')
-    for ev in trace["events"]:
-        parent = _dot_escape(ev["chart"])
-        center = "V(" + ", ".join(ev["center"]["variables"]) + ")"
-        for child_id in ev["created"]:
+    for parent_id, center_vars, created in edges:
+        parent = _dot_escape(parent_id)
+        center = "V(" + ", ".join(center_vars) + ")"
+        for child_id in created:
             edge = _dot_escape(center + " / " + chart_vars[child_id])
             lines.append(f'  "{parent}" -> "{_dot_escape(child_id)}" '
                          f'[label="{edge}"];')

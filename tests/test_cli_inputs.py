@@ -288,6 +288,58 @@ def test_stratum_on_the_maximal_order_locus_is_accepted(tmp_path, capsys):
     assert json.loads(out)["monotone"]["ok"]
 
 
+# C = V(x, 1 + y) misses the origin: it was read as a Case III component
+MISSING_COMPONENT_JOB = {
+    "field": {"kind": "rationals"},
+    "variables": ["x", "y", "z"],
+    "generators": ["x^2 + y^3*z^4"],
+    "stratum": [{"variables": ["x", "y"], "label": 0},
+                {"variables": ["x"], "label": 0, "conditions": ["y", "1 + y"]}],
+}
+
+
+@pytest.mark.parametrize("command", CHART_COMMANDS + ["export"])
+def test_a_stratum_component_that_misses_the_origin_is_refused(
+        tmp_path, capsys, command):
+    code, out, err = run(tmp_path, capsys, command, MISSING_COMPONENT_JOB)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert ("jobspec.stratum[1].conditions[1]: 1 + y does not vanish at the "
+            "chart origin") in err
+
+
+def test_a_stratum_component_through_the_origin_is_accepted(tmp_path, capsys):
+    component = {"variables": ["x"], "label": 0, "conditions": ["1 + y"]}
+    # the move y <- y - 1 turns 1 + y into y, so C passes the new origin
+    moved = dict(MISSING_COMPONENT_JOB, stratum=[component],
+                 point={"moves": {"y": -1}})
+    through = dict(MISSING_COMPONENT_JOB,
+                   stratum=[dict(component, conditions=["y"])])
+    for job in (moved, through):
+        code, _out, err = run(tmp_path, capsys, "analyze", job)
+        assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize("entry", [
+    {"generator": "y", "status": "new"}, {"generator": "y", "birth": 0},
+    {"generator": "y", "cid": 0}, {"generator": "y", "status": "bogus"}])
+@pytest.mark.parametrize("command", CHART_COMMANDS)
+def test_a_frameless_boundary_entry_needing_a_frame_is_refused(
+        tmp_path, capsys, command, entry):
+    job = dict(SURFACE_JOB, boundary=[{"generator": "z"}, entry])
+    code, out, err = run(tmp_path, capsys, command, job)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "jobspec.boundary[1]: " in err
+    assert "need a frame" in err
+
+
+def test_a_frameless_old_boundary_entry_is_accepted(tmp_path, capsys):
+    job = dict(SURFACE_JOB, boundary=[{"generator": "y", "status": "old"}])
+    code, out, err = run(tmp_path, capsys, "analyze", job)
+    assert code == EXIT_OK, err
+    assert (json.loads(out)["old_components"],
+            json.loads(out)["new_components"]) == (1, 0)
+
+
 # over F2 the minimal-label stratum component of this chart is cut by a
 # non-coordinate condition, so its resolution ends in a scope error
 F2_SCOPE_JOB = {

@@ -1,11 +1,14 @@
-"""The CLI's report writer against ``json.dumps(value, indent=2)``.
+"""The CLI's report writers against ``json.dumps(value, indent=2)``.
 
-``cli._report_text`` writes every JSON report and exported trace.  Its text
-must be the stdlib's, byte for byte:
+``cli._report_text`` writes every JSON report and exported trace but two:
+the ``resolve`` report and a live trace's ``export --format json`` text are
+written straight from the trace (``tests/test_trace_writer.py``).  Every
+text must be the stdlib's, byte for byte:
 
-* on every report of the four named jobs, through all six commands, and on
-  the stored trace that ``export --format json`` writes, fed back to
-  ``export``;
+* on every report of the four named jobs, through all six commands (the
+  two trace reports against ``json.dumps`` of the tree that
+  ``trace_to_jsonable`` builds), and on the stored trace that ``export
+  --format json`` writes, fed back to ``export``;
 * on ``hypothesis``-drawn JSON values: nested empty containers, tuples,
   non-ASCII and control characters, ints beyond 2^64, and floats with nan
   and +-inf (which a stored trace may carry);
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from surfres import cli
 from surfres.cli import EXIT_INPUT, EXIT_OK, main
+from surfres.resolution_driver import check_monotone, trace_to_jsonable
 
 RATIONALS = {"kind": "rationals"}
 XYZ = ["x", "y", "z"]
@@ -74,6 +78,17 @@ def assert_written_as_json_dumps(code, out, seen):
     assert out == text + "\n"
 
 
+def oracle_report(command: str, trace) -> dict:
+    """The ``resolve`` report or the ``export --format json`` trace of a
+    trace, as the tree that ``trace_to_jsonable`` builds."""
+    if command == "export":
+        return trace_to_jsonable(trace)
+    mono = check_monotone(trace)
+    return {"command": "resolve", "trace": trace_to_jsonable(trace),
+            "monotone": {"ok": mono.ok, "checked": mono.checked,
+                         "violations": list(mono.violations)}}
+
+
 @pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
 @pytest.mark.parametrize("name", list(NAMED_JOBS))
 def test_every_report_of_the_named_jobs_is_json_dumps_text(
@@ -81,7 +96,14 @@ def test_every_report_of_the_named_jobs_is_json_dumps_text(
     job = NAMED_JOBS[name]
     if args == ("polyhedron",):
         job = dict(job, options={**job.get("options", {}), "budget": 8})
-    assert_written_as_json_dumps(*run_recorded(monkeypatch, capsys, args, job))
+    code, out, seen = run_recorded(monkeypatch, capsys, args, job)
+    if args[0] in ("resolve", "export"):
+        # written from the trace, without the generic writer
+        assert (code, seen) == (EXIT_OK, [])
+        report = oracle_report(args[0], cli._run_resolve(job))
+        assert out == json.dumps(report, indent=2) + "\n"
+    else:
+        assert_written_as_json_dumps(code, out, seen)
 
 
 @pytest.mark.parametrize("name", list(NAMED_JOBS))

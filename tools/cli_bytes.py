@@ -33,7 +33,10 @@ stderr.  The run set:
   center;
 * ``blowup`` of each named job at the closed point, its variables listed in
   reverse order, so the children come out in an order other than the
-  frame's.
+  frame's;
+* ``resolve``, ``export --format json`` and ``export --format dot`` of each
+  named job at ``max_steps`` 0, 1 and 3: partial traces with status
+  ``step_limit``, whose DOT has unfinished leaves.
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -75,6 +78,9 @@ SURFACE_COMMANDS = (("resolve",), ("export", "--format", "dot"),
 STORED_COMMANDS = (("export", "--format", "json"), ("export", "--format", "dot"))
 CHART_BUDGETS = (8, 24)
 BOUNDARY_COMMANDS = (("analyze",), ("invariant",))
+PARTIAL_COMMANDS = (("resolve",), ("export", "--format", "json"),
+                    ("export", "--format", "dot"))
+PARTIAL_STEPS = (0, 1, 3)
 FRAMELESS_BUDGET = 8
 # field document and initial-form degrees of the boundary jobs
 BOUNDARY_DEGREES = (
@@ -217,6 +223,13 @@ def digests() -> dict[str, str]:
         center = {"variables": job["variables"][::-1]}
         out[f"blowup reversed point | {key}"] = run_digest(
             ("blowup",), dict(job, center=center))
+    for key, job in corpus.NAMED_JOBS.items():
+        for steps in PARTIAL_STEPS:
+            partial = dict(job, options={**job.get("options", {}),
+                                         "max_steps": steps})
+            for args in PARTIAL_COMMANDS:
+                out[f"{' '.join(args)} max_steps {steps} | {key}"] = \
+                    run_digest(args, partial)
     return out
 
 
