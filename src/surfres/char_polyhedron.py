@@ -16,6 +16,15 @@ by the lcm L of the nu - |B| that occur, and the hull is taken on those ints.
 Vertices are handed out as exact rationals (``Fraction``), as is every other
 coordinate; infinity is ``float("inf")``.  Every move x <- x + c * monomial
 is ``exact_algebra.translate``.
+
+The steps of the preparation loop read the stored terms on ints.  A box
+span scales its weights and bounds by the lcm of their denominators once,
+tests each term on ints and keeps the other terms in canonical order.  Over
+Q a witness solves a linear system whose rows are read off the vertex
+forms' terms.  Over F_p and F_q the candidates are taken in
+``itertools.product`` order, and each is screened on the forms read with
+U = 1 (see ``_screen``) before it is verified; the screen rejects no
+witness, so the first witness is the one an unscreened search finds.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, isqrt, lcm
-from operator import add, ge, sub
+from operator import ge, sub
 from typing import Any, Callable, Iterable, Sequence
 
 from .exact_algebra import (
@@ -280,11 +289,19 @@ def _u_power(frame: Frame, v: Point, multiple: int = 1) -> dict[str, int]:
     """The exponents of U^(multiple * v) by u-variable; they must be ints."""
     exps = {}
     for u, coord in zip(frame.u_block, v):
-        e = coord * multiple
-        if e.denominator != 1:
+        e, rest = divmod(coord.numerator * multiple, coord.denominator)
+        if rest:
             raise InputError("non-integral u-power requested")
-        exps[u] = int(e)
+        exps[u] = e
     return exps
+
+
+def _u_vector(form: Polynomial, frame: Frame, v: Point) -> list[int]:
+    """The exponent vector of U^v in the form's variables, v integral."""
+    uv = [0] * len(form.variables)
+    for i, coord in zip(form.positions(frame.u_block), v):
+        uv[i] = int(coord)
+    return uv
 
 
 def _translated(F: Polynomial, frame: Frame, v: Point, lam: Sequence[Any]) -> Polynomial:
@@ -312,42 +329,39 @@ def _p_adic_valuation(n: int, p: int) -> int:
 
 
 def _solve_char0(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | None:
+    """The linear system for lambda over Q, read off the stored terms of
+    each form: in F(Y + lambda U^v) the coefficient of u^v y^m (|m| = nu - 1)
+    is sum_j lambda_j dF/dy_j at y^m, so a pure term f_B y^B puts B_j f_B
+    at column j of the row of y^(B - e_j), and the form's term u^v y^m is
+    the right-hand side of the row of y^m.  Its reduced echelon form gives
+    lambda, with the unknowns that lead no row left zero; None when the
+    system is inconsistent."""
     frame = vi.frame
     r = frame.r
-    rows: list[list[Any]] = []
-    rhs: list[Any] = []
-    zero = field.zero()
+    aug: list[list[Any]] = []
     for form, nu in zip(vi.forms, vi.orders):
         yi = form.positions(frame.y_block)
-        uv = [0] * len(form.variables)  # the exponent vector of u^v
-        for i, coord in zip(form.positions(frame.u_block), vi.vertex):
-            uv[i] = int(coord)
-        F = _pure_y_part(form, frame, nu)
-        partials = [hasse_derivative(F, {y: 1}).coefficient_map()
-                    for y in frame.y_block]
-        targets = form.coefficient_map()
-        # match coefficients of u^v * y^B over all |B| = nu - 1
-        monos = {m for dF in partials for m in dF}
-        for vec in targets:
-            if sum([vec[i] for i in yi]) == nu - 1 and all(map(ge, vec, uv)):
-                monos.add(tuple(map(sub, vec, uv)))
-        for m in sorted(monos):
-            row = [dF.get(m, zero) for dF in partials]
-            target = targets.get(tuple(map(add, m, uv)), zero)
-            if any(row) or target:
-                rows.append(row)
-                rhs.append(target)
-    # solve rows * lam = rhs by elimination on the augmented matrix
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    rref = row_reduce(aug, field)
+        uv = _u_vector(form, frame, vi.vertex)
+        system: dict[tuple[int, ...], list[Any]] = {}  # y^m -> its row
+        for vec, c in form.vectors:
+            b = sum([vec[i] for i in yi])
+            if b == nu == sum(vec):  # a pure term f_B y^B
+                for col, i in enumerate(yi):
+                    if vec[i]:
+                        m = list(vec)
+                        m[i] -= 1
+                        row = system.setdefault(tuple(m), [0] * (r + 1))
+                        row[col] = vec[i] * c
+            elif b == nu - 1 and all(map(ge, vec, uv)):
+                row = system.setdefault(tuple(map(sub, vec, uv)), [0] * (r + 1))
+                row[r] = c
+        aug.extend(system.values())
     lam = [field.zero()] * r
-    for row in rref:
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
+    for row in row_reduce(aug, field):
+        lead = next(c for c, x in enumerate(row) if x)  # no row is zero
         if lead == r:
             return None  # inconsistent system
-        lam[lead] = row[r]
+        lam[lead] = field.to_public(row[r])
         # other unknowns in this row stay zero (free choice)
     return lam
 
@@ -386,20 +400,69 @@ def _solve_ratfunc(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | Non
     return [lam if lam is not None else field.zero()]
 
 
+def _screen(vi: VertexInitial,
+            field: FieldDescriptor) -> Callable[[Sequence[Any]], bool]:
+    """A test that every witness passes, on stored values lambda.
+
+    Every term of F_i(Y + lambda U^v) with y-exponent B has the u-exponent
+    (nu - |B|) v, so setting U = 1 merges no two of its terms, and
+    in_v(f_i) = F_i(Y + lambda U^v) gives in_v(f_i)(U = 1) = F_i(Y + lambda).
+    At Y = 0 that reads: F_i(lambda) is the coefficient of u^(nu v) in the
+    form, and dF_i/dy_j(lambda) that of u^((nu - 1) v) y_j.
+    """
+    frame = vi.frame
+    zero, to_native = field.native_int(0), field.to_native
+    checks = []  # (terms (y-exponents, coefficient) of a polynomial, its value)
+    for form, nu in zip(vi.forms, vi.orders):
+        yi = form.positions(frame.y_block)
+        uv = _u_vector(form, frame, vi.vertex)
+        coefficients = dict(form.vectors)
+        pure = [(tuple([vec[i] for i in yi]), c) for vec, c in form.vectors
+                if sum(vec) == nu == sum([vec[i] for i in yi])]
+        checks.append((pure, coefficients.get(tuple([nu * x for x in uv]), zero)))
+        for j, i in enumerate(yi):
+            slope = [(b[:j] + (b[j] - 1,) + b[j + 1:], field.native_int(b[j]) * c)
+                     for b, c in pure if b[j]]
+            vec = [(nu - 1) * x for x in uv]
+            vec[i] = 1
+            checks.append((slope, coefficients.get(tuple(vec), zero)))
+
+    def passes(lam: Sequence[Any]) -> bool:
+        for terms, value in checks:
+            total = zero
+            for b, c in terms:
+                for x, e in zip(lam, b):
+                    if e:
+                        c = c * field.native_power(x, e)
+                total = total + c
+            if to_native(total) != value:
+                return False
+        return True
+    return passes
+
+
 def is_solvable(vi: VertexInitial, field: FieldDescriptor) -> tuple[Any, ...] | None:
     """Witness lambda with in_v(f_i) = F_i(Y + lambda U^v), or None.
 
     None for non-integral vertices.  Complete over finite fields (exhaustive),
     over the rationals (linear extraction), and over F_p(t) for one y variable
     (unique d-th-root extraction); every candidate is verified symbolically.
+    Over a finite field the candidates run through ``itertools.product`` of
+    the field's elements, and each is first screened on the forms read with
+    U = 1 (``_screen``): no witness fails the screen, so the witness returned
+    is the first one in that order, as without the screen.
     """
     if any(coord.denominator != 1 for coord in vi.vertex):
         return None
     r = vi.frame.r
     if field.kind in (PRIME_FIELD, FINITE_EXTENSION):
-        for lam in itertools.product(field.elements(), repeat=r):
-            if any(lam) and _verify_witness(vi, lam):
-                return tuple(lam)
+        passes = _screen(vi, field)
+        for lam in itertools.product(map(field.to_native, field.elements()),
+                                     repeat=r):
+            if any(lam) and passes(lam):
+                public = tuple(map(field.to_public, lam))
+                if _verify_witness(vi, public):
+                    return public
         return None
     if field.kind == RATIONALS:
         lam = _solve_char0(vi, field)
@@ -574,25 +637,36 @@ def _replay(gens: Sequence[Polynomial], frame: Frame,
 class _Box:
     """The span J_c of ``prepare``: the terms u^a y^B of a generator of
     order ``order`` with a_i + floor_i * |B| >= order * corner_i for every
-    coordinate i."""
+    coordinate i.  The test runs on ints formed once: with d the lcm of the
+    denominators of floor and corner, ``scale`` is d and ``bounds`` holds
+    (floor_i d, order corner_i d) for each coordinate."""
 
     corner: Point
     floor: Point
     order: int
 
-    def reduce(self, g: Polynomial, frame: Frame) -> Polynomial:
-        """g with its terms in J_c dropped."""
-        ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
-        # the weights and bounds times a common denominator, as ints
+    def __post_init__(self) -> None:
         d = lcm(*[x.denominator for x in self.floor + self.corner])
-        bounds = [(i, int(f * d), int(self.order * c * d))
-                  for i, f, c in zip(ui, self.floor, self.corner)]
-        kept = {}
-        for vec, c in g.vectors:
+        object.__setattr__(self, "scale", d)
+        object.__setattr__(self, "bounds", tuple(
+            (int(f * d), int(self.order * c * d))
+            for f, c in zip(self.floor, self.corner)))
+
+    def reduce(self, g: Polynomial, frame: Frame) -> Polynomial:
+        """g with its terms in J_c dropped; the kept terms stay in g's
+        canonical order."""
+        yi, d = g.positions(frame.y_block), self.scale
+        tests = [(i, f, m) for i, (f, m) in zip(g.positions(frame.u_block),
+                                                 self.bounds)]
+        kept = []
+        for term in g.vectors:
+            vec = term[0]
             b = sum([vec[i] for i in yi])
-            if not all(vec[i] * d + f * b >= m for i, f, m in bounds):
-                kept[vec] = c
-        return Polynomial.from_vectors(g.field, g.variables, kept)
+            for i, f, m in tests:
+                if vec[i] * d + f * b < m:
+                    kept.append(term)
+                    break
+        return Polynomial(g.field, g.variables, tuple(kept))
 
 
 def _drift_end(solved: Sequence[Point], budget: int) -> Point:

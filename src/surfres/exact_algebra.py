@@ -736,7 +736,9 @@ def _canonical(field: FieldDescriptor, variables: tuple[str, ...],
     """The polynomial of (exponent vector, coefficient) terms with distinct
     vectors aligned with ``variables``: coefficients public or native, put
     in stored form, zeros dropped and the rest sorted into the canonical
-    order.  Every polynomial is built here."""
+    order.  Every polynomial is built here, except a subset of the terms of
+    one (``char_polyhedron._Box.reduce``), which is in canonical order
+    already."""
     kept = _native_terms(field, terms)
     kept.sort(key=_vector_order, reverse=True)
     return Polynomial(field, variables, tuple(kept))
@@ -1301,6 +1303,10 @@ class _Parser:
                 raise ScopeError(
                     f"a power in the polynomial text builds a coefficient of "
                     f"more than {MAX_PARSE_DIGITS} digits (MAX_PARSE_DIGITS)")
+            if len(base) == 1:  # c * m: its power is c**e * m**e
+                (vec, c), = base.items()
+                return self.nonzero([(tuple([e * x for x in vec]),
+                                      self.field.native_power(c, e))])
             one = {self.origin: self.field.native_int(1)}
             return _power(base, e, one, self.multiply)
         return base
@@ -1318,6 +1324,10 @@ class _Parser:
                 f"expanding the polynomial text needs a product of "
                 f"{len(a)} by {len(b)} terms, over the limit of "
                 f"{MAX_PARSE_PRODUCT} term products (MAX_PARSE_PRODUCT)")
+        if len(a) == 1 == len(b):
+            (m1, c1), = a.items()
+            (m2, c2), = b.items()
+            return self.nonzero([(tuple(map(add, m1, m2)), c1 * c2)])
         acc: dict[tuple, Any] = {}
         _mul_into(acc, a.items(), b.items())
         return self.nonzero(acc.items())

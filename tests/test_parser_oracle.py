@@ -12,10 +12,17 @@ zero and by non-constants, sums that cancel (mod p too), unknown names,
 broken syntax, and Unicode white space and digits.  They run at the real
 caps and at tight ones, so that each ``MAX_PARSE_*`` cap is hit often,
 including right after a cancellation.
+
+A power of a one-term node is formed directly, its exponent vector scaled
+and its coefficient raised by ``FieldDescriptor.native_power``, and a
+product of two one-term nodes is one vector addition.  One-term texts
+(``^0`` included) must parse as the oracle parses them, and over F_p,
+F_p(t) and F_q ``native_power`` must equal the repeated-squaring product.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -328,3 +335,48 @@ def test_texts_at_the_real_caps_parse_as_the_oracle_does(text):
 def test_a_repeated_variable_name_is_refused_where_the_oracle_refuses_it(text):
     for field in FIELDS.values():
         assert_agree(text, field, ("x", "y", "x"))
+
+
+ONE_TERM_TEXTS = ["(x/2)^0", "x^0", "(2*x)^3", "(x*y)^2*z", "3^0", "0^0", "0^3",
+                  "(x - x)^0", "(2/3*x*y^2)^3*(3/2*z)^2", "(5*x*y)^4/5",
+                  "(25*z^3)^2*(-x)^3", "(x*y*z)^7*(x^2)^0"]
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_one_term_powers_and_products_parse_as_the_oracle_does(name):
+    field = FIELDS[name]
+    extra = {ea.RATIONAL_FUNCTIONS: ["(t^2*y)^4*(t*x)^3", "(t/(t + 1)*y)^0",
+                                      "((t + 1)*x)^5"],
+             ea.FINITE_EXTENSION: ["(s*x)^5*(s*y)^2", "(s*x)^0", "((s + 1)*z)^7"]}
+    for text in ONE_TERM_TEXTS + extra.get(field.kind, []):
+        assert_agree(text, field, ("x", "y", "z"))
+    one = Polynomial.constant(field, ("x", "y", "z"), field.one())
+    assert parse_polynomial("(3*x*y)^0", field, ("x", "y", "z")) == one
+
+
+POWER_FIELDS = {
+    **{f"F{p}": FieldDescriptor.prime_field(p) for p in (2, 5, 97)},
+    **{f"F{p}(t)": FieldDescriptor.rational_functions(p) for p in (2, 3, 5)},
+    "F4": FieldDescriptor.finite_extension(2, (1, 1, 1)),
+    "F8": FieldDescriptor.finite_extension(2, (1, 1, 0, 1)),
+    "F9": FieldDescriptor.finite_extension(3, (1, 0, 1)),
+    "F25": FieldDescriptor.finite_extension(5, (2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(POWER_FIELDS))
+def test_native_power_is_the_repeated_squaring_product(name):
+    field = POWER_FIELDS[name]
+    if field.kind == ea.RATIONAL_FUNCTIONS:
+        rng = random.Random(name)
+        t = field.transcendental()
+        elements = [field.zero(), field.one()] + [
+            (t ** rng.randint(0, 3) + field.from_int(rng.randint(0, 4)))
+            / (t + field.from_int(rng.randint(0, 4))) for _ in range(12)]
+    else:
+        elements = field.elements()
+    one = field.native_int(1)
+    for c in map(field.to_native, elements):
+        for e in range(14):
+            want = field.to_native(ea._power(c, e, one, operator.mul))
+            assert field.native_power(c, e) == want, (c, e)

@@ -66,19 +66,10 @@ def polyhedron_report(monkeypatch, capsys, job: dict) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
-def named_chart_jobs() -> dict[str, dict]:
-    """The polyhedron job at budget 8 of every chart of the named traces,
-    in its own frame and in the directrix-adapted frame."""
-    def surface():
-        return initial_chart(QQ, XYZ, "x^2 + y^9*z^10")
-
-    traces = {
-        "surface-default": resolve(surface()),
-        "surface-fresh": resolve(surface(), label_mode=FRESH_LABELS),
-        "crossing-lines-cubic":
-            resolve(initial_chart(QQ, XYZ, "z^3 + x^2*y^2*z + x^3*y^3")),
-        "two-divisor-chart": resolve(whirl_chart()),
-    }
+def chart_jobs(traces: dict, field: dict) -> dict[str, dict]:
+    """The polyhedron job at budget 8 of every chart of the traces, in its
+    own frame and in the directrix-adapted frame, over the field of the
+    job document ``field``, keyed by trace name and chart id."""
     jobs = {}
     for name, trace in traces.items():
         for chart in trace.charts.values():
@@ -92,11 +83,25 @@ def named_chart_jobs() -> dict[str, dict]:
                 pass
             for suffix, (gens, frame) in frames.items():
                 jobs[f"{name}:{chart.chart_id}{suffix}"] = {
-                    "field": RATIONALS, "variables": list(chart.variables),
+                    "field": field, "variables": list(chart.variables),
                     "generators": [to_string(g) for g in gens],
                     "frame": {"u": list(frame.u_block), "y": list(frame.y_block)},
                     "options": {"budget": 8}}
     return jobs
+
+
+def named_chart_jobs() -> dict[str, dict]:
+    """The ``chart_jobs`` of the named traces."""
+    def surface():
+        return initial_chart(QQ, XYZ, "x^2 + y^9*z^10")
+
+    return chart_jobs({
+        "surface-default": resolve(surface()),
+        "surface-fresh": resolve(surface(), label_mode=FRESH_LABELS),
+        "crossing-lines-cubic":
+            resolve(initial_chart(QQ, XYZ, "z^3 + x^2*y^2*z + x^3*y^3")),
+        "two-divisor-chart": resolve(whirl_chart()),
+    }, RATIONALS)
 
 
 def test_polyhedron_exits_with_a_documented_code_on_every_named_chart(

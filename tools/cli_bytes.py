@@ -11,6 +11,11 @@ stderr.  The run set:
 * ``polyhedron`` at budgets 8 and 24 on every chart of the four named
   traces, in the chart's own frame and in its directrix-adapted frame, the
   jobs of ``tests/test_sigma_exits.py::named_chart_jobs``;
+* ``polyhedron`` at budget 8 on every chart of the traces of six
+  finite-field pool surfaces (``FIELD_CHART_SURFACES``, two each over F_2,
+  F_3 and F_5, whose charts take the most solving steps), in the chart's
+  own frame and in its directrix-adapted frame, so the witnesses chosen
+  over F_p are in the bytes;
 * ``blowup`` on every chart of the four named traces with a non-empty
   stratum, each job rebuilt from the chart as ``export --format json``
   writes it (frame, boundary and stratum included);
@@ -68,9 +73,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import corpus  # noqa: E402  (perfbench/corpus.py)
 from test_cli_inputs import point_jobs  # noqa: E402
-from test_sigma_exits import named_chart_jobs  # noqa: E402
+from test_sigma_exits import chart_jobs, named_chart_jobs  # noqa: E402
 
 from surfres import cli  # noqa: E402
+from surfres.exact_algebra import FieldDescriptor  # noqa: E402
+from surfres.resolution_driver import initial_chart, resolve  # noqa: E402
 
 POOL_RESOLVE_S = 0.4
 SURFACE_COMMANDS = (("resolve",), ("export", "--format", "dot"),
@@ -81,6 +88,12 @@ BOUNDARY_COMMANDS = (("analyze",), ("invariant",))
 PARTIAL_COMMANDS = (("resolve",), ("export", "--format", "json"),
                     ("export", "--format", "dot"))
 PARTIAL_STEPS = (0, 1, 3)
+# pool surfaces whose charts get ``polyhedron`` runs over their own field
+FIELD_CHART_SURFACES = (
+    ("F2", "x^2 + y^2*z^3 + x^1*y^2*z^1"), ("F2", "x^3 + y^3*z^2 + x^1*y^3*z^1"),
+    ("F3", "x^3 + y^1*z^4 + x^2*y^3*z^2"), ("F3", "x^2 + z^3 + x^1*y^3"),
+    ("F5", "x^2 + y^3*z^4 + x^1*y^2"), ("F5", "x^2 + z^3 + x^1*y^3"),
+)
 FRAMELESS_BUDGET = 8
 # field document and initial-form degrees of the boundary jobs
 BOUNDARY_DEGREES = (
@@ -123,6 +136,17 @@ def surface_jobs() -> dict[str, dict]:
         if s["resolve_s"] < POOL_RESOLVE_S:
             jobs[f"{s['field']}:{s['text']}"] = corpus.surface_job(
                 s["field"], s["text"])
+    return jobs
+
+
+def field_chart_jobs() -> dict[str, dict]:
+    """The ``chart_jobs`` of the traces of ``FIELD_CHART_SURFACES``."""
+    jobs = {}
+    for name, text in FIELD_CHART_SURFACES:
+        field = corpus.FIELDS[name]
+        trace = resolve(initial_chart(FieldDescriptor.prime_field(
+            field["characteristic"]), tuple(corpus.XYZ), text))
+        jobs.update(chart_jobs({f"{name}:{text}": trace}, field))
     return jobs
 
 
@@ -197,6 +221,9 @@ def digests() -> dict[str, str]:
         for budget in CHART_BUDGETS:
             out[f"polyhedron budget {budget} | {key}"] = run_digest(
                 ("polyhedron",), dict(job, options={"budget": budget}))
+    for key, job in field_chart_jobs().items():
+        out[f"polyhedron budget 8 | field chart {key}"] = run_digest(
+            ("polyhedron",), job)
     traces = named_traces()
     for key, job in blowup_jobs(traces).items():
         out[f"blowup | {key}"] = run_digest(("blowup",), job)
