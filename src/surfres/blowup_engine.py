@@ -8,9 +8,9 @@ and the operations that drive a resolution process:
   permissible blow-up center (equimultiple, no component swallowed,
   normal crossings with the boundary),
 * ``blow_up``        -- pass to the affine charts of the blow-up, taking
-  strict transforms of the defining ideal and of every boundary component
-  and appending the new exceptional divisor (``blow_up_chart`` builds one
-  of them),
+  strict transforms of the defining ideal, keeping each coordinate boundary
+  divisor that meets the new origin and appending the new exceptional
+  divisor (``blow_up_chart`` builds one of them),
 * ``locate_point``   -- move the chart origin to another closed point of
   the exceptional divisor, extending the residue field if the point is not
   rational,
@@ -24,7 +24,7 @@ Everything is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
@@ -48,6 +48,7 @@ from .local_frame import (
     NuStar,
     add_old_boundary,
     compute_directrix,
+    coordinate_variable,
     initial_form,
     nu_star,
 )
@@ -203,13 +204,29 @@ _CACHE_READS = {
 }
 
 
+_FIELDS = tuple(f.name for f in fields(ChartState))
+
+
 def replace_chart(chart: ChartState, **changes: Any) -> ChartState:
     """``dataclasses.replace`` for a chart state, keeping each cached value
-    that reads none of the changed fields."""
-    copy = replace(chart, **changes)
+    that reads none of the changed fields.
+
+    The copy is built from the parent's fields and the changes, and checked
+    by ``ChartState.__post_init__`` as a constructed state is; a change that
+    names no field is refused with ``TypeError``, as by ``replace``.
+    """
+    unknown = changes.keys() - set(_FIELDS)
+    if unknown:
+        raise TypeError(f"ChartState has no field(s) {sorted(unknown)}")
+    parent = chart.__dict__
+    copy = object.__new__(ChartState)
+    values = copy.__dict__
+    for name in _FIELDS:
+        values[name] = changes[name] if name in changes else parent[name]
+    copy.__post_init__()
     for name, reads in _CACHE_READS.items():
-        if name in chart.__dict__ and changes.keys().isdisjoint(reads):
-            copy.__dict__[name] = chart.__dict__[name]
+        if name in parent and changes.keys().isdisjoint(reads):
+            values[name] = parent[name]
     return copy
 
 
@@ -242,14 +259,6 @@ def make_chart(
 # ---------------------------------------------------------------------------
 # center validation and permissibility
 # ---------------------------------------------------------------------------
-
-
-def _is_coordinate_generator(g: Polynomial) -> str | None:
-    """The variable v when g is a unit multiple of v, else None."""
-    if len(g.vectors) != 1:
-        return None
-    vec = g.vectors[0][0]
-    return g.variables[vec.index(1)] if sum(vec) == 1 else None
 
 
 def _canonical_center(chart: ChartState, center: Center) -> Center:
@@ -323,12 +332,12 @@ def permissible_check(chart: ChartState, center: Center) -> PermissibilityReport
         violations.append(
             "the center contains an irreducible component of the variety")
     for comp in chart.frame.boundary:
-        if _is_coordinate_generator(comp.generator) is None:
+        if coordinate_variable(comp.generator) is None:
             violations.append(
                 "cannot certify normal crossings with the non-coordinate "
                 f"boundary component {{{to_string(comp.generator)} = 0}}")
     for comp in chart.frame.old_components():
-        name = _is_coordinate_generator(comp.generator)
+        name = coordinate_variable(comp.generator)
         if name is not None and name not in center.variables:
             violations.append(
                 f"the old boundary component V({name}) meets the origin but "
@@ -402,9 +411,15 @@ def blow_up(chart: ChartState, center: Center) -> tuple[ChartState, ...]:
     along it taken, once for all the charts.  In the chart of w every other
     center variable v is replaced by v * w; each generator is divided
     exactly by w to its order along the center, and that division is
-    asserted to be exact of exactly that order.  Boundary components are
-    replaced by their strict transforms (dropped when they miss the new
-    origin) and the exceptional divisor V(w) is appended as a new component.
+    asserted to be exact of exactly that order.  The exceptional divisor
+    V(w) is appended as a new boundary component.
+
+    Every boundary component is a coordinate divisor c * v here, since
+    ``permissible_check`` refuses a center beside any other (condition 3),
+    so its strict transform is read off its name: for v = w it is the unit
+    c, and the component misses the new origin and is dropped; a v != w off
+    the center is not touched, and one on it becomes v * w, divided by w
+    once; so V(v) is kept as it is.
     """
     canonical = _canonical_center(chart, center)
     orders = _permissible_orders(chart, canonical)
@@ -425,16 +440,16 @@ def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartSta
 def _chart_of(chart: ChartState, center: Center, orders: tuple[int, ...],
               w: str) -> ChartState:
     """The chart D+(w) of ``blow_up`` in a canonical permissible center,
-    given each generator's order along it."""
+    given each generator's order along it.  Every boundary component is a
+    coordinate divisor V(v), as ``_permissible_orders`` refuses any other."""
     new_generators = tuple(
         _strict_transform(g, center.variables, w, order)
         for g, order in zip(chart.generators, orders))
 
     step = chart.step + 1
 
-    new_boundary = _moved_boundary(
-        chart.frame.boundary,
-        lambda g: _strict_transform(g, center.variables, w, None))
+    new_boundary = [comp for comp in chart.frame.boundary
+                    if coordinate_variable(comp.generator) != w]
     max_cid = max((c.cid for c in chart.frame.boundary), default=-1)
     new_boundary.append(BoundaryComponent(
         generator=Polynomial.variable(chart.field, chart.variables, w),

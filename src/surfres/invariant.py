@@ -31,7 +31,6 @@ from .blowup_engine import (
     CLOSED_POINT,
     ChartState,
     StratumComponent,
-    _is_coordinate_generator,
     iota0,
     own_center,
 )
@@ -57,6 +56,7 @@ from .local_frame import (
     Frame,
     NuStar,
     compose_with_old_boundary,
+    coordinate_variable,
     form_row,
     row_reduce,
 )
@@ -156,21 +156,25 @@ def adapt_frame_to_forms(
     u-coordinates keep their names whenever possible); each non-trivial
     pivot v of a form v + tail is replaced by v - tail in every generator
     and boundary component, after which the form reads as the bare
-    coordinate v.  Returns the rewritten generators and a frame whose
-    y-block is exactly the pivot set.
+    coordinate v.  Coordinate forms c*v reduce to their variables with no
+    tail, so when every form is one the pivots are their variables and
+    nothing moves.  Returns the generators and a frame whose y-block is
+    exactly the pivot set; with no move, the generators and the boundary
+    components come back as they are.
     """
     if not gens:
         raise InputError("adapt_frame_to_forms needs generators")
-    order = tuple(frame.y_block) + tuple(frame.u_block)
-    rref = row_reduce([form_row(f, order) for f in forms], gens[0].field)
-
-    pivots: list[str] = []
+    pivots = {coordinate_variable(f) for f in forms}
     moves = []  # v <- v - c * w for each entry c of w in the tail of v
-    for row in rref:
-        idx = next(i for i, c in enumerate(row) if c)
-        pivots.append(order[idx])
-        moves.extend((order[idx], -c, {order[i]: 1})
-                     for i, c in enumerate(row) if c and i != idx)
+    if None in pivots:
+        order = tuple(frame.y_block) + tuple(frame.u_block)
+        pivots = set()
+        for row in row_reduce([form_row(f, order) for f in forms],
+                              gens[0].field):
+            idx = next(i for i, c in enumerate(row) if c)
+            pivots.add(order[idx])
+            moves.extend((order[idx], -c, {order[i]: 1})
+                         for i, c in enumerate(row) if c and i != idx)
 
     def rewrite(g: Polynomial) -> Polynomial:
         # a tail holds no pivot (the rows are reduced), so the moves commute
@@ -178,13 +182,14 @@ def adapt_frame_to_forms(
             g = translate(g, var, c, shift)
         return g
 
-    new_gens = tuple(rewrite(g) for g in gens)
-    pivot_set = set(pivots)
-    y_block = tuple(v for v in frame.variables if v in pivot_set)
-    u_block = tuple(v for v in frame.u_block if v not in pivot_set) + tuple(
-        v for v in frame.y_block if v not in pivot_set)
-    boundary = tuple(
-        replace(b, generator=rewrite(b.generator)) for b in frame.boundary)
+    new_gens, boundary = tuple(gens), frame.boundary
+    if moves:
+        new_gens = tuple(rewrite(g) for g in new_gens)
+        boundary = tuple(
+            replace(b, generator=rewrite(b.generator)) for b in boundary)
+    y_block = tuple(v for v in frame.variables if v in pivots)
+    u_block = tuple(v for v in frame.u_block if v not in pivots) + tuple(
+        v for v in frame.y_block if v not in pivots)
     return new_gens, Frame(u_block=u_block, y_block=y_block,
                            boundary=boundary)
 
@@ -300,7 +305,7 @@ def iota_c(chart: ChartState, case: CaseInfo | None = None) -> tuple:
 def _new_component_variables(frame: Frame) -> list[str]:
     out = []
     for comp in frame.new_components():
-        var = _is_coordinate_generator(comp.generator)
+        var = coordinate_variable(comp.generator)
         if var is None:
             raise ScopeError(
                 "a new boundary component is not a coordinate divisor in "

@@ -9,15 +9,17 @@ status (old/new).  On top of it this module computes:
 * the ridge of a cone (additive generators of the saturated derivative span);
 * the directrix (largest linear subspace of the ridge's zero locus),
   memoised inside a ``directrix_memo`` block (one ``resolve`` run) and
-  nowhere else.  It takes one of two paths, split on the characteristic p
-  and the largest degree d of the forms.  When p = 0 or d < p the ridge's
-  only slice is its linear part, the span of the (deg f - 1)-th Hasse
-  derivatives of the forms f, so the directrix is the common kernel of those
-  linear forms, read straight off the terms.  When p > 0 and d >= p it is
-  cut out by the ridge's additive forms, via q-th roots over perfect fields
-  and Frobenius splitting over F_p(t), both done by ``exact_algebra``.
-  ``compute_directrix`` gives the argument that both paths agree; the
-  translation certificate checks the result on both;
+  nowhere else.  It takes one of three paths.  When every form is a
+  monomial c x^m the directrix is V(x_i : some m_i > 0), read off the
+  exponent vectors, in every characteristic.  Otherwise the split is on
+  the characteristic p and the largest degree d of the forms.  When p = 0
+  or d < p the ridge's only slice is its linear part, the span of the
+  (deg f - 1)-th Hasse derivatives of the forms f, so the directrix is the
+  common kernel of those linear forms, read straight off the terms.  When
+  p > 0 and d >= p it is cut out by the ridge's additive forms, via q-th
+  roots over perfect fields and Frobenius splitting over F_p(t), both done
+  by ``exact_algebra``.  ``compute_directrix`` gives the argument that the
+  paths agree; the translation certificate checks the result on all three;
 * the directrix of the ideal multiplied by the old boundary components.
 
 The exact linear algebra runs on one routine, ``echelon_add``, which adds a
@@ -166,6 +168,15 @@ def initial_form(f: Polynomial, at: Iterable[str]) -> Polynomial:
     lo = min(degrees)
     return Polynomial.from_vectors(f.field, f.variables, {
         vec: c for (vec, c), d in zip(f.vectors, degrees) if d == lo})
+
+
+def coordinate_variable(f: Polynomial) -> str | None:
+    """The variable v when f is a unit multiple c*v of one coordinate, else
+    None: read off f's one exponent vector."""
+    if len(f.vectors) != 1:
+        return None
+    vec = f.vectors[0][0]
+    return f.variables[vec.index(1)] if sum(vec) == 1 else None
 
 
 def nu_star(gens: Sequence[Polynomial]) -> NuStar:
@@ -521,9 +532,16 @@ def directrix_memo() -> Iterator[None]:
 
 def _directrix_rows(gens: Sequence[Polynomial]) -> list[list[Any]]:
     """Linear conditions over k whose common zeros are the directrix of the
-    nonzero forms; ``compute_directrix`` gives the two paths and why."""
+    nonzero forms; ``compute_directrix`` gives the three paths and why."""
     field, variables = gens[0].field, gens[0].variables
     degree, p = _top_degree(gens), field.characteristic
+    zero, n = field.zero(), len(variables)
+    if all(len(f.vectors) == 1 for f in gens):
+        # monomials: the unit row of each variable in their supports
+        support = {i for f in gens for i, e in enumerate(f.vectors[0][0]) if e}
+        one = field.one()
+        return [[one if j == i else zero for j in range(n)]
+                for i in sorted(support)]
     if p and degree >= p:
         rows: list[list[Any]] = []
         for s in compute_ridge(gens):
@@ -531,7 +549,6 @@ def _directrix_rows(gens: Sequence[Polynomial]) -> list[list[Any]]:
             rows.extend(_linear_conditions(q, form_row(s, variables, q), field))
         return rows
     # The row of D_a f: the term c x^m with m = a + e_i gives m_i c at column i.
-    zero, n = field.zero(), len(variables)
     ints = [field.from_int(e) for e in range(degree + 1)]
     derivatives: dict[tuple[int, tuple[int, ...]], list[Any]] = {}
     for k, f in enumerate(gens):
@@ -555,13 +572,20 @@ def compute_directrix(
     so e = dim(ambient) - r.  Certified by the translation test on a basis of
     the directrix before returning.
 
-    The condition rows come from one of two paths, split on the largest
-    degree d of the forms and the characteristic p:
+    The condition rows come from one of three paths:
 
-    * p > 0 and d >= p: the ridge (``compute_ridge``), each additive form
-      sum_i c_i v_i^q read as its conditions over k (``_linear_conditions``).
-    * p = 0 or d < p: the rows D_a f, |a| = deg f - 1, of the forms f,
-      straight from their terms.  This is the ridge's answer:
+    * every nonzero form a monomial c x^m: the unit rows of the variables
+      in the union of their supports.  c x^m is invariant under translation
+      by w exactly when w_i = 0 for every i with m_i > 0: if w_i != 0, the
+      product of the (x_j + w_j)^(m_j) has the term c w_i^(m_i)
+      x^(m - m_i e_i), which c x^m does not have.  So the directrix of the
+      monomials is V(x_i : some m_i > 0), in every characteristic, and this
+      path is taken before the split below.
+    * else, p > 0 and the largest degree d of the forms at least p: the
+      ridge (``compute_ridge``), each additive form sum_i c_i v_i^q read as
+      its conditions over k (``_linear_conditions``).
+    * else (p = 0 or d < p): the rows D_a f, |a| = deg f - 1, of the forms
+      f, straight from their terms.  This is the ridge's answer:
 
       (i) D_b D_a = C(a+b, a) D_{a+b}, so the degree-1 part of the
           derivative closure is the span of the D_a f with |a| = deg f - 1;
@@ -574,9 +598,11 @@ def compute_directrix(
           implies the ridge's containment certificate for these inputs,
           since f in k[L] puts every derivative of f in the ideal (L).
 
-    Both paths reduce their rows to the canonical reduced echelon form of
-    the same span, so (r, forms) does not depend on the path.  The cap
-    ``MAX_DIRECTRIX_DEGREE`` and the homogeneity check come first on both.
+    Every path's rows are reduced to the canonical reduced echelon form of
+    the same span (the monomial path's unit rows are in that form already,
+    in chart order), so (r, forms) does not depend on the path.  The cap
+    ``MAX_DIRECTRIX_DEGREE`` and the homogeneity check come first on all
+    three (``_directrix_rows``).
 
     Inside a ``directrix_memo`` block the result is looked up by the tuple of
     nonzero initial forms, which hold their field (residue extensions
@@ -628,12 +654,21 @@ def add_old_boundary(
     """Fold the old boundary into a directrix (r, forms): e^O and its forms.
 
     The old boundary generators' initial forms join the directrix forms and
-    the union is re-minimized.
+    the union is re-minimized.  When every one of them is a coordinate form
+    c*v (a coordinate generator is its own initial form), the reduced
+    echelon basis of the union is its distinct variables, in chart order,
+    and e^O is n minus their number.
     """
-    extra = [initial_form(b.generator, b.generator.variables)
-             for b in frame.old_components()]
-    if not extra:
+    old = frame.old_components()
+    if not old:
         return len(variables) - r, list(forms)
-    field = extra[0].field
+    field = old[0].generator.field
+    names = {coordinate_variable(f) for f in forms}
+    names.update(coordinate_variable(b.generator) for b in old)
+    if None not in names:
+        return len(variables) - len(names), [
+            Polynomial.variable(field, variables, v)
+            for v in variables if v in names]
+    extra = [initial_form(b.generator, b.generator.variables) for b in old]
     rref = row_reduce([form_row(f, variables) for f in list(forms) + extra], field)
     return len(variables) - len(rref), [row_form(row, field, variables) for row in rref]

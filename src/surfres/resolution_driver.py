@@ -37,7 +37,6 @@ from .blowup_engine import (
     Center,
     ChartState,
     StratumComponent,
-    _is_coordinate_generator,
     blow_up,
     classify_point,
     is_variety_component,
@@ -69,6 +68,7 @@ from .local_frame import (
     BoundaryComponent,
     Frame,
     OLD,
+    coordinate_variable,
     directrix_memo,
     monomials_of_degree,
 )
@@ -207,7 +207,7 @@ def _maximal_components(comps: list[RawComponent]) -> list[RawComponent]:
 def _divisor_vars(components: Iterable[BoundaryComponent]) -> list[str | None]:
     """The variable of each boundary component, None for one that is not a
     coordinate divisor."""
-    return [_is_coordinate_generator(comp.generator) for comp in components]
+    return [coordinate_variable(comp.generator) for comp in components]
 
 
 def _refine_by_old_components(
@@ -377,7 +377,9 @@ def select_center(chart: ChartState) -> CenterChoice:
     component cut by a non-coordinate condition is out of scope, as is one
     of intermediate dimension, and so is, when the maximal order is at
     least 2, a minimal component that is a whole component of the variety
-    (``is_variety_component``), which is then not reduced.
+    (``is_variety_component``), which is then not reduced.  So is any
+    center beside a boundary component that is not a coordinate divisor:
+    normal crossings with it cannot be certified (``permissible_check``).
     """
     comps = chart.stratum
     if comps is None:
@@ -400,6 +402,12 @@ def select_center(chart: ChartState) -> CenterChoice:
                     f"stratum component V({', '.join(c.variables)}) is a "
                     "component of the variety of order at least 2; the input "
                     "is not reduced")
+    for comp in chart.frame.boundary:
+        if coordinate_variable(comp.generator) is None:
+            raise ScopeError(
+                f"the boundary component {{{to_string(comp.generator)} = 0}} "
+                "is not a coordinate divisor; certifying normal crossings of "
+                "a center with it is out of scope")
     center = own_center(chart, pool)
     if center is not None:
         return CenterChoice(center, min_label)
@@ -504,7 +512,7 @@ def root_chart(
 def _coordinate_directrix_vars(chart: ChartState) -> tuple[str, ...] | None:
     """The directrix coordinates when every directrix form is a single
     variable, else None."""
-    names = {_is_coordinate_generator(form) for form in chart.directrix[1]}
+    names = {coordinate_variable(form) for form in chart.directrix[1]}
     if None in names:
         return None
     return tuple(v for v in chart.variables if v in names)
@@ -522,7 +530,8 @@ def _reset_boundary(chart: ChartState) -> ChartState:
     The copy keeps nu* and the directrix; the log-directrix reads which
     components are old, so it is derived again."""
     frame = chart.frame
-    boundary = tuple(replace(b, status=OLD) for b in frame.boundary)
+    boundary = tuple(b if b.status == OLD else replace(b, status=OLD)
+                     for b in frame.boundary)
     return replace_chart(
         chart, frame=Frame(frame.u_block, frame.y_block, boundary))
 

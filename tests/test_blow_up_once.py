@@ -6,7 +6,10 @@ per-chart ``blow_up_chart``, which checked the center again for every
 chart, is kept below as the oracle.  On every event of the four named
 traces and of 40 pool surfaces, the charts must equal the oracle's field by
 field, with the center listed in frame order and reversed.  A center the
-oracle refuses must be refused with the same ``InputError`` text.
+oracle refuses must be refused with the same ``InputError`` text.  The
+oracle takes the strict transform of each boundary component, where
+``blow_up`` reads a coordinate divisor off its name; every component that
+reaches the chart builder must be one.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Callable
 
 import pytest
 
+from surfres import blowup_engine
 from surfres.blowup_engine import (
     CLOSED_POINT,
     COORDINATE_CURVE,
@@ -40,7 +44,13 @@ from surfres.exact_algebra import (
     ord_at,
     parse_polynomial,
 )
-from surfres.local_frame import NEW, OLD, BoundaryComponent, Frame
+from surfres.local_frame import (
+    NEW,
+    OLD,
+    BoundaryComponent,
+    Frame,
+    coordinate_variable,
+)
 from surfres.resolution_driver import (
     FRESH_LABELS,
     ResolutionTrace,
@@ -254,3 +264,42 @@ def test_blow_up_keeps_a_stratum_and_its_center_label():
         assert_same_chart(child, oracle_blow_up_chart(chart, center, w))
         assert child.lineage.center_label == 3
         assert child.lineage.center.variables == ("x", "y")
+
+
+def test_every_boundary_component_reaching_a_chart_is_a_coordinate_divisor(
+        all_traces, monkeypatch):
+    """On every event of the traces, and on charts whose coordinate
+    divisors carry a unit (-y, 2*z); a divisor that is not a coordinate
+    is refused before any chart is built."""
+    reached = []
+    chart_of = blowup_engine._chart_of
+
+    def recording(chart, center, orders, w):
+        reached.extend(comp.generator for comp in chart.frame.boundary)
+        return chart_of(chart, center, orders, w)
+
+    monkeypatch.setattr(blowup_engine, "_chart_of", recording)
+    for trace in all_traces.values():
+        for event in trace.events:
+            blow_up(trace.charts[event.chart_id], event.center)
+    f = parse_polynomial("x^2 + y^3*z^4", QQ, XYZ)
+    # the curve holds the old divisor, as a permissible center must
+    for texts, curve in ((("-y", "2*z"), ("x", "y")),
+                         (("2*z", "-y"), ("x", "z")), (("-3*x",), ("x", "y"))):
+        boundary = tuple(
+            BoundaryComponent(parse_polynomial(t, QQ, XYZ), status, 0, i)
+            for i, (t, status) in enumerate(zip(texts, (OLD, NEW))))
+        chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",), boundary)
+        for center in (Center(XYZ, CLOSED_POINT),
+                       Center(curve, COORDINATE_CURVE)):
+            for child in blow_up(chart, center):
+                assert_same_chart(child, oracle_blow_up_chart(
+                    chart, center, child.lineage.chart_var))
+    assert reached and all(coordinate_variable(g) is not None for g in reached)
+    assert {coordinate_variable(g) for g in reached} >= {"x", "y", "z", "u1"}
+    count = len(reached)
+    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",), (BoundaryComponent(
+        parse_polynomial("y + z^2", QQ, XYZ), OLD, 0, 0),))
+    with pytest.raises(InputError, match="non-coordinate boundary component"):
+        blow_up(chart, Center(XYZ, CLOSED_POINT))
+    assert len(reached) == count

@@ -41,7 +41,16 @@ stderr.  The run set:
   frame's;
 * ``resolve``, ``export --format json`` and ``export --format dot`` of each
   named job at ``max_steps`` 0, 1 and 3: partial traces with status
-  ``step_limit``, whose DOT has unfinished leaves.
+  ``step_limit``, whose DOT has unfinished leaves;
+* the ``divisor_jobs``, each under the commands it lists, which put
+  inputs on the general side of each coordinate reading: framed jobs with
+  an old boundary divisor that is not a coordinate (``analyze`` and
+  ``invariant``; ``resolve``, both exports and ``blowup`` with and
+  without a center for one of them), coordinate boundary divisors with a
+  unit coefficient such as ``-y`` and ``2*z`` (``resolve`` and
+  ``blowup``), monomial initial forms of degree at least p (every surface
+  command) and a two-generator chart (``analyze``, ``invariant`` and
+  ``blowup``).
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -172,6 +181,48 @@ def boundary_jobs() -> dict[str, dict]:
     return jobs
 
 
+def divisor_jobs() -> dict[str, tuple[tuple[tuple[str, ...], ...], dict]]:
+    """Jobs on the general side of the coordinate readings of boundary
+    divisors, directrix forms and monomial initial forms, keyed by name
+    and paired with the commands each runs under."""
+    surface = {"field": {"kind": "rationals"}, "variables": corpus.XYZ,
+               "generators": ["x^2 + y^3*z^4"],
+               "frame": {"u": ["y", "z"], "y": ["x"]}}
+    old = {"status": "old"}
+    general = (("analyze",), ("invariant",))
+    not_coordinate = ("y + z", "y + z^2", "x + y")
+    jobs = {f"old {g}": (general, dict(
+        surface, boundary=[dict(old, generator=g)])) for g in not_coordinate}
+    jobs["old z, y - 2*z"] = (general, dict(surface, boundary=[
+        dict(old, generator="z"), dict(old, generator="y - 2*z")]))
+    jobs["old y + z^2, every command"] = (
+        SURFACE_COMMANDS[:3] + (("blowup",),),
+        dict(surface, boundary=[dict(old, generator="y + z^2")]))
+    jobs["old y + z^2, center"] = ((("blowup",),), dict(
+        surface, boundary=[dict(old, generator="y + z^2")],
+        center={"variables": corpus.XYZ}))
+    unit = (("resolve",), ("blowup",))
+    for status in ("old", "new"):
+        jobs[f"-y old, 2*z {status}"] = (unit, dict(surface, boundary=[
+            dict(old, generator="-y"), {"generator": "2*z", "status": status}]))
+    whirl = corpus.NAMED_JOBS["two-divisor-chart"]
+    jobs["two-divisor chart, -u1, 2*u2"] = (unit, dict(whirl, boundary=[
+        dict(b, generator=g) for b, g in zip(whirl["boundary"],
+                                             ("-u1", "2*u2"))]))
+    for name, text in (("F2", "x^2*y + z^5"), ("F3", "x^3*y + z^4")):
+        jobs[f"{name}:{text}"] = (SURFACE_COMMANDS,
+                                  corpus.surface_job(name, text))
+    two = {"field": {"kind": "rationals"}, "variables": corpus.XYZ,
+           "generators": ["x^2 + y^3 + z^5", "y^2 + x*z"],
+           "frame": {"u": ["z"], "y": ["x", "y"]},
+           "stratum": [{"variables": corpus.XYZ, "label": 0}]}
+    commands = general + (("blowup",),)
+    jobs["two generators"] = (commands, two)
+    jobs["two generators, old z"] = (commands, dict(
+        two, boundary=[dict(old, generator="z")]))
+    return jobs
+
+
 def exported_chart_job(chart: dict, field: dict) -> dict:
     """The job that rebuilds one chart of an exported trace, stratum
     included."""
@@ -257,6 +308,9 @@ def digests() -> dict[str, str]:
             for args in PARTIAL_COMMANDS:
                 out[f"{' '.join(args)} max_steps {steps} | {key}"] = \
                     run_digest(args, partial)
+    for key, (commands, job) in divisor_jobs().items():
+        for args in commands:
+            out[f"{' '.join(args)} | divisor {key}"] = run_digest(args, job)
     return out
 
 
