@@ -379,14 +379,14 @@ def own_center(chart: ChartState,
 
 
 def _strict_transform(g: Polynomial, center: tuple[str, ...],
-                      chart_var: str, expected: int | None) -> Polynomial:
-    """The strict transform of g; when ``expected`` is given the power of
-    ``chart_var`` divided out must equal it (multiplicativity along a
-    permissible center), and a mismatch is a hard internal error."""
+                      chart_var: str, expected: int) -> Polynomial:
+    """The strict transform of g; the power of ``chart_var`` divided out
+    must equal ``expected`` (multiplicativity along a permissible center),
+    and a mismatch is a hard internal error."""
     strict, mult = strict_transform(g, center, chart_var)
     if strict.is_zero:
         raise InputError("zero total transform")
-    if expected is not None and mult != expected:
+    if mult != expected:
         raise InputError(
             f"exceptional multiplicity {mult} of {to_string(g)} does not "
             f"match the order {expected} along the center")

@@ -8,8 +8,10 @@ origin) and takes the positive-orthant convex hull.  On top of it:
 * vertex initial forms, solvability of a vertex, and normalization;
 * the vertex-preparation loop with a solving budget and escape detection,
   run modulo a box span on one generator;
-* the ``sigma`` invariant computed by iterated face straightening
-  u2 <- u2 + c * u1^m over polynomial translations.
+* the ``sigma`` invariant of a preparation (the result of ``prepare``),
+  computed by iterated face straightening u2 <- u2 + c * u1^m, each
+  followed by a re-preparation, with the constraints on c read off the
+  terms on the face line.
 
 Points are built on the integer lattice: each point A/(nu - |B|) is scaled
 by the lcm L of the nu - |B| that occur, and the hull is taken on those ints.
@@ -45,7 +47,6 @@ from .exact_algebra import (
     PRIME_FIELD,
     RATIONALS,
     ScopeError,
-    hasse_derivative,
     ord_at,
     p_th_root,
     q_th_root,
@@ -862,7 +863,6 @@ class SigmaResult:
     value: Fraction | float
     certified: bool
     substitutions: tuple[dict, ...]
-    generators: tuple[Polynomial, ...]
 
 
 def _uni_trim(a: list[Any]) -> list[Any]:
@@ -872,28 +872,17 @@ def _uni_trim(a: list[Any]) -> list[Any]:
     return out
 
 
-def _uni_divmod(a: list[Any], b: list[Any], field: FieldDescriptor) -> tuple[list[Any], list[Any]]:
-    b = _uni_trim(b)
-    if not b:
-        raise ZeroDivisionError
-    rem = list(a)
-    quot = [field.zero()] * max(0, len(rem) - len(b) + 1)
-    inv = field.one() / b[-1]
-    while len(_uni_trim(rem)) >= len(b):
-        rem = _uni_trim(rem)
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv
-        quot[shift] = factor
-        for i, cb in enumerate(b):
-            rem[shift + i] = rem[shift + i] - factor * cb
-        rem.pop()
-    return _uni_trim(quot), _uni_trim(rem)
-
-
 def _uni_gcd(a: list[Any], b: list[Any], field: FieldDescriptor) -> list[Any]:
+    """The monic gcd of two polynomials, coefficients low to high, by
+    Euclid's remainders; [] when both are zero."""
     a, b = _uni_trim(a), _uni_trim(b)
     while b:
-        a, b = b, _uni_divmod(a, b, field)[1]
+        rem, inv = a, field.one() / b[-1]
+        while len(rem) >= len(b):  # cancel the leading term of rem
+            factor, shift = rem[-1] * inv, len(rem) - len(b)
+            rem = _uni_trim(rem[:shift] + [
+                c - factor * cb for c, cb in zip(rem[shift:-1], b)])
+        a, b = b, rem
     if a:
         inv = field.one() / a[-1]
         a = [c * inv for c in a]
@@ -989,49 +978,58 @@ def _face_constraints(
     gens: Sequence[Polynomial], frame: Frame, m_exp: int,
     alpha: Fraction, beta: Fraction,
 ) -> list[list[Any]]:
-    """Constraint polynomials (univariate in the slide coefficient) whose
-    common vanishing straightens the first face of slope -1/m.
+    """Constraint polynomials (univariate in the slide coefficient c, low to
+    high) whose common vanishing straightens the first face of slope -1/m.
 
-    The coefficient of c^k in g(u2 + c * u1^m) is u1^(k m) D^(k) g, where
-    D^(k) is the k-th Hasse derivative in u2; so the constraint of a point
-    u^A y^B on the face line collects, for each k, the coefficient of
-    u^A y^B / u1^(k m) in D^(k) g.
+    The slide u2 <- u2 + c * u1^m turns a term a * u1^a1 u2^a2 y^B into
+    the terms C(a2, k) a c^k u1^(a1 + k m) u2^(a2 - k) y^B, k = 0..a2,
+    each of which keeps a1 + m a2.  So only the terms on the face line
+    a1 + m a2 = (alpha + m beta)(nu - |B|) reach it, and the constraint of
+    a point u^A y^B on that line past the first vertex (a1 > alpha
+    (nu - |B|)) holds at c^k the coefficient C(a2, k) a, reduced mod p, of
+    the one term of g that the slide moves there with c^k; a k whose
+    coefficient vanishes has none.
     """
-    field = gens[0].field
-    u2 = frame.u_block[1]
+    field, zero = gens[0].field, gens[0].field.zero()
+    to_native, public, native_int = field.to_native, field.to_public, field.native_int
+    line = alpha + m_exp * beta
     constraints: list[list[Any]] = []
     for g in gens:
         nu = generator_order(g, frame)
-        ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
-        # the coefficient polynomial in c per exponent vector (A, B)
-        buckets: dict[tuple[int, ...], dict[int, Any]] = {}
-        for k in range(max([vec[ui[1]] for vec, _ in g.vectors]) + 1):
-            for vec, c in hasse_derivative(g, {u2: k}).coefficient_map().items():
-                moved = list(vec)
-                moved[ui[0]] += k * m_exp
-                buckets.setdefault(tuple(moved), {})[k] = c
-        line = alpha + m_exp * beta  # the face: a1 + m a2 = line (nu - |B|)
-        for vec, bucket in buckets.items():
+        (i1, i2), yi = g.positions(frame.u_block), g.positions(frame.y_block)
+        buckets: dict[tuple[int, ...], dict[int, Any]] = {}  # c^k coefficients
+        for vec, a in g.vectors:
             d = nu - sum([vec[i] for i in yi])
-            a1, a2 = [vec[i] for i in ui]
-            if d > 0 and a1 + m_exp * a2 == line * d and a1 > alpha * d:
-                coeffs = [field.zero()] * (max(bucket) + 1)  # low to high
-                for k, c in bucket.items():
-                    coeffs[k] = c
-                constraints.append(coeffs)
+            a1, a2 = vec[i1], vec[i2]
+            if d <= 0 or a1 + m_exp * a2 != line * d:
+                continue
+            for k in range(a2 + 1):
+                c = to_native(a * native_int(comb(a2, k)))
+                if c and a1 + k * m_exp > alpha * d:
+                    moved = list(vec)
+                    moved[i1], moved[i2] = a1 + k * m_exp, a2 - k
+                    buckets.setdefault(tuple(moved), {})[k] = public(c)
+        constraints.extend([bucket.get(k, zero) for k in range(max(bucket) + 1)]
+                           for bucket in buckets.values())
     return constraints
 
 
 def sigma_search(
-    gens: Sequence[Polynomial], frame: Frame, side: int, budget: int = 32,
+    prepared: PreparationResult, frame: Frame, side: int, budget: int = 32,
     prepare_budget: int = 64,
 ) -> SigmaResult:
     """Compute sigma for one side by iterated straightening substitutions.
 
-    Starting from prepared generators, while the first face has integral
-    inverse slope m and a coefficient c in the field removes the second
-    vertex via u2 <- u2 + c*u1^m, apply it, re-prepare, and repeat; sigma is
-    the supremum of the inverse slopes seen (at least 1).
+    ``prepared`` is ``prepare`` of the generators in ``frame``, and its
+    polyhedron gives the first face.  While the first face has integral
+    inverse slope m and a coefficient c in the field removes its second
+    vertex via u2 <- u2 + c*u1^m, apply it to the prepared generators,
+    re-prepare, and repeat; sigma is the supremum of the inverse slopes
+    seen (at least 1).  The prepared generators are read only when a face
+    is about to be straightened.  A straightening that leaves the slope
+    unchanged is a scope error after a complete re-preparation; after one
+    that ran out of budget the polyhedron compared is not final, and the
+    slope read before that straightening is returned, uncertified.
     """
     if side not in (1, 2):
         raise InputError("side must be 1 or 2")
@@ -1040,19 +1038,19 @@ def sigma_search(
     work_frame = frame if side == 1 else Frame(
         (frame.u_block[1], frame.u_block[0]), frame.y_block, frame.boundary
     )
-    field = gens[0].field
-    current = list(gens)
+    u1, u2 = work_frame.u_block
+    alpha, beta, _, s = face_numbers(prepared.polyhedron, side)
+    if beta < 1:
+        return SigmaResult(Fraction(1), True, ())
     subs: list[dict] = []
     certified = True
-    poly = polyhedron_of(current, work_frame)  # always the polyhedron of current
-    if face_numbers(poly, 1)[1] < 1:  # beta < 1
-        return SigmaResult(Fraction(1), True, (), tuple(current))
     for _ in range(budget):
-        alpha, beta, _, s = face_numbers(poly, 1)
         if s == INF or s.denominator != 1 or s < 1:
             break
         m_exp = int(s)
-        constraints = _face_constraints(current, work_frame, m_exp, alpha, beta)
+        gens = prepared.generators
+        field = gens[0].field
+        constraints = _face_constraints(gens, work_frame, m_exp, alpha, beta)
         if not constraints:
             break
         g = constraints[0]
@@ -1068,25 +1066,22 @@ def sigma_search(
             certified = certified and roots_certified
             break
         c = roots[0]
-        u1, u2 = work_frame.u_block
-        current = [translate(gg, u2, c, {u1: m_exp}) for gg in current]
         subs.append({"variable": u2, "coefficient": c, "exponent": m_exp})
-        prep = prepare(current, work_frame, budget=prepare_budget)
-        current = list(prep.generators)
-        if prep.status == BUDGET_EXHAUSTED:
+        prepared = prepare([translate(gg, u2, c, {u1: m_exp}) for gg in gens],
+                           work_frame, budget=prepare_budget)
+        if prepared.status == BUDGET_EXHAUSTED:
             certified = False
-        poly = prep.polyhedron
-        _, _, _, s_new = face_numbers(poly, 1)
+        alpha, beta, _, s_new = face_numbers(prepared.polyhedron, 1)
         if not (s_new > s):
             if not certified:  # the polyhedron compared is not final
                 break
             raise ScopeError(f"sigma on side {side}: a straightening substitution "
                              "left the first face's inverse slope unchanged")
+        s = s_new
     else:  # the budget ran out before the slope settled
-        _, _, _, s = face_numbers(poly, 1)
         certified = False
     # max keeps INF, which exceeds every Fraction
-    return SigmaResult(max(Fraction(1), s), certified, tuple(subs), tuple(current))
+    return SigmaResult(max(Fraction(1), s), certified, tuple(subs))
 
 
 # ---------------------------------------------------------------------------

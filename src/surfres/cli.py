@@ -201,6 +201,10 @@ def _stratum_from(data: Any, field: FieldDescriptor,
                              for q in texts),
             original=original,
         ))
+    # one component: the same variable set and the same conditions
+    _refuse_repeated_entry("stratum", comps, lambda c, d: (
+        set(c.variables) == set(d.variables)
+        and set(c.conditions) == set(d.conditions)))
     return tuple(comps)
 
 
@@ -212,16 +216,18 @@ def _proportional(g: Polynomial, h: Polynomial) -> bool:
             and g.scale(h.vectors[0][1]) == h.scale(g.vectors[0][1]))
 
 
-def _refuse_repeated_divisor(entries: Sequence[Any],
-                             same: Callable[[Any, Any], bool]) -> None:
-    """Refuse two boundary entries that name one divisor: it would be
-    counted as two components."""
+def _refuse_repeated_entry(key: str, entries: Sequence[Any],
+                           same: Callable[[Any, Any], bool]) -> None:
+    """Refuse two entries of the job's ``boundary`` that name one divisor,
+    or of its ``stratum`` that name one component: either would be counted
+    twice."""
+    what = "divisor" if key == "boundary" else "component"
     for j, b in enumerate(entries):
         for i in range(j):
             if same(entries[i], b):
                 raise InputError(
-                    f"jobspec.boundary[{j}]: names the same divisor as "
-                    f"jobspec.boundary[{i}]; list each divisor once")
+                    f"jobspec.{key}[{j}]: names the same {what} as "
+                    f"jobspec.{key}[{i}]; list each {what} once")
 
 
 def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
@@ -269,8 +275,8 @@ def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
                 birth_step=_int_field(entry, "birth", 0, where),
                 cid=_int_field(entry, "cid", i, where),
             ))
-        _refuse_repeated_divisor([b.generator for b in boundary],
-                                 _proportional)
+        _refuse_repeated_entry("boundary", [b.generator for b in boundary],
+                               _proportional)
         chart = make_chart(field, variables, generators, u_block, y_block,
                            tuple(boundary))
     else:
@@ -295,7 +301,7 @@ def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
                     f"{where}.generator: {name!r} is not a variable; "
                     "supply an explicit frame for general divisors")
             names.append(name)
-        _refuse_repeated_divisor(names, str.__eq__)
+        _refuse_repeated_entry("boundary", names, str.__eq__)
         chart = root_chart(generators[0], tuple(names))
 
     unavailable = None  # the scope error of the origin's stratum
@@ -479,7 +485,7 @@ def report_polyhedron(job: dict) -> dict:
         }
         report["sigma"] = {
             f"side{side}": value_to_jsonable(
-                sigma_search(result.generators, chart.frame, side,
+                sigma_search(result, chart.frame, side,
                              budget=sigma_budget).value)
             for side in (1, 2)
         }

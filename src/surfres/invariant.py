@@ -36,7 +36,6 @@ from .blowup_engine import (
 )
 from .char_polyhedron import (
     BUDGET_EXHAUSTED,
-    FPolyhedron,
     PreparationResult,
     delta,
     face_numbers,
@@ -318,10 +317,9 @@ def _new_component_variables(frame: Frame) -> list[str]:
     return out
 
 
-def _side_tuple(gens: Sequence[Polynomial], frame: Frame,
-                poly: FPolyhedron, side: int) -> tuple:
-    alpha, beta, gamma, _s = face_numbers(poly, side)
-    result = sigma_search(list(gens), frame, side)
+def _side_tuple(prepared: PreparationResult, frame: Frame, side: int) -> tuple:
+    alpha, beta, gamma, _s = face_numbers(prepared.polyhedron, side)
+    result = sigma_search(prepared, frame, side)
     if not result.certified:
         raise ScopeError("sigma could not be certified within the budget")
     return (beta, gamma, result.value, alpha)
@@ -367,12 +365,10 @@ def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
                               adapted_frame.boundary)
 
     prepared = prepare_adapted(adapted_gens, adapted_frame, True, "iota_poly")
-    poly = prepared.polyhedron
-    if poly.is_empty:
+    if prepared.polyhedron.is_empty:
         return _ALL_INF
     sides = (1,) if len(new_vars) == 1 else (1, 2)
-    return min(_side_tuple(prepared.generators, adapted_frame, poly, side)
-               for side in sides)
+    return min(_side_tuple(prepared, adapted_frame, side) for side in sides)
 
 
 # ---------------------------------------------------------------------------

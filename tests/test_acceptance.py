@@ -217,7 +217,7 @@ def test_criterion_2_imperfect_residue_fields():
         assert ppoly.vertices == ((F(1), F(1, p)),)
         alpha, beta, _gamma, _s = face_numbers(ppoly, 1)
         assert (alpha, beta) == (F(1), F(1, p))
-        assert sigma_search([g], fr, side=1).value == F(1)
+        assert sigma_search(prepare([g], fr), fr, side=1).value == F(1)
     print("criterion 2: PASS — e = e^O = 1, vertex (1, 1/p), "
           "(alpha, beta, sigma) = (1, 1/p, 1) for p in {2, 3}")
 

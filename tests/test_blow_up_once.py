@@ -43,6 +43,7 @@ from surfres.exact_algebra import (
     Polynomial,
     ord_at,
     parse_polynomial,
+    strict_transform,
 )
 from surfres.local_frame import (
     NEW,
@@ -95,7 +96,7 @@ def oracle_blow_up_chart(chart: ChartState, center: Center,
     step = chart.step + 1
     new_boundary = oracle_moved_boundary(
         chart.frame.boundary,
-        lambda g: _strict_transform(g, center.variables, w, None))
+        lambda g: strict_transform(g, center.variables, w)[0])
     max_cid = max((c.cid for c in chart.frame.boundary), default=-1)
     new_boundary.append(BoundaryComponent(
         generator=Polynomial.variable(chart.field, chart.variables, w),

@@ -433,7 +433,7 @@ def test_preparation_discreteness_random():
 
 def test_sigma_straightening_example():
     f = parse_polynomial("y^2 + (u2 + u1)^3 + u1^7", QQ, ("u1", "u2", "y"))
-    result = sigma_search([f], FRAME_U12_Y, side=1)
+    result = sigma_search(prepare([f], FRAME_U12_Y), FRAME_U12_Y, side=1)
     assert result.value == F(7, 3)
     assert result.certified
     assert len(result.substitutions) == 1
@@ -446,7 +446,7 @@ def test_sigma_straightening_example():
 def test_sigma_no_improvement_example():
     f = parse_polynomial("y^2 + u1*v2^3 + u1^5", QQ, ("u1", "v2", "y"))
     fr = Frame(("u1", "v2"), ("y",))
-    assert sigma_search([f], fr, side=1).value == F(4, 3)
+    assert sigma_search(prepare([f], fr), fr, side=1).value == F(4, 3)
 
 
 def test_sigma_small_beta_is_one():
@@ -454,13 +454,13 @@ def test_sigma_small_beta_is_one():
         K = FieldDescriptor.rational_functions(p, "t")
         f = parse_polynomial(f"z^{p} + phi*u1^{p}", K, ("u1", "phi", "z"))
         fr = Frame(("u1", "phi"), ("z",))
-        assert sigma_search([f], fr, side=1).value == F(1)
+        assert sigma_search(prepare([f], fr), fr, side=1).value == F(1)
 
 
 def test_sigma_side_two():
     # swapped roles: the face seen from the second axis
     f = parse_polynomial("y^2 + (u1 + u2)^3 + u2^7", QQ, ("u1", "u2", "y"))
-    result = sigma_search([f], FRAME_U12_Y, side=2)
+    result = sigma_search(prepare([f], FRAME_U12_Y), FRAME_U12_Y, side=2)
     assert result.value == F(7, 3)
 
 

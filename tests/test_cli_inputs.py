@@ -1,5 +1,5 @@
-"""Malformed options, moves, boundaries, declared points and stored traces
-end in exit 2 with a message;
+"""Malformed options, moves, boundaries, strata, declared points and stored
+traces end in exit 2 with a message;
 the center-selection fallback resolves jobs whose stratum curve is not a
 valid center shape."""
 
@@ -198,6 +198,40 @@ def test_a_boundary_listing_one_divisor_twice_is_refused(
     assert (code, out) == (EXIT_INPUT, "")
     assert (f"jobspec.boundary[{second}]: names the same divisor as "
             f"jobspec.boundary[{first}]") in err
+
+
+# one stratum component listed twice: V(x, y, z) with its variables in
+# another order, and V(x) cut by the same conditions in another order.  The
+# first was read as two components (Case III) by ``analyze``, and made
+# ``invariant`` and ``resolve`` exit 3
+E8_STRATA = {
+    "closed point": [{"variables": ["x", "y", "z"], "label": 0},
+                     {"variables": ["z", "y", "x"], "label": 0}],
+    "conditions": [{"variables": ["x"], "label": 0, "conditions": ["y", "z"]},
+                   {"variables": ["x"], "label": 1, "conditions": ["z", "y"]}],
+}
+
+
+@pytest.mark.parametrize("command", CHART_COMMANDS + ["export"])
+@pytest.mark.parametrize("kind", sorted(E8_STRATA))
+def test_a_stratum_listing_one_component_twice_is_refused(
+        tmp_path, capsys, command, kind):
+    job = dict(SURFACE_JOB, generators=["x^2 + y^3 + z^5"],
+               stratum=E8_STRATA[kind])
+    code, out, err = run(tmp_path, capsys, command, job)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert ("jobspec.stratum[1]: names the same component as "
+            "jobspec.stratum[0]") in err
+
+
+def test_stratum_entries_with_other_conditions_are_two_components(
+        tmp_path, capsys):
+    job = dict(SURFACE_JOB, stratum=[
+        {"variables": ["x"], "label": 0, "conditions": ["y"]},
+        {"variables": ["x"], "label": 0, "conditions": ["z"]}])
+    code, out, err = run(tmp_path, capsys, "analyze", job)
+    assert code == EXIT_OK, err
+    assert json.loads(out)["case"] == "III"  # more than one component
 
 
 def test_root_chart_refuses_a_repeated_boundary_name():

@@ -8,7 +8,7 @@
   that are invariant by construction: sums of products of powers of linear
   forms that vanish on w.
 * ``char_polyhedron._face_constraints`` reads the coefficient of c^k in
-  g(u2 + c u1^m) off the k-th Hasse derivative in u2.  The oracle is the
+  g(u2 + c u1^m) off the terms on the face line.  The oracle is an
   earlier version, which appended a variable ``__C__`` and translated
   u2 <- u2 + __C__ u1^m.  The constraint multisets must agree on seeded
   generators over Q, F_2, F_3, F_2(t) and F_9, and the whole
@@ -40,7 +40,7 @@ from surfres.exact_algebra import (
 )
 from surfres.local_frame import Frame, translation_invariant
 
-from test_prepare_oracle import named_cases, outcome  # noqa: F401
+from test_prepare_oracle import named_cases, outcome, unprepared  # noqa: F401
 from test_translate_oracle import FIELDS, random_element
 
 # ---------------------------------------------------------------------------
@@ -246,20 +246,20 @@ def test_sigma_matches_the_shadow_variable_on_every_named_chart(
     cases = []
     for name, gens, frame in named_cases:
         if frame.e == 2:
-            cases.append((name, gens, frame))
-            prepared = outcome(cp.prepare, gens, frame, budget=8)
-            if isinstance(prepared, cp.PreparationResult):
-                cases.append((f"{name}:prepared", list(prepared.generators), frame))
+            for key, prepared in ((name, outcome(unprepared, gens, frame)), (
+                    f"{name}:prepared", outcome(cp.prepare, gens, frame, budget=8))):
+                if isinstance(prepared, cp.PreparationResult):
+                    cases.append((key, prepared, frame))
     assert len(cases) > 400
     results = {}
-    for name, gens, frame in cases:
+    for name, prepared, frame in cases:
         for side in (1, 2):
-            results[name, side] = outcome(cp.sigma_search, gens, frame, side, 4)
+            results[name, side] = outcome(cp.sigma_search, prepared, frame, side, 4)
     monkeypatch.setattr(cp, "_face_constraints", shadow_face_constraints)
     straightened = 0
-    for name, gens, frame in cases:
+    for name, prepared, frame in cases:
         for side in (1, 2):
-            want = outcome(cp.sigma_search, gens, frame, side, 4)
+            want = outcome(cp.sigma_search, prepared, frame, side, 4)
             assert results[name, side] == want, (name, side)
             straightened += isinstance(want, cp.SigmaResult) and bool(want.substitutions)
     assert straightened >= 10
@@ -318,7 +318,8 @@ def test_a_shadow_variable_name_gives_the_ordinary_report(
 def test_the_slide_job_straightens_its_face():
     gens = [parse_polynomial(SLIDE_JOB["generators"][0], FieldDescriptor.rationals(),
                              tuple(SLIDE_JOB["variables"]))]
-    result = cp.sigma_search(gens, Frame(("__C__", "u2"), ("y",)), 1)
+    frame = Frame(("__C__", "u2"), ("y",))
+    result = cp.sigma_search(cp.prepare(gens, frame), frame, 1)
     assert result.value == cp.INF and result.certified
     assert result.substitutions == (
         {"variable": "u2", "coefficient": Fraction(3), "exponent": 2},)

@@ -3,11 +3,11 @@
 ``prepare`` builds each generator list's polyhedron once, reads the vertex
 initial forms without re-checking the vertex, scans each monomial once for
 its polyhedron point and filters dominated points in one sorted pass;
-``sigma_search`` reuses the prepared polyhedron.  The earlier code, which
-recomputed each of these, is kept below as the oracle.  Every field of
-``PreparationResult`` and every ``sigma_search`` result must agree on each
-chart of the named traces and on the criterion-6 instances, at budgets 4, 8
-and 64.
+``sigma_search`` reads the first face off the prepared polyhedron.  The
+earlier code, which recomputed each of these, is kept below as the oracle.
+Every field of ``PreparationResult`` and every ``sigma_search`` result must
+agree on each chart of the named traces and on the criterion-6 instances,
+at budgets 4, 8 and 64.
 """
 
 from __future__ import annotations
@@ -224,20 +224,18 @@ def old_sigma_search(gens, frame, side, budget=32, prepare_budget=64):
     poly = old_polyhedron_of(current, work_frame)
     _, beta, _, s = face_numbers(poly, 1)
     if beta < 1:
-        return SigmaResult(Fraction(1), True, (), tuple(current))
+        return SigmaResult(Fraction(1), True, ())
     for _ in range(budget):
         poly = old_polyhedron_of(current, work_frame)
         alpha, beta, _, s = face_numbers(poly, 1)
         if s == INF:
-            return SigmaResult(INF, certified, tuple(subs), tuple(current))
+            return SigmaResult(INF, certified, tuple(subs))
         if s.denominator != 1 or s < 1:
-            return SigmaResult(max(Fraction(1), s), certified, tuple(subs),
-                               tuple(current))
+            return SigmaResult(max(Fraction(1), s), certified, tuple(subs))
         m_exp = int(s)
         constraints = cp._face_constraints(current, work_frame, m_exp, alpha, beta)
         if not constraints:
-            return SigmaResult(max(Fraction(1), s), certified, tuple(subs),
-                               tuple(current))
+            return SigmaResult(max(Fraction(1), s), certified, tuple(subs))
         g = constraints[0]
         for extra in constraints[1:]:
             g = cp._uni_gcd(g, extra, field)
@@ -245,12 +243,11 @@ def old_sigma_search(gens, frame, side, budget=32, prepare_budget=64):
                 break
         g = cp._uni_trim(g)
         if len(g) <= 1:
-            return SigmaResult(max(Fraction(1), s), certified, tuple(subs),
-                               tuple(current))
+            return SigmaResult(max(Fraction(1), s), certified, tuple(subs))
         roots, roots_certified = cp._uni_roots(g, field)
         if not roots:
             return SigmaResult(max(Fraction(1), s), certified and roots_certified,
-                               tuple(subs), tuple(current))
+                               tuple(subs))
         c = roots[0]
         u1, u2 = work_frame.u_block
         shift = Polynomial.variable(field, current[0].variables, u2) + Polynomial.make(
@@ -268,7 +265,7 @@ def old_sigma_search(gens, frame, side, budget=32, prepare_budget=64):
     poly = old_polyhedron_of(current, work_frame)
     _, _, _, s = face_numbers(poly, 1)
     return SigmaResult(max(Fraction(1), s) if s != INF else INF, False,
-                       tuple(subs), tuple(current))
+                       tuple(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +279,15 @@ def outcome(fn, *args, **kwargs) -> Any:
         return fn(*args, **kwargs)
     except (InputError, ScopeError, RuntimeError) as err:
         return (type(err), str(err))
+
+
+def unprepared(gens, frame) -> PreparationResult:
+    """The generators as they stand, handed to ``sigma_search`` as if
+    ``prepare`` had left them unchanged."""
+    return PreparationResult(
+        generators=tuple(gens), changes=(),
+        polyhedron=cp.polyhedron_of(gens, frame), status=MINIMAL,
+        solved_vertices=())
 
 
 def adapted(chart):
@@ -394,7 +400,7 @@ def check_case(name, gens, frame, budget):
     for side in (1, 2):
         want_s = outcome(old_sigma_search, list(want.generators), frame, side,
                          budget=4, prepare_budget=budget)
-        got_s = outcome(sigma_search, list(want.generators), frame, side,
+        got_s = outcome(sigma_search, got, frame, side,
                         budget=4, prepare_budget=budget)
         assert got_s == want_s, (name, budget, side)
 

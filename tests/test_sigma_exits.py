@@ -5,11 +5,14 @@ search does bounded work.
   its directrix-adapted frame, at budget 8, ``polyhedron`` exits 0, 2 or 3.
   Among them is the two-divisor chart ``root/u1`` in its adapted frame,
   where sigma's re-preparation on side 2 ends ``budget_exhausted``: the
-  polyhedron it compares is not final, so the sigma found so far is
-  reported, marked uncertified.
+  polyhedron it compares is not final, so the sigma found so far (64, the
+  slope read before that straightening; the exhausted polyhedron's is 1)
+  is reported, marked uncertified.
 * A straightening that leaves the first face's inverse slope unchanged
   after a complete re-preparation is a scope error naming the side; after
-  an exhausted one, sigma is returned uncertified.
+  an exhausted one, sigma is returned uncertified, and it is the slope read
+  before that straightening, also when the exhausted polyhedron's slope is
+  lower.
 * A linear gcd of the face constraints has its root read off directly, so
   an 18-digit constant costs no divisor search; over Q a constraint of
   degree at least 2 whose end coefficients multiply to more than
@@ -45,6 +48,7 @@ from surfres.exact_algebra import (
     ScopeError,
     parse_polynomial,
     to_string,
+    translate,
 )
 from surfres.invariant import adapt_frame_to_forms
 from surfres.local_frame import Frame, compute_directrix, initial_form
@@ -116,6 +120,9 @@ def test_polyhedron_exits_with_a_documented_code_on_every_named_chart(
     assert jobs[EXHAUSTED_SIDE_2]["generators"] == [
         "u1 + 3*u1*u2 + y^2 + 3*u1*u2^2 + u1*u2^3 + u1^5"]
     assert codes[EXHAUSTED_SIDE_2] == EXIT_OK
+    report = json.loads(polyhedron_report(monkeypatch, capsys,
+                                          jobs[EXHAUSTED_SIDE_2])[1])
+    assert report["sigma"] == {"side1": 1, "side2": 64}
 
 
 SLIDE_JOB = "y^2 + u1^2*(u2 - {c}*u1^2)^2"
@@ -124,22 +131,32 @@ SLIDE_JOB = "y^2 + u1^2*(u2 - {c}*u1^2)^2"
 def test_an_unchanged_slope_after_a_complete_preparation_is_a_scope_error(
         monkeypatch):
     gens = [parse_polynomial(SLIDE_JOB.format(c=3), QQ, U1U2Y)]
+    # the first face runs from (1, 1) to (3, 0): inverse slope 2
+    prepared = cp.prepare(gens, FRAME_U12_Y)
     real_prepare = cp.prepare
 
     def undo_the_straightening(current, frame, budget=64):
         return real_prepare(gens, frame, budget)
 
-    assert cp.sigma_search(gens, FRAME_U12_Y, 1).value == cp.INF
+    assert cp.sigma_search(prepared, FRAME_U12_Y, 1).value == cp.INF
     monkeypatch.setattr(cp, "prepare", undo_the_straightening)
     with pytest.raises(ScopeError, match="sigma on side 1"):
-        cp.sigma_search(gens, FRAME_U12_Y, 1)
+        cp.sigma_search(prepared, FRAME_U12_Y, 1)
 
-    def exhausted(current, frame, budget=64):
-        return replace(real_prepare(gens, frame, budget),
-                       status=cp.BUDGET_EXHAUSTED)
+    def exhausted(text):
+        def prepare(current, frame, budget=64):
+            return replace(real_prepare([parse_polynomial(text, QQ, U1U2Y)],
+                                        frame, budget),
+                           status=cp.BUDGET_EXHAUSTED)
+        return prepare
 
-    monkeypatch.setattr(cp, "prepare", exhausted)
-    assert not cp.sigma_search(gens, FRAME_U12_Y, 1).certified
+    # an exhausted re-preparation at the same slope 2, and at the lower
+    # slope 1 (first face from (1, 1) to (2, 0)): the slope read before
+    for text in (SLIDE_JOB.format(c=3), "y^2 + u1^2*u2^2 + u1^4"):
+        monkeypatch.setattr(cp, "prepare", exhausted(text))
+        result = cp.sigma_search(prepared, FRAME_U12_Y, 1)
+        assert (result.value, result.certified) == (2, False), text
+        assert len(result.substitutions) == 1
 
 
 @pytest.mark.parametrize("constant", ["1000000000039", "999999999999999989"])
@@ -274,10 +291,11 @@ def test_sigma_search_with_no_root_of_the_constraint_is_uncertified():
     field = FieldDescriptor.rational_functions(2, "t")
     # prepared: its two vertices (1/2, 1) and (3/2, 0) are not integral
     gens = [parse_polynomial("y^2 + u1*u2^2 + t*u1^3", field, U1U2Y)]
-    assert cp.prepare(gens, FRAME_U12_Y).generators == tuple(gens)
+    prepared = cp.prepare(gens, FRAME_U12_Y)
+    assert prepared.generators == tuple(gens)
     # u2 <- u2 + c*u1 leaves (c^2 + t)*u1^3 on the first face, and
     # c^2 = t has no solution: the degree of a square is even
-    result = cp.sigma_search(gens, FRAME_U12_Y, 1)
+    result = cp.sigma_search(prepared, FRAME_U12_Y, 1)
     assert (result.value, result.certified, result.substitutions) == (
         1, False, ())
 
@@ -296,14 +314,20 @@ def test_sigma_search_out_of_budget_is_uncertified(seed):
     terms = list(zip(constants, exponents))
     text = f"y^2 + u1^2*(u2 - ({slide(terms)}))^2"
     gens = [parse_polynomial(text, QQ, U1U2Y)]
-    full = cp.sigma_search(gens, FRAME_U12_Y, 1)
+    prepared = cp.prepare(gens, FRAME_U12_Y)
+    full = cp.sigma_search(prepared, FRAME_U12_Y, 1)
     assert full.value == INF and full.certified
     for budget in (1, 2, 3):
-        result = cp.sigma_search(gens, FRAME_U12_Y, 1, budget=budget)
+        result = cp.sigma_search(prepared, FRAME_U12_Y, 1, budget=budget)
         assert not result.certified
         assert [(s["coefficient"], s["exponent"])
                 for s in result.substitutions] == terms[:budget]
         assert result.value == (exponents[budget] if budget < 3 else INF)
+        # the substitutions leave the slide's remaining terms
+        moved = gens[0]
+        for s in result.substitutions:
+            moved = translate(moved, s["variable"], s["coefficient"],
+                              {"u1": s["exponent"]})
         left = f"y^2 + u1^2*(u2 - ({slide(terms[budget:])}))^2"
-        got = sympy.sympify(to_string(result.generators[0]).replace("^", "**"))
+        got = sympy.sympify(to_string(moved).replace("^", "**"))
         assert sympy.expand(got - sympy.sympify(left.replace("^", "**"))) == 0

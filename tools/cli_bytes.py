@@ -50,7 +50,13 @@ stderr.  The run set:
   unit coefficient such as ``-y`` and ``2*z`` (``resolve`` and
   ``blowup``), monomial initial forms of degree at least p (every surface
   command) and a two-generator chart (``analyze``, ``invariant`` and
-  ``blowup``).
+  ``blowup``);
+* ``polyhedron`` at budget 8 and sigma budget 4 of the
+  ``straightening_jobs`` in the frame (u1, u2 | y): the seeded slide
+  generators of ``tests/test_no_shadow_variables.py`` over F_2, F_3 and
+  F_2(t), and over F_3 slides whose coefficient lies in F_9, reached by a
+  ``root_of`` point move, so that sigma's straightenings beyond Q are in
+  the bytes.
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -71,6 +77,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 import traceback
@@ -82,10 +89,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import corpus  # noqa: E402  (perfbench/corpus.py)
 from test_cli_inputs import point_jobs  # noqa: E402
+from test_no_shadow_variables import CONSTRAINT_FIELDS, slide_generator  # noqa: E402
 from test_sigma_exits import chart_jobs, named_chart_jobs  # noqa: E402
 
 from surfres import cli  # noqa: E402
-from surfres.exact_algebra import FieldDescriptor  # noqa: E402
+from surfres.exact_algebra import FieldDescriptor, to_string  # noqa: E402
 from surfres.resolution_driver import initial_chart, resolve  # noqa: E402
 
 POOL_RESOLVE_S = 0.4
@@ -113,6 +121,19 @@ BOUNDARY_DEGREES = (
     ({"kind": "rational_functions", "characteristic": 3, "parameter": "t"},
      (2, 3)),
 )
+
+# job documents of the fields of the slide generators, and how many of each
+SLIDE_FIELDS = {
+    "F2": {"kind": "prime_field", "characteristic": 2},
+    "F3": {"kind": "prime_field", "characteristic": 3},
+    "F2(t)": {"kind": "rational_functions", "characteristic": 2, "parameter": "t"},
+}
+SLIDES_PER_FIELD = 40
+F9_SLIDES = 24
+# the polyhedron and sigma budgets of the straightening jobs: over F_2(t) a
+# straightening can double the size of the next slide's coefficient, so the
+# sigma budget stays small
+STRAIGHTENING_OPTIONS = {"budget": 8, "sigma_budget": 4}
 
 
 def run_cli(args: tuple[str, ...], job: dict) -> tuple[int, str, str]:
@@ -223,6 +244,36 @@ def divisor_jobs() -> dict[str, tuple[tuple[tuple[str, ...], ...], dict]]:
     return jobs
 
 
+def straightening_jobs() -> dict[str, dict]:
+    """``polyhedron`` jobs in the frame (u1, u2 | y) whose faces sigma
+    may straighten beyond Q: ``slide_generator`` over F_2, F_3 and F_2(t),
+    and over F_3 the generator y^nu + u1^a (u2^2 + 1 + c u1^m)^k y^b at the
+    point u2 = s with s^2 + 1 = 0, where u2^2 + 1 becomes u2^2 + 2 s u2 and
+    the slide u2 <- u2 - c u1^m / (2 s) has its coefficient in F_9 only.
+    Sigma straightens at least one side in 76 of the 144 jobs (14 over
+    F_2, 18 over F_3, 26 over F_2(t) and 18 over F_9)."""
+    frame = {"u": ["u1", "u2"], "y": ["y"]}
+    base = {"variables": ["u1", "u2", "y"], "frame": frame,
+            "options": STRAIGHTENING_OPTIONS}
+    jobs = {}
+    for name, field in SLIDE_FIELDS.items():
+        rng = random.Random(f"bytes-{name}")
+        for i in range(SLIDES_PER_FIELD):
+            g = slide_generator(rng, CONSTRAINT_FIELDS[name], rng.randint(1, 3))
+            jobs[f"{name} slide {i}"] = dict(base, field=field,
+                                             generators=[to_string(g)])
+    rng = random.Random("bytes-F9")
+    point = {"moves": {"u2": {"root_of": "s^2+1"}}}
+    for i in range(F9_SLIDES):
+        nu = rng.randint(2, 3)
+        a, m, k = rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 3)
+        text = (f"y^{nu} + u1^{a}*(u2^2 + 1 + {rng.randint(1, 2)}*u1^{m})^{k}"
+                f"*y^{rng.randint(0, nu - 1)}")
+        jobs[f"F9 slide {i}"] = dict(base, field=SLIDE_FIELDS["F3"],
+                                     generators=[text], point=point)
+    return jobs
+
+
 def exported_chart_job(chart: dict, field: dict) -> dict:
     """The job that rebuilds one chart of an exported trace, stratum
     included."""
@@ -311,6 +362,9 @@ def digests() -> dict[str, str]:
     for key, (commands, job) in divisor_jobs().items():
         for args in commands:
             out[f"{' '.join(args)} | divisor {key}"] = run_digest(args, job)
+    for key, job in straightening_jobs().items():
+        out[f"polyhedron | straightening {key}"] = run_digest(
+            ("polyhedron",), job)
     return out
 
 
