@@ -15,9 +15,7 @@ and the operations that drive a resolution process:
   the exceptional divisor, extending the residue field if the point is not
   rational,
 * ``classify_point`` -- compare the chart origin with the parent point
-  (dropped / near / O-near / very near / very O-near),
-* ``transform_polyhedron_expected`` -- the purely combinatorial prediction
-  for how a characteristic polyhedron moves under a permissible blow-up.
+  (dropped / near / O-near / very near / very O-near).
 
 Everything is exact; no floating point is used anywhere.
 """
@@ -28,7 +26,6 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
-from .char_polyhedron import FPolyhedron
 from .exact_algebra import (
     FieldDescriptor,
     InputError,
@@ -637,72 +634,3 @@ def classify_point(parent: ChartState, child: ChartState) -> str:
     if o_near:
         return O_NEAR
     return NEAR
-
-
-# ---------------------------------------------------------------------------
-# predicted polyhedron transform
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransformedPolyhedron:
-    """Predicted polyhedron plus a flag for vertices leaving the quadrant."""
-
-    polyhedron: FPolyhedron
-    dropped_vertices: bool
-
-
-def transform_polyhedron_expected(
-    poly: FPolyhedron,
-    center: Center,
-    chart_var: str,
-    frame: Frame,
-) -> TransformedPolyhedron:
-    """The combinatorial image of a characteristic polyhedron.
-
-    For a closed-point blow-up in dimension two the u1-chart maps a point
-    (v1, v2) to (v1 + v2 - 1, v2) and the u2-chart to (v1, v1 + v2 - 1);
-    in dimension one the single chart maps (v) to (v - 1).  For a curve
-    center containing u_i the i-th coordinate drops by one.  Vertices with
-    a negative coordinate no longer constrain the transform; they are
-    removed and reported through ``dropped_vertices``.
-    """
-    e = poly.dim
-    if e not in (1, 2):
-        raise InputError(f"no transform rule in dimension {e}")
-    u = frame.u_block
-
-    if center.kind == CLOSED_POINT:
-        if e == 1:
-            def mapper(v):  # type: ignore[misc]
-                return (v[0] - 1,)
-        elif chart_var == u[0]:
-            def mapper(v):
-                return (v[0] + v[1] - 1, v[1])
-        elif len(u) > 1 and chart_var == u[1]:
-            def mapper(v):
-                return (v[0], v[0] + v[1] - 1)
-        else:
-            raise InputError(
-                "the predicted transform needs a u-block chart variable")
-    else:
-        if e != 2:
-            raise InputError("curve centers act on two-dimensional polyhedra")
-        extra = [v for v in center.variables if v in u]
-        if len(extra) != 1:
-            raise InputError(
-                "a curve center must contain exactly one u-variable")
-        if extra[0] == u[0]:
-            def mapper(v):
-                return (v[0] - 1, v[1])
-        else:
-            def mapper(v):
-                return (v[0], v[1] - 1)
-
-    mapped = [mapper(v) for v in poly.vertices]
-    kept = [v for v in mapped if all(c >= 0 for c in v)]
-    dropped = len(kept) < len(mapped)
-    return TransformedPolyhedron(
-        polyhedron=FPolyhedron.from_points(e, kept),
-        dropped_vertices=dropped,
-    )

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, lcm
 from operator import ge, sub
 from typing import Any, Callable, Iterable, Sequence
 
@@ -255,15 +255,9 @@ class VertexInitial:
     frame: Frame
 
 
-def vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> VertexInitial:
-    """F_i(Y) plus the terms whose polyhedron point equals the vertex v."""
-    if v not in polyhedron_of(gens, frame).vertices:
-        raise InputError(f"{v} is not a vertex of the polyhedron")
-    return _vertex_initial(gens, frame, v)
-
-
 def _vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> VertexInitial:
-    """``vertex_initial`` at a point already known to be a vertex."""
+    """F_i(Y) plus the terms whose polyhedron point equals v, a vertex of
+    the polyhedron of gens (the preparation loop hands it no other point)."""
     forms = []
     orders = []
     for g in gens:
@@ -896,56 +890,17 @@ def _uni_eval(a: list[Any], x: Any, field: FieldDescriptor) -> Any:
     return out
 
 
-# Bound on the rational root search of a sigma constraint of degree at least
-# 2 over Q: the product of the constraint's end coefficients may be at most
-# its square (beyond it, ScopeError).  The search divides each end
-# coefficient by every integer up to its square root, then tries every
-# quotient of their divisors; at the bound that is at most about 10**5
-# divisions and 4 * 10**4 candidate roots, under a second on a 2-CPU machine.
-MAX_ROOT_SEARCH = 10**5
-
-
 def _uni_roots(a: list[Any], field: FieldDescriptor) -> tuple[list[Any], bool]:
-    """(roots found in the field, certified-complete flag)."""
-    a = _uni_trim(a)
-    if not a:
-        raise InputError("zero constraint polynomial has every root")
-    if len(a) == 1:
-        return [], True
+    """(roots found in the field, certified-complete flag) of a polynomial
+    of degree at least 1, coefficients low to high and the top one nonzero.
+
+    Over Q sigma hands it only polynomials of degree 1 (see
+    ``_face_constraints``), whose root is read off directly.
+    """
     if len(a) == 2:
         return [-a[0] / a[1]], True
     if field.kind in (PRIME_FIELD, FINITE_EXTENSION):
         return [x for x in field.elements() if not _uni_eval(a, x, field)], True
-    if field.kind == RATIONALS:
-        # rational root theorem on the denominator-cleared polynomial
-        denlcm = 1
-        for c in a:
-            denlcm = lcm(denlcm, c.denominator)
-        ints = [int(c * denlcm) for c in a]
-        while ints and ints[0] == 0:
-            ints = ints[1:]  # factor out X: X = 0 handled below
-        roots = []
-        if not _uni_eval(a, Fraction(0), field):
-            roots.append(Fraction(0))
-        if ints:
-            a0, an = abs(ints[0]), abs(ints[-1])
-            if a0 * an > MAX_ROOT_SEARCH ** 2:
-                raise ScopeError(
-                    "the rational roots of a sigma constraint whose end "
-                    "coefficients multiply to over the square of "
-                    f"{MAX_ROOT_SEARCH} (MAX_ROOT_SEARCH) are not searched")
-
-            def divisors(n: int) -> list[int]:
-                small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-                return sorted(set(small + [n // d for d in small]))
-
-            for num in divisors(a0):
-                for den in divisors(an):
-                    for sign in (1, -1):
-                        cand = Fraction(sign * num, den)
-                        if cand not in roots and not _uni_eval(a, cand, field):
-                            roots.append(cand)
-        return sorted(roots), True
     # F_p(t): linear factors and p-th-power-of-linear detection only.
     certified = True
     roots: list[Any] = []
@@ -989,6 +944,19 @@ def _face_constraints(
     (nu - |B|)) holds at c^k the coefficient C(a2, k) a, reduced mod p, of
     the one term of g that the slide moves there with c^k; a k whose
     coefficient vanishes has none.
+
+    On the first face of the generators' polyhedron, with finite inverse
+    slope m, the list is never empty, and over Q the gcd of its members
+    has degree at most 1.  The face's first vertex (alpha, beta) has
+    beta > 0 and is the point of a term a * u1^a1 u2^a2 y^B, with
+    a2 = beta d >= 1 for d = nu - |B|.  Alpha is the least abscissa of
+    the polyhedron, so every term on the line with this B has u2-exponent
+    at most a2, and it reaches the point of u2-exponent j with k = its
+    exponent minus j: that point's constraint has degree at most a2 - j.
+    The vertex term's k = a2 move, with coefficient a, reaches j = 0, past
+    the vertex: a constraint of degree exactly a2.  Over Q its k = 1 move,
+    with coefficient a2 a != 0, reaches j = a2 - 1: a constraint of degree
+    exactly 1.
     """
     field, zero = gens[0].field, gens[0].field.zero()
     to_native, public, native_int = field.to_native, field.to_public, field.native_int
@@ -1051,14 +1019,11 @@ def sigma_search(
         gens = prepared.generators
         field = gens[0].field
         constraints = _face_constraints(gens, work_frame, m_exp, alpha, beta)
-        if not constraints:
-            break
         g = constraints[0]
         for extra in constraints[1:]:
             g = _uni_gcd(g, extra, field)
             if len(g) == 1:
                 break
-        g = _uni_trim(g)
         if len(g) <= 1:
             break  # no common root: the face cannot be straightened further
         roots, roots_certified = _uni_roots(g, field)
@@ -1082,25 +1047,3 @@ def sigma_search(
         certified = False
     # max keeps INF, which exceeds every Fraction
     return SigmaResult(max(Fraction(1), s), certified, tuple(subs))
-
-
-# ---------------------------------------------------------------------------
-# in_delta
-# ---------------------------------------------------------------------------
-
-def in_delta(
-    gens: Sequence[Polynomial], frame: Frame, delta_value: Fraction
-) -> list[Polynomial]:
-    """Per-generator sums of terms minimizing |B| + |A| / delta."""
-    if delta_value == INF:
-        raise InputError("in_delta needs a finite delta")
-    out = []
-    for g in gens:
-        ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
-        vals = [sum([vec[i] for i in yi])
-                + Fraction(sum([vec[i] for i in ui]), 1) / delta_value
-                for vec, _ in g.vectors]
-        lo = min(vals)
-        out.append(Polynomial.from_vectors(g.field, g.variables, {
-            vec: c for (vec, c), val in zip(g.vectors, vals) if val == lo}))
-    return out

@@ -133,10 +133,12 @@ def _solve_components(
     """Coordinate subspaces (plus single-condition refinements) inside the
     common zero locus of the constraints.
 
-    Branches on the variables of a smallest-support monomial: any solution
-    set must contain one of them.  When every remaining residue is the same
-    non-monomial polynomial without constant term, it is recorded as the
-    condition of a non-coordinate component.
+    Each constraint vanishes at the origin (a Hasse derivative of order
+    below the order of f, or the residue of an order-one f), and so does
+    each of its residues.  Branches on the variables of a smallest-support
+    monomial: any solution set must contain one of them.  When every
+    remaining residue is the same non-monomial polynomial, it is recorded
+    as the condition of a non-coordinate component.
     """
     order = {v: i for i, v in enumerate(variables)}
     found: list[RawComponent] = []
@@ -155,13 +157,9 @@ def _solve_components(
         if not residues:
             found.append((fixed, None))
             continue
-        if any(r.is_constant() for r in residues):
-            continue  # a nonzero constant survives: no solution above `fixed`
         monomials = [r for r in residues if len(r.vectors) == 1]
         if not monomials and len(set(residues)) == 1:
-            r = residues[0]
-            if not r.constant_coefficient():
-                found.append((fixed, r))
+            found.append((fixed, residues[0]))
             continue
         # branch on a smallest support: of a monomial residue, or with none
         # (several distinct non-monomial residues) of a term, which keeps

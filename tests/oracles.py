@@ -1,0 +1,95 @@
+"""Code that only the tests call.
+
+* ``transform_polyhedron_expected`` -- the purely combinatorial prediction
+  for how a characteristic polyhedron moves under a permissible blow-up
+  (criterion 6 compares it with the polyhedron recomputed on the chart);
+* ``vertex_initial`` -- the vertex initial forms at a point checked to be
+  a vertex of the polyhedron.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from surfres.blowup_engine import CLOSED_POINT, Center
+from surfres.char_polyhedron import (
+    FPolyhedron,
+    Point,
+    VertexInitial,
+    _vertex_initial,
+    polyhedron_of,
+)
+from surfres.exact_algebra import InputError, Polynomial
+from surfres.local_frame import Frame
+
+
+@dataclass(frozen=True)
+class TransformedPolyhedron:
+    """Predicted polyhedron plus a flag for vertices leaving the quadrant."""
+
+    polyhedron: FPolyhedron
+    dropped_vertices: bool
+
+
+def transform_polyhedron_expected(
+    poly: FPolyhedron,
+    center: Center,
+    chart_var: str,
+    frame: Frame,
+) -> TransformedPolyhedron:
+    """The combinatorial image of a characteristic polyhedron.
+
+    For a closed-point blow-up in dimension two the u1-chart maps a point
+    (v1, v2) to (v1 + v2 - 1, v2) and the u2-chart to (v1, v1 + v2 - 1);
+    in dimension one the single chart maps (v) to (v - 1).  For a curve
+    center containing u_i the i-th coordinate drops by one.  Vertices with
+    a negative coordinate no longer constrain the transform; they are
+    removed and reported through ``dropped_vertices``.
+    """
+    e = poly.dim
+    if e not in (1, 2):
+        raise InputError(f"no transform rule in dimension {e}")
+    u = frame.u_block
+
+    if center.kind == CLOSED_POINT:
+        if e == 1:
+            def mapper(v):  # type: ignore[misc]
+                return (v[0] - 1,)
+        elif chart_var == u[0]:
+            def mapper(v):
+                return (v[0] + v[1] - 1, v[1])
+        elif len(u) > 1 and chart_var == u[1]:
+            def mapper(v):
+                return (v[0], v[0] + v[1] - 1)
+        else:
+            raise InputError(
+                "the predicted transform needs a u-block chart variable")
+    else:
+        if e != 2:
+            raise InputError("curve centers act on two-dimensional polyhedra")
+        extra = [v for v in center.variables if v in u]
+        if len(extra) != 1:
+            raise InputError(
+                "a curve center must contain exactly one u-variable")
+        if extra[0] == u[0]:
+            def mapper(v):
+                return (v[0] - 1, v[1])
+        else:
+            def mapper(v):
+                return (v[0], v[1] - 1)
+
+    mapped = [mapper(v) for v in poly.vertices]
+    kept = [v for v in mapped if all(c >= 0 for c in v)]
+    dropped = len(kept) < len(mapped)
+    return TransformedPolyhedron(
+        polyhedron=FPolyhedron.from_points(e, kept),
+        dropped_vertices=dropped,
+    )
+
+
+def vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> VertexInitial:
+    """F_i(Y) plus the terms whose polyhedron point equals the vertex v."""
+    if v not in polyhedron_of(gens, frame).vertices:
+        raise InputError(f"{v} is not a vertex of the polyhedron")
+    return _vertex_initial(gens, frame, v)

@@ -43,7 +43,6 @@ from surfres.blowup_engine import (
     classify_point,
     locate_point,
     make_chart,
-    transform_polyhedron_expected,
 )
 from surfres.char_polyhedron import (
     BUDGET_EXHAUSTED,
@@ -89,6 +88,7 @@ from surfres.resolution_driver import (
     resolve,
 )
 
+from oracles import transform_polyhedron_expected
 from test_char_polyhedron import (
     FRAME_U12_Y,
     oracle_vertices,

@@ -23,7 +23,6 @@ from surfres.blowup_engine import (
     locate_point,
     make_chart,
     permissible_check,
-    transform_polyhedron_expected,
 )
 from surfres.char_polyhedron import FPolyhedron, delta, polyhedron_of
 from surfres.exact_algebra import (
@@ -35,6 +34,8 @@ from surfres.exact_algebra import (
     to_string,
 )
 from surfres.local_frame import NEW, OLD, BoundaryComponent
+
+from oracles import transform_polyhedron_expected
 
 QQ = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)

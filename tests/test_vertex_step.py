@@ -57,6 +57,7 @@ from surfres.exact_algebra import (
 from surfres.local_frame import Frame, row_reduce
 from surfres.resolution_driver import initial_chart, resolve
 
+from oracles import vertex_initial
 from test_prepare_oracle import adapted, named_cases  # noqa: F401  (a fixture)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -401,7 +402,7 @@ def test_the_first_of_several_witnesses_in_product_order(name):
     rng = random.Random(f"several:{name}")
     for _ in range(40):
         f, v = several_witness_form(rng, field)
-        vi = cp.vertex_initial([f], FRAME_U12_Y12, v)
+        vi = vertex_initial([f], FRAME_U12_Y12, v)
         witnesses = [lam for lam in itertools.product(field.elements(), repeat=2)
                      if any(lam) and cp._verify_witness(vi, lam)]
         assert len(witnesses) >= 2, str(f)
@@ -416,6 +417,6 @@ def test_pinned_first_witnesses():
     for name, text, want in (("F2", "y1^2 + y2^2 + u1^2 + u2^5", (0, 1)),
                              ("F3", "y1^3 + y2^3 + u1^3 + u2^7", (0, 1))):
         field = PRIME[name]
-        vi = cp.vertex_initial([parse_polynomial(text, field, vs)],
+        vi = vertex_initial([parse_polynomial(text, field, vs)],
                                FRAME_U12_Y12, (Fraction(1), Fraction(0)))
         assert cp.is_solvable(vi, field) == tuple(map(field.from_int, want))

@@ -49,14 +49,22 @@ stderr.  The run set:
   without a center for one of them), coordinate boundary divisors with a
   unit coefficient such as ``-y`` and ``2*z`` (``resolve`` and
   ``blowup``), monomial initial forms of degree at least p (every surface
-  command) and a two-generator chart (``analyze``, ``invariant`` and
-  ``blowup``);
+  command) and a two-generator chart (``analyze``, ``invariant``,
+  ``blowup`` and ``polyhedron``);
 * ``polyhedron`` at budget 8 and sigma budget 4 of the
   ``straightening_jobs`` in the frame (u1, u2 | y): the seeded slide
   generators of ``tests/test_no_shadow_variables.py`` over F_2, F_3 and
   F_2(t), and over F_3 slides whose coefficient lies in F_9, reached by a
   ``root_of`` point move, so that sigma's straightenings beyond Q are in
-  the bytes.
+  the bytes;
+* ``polyhedron`` at budgets 8 and 24 and sigma budget 4 of the two
+  generators ``NORMALIZING_GENERATORS`` in the frame (u1, u2 | y) over Q,
+  F_2, F_3 and F_2(t), whose preparation normalizes the second generator
+  at a vertex;
+* the three frameless named jobs with the old boundary divisors V(z),
+  V(y) and both, which ``resolution_driver.root_chart`` installs, each
+  through ``resolve``, ``export --format dot``, ``export --format json``,
+  ``invariant``, ``analyze`` and ``blowup``.
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -134,6 +142,11 @@ F9_SLIDES = 24
 # straightening can double the size of the next slide's coefficient, so the
 # sigma budget stays small
 STRAIGHTENING_OPTIONS = {"budget": 8, "sigma_budget": 4}
+# two generators whose preparation cancels u1^2*y^2 of the second with the
+# first at the vertex (2, 0)
+NORMALIZING_GENERATORS = ["y^2 + u1^9 + u2^9", "y^3 + u1^2*y^2 + u2^7"]
+# the old coordinate boundary divisors of the frameless boundary jobs
+FRAMELESS_BOUNDARIES = (("z",), ("y",), ("z", "y"))
 
 
 def run_cli(args: tuple[str, ...], job: dict) -> tuple[int, str, str]:
@@ -238,7 +251,7 @@ def divisor_jobs() -> dict[str, tuple[tuple[tuple[str, ...], ...], dict]]:
            "frame": {"u": ["z"], "y": ["x", "y"]},
            "stratum": [{"variables": corpus.XYZ, "label": 0}]}
     commands = general + (("blowup",),)
-    jobs["two generators"] = (commands, two)
+    jobs["two generators"] = (commands + (("polyhedron",),), two)
     jobs["two generators, old z"] = (commands, dict(
         two, boundary=[dict(old, generator="z")]))
     return jobs
@@ -272,6 +285,30 @@ def straightening_jobs() -> dict[str, dict]:
         jobs[f"F9 slide {i}"] = dict(base, field=SLIDE_FIELDS["F3"],
                                      generators=[text], point=point)
     return jobs
+
+
+def normalizing_jobs() -> dict[str, dict]:
+    """``polyhedron`` jobs of ``NORMALIZING_GENERATORS`` in the frame
+    (u1, u2 | y), over Q and the fields of the slides, at each of
+    ``CHART_BUDGETS`` with sigma budget 4."""
+    base = {"variables": ["u1", "u2", "y"], "generators": NORMALIZING_GENERATORS,
+            "frame": {"u": ["u1", "u2"], "y": ["y"]}}
+    jobs = {}
+    for name, field in {"Q": {"kind": "rationals"}, **SLIDE_FIELDS}.items():
+        for budget in CHART_BUDGETS:
+            options = dict(STRAIGHTENING_OPTIONS, budget=budget)
+            jobs[f"{name} budget {budget}"] = dict(base, field=field,
+                                                   options=options)
+    return jobs
+
+
+def frameless_boundary_jobs() -> dict[str, dict]:
+    """The named jobs without a frame, each with the old coordinate
+    boundary divisors of ``FRAMELESS_BOUNDARIES``."""
+    return {f"{key}, old {' '.join(names)}": dict(
+                job, boundary=[{"generator": v} for v in names])
+            for key, job in corpus.NAMED_JOBS.items() if "frame" not in job
+            for names in FRAMELESS_BOUNDARIES}
 
 
 def exported_chart_job(chart: dict, field: dict) -> dict:
@@ -365,6 +402,12 @@ def digests() -> dict[str, str]:
     for key, job in straightening_jobs().items():
         out[f"polyhedron | straightening {key}"] = run_digest(
             ("polyhedron",), job)
+    for key, job in normalizing_jobs().items():
+        out[f"polyhedron | normalizing {key}"] = run_digest(("polyhedron",), job)
+    for key, job in frameless_boundary_jobs().items():
+        for args in SURFACE_COMMANDS + (("blowup",),):
+            out[f"{' '.join(args)} | frameless boundary {key}"] = run_digest(
+                args, job)
     return out
 
 
