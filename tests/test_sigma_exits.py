@@ -14,7 +14,11 @@ search does bounded work.
   before that straightening, also when the exhausted polyhedron's slope is
   lower.
 * A linear gcd of the face constraints has its root read off directly,
-  also when its constant has 18 digits.
+  also when its constant has 18 digits, and over Q it is the root sympy
+  finds, also when it is 0.
+* Over F_p(t) a constraint that is a p-th power, repeated, of a linear
+  polynomial has its root found and certified; any other constraint of
+  degree at least 2 is marked uncertified, with no root claimed.
 * The roots of a constraint of degree at least 2 are all the roots in the
   field: over F_p and F_p[s]/(m) against evaluation at every element by
   integer arithmetic.
@@ -173,6 +177,44 @@ def test_uni_roots_reads_a_linear_root_off_directly():
     # 3 X - c: the root c/3
     c = 999999999999999989
     assert cp._uni_roots([Fraction(-c), Fraction(3)], QQ) == ([Fraction(c, 3)], True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_uni_roots_over_q_match_sympy(seed):
+    # over Q sigma hands _uni_roots only polynomials of degree 1
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    rng = random.Random(seed)
+    roots = [Fraction(0)] + [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                             for _ in range(40)]
+    for root in roots:
+        lead = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 3]))
+        coeffs = [-lead * root, lead]
+        [expected] = [Fraction(int(r.p), int(r.q)) for r in sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator)
+             for c in reversed(coeffs)], X, domain="QQ").ground_roots()]
+        assert cp._uni_roots(coeffs, QQ) == ([expected], True)
+
+
+@pytest.mark.parametrize("p, power", [(2, 2), (2, 4), (3, 3)])
+def test_uni_roots_over_rational_functions_strip_p_th_powers(p, power):
+    field = FieldDescriptor.rational_functions(p, "t")
+    t, zero, one = field.transcendental(), field.zero(), field.one()
+    # (X - t)^power = X^power - t^power, power a power of p
+    coeffs = [-(t ** power)] + [zero] * (power - 1) + [one]
+    assert cp._uni_roots(coeffs, field) == ([t], True)
+
+
+def test_uni_roots_over_rational_functions_without_a_p_th_power_are_uncertified():
+    field = FieldDescriptor.rational_functions(2, "t")
+    t, zero, one = field.transcendental(), field.zero(), field.one()
+    # X^2 + t: t is not a square; X^4 + t^2 strips to it
+    assert cp._uni_roots([t, zero, one], field) == ([], False)
+    assert cp._uni_roots([t ** 2, zero, zero, zero, one], field) == ([], False)
+    # X^2 + X + t has no root, and (X + t)(X + t + 1) = X^2 + X + t^2 + t
+    # has the roots t and t + 1, which the search does not look for
+    assert cp._uni_roots([t, one, one], field) == ([], False)
+    assert cp._uni_roots([t ** 2 + t, one, one], field) == ([], False)
 
 
 # F_p and F_p[s]/(m), the modulus listed low to high
