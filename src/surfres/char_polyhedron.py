@@ -265,19 +265,19 @@ def _vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> Verte
         nu = generator_order(g, frame)
         orders.append(nu)
         at_v = _at_point(v, nu, ui, yi)
-        forms.append(Polynomial.from_vectors(g.field, g.variables, {
-            vec: c for vec, c in g.vectors
-            # the pure-Y initial part F_i(Y), and the terms at the vertex
+        # F_i(Y) and the terms at the vertex, a subset of g's terms in order
+        forms.append(Polynomial(g.field, g.variables, tuple([
+            (vec, c) for vec, c in g.vectors
             if (sum(vec) == nu and sum([vec[i] for i in yi]) == nu)
-            or at_v(vec)}))
+            or at_v(vec)])))
     return VertexInitial(v, tuple(forms), tuple(orders), frame)
 
 
 def _pure_y_part(form: Polynomial, frame: Frame, nu: int) -> Polynomial:
     yi = form.positions(frame.y_block)
-    return Polynomial.from_vectors(form.field, form.variables, {
-        vec: c for vec, c in form.vectors
-        if sum(vec) == nu and sum([vec[i] for i in yi]) == nu})
+    return Polynomial(form.field, form.variables, tuple([
+        (vec, c) for vec, c in form.vectors
+        if sum(vec) == nu and sum([vec[i] for i in yi]) == nu]))
 
 
 def _u_power(frame: Frame, v: Point, multiple: int = 1) -> dict[str, int]:

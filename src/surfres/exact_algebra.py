@@ -5,7 +5,12 @@ extensions F_p[s]/(m(s)), and rational function fields F_p(t) in one
 transcendental.  A polynomial has a fixed ambient variable list per chart
 and stores each term once, as an exponent vector aligned with that list and
 a nonzero coefficient, in one canonical order; every operation works on the
-vectors and ends in one canonicalising constructor.  ``Monomial`` names a
+vectors and ends in one canonicalising constructor, ``_canonical``, except
+the maps whose terms come out in that order, which build the ``Polynomial``
+directly: a subset of one polynomial's terms (``restrict_to_zero``,
+``initial_form``, ``_pure_y_part``, ``_vertex_initial``, ``_Box.reduce``),
+``hasse_derivative`` (m -> m - A on the terms with m >= A is injective and
+keeps the order) and ``Polynomial.variable`` (one term).  ``Monomial`` names a
 term by its variables, for the public constructors and the ``terms`` view.
 ``substitute`` and ``substitute_many`` replace variables by polynomials;
 the monomial maps of the resolution have their own kernels on the exponent
@@ -736,9 +741,11 @@ def _canonical(field: FieldDescriptor, variables: tuple[str, ...],
     """The polynomial of (exponent vector, coefficient) terms with distinct
     vectors aligned with ``variables``: coefficients public or native, put
     in stored form, zeros dropped and the rest sorted into the canonical
-    order.  Every polynomial is built here, except a subset of the terms of
-    one (``char_polyhedron._Box.reduce``), which is in canonical order
-    already."""
+    order.  Every polynomial is built here except by the order-keeping maps:
+    a subset of one polynomial's terms (``restrict_to_zero``,
+    ``initial_form``, ``_pure_y_part``, ``_vertex_initial``, ``_Box.reduce``),
+    the injective shift m -> m - A of ``hasse_derivative``, and the one term
+    of ``Polynomial.variable``."""
     kept = _native_terms(field, terms)
     kept.sort(key=_vector_order, reverse=True)
     return Polynomial(field, variables, tuple(kept))
@@ -802,7 +809,7 @@ class Polynomial:
             raise InputError("duplicate ambient variable names")
         vec = [0] * len(vs)
         vec[index[name]] = 1
-        return _canonical(field, vs, [(tuple(vec), field.native_int(1))])
+        return Polynomial(field, vs, ((tuple(vec), field.native_int(1)),))
 
     # -- basic queries -------------------------------------------------------
 
@@ -959,13 +966,15 @@ def ord_at(f: Polynomial, prime_vars: Iterable[str]) -> int | float:
     The minimum over terms of the total exponent in the given variables;
     infinity for the zero polynomial.
     """
-    vs = tuple(prime_vars)
-    for v in vs:
-        if v not in f.variables:
+    index = _layout(f.variables)[0]
+    pos = set()
+    for v in prime_vars:
+        i = index.get(v)
+        if i is None:
             raise InputError(f"unknown variable {v!r} in ord_at")
+        pos.add(i)
     if f.is_zero:
         return INF
-    pos = f.positions(set(vs))
     if len(pos) == len(f.variables):
         # the canonical order starts at the lowest total degree
         return sum(f.vectors[0][0])
@@ -976,14 +985,15 @@ def hasse_derivative(f: Polynomial, a: Mapping[str, int]) -> Polynomial:
     """The Hasse-Schmidt derivative D_A f: the coefficient of Z^A in f(X+Z).
 
     Binomial coefficients are reduced in the field's characteristic, so this
-    is the right notion in positive characteristic as well.
+    is the right notion in positive characteristic as well.  The shift
+    m -> m - A of the terms with m >= A is injective and keeps the order.
     """
     for v in a:
         if v not in f.variables:
             raise InputError(f"unknown variable {v!r} in hasse_derivative")
     order = [(i, e) for i, e in zip(f.positions(a), a.values()) if e]
     native_int = f.field.native_int
-    acc: dict[tuple[int, ...], Any] = {}
+    out = []
     for vec, c in f.vectors:
         factor = 1
         new = list(vec)
@@ -993,11 +1003,8 @@ def hasse_derivative(f: Polynomial, a: Mapping[str, int]) -> Polynomial:
             factor *= comb(vec[i], e)
             new[i] = vec[i] - e
         else:
-            coeff = c * native_int(factor)
-            m = tuple(new)
-            s = acc.get(m)
-            acc[m] = coeff if s is None else s + coeff
-    return _canonical(f.field, f.variables, acc.items())
+            out.append((tuple(new), c * native_int(factor)))
+    return Polynomial(f.field, f.variables, tuple(_native_terms(f.field, out)))
 
 
 def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomial:
@@ -1089,12 +1096,12 @@ def strict_transform(f: Polynomial, center: Sequence[str], var: str) -> tuple[Po
 
 def restrict_to_zero(f: Polynomial, variables: Iterable[str]) -> Polynomial:
     """f restricted to V(variables): the terms with no exponent on any of
-    the named variables."""
+    the named variables, a subset of f's terms in f's order."""
     slots = f.positions(variables)
     if not slots:
         return f
-    return _canonical(f.field, f.variables, [
-        (vec, c) for vec, c in f.vectors if not any([vec[j] for j in slots])])
+    return Polynomial(f.field, f.variables, tuple([
+        term for term in f.vectors if not any([term[0][j] for j in slots])]))
 
 
 def translate(f: Polynomial, var: str, c: Any, shift: Mapping[str, int]) -> Polynomial:

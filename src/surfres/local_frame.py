@@ -92,6 +92,14 @@ class BoundaryComponent:
             )
 
 
+def made_old(b: BoundaryComponent) -> BoundaryComponent:
+    """``dataclasses.replace(b, status=OLD)`` without re-running the check
+    of ``__post_init__`` on b's generator, which was checked already."""
+    copy = object.__new__(BoundaryComponent)
+    copy.__dict__.update(b.__dict__, status=OLD)
+    return copy
+
+
 @dataclass(frozen=True)
 class Frame:
     """An ordered split (u; y) of a chart's variables plus its boundary."""
@@ -166,8 +174,8 @@ def initial_form(f: Polynomial, at: Iterable[str]) -> Polynomial:
     pos = f.positions(vs)
     degrees = [sum([vec[i] for i in pos]) for vec, _ in f.vectors]
     lo = min(degrees)
-    return Polynomial.from_vectors(f.field, f.variables, {
-        vec: c for (vec, c), d in zip(f.vectors, degrees) if d == lo})
+    return Polynomial(f.field, f.variables, tuple([
+        term for term, d in zip(f.vectors, degrees) if d == lo]))
 
 
 def coordinate_variable(f: Polynomial) -> str | None:

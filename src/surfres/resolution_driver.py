@@ -25,7 +25,7 @@ every tracked point above every center.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .blowup_engine import (
@@ -70,6 +70,7 @@ from .local_frame import (
     OLD,
     coordinate_variable,
     directrix_memo,
+    made_old,
     monomials_of_degree,
 )
 
@@ -108,30 +109,19 @@ RawComponent = tuple[frozenset, Polynomial | None]
 
 
 def _hasse_constraints(f: Polynomial, order: int) -> list[Polynomial]:
-    """All nonzero Hasse derivatives of f of differentiation order < order."""
-    out: list[Polynomial] = []
-    seen: set = set()
-    for total in range(order):
-        for a in monomials_of_degree(len(f.variables), total):
-            g = hasse_derivative(f, dict(zip(f.variables, a)))
-            if g.is_zero or g in seen:
-                continue
-            seen.add(g)
-            out.append(g)
-    return out
-
-
-def _support(vec: tuple[int, ...], variables: tuple[str, ...]) -> tuple[str, ...]:
-    """The variables of an exponent vector, in name order (as a Monomial
-    lists them)."""
-    return tuple(variables[i] for i in name_order(variables) if vec[i])
+    """All nonzero Hasse derivatives of f of differentiation order < order,
+    each once, in the order first met."""
+    derivatives = dict.fromkeys(
+        hasse_derivative(f, dict(zip(f.variables, a))) for total in range(order)
+        for a in monomials_of_degree(len(f.variables), total))
+    return [g for g in derivatives if not g.is_zero]
 
 
 def _solve_components(
     constraints: Sequence[Polynomial], variables: tuple[str, ...],
 ) -> list[RawComponent]:
     """Coordinate subspaces (plus single-condition refinements) inside the
-    common zero locus of the constraints.
+    common zero locus of the constraints, polynomials in ``variables``.
 
     Each constraint vanishes at the origin (a Hasse derivative of order
     below the order of f, or the residue of an order-one f), and so does
@@ -139,36 +129,48 @@ def _solve_components(
     monomial: any solution set must contain one of them.  When every
     remaining residue is the same non-monomial polynomial, it is recorded
     as the condition of a non-coordinate component.
+
+    The search runs on bitmasks of positions in ``variables``: each
+    constraint is read once into terms (support mask, vector, coefficient),
+    and the residue on a mask of fixed variables is the terms whose mask
+    misses it, in canonical order, so residues are equal when their term
+    lists are; one becomes a ``Polynomial`` only as a condition.  Supports
+    rank by size, then by their positions in name order (as a ``Monomial``
+    lists its variables); branches are pushed in name order.
     """
-    order = {v: i for i, v in enumerate(variables)}
-    found: list[RawComponent] = []
-    seen: set[frozenset] = set()
-    stack: list[frozenset] = [frozenset()]
+    by_name = name_order(variables)
+    readings = [[(sum([1 << i for i, e in enumerate(vec) if e]), vec, c)
+                 for vec, c in g.vectors] for g in constraints]
+    rank = {m: (m.bit_count(), tuple([i for i in by_name if m >> i & 1]))
+            for m in {t[0] for terms in readings for t in terms}}
+    found: list[tuple[int, Polynomial | None]] = []
+    seen: set[int] = set()
+    stack = [0]
     while stack:
         fixed = stack.pop()
         if fixed in seen:
             continue
         seen.add(fixed)
-        residues = []
-        for g in constraints:
-            r = restrict_to_zero(g, fixed)
-            if not r.is_zero:
-                residues.append(r)
+        residues = [r for r in ([t for t in terms if not t[0] & fixed]
+                                for terms in readings) if r]
         if not residues:
             found.append((fixed, None))
             continue
-        monomials = [r for r in residues if len(r.vectors) == 1]
-        if not monomials and len(set(residues)) == 1:
-            found.append((fixed, residues[0]))
+        monomials = [r for r in residues if len(r) == 1]
+        if not monomials and all(r == residues[0] for r in residues):
+            g = constraints[0]
+            found.append((fixed, Polynomial(g.field, g.variables, tuple(
+                [(vec, c) for _m, vec, c in residues[0]]))))
             continue
         # branch on a smallest support: of a monomial residue, or with none
         # (several distinct non-monomial residues) of a term, which keeps
         # the search complete for coordinate components
-        supports = [_support(vec, r.variables) for r in monomials or residues
-                    for vec, _c in r.vectors if any(vec)]
-        pick = min(supports, key=lambda s: (len(s), tuple(order[v] for v in s)))
-        stack.extend(fixed | {v} for v in pick)
-    return _maximal_components(found)
+        pick = min([m for r in monomials or residues for m, _v, _c in r if m],
+                   key=rank.__getitem__)
+        stack.extend(fixed | 1 << i for i in rank[pick][1])
+    return _maximal_components([
+        (frozenset([v for i, v in enumerate(variables) if fixed >> i & 1]), cond)
+        for fixed, cond in found])
 
 
 def _component_contains(a: RawComponent, b: RawComponent) -> bool:
@@ -528,7 +530,7 @@ def _reset_boundary(chart: ChartState) -> ChartState:
     The copy keeps nu* and the directrix; the log-directrix reads which
     components are old, so it is derived again."""
     frame = chart.frame
-    boundary = tuple(b if b.status == OLD else replace(b, status=OLD)
+    boundary = tuple(b if b.status == OLD else made_old(b)
                      for b in frame.boundary)
     return replace_chart(
         chart, frame=Frame(frame.u_block, frame.y_block, boundary))

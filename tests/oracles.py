@@ -4,7 +4,10 @@
   for how a characteristic polyhedron moves under a permissible blow-up
   (criterion 6 compares it with the polyhedron recomputed on the chart);
 * ``vertex_initial`` -- the vertex initial forms at a point checked to be
-  a vertex of the polyhedron.
+  a vertex of the polyhedron;
+* ``solve_components`` (with ``_support``) -- the maximal-stratum search on
+  ``Polynomial`` residues, each restricted with ``restrict_to_zero``, which
+  ``resolution_driver._solve_components`` now runs on support bitmasks.
 """
 
 from __future__ import annotations
@@ -20,8 +23,14 @@ from surfres.char_polyhedron import (
     _vertex_initial,
     polyhedron_of,
 )
-from surfres.exact_algebra import InputError, Polynomial
+from surfres.exact_algebra import (
+    InputError,
+    Polynomial,
+    name_order,
+    restrict_to_zero,
+)
 from surfres.local_frame import Frame
+from surfres.resolution_driver import RawComponent, _maximal_components
 
 
 @dataclass(frozen=True)
@@ -93,3 +102,53 @@ def vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> Vertex
     if v not in polyhedron_of(gens, frame).vertices:
         raise InputError(f"{v} is not a vertex of the polyhedron")
     return _vertex_initial(gens, frame, v)
+
+
+def _support(vec: tuple[int, ...], variables: tuple[str, ...]) -> tuple[str, ...]:
+    """The variables of an exponent vector, in name order (as a Monomial
+    lists them)."""
+    return tuple(variables[i] for i in name_order(variables) if vec[i])
+
+
+def solve_components(
+    constraints: Sequence[Polynomial], variables: tuple[str, ...],
+) -> list[RawComponent]:
+    """Coordinate subspaces (plus single-condition refinements) inside the
+    common zero locus of the constraints.
+
+    Each constraint vanishes at the origin (a Hasse derivative of order
+    below the order of f, or the residue of an order-one f), and so does
+    each of its residues.  Branches on the variables of a smallest-support
+    monomial: any solution set must contain one of them.  When every
+    remaining residue is the same non-monomial polynomial, it is recorded
+    as the condition of a non-coordinate component.
+    """
+    order = {v: i for i, v in enumerate(variables)}
+    found: list[RawComponent] = []
+    seen: set[frozenset] = set()
+    stack: list[frozenset] = [frozenset()]
+    while stack:
+        fixed = stack.pop()
+        if fixed in seen:
+            continue
+        seen.add(fixed)
+        residues = []
+        for g in constraints:
+            r = restrict_to_zero(g, fixed)
+            if not r.is_zero:
+                residues.append(r)
+        if not residues:
+            found.append((fixed, None))
+            continue
+        monomials = [r for r in residues if len(r.vectors) == 1]
+        if not monomials and len(set(residues)) == 1:
+            found.append((fixed, residues[0]))
+            continue
+        # branch on a smallest support: of a monomial residue, or with none
+        # (several distinct non-monomial residues) of a term, which keeps
+        # the search complete for coordinate components
+        supports = [_support(vec, r.variables) for r in monomials or residues
+                    for vec, _c in r.vectors if any(vec)]
+        pick = min(supports, key=lambda s: (len(s), tuple(order[v] for v in s)))
+        stack.extend(fixed | {v} for v in pick)
+    return _maximal_components(found)

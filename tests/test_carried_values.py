@@ -9,11 +9,16 @@ named traces in both label modes and on 40 pool surfaces, and the charts
 traces rebuilt as a job, and for the point jobs.  Each copy, and each
 stored state, must give the same three values as a ``ChartState`` built
 fresh from its fields, outside every directrix memo.
+
+``local_frame.made_old``, with which ``_reset_boundary`` turns a new
+boundary component old, copies the component without re-running its
+check; on every new component of the named traces the copy must be what
+``dataclasses.replace(b, status=OLD)`` builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -25,7 +30,7 @@ from surfres.exact_algebra import (
     ScopeError,
     parse_polynomial,
 )
-from surfres.local_frame import NEW, OLD, BoundaryComponent
+from surfres.local_frame import NEW, OLD, BoundaryComponent, made_old
 from surfres.resolution_driver import (
     DEFAULT_LABELS,
     FRESH_LABELS,
@@ -163,3 +168,21 @@ def test_a_reset_boundary_derives_the_log_directrix_again():
     same = replace_chart(chart, stratum=())
     assert set(CACHED) <= same.__dict__.keys()
     assert_carries_its_own_values(same)
+
+
+def test_made_old_copies_as_replace_does_without_the_check(monkeypatch):
+    components = {b for root, options in named_roots().values()
+                  for chart in resolve(root, **options).charts.values()
+                  for b in chart.frame.new_components()}
+    wanted = {b: replace(b, status=OLD) for b in components}
+
+    def refuse(self):
+        raise AssertionError("the copy re-ran the check")
+
+    monkeypatch.setattr(BoundaryComponent, "__post_init__", refuse)
+    for b, want in wanted.items():
+        copy = made_old(b)
+        assert type(copy) is BoundaryComponent and copy.__dict__ == want.__dict__
+        assert copy == want and hash(copy) == hash(want)
+        assert copy.generator is b.generator and b.status == NEW
+    assert len(wanted) > 20

@@ -64,7 +64,12 @@ stderr.  The run set:
 * the three frameless named jobs with the old boundary divisors V(z),
   V(y) and both, which ``resolution_driver.root_chart`` installs, each
   through ``resolve``, ``export --format dot``, ``export --format json``,
-  ``invariant``, ``analyze`` and ``blowup``.
+  ``invariant``, ``analyze`` and ``blowup``;
+* ``resolve``, ``export --format json`` and ``export --format dot`` of
+  ``CENSUS_SAMPLE`` jobs of ``tools/census.py`` that ``resolve`` ends with
+  exit 0, the first in a seeded order of the census: surfaces with an old
+  boundary from the start, a scaled coefficient or a linear change, on
+  which ``resolve`` refines by old components and searches the stratum.
 
 The chart jobs are built by this tree's library, so a tree that builds a
 chart or its adapted frame differently gives a different digest, or a run
@@ -147,6 +152,8 @@ STRAIGHTENING_OPTIONS = {"budget": 8, "sigma_budget": 4}
 NORMALIZING_GENERATORS = ["y^2 + u1^9 + u2^9", "y^3 + u1^2*y^2 + u2^7"]
 # the old coordinate boundary divisors of the frameless boundary jobs
 FRAMELESS_BOUNDARIES = (("z",), ("y",), ("z", "y"))
+# how many exit-0 census jobs get runs
+CENSUS_SAMPLE = 40
 
 
 def run_cli(args: tuple[str, ...], job: dict) -> tuple[int, str, str]:
@@ -311,6 +318,21 @@ def frameless_boundary_jobs() -> dict[str, dict]:
             for names in FRAMELESS_BOUNDARIES}
 
 
+def census_sample() -> dict[str, dict]:
+    """The first ``CENSUS_SAMPLE`` census jobs, in a seeded order, that
+    ``resolve`` ends with exit 0."""
+    from census import census_jobs  # tools/census.py imports this module
+    jobs = census_jobs()
+    random.Random("bytes-census").shuffle(jobs)
+    picked = {}
+    for _kind, key, job in jobs:
+        if run_cli(("resolve",), job)[0] == 0:
+            picked[key] = job
+            if len(picked) == CENSUS_SAMPLE:
+                break
+    return picked
+
+
 def exported_chart_job(chart: dict, field: dict) -> dict:
     """The job that rebuilds one chart of an exported trace, stratum
     included."""
@@ -408,6 +430,9 @@ def digests() -> dict[str, str]:
         for args in SURFACE_COMMANDS + (("blowup",),):
             out[f"{' '.join(args)} | frameless boundary {key}"] = run_digest(
                 args, job)
+    for key, job in census_sample().items():
+        for args in PARTIAL_COMMANDS:
+            out[f"{' '.join(args)} | census {key}"] = run_digest(args, job)
     return out
 
 
