@@ -165,15 +165,21 @@ class ChartState:
             if g.field != self.field:
                 raise InputError("generator field does not match the chart")
 
-    # nu*, the directrix and the log-directrix are derived on first read and
-    # kept on this state.  ``replace_chart`` copies a state with the values
-    # its changes leave valid (``_CACHE_READS``); a ``dataclasses.replace``
-    # copy starts without them, and inside a ``resolve`` takes its directrix
-    # from the per-run memo.
+    # nu*, the generators' orders, the directrix and the log-directrix are
+    # derived on first read and kept on this state.  ``replace_chart``
+    # copies a state with the values its changes leave valid
+    # (``_CACHE_READS``); a ``dataclasses.replace`` copy starts without
+    # them, and inside a ``resolve`` takes its directrix from the per-run
+    # memo.
 
     @cached_property
     def nu(self) -> NuStar:
         return nu_star(self.generators)
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """Each generator's order at the origin, in generator order."""
+        return tuple(int(ord_at(g, self.variables)) for g in self.generators)
 
     @cached_property
     def directrix(self) -> tuple[int, tuple[Polynomial, ...]]:
@@ -190,12 +196,13 @@ class ChartState:
         return e_o, tuple(forms)
 
 
-# the fields each cached value of a ``ChartState`` reads: nu* reads the
-# generators, the directrix their initial forms (``compute_directrix`` does
-# not read the frame), the log-directrix also which boundary components are
-# old
+# the fields each cached value of a ``ChartState`` reads: nu* and the
+# orders read the generators, the directrix their initial forms
+# (``compute_directrix`` does not read the frame), the log-directrix also
+# which boundary components are old
 _CACHE_READS = {
     "nu": ("generators",),
+    "orders": ("generators",),
     "directrix": ("generators",),
     "log_directrix": ("generators", "frame", "variables"),
 }
@@ -318,9 +325,8 @@ def permissible_check(chart: ChartState, center: Center) -> PermissibilityReport
     """
     center = _canonical_center(chart, center)
     violations: list[str] = []
-    for g in chart.generators:
+    for g, o_origin in zip(chart.generators, chart.orders):
         o_center = ord_at(g, center.variables)
-        o_origin = ord_at(g, chart.variables)
         if o_center != o_origin:
             violations.append(
                 f"generator {to_string(g)} has order {o_center} along the "
@@ -390,26 +396,24 @@ def _strict_transform(g: Polynomial, center: tuple[str, ...],
     return strict
 
 
-def _permissible_orders(chart: ChartState, center: Center) -> tuple[int, ...]:
-    """Each generator's order along a canonical center, once the center has
-    passed ``permissible_check``."""
+def _require_permissible(chart: ChartState, center: Center) -> None:
+    """Refuse a canonical center that fails ``permissible_check``."""
     report = permissible_check(chart, center)
     if not report.ok:
         raise InputError(
             "center is not permissible: " + "; ".join(report.violations))
-    return tuple(int(ord_at(g, center.variables)) for g in chart.generators)
 
 
 def blow_up(chart: ChartState, center: Center) -> tuple[ChartState, ...]:
     """The affine charts D+(w) of the blow-up of the chart in V(center), one
     for each center variable w in the order ``center`` lists them.
 
-    The center is canonicalised and checked, and each generator's order
-    along it taken, once for all the charts.  In the chart of w every other
-    center variable v is replaced by v * w; each generator is divided
-    exactly by w to its order along the center, and that division is
-    asserted to be exact of exactly that order.  The exceptional divisor
-    V(w) is appended as a new boundary component.
+    The center is canonicalised and checked once for all the charts.  In
+    the chart of w every other center variable v is replaced by v * w; each
+    generator is divided exactly by w to its order along the center, which
+    the check makes its order at the origin (``ChartState.orders``), and
+    that division is asserted to be exact of exactly that order.  The
+    exceptional divisor V(w) is appended as a new boundary component.
 
     Every boundary component is a coordinate divisor c * v here, since
     ``permissible_check`` refuses a center beside any other (condition 3),
@@ -419,9 +423,8 @@ def blow_up(chart: ChartState, center: Center) -> tuple[ChartState, ...]:
     once; so V(v) is kept as it is.
     """
     canonical = _canonical_center(chart, center)
-    orders = _permissible_orders(chart, canonical)
-    return tuple(_chart_of(chart, canonical, orders, w)
-                 for w in center.variables)
+    _require_permissible(chart, canonical)
+    return tuple(_chart_of(chart, canonical, w) for w in center.variables)
 
 
 def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartState:
@@ -430,18 +433,18 @@ def blow_up_chart(chart: ChartState, center: Center, chart_var: str) -> ChartSta
     if chart_var not in canonical.variables:
         raise InputError(
             f"chart variable {chart_var!r} must belong to the center")
-    return _chart_of(chart, canonical, _permissible_orders(chart, canonical),
-                     chart_var)
+    _require_permissible(chart, canonical)
+    return _chart_of(chart, canonical, chart_var)
 
 
-def _chart_of(chart: ChartState, center: Center, orders: tuple[int, ...],
-              w: str) -> ChartState:
+def _chart_of(chart: ChartState, center: Center, w: str) -> ChartState:
     """The chart D+(w) of ``blow_up`` in a canonical permissible center,
-    given each generator's order along it.  Every boundary component is a
-    coordinate divisor V(v), as ``_permissible_orders`` refuses any other."""
+    along which each generator's order is its order at the origin
+    (condition 1 of ``permissible_check``).  Every boundary component is a
+    coordinate divisor V(v), as ``permissible_check`` refuses any other."""
     new_generators = tuple(
         _strict_transform(g, center.variables, w, order)
-        for g, order in zip(chart.generators, orders))
+        for g, order in zip(chart.generators, chart.orders))
 
     step = chart.step + 1
 

@@ -131,14 +131,6 @@ class FPolyhedron:
                 return p[1] >= boundary
         return False  # pragma: no cover
 
-    def contains(self, other: "FPolyhedron") -> bool:
-        """F-subset containment: every vertex of ``other`` lies in ``self``."""
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        return all(self.member(v) for v in other.vertices)
-
 
 def delta(poly: FPolyhedron) -> Fraction | float:
     """Minimal coordinate sum over the polyhedron; infinity when empty."""

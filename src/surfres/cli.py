@@ -17,8 +17,10 @@ export      render a resolution trace as DOT or JSON
 
 Exit codes: 0 success, 2 malformed input, 3 out-of-scope request (including
 a polynomial text too large to expand), 4 monotonicity failure or a broken
-resolution law.  All diagnostics go to stderr; reports to stdout or
-the --output path.  Identical jobs produce byte-identical reports.
+resolution law.  Diagnostics go to stderr, reports to stdout or the
+--output path; the exception is ``resolve`` ending in exit 3, which writes
+its report with the reason in ``trace.error`` and leaves stderr empty.
+Identical jobs produce byte-identical reports.
 
 Infinity is serialized as the string "inf" and non-integral rationals as
 "a/b" strings, keeping every report exact.
@@ -56,6 +58,7 @@ from .exact_algebra import (
     coefficient_text,
     ord_at,
     parse_polynomial,
+    restrict_to_zero,
     to_string,
 )
 from .invariant import (
@@ -193,12 +196,19 @@ def _stratum_from(data: Any, field: FieldDescriptor,
         original = entry.get("original")
         if original is not None and not isinstance(original, bool):
             raise InputError(f"{where}.original: expected true, false or null")
+        conditions = tuple(parse_polynomial(q, field, variables)
+                           for q in texts)
+        for j, q in enumerate(conditions):
+            if restrict_to_zero(q, names).is_zero:
+                raise InputError(
+                    f"{where}.conditions[{j}]: {to_string(q)} vanishes on "
+                    f"V({', '.join(names)}), so it cuts nothing out of the "
+                    "component; list only conditions that cut it")
         comps.append(StratumComponent(
             cid=_int_field(entry, "cid", i, where),
             variables=tuple(names),
             label=label,
-            conditions=tuple(parse_polynomial(q, field, variables)
-                             for q in texts),
+            conditions=conditions,
             original=original,
         ))
     # one component: the same variable set and the same conditions

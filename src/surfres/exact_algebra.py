@@ -10,8 +10,7 @@ the maps whose terms come out in that order, which build the ``Polynomial``
 directly: a subset of one polynomial's terms (``restrict_to_zero``,
 ``initial_form``, ``_pure_y_part``, ``_vertex_initial``, ``_Box.reduce``),
 ``hasse_derivative`` (m -> m - A on the terms with m >= A is injective and
-keeps the order) and ``Polynomial.variable`` (one term).  ``Monomial`` names a
-term by its variables, for the public constructors and the ``terms`` view.
+keeps the order) and ``Polynomial.variable`` (one term).
 ``substitute`` and ``substitute_many`` replace variables by polynomials;
 the monomial maps of the resolution have their own kernels on the exponent
 vectors: ``translate`` for a move x <- x + c * monomial (by the binomial
@@ -28,9 +27,8 @@ mod p wherever zero terms are dropped.  The public elements are ``Fraction``
 over Q and ``Fp`` over F_p.  The conversions live in ``FieldDescriptor``:
 ``to_native`` (used by the one canonicalising constructor, which accepts
 public and native elements alike and refuses any other type, such as the
-float of an ``int / int``) and ``to_public`` (used by ``terms``,
-``coefficient`` and ``coefficient_map``, the only ways coefficients leave
-this module).
+float of an ``int / int``) and ``to_public`` (used by ``coefficient_map``
+and ``constant_coefficient``, the ways coefficients leave a polynomial).
 
 Univariate polynomials over F_p, the numerators and denominators of F_p(t)
 and the elements and moduli of F_p[s]/(m), are coefficient tuples known only
@@ -46,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import add
@@ -633,44 +631,6 @@ def residue_extension(cond: Polynomial, var: str) -> tuple[FieldDescriptor, Any]
 
 
 # ---------------------------------------------------------------------------
-# monomials
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Monomial:
-    """A power product, stored as a sorted tuple of (variable, exponent > 0).
-
-    Polynomials store exponent vectors; a Monomial names a term by its
-    variables in the public constructors and in ``Polynomial.terms``.
-    """
-
-    exps: tuple[tuple[str, int], ...] = ()
-
-    @staticmethod
-    def from_dict(d: Mapping[str, int]) -> "Monomial":
-        items = tuple(sorted((v, e) for v, e in d.items() if e != 0))
-        for _, e in items:
-            if e < 0:
-                raise InputError("negative exponent in monomial")
-        return Monomial(items)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.exps)
-
-    def exponent(self, var: str) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
-    def degree(self, vars: Iterable[str] | None = None) -> int:
-        if vars is None:
-            return sum(e for _, e in self.exps)
-        vs = set(vars)
-        return sum(e for v, e in self.exps if v in vs)
-
-
-# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
@@ -682,21 +642,9 @@ def _layout(variables: tuple[str, ...]) -> tuple[dict[str, int], list[int]]:
 
 
 def name_order(variables: tuple[str, ...]) -> list[int]:
-    """The positions of the variables sorted by name: the order in which a
-    ``Monomial`` lists the variables of a term."""
+    """The positions of the variables sorted by name: the order in which
+    the stratum search ranks supports of one size and pushes its branches."""
     return _layout(variables)[1]
-
-
-def _vector_of(m: Monomial, variables: tuple[str, ...]) -> tuple[int, ...]:
-    """The exponent vector of m aligned with ``variables``."""
-    index = _layout(variables)[0]
-    vec = [0] * len(variables)
-    for v, e in m.exps:
-        i = index.get(v)
-        if i is None:
-            raise InputError(f"monomial uses unknown variable {v!r}")
-        vec[i] = e
-    return tuple(vec)
 
 
 def _mul_into(acc: dict, a: Iterable[tuple[tuple, Any]],
@@ -760,10 +708,9 @@ class Polynomial:
     ``int`` for integral rationals and F_p residues, see the module
     docstring), in canonical order (ascending total degree, then descending
     exponent vector), which makes equality, hashing, and printing stable.
-    ``terms`` lists the same terms as (``Monomial``, coefficient) pairs with
-    public coefficients (``Fraction``, ``Fp``, ...), built on first use;
-    ``coefficient`` and ``coefficient_map`` also hand out public elements,
-    and every constructor accepts public and stored elements alike.
+    ``coefficient_map`` hands the terms out with public coefficients
+    (``Fraction``, ``Fp``, ...), and every constructor accepts public and
+    stored elements alike.
     """
 
     field: FieldDescriptor
@@ -771,16 +718,6 @@ class Polynomial:
     vectors: tuple[tuple[tuple[int, ...], Any], ...]
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def make(
-        field: FieldDescriptor, variables: Iterable[str], term_map: Mapping[Monomial, Any]
-    ) -> "Polynomial":
-        vs = tuple(variables)
-        if len(_layout(vs)[0]) != len(vs):
-            raise InputError("duplicate ambient variable names")
-        return _canonical(field, vs, [
-            (_vector_of(m, vs), c) for m, c in term_map.items() if c])
 
     @staticmethod
     def from_vectors(
@@ -793,11 +730,14 @@ class Polynomial:
 
     @staticmethod
     def zero(field: FieldDescriptor, variables: Iterable[str]) -> "Polynomial":
-        return Polynomial.make(field, variables, {})
+        return Polynomial.constant(field, variables, field.zero())
 
     @staticmethod
     def constant(field: FieldDescriptor, variables: Iterable[str], c: Any) -> "Polynomial":
-        return Polynomial.make(field, variables, {Monomial(): c})
+        vs = tuple(variables)
+        if len(_layout(vs)[0]) != len(vs):
+            raise InputError("duplicate ambient variable names")
+        return _canonical(field, vs, [((0,) * len(vs), c)] if c else [])
 
     @staticmethod
     def variable(field: FieldDescriptor, variables: Iterable[str], name: str) -> "Polynomial":
@@ -812,15 +752,6 @@ class Polynomial:
         return Polynomial(field, vs, ((tuple(vec), field.native_int(1)),))
 
     # -- basic queries -------------------------------------------------------
-
-    @cached_property
-    def terms(self) -> tuple[tuple[Monomial, Any], ...]:
-        """The terms as (Monomial, coefficient) pairs, in canonical order."""
-        vs, by_name = self.variables, _layout(self.variables)[1]
-        public = self.field.to_public
-        return tuple(
-            (Monomial(tuple([(vs[i], vec[i]) for i in by_name if vec[i]])), public(c))
-            for vec, c in self.vectors)
 
     def coefficient_map(self) -> dict[tuple[int, ...], Any]:
         """Each exponent vector's coefficient, as a public element."""
@@ -844,16 +775,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.vectors
-
-    def coefficient(self, m: Monomial) -> Any:
-        try:
-            vec = _vector_of(m, self.variables)
-        except InputError:
-            return self.field.zero()
-        for v, c in self.vectors:
-            if v == vec:
-                return self.field.to_public(c)
-        return self.field.zero()
 
     def constant_coefficient(self) -> Any:
         # the canonical order starts at the lowest degree: a constant term

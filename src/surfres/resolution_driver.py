@@ -135,8 +135,8 @@ def _solve_components(
     and the residue on a mask of fixed variables is the terms whose mask
     misses it, in canonical order, so residues are equal when their term
     lists are; one becomes a ``Polynomial`` only as a condition.  Supports
-    rank by size, then by their positions in name order (as a ``Monomial``
-    lists its variables); branches are pushed in name order.
+    rank by size, then by their positions in name order; branches are
+    pushed in name order.
     """
     by_name = name_order(variables)
     readings = [[(sum([1 << i for i, e in enumerate(vec) if e]), vec, c)

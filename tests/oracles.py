@@ -1,5 +1,9 @@
 """Code that only the tests call.
 
+* ``Monomial`` with ``make``, ``terms`` and ``coefficient`` -- a view of a
+  polynomial's terms keyed by variable names, written on the exponent
+  vectors that ``Polynomial`` stores (``from_vectors`` and
+  ``coefficient_map``);
 * ``transform_polyhedron_expected`` -- the purely combinatorial prediction
   for how a characteristic polyhedron moves under a permissible blow-up
   (criterion 6 compares it with the polyhedron recomputed on the chart);
@@ -7,13 +11,14 @@
   a vertex of the polyhedron;
 * ``solve_components`` (with ``_support``) -- the maximal-stratum search on
   ``Polynomial`` residues, each restricted with ``restrict_to_zero``, which
-  ``resolution_driver._solve_components`` now runs on support bitmasks.
+  ``resolution_driver._solve_components`` now runs on support bitmasks;
+* ``contains`` -- F-subset containment of two characteristic polyhedra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from surfres.blowup_engine import CLOSED_POINT, Center
 from surfres.char_polyhedron import (
@@ -24,6 +29,7 @@ from surfres.char_polyhedron import (
     polyhedron_of,
 )
 from surfres.exact_algebra import (
+    FieldDescriptor,
     InputError,
     Polynomial,
     name_order,
@@ -31,6 +37,81 @@ from surfres.exact_algebra import (
 )
 from surfres.local_frame import Frame
 from surfres.resolution_driver import RawComponent, _maximal_components
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """A power product, stored as a sorted tuple of (variable, exponent > 0)."""
+
+    exps: tuple[tuple[str, int], ...] = ()
+
+    @staticmethod
+    def from_dict(d: Mapping[str, int]) -> "Monomial":
+        items = tuple(sorted((v, e) for v, e in d.items() if e != 0))
+        for _, e in items:
+            if e < 0:
+                raise InputError("negative exponent in monomial")
+        return Monomial(items)
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(self.exps)
+
+    def exponent(self, var: str) -> int:
+        return dict(self.exps).get(var, 0)
+
+    def degree(self, vars: Iterable[str] | None = None) -> int:
+        if vars is None:
+            return sum(e for _, e in self.exps)
+        vs = set(vars)
+        return sum(e for v, e in self.exps if v in vs)
+
+
+def _vector_of(m: Monomial, variables: tuple[str, ...]) -> tuple[int, ...]:
+    """The exponent vector of m aligned with ``variables``."""
+    vec = [0] * len(variables)
+    for v, e in m.exps:
+        if v not in variables:
+            raise InputError(f"monomial uses unknown variable {v!r}")
+        vec[variables.index(v)] = e
+    return tuple(vec)
+
+
+def make(field: FieldDescriptor, variables: Iterable[str],
+         term_map: Mapping[Monomial, Any]) -> Polynomial:
+    """The polynomial of a map from monomials to coefficients."""
+    vs = tuple(variables)
+    if len(set(vs)) != len(vs):
+        raise InputError("duplicate ambient variable names")
+    return Polynomial.from_vectors(
+        field, vs, {_vector_of(m, vs): c for m, c in term_map.items() if c})
+
+
+def terms(f: Polynomial) -> tuple[tuple[Monomial, Any], ...]:
+    """The terms of f as (Monomial, public coefficient) pairs, in canonical
+    order."""
+    vs, by_name = f.variables, name_order(f.variables)
+    return tuple(
+        (Monomial(tuple((vs[i], vec[i]) for i in by_name if vec[i])), c)
+        for vec, c in f.coefficient_map().items())
+
+
+def coefficient(f: Polynomial, m: Monomial) -> Any:
+    """The public coefficient of m in f; zero when m names a variable that
+    f does not have."""
+    try:
+        vec = _vector_of(m, f.variables)
+    except InputError:
+        return f.field.zero()
+    return f.coefficient_map().get(vec, f.field.zero())
+
+
+def contains(poly: FPolyhedron, other: FPolyhedron) -> bool:
+    """F-subset containment: every vertex of ``other`` lies in ``poly``."""
+    if other.is_empty:
+        return True
+    if poly.is_empty:
+        return False
+    return all(poly.member(v) for v in other.vertices)
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,6 @@ from surfres.exact_algebra import (
     INF,
     FieldDescriptor,
     InputError,
-    Monomial,
-    Polynomial,
     ScopeError,
     parse_polynomial,
     to_string,
@@ -88,7 +86,7 @@ from surfres.resolution_driver import (
     resolve,
 )
 
-from oracles import transform_polyhedron_expected
+from oracles import Monomial, contains, make, transform_polyhedron_expected
 from test_char_polyhedron import (
     FRAME_U12_Y,
     oracle_vertices,
@@ -139,7 +137,7 @@ def random_vertical_chart(rng, field, u_vars, min_value):
              else field.from_int(rng.randint(1, field.characteristic - 1)))
         m = Monomial.from_dict(exps)
         terms[m] = terms.get(m, field.zero()) + c
-    return make_chart(field, vs, (Polynomial.make(field, vs, terms),),
+    return make_chart(field, vs, (make(field, vs, terms),),
                       tuple(u_vars), ("y",))
 
 
@@ -382,7 +380,7 @@ def _check_preparation_monotonicity(count):
         result = prepare([f], FRAME_U12_Y, budget=16)
         if result.status not in (MINIMAL, EMPTY):
             continue
-        assert before.contains(result.polyhedron), to_string(f)
+        assert contains(before, result.polyhedron), to_string(f)
         solved = set(result.solved_vertices)
         for v in before.vertices:
             if v not in solved:
@@ -428,7 +426,7 @@ def _check_taylor_identity(count):
                  else field.from_int(rng.randint(0, field.characteristic - 1)))
             m = Monomial.from_dict(exps)
             terms[m] = terms.get(m, field.zero()) + c
-        f = Polynomial.make(field, vs, terms)
+        f = make(field, vs, terms)
         if f.is_zero:
             continue
         assert taylor_expansion_matches(f), to_string(f)

@@ -275,9 +275,9 @@ def test_every_boundary_component_reaching_a_chart_is_a_coordinate_divisor(
     reached = []
     chart_of = blowup_engine._chart_of
 
-    def recording(chart, center, orders, w):
+    def recording(chart, center, w):
         reached.extend(comp.generator for comp in chart.frame.boundary)
-        return chart_of(chart, center, orders, w)
+        return chart_of(chart, center, w)
 
     monkeypatch.setattr(blowup_engine, "_chart_of", recording)
     for trace in all_traces.values():

@@ -12,7 +12,6 @@ from surfres.exact_algebra import (
     INF,
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     parse_polynomial,
     substitute,
@@ -33,7 +32,7 @@ from surfres.char_polyhedron import (
 )
 from surfres.local_frame import Frame
 
-from oracles import vertex_initial
+from oracles import Monomial, contains, make, terms, vertex_initial
 
 QQ = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -83,9 +82,9 @@ def oracle_vertices(points):
 
 def raw_points(g, frame):
     """Independent re-derivation of the polyhedron's defining points."""
-    nu = min(m.degree(set(frame.variables)) for m, _ in g.terms)
+    nu = min(m.degree(set(frame.variables)) for m, _ in terms(g))
     pts = []
-    for m, _ in g.terms:
+    for m, _ in terms(g):
         b = m.degree(set(frame.y_block))
         if b < nu:
             pts.append(tuple(F(m.exponent(u), nu - b) for u in frame.u_block))
@@ -146,7 +145,7 @@ def random_instance(rng, field, frame, max_terms=40):
             c = field.from_int(rng.randint(0, field.characteristic - 1))
         m = Monomial.from_dict(exps)
         terms[m] = terms.get(m, field.zero()) + c
-    return Polynomial.make(field, vs, terms)
+    return make(field, vs, terms)
 
 
 def test_hull_matches_oracle_random():
@@ -170,9 +169,9 @@ def test_member_and_contains():
     assert not poly.member(fr2(0, 1))
     assert not poly.member(fr2(F(1, 2), F(1, 2)))
     smaller = FPolyhedron.from_points(2, [fr2(1, 1), fr2(4, 0)])
-    assert poly.contains(smaller)
-    assert not smaller.contains(poly)
-    assert poly.contains(FPolyhedron.from_points(2, []))
+    assert contains(poly, smaller)
+    assert not contains(smaller, poly)
+    assert contains(poly, FPolyhedron.from_points(2, []))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def test_solvability_coherence_random():
             g = f
             uv = {u: int(c) for u, c in zip(("u1", "u2"), v) if c}
             for y_name, coeff in zip(("y",), lam):
-                repl = Polynomial.variable(field, vars_, y_name) - Polynomial.make(
+                repl = Polynomial.variable(field, vars_, y_name) - make(
                     field, vars_, {Monomial.from_dict(uv): coeff}
                 )
                 g = substitute(g, y_name, repl)
@@ -398,7 +397,7 @@ def test_preparation_monotonicity_random():
         except InputError:
             continue
         result = prepare([f], FRAME_U12_Y, budget=16)
-        assert before.contains(result.polyhedron), str(f)
+        assert contains(before, result.polyhedron), str(f)
         checked += 1
 
 
@@ -417,7 +416,7 @@ def test_preparation_discreteness_random():
         if result.status != MINIMAL:
             continue
         checked += 1
-        nu = min(m.degree() for m, _ in f.terms)
+        nu = min(m.degree() for m, _ in terms(f))
         scale = fact[min(nu, 6)]
         d = delta(result.polyhedron)
         if d != INF:

@@ -255,6 +255,14 @@ def test_a_declared_point_on_a_chart_no_blow_up_creates_is_refused(
         in err
 
 
+def test_declared_points_of_a_chart_that_are_not_a_list_are_refused(
+        tmp_path, capsys):
+    job = dict(SURFACE_JOB, declared_points={"root/z": {"y": 1}})
+    code, out, err = run(tmp_path, capsys, "resolve", job)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "jobspec.declared_points.root/z: expected a list" in err
+
+
 def test_minimal_stored_trace_renders(tmp_path, capsys):
     trace = {"charts": [{"id": "root", "generators": ["x^2 + y*z"]},
                         {"id": "root/x", "generators": ["x + y*z"],
@@ -351,6 +359,38 @@ def test_a_stratum_component_through_the_origin_is_accepted(tmp_path, capsys):
     for job in (moved, through):
         code, _out, err = run(tmp_path, capsys, "analyze", job)
         assert code == EXIT_OK, err
+
+
+# a condition that vanishes on its component's variables cuts nothing out
+# of it: with x or x*y, V(x, y) was read as a Case III cut, and 0 gave I_C a
+# zero generator
+@pytest.mark.parametrize("condition", ["x", "x*y", "0"])
+@pytest.mark.parametrize("command", CHART_COMMANDS + ["export"])
+def test_a_condition_vanishing_on_its_component_is_refused(
+        tmp_path, capsys, command, condition):
+    job = dict(MISSING_COMPONENT_JOB, stratum=[
+        {"variables": ["x", "y"], "label": 0, "conditions": [condition]}])
+    code, out, err = run(tmp_path, capsys, command, job)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert (f"jobspec.stratum[0].conditions[0]: {condition} vanishes on "
+            "V(x, y)") in err
+
+
+def test_a_framed_boundary_status_other_than_old_or_new_is_refused(
+        tmp_path, capsys):
+    job = dict(SURFACE_JOB, frame={"u": ["y", "z"], "y": ["x"]},
+               boundary=[{"generator": "y", "status": "older"}])
+    code, out, err = run(tmp_path, capsys, "analyze", job)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "jobspec.boundary[0].status: expected 'old' or 'new'" in err
+
+
+def test_a_frameless_boundary_divisor_that_is_no_variable_is_refused(
+        tmp_path, capsys):
+    job = dict(SURFACE_JOB, boundary=[{"generator": "y+z"}])
+    code, out, err = run(tmp_path, capsys, "analyze", job)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "jobspec.boundary[0].generator: 'y+z' is not a variable" in err
 
 
 @pytest.mark.parametrize("entry", [

@@ -13,7 +13,6 @@ from surfres.exact_algebra import (
     Fp,
     Fq,
     InputError,
-    Monomial,
     Polynomial,
     RatFunc,
     ScopeError,
@@ -32,6 +31,8 @@ from surfres.exact_algebra import (
     substitute_many,
     to_string,
 )
+
+from oracles import Monomial, coefficient, make, terms
 
 QQ = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -62,7 +63,7 @@ def random_polynomial(rng: random.Random, field: FieldDescriptor,
             c = field.from_int(rng.randint(0, field.characteristic - 1))
         m = Monomial.from_dict(exps)
         terms[m] = terms.get(m, field.zero()) + c
-    return Polynomial.make(field, variables, terms)
+    return make(field, variables, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ def taylor_expansion_matches(f: Polynomial) -> bool:
     field, vs = f.field, f.variables
     shift = {v: f"d{v}" for v in vs}
     ext = vs + tuple(shift[v] for v in vs)
-    lift = Polynomial.make(field, ext, dict(f.terms))
+    lift = make(field, ext, dict(terms(f)))
     shifted = substitute_many(
         lift,
         {
@@ -192,9 +193,9 @@ def taylor_expansion_matches(f: Polynomial) -> bool:
         d = hasse_derivative(f, a)
         if d.is_zero:
             continue
-        dz = Polynomial.make(field, ext, dict(d.terms))
+        dz = make(field, ext, dict(terms(d)))
         zmono = Monomial.from_dict({shift[v]: e for v, e in a.items()})
-        total = total + dz * Polynomial.make(field, ext, {zmono: field.one()})
+        total = total + dz * make(field, ext, {zmono: field.one()})
     return shifted == total
 
 
@@ -438,8 +439,8 @@ def test_primitive_vector_matches_the_lcm_normal_form():
 
 def test_parse_basic_forms():
     f = parse_polynomial("3*x^2 - y/2 + 1", QQ, ("x", "y"))
-    assert f.coefficient(Monomial.from_dict({"x": 2})) == Fraction(3)
-    assert f.coefficient(Monomial.from_dict({"y": 1})) == Fraction(-1, 2)
+    assert coefficient(f, Monomial.from_dict({"x": 2})) == Fraction(3)
+    assert coefficient(f, Monomial.from_dict({"y": 1})) == Fraction(-1, 2)
     assert f.constant_coefficient() == Fraction(1)
 
 
@@ -453,7 +454,7 @@ def test_parse_transcendental():
     K = FieldDescriptor.rational_functions(2, "t")
     f = parse_polynomial("y^2 + t*u1^2", K, ("y", "u1"))
     t = K.transcendental()
-    assert f.coefficient(Monomial.from_dict({"u1": 2})) == t
+    assert coefficient(f, Monomial.from_dict({"u1": 2})) == t
 
 
 def test_parse_errors():
@@ -483,8 +484,8 @@ def test_round_trip_rational_functions():
     K = FieldDescriptor.rational_functions(3, "t")
     t = K.transcendental()
     c = (t ** 2 + K.from_int(2)) / (t + K.one())
-    f = Polynomial.make(K, ("x", "y"), {Monomial.from_dict({"x": 1, "y": 2}): c,
-                                        Monomial(): t})
+    f = make(K, ("x", "y"), {Monomial.from_dict({"x": 1, "y": 2}): c,
+                             Monomial(): t})
     assert parse_polynomial(to_string(f), K, ("x", "y")) == f
 
 
@@ -538,7 +539,7 @@ def test_constructors_refuse_floats(field):
     vs = ("x", "y")
     half = 1 / 2  # a float: int / int is true division
     with pytest.raises(TypeError):
-        Polynomial.make(field, vs, {Monomial.from_dict({"x": 1}): half})
+        make(field, vs, {Monomial.from_dict({"x": 1}): half})
     with pytest.raises(TypeError):
         Polynomial.from_vectors(field, vs, {(1, 0): 1.0})
     with pytest.raises(TypeError):
@@ -546,7 +547,7 @@ def test_constructors_refuse_floats(field):
     with pytest.raises(TypeError):
         parse_polynomial("x + y", field, vs).scale(half)
     with pytest.raises(TypeError):
-        parse_polynomial("x", field, vs) * Polynomial.make(
+        parse_polynomial("x", field, vs) * make(
             field, vs, {Monomial.from_dict({"y": 1}): 3.0})
 
 
@@ -571,16 +572,16 @@ def test_public_and_stored_elements_build_the_same_polynomial():
     vs = ("x", "y")
     F97 = FieldDescriptor.prime_field(97)
     x = Monomial.from_dict({"x": 1})
-    assert Polynomial.make(QQ, vs, {x: Fraction(6, 3), Monomial(): Fraction(1, 2)}) \
+    assert make(QQ, vs, {x: Fraction(6, 3), Monomial(): Fraction(1, 2)}) \
         == Polynomial.from_vectors(QQ, vs, {(1, 0): 2, (0, 0): Fraction(1, 2)})
-    assert Polynomial.make(F97, vs, {x: Fp(-1, 97)}) \
+    assert make(F97, vs, {x: Fp(-1, 97)}) \
         == Polynomial.from_vectors(F97, vs, {(1, 0): 96}) \
         == Polynomial.from_vectors(F97, vs, {(1, 0): -1}) \
         == Polynomial.from_vectors(F97, vs, {(1, 0): 96 + 97 * 10**30})
-    f = Polynomial.make(QQ, vs, {x: Fraction(1, 2)}) * Polynomial.make(
+    f = make(QQ, vs, {x: Fraction(1, 2)}) * make(
         QQ, vs, {Monomial.from_dict({"y": 1}): Fraction(2)})
     assert f.vectors == (((1, 1), 1),) and type(f.vectors[0][1]) is int
-    assert f.terms[0][1] == 1 and type(f.terms[0][1]) is Fraction
+    assert terms(f)[0][1] == 1 and type(terms(f)[0][1]) is Fraction
     assert Polynomial.from_vectors(F97, vs, {(1, 0): 97}).is_zero
 
 

@@ -10,7 +10,6 @@ import pytest
 from surfres.exact_algebra import (
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     parse_polynomial,
 )
@@ -28,6 +27,8 @@ from surfres.local_frame import (
     row_reduce,
     translation_invariant,
 )
+
+from oracles import Monomial, coefficient, make
 
 QQ = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -129,7 +130,7 @@ def test_compose_shifts_nu_star_by_old_count():
             if sum(exps.values()) == 0:
                 exps["y"] = 1
             terms[Monomial.from_dict(exps)] = field.from_int(rng.randint(1, 5))
-        f = Polynomial.make(field, vs, terms)
+        f = make(field, vs, terms)
         if f.is_zero:
             continue
         for olds in (["u1"], ["u1", "u2"]):
@@ -226,7 +227,7 @@ def test_directrix_nonperfect_transcendental_coefficient():
         w = _one_hot(K, 3, 1)
         for form in forms:
             val = sum(
-                (form.coefficient(Monomial.from_dict({v: 1})) * c for v, c in zip(vs, w)),
+                (coefficient(form, Monomial.from_dict({v: 1})) * c for v, c in zip(vs, w)),
                 K.zero(),
             )
             assert val == K.zero()
@@ -244,8 +245,8 @@ def test_directrix_p_power_coefficient_is_larger():
         assert r == 1
         [form] = forms
         # form is proportional to y + t*u1
-        cy = form.coefficient(Monomial.from_dict({"y": 1}))
-        cu = form.coefficient(Monomial.from_dict({"u1": 1}))
+        cy = coefficient(form, Monomial.from_dict({"y": 1}))
+        cu = coefficient(form, Monomial.from_dict({"u1": 1}))
         assert cu / cy == t
 
 
@@ -285,7 +286,7 @@ def random_homogeneous(rng, field, variables, degree):
         c = field.from_int(rng.randint(1, field.characteristic - 1))
         m = Monomial.from_dict(exps)
         terms[m] = terms.get(m, field.zero()) + c
-    return Polynomial.make(field, variables, terms)
+    return make(field, variables, terms)
 
 
 def test_directrix_matches_brute_force_oracle():

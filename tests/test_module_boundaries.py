@@ -1,8 +1,9 @@
 """The term representation and the F_p[t] tuples stay inside ``exact_algebra``.
 
-A polynomial stores its terms as exponent vectors; ``Polynomial.terms`` is
-a view of them as ``Monomial``s, and ``Monomial.exps`` is that view's own
-encoding; the other modules work on the exponent vectors alone.
+A polynomial stores its terms as exponent vectors, the one term
+representation of the package: ``exact_algebra`` has no name-keyed
+``Monomial`` view (the tests keep theirs in ``tests/oracles.py``), and the
+other modules work on the exponent vectors alone.
 Univariate polynomials over F_p are coefficient tuples: the ``num`` and
 ``den`` of an F_p(t) element, the ``coeffs`` of an F_p[s]/(m) element and
 the ``modulus`` of its field, handled by the ``fp_`` routines.
@@ -28,6 +29,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from surfres import exact_algebra as ea
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "surfres"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "exact_algebra.py")
@@ -102,6 +105,12 @@ def test_the_check_finds_each_kind_of_violation():
         "m.py:7 imports Fp",
         "m.py:9 uses exact_algebra.Fp",
     ]
+
+
+def test_no_name_keyed_view_of_the_terms():
+    assert not hasattr(ea, "Monomial") and not hasattr(ea, "_vector_of")
+    assert not any(hasattr(ea.Polynomial, name)
+                   for name in ("make", "terms", "coefficient"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

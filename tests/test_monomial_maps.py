@@ -31,6 +31,7 @@ from surfres.exact_algebra import (
     substitute_many,
 )
 
+from oracles import terms
 from test_exact_algebra import stored_form_problems
 from test_translate_oracle import CASES, FIELDS, VARIABLES, random_polynomial
 
@@ -50,7 +51,7 @@ def strict_by_substitution(f: Polynomial, center: tuple[str, ...],
     total = substitute_many(f, {v: variable(v) * variable(var)
                                 for v in center if v != var})
     i = f.variables.index(var)
-    m = min((mono.exponent(var) for mono, _c in total.terms), default=0)
+    m = min((mono.exponent(var) for mono, _c in terms(total)), default=0)
     quotient = Polynomial.from_vectors(f.field, f.variables, {
         vec[:i] + (vec[i] - m,) + vec[i + 1:]: c
         for vec, c in total.coefficient_map().items()})

@@ -1,15 +1,16 @@
 """Per-chart quantities read once, checked against fresh derivations.
 
-Over every chart of the named traces (the surface example in both
-labelling modes, the crossing-lines cubic and the two-divisor chart) the
-cached ``ChartState.directrix`` / ``log_directrix`` must equal fresh
-``compute_directrix`` / ``directrix_of_JO`` results, the invariants the
-resolver keeps on the trace must equal fresh ``compute_iota`` results, and
-``trace_to_dot`` must equal a renderer that recomputes the invariant of
-every chart.  ``chart_is_regular``, which reads the rank of the linear
-initial forms off the cached directrix, must agree with the rank of those
-forms row-reduced afresh, on every named-trace chart and on seeded charts
-of two or three generators over Q, F_2, F_3, F_3(t) and F_4.
+Over every chart of the named traces (the surface example in both labelling
+modes, the crossing-lines cubic and the two-divisor chart) the cached
+``ChartState.directrix`` / ``log_directrix`` / ``orders`` must equal fresh
+``compute_directrix`` / ``directrix_of_JO`` / ``ord_at`` results, the
+invariants the resolver keeps on the trace must equal fresh
+``compute_iota`` results, and ``trace_to_dot`` must equal a renderer that
+recomputes the invariant of every chart.  ``chart_is_regular``, which reads
+the rank of the linear initial forms off the cached directrix, must agree
+with the rank of those forms row-reduced afresh, on every named-trace chart
+and on seeded charts of two or three generators over Q, F_2, F_3, F_3(t)
+and F_4.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from surfres.exact_algebra import (
     FieldDescriptor,
     InputError,
     ScopeError,
+    ord_at,
     parse_polynomial,
     to_string,
 )
@@ -123,6 +125,8 @@ def test_cached_directrix_equals_fresh_derivations(named_traces):
             e_o, forms_o = directrix_of_JO(gens, chart.frame)
             assert chart.log_directrix == (e_o, tuple(forms_o)), chart.chart_id
             assert chart.nu == nu_star(gens), chart.chart_id
+            assert chart.orders == tuple(
+                ord_at(g, g.variables) for g in gens), chart.chart_id
             checked += 1
     assert checked > 300
 

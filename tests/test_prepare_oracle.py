@@ -35,7 +35,6 @@ from surfres.char_polyhedron import (
 from surfres.exact_algebra import (
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     ScopeError,
     substitute,
@@ -44,7 +43,7 @@ from surfres.invariant import adapt_frame_to_forms
 from surfres.local_frame import Frame, compute_directrix, initial_form
 from surfres.resolution_driver import FRESH_LABELS, initial_chart, resolve
 
-from oracles import vertex_initial
+from oracles import Monomial, make, terms, vertex_initial
 from test_acceptance import random_vertical_chart
 from test_char_polyhedron import FRAME_U12_Y, random_instance
 from test_exact_algebra import stored_form_problems
@@ -89,7 +88,7 @@ def old_points_of_generator(g: Polynomial, frame: Frame):
     yset = set(frame.y_block)
     points = []
     in_u_ideal = True
-    for m, _ in g.terms:
+    for m, _ in terms(g):
         b = m.degree(yset)
         a_total = m.degree(set(uset))
         if a_total == 0:
@@ -139,14 +138,14 @@ def old_vertex_initial(gens, frame, v):
         nu = cp.generator_order(g, frame)
         orders.append(nu)
         term_map = {}
-        for m, c in g.terms:
+        for m, c in terms(g):
             if m.degree() == nu and m.degree(yset) == nu:
                 term_map[m] = c
             else:
                 pt = term_point(m, nu, frame)
                 if pt == v:
                     term_map[m] = c
-        forms.append(Polynomial.make(g.field, g.variables, term_map))
+        forms.append(make(g.field, g.variables, term_map))
     return cp.VertexInitial(v, tuple(forms), tuple(orders), frame)
 
 
@@ -183,7 +182,7 @@ def old_prepare(gens, frame, budget=64):
         for y_name, coeff in zip(frame.y_block, lam):
             if coeff:
                 replacement = Polynomial.variable(
-                    field, current[0].variables, y_name) - Polynomial.make(
+                    field, current[0].variables, y_name) - make(
                     field, current[0].variables, {uv: coeff})
                 current = [substitute(g, y_name, replacement) for g in current]
         changes.append({"vertex": v, "witness": lam})
@@ -251,7 +250,7 @@ def old_sigma_search(gens, frame, side, budget=32, prepare_budget=64):
                                tuple(subs))
         c = roots[0]
         u1, u2 = work_frame.u_block
-        shift = Polynomial.variable(field, current[0].variables, u2) + Polynomial.make(
+        shift = Polynomial.variable(field, current[0].variables, u2) + make(
             field, current[0].variables, {Monomial.from_dict({u1: m_exp}): c})
         current = [substitute(gg, u2, shift) for gg in current]
         subs.append({"variable": u2, "coefficient": c, "exponent": m_exp})
@@ -371,7 +370,7 @@ def two_generator_cases(count: int = 60):
                      if field.kind == "rationals"
                      else field.from_int(rng.randint(1, field.characteristic - 1)))
                 terms[m] = terms.get(m, field.zero()) + c
-        gens = [Polynomial.make(field, vs, f1), Polynomial.make(field, vs, f2)]
+        gens = [make(field, vs, f1), make(field, vs, f2)]
         cases.append((f"pair-{i}", gens, FRAME_U12_Y12))
     return cases
 
@@ -383,7 +382,7 @@ def slow_at_64(gens, frame) -> bool:
     result = outcome(old_prepare, gens, frame, budget=8)
     return (isinstance(result, PreparationResult)
             and result.status == BUDGET_EXHAUSTED
-            and sum(len(g.terms) for g in result.generators) > 40)
+            and sum(len(terms(g)) for g in result.generators) > 40)
 
 
 def check_case(name, gens, frame, budget):

@@ -26,7 +26,6 @@ from surfres.exact_algebra import (
     RATIONALS,
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     RatFunc,
     ScopeError,
@@ -43,6 +42,7 @@ from surfres.local_frame import (
 )
 from surfres.resolution_driver import FRESH_LABELS, initial_chart, resolve
 
+from oracles import Monomial, coefficient, make, terms
 from test_invariant import whirl_chart
 
 QQ = FieldDescriptor.rationals()
@@ -137,7 +137,7 @@ def old_derivative_closure(initials):
     def add(f):
         d = int(f.total_degree())
         mlist = monos.setdefault(d, [])
-        tm = dict(f.terms)
+        tm = dict(terms(f))
         for m in tm:
             if m not in mlist:
                 mlist.append(m)
@@ -191,7 +191,7 @@ def old_derivative_closure(initials):
         for row in rows.get(d, []):
             term_map = {m: c for m, c in zip(mlist, row) if c}
             if term_map:
-                basis.append(Polynomial.make(field, variables, term_map))
+                basis.append(make(field, variables, term_map))
         if basis:
             out[d] = basis
     return out
@@ -237,7 +237,7 @@ def old_ideal_slice(generators, degree, field, variables):
         if d > degree:
             continue
         for m in old_all_monomials(variables, degree - d):
-            spanning.append(g * Polynomial.make(field, variables, {m: field.one()}))
+            spanning.append(g * make(field, variables, {m: field.one()}))
     if not spanning:
         return []
     monos = old_all_monomials(variables, degree)
@@ -245,28 +245,28 @@ def old_ideal_slice(generators, degree, field, variables):
     rows = []
     for f in spanning:
         row = [field.zero()] * len(monos)
-        for m, c in f.terms:
+        for m, c in terms(f):
             row[index[m]] = c
         rows.append(row)
     basis = []
     for row in old_row_reduce(rows, field):
         term_map = {m: c for m, c in zip(monos, row) if c}
-        basis.append(Polynomial.make(field, variables, term_map))
+        basis.append(make(field, variables, term_map))
     return basis
 
 
 def old_in_span(f, basis, field):
     monos = []
     for g in list(basis) + [f]:
-        for m, _ in g.terms:
+        for m, _ in terms(g):
             if m not in monos:
                 monos.append(m)
     rows = []
     for g in basis:
-        tm = dict(g.terms)
+        tm = dict(terms(g))
         rows.append([tm.get(m, field.zero()) for m in monos])
     ech = old_row_reduce(rows, field) if rows else []
-    tm = dict(f.terms)
+    tm = dict(terms(f))
     vec = old_reduce_vector([tm.get(m, field.zero()) for m in monos], ech, field)
     return not any(vec)
 
@@ -278,7 +278,7 @@ def old_compute_ridge(initials):
     field = gens[0].field
     variables = gens[0].variables
     for f in gens:
-        if len({m.degree() for m, _ in f.terms}) != 1:
+        if len({m.degree() for m, _ in terms(f)}) != 1:
             raise InputError(f"ridge input is not homogeneous: {f}")
     degree = max(int(f.total_degree()) for f in gens)
     if degree > lf.MAX_DIRECTRIX_DEGREE:
@@ -301,10 +301,10 @@ def old_compute_ridge(initials):
         pure = [Monomial.from_dict({v: q}) for v in variables]
         other = []
         for f in basis:
-            for m, _ in f.terms:
+            for m, _ in terms(f):
                 if m not in pure and m not in other:
                     other.append(m)
-        constraint_rows = [[f.coefficient(m) for f in basis] for m in other]
+        constraint_rows = [[coefficient(f, m) for f in basis] for m in other]
         kern = old_matrix_kernel(constraint_rows, len(basis), field)
         candidates = []
         for lam in kern:
@@ -312,7 +312,7 @@ def old_compute_ridge(initials):
             for coeff, f in zip(lam, basis):
                 if coeff:
                     for i, v in enumerate(variables):
-                        vec[i] = vec[i] + coeff * f.coefficient(pure[i])
+                        vec[i] = vec[i] + coeff * coefficient(f, pure[i])
             if any(vec):
                 candidates.append(vec)
         if not candidates:
@@ -338,7 +338,7 @@ def old_compute_ridge(initials):
         term_map = {
             Monomial.from_dict({v: q}): c for v, c in zip(variables, nvec) if c
         }
-        out.append(Polynomial.make(field, variables, term_map))
+        out.append(make(field, variables, term_map))
 
     for f in closure_basis:
         d = int(f.total_degree())
@@ -360,14 +360,14 @@ def old_compute_directrix(initials, sigmas):
     rows = []
     for s in sigmas:
         q = int(s.total_degree())
-        vec = [s.coefficient(Monomial.from_dict({v: q})) for v in variables]
+        vec = [coefficient(s, Monomial.from_dict({v: q})) for v in variables]
         rows.extend(lf._linear_conditions(q, vec, field))
     rref = old_row_reduce(rows, field) if rows else []
     forms = []
     for row in rref:
         term_map = {Monomial.from_dict({v: 1}): c
                     for v, c in zip(variables, row) if c}
-        forms.append(Polynomial.make(field, variables, term_map))
+        forms.append(make(field, variables, term_map))
     for w in old_matrix_kernel(rref, len(variables), field):
         for f in gens:
             if not lf.translation_invariant(f, w):
@@ -454,7 +454,7 @@ def _random_form(rng, field, variables, degree, vars_in_play):
         row = [_coefficient(rng, field) for _ in range(n)]
         if not any(row):
             row[rng.randrange(n)] = field.one()
-        lin.append(Polynomial.make(field, variables, {
+        lin.append(make(field, variables, {
             Monomial.from_dict({v: 1}): c for v, c in zip(variables, row) if c}))
     p = field.characteristic
     if p and degree % p == 0 and rng.random() < 0.4:

@@ -23,9 +23,9 @@ search does bounded work.
   field: over F_p and F_p[s]/(m) against evaluation at every element by
   integer arithmetic.
 * The search stops without a root over F_2(t), where s^2 + t has none
-  (uncertified), and when its budget of substitutions runs out: the slope
-  reached so far, uncertified, after exactly the substitutions that
-  straighten the faces.
+  (uncertified, and ``invariant`` exits 3 on that chart), and when its
+  budget of substitutions runs out: the slope reached so far, uncertified,
+  after exactly the substitutions that straighten the faces.
 """
 
 from __future__ import annotations
@@ -300,6 +300,23 @@ def test_sigma_search_with_no_root_of_the_constraint_is_uncertified():
     result = cp.sigma_search(prepared, FRAME_U12_Y, 1)
     assert (result.value, result.certified, result.substitutions) == (
         1, False, ())
+
+
+def test_invariant_with_an_uncertified_sigma_exits_3(monkeypatch, capsys):
+    """The chart above on the CLI: the stratum has moved on and V(u1) is a
+    new boundary component, so iota_poly reads sigma on side 1, where it
+    stays uncertified."""
+    job = {"field": {"kind": "rational_functions", "characteristic": 2},
+           "variables": list(U1U2Y), "generators": ["y^2 + u1*u2^2 + t*u1^3"],
+           "frame": {"u": ["u1", "u2"], "y": ["y"]},
+           "boundary": [{"generator": "u1", "status": "new"}],
+           "stratum": [{"variables": list(U1U2Y), "label": 0,
+                        "original": False}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    code = main(["invariant", "-"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_SCOPE, "")
+    assert "sigma could not be certified within the budget" in captured.err
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -26,13 +26,13 @@ from surfres.exact_algebra import (
     FieldDescriptor,
     Fq,
     InputError,
-    Monomial,
     Polynomial,
     RatFunc,
     substitute,
     translate,
 )
 
+from oracles import Monomial, make
 from test_exact_algebra import stored_form_problems
 from test_prepare_oracle import old_canonical_vertices
 
@@ -69,12 +69,12 @@ def random_polynomial(rng: random.Random, field: FieldDescriptor) -> Polynomial:
         exps = {v: rng.randint(0, 3) for v in VARIABLES if rng.random() < 0.5}
         exps["y"] = rng.choice([0, 1, 2, 3, 4, 5, 6, 9])
         terms[Monomial.from_dict(exps)] = random_element(rng, field)
-    return Polynomial.make(field, VARIABLES, terms)
+    return make(field, VARIABLES, terms)
 
 
 def by_substitution(f: Polynomial, var: str, c: Any, shift: dict) -> Polynomial:
     """The oracle: var <- var + c * prod(v^shift[v]) as a polynomial."""
-    expr = Polynomial.variable(f.field, f.variables, var) + Polynomial.make(
+    expr = Polynomial.variable(f.field, f.variables, var) + make(
         f.field, f.variables, {Monomial.from_dict(shift): c})
     return substitute(f, var, expr)
 
@@ -106,9 +106,9 @@ def test_translate_by_zero_or_a_constant(name):
 def test_binomials_vanish_mod_p(p):
     """(y + c u)^(p^2) = y^(p^2) + c^(p^2) u^(p^2) in characteristic p."""
     field = FieldDescriptor.prime_field(p)
-    f = Polynomial.make(field, VARIABLES, {Monomial.from_dict({"y": p * p}): 1})
+    f = make(field, VARIABLES, {Monomial.from_dict({"y": p * p}): 1})
     moved = translate(f, "y", field.from_int(p - 1), {"x": 1})
-    assert moved == Polynomial.make(field, VARIABLES, {
+    assert moved == make(field, VARIABLES, {
         Monomial.from_dict({"y": p * p}): 1,
         Monomial.from_dict({"x": p * p}): pow(p - 1, p * p, p)})
 
@@ -117,7 +117,7 @@ def test_the_products_the_kernel_forms_stay_reduced_mod_p(monkeypatch):
     """Every product c_B * C(b, k) * c^k is below p^3 over F_p, so a sum of
     n of them is below n * p^3, whatever the exponent b."""
     field = FieldDescriptor.prime_field(5)
-    f = Polynomial.make(field, VARIABLES, {
+    f = make(field, VARIABLES, {
         Monomial.from_dict({"y": 60}): 4, Monomial.from_dict({"y": 59, "z": 1}): 3})
     seen = []
     real = ea._canonical
@@ -146,14 +146,14 @@ def test_the_products_the_kernel_forms_stay_reduced_mod_p(monkeypatch):
     ("y", 0.5, {"x": 1}),                    # a float
 ])
 def test_bad_arguments_are_input_errors(var, c, shift):
-    f = Polynomial.make(QQ, VARIABLES, {Monomial.from_dict({"y": 2, "x": 1}): 3})
+    f = make(QQ, VARIABLES, {Monomial.from_dict({"y": 2, "x": 1}): 3})
     with pytest.raises(InputError):
         translate(f, var, c, shift)
 
 
 def test_a_coefficient_from_another_prime_field_is_an_input_error():
     f5 = FieldDescriptor.prime_field(5)
-    f = Polynomial.make(f5, VARIABLES, {Monomial.from_dict({"y": 2}): 1})
+    f = make(f5, VARIABLES, {Monomial.from_dict({"y": 2}): 1})
     with pytest.raises(InputError):
         translate(f, "y", FieldDescriptor.prime_field(3).from_int(1), {"x": 1})
     with pytest.raises(InputError):

@@ -29,7 +29,6 @@ from surfres.char_polyhedron import (
 from surfres.exact_algebra import (
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     ScopeError,
     parse_polynomial,
@@ -38,6 +37,7 @@ from surfres.exact_algebra import (
 from surfres.local_frame import Frame
 from surfres.resolution_driver import initial_chart, resolve
 
+from oracles import Monomial, make
 from test_prepare_oracle import adapted, criterion_6_cases, named_cases  # noqa: F401
 
 QQ = FieldDescriptor.rationals()
@@ -93,7 +93,7 @@ def exact_prepare(gens, frame, budget=64):
         for y_name, coeff in zip(frame.y_block, lam):
             if coeff:
                 replacement = Polynomial.variable(
-                    field, current[0].variables, y_name) - Polynomial.make(
+                    field, current[0].variables, y_name) - make(
                     field, current[0].variables, {uv: coeff})
                 current = [substitute(g, y_name, replacement) for g in current]
         changes.append({"vertex": v, "witness": lam})

@@ -47,7 +47,6 @@ from surfres.exact_algebra import (
     RATIONALS,
     FieldDescriptor,
     InputError,
-    Monomial,
     Polynomial,
     ScopeError,
     hasse_derivative,
@@ -57,7 +56,7 @@ from surfres.exact_algebra import (
 from surfres.local_frame import Frame, row_reduce
 from surfres.resolution_driver import initial_chart, resolve
 
-from oracles import vertex_initial
+from oracles import Monomial, make, vertex_initial
 from test_prepare_oracle import adapted, named_cases  # noqa: F401  (a fixture)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -236,7 +235,7 @@ def shifted_instance(rng, field, frame):
     for _ in range(rng.randint(1, 3)):
         exps = {u: rng.randint(1, 3 * nu) for u in frame.u_block}
         terms[Monomial.from_dict(exps)] = random_element(rng, field)
-    f = Polynomial.make(field, frame.variables, terms)
+    f = make(field, frame.variables, terms)
     for _ in range(rng.randint(1, 2)):
         f = translate(f, rng.choice(frame.y_block), random_element(rng, field),
                       {u: rng.randint(1, 3) for u in frame.u_block})
@@ -375,7 +374,7 @@ def test_random_boxes_reduce_as_the_earlier_box():
                 a0 = rng.randint(0, 12)
             exps = {"u1": a0, "u2": rng.randint(0, 12), "y": b}
             terms[Monomial.from_dict(exps)] = Fraction(rng.randint(1, 5))
-        g = Polynomial.make(QQ, vs, terms)
+        g = make(QQ, vs, terms)
         box = cp._Box(corner, floor, order)
         assert box.reduce(g, FRAME_U12_Y).vectors == OldBox(
             corner, floor, order).reduce(g, FRAME_U12_Y).vectors
