@@ -729,10 +729,6 @@ class Polynomial:
         return _canonical(field, tuple(variables), term_map.items())
 
     @staticmethod
-    def zero(field: FieldDescriptor, variables: Iterable[str]) -> "Polynomial":
-        return Polynomial.constant(field, variables, field.zero())
-
-    @staticmethod
     def constant(field: FieldDescriptor, variables: Iterable[str], c: Any) -> "Polynomial":
         vs = tuple(variables)
         if len(_layout(vs)[0]) != len(vs):
@@ -1092,27 +1088,32 @@ def _coefficient_bits(field: FieldDescriptor, terms: dict) -> int:
                 for c in terms.values()), default=0)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME.pattern})|(\^|\*|\+|\-|/|\(|\)))")
+# A token, after any white space: a name, an operator, or an integer of
+# decimal digits (not only ASCII ones).
+_TOKEN = re.compile(rf"\s*({_NAME.pattern}|[\^*+\-/()]|\d+)")
+# A character that is neither white space nor part of a token; ``findall``
+# would step over it, so the first one is refused before the text is read.
+_BAD_CHARACTER = re.compile(r"[^\s\dA-Za-z_^*+\-/()]")
+_OPERATORS = frozenset("^*+-/()")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise InputError(f"unexpected character in polynomial: {rest[0]!r}")
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    return tokens
+@lru_cache(maxsize=256)
+def _unit_vectors(variables: tuple[str, ...],
+                  parameter: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
+    """Each variable's unit exponent vector; no entries if a name repeats
+    (the parser refuses that ring at its first atom).  Every variable and
+    the ``parameter`` of F_p(t) must be a NAME of the grammar, or a printed
+    polynomial could read back as another one."""
+    for name in variables + parameter:
+        if not _NAME.fullmatch(name):
+            raise InputError(
+                f"the name {name!r} cannot be written in polynomial text: a "
+                "name is a letter or '_' followed by letters, digits or '_'")
+    index = _layout(variables)[0]
+    if len(index) != len(variables):
+        return {}
+    origin = (0,) * len(variables)
+    return {v: origin[:i] + (1,) + origin[i + 1:] for v, i in index.items()}
 
 
 class _Parser:
@@ -1131,63 +1132,73 @@ class _Parser:
     Every node is a dict from exponent vector (aligned with ``variables``)
     to a nonzero stored coefficient: zero terms are dropped after each
     operation, so the caps see the term counts of the canonical polynomials,
-    and ``parse`` builds the one ``Polynomial``.
+    and ``parse`` builds the one ``Polynomial``.  A variable and its power
+    are formed from its unit vector, and a product of two one-term nodes is
+    one vector addition.  The tokens are read by index; the last is None.
     """
 
-    def __init__(self, tokens: list[tuple[str, str]], field: FieldDescriptor,
-                 variables: tuple[str, ...]):
+    def __init__(self, tokens: list[str | None], field: FieldDescriptor,
+                 variables: tuple[str, ...], units: dict[str, tuple[int, ...]]):
         self.tokens = tokens
         self.i = 0
         self.field = field
         self.variables = variables
-        self.index = _layout(variables)[0]
+        self.units = units
+        self.repeated = len(units) != len(variables)
         self.origin = (0,) * len(variables)
+        self.one = field.native_int(1)
+        # the modulus of stored F_p coefficients; 0 over the other fields
+        self.p = field.characteristic if field.kind == PRIME_FIELD else 0
+        self.rational = field.kind == RATIONALS
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
+    def next_token(self) -> str:
+        tok = self.tokens[self.i]
         if tok is None:
             raise InputError("unexpected end of polynomial text")
         self.i += 1
         return tok
 
-    def expect_op(self, op: str) -> None:
-        tok = self.take()
-        if tok != ("op", op):
-            raise InputError(f"expected {op!r} in polynomial text")
-
     def nonzero(self, terms: Iterable[tuple[tuple, Any]]) -> dict:
         """The node of the terms with nonzero coefficient, stored form."""
         return dict(_native_terms(self.field, terms))
 
+    def stored(self, c: Any) -> Any:
+        """The stored form of a nonzero coefficient: an F_p residue reduced
+        mod p, an integral fraction made an int."""
+        if self.p:
+            return c % self.p
+        if self.rational and type(c) is not int:
+            return self.field.to_native(c)
+        return c
+
     def parse(self) -> Polynomial:
         result = self.expr()
-        if self.peek() is not None:
-            raise InputError(f"trailing tokens in polynomial text: {self.peek()!r}")
+        tok = self.tokens[self.i]
+        if tok is not None:
+            kind = ("op" if tok in _OPERATORS
+                    else "int" if tok.isdecimal() else "name")
+            raise InputError(f"trailing tokens in polynomial text: {(kind, tok)!r}")
         return _canonical(self.field, self.variables, result.items())
 
     def expr(self) -> dict:
-        negate = False
-        tok = self.peek()
-        if tok == ("op", "-"):
-            self.take()
-            negate = True
-        elif tok == ("op", "+"):
-            self.take()
+        tokens = self.tokens
+        negate = tokens[self.i] == "-"
+        if negate or tokens[self.i] == "+":
+            self.i += 1
         acc = self.term()
         if negate:
             acc = {m: -c for m, c in acc.items()}
+        elif tokens[self.i] != "+" and tokens[self.i] != "-":
+            return acc  # one term: nonzero and stored already
         while True:
-            tok = self.peek()
-            if tok == ("op", "+"):
-                self.take()
+            tok = tokens[self.i]
+            if tok == "+":
+                self.i += 1
                 for m, c in self.term().items():
                     s = acc.get(m)
                     acc[m] = c if s is None else s + c
-            elif tok == ("op", "-"):
-                self.take()
+            elif tok == "-":
+                self.i += 1
                 for m, c in self.term().items():
                     s = acc.get(m)
                     acc[m] = -c if s is None else s - c
@@ -1196,13 +1207,14 @@ class _Parser:
 
     def term(self) -> dict:
         result = self.power()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok == ("op", "*"):
-                self.take()
+            tok = tokens[self.i]
+            if tok == "*":
+                self.i += 1
                 result = self.multiply(result, self.power())
-            elif tok == ("op", "/"):
-                self.take()
+            elif tok == "/":
+                self.i += 1
                 divisor = self.power()
                 # a nonzero constant is the one term at the origin
                 if list(divisor) != [self.origin]:
@@ -1215,29 +1227,44 @@ class _Parser:
                 return result
 
     def power(self) -> dict:
+        tokens = self.tokens
+        unit = self.units.get(tokens[self.i])  # type: ignore[arg-type]
+        if unit is not None:  # a variable, coefficient 1
+            self.i += 1
+            if tokens[self.i] != "^":
+                return {unit: self.one}
+            # c = 1 has (bits - 1) * e = 0: no coefficient bound to check
+            e = self.exponent()
+            return {tuple([e * x for x in unit]): self.one}
         base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, text = self.take()
-            if kind != "int":
-                raise InputError("exponent must be a nonnegative integer")
-            e = self.integer(text)
-            if e > MAX_PARSE_EXPONENT:
-                raise ScopeError(
-                    f"the exponent {e} in the polynomial text is over the "
-                    f"limit of {MAX_PARSE_EXPONENT} (MAX_PARSE_EXPONENT)")
-            # a coefficient c > 1 has c**e >= 2**((bits - 1) * e)
-            if (_coefficient_bits(self.field, base) - 1) * e > _MAX_PARSE_BITS:
-                raise ScopeError(
-                    f"a power in the polynomial text builds a coefficient of "
-                    f"more than {MAX_PARSE_DIGITS} digits (MAX_PARSE_DIGITS)")
-            if len(base) == 1:  # c * m: its power is c**e * m**e
-                (vec, c), = base.items()
-                return self.nonzero([(tuple([e * x for x in vec]),
-                                      self.field.native_power(c, e))])
-            one = {self.origin: self.field.native_int(1)}
-            return _power(base, e, one, self.multiply)
-        return base
+        if tokens[self.i] != "^":
+            return base
+        e = self.exponent()
+        # a coefficient c > 1 has c**e >= 2**((bits - 1) * e)
+        if (_coefficient_bits(self.field, base) - 1) * e > _MAX_PARSE_BITS:
+            raise ScopeError(
+                f"a power in the polynomial text builds a coefficient of "
+                f"more than {MAX_PARSE_DIGITS} digits (MAX_PARSE_DIGITS)")
+        if len(base) == 1:  # c * m: its power is c**e * m**e
+            (vec, c), = base.items()
+            return {tuple([e * x for x in vec]):
+                    self.stored(self.field.native_power(c, e))}
+        one = {self.origin: self.one}
+        return _power(base, e, one, self.multiply)
+
+    def exponent(self) -> int:
+        """The exponent after the '^' at the current token, within
+        ``MAX_PARSE_EXPONENT``."""
+        self.i += 1
+        text = self.next_token()
+        if not text.isdecimal():
+            raise InputError("exponent must be a nonnegative integer")
+        e = self.integer(text)
+        if e > MAX_PARSE_EXPONENT:
+            raise ScopeError(
+                f"the exponent {e} in the polynomial text is over the "
+                f"limit of {MAX_PARSE_EXPONENT} (MAX_PARSE_EXPONENT)")
+        return e
 
     def integer(self, text: str) -> int:
         if len(text) > MAX_PARSE_DIGITS:
@@ -1252,59 +1279,61 @@ class _Parser:
                 f"expanding the polynomial text needs a product of "
                 f"{len(a)} by {len(b)} terms, over the limit of "
                 f"{MAX_PARSE_PRODUCT} term products (MAX_PARSE_PRODUCT)")
-        if len(a) == 1 == len(b):
+        if len(a) == 1 == len(b):  # nonzero coefficients: a nonzero product
             (m1, c1), = a.items()
             (m2, c2), = b.items()
-            return self.nonzero([(tuple(map(add, m1, m2)), c1 * c2)])
+            return {tuple(map(add, m1, m2)): self.stored(c1 * c2)}
         acc: dict[tuple, Any] = {}
         _mul_into(acc, a.items(), b.items())
         return self.nonzero(acc.items())
 
-    def leaf(self, vec: tuple[int, ...], c: Any) -> dict:
-        """The node of one term.  A ring with a repeated variable name is
-        refused here, at the first atom, so the errors of the text before
-        it come first."""
-        if len(self.index) != len(self.variables):
+    def leaf(self, c: Any) -> dict:
+        """The node of the constant c.  A ring with a repeated variable name
+        is refused at its first atom, so the errors of the text before it
+        come first."""
+        if self.repeated:
             raise InputError("duplicate ambient variable names")
-        return self.nonzero([(vec, c)])
+        return self.nonzero([(self.origin, c)])
 
     def atom(self) -> dict:
-        kind, text = self.take()
+        """An atom other than a variable of a ring without repeated names,
+        which ``power`` reads itself."""
+        tok = self.next_token()
         field = self.field
-        if kind == "int":
-            return self.leaf(self.origin, field.native_int(self.integer(text)))
-        if kind == "name":
-            if text in self.index:
-                vec = [0] * len(self.variables)
-                vec[self.index[text]] = 1
-                return self.leaf(tuple(vec), field.native_int(1))
-            if (field.kind == RATIONAL_FUNCTIONS
-                    and text == field.transcendental_name):
-                return self.leaf(self.origin, field.transcendental())
-            if (field.kind == FINITE_EXTENSION
-                    and text == field.generator_name):
-                return self.leaf(self.origin, field.generator())
-            raise InputError(f"unknown variable {text!r}")
-        if (kind, text) == ("op", "("):
+        if tok == "(":
             inner = self.expr()
-            self.expect_op(")")
+            if self.next_token() != ")":
+                raise InputError("expected ')' in polynomial text")
             return inner
-        raise InputError(f"unexpected token {text!r} in polynomial text")
+        if tok in _OPERATORS:
+            raise InputError(f"unexpected token {tok!r} in polynomial text")
+        if tok.isdecimal():
+            return self.leaf(field.native_int(self.integer(tok)))
+        if tok in self.variables:
+            raise InputError("duplicate ambient variable names")
+        if field.kind == RATIONAL_FUNCTIONS and tok == field.transcendental_name:
+            return self.leaf(field.transcendental())
+        if field.kind == FINITE_EXTENSION and tok == field.generator_name:
+            return self.leaf(field.generator())
+        raise InputError(f"unknown variable {tok!r}")
 
 
 def parse_polynomial(text: str, field: FieldDescriptor, variables: Iterable[str]) -> Polynomial:
     """Parse polynomial text over the given field and ambient variable list.
-    Every variable and the parameter of F_p(t) must be a NAME of the grammar,
-    or a printed polynomial could read back as another one."""
+    Every variable and the parameter of F_p(t) must be a NAME of the
+    grammar, or a printed polynomial could read back as another one.  Text
+    nested deeper than the interpreter's stack allows is an input error."""
     vs = tuple(variables)
-    spelled = vs + ((field.transcendental_name,)
-                    if field.kind == RATIONAL_FUNCTIONS else ())
-    for name in spelled:
-        if not _NAME.fullmatch(name):
-            raise InputError(
-                f"the name {name!r} cannot be written in polynomial text: a "
-                "name is a letter or '_' followed by letters, digits or '_'")
-    tokens = _tokenize(text)
+    units = _unit_vectors(vs, (field.transcendental_name,)
+                          if field.kind == RATIONAL_FUNCTIONS else ())
+    bad = _BAD_CHARACTER.search(text)
+    if bad:
+        raise InputError(f"unexpected character in polynomial: {bad.group()!r}")
+    tokens: list[str | None] = _TOKEN.findall(text)
     if not tokens:
         raise InputError("empty polynomial text")
-    return _Parser(tokens, field, vs).parse()
+    tokens.append(None)
+    try:
+        return _Parser(tokens, field, vs, units).parse()
+    except RecursionError:
+        raise InputError("the polynomial text nests too deeply") from None

@@ -4,6 +4,7 @@
   polynomial's terms keyed by variable names, written on the exponent
   vectors that ``Polynomial`` stores (``from_vectors`` and
   ``coefficient_map``);
+* ``zero_polynomial`` -- the zero polynomial of a ring;
 * ``transform_polyhedron_expected`` -- the purely combinatorial prediction
   for how a characteristic polyhedron moves under a permissible blow-up
   (criterion 6 compares it with the polyhedron recomputed on the chart);
@@ -103,6 +104,11 @@ def coefficient(f: Polynomial, m: Monomial) -> Any:
     except InputError:
         return f.field.zero()
     return f.coefficient_map().get(vec, f.field.zero())
+
+
+def zero_polynomial(field: FieldDescriptor, variables: Iterable[str]) -> Polynomial:
+    """The zero polynomial of the ring over ``field`` in ``variables``."""
+    return Polynomial.constant(field, variables, field.zero())
 
 
 def contains(poly: FPolyhedron, other: FPolyhedron) -> bool:

@@ -46,6 +46,8 @@ from surfres.local_frame import (
     row_reduce,
 )
 
+from oracles import zero_polynomial
+
 QQ = FieldDescriptor.rationals()
 F3 = FieldDescriptor.prime_field(3)
 F5 = FieldDescriptor.prime_field(5)
@@ -105,7 +107,7 @@ def random_forms(rng: random.Random, field: FieldDescriptor,
             (0,) * i + (1,) + (0,) * (2 - i): c for i, c in enumerate(row) if c}))
     out = []
     for d in [degree] + ([rng.randint(1, degree)] if rng.random() < 0.3 else []):
-        f = Polynomial.zero(field, XYZ)
+        f = zero_polynomial(field, XYZ)
         for exps in product(range(d + 1), repeat=count):
             if sum(exps) != d or rng.random() < 0.3:
                 continue

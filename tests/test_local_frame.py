@@ -10,7 +10,6 @@ import pytest
 from surfres.exact_algebra import (
     FieldDescriptor,
     InputError,
-    Polynomial,
     parse_polynomial,
 )
 from surfres.local_frame import (
@@ -28,7 +27,7 @@ from surfres.local_frame import (
     translation_invariant,
 )
 
-from oracles import Monomial, coefficient, make
+from oracles import Monomial, coefficient, make, zero_polynomial
 
 QQ = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -79,7 +78,7 @@ def test_initial_form_partial_variables():
 
 def test_initial_form_zero_rejected():
     with pytest.raises(InputError):
-        initial_form(Polynomial.zero(QQ, ("x",)), ("x",))
+        initial_form(zero_polynomial(QQ, ("x",)), ("x",))
 
 
 def test_nu_star_examples():

@@ -31,7 +31,7 @@ from surfres.exact_algebra import (
     substitute_many,
 )
 
-from oracles import terms
+from oracles import terms, zero_polynomial
 from test_exact_algebra import stored_form_problems
 from test_translate_oracle import CASES, FIELDS, VARIABLES, random_polynomial
 
@@ -61,7 +61,7 @@ def strict_by_substitution(f: Polynomial, center: tuple[str, ...],
 def restricted_by_substitution(f: Polynomial,
                                variables: tuple[str, ...]) -> Polynomial:
     """The oracle: every named variable replaced by the zero polynomial."""
-    zero = Polynomial.zero(f.field, f.variables)
+    zero = zero_polynomial(f.field, f.variables)
     return substitute_many(f, {v: zero for v in variables})
 
 

@@ -40,6 +40,8 @@ from surfres.exact_algebra import (
 )
 from surfres.local_frame import Frame, translation_invariant
 
+from oracles import zero_polynomial
+
 from test_prepare_oracle import named_cases, outcome, unprepared  # noqa: F401
 from test_translate_oracle import FIELDS, random_element
 
@@ -123,7 +125,7 @@ def random_form(rng: random.Random, field: FieldDescriptor) -> Polynomial:
 def form_vanishing_on(rng: random.Random, field: FieldDescriptor, w) -> Polynomial:
     """A sum of products of powers of linear forms L with L(w) = 0."""
     i = next(k for k, c in enumerate(w) if c)
-    total = Polynomial.zero(field, XYZW)
+    total = zero_polynomial(field, XYZW)
     for _ in range(rng.randint(1, 2)):
         product = Polynomial.constant(field, XYZW, random_element(rng, field) or field.one())
         for _ in range(rng.randint(1, 2)):

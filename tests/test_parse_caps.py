@@ -1,5 +1,6 @@
 """Huge exponents, coefficients, characteristics and orders end with exit 3
-and a message naming the limit, quickly and never with a traceback."""
+and a message naming the limit, quickly and never with a traceback; text
+nested too deeply to parse ends with exit 2."""
 
 from __future__ import annotations
 
@@ -156,6 +157,20 @@ def test_a_high_degree_residue_condition_is_a_scope_error(tmp_path, capsys):
                        root_of_job(MAX_RESIDUE_DEGREE, 1))
     assert code == EXIT_INPUT
     assert "not irreducible" in err
+
+
+def test_deeply_nested_text_is_an_input_error(tmp_path, capsys):
+    # each level of parentheses takes four stack frames of the parser, so
+    # this depth is far beyond the interpreter's recursion limit
+    nested = "(" * 10_000 + "y" + ")" * 10_000
+    code, err, elapsed = run(tmp_path, capsys, "analyze",
+                             surface(f"x^2 + {nested}^3 + z^5"))
+    assert code == EXIT_INPUT
+    assert "the polynomial text nests too deeply" in err
+    assert elapsed < 5
+    code, err, _ = run(tmp_path, capsys, "analyze",
+                       surface(f"x^2 + {'(' * 50}y{')' * 50}^3 + z^5"))
+    assert code == EXIT_OK, err
 
 
 def test_caps_in_the_library():

@@ -3,17 +3,21 @@
 ``exact_algebra._Parser`` builds every node of the grammar as a dict from
 exponent vector to stored coefficient and makes one ``Polynomial`` at the
 end.  ``OracleParser`` below is the earlier parser, which built, reduced and
-sorted a whole ``Polynomial`` at every atom, power, product and sum.  On
+sorted a whole ``Polynomial`` at every atom, power, product and sum, and
+read the (kind, text) tokens of ``oracle_tokenize``, the earlier tokenizer,
+which matched one token at a time.  On
 seeded random texts over Q, F_2, F_3, F_5, F_4 = F_2[s]/(s^2 + s + 1) and
-F_3(t), in rings with and without a repeated variable name, both must give
-the same polynomial, or raise the same exception with the same message.
+F_3(t), in rings with and without a repeated variable name, and on the
+printed chart texts of the named traces over Q, both must give the same
+polynomial, or raise the same exception with the same message.
 The texts use parentheses, ``^0``, unary minus, division by constants, by
 zero and by non-constants, sums that cancel (mod p too), unknown names,
 broken syntax, and Unicode white space and digits.  They run at the real
 caps and at tight ones, so that each ``MAX_PARSE_*`` cap is hit often,
 including right after a cancellation.
 
-A power of a one-term node is formed directly, its exponent vector scaled
+A variable and its power are formed from the variable's unit vector, a
+power of a one-term node is formed directly, its exponent vector scaled
 and its coefficient raised by ``FieldDescriptor.native_power``, and a
 product of two one-term nodes is one vector addition.  One-term texts
 (``^0`` included) must parse as the oracle parses them, and over F_p,
@@ -24,10 +28,12 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 
 import pytest
 
 from surfres import exact_algebra as ea
+from surfres.cli import build_chart
 from surfres.exact_algebra import (
     FieldDescriptor,
     InputError,
@@ -35,6 +41,9 @@ from surfres.exact_algebra import (
     ScopeError,
     parse_polynomial,
 )
+from surfres.resolution_driver import resolve, trace_to_jsonable
+
+from test_report_writer import NAMED_JOBS
 
 FIELDS = {
     "Q": FieldDescriptor.rationals(),
@@ -187,9 +196,33 @@ class OracleParser:
         raise InputError(f"unexpected token {text!r} in polynomial text")
 
 
+ORACLE_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|\-|/|\(|\)))")
+
+
+def oracle_tokenize(text):
+    """The text's (kind, text) tokens, one regex match at a time."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = ORACLE_TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise InputError(f"unexpected character in polynomial: {rest[0]!r}")
+        if m.group(1) is not None:
+            tokens.append(("int", m.group(1)))
+        elif m.group(2) is not None:
+            tokens.append(("name", m.group(2)))
+        else:
+            tokens.append(("op", m.group(3)))
+        pos = m.end()
+    return tokens
+
+
 def oracle_parse(text, field, variables):
     vs = tuple(variables)
-    tokens = ea._tokenize(text)
+    tokens = oracle_tokenize(text)
     if not tokens:
         raise InputError("empty polynomial text")
     return OracleParser(tokens, field, vs).parse()
@@ -335,6 +368,36 @@ def test_texts_at_the_real_caps_parse_as_the_oracle_does(text):
 def test_a_repeated_variable_name_is_refused_where_the_oracle_refuses_it(text):
     for field in FIELDS.values():
         assert_agree(text, field, ("x", "y", "x"))
+
+
+def named_chart_texts() -> list[tuple[str, tuple[str, ...]]]:
+    """Each text of the named traces' charts as ``export --format json``
+    prints it, with the chart's variables: the generators, the boundary
+    generators and the stratum conditions, the texts that the benchmark's
+    ``chart-queries`` jobs parse."""
+    texts = set()
+    for job in NAMED_JOBS.values():
+        options = job.get("options", {})
+        trace = resolve(build_chart(job),
+                        label_mode=options.get("label_mode", "default"))
+        for chart in trace_to_jsonable(trace)["charts"]:
+            vs = tuple(chart["variables"])
+            texts.update((text, vs) for text in chart["generators"])
+            texts.update((b["generator"], vs) for b in chart["boundary"])
+            for component in chart["stratum"]:
+                texts.update((q, vs) for q in component["conditions"])
+    return sorted(texts)
+
+
+@pytest.mark.parametrize("caps", ["real", "tight"])
+def test_printed_chart_texts_parse_as_the_oracle_does(caps, monkeypatch):
+    texts = named_chart_texts()
+    assert len(texts) > 150
+    if caps == "tight":
+        for key, value in TIGHT.items():
+            monkeypatch.setattr(ea, key, value)
+    for text, variables in texts:
+        assert_agree(text, FIELDS["Q"], variables)
 
 
 ONE_TERM_TEXTS = ["(x/2)^0", "x^0", "(2*x)^3", "(x*y)^2*z", "3^0", "0^0", "0^3",

@@ -42,7 +42,7 @@ from surfres.local_frame import (
 )
 from surfres.resolution_driver import FRESH_LABELS, initial_chart, resolve
 
-from oracles import Monomial, coefficient, make, terms
+from oracles import Monomial, coefficient, make, terms, zero_polynomial
 from test_invariant import whirl_chart
 
 QQ = FieldDescriptor.rationals()
@@ -461,14 +461,14 @@ def _random_form(rng, field, variables, degree, vars_in_play):
         q = p
         while degree % (q * p) == 0 and rng.random() < 0.5:
             q *= p
-        f = Polynomial.zero(field, variables)
+        f = zero_polynomial(field, variables)
         for v in variables:
             c = _coefficient(rng, field)
             f = f + Polynomial.variable(field, variables, v).scale(c) ** q
         if f.is_zero:
             f = Polynomial.variable(field, variables, variables[0]) ** q
         return f ** (degree // q)
-    f = Polynomial.zero(field, variables)
+    f = zero_polynomial(field, variables)
     for exps in monomials_of_degree(vars_in_play, degree):
         c = _coefficient(rng, field)
         if not c:

@@ -16,9 +16,11 @@ stderr.  The run set:
   F_3 and F_5, whose charts take the most solving steps), in the chart's
   own frame and in its directrix-adapted frame, so the witnesses chosen
   over F_p are in the bytes;
-* ``blowup`` on every chart of the four named traces with a non-empty
-  stratum, each job rebuilt from the chart as ``export --format json``
-  writes it (frame, boundary and stratum included);
+* ``analyze`` and ``invariant`` on every chart of the four named traces,
+  and ``blowup`` on every such chart with a non-empty stratum, each job
+  rebuilt from the chart as ``export --format json`` writes it (frame,
+  boundary and stratum included): the jobs of ``perfbench``'s
+  ``chart-queries`` workload;
 * the jobs of ``tests/test_cli_inputs.py::point_jobs``, which locate a point
   through ``point`` (a coordinate or a ``root_of`` condition) or through
   ``declared_points``, each under the command its test runs;
@@ -361,16 +363,19 @@ def named_traces() -> dict[str, dict]:
     return traces
 
 
+def named_trace_chart_jobs(traces: dict[str, dict]) -> dict[str, dict]:
+    """The job of every named-trace chart, keyed by trace name and chart
+    id."""
+    return {f"{name}:{chart['id']}": exported_chart_job(
+                chart, corpus.NAMED_JOBS[name]["field"])
+            for name, trace in traces.items() for chart in trace["charts"]}
+
+
 def blowup_jobs(traces: dict[str, dict]) -> dict[str, dict]:
     """The ``blowup`` job of every named-trace chart with a non-empty
     stratum, keyed by trace name and chart id."""
-    jobs = {}
-    for name, trace in traces.items():
-        field = corpus.NAMED_JOBS[name]["field"]
-        for chart in trace["charts"]:
-            if chart["stratum"]:
-                jobs[f"{name}:{chart['id']}"] = exported_chart_job(chart, field)
-    return jobs
+    return {key: job for key, job in named_trace_chart_jobs(traces).items()
+            if job["stratum"]}
 
 
 def digests() -> dict[str, str]:
@@ -388,6 +393,9 @@ def digests() -> dict[str, str]:
     traces = named_traces()
     for key, job in blowup_jobs(traces).items():
         out[f"blowup | {key}"] = run_digest(("blowup",), job)
+    for key, job in named_trace_chart_jobs(traces).items():
+        for args in BOUNDARY_COMMANDS:
+            out[f"{' '.join(args)} | chart {key}"] = run_digest(args, job)
     for key, trace in traces.items():
         for args in STORED_COMMANDS:
             out[f"{' '.join(args)} | stored {key}"] = run_digest(
