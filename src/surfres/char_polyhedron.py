@@ -45,6 +45,7 @@ from .exact_algebra import (
     InputError,
     Polynomial,
     PRIME_FIELD,
+    RATIONAL_FUNCTIONS,
     RATIONALS,
     ScopeError,
     ord_at,
@@ -59,6 +60,14 @@ EMPTY = "empty"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 ESCAPE_ANNOTATION = "axis vertex escapes to infinity"
+
+# Largest degree (``RatFunc.degree``) of a slide coefficient over F_p(t)
+# that sigma straightens with; beyond it sigma stops uncertified, as at an
+# exhausted budget.  A straightening can double the next one's degree (see
+# ``tests/test_sigma_exits.py``; its sigma budgets 8, 9 and 10 took 0.18,
+# 0.62 and 2.3 s on a 2-CPU machine).  The byte gate and the test suite
+# reach degree 31 at most.
+MAX_SLIDE_DEGREE = 64
 
 Point = tuple[Fraction, ...]
 
@@ -989,7 +998,9 @@ def sigma_search(
     is about to be straightened.  A straightening that leaves the slope
     unchanged is a scope error after a complete re-preparation; after one
     that ran out of budget the polyhedron compared is not final, and the
-    slope read before that straightening is returned, uncertified.
+    slope read before that straightening is returned, uncertified.  So is
+    the slope read before a slide coefficient over F_p(t) whose degree is
+    over ``MAX_SLIDE_DEGREE``, without that straightening.
     """
     if side not in (1, 2):
         raise InputError("side must be 1 or 2")
@@ -1023,6 +1034,9 @@ def sigma_search(
             certified = certified and roots_certified
             break
         c = roots[0]
+        if field.kind == RATIONAL_FUNCTIONS and c.degree > MAX_SLIDE_DEGREE:
+            certified = False
+            break
         subs.append({"variable": u2, "coefficient": c, "exponent": m_exp})
         prepared = prepare([translate(gg, u2, c, {u1: m_exp}) for gg in gens],
                            work_frame, budget=prepare_budget)

@@ -27,8 +27,10 @@ mod p wherever zero terms are dropped.  The public elements are ``Fraction``
 over Q and ``Fp`` over F_p.  The conversions live in ``FieldDescriptor``:
 ``to_native`` (used by the one canonicalising constructor, which accepts
 public and native elements alike and refuses any other type, such as the
-float of an ``int / int``) and ``to_public`` (used by ``coefficient_map``
-and ``constant_coefficient``, the ways coefficients leave a polynomial).
+float of an ``int / int``), ``to_public`` (used by ``coefficient_map``
+and ``constant_coefficient``, the ways coefficients leave a polynomial),
+``native_int`` and ``native_power``, and ``native_inverse``, the stored
+form of 1/c, on which ``local_frame`` runs its exact linear algebra.
 
 Univariate polynomials over F_p, the numerators and denominators of F_p(t)
 and the elements and moduli of F_p[s]/(m), are coefficient tuples known only
@@ -339,6 +341,12 @@ class RatFunc:
     def __bool__(self) -> bool:
         return bool(self.num)
 
+    @property
+    def degree(self) -> int:
+        """The larger of the degrees of the numerator and the denominator
+        (0 for zero)."""
+        return max(len(self.num), len(self.den)) - 1
+
     def __str__(self) -> str:
         if self.den == (1,):
             if len(self.num) <= 1 or sum(1 for c in self.num if c) == 1:
@@ -519,6 +527,19 @@ class FieldDescriptor:
     def native_int(self, n: int) -> Any:
         """The stored form of the integer n."""
         return n if self.kind in (RATIONALS, PRIME_FIELD) else self.from_int(n)
+
+    def native_inverse(self, c: Any) -> Any:
+        """1/c for a nonzero stored coefficient c, in stored form: over Q
+        ``Fraction(1, c)``, an ``int`` when integral; over F_p
+        ``pow(c, -1, p)``; over F_q and F_p(t) the element's own inverse."""
+        if self.kind == RATIONALS:
+            if c == 1 or c == -1:  # an integral stored c is an int
+                return c
+            inverse = Fraction(1, c)
+            return inverse.numerator if inverse.denominator == 1 else inverse
+        if self.kind == PRIME_FIELD:
+            return pow(c, -1, self.characteristic)
+        return self.one() / c
 
     def native_power(self, c: Any, e: int) -> Any:
         """c**e for a stored coefficient c and e >= 0."""

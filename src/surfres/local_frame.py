@@ -33,6 +33,15 @@ forms are its rows with pure-power pivots when the mixed monomials lead the
 columns, and the containment certificate reduces each degree of the closure
 against that degree of the additive forms' ideal.  ``form_row`` and
 ``row_form`` turn forms sum_i c_i v_i^q into coefficient rows and back.
+
+The rows hold stored coefficients (``FieldDescriptor.to_native``), read
+straight off ``Polynomial.vectors``: ints over Q and F_p, a ``Fraction``
+only for a rational with a denominator.  Every row operation ends in that
+form (reduced mod p over F_p, integral fractions made ints over Q), and a
+pivot is inverted by ``FieldDescriptor.native_inverse``.  The one place the
+linear algebra meets public elements is the ridge's ``_linear_conditions``,
+whose q-th roots and Frobenius splitting take them; its rows go back to
+stored form.
 """
 
 from __future__ import annotations
@@ -42,14 +51,16 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from operator import add
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .exact_algebra import (
     INF,
     FieldDescriptor,
     InputError,
     Polynomial,
+    PRIME_FIELD,
     RATIONAL_FUNCTIONS,
+    RATIONALS,
     ScopeError,
     frobenius_split,
     hasse_derivative,
@@ -208,8 +219,21 @@ def compose_with_old_boundary(gens: Sequence[Polynomial], frame: Frame) -> list[
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra (rows are lists of field elements)
+# small exact linear algebra (rows are lists of stored coefficients)
 # ---------------------------------------------------------------------------
+
+def _stored(field: FieldDescriptor) -> Callable[[list[Any]], list[Any]]:
+    """The map that puts a row of sums and products of stored coefficients
+    back in stored form: reduced mod p over F_p, integral ``Fraction``s made
+    ints over Q; over F_q and F_p(t) the elements are their stored form."""
+    if field.kind == PRIME_FIELD:
+        p = field.characteristic
+        return lambda row: [x % p for x in row]
+    if field.kind == RATIONALS:
+        return lambda row: [x if type(x) is int or x.denominator != 1
+                            else x.numerator for x in row]
+    return list
+
 
 def echelon_add(echelon: dict[int, list[Any]], vec: Sequence[Any],
                 field: FieldDescriptor) -> int | None:
@@ -221,26 +245,34 @@ def echelon_add(echelon: dict[int, list[Any]], vec: Sequence[Any],
     leading column is cleared from the other rows and it joins the basis
     with that column as its pivot.  None means the vector was dependent and
     nothing changed.  Rows are replaced, never changed in place.
+
+    Entries are stored coefficients (``FieldDescriptor.to_native``); over
+    F_p the vector's may be any ints.  Every row operation ends in stored
+    form, so the rows compare and hash as the field's stored elements do.
     """
+    stored = _stored(field)
+    vec = stored(vec)
     for col, row in echelon.items():
         c = vec[col]
         if c:
-            vec = [a - c * b if b else a for a, b in zip(vec, row)]
+            vec = stored([a - c * b if b else a for a, b in zip(vec, row)])
     lead = next((i for i, x in enumerate(vec) if x), None)
     if lead is None:
         return None
-    inv = field.one() / vec[lead]
-    vec = [x * inv if x else x for x in vec]
+    if vec[lead] != 1:  # over Q and F_p a stored 1 is the int 1
+        inv = field.native_inverse(vec[lead])
+        vec = stored([x * inv if x else x for x in vec])
     for col, row in echelon.items():
         c = row[lead]
         if c:
-            echelon[col] = [a - c * b if b else a for a, b in zip(row, vec)]
+            echelon[col] = stored([a - c * b if b else a for a, b in zip(row, vec)])
     echelon[lead] = vec
     return lead
 
 
 def row_reduce(rows: list[list[Any]], field: FieldDescriptor) -> list[list[Any]]:
-    """Reduced row echelon form; zero rows dropped."""
+    """Reduced row echelon form of rows of stored coefficients; zero rows
+    dropped."""
     echelon: dict[int, list[Any]] = {}
     for row in rows:
         echelon_add(echelon, row, field)
@@ -248,11 +280,19 @@ def row_reduce(rows: list[list[Any]], field: FieldDescriptor) -> list[list[Any]]
 
 
 def matrix_kernel(rows: list[list[Any]], ncols: int, field: FieldDescriptor) -> list[list[Any]]:
-    """Basis of the right kernel of the matrix given by ``rows``."""
+    """Basis of the right kernel of the matrix given by ``rows``, all in
+    stored coefficients."""
     echelon: dict[int, list[Any]] = {}
     for row in rows:
         echelon_add(echelon, row, field)
-    zero, one = field.zero(), field.one()
+    return _echelon_kernel(echelon, ncols, field)
+
+
+def _echelon_kernel(echelon: dict[int, list[Any]], ncols: int,
+                    field: FieldDescriptor) -> list[list[Any]]:
+    """Basis of the right kernel of a reduced echelon basis: one vector per
+    free column, 1 there and minus that column's entries at the pivots."""
+    zero, one, stored = field.native_int(0), field.native_int(1), _stored(field)
     basis = []
     for fc in range(ncols):
         if fc in echelon:
@@ -261,7 +301,7 @@ def matrix_kernel(rows: list[list[Any]], ncols: int, field: FieldDescriptor) -> 
         vec[fc] = one
         for pc, row in echelon.items():
             vec[pc] = -row[fc]
-        basis.append(vec)
+        basis.append(stored(vec))
     return basis
 
 
@@ -289,17 +329,19 @@ def _pure_power(n: int, i: int, degree: int) -> tuple[int, ...]:
 
 
 def form_row(f: Polynomial, variables: Sequence[str], degree: int = 1) -> list[Any]:
-    """The coefficients c_i of a form sum_i c_i * v_i^degree over the variables."""
+    """The stored coefficients c_i of a form sum_i c_i * v_i^degree over the
+    variables."""
     if f.is_zero or int(f.total_degree()) != degree:
         raise InputError(f"expected a nonzero form of degree {degree}, got {f}")
-    coefficients, zero, n = f.coefficient_map(), f.field.zero(), len(f.variables)
+    coefficients, zero, n = dict(f.vectors), f.field.native_int(0), len(f.variables)
     return [coefficients.get(_pure_power(n, i, degree), zero)
             for i in f.positions(variables)]
 
 
 def row_form(row: Sequence[Any], field: FieldDescriptor,
              variables: tuple[str, ...], degree: int = 1) -> Polynomial:
-    """The form sum_i c_i * v_i^degree of coefficients c_i over the variables."""
+    """The form sum_i c_i * v_i^degree of coefficients c_i (stored or
+    public) over the variables."""
     n = len(variables)
     return Polynomial.from_vectors(field, variables, {
         _pure_power(n, i, degree): c for i, c in enumerate(row) if c})
@@ -338,7 +380,7 @@ def _derivative_closure(gens: Sequence[Polynomial]) -> dict[int, dict[int, list[
     a derivative of one of them is a multiple of another.
     """
     field = gens[0].field
-    n = len(gens[0].variables)
+    n, zero = len(gens[0].variables), field.native_int(0)
     closure: dict[int, dict[int, list[Any]]] = {}
     for f in gens:
         if f.is_constant():
@@ -355,8 +397,8 @@ def _derivative_closure(gens: Sequence[Polynomial]) -> dict[int, dict[int, list[
                 continue
             d = int(df.total_degree())
             index = _column_index(n, d)
-            row = [field.zero()] * len(index)
-            for m, c in df.coefficient_map().items():
+            row = [zero] * len(index)
+            for m, c in df.vectors:
                 row[index[m]] = c
             echelon_add(closure.setdefault(d, {}), row, field)
     return closure
@@ -379,17 +421,18 @@ def _ideal_slice(
 ) -> dict[int, list[Any]]:
     """Reduced echelon basis, over the given columns (the monomials of one
     degree q in some order), of the degree-q part of the homogeneous ideal
-    generated by the forms, each given as (exponent vector, coefficient)
-    terms."""
+    generated by the forms, each given as (exponent vector, stored
+    coefficient) terms."""
     n, q = len(columns[0]), sum(columns[0])
     index = {m: i for i, m in enumerate(columns)}
+    zero = field.native_int(0)
     echelon: dict[int, list[Any]] = {}
     for terms in generators:
         d = sum(terms[0][0])
         if d > q:
             continue
         for shift in monomials_of_degree(n, q - d):
-            row = [field.zero()] * len(columns)
+            row = [zero] * len(columns)
             for m, c in terms:
                 row[index[tuple(map(add, m, shift))]] = c
             echelon_add(echelon, row, field)
@@ -399,12 +442,12 @@ def _ideal_slice(
 
 
 def _normalize_sigma_vector(vec: list[Any], field: FieldDescriptor) -> list[Any]:
-    """Pick a readable representative: clear F_p(t) denominators, lead with 1."""
+    """Pick a readable representative of a stored vector: clear F_p(t)
+    denominators, lead with 1."""
     if field.kind == RATIONAL_FUNCTIONS:
         return primitive_vector(vec)
-    lead = next(c for c in vec if c)
-    inv = field.one() / lead
-    return [c * inv for c in vec]
+    inv = field.native_inverse(next(c for c in vec if c))
+    return _stored(field)([c * inv for c in vec])
 
 
 def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
@@ -449,7 +492,8 @@ def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
         # in lower degrees: sigma^(q/q_j) has coefficients c^(q/q_j).
         lifted: dict[int, list[Any]] = {}
         for qj, vec in chosen:
-            echelon_add(lifted, [c ** (q // qj) for c in vec], field)
+            echelon_add(lifted, [field.native_power(c, q // qj) for c in vec],
+                        field)
         for col in sorted(slice_echelon):
             if col < k:
                 continue
@@ -462,7 +506,7 @@ def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
 
     # Containment certificate: each degree of the derivative closure (hence
     # the inputs) lies in the same degree of the ideal of the additive forms.
-    out_terms = [list(s.coefficient_map().items()) for s in out]
+    out_terms = [s.vectors for s in out]
     for d, echelon in closure.items():
         slice_echelon = _ideal_slice(out_terms, list(monomials_of_degree(n, d)), field)
         if any(echelon_add(slice_echelon, row, field) is not None
@@ -478,17 +522,22 @@ def compute_ridge(initials: Sequence[Polynomial]) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 
 def _linear_conditions(sigma_degree: int, vec: list[Any], field: FieldDescriptor) -> list[list[Any]]:
-    """Linear conditions over k cutting out the k-points of ker(sigma)."""
+    """Linear conditions over k cutting out the k-points of ker(sigma), for
+    the stored coefficients of sigma.  The q-th roots and the Frobenius
+    splitting take public elements: the one place the linear algebra
+    converts."""
     q = sigma_degree
     if q == 1:
         return [list(vec)]
+    public = field.to_public
     if field.is_perfect:
-        row = [q_th_root(c, q, field) for c in vec]
+        row = [q_th_root(public(c), q, field) for c in vec]
         assert all(r is not None for r in row)
-        return [row]
-    # F_p(t): split every coefficient over the k^q-basis 1, t, ..., t^{q-1}.
+        return [[field.to_native(r) for r in row]]
+    # F_p(t): split every coefficient over the k^q-basis 1, t, ..., t^{q-1};
+    # a ``RatFunc`` is public and stored alike.
     rows: list[list[Any]] = []
-    splits = [frobenius_split(c, q) for c in vec]
+    splits = [frobenius_split(public(c), q) for c in vec]
     for j in range(q):
         row = [s[j] for s in splits]
         if any(row):
@@ -497,7 +546,8 @@ def _linear_conditions(sigma_degree: int, vec: list[Any], field: FieldDescriptor
 
 
 def translation_invariant(f: Polynomial, w: Sequence[Any]) -> bool:
-    """Whether f(X + T*w) == f(X) identically for the direction vector w.
+    """Whether f(X + T*w) == f(X) identically for the direction vector w of
+    stored coefficients.
 
     Pick a pivot i with w_i != 0 and change coordinates by phi:
     x_j <- x_j + (w_j / w_i) x_i for every other j with w_j != 0, one
@@ -512,7 +562,7 @@ def translation_invariant(f: Polynomial, w: Sequence[Any]) -> bool:
     i = next((k for k, c in enumerate(w) if c), None)
     if i is None:
         return True
-    pivot, scale = f.variables[i], f.field.one() / w[i]
+    pivot, scale = f.variables[i], f.field.native_inverse(w[i])
     for v, c in zip(f.variables, w):
         if c and v != pivot:
             f = translate(f, v, c * scale, {pivot: 1})
@@ -543,11 +593,11 @@ def _directrix_rows(gens: Sequence[Polynomial]) -> list[list[Any]]:
     nonzero forms; ``compute_directrix`` gives the three paths and why."""
     field, variables = gens[0].field, gens[0].variables
     degree, p = _top_degree(gens), field.characteristic
-    zero, n = field.zero(), len(variables)
+    zero, n = field.native_int(0), len(variables)
     if all(len(f.vectors) == 1 for f in gens):
         # monomials: the unit row of each variable in their supports
         support = {i for f in gens for i, e in enumerate(f.vectors[0][0]) if e}
-        one = field.one()
+        one = field.native_int(1)
         return [[one if j == i else zero for j in range(n)]
                 for i in sorted(support)]
     if p and degree >= p:
@@ -556,11 +606,12 @@ def _directrix_rows(gens: Sequence[Polynomial]) -> list[list[Any]]:
             q = int(s.total_degree())
             rows.extend(_linear_conditions(q, form_row(s, variables, q), field))
         return rows
-    # The row of D_a f: the term c x^m with m = a + e_i gives m_i c at column i.
-    ints = [field.from_int(e) for e in range(degree + 1)]
+    # The row of D_a f: the term c x^m with m = a + e_i gives m_i c at column
+    # i (over F_p unreduced; ``echelon_add`` reduces it).
+    ints = [field.native_int(e) for e in range(degree + 1)]
     derivatives: dict[tuple[int, tuple[int, ...]], list[Any]] = {}
     for k, f in enumerate(gens):
-        for m, c in f.coefficient_map().items():
+        for m, c in f.vectors:
             for i, e in enumerate(m):
                 if e:
                     a = (k, m[:i] + (e - 1,) + m[i + 1:])
@@ -624,12 +675,14 @@ def compute_directrix(
         return hit[0], list(hit[1])
     field = gens[0].field
     variables = gens[0].variables
-    rref = row_reduce(_directrix_rows(gens), field)
-    r = len(rref)
-    forms = [row_form(row, field, variables) for row in rref]
+    echelon: dict[int, list[Any]] = {}
+    for row in _directrix_rows(gens):
+        echelon_add(echelon, row, field)
+    r = len(echelon)
+    forms = [row_form(echelon[col], field, variables) for col in sorted(echelon)]
     # Certificate: every direction in the cut-out subspace leaves each input
     # invariant under translation.
-    for w in matrix_kernel(rref, len(variables), field):
+    for w in _echelon_kernel(echelon, len(variables), field):
         for f in gens:
             if not translation_invariant(f, w):
                 raise RuntimeError(

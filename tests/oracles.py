@@ -13,7 +13,12 @@
 * ``solve_components`` (with ``_support``) -- the maximal-stratum search on
   ``Polynomial`` residues, each restricted with ``restrict_to_zero``, which
   ``resolution_driver._solve_components`` now runs on support bitmasks;
-* ``contains`` -- F-subset containment of two characteristic polyhedra.
+* ``contains`` -- F-subset containment of two characteristic polyhedra;
+* ``public_echelon_add``, ``public_row_reduce``, ``public_matrix_kernel``
+  and ``public_directrix_rows`` -- the exact linear algebra of
+  ``local_frame`` on public elements (``Fraction``, ``Fp``, ...), which it
+  now runs on stored coefficients; ``public_row`` and ``stored_row``
+  convert a row between the two forms.
 """
 
 from __future__ import annotations
@@ -33,10 +38,12 @@ from surfres.exact_algebra import (
     FieldDescriptor,
     InputError,
     Polynomial,
+    frobenius_split,
     name_order,
+    q_th_root,
     restrict_to_zero,
 )
-from surfres.local_frame import Frame
+from surfres.local_frame import Frame, _top_degree, compute_ridge
 from surfres.resolution_driver import RawComponent, _maximal_components
 
 
@@ -239,3 +246,104 @@ def solve_components(
         pick = min(supports, key=lambda s: (len(s), tuple(order[v] for v in s)))
         stack.extend(fixed | {v} for v in pick)
     return _maximal_components(found)
+
+
+def public_row(field: FieldDescriptor, row: Sequence[Any]) -> list[Any]:
+    """The row with every entry a public element."""
+    return [field.to_public(c) for c in row]
+
+
+def stored_row(field: FieldDescriptor, row: Sequence[Any]) -> list[Any]:
+    """The row with every entry in stored form."""
+    return [field.to_native(c) for c in row]
+
+
+def public_echelon_add(echelon: dict[int, list[Any]], vec: Sequence[Any],
+                       field: FieldDescriptor) -> int | None:
+    """``local_frame.echelon_add`` on rows of public elements."""
+    for col, row in echelon.items():
+        c = vec[col]
+        if c:
+            vec = [a - c * b if b else a for a, b in zip(vec, row)]
+    lead = next((i for i, x in enumerate(vec) if x), None)
+    if lead is None:
+        return None
+    inv = field.one() / vec[lead]
+    vec = [x * inv if x else x for x in vec]
+    for col, row in echelon.items():
+        c = row[lead]
+        if c:
+            echelon[col] = [a - c * b if b else a for a, b in zip(row, vec)]
+    echelon[lead] = vec
+    return lead
+
+
+def public_row_reduce(rows: list[list[Any]], field: FieldDescriptor) -> list[list[Any]]:
+    """Reduced row echelon form of rows of public elements; zero rows
+    dropped."""
+    echelon: dict[int, list[Any]] = {}
+    for row in rows:
+        public_echelon_add(echelon, row, field)
+    return [echelon[col] for col in sorted(echelon)]
+
+
+def public_matrix_kernel(rows: list[list[Any]], ncols: int,
+                         field: FieldDescriptor) -> list[list[Any]]:
+    """Basis of the right kernel of rows of public elements."""
+    echelon: dict[int, list[Any]] = {}
+    for row in rows:
+        public_echelon_add(echelon, row, field)
+    zero, one = field.zero(), field.one()
+    basis = []
+    for fc in range(ncols):
+        if fc in echelon:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
+        for pc, row in echelon.items():
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def _public_linear_conditions(q: int, vec: list[Any],
+                              field: FieldDescriptor) -> list[list[Any]]:
+    """The conditions over k of the additive form sum_i c_i v_i^q."""
+    if q == 1:
+        return [list(vec)]
+    if field.is_perfect:
+        return [[q_th_root(c, q, field) for c in vec]]
+    splits = [frobenius_split(c, q) for c in vec]
+    rows = [[s[j] for s in splits] for j in range(q)]
+    return [row for row in rows if any(row)]
+
+
+def public_directrix_rows(gens: Sequence[Polynomial]) -> list[list[Any]]:
+    """``local_frame._directrix_rows`` on public elements: the unit rows of
+    the monomials' supports, the ridge's conditions, or the rows of the
+    linear Hasse derivatives."""
+    field, variables = gens[0].field, gens[0].variables
+    degree, p = _top_degree(gens), field.characteristic
+    zero, n = field.zero(), len(variables)
+    if all(len(f.vectors) == 1 for f in gens):
+        support = {i for f in gens for i, e in enumerate(f.vectors[0][0]) if e}
+        return [[field.one() if j == i else zero for j in range(n)]
+                for i in sorted(support)]
+    if p and degree >= p:
+        rows: list[list[Any]] = []
+        for s in compute_ridge(gens):
+            q = int(s.total_degree())
+            coefficients = s.coefficient_map()
+            vec = [coefficients.get(tuple(q if j == i else 0 for j in range(n)),
+                                    zero) for i in range(n)]
+            rows.extend(_public_linear_conditions(q, vec, field))
+        return rows
+    derivatives: dict[tuple[int, tuple[int, ...]], list[Any]] = {}
+    for k, f in enumerate(gens):
+        for m, c in f.coefficient_map().items():
+            for i, e in enumerate(m):
+                if e:
+                    a = (k, m[:i] + (e - 1,) + m[i + 1:])
+                    row = derivatives.setdefault(a, [zero] * n)
+                    row[i] = field.from_int(e) * c
+    return list(derivatives.values())

@@ -71,6 +71,7 @@ from surfres.resolution_driver import (
     resolve,
 )
 
+from oracles import stored_row
 from test_blow_up_once import named_roots
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
@@ -119,7 +120,8 @@ def oracle_directrix(initials):
     if not gens:
         return 0, []
     field, variables = gens[0].field, gens[0].variables
-    rref = row_reduce(oracle_directrix_rows(gens), field)
+    rref = row_reduce([stored_row(field, row)
+                       for row in oracle_directrix_rows(gens)], field)
     return len(rref), [row_form(row, field, variables) for row in rref]
 
 

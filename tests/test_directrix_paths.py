@@ -134,7 +134,7 @@ def invariant_translations(forms: list[Polynomial], p: int) -> set[tuple]:
 
 def kernel_points(forms: list[Polynomial], p: int) -> set[tuple]:
     """The F_p-points where every linear form vanishes."""
-    rows = [[c.value for c in form_row(f, XYZ)] for f in forms]
+    rows = [form_row(f, XYZ) for f in forms]
     return {w for w in product(range(p), repeat=3)
             if all(sum(a * b for a, b in zip(row, w)) % p == 0 for row in rows)}
 

@@ -263,7 +263,7 @@ def brute_force_directrix_dim(initials, field, variables):
     p = field.characteristic
     invariant = []
     for combo in itertools.product(range(p), repeat=len(variables)):
-        w = [field.from_int(c) for c in combo]
+        w = list(combo)  # stored residues
         if all(translation_invariant(f, w) for f in initials):
             invariant.append(w)
     rows = [list(w) for w in invariant]

@@ -40,7 +40,7 @@ from surfres.exact_algebra import (
 )
 from surfres.local_frame import Frame, translation_invariant
 
-from oracles import zero_polynomial
+from oracles import stored_row, zero_polynomial
 
 from test_prepare_oracle import named_cases, outcome, unprepared  # noqa: F401
 from test_translate_oracle import FIELDS, random_element
@@ -149,11 +149,13 @@ def test_translation_invariance_matches_the_shadow_variable(name):
             f = form_vanishing_on(rng, field, w)
             if f.is_zero:
                 continue
-            assert translation_invariant(f, w), (name, str(f), w)
+            assert translation_invariant(f, stored_row(field, w)), (
+                name, str(f), w)
         else:
             f = random_form(rng, field)
         expected = shadow_translation_invariant(f, w)
-        assert translation_invariant(f, w) == expected, (name, str(f), w)
+        assert translation_invariant(f, stored_row(field, w)) == expected, (
+            name, str(f), w)
         invariant += expected
     assert invariant >= 55
 
@@ -169,13 +171,14 @@ def test_translation_invariance_in_characteristic_p_without_a_linear_factor():
         for w, answer in [((0, 0, 1, 0), True), ((1, 0, 0, 0), False),
                           ((1, 1, 0, 0), False), ((0, 1, 0, 1), False)]:
             w = [field.from_int(c) for c in w]
-            assert translation_invariant(f, w) is answer
+            assert translation_invariant(f, stored_row(field, w)) is answer
             assert shadow_translation_invariant(f, w) is answer
         g = parse_polynomial(f"(x + y)^{p}", field, XYZW)
         w = [t, -t, field.zero(), field.zero()]
-        assert translation_invariant(g, w) and shadow_translation_invariant(g, w)
+        assert (translation_invariant(g, stored_row(field, w))
+                and shadow_translation_invariant(g, w))
         w = [t, t + field.one(), field.zero(), field.zero()]
-        assert not translation_invariant(g, w)
+        assert not translation_invariant(g, stored_row(field, w))
         assert not shadow_translation_invariant(g, w)
 
 

@@ -42,7 +42,15 @@ from surfres.local_frame import (
 )
 from surfres.resolution_driver import FRESH_LABELS, initial_chart, resolve
 
-from oracles import Monomial, coefficient, make, terms, zero_polynomial
+from oracles import (
+    Monomial,
+    coefficient,
+    make,
+    public_row,
+    stored_row,
+    terms,
+    zero_polynomial,
+)
 from test_invariant import whirl_chart
 
 QQ = FieldDescriptor.rationals()
@@ -334,7 +342,8 @@ def old_compute_ridge(initials):
 
     out = []
     for q, vec in chosen:
-        nvec = lf._normalize_sigma_vector(vec, field)
+        nvec = public_row(field, lf._normalize_sigma_vector(
+            stored_row(field, vec), field))
         term_map = {
             Monomial.from_dict({v: q}): c for v, c in zip(variables, nvec) if c
         }
@@ -361,7 +370,8 @@ def old_compute_directrix(initials, sigmas):
     for s in sigmas:
         q = int(s.total_degree())
         vec = [coefficient(s, Monomial.from_dict({v: q})) for v in variables]
-        rows.extend(lf._linear_conditions(q, vec, field))
+        rows.extend(public_row(field, row) for row in lf._linear_conditions(
+            q, stored_row(field, vec), field))
     rref = old_row_reduce(rows, field) if rows else []
     forms = []
     for row in rref:
@@ -370,7 +380,7 @@ def old_compute_directrix(initials, sigmas):
         forms.append(make(field, variables, term_map))
     for w in old_matrix_kernel(rref, len(variables), field):
         for f in gens:
-            if not lf.translation_invariant(f, w):
+            if not lf.translation_invariant(f, stored_row(field, w)):
                 raise RuntimeError(
                     "directrix certificate failed: translation moved an initial form"
                 )
@@ -563,6 +573,9 @@ def test_row_reduce_and_kernel_match_the_earlier_elimination(field):
                 for _ in range(nrows)]
         if rows and rng.random() < 0.3:
             rows.append([a + b for a, b in zip(rows[0], rows[-1])])
-        assert row_reduce(rows, field) == old_row_reduce(rows, field)
-        assert (matrix_kernel(rows, ncols, field)
+        stored = [stored_row(field, row) for row in rows]
+        assert ([public_row(field, row) for row in row_reduce(stored, field)]
+                == old_row_reduce(rows, field))
+        assert ([public_row(field, row)
+                 for row in matrix_kernel(stored, ncols, field)]
                 == old_matrix_kernel(rows, ncols, field))

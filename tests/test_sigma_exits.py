@@ -26,6 +26,9 @@ search does bounded work.
   (uncertified, and ``invariant`` exits 3 on that chart), and when its
   budget of substitutions runs out: the slope reached so far, uncertified,
   after exactly the substitutions that straighten the faces.
+* Over F_2(t) a face whose slide coefficients double in degree at each
+  straightening stops, uncertified, at the first coefficient of degree over
+  ``MAX_SLIDE_DEGREE``, and ``polyhedron`` of it ends at once with exit 0.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -350,3 +354,27 @@ def test_sigma_search_out_of_budget_is_uncertified(seed):
         left = f"y^2 + u1^2*(u2 - ({slide(terms[budget:])}))^2"
         got = sympy.sympify(to_string(moved).replace("^", "**"))
         assert sympy.expand(got - sympy.sympify(left.replace("^", "**"))) == 0
+
+
+# F_2(t): on side 1 the k-th slide coefficient has degrees (2^k, 2^(k+1) - 1)
+DOUBLING_SLIDE = "y^2 + (t+1)*u1*u2*y + u1*u2^2*y + (t^2)/(t^2+1)*u1^5*y"
+
+
+def test_a_slide_coefficient_over_the_degree_cap_stops_sigma_uncertified(
+        monkeypatch, capsys):
+    job = {"field": {"kind": "rational_functions", "characteristic": 2,
+                     "parameter": "t"},
+           "variables": list(U1U2Y), "generators": [DOUBLING_SLIDE],
+           "frame": {"u": ["u1", "u2"], "y": ["y"]}}
+    start = time.perf_counter()
+    code, out = polyhedron_report(monkeypatch, capsys, job)
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK
+    field = FieldDescriptor.rational_functions(2, "t")
+    gens = [parse_polynomial(DOUBLING_SLIDE, field, U1U2Y)]
+    result = cp.sigma_search(cp.prepare(gens, FRAME_U12_Y), FRAME_U12_Y, 1)
+    assert not result.certified
+    degrees = [s["coefficient"].degree for s in result.substitutions]
+    assert degrees == [2 ** (k + 1) - 1 for k in range(1, len(degrees) + 1)]
+    assert degrees[-1] <= cp.MAX_SLIDE_DEGREE < 2 * degrees[-1] + 1
+    assert json.loads(out)["sigma"]["side1"] == result.value

@@ -53,10 +53,10 @@ from surfres.exact_algebra import (
     parse_polynomial,
     translate,
 )
-from surfres.local_frame import Frame, row_reduce
+from surfres.local_frame import Frame
 from surfres.resolution_driver import initial_chart, resolve
 
-from oracles import Monomial, make, vertex_initial
+from oracles import Monomial, make, public_row_reduce, vertex_initial
 from test_prepare_oracle import adapted, named_cases  # noqa: F401  (a fixture)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,7 +134,7 @@ def old_solve_char0(vi, field):
                 rhs.append(target)
     aug = [row + [b] for row, b in zip(rows, rhs)]
     lam = [field.zero()] * r
-    for row in row_reduce(aug, field):
+    for row in public_row_reduce(aug, field):
         lead = next((c for c, x in enumerate(row) if x), None)
         if lead is None:
             continue

@@ -67,6 +67,14 @@ stderr.  The run set:
   V(y) and both, which ``resolution_driver.root_chart`` installs, each
   through ``resolve``, ``export --format dot``, ``export --format json``,
   ``invariant``, ``analyze`` and ``blowup``;
+* ``analyze``, ``invariant`` and (where a frame is given or inferred)
+  ``polyhedron`` of the ``linear_algebra_jobs``, which put the exact linear
+  algebra on fields beyond F_p: over F_9, reached by a ``root_of`` point
+  move, directrices read off the linear derivatives whose forms are not
+  coordinates, so that adapting the frame moves coordinates by F_9
+  multiples, and old boundary divisors that are not coordinates, folded
+  into the directrix by a general row reduction; over F_2(t) and F_3(t)
+  the same two, on both directrix paths;
 * ``resolve``, ``export --format json`` and ``export --format dot`` of
   ``CENSUS_SAMPLE`` jobs of ``tools/census.py`` that ``resolve`` ends with
   exit 0, the first in a seeded order of the census: surfaces with an old
@@ -156,6 +164,15 @@ NORMALIZING_GENERATORS = ["y^2 + u1^9 + u2^9", "y^3 + u1^2*y^2 + u2^7"]
 FRAMELESS_BOUNDARIES = (("z",), ("y",), ("z", "y"))
 # how many exit-0 census jobs get runs
 CENSUS_SAMPLE = 40
+# generators over F_3 whose initial form at the point y = s, s^2 + 1 = 0, is
+# (x + s*z)^2 + y^2 (up to units): two directrix forms, one not a coordinate
+F9_FORM_GENERATORS = ("(x + y*z)^2 + y^2*(y^2+1)^2",
+                      "(x + y*z)^2 + y^2*(y^2+1)^2 + z^5",
+                      "(x + y*z)^2 + y^2*(y^2+1)^2 + z^3*y",
+                      "(x + y*z + z^2)^2 + y^2*(y^2+1)^2")
+# generators over F_p(t) whose directrix form is not a coordinate
+RATFUNC_FORM_GENERATORS = ("(x + t*y)^2 + z^3", "(x + t*y + z)^3 + y^5",
+                           "(x + t*y)^3 + z^4 + y^5")
 
 
 def run_cli(args: tuple[str, ...], job: dict) -> tuple[int, str, str]:
@@ -311,6 +328,39 @@ def normalizing_jobs() -> dict[str, dict]:
     return jobs
 
 
+def linear_algebra_jobs() -> dict[str, tuple[tuple[tuple[str, ...], ...], dict]]:
+    """Jobs whose directrix, adapted frame or old-boundary directrix row
+    reduces over F_9, F_2(t) or F_3(t) with forms that are not coordinates,
+    keyed by name and paired with the commands each runs under."""
+    every = BOUNDARY_COMMANDS + (("polyhedron",),)
+    f3 = {"kind": "prime_field", "characteristic": 3}
+    ratfuncs = {"F2(t)": SLIDE_FIELDS["F2(t)"], "F3(t)": {
+        "kind": "rational_functions", "characteristic": 3, "parameter": "t"}}
+    jobs = {}
+    at_s = {"moves": {"y": {"root_of": "s^2+1"}}}
+    for text in F9_FORM_GENERATORS:
+        job = {"field": f3, "variables": corpus.XYZ, "generators": [text],
+               "point": at_s}
+        jobs[f"F9 {text}"] = (every, job)
+        jobs[f"F9 framed {text}"] = (every, dict(
+            job, frame={"u": ["z"], "y": ["x", "y"]}))
+    surface = {"variables": corpus.XYZ, "frame": {"u": ["y", "z"], "y": ["x"]}}
+    at_s = {"moves": {"z": {"root_of": "s^2+1"}}}
+    for g in ("y + z*x", "y + x", "y + z^2*x"):
+        jobs[f"F9 old {g}"] = (every, dict(
+            surface, field=f3, generators=["x^2 + y^3"], point=at_s,
+            boundary=[{"generator": g, "status": "old"}]))
+    for name, field in ratfuncs.items():
+        for text in RATFUNC_FORM_GENERATORS:
+            jobs[f"{name} {text}"] = (BOUNDARY_COMMANDS, {
+                "field": field, "variables": corpus.XYZ, "generators": [text]})
+        for g in ("y + t*z", "y + z"):
+            jobs[f"{name} old {g}"] = (every, dict(
+                surface, field=field, generators=["x^2 + y^3*z^4"],
+                boundary=[{"generator": g, "status": "old"}]))
+    return jobs
+
+
 def frameless_boundary_jobs() -> dict[str, dict]:
     """The named jobs without a frame, each with the old coordinate
     boundary divisors of ``FRAMELESS_BOUNDARIES``."""
@@ -434,6 +484,10 @@ def digests() -> dict[str, str]:
             ("polyhedron",), job)
     for key, job in normalizing_jobs().items():
         out[f"polyhedron | normalizing {key}"] = run_digest(("polyhedron",), job)
+    for key, (commands, job) in linear_algebra_jobs().items():
+        for args in commands:
+            out[f"{' '.join(args)} | linear algebra {key}"] = run_digest(
+                args, job)
     for key, job in frameless_boundary_jobs().items():
         for args in SURFACE_COMMANDS + (("blowup",),):
             out[f"{' '.join(args)} | frameless boundary {key}"] = run_digest(
