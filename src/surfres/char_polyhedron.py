@@ -587,7 +587,7 @@ class PreparationResult:
 
 # solving steps a one-generator run takes exactly before it may go on
 # modulo a box span
-_EXACT_STEPS = 2
+_EXACT_STEPS = 1
 
 
 def _axis_of(v: Point) -> int | None:
@@ -666,8 +666,9 @@ class _Box:
 
 
 def _drift_end(solved: Sequence[Point], budget: int) -> Point:
-    """Where the solved vertices are headed at the end of the budget: their
-    last step taken again at each remaining step, scaled up by the ratio of
+    """Where the vertices ``solved`` (the last one may be the vertex the
+    loop examines next) are headed at the end of the budget: their last
+    step taken again at each remaining step, scaled up by the ratio of
     the last two steps when it exceeds 1, plus one in each coordinate that
     grows (so that a box with this corner keeps the term of the vertex the
     budget ends on)."""
@@ -767,7 +768,9 @@ def _run_modulo_a_box(switch: _Run, frame: Frame, budget: int) -> _Run | None:
         return None
     vs = switch.poly.vertices
     corner = floor = tuple(min(v[i] for v in vs) for i in range(frame.e))
-    seen = switch.solved
+    # the solved vertex and the one the loop examines next: the pause
+    # returns only while an uncertified vertex is left
+    seen = [*switch.solved, min(v for v in vs if v not in switch.certified)]
     # a corner from the drift at the switch, then one enlarged by the drift
     # that a failed run saw
     for _ in range(2):
@@ -784,6 +787,8 @@ def _run_modulo_a_box(switch: _Run, frame: Frame, budget: int) -> _Run | None:
                         certified=set(switch.certified))
         if _advance(trial, frame, budget, box=box):
             return trial
+        if len(trial.solved) == len(switch.solved):
+            return None  # it failed before a step: no drift to enlarge by
         seen = trial.solved
     return None
 
@@ -798,10 +803,11 @@ def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> Prepa
 
     A run on one generator f of order N, where normalization does nothing,
     may spend most of its budget translating terms far from the vertices.
-    After ``_EXACT_STEPS`` solving steps such a run, if it is still going,
-    goes on modulo a box span (the vertex preparation of Hironaka,
-    "Characteristic polyhedra of singularities", 1967, as Cossart, Jannsen
-    and Saito use it, read modulo terms that cannot reach a vertex):
+    After one exact solving step (``_EXACT_STEPS``) such a run, if it is
+    still going, goes on modulo a box span (the vertex preparation of
+    Hironaka, "Characteristic polyhedra of singularities", 1967, as
+    Cossart, Jannsen and Saito use it, read modulo terms that cannot reach
+    a vertex):
 
     * Let delta be the componentwise minimum of the polyhedron P at the
       switch, give a term u^a y^B the weight a_i + delta_i |B| in coordinate
@@ -830,12 +836,17 @@ def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> Prepa
     term that carries a vertex (u1^8 in y + u2^2 + u1^5*u2 + u1^8 once the
     loop walks up the u2-axis).  With both checks holding, the reduced run
     takes exactly the steps of the exact loop.  Its corner is where the
-    solved vertices are headed at the end of the budget (``_drift_end``);
-    when a check fails the corner is enlarged once by what that run saw,
-    and after that the exact loop resumes from the state saved at the
-    switch.  The exact generators are replayed from that state on demand
-    (see ``PreparationResult``).  Runs on two or more generators stay
-    exact.
+    loop is headed at the end of the budget (``_drift_end``), read off the
+    solved vertex and the vertex the loop examines next, the least
+    uncertified one at the switch, taken as the predicted second point;
+    when a check fails the corner is enlarged once by the vertices that run
+    solved, and after that (or at once, if it failed before a step) the
+    exact loop resumes from the state saved at the switch.  The argument
+    above holds for any corner c >= delta with c != delta, so the choice of
+    corner, the predicted point included, changes only how far the run
+    gets modulo the box, never the steps it takes.  A run that ends modulo
+    the box replays its exact generators from the switch on demand (see
+    ``PreparationResult``).  Runs on two or more generators stay exact.
     """
     if budget < 1:
         raise InputError("preparation budget must be >= 1")

@@ -158,8 +158,9 @@ def adapt_frame_to_forms(
     coordinate v.  Coordinate forms c*v reduce to their variables with no
     tail, so when every form is one the pivots are their variables and
     nothing moves.  Returns the generators and a frame whose y-block is
-    exactly the pivot set; with no move, the generators and the boundary
-    components come back as they are.
+    exactly the pivot set.  A generator that holds none of the moved
+    pivots comes back as it is (every generator, when nothing moves), and
+    so does a boundary component whose generator holds none.
     """
     if not gens:
         raise InputError("adapt_frame_to_forms needs generators")
@@ -177,15 +178,19 @@ def adapt_frame_to_forms(
 
     def rewrite(g: Polynomial) -> Polynomial:
         # a tail holds no pivot (the rows are reduced), so the moves commute
+        # and bring in no pivot: a move whose pivot g lacks leaves g as it is
+        held = g.support_variables()
         for var, c, shift in moves:
-            g = translate(g, var, c, shift)
+            if var in held:
+                g = translate(g, var, c, shift)
         return g
 
     new_gens, boundary = tuple(gens), frame.boundary
     if moves:
         new_gens = tuple(rewrite(g) for g in new_gens)
         boundary = tuple(
-            replace(b, generator=rewrite(b.generator)) for b in boundary)
+            b if (moved := rewrite(b.generator)) is b.generator
+            else replace(b, generator=moved) for b in boundary)
     y_block = tuple(v for v in frame.variables if v in pivots)
     u_block = tuple(v for v in frame.u_block if v not in pivots) + tuple(
         v for v in frame.y_block if v not in pivots)

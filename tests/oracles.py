@@ -18,12 +18,21 @@
   and ``public_directrix_rows`` -- the exact linear algebra of
   ``local_frame`` on public elements (``Fraction``, ``Fp``, ...), which it
   now runs on stored coefficients; ``public_row`` and ``stored_row``
-  convert a row between the two forms.
+  convert a row between the two forms;
+* ``adapt_by_every_move`` -- ``invariant.adapt_frame_to_forms`` as it was
+  before it skipped the moves whose pivot a polynomial does not hold: it
+  translates every generator and boundary generator by every move;
+* ``repo_module`` -- a module of the repository's ``perfbench/`` or
+  ``tools/``, imported without leaving bytecode there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import importlib
+import sys
+from dataclasses import dataclass, replace
+from pathlib import Path
+from types import ModuleType
 from typing import Any, Iterable, Mapping, Sequence
 
 from surfres.blowup_engine import CLOSED_POINT, Center
@@ -42,8 +51,16 @@ from surfres.exact_algebra import (
     name_order,
     q_th_root,
     restrict_to_zero,
+    translate,
 )
-from surfres.local_frame import Frame, _top_degree, compute_ridge
+from surfres.local_frame import (
+    Frame,
+    _top_degree,
+    compute_ridge,
+    coordinate_variable,
+    form_row,
+    row_reduce,
+)
 from surfres.resolution_driver import RawComponent, _maximal_components
 
 
@@ -347,3 +364,50 @@ def public_directrix_rows(gens: Sequence[Polynomial]) -> list[list[Any]]:
                     row = derivatives.setdefault(a, [zero] * n)
                     row[i] = field.from_int(e) * c
     return list(derivatives.values())
+
+
+def adapt_by_every_move(
+    gens: Sequence[Polynomial], frame: Frame, forms: Sequence[Polynomial],
+) -> tuple[tuple[Polynomial, ...], Frame]:
+    """``adapt_frame_to_forms`` translating every generator and boundary
+    generator by every move, and rebuilding every boundary component."""
+    pivots = {coordinate_variable(f) for f in forms}
+    moves = []
+    if None in pivots:
+        order = tuple(frame.y_block) + tuple(frame.u_block)
+        pivots = set()
+        for row in row_reduce([form_row(f, order) for f in forms],
+                              gens[0].field):
+            idx = next(i for i, c in enumerate(row) if c)
+            pivots.add(order[idx])
+            moves.extend((order[idx], -c, {order[i]: 1})
+                         for i, c in enumerate(row) if c and i != idx)
+
+    def rewrite(g: Polynomial) -> Polynomial:
+        for var, c, shift in moves:
+            g = translate(g, var, c, shift)
+        return g
+
+    new_gens, boundary = tuple(gens), frame.boundary
+    if moves:
+        new_gens = tuple(rewrite(g) for g in new_gens)
+        boundary = tuple(
+            replace(b, generator=rewrite(b.generator)) for b in boundary)
+    y_block = tuple(v for v in frame.variables if v in pivots)
+    u_block = tuple(v for v in frame.u_block if v not in pivots) + tuple(
+        v for v in frame.y_block if v not in pivots)
+    return new_gens, Frame(u_block=u_block, y_block=y_block,
+                           boundary=boundary)
+
+
+def repo_module(directory: str, name: str) -> ModuleType:
+    """The module ``name`` of the repository directory ``directory``
+    (``perfbench`` or ``tools``), imported with that directory on the path
+    for the import only, and with no bytecode written."""
+    saved = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / directory))
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved

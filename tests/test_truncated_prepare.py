@@ -1,13 +1,16 @@
 """Vertex preparation modulo a box span against the exact loop.
 
-On one generator ``prepare`` goes on modulo a box span J_c after two
-solving steps and replays the exact generators on demand (see its
+On one generator ``prepare`` goes on modulo a box span J_c after one
+solving step and replays the exact generators on demand (see its
 docstring).  The loop as it was before, which never truncates, is kept
 below as the oracle.  Every field of ``PreparationResult``, the replayed
-generators included, must agree at budgets 8 and 24 on every chart of the
-named traces (own and adapted frame), the criterion-6 instances, the F2
+generators included, must agree at budgets 8, 24 and 64 on every chart of
+the named traces (own and adapted frame), the 32 seeded random charts of
+``perfbench``'s face-sweep workload, the criterion-6 instances, the F2
 charts whose vertices grow geometrically, and small charts built around the
-counterexample y + u2^2 + u1^5*u2 + u1^8 of a half-space certificate.
+counterexample y + u2^2 + u1^5*u2 + u1^8 of a half-space certificate.  One
+chart for each way a run goes on from the switch pins how each of its
+trials modulo a box ends.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ from surfres.exact_algebra import (
 from surfres.local_frame import Frame
 from surfres.resolution_driver import initial_chart, resolve
 
-from oracles import Monomial, make
+from oracles import Monomial, make, repo_module
 from test_prepare_oracle import adapted, criterion_6_cases, named_cases  # noqa: F401
 
 QQ = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
 XYZ = ("x", "y", "z")
-BUDGETS = (8, 24)
+BUDGETS = (8, 24, 64)
 FRAME_U12_Y = Frame(("u1", "u2"), ("y",))
 
 # the order-1 charts of the two-divisor trace whose generators grow far
@@ -157,11 +160,31 @@ def largest_substitution():
 
 
 @pytest.fixture(scope="module")
-def geometric_cases():
-    trace = resolve(initial_chart(F2, XYZ, "x^2 + y^3*z^3 + x*y*z^3"))
+def sweep_cases():
+    """The 32 seeded random charts of ``perfbench``'s face-sweep workload
+    at its default seed, in the adapted frame that the sweep prepares in
+    and, where e <= 2, in their own frame."""
+    corpus = repo_module("perfbench", "corpus")
+    workloads = repo_module("perfbench", "workloads")
+    cases = []
+    for key, chart in workloads._random_charts(corpus.DEFAULT_SEED):
+        if chart.frame.e <= 2:
+            cases.append((key, list(chart.generators), chart.frame))
+        gens, frame = adapted(chart)
+        cases.append((key + ":adapted", gens, frame))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def f2_trace():
+    return resolve(initial_chart(F2, XYZ, "x^2 + y^3*z^3 + x*y*z^3"))
+
+
+@pytest.fixture(scope="module")
+def geometric_cases(f2_trace):
     cases = []
     for chart_id in GEOMETRIC:
-        gens, frame = adapted(trace.charts[chart_id])
+        gens, frame = adapted(f2_trace.charts[chart_id])
         cases.append((f"F2:{chart_id}:adapted", gens, frame))
     return cases
 
@@ -172,7 +195,7 @@ def counterexample_cases(budget):
     first box corner is right, and spaced ever wider, so that it is too
     small.  A half-space |a| >= N|c| in place of the box drops u1^8, the
     term on the u1-axis that carries a vertex.  Last, a square whose vertex
-    after the switch is the first box corner (0, budget + 3) itself: the
+    after the second step is the first box corner (0, budget + 3): the
     box keeps its term y*u2^(budget+3) but drops u2^(2*budget+6), and only
     check 2 keeps that vertex from being examined with a short initial
     form."""
@@ -229,6 +252,12 @@ def test_named_trace_charts_match_the_exact_loop(named_cases, budget):
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
+def test_seeded_face_sweep_charts_match_the_exact_loop(sweep_cases, budget):
+    assert len(sweep_cases) > 32
+    check_all(sweep_cases, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
 def test_criterion_6_instances_match_the_exact_loop(budget):
     check_all(criterion_6_cases(), budget)
 
@@ -241,3 +270,75 @@ def test_geometric_f2_charts_match_the_exact_loop(geometric_cases, budget):
 @pytest.mark.parametrize("budget", (4, 8, 24))
 def test_counterexample_charts_match_the_exact_loop(budget):
     check_all(counterexample_cases(budget), budget)
+
+
+# ---------------------------------------------------------------------------
+# the paths of the switch
+# ---------------------------------------------------------------------------
+
+# a chart for each way a run can go on from the switch at budget 8: how
+# each trial modulo a box ended (True, or the check that failed) and the
+# solving steps taken by then
+SWITCH_PATHS = {
+    "a box run that ends":
+        ("two-divisor:root/u2/u1/u1/y/y/u1", ((True, 8),)),
+    "the enlarged second trial ends":
+        ("F2:root/y/z/y/y/y", (("check 1", 4), (True, 8))),
+    "both trials fail":
+        ("F2:root/y/z/y/y/x", (("check 1", 6), ("check 1", 7))),
+    "a failed trial that drifted inside its corner":
+        ("F2:root/z/y/z/z", (("check 1", 2),)),
+    "check 2 fails on the corner itself":
+        ("on-corner", (("check 2", 2),)),
+    "a trial that fails before a step":
+        ("before-a-step", (("check 1", 1),)),
+}
+# the first vertex (0, 4) is solved, and the drift to the next, (1, 2),
+# heads right and down: at budget 8 the corner is the last vertex (10, 0),
+# whose term u1^20 the box drops, so check 1 fails before a second step
+BEFORE_A_STEP = "y^2 + 2*u2^4*y + u2^8 + u1^2*u2^4 + u1^20"
+
+
+def box_trials(monkeypatch, gens, frame, budget):
+    """``prepare``'s result, and (how it ended, solving steps) of each of
+    its runs modulo a box: True, or the check that failed."""
+    trials = []
+    real = cp._advance
+
+    def advance(run, frame, budget, pause=None, box=None):
+        ended = real(run, frame, budget, pause=pause, box=box)
+        if box is not None:
+            how = ended or ("check 2" if run.poly.member(box.corner)
+                            else "check 1")
+            trials.append((how, len(run.solved)))
+        return ended
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cp, "_advance", advance)
+        result = prepare(gens, frame, budget=budget)
+    return result, tuple(trials)
+
+
+@pytest.fixture(scope="module")
+def path_cases(named_cases, f2_trace):
+    cases = {f"two-divisor:{name.split(':')[1]}": (gens, frame)
+             for name, gens, frame in named_cases
+             if name.startswith("two-divisor-chart:")
+             and name.endswith(":adapted")}
+    for chart_id in ("root/y/z/y/y/y", "root/y/z/y/y/x", "root/z/y/z/z"):
+        cases[f"F2:{chart_id}"] = adapted(f2_trace.charts[chart_id])
+    for name, gens, frame in counterexample_cases(8):
+        cases[name] = (gens, frame)
+    cases["before-a-step"] = (
+        [parse_polynomial(BEFORE_A_STEP, QQ, ("u1", "u2", "y"))], FRAME_U12_Y)
+    return cases
+
+
+@pytest.mark.parametrize("path", SWITCH_PATHS)
+def test_each_path_of_the_switch_is_taken_and_matches_the_exact_loop(
+        monkeypatch, path_cases, path):
+    name, want_trials = SWITCH_PATHS[path]
+    gens, frame = path_cases[name]
+    got, trials = box_trials(monkeypatch, gens, frame, 8)
+    assert trials == want_trials, (path, trials)
+    check(name, got, gens, frame, 8)

@@ -16,6 +16,11 @@ stderr.  The run set:
   F_3 and F_5, whose charts take the most solving steps), in the chart's
   own frame and in its directrix-adapted frame, so the witnesses chosen
   over F_p are in the bytes;
+* ``polyhedron`` at budgets 8 and 24 on the 32 seeded random charts of
+  ``perfbench``'s ``face-sweep`` workload at its default seed, in the
+  directrix-adapted frame that the sweep prepares in, so that the runs
+  modulo a box of the benchmark's seeded charts are in the bytes (4 over
+  F_2 at each budget, and one over F_3 in sigma's re-preparation);
 * ``analyze`` and ``invariant`` on every chart of the four named traces,
   and ``blowup`` on every such chart with a non-empty stratum, each job
   rebuilt from the chart as ``export --format json`` writes it (frame,
@@ -111,6 +116,8 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/ or tests/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import corpus  # noqa: E402  (perfbench/corpus.py)
+import ops  # noqa: E402
+import workloads  # noqa: E402
 from test_cli_inputs import point_jobs  # noqa: E402
 from test_no_shadow_variables import CONSTRAINT_FIELDS, slide_generator  # noqa: E402
 from test_sigma_exits import chart_jobs, named_chart_jobs  # noqa: E402
@@ -216,6 +223,21 @@ def field_chart_jobs() -> dict[str, dict]:
         trace = resolve(initial_chart(FieldDescriptor.prime_field(
             field["characteristic"]), tuple(corpus.XYZ), text))
         jobs.update(chart_jobs({f"{name}:{text}": trace}, field))
+    return jobs
+
+
+def sweep_chart_jobs() -> dict[str, dict]:
+    """The ``polyhedron`` job of each seeded random chart of the
+    ``face-sweep`` workload at its default seed, in its adapted frame, keyed
+    by the workload's op key (``sweep:<field>:<surface>:<chart id>``)."""
+    jobs = {}
+    for key, chart in workloads._random_charts(corpus.DEFAULT_SEED):
+        gens, frame = ops.adapted(chart)
+        jobs[key] = {"field": corpus.FIELDS[key.split(":")[1]],
+                     "variables": list(chart.variables),
+                     "generators": [to_string(g) for g in gens],
+                     "frame": {"u": list(frame.u_block),
+                               "y": list(frame.y_block)}}
     return jobs
 
 
@@ -440,6 +462,10 @@ def digests() -> dict[str, str]:
     for key, job in field_chart_jobs().items():
         out[f"polyhedron budget 8 | field chart {key}"] = run_digest(
             ("polyhedron",), job)
+    for key, job in sweep_chart_jobs().items():
+        for budget in CHART_BUDGETS:
+            out[f"polyhedron budget {budget} | {key}"] = run_digest(
+                ("polyhedron",), dict(job, options={"budget": budget}))
     traces = named_traces()
     for key, job in blowup_jobs(traces).items():
         out[f"blowup | {key}"] = run_digest(("blowup",), job)
