@@ -48,6 +48,7 @@ from .local_frame import (
     coordinate_variable,
     initial_form,
     nu_star,
+    unchecked_component,
 )
 
 # -- center kinds -----------------------------------------------------------
@@ -166,15 +167,18 @@ class ChartState:
                 raise InputError("generator field does not match the chart")
 
     # nu*, the generators' orders, the directrix and the log-directrix are
-    # derived on first read and kept on this state.  ``replace_chart``
-    # copies a state with the values its changes leave valid
-    # (``_CACHE_READS``); a ``dataclasses.replace`` copy starts without
-    # them, and inside a ``resolve`` takes its directrix from the per-run
-    # memo.
+    # derived on first read and kept on this state; nu* is read off the
+    # orders.  ``replace_chart`` copies a state with the values its changes
+    # leave valid (``_CACHE_READS``), and checks the copy again only when a
+    # change is to a field ``__post_init__`` checks (``_CHECKED``); a
+    # ``dataclasses.replace`` copy is checked, starts without the values,
+    # and inside a ``resolve`` takes its directrix from the per-run memo.
+    # No permissibility verdict is kept here: ``resolve`` hands a state's
+    # verdicts on by center (``center_verdict``).
 
     @cached_property
     def nu(self) -> NuStar:
-        return nu_star(self.generators)
+        return nu_star(self.generators, self.orders)
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -208,6 +212,9 @@ _CACHE_READS = {
 }
 
 
+# the fields ``ChartState.__post_init__`` checks
+_CHECKED = ("generators", "frame", "variables", "field")
+
 _FIELDS = tuple(f.name for f in fields(ChartState))
 
 
@@ -215,9 +222,13 @@ def replace_chart(chart: ChartState, **changes: Any) -> ChartState:
     """``dataclasses.replace`` for a chart state, keeping each cached value
     that reads none of the changed fields.
 
-    The copy is built from the parent's fields and the changes, and checked
-    by ``ChartState.__post_init__`` as a constructed state is; a change that
-    names no field is refused with ``TypeError``, as by ``replace``.
+    The copy is built from the parent's fields and the changes.  It is
+    checked by ``ChartState.__post_init__``, as a constructed state is,
+    when a change is to the generators, the frame, the variables or the
+    field (``_CHECKED``); a copy that changes only other fields (the
+    stratum, say) keeps the parent's checked values.  A change that names
+    no field is refused with ``TypeError``, as by ``replace``.  The copy
+    carries no permissibility verdict: ``resolve`` hands those on itself.
     """
     unknown = changes.keys() - set(_FIELDS)
     if unknown:
@@ -227,7 +238,8 @@ def replace_chart(chart: ChartState, **changes: Any) -> ChartState:
     values = copy.__dict__
     for name in _FIELDS:
         values[name] = changes[name] if name in changes else parent[name]
-    copy.__post_init__()
+    if not changes.keys().isdisjoint(_CHECKED):
+        copy.__post_init__()
     for name, reads in _CACHE_READS.items():
         if name in parent and changes.keys().isdisjoint(reads):
             values[name] = parent[name]
@@ -349,29 +361,53 @@ def permissible_check(chart: ChartState, center: Center) -> PermissibilityReport
     return PermissibilityReport(ok=not violations, violations=tuple(violations))
 
 
-def is_permissible_curve(chart: ChartState, variables: tuple[str, ...]) -> bool:
-    """Whether V(variables) is usable as a coordinate-curve center.
+Verdicts = dict[Center, PermissibilityReport]
+
+
+def center_verdict(chart: ChartState, center: Center,
+                   verdicts: Verdicts | None = None) -> PermissibilityReport:
+    """``permissible_check(chart, center)``, read from ``verdicts`` when
+    it holds the center and else computed and entered there.
+
+    ``verdicts`` holds the verdicts of this one chart state by center, or
+    of a state with the same generators, variables and frame, which are all
+    the check reads; it is the caller's, and lives as long as its step.
+    """
+    if verdicts is None:
+        return permissible_check(chart, center)
+    report = verdicts.get(center)
+    if report is None:
+        report = verdicts[center] = permissible_check(chart, center)
+    return report
+
+
+def is_permissible_curve(chart: ChartState, variables: tuple[str, ...],
+                         verdicts: Verdicts | None = None) -> bool:
+    """Whether V(variables) is usable as a coordinate-curve center, with
+    the verdict read through ``center_verdict``.
 
     A curve the chart's frame rejects as a center shape (it misses part of
     the y-block, say) counts as not permissible, like any other violation.
     """
     try:
-        return permissible_check(
-            chart, Center(variables, COORDINATE_CURVE)).ok
+        return center_verdict(
+            chart, Center(variables, COORDINATE_CURVE), verdicts).ok
     except InputError:
         return False
 
 
-def own_center(chart: ChartState,
-               comps: Sequence[StratumComponent]) -> Center | None:
+def own_center(chart: ChartState, comps: Sequence[StratumComponent],
+               verdicts: Verdicts | None = None) -> Center | None:
     """The closed point or permissible coordinate curve that the components
-    are, when they are one coordinate component of that shape, else None."""
+    are, when they are one coordinate component of that shape, else None;
+    a curve's verdict is read through ``center_verdict``."""
     if len(comps) != 1 or not comps[0].is_coordinate:
         return None
     variables, n = comps[0].variables, len(chart.variables)
     if len(variables) == n:
         return Center(variables, CLOSED_POINT)
-    if len(variables) == n - 1 and is_permissible_curve(chart, variables):
+    if (len(variables) == n - 1
+            and is_permissible_curve(chart, variables, verdicts)):
         return Center(variables, COORDINATE_CURVE)
     return None
 
@@ -396,19 +432,24 @@ def _strict_transform(g: Polynomial, center: tuple[str, ...],
     return strict
 
 
-def _require_permissible(chart: ChartState, center: Center) -> None:
+def _require_permissible(chart: ChartState, center: Center,
+                         verdicts: Verdicts | None = None) -> None:
     """Refuse a canonical center that fails ``permissible_check``."""
-    report = permissible_check(chart, center)
+    report = center_verdict(chart, center, verdicts)
     if not report.ok:
         raise InputError(
             "center is not permissible: " + "; ".join(report.violations))
 
 
-def blow_up(chart: ChartState, center: Center) -> tuple[ChartState, ...]:
+def blow_up(chart: ChartState, center: Center,
+            verdicts: Verdicts | None = None) -> tuple[ChartState, ...]:
     """The affine charts D+(w) of the blow-up of the chart in V(center), one
     for each center variable w in the order ``center`` lists them.
 
-    The center is canonicalised and checked once for all the charts.  In
+    The center is canonicalised and checked once for all the charts; its
+    verdict is read from ``verdicts``, the chart state's own, when they
+    hold it (``center_verdict``: ``resolve`` hands on the one that
+    ``select_center`` read).  In
     the chart of w every other center variable v is replaced by v * w; each
     generator is divided exactly by w to its order along the center, which
     the check makes its order at the origin (``ChartState.orders``), and
@@ -423,7 +464,7 @@ def blow_up(chart: ChartState, center: Center) -> tuple[ChartState, ...]:
     once; so V(v) is kept as it is.
     """
     canonical = _canonical_center(chart, center)
-    _require_permissible(chart, canonical)
+    _require_permissible(chart, canonical, verdicts)
     return tuple(_chart_of(chart, canonical, w) for w in center.variables)
 
 
@@ -441,7 +482,9 @@ def _chart_of(chart: ChartState, center: Center, w: str) -> ChartState:
     """The chart D+(w) of ``blow_up`` in a canonical permissible center,
     along which each generator's order is its order at the origin
     (condition 1 of ``permissible_check``).  Every boundary component is a
-    coordinate divisor V(v), as ``permissible_check`` refuses any other."""
+    coordinate divisor V(v), as ``permissible_check`` refuses any other,
+    and so is the exceptional divisor V(w), built without a second check
+    of its order (``unchecked_component``)."""
     new_generators = tuple(
         _strict_transform(g, center.variables, w, order)
         for g, order in zip(chart.generators, chart.orders))
@@ -451,12 +494,9 @@ def _chart_of(chart: ChartState, center: Center, w: str) -> ChartState:
     new_boundary = [comp for comp in chart.frame.boundary
                     if coordinate_variable(comp.generator) != w]
     max_cid = max((c.cid for c in chart.frame.boundary), default=-1)
-    new_boundary.append(BoundaryComponent(
-        generator=Polynomial.variable(chart.field, chart.variables, w),
-        status=NEW,
-        birth_step=step,
-        cid=max_cid + 1,
-    ))
+    new_boundary.append(unchecked_component(
+        Polynomial.variable(chart.field, chart.variables, w), NEW, step,
+        max_cid + 1))
 
     u_block, y_block = chart.frame.u_block, chart.frame.y_block
     if w in y_block:

@@ -32,7 +32,7 @@ witness, so the first witness is the one an unscreened search finds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from math import comb, lcm
 from operator import ge, sub
@@ -869,6 +869,9 @@ class SigmaResult:
     value: Fraction | float
     certified: bool
     substitutions: tuple[dict, ...]
+    # (alpha, beta, gamma, s) of the side's first face, read off the
+    # polyhedron the search starts from (``face_numbers``); not compared
+    first_face: tuple = dataclass_field(default=(), compare=False)
 
 
 def _uni_trim(a: list[Any]) -> list[Any]:
@@ -1011,7 +1014,9 @@ def sigma_search(
     that ran out of budget the polyhedron compared is not final, and the
     slope read before that straightening is returned, uncertified.  So is
     the slope read before a slide coefficient over F_p(t) whose degree is
-    over ``MAX_SLIDE_DEGREE``, without that straightening.
+    over ``MAX_SLIDE_DEGREE``, without that straightening.  The result
+    keeps the face numbers of the first face (``first_face``), which
+    ``iota_poly`` reads too.
     """
     if side not in (1, 2):
         raise InputError("side must be 1 or 2")
@@ -1021,9 +1026,10 @@ def sigma_search(
         (frame.u_block[1], frame.u_block[0]), frame.y_block, frame.boundary
     )
     u1, u2 = work_frame.u_block
-    alpha, beta, _, s = face_numbers(prepared.polyhedron, side)
+    first_face = face_numbers(prepared.polyhedron, side)
+    alpha, beta, _, s = first_face
     if beta < 1:
-        return SigmaResult(Fraction(1), True, ())
+        return SigmaResult(Fraction(1), True, (), first_face)
     subs: list[dict] = []
     certified = True
     for _ in range(budget):
@@ -1063,4 +1069,4 @@ def sigma_search(
     else:  # the budget ran out before the slope settled
         certified = False
     # max keeps INF, which exceeds every Fraction
-    return SigmaResult(max(Fraction(1), s), certified, tuple(subs))
+    return SigmaResult(max(Fraction(1), s), certified, tuple(subs), first_face)

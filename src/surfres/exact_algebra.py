@@ -9,8 +9,9 @@ vectors and ends in one canonicalising constructor, ``_canonical``, except
 the maps whose terms come out in that order, which build the ``Polynomial``
 directly: a subset of one polynomial's terms (``restrict_to_zero``,
 ``initial_form``, ``_pure_y_part``, ``_vertex_initial``, ``_Box.reduce``),
-``hasse_derivative`` (m -> m - A on the terms with m >= A is injective and
-keeps the order) and ``Polynomial.variable`` (one term).
+``hasse_derivative`` and ``hasse_derivatives`` (m -> m - A on the terms
+with m >= A is injective and keeps the order) and ``Polynomial.variable``
+(one term).
 ``substitute`` and ``substitute_many`` replace variables by polynomials;
 the monomial maps of the resolution have their own kernels on the exponent
 vectors: ``translate`` for a move x <- x + c * monomial (by the binomial
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
-from operator import add
+from math import comb, prod
+from operator import add, sub
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 INF = float("inf")
@@ -713,8 +714,8 @@ def _canonical(field: FieldDescriptor, variables: tuple[str, ...],
     order.  Every polynomial is built here except by the order-keeping maps:
     a subset of one polynomial's terms (``restrict_to_zero``,
     ``initial_form``, ``_pure_y_part``, ``_vertex_initial``, ``_Box.reduce``),
-    the injective shift m -> m - A of ``hasse_derivative``, and the one term
-    of ``Polynomial.variable``."""
+    the injective shift m -> m - A of ``hasse_derivative`` and
+    ``hasse_derivatives``, and the one term of ``Polynomial.variable``."""
     kept = _native_terms(field, terms)
     kept.sort(key=_vector_order, reverse=True)
     return Polynomial(field, variables, tuple(kept))
@@ -943,6 +944,32 @@ def hasse_derivative(f: Polynomial, a: Mapping[str, int]) -> Polynomial:
         else:
             out.append((tuple(new), c * native_int(factor)))
     return Polynomial(f.field, f.variables, tuple(_native_terms(f.field, out)))
+
+
+def hasse_derivatives(f: Polynomial, order: int) -> list[Polynomial]:
+    """The nonzero D_A f of every A with |A| < order, by |A| and then in
+    ascending lexicographic order of A, as ``hasse_derivative`` gives them
+    one A at a time.
+
+    They are formed in one pass over f's terms: the term c * X^M adds
+    binom(M, A) * c * X^(M - A) to D_A f for each A <= M.  Each D_A f
+    receives its terms in f's canonical order, which the shift M -> M - A
+    keeps, so it needs no sort.
+    """
+    field, native_int = f.field, f.field.native_int
+    parts: dict[tuple[int, ...], list[tuple[tuple, Any]]] = {}
+    for vec, c in f.vectors:
+        for a in product(*[range(min(e, order - 1) + 1) for e in vec]):
+            if sum(a) < order:
+                parts.setdefault(a, []).append((
+                    tuple(map(sub, vec, a)),
+                    c * native_int(prod(map(comb, vec, a)))))
+    out = []
+    for a in sorted(parts, key=lambda a: (sum(a), a)):
+        terms = _native_terms(field, parts[a])
+        if terms:
+            out.append(Polynomial(field, f.variables, tuple(terms)))
+    return out
 
 
 def _evaluate(f: Polynomial, assignments: Mapping[str, Polynomial]) -> Polynomial:

@@ -31,6 +31,7 @@ from .blowup_engine import (
     CLOSED_POINT,
     ChartState,
     StratumComponent,
+    Verdicts,
     iota0,
     own_center,
 )
@@ -38,7 +39,6 @@ from .char_polyhedron import (
     BUDGET_EXHAUSTED,
     PreparationResult,
     delta,
-    face_numbers,
     prepare,
     sigma_search,
 )
@@ -107,7 +107,8 @@ def in_case_v(chart: ChartState) -> bool:
         chart_is_regular(chart) and not chart.frame.old_components())
 
 
-def classify_case(chart: ChartState) -> CaseInfo:
+def classify_case(chart: ChartState,
+                  verdicts: Verdicts | None = None) -> CaseInfo:
     """Classify the chart origin by the original part C of the maximal stratum.
 
     Case V: the chart misses the variety, or the origin is a regular point
@@ -123,7 +124,9 @@ def classify_case(chart: ChartState) -> CaseInfo:
     (``blowup_engine.own_center``), Case I for the origin itself and Case
     II for one permissible coordinate curve; Case III otherwise (several
     components, a curve that is not permissible, or a component with
-    non-coordinate equations).
+    non-coordinate equations).  A curve's verdict is read from
+    ``verdicts``, the chart state's own, when they hold it
+    (``blowup_engine.center_verdict``).
     """
     if in_case_v(chart):
         return CaseInfo(CASE_V)
@@ -133,7 +136,7 @@ def classify_case(chart: ChartState) -> CaseInfo:
     comps = tuple(c for c in chart.stratum if c.original)
     if not comps:
         return CaseInfo(CASE_IV)
-    center = own_center(chart, comps)
+    center = own_center(chart, comps, verdicts)
     if center is None:
         return CaseInfo(CASE_III, comps)
     return CaseInfo(CASE_I if center.kind == CLOSED_POINT else CASE_II, comps)
@@ -323,10 +326,12 @@ def _new_component_variables(frame: Frame) -> list[str]:
 
 
 def _side_tuple(prepared: PreparationResult, frame: Frame, side: int) -> tuple:
-    alpha, beta, gamma, _s = face_numbers(prepared.polyhedron, side)
+    """(beta, gamma, sigma, alpha) of one side, the face numbers as
+    ``sigma_search`` read them off the first face."""
     result = sigma_search(prepared, frame, side)
     if not result.certified:
         raise ScopeError("sigma could not be certified within the budget")
+    alpha, beta, gamma, _s = result.first_face
     return (beta, gamma, result.value, alpha)
 
 
@@ -394,8 +399,11 @@ class IotaInvariant:
         return self.iota0 + self.iota_c + self.iota_poly
 
 
-def compute_iota(chart: ChartState) -> IotaInvariant:
-    case = classify_case(chart)
+def compute_iota(chart: ChartState,
+                 verdicts: Verdicts | None = None) -> IotaInvariant:
+    """iota of the chart origin; ``verdicts`` (the chart state's own) go
+    to ``classify_case``."""
+    case = classify_case(chart, verdicts)
     return IotaInvariant(
         iota0=iota0(chart),
         iota_c=iota_c(chart, case),

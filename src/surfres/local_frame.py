@@ -103,12 +103,25 @@ class BoundaryComponent:
             )
 
 
+def unchecked_component(generator: Polynomial, status: str, birth_step: int,
+                        cid: int) -> BoundaryComponent:
+    """A boundary component built without the check of ``__post_init__``,
+    for a generator known to have order one at the origin: a checked
+    component's (``made_old``) or a variable (the exceptional divisor of a
+    blow-up).  Each field is set as the dataclass's ``__init__`` sets it,
+    which keeps the instance's compact attribute storage; filling its
+    ``__dict__`` would double the size of the instance."""
+    comp = object.__new__(BoundaryComponent)
+    for name, value in (("generator", generator), ("status", status),
+                        ("birth_step", birth_step), ("cid", cid)):
+        object.__setattr__(comp, name, value)
+    return comp
+
+
 def made_old(b: BoundaryComponent) -> BoundaryComponent:
     """``dataclasses.replace(b, status=OLD)`` without re-running the check
     of ``__post_init__`` on b's generator, which was checked already."""
-    copy = object.__new__(BoundaryComponent)
-    copy.__dict__.update(b.__dict__, status=OLD)
-    return copy
+    return unchecked_component(b.generator, OLD, b.birth_step, b.cid)
 
 
 @dataclass(frozen=True)
@@ -198,15 +211,19 @@ def coordinate_variable(f: Polynomial) -> str | None:
     return f.variables[vec.index(1)] if sum(vec) == 1 else None
 
 
-def nu_star(gens: Sequence[Polynomial]) -> NuStar:
-    """Sorted list of origin orders of the generators."""
+def nu_star(gens: Sequence[Polynomial],
+            orders: Sequence[int] | None = None) -> NuStar:
+    """Sorted list of origin orders of the generators; ``orders`` gives
+    them, in generator order, when the caller has read them already
+    (``ChartState.orders``, of generators checked to be nonzero)."""
     if not gens:
         raise InputError("nu_star needs at least one generator")
-    orders = []
-    for g in gens:
-        if g.is_zero:
-            raise InputError("zero generator in nu_star")
-        orders.append(int(ord_at(g, g.variables)))
+    if orders is None:
+        orders = []
+        for g in gens:
+            if g.is_zero:
+                raise InputError("zero generator in nu_star")
+            orders.append(int(ord_at(g, g.variables)))
     return NuStar(tuple(sorted(orders)))
 
 

@@ -37,6 +37,7 @@ from .blowup_engine import (
     Center,
     ChartState,
     StratumComponent,
+    Verdicts,
     blow_up,
     classify_point,
     is_variety_component,
@@ -50,7 +51,7 @@ from .exact_algebra import (
     InputError,
     Polynomial,
     ScopeError,
-    hasse_derivative,
+    hasse_derivatives,
     name_order,
     parse_polynomial,
     restrict_to_zero,
@@ -71,7 +72,6 @@ from .local_frame import (
     coordinate_variable,
     directrix_memo,
     made_old,
-    monomials_of_degree,
 )
 
 # -- labelling modes ---------------------------------------------------------
@@ -110,11 +110,8 @@ RawComponent = tuple[frozenset, Polynomial | None]
 
 def _hasse_constraints(f: Polynomial, order: int) -> list[Polynomial]:
     """All nonzero Hasse derivatives of f of differentiation order < order,
-    each once, in the order first met."""
-    derivatives = dict.fromkeys(
-        hasse_derivative(f, dict(zip(f.variables, a))) for total in range(order)
-        for a in monomials_of_degree(len(f.variables), total))
-    return [g for g in derivatives if not g.is_zero]
+    each once, in the order first met (``hasse_derivatives``)."""
+    return list(dict.fromkeys(hasse_derivatives(f, order)))
 
 
 def _solve_components(
@@ -224,6 +221,23 @@ def _refine_by_old_components(
     if kept:
         return kept
     return [(frozenset(chart.variables), None)]
+
+
+def _reset_components(chart: ChartState,
+                      fresh: list[RawComponent]) -> list[RawComponent]:
+    """``_fresh_components`` of a chart whose boundary was just made old
+    (``_reset_boundary``), read off ``fresh``, those of the chart before.
+
+    Only the refinement by the old components reads which ones are old.
+    Refining by a set and then by a larger one is refining by the larger
+    one, the origin included (it lies in every old component), so the
+    components of order at least 2 are ``fresh`` refined by the new old
+    set.  An order-one tail reads the whole boundary and no status, and a
+    chart of order 0 has none.
+    """
+    if chart.nu.orders[0] < 2:
+        return fresh
+    return _refine_by_old_components(chart, fresh)
 
 
 def _tail_components(chart: ChartState, f: Polynomial) -> list[RawComponent]:
@@ -366,7 +380,8 @@ class CenterChoice:
     label: int | None
 
 
-def select_center(chart: ChartState) -> CenterChoice:
+def select_center(chart: ChartState,
+                  verdicts: Verdicts | None = None) -> CenterChoice:
     """The component of smallest label when usable, else the closed point.
 
     The pool is the set of stratum components of minimal label.  When the
@@ -380,6 +395,8 @@ def select_center(chart: ChartState) -> CenterChoice:
     (``is_variety_component``), which is then not reduced.  So is any
     center beside a boundary component that is not a coordinate divisor:
     normal crossings with it cannot be certified (``permissible_check``).
+    A curve's verdict is read from ``verdicts``, the chart state's own,
+    when they hold it (``blowup_engine.center_verdict``).
     """
     comps = chart.stratum
     if comps is None:
@@ -408,7 +425,7 @@ def select_center(chart: ChartState) -> CenterChoice:
                 f"the boundary component {{{to_string(comp.generator)} = 0}} "
                 "is not a coordinate divisor; certifying normal crossings of "
                 "a center with it is out of scope")
-    center = own_center(chart, pool)
+    center = own_center(chart, pool, verdicts)
     if center is not None:
         return CenterChoice(center, min_label)
     if len(pool) == 1 and len(pool[0].variables) < len(chart.variables) - 1:
@@ -550,12 +567,12 @@ def _plain_delta(chart: ChartState):
 
 def _point_record(
     parent: ChartState, parent_iota: IotaInvariant, point_chart: ChartState,
-    point: str,
+    point: str, verdicts: Verdicts | None = None,
 ) -> PointRecord:
     """Classify a tracked point above the parent and compare its invariant
-    with the parent's."""
+    with the parent's; ``verdicts`` are the point state's own."""
     classification = classify_point(parent, point_chart)
-    iota = compute_iota(point_chart)
+    iota = compute_iota(point_chart, verdicts)
     return PointRecord(
         chart_id=point_chart.chart_id, parent_id=parent.chart_id, point=point,
         classification=classification, iota_before=parent_iota,
@@ -575,7 +592,12 @@ def resolve(
     and blows it up once (``blow_up`` builds every chart of the center);
     the states made of each child keep what it derived (``replace_chart``),
     and one directrix memo (``local_frame.directrix_memo``) serves the
-    whole run.  Every tracked point (each child origin, then each point
+    whole run.  Each permissibility verdict is computed once per chart
+    state (``blowup_engine.center_verdict``): a child's table of verdicts,
+    filled by its case and its law check, is handed on to its round, where
+    ``select_center``, its invariant and ``blow_up`` read it, unless the
+    boundary reset changed the frame; the table is dropped when the round
+    takes the chart.  Every tracked point (each child origin, then each point
     declared on that child) has its stratum labelled against the carried
     components and goes through one record path, ``_point_record``: it is
     classified against the parent origin and its invariant compared with
@@ -598,6 +620,8 @@ def resolve(
     events: list[TraceEvent] = []
     queue: deque[str] = deque([root.chart_id])
     iota_cache: dict[str, IotaInvariant] = {}
+    # chart id -> the permissibility verdicts of its stored state, by center
+    verdicts: dict[str, Verdicts] = {}
     status = RESOLVED
     error: str | None = None
     steps = 0
@@ -608,6 +632,7 @@ def resolve(
                 root, stratum=max_stratum(root, label_mode))
         while queue:
             chart = charts[queue.popleft()]
+            checked = verdicts.pop(chart.chart_id, {})
             if _is_finished(chart):
                 continue
             if steps >= max_steps:
@@ -620,20 +645,23 @@ def resolve(
                 raise ScopeError(
                     f"chart {chart.chart_id}: no representable component of "
                     "the maximal-order locus; cannot pick a center")
-            choice = select_center(chart)
+            choice = select_center(chart, checked)
             steps += 1
-            parent_iota = iota_cache.get(chart.chart_id) or compute_iota(chart)
+            parent_iota = (iota_cache.get(chart.chart_id)
+                           or compute_iota(chart, checked))
             iota_cache[chart.chart_id] = parent_iota
             directrix_vars = _coordinate_directrix_vars(chart)
             parent_delta = None
             created: list[str] = []
             records: list[PointRecord] = []
-            for child in blow_up(chart, choice.center):
+            for child in blow_up(chart, choice.center, checked):
                 w = child.lineage.chart_var
                 fresh = _fresh_components(child)
                 pre = replace_chart(child, stratum=_label_components(
                     child, fresh, label_mode, reset=False))
-                record = _point_record(chart, parent_iota, pre, "origin")
+                pre_checked: Verdicts = {}
+                record = _point_record(chart, parent_iota, pre, "origin",
+                                       pre_checked)
                 records.append(record)
                 classification = record.classification
                 # iota0 opens with the log-multiplicity value (nu*, |O|)
@@ -676,8 +704,9 @@ def resolve(
                                 or len(comp.variables)
                                 != len(pre.variables) - 1):
                             continue
-                        report = permissible_check(
-                            pre, Center(comp.variables, COORDINATE_CURVE))
+                        curve = Center(comp.variables, COORDINATE_CURVE)
+                        report = pre_checked[curve] = permissible_check(
+                            pre, curve)
                         if not report.ok:
                             raise LawViolation(
                                 LAW_NEW_COMPONENTS_PERMISSIBLE,
@@ -687,16 +716,17 @@ def resolve(
 
                 stored = pre
                 if dropped:
-                    stored_fresh = fresh
                     if pre.nu < chart.nu:
                         # all boundary components become old, which can
                         # shrink the stratum (it must keep the old-component
-                        # count constant), so recompute it
+                        # count constant), and changes what is permissible
                         stored = _reset_boundary(stored)
-                        stored_fresh = _fresh_components(stored)
+                        fresh = _reset_components(stored, fresh)
+                        pre_checked = {}
                     stored = replace_chart(stored, stratum=_label_components(
-                        stored, stored_fresh, label_mode, reset=True))
+                        stored, fresh, label_mode, reset=True))
                 charts[stored.chart_id] = stored
+                verdicts[stored.chart_id] = pre_checked
                 if stored is pre:
                     iota_cache[pre.chart_id] = record.iota_after
                 created.append(stored.chart_id)

@@ -23,7 +23,15 @@
   before it skipped the moves whose pivot a polynomial does not hold: it
   translates every generator and boundary generator by every move;
 * ``repo_module`` -- a module of the repository's ``perfbench/`` or
-  ``tools/``, imported without leaving bytecode there.
+  ``tools/``, imported without leaving bytecode there;
+* ``reset_components``, ``fresh_verdict``, ``nu_of_generators``,
+  ``hasse_constraints`` and ``first_face`` -- the reads of one resolution
+  step as each reader made them before each value was derived once: a
+  second ``_fresh_components`` on a state whose boundary was reset, a
+  fresh ``permissible_check`` for every reader of a center's verdict,
+  nu* from a second ``ord_at`` per generator, one ``hasse_derivative``
+  pass per derivative, and ``face_numbers`` of the first face read again
+  beside ``sigma_search``.
 """
 
 from __future__ import annotations
@@ -35,12 +43,20 @@ from pathlib import Path
 from types import ModuleType
 from typing import Any, Iterable, Mapping, Sequence
 
-from surfres.blowup_engine import CLOSED_POINT, Center
+from surfres.blowup_engine import (
+    CLOSED_POINT,
+    Center,
+    ChartState,
+    PermissibilityReport,
+    permissible_check,
+)
 from surfres.char_polyhedron import (
     FPolyhedron,
     Point,
+    PreparationResult,
     VertexInitial,
     _vertex_initial,
+    face_numbers,
     polyhedron_of,
 )
 from surfres.exact_algebra import (
@@ -48,6 +64,7 @@ from surfres.exact_algebra import (
     InputError,
     Polynomial,
     frobenius_split,
+    hasse_derivative,
     name_order,
     q_th_root,
     restrict_to_zero,
@@ -55,13 +72,20 @@ from surfres.exact_algebra import (
 )
 from surfres.local_frame import (
     Frame,
+    NuStar,
     _top_degree,
     compute_ridge,
     coordinate_variable,
     form_row,
+    monomials_of_degree,
+    nu_star,
     row_reduce,
 )
-from surfres.resolution_driver import RawComponent, _maximal_components
+from surfres.resolution_driver import (
+    RawComponent,
+    _fresh_components,
+    _maximal_components,
+)
 
 
 @dataclass(frozen=True)
@@ -411,3 +435,38 @@ def repo_module(directory: str, name: str) -> ModuleType:
         return importlib.import_module(name)
     finally:
         sys.path[:], sys.dont_write_bytecode = saved
+
+
+# -- the reads of one resolution step, each as its reader made it before --------
+
+def reset_components(stored: ChartState) -> list[RawComponent]:
+    """The raw stratum of a state whose boundary was just made old, found
+    again from its generators."""
+    return _fresh_components(stored)
+
+
+def fresh_verdict(chart: ChartState, center: Center) -> PermissibilityReport:
+    """A center's verdict, checked afresh on the chart."""
+    return permissible_check(chart, center)
+
+
+def nu_of_generators(chart: ChartState) -> NuStar:
+    """nu* of the chart's generators, each order read again with
+    ``ord_at``."""
+    return nu_star(chart.generators)
+
+
+def hasse_constraints(f: Polynomial, order: int) -> list[Polynomial]:
+    """All nonzero Hasse derivatives of f of differentiation order < order,
+    each once, in the order first met: one ``hasse_derivative`` pass over
+    f's terms per derivative."""
+    derivatives = dict.fromkeys(
+        hasse_derivative(f, dict(zip(f.variables, a))) for total in range(order)
+        for a in monomials_of_degree(len(f.variables), total))
+    return [g for g in derivatives if not g.is_zero]
+
+
+def first_face(prepared: PreparationResult, side: int) -> tuple:
+    """(alpha, beta, gamma, s) of the side's first face of the prepared
+    polyhedron."""
+    return face_numbers(prepared.polyhedron, side)

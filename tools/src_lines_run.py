@@ -18,16 +18,26 @@ the run's own.
 Only this process's main thread is traced, so code in other threads and
 in child processes is not seen: ``perfbench/run.py`` re-executes itself
 unless ``PYTHONHASHSEED`` is 0, and ``--workload all`` runs each workload
-in a child, so give it one workload and ``PYTHONHASHSEED=0``.  The trace function runs in a frame of its own
-on top of each traced frame, so a run that recurses to the interpreter's
-limit fails earlier under it:
+in a child, so give it one workload and ``PYTHONHASHSEED=0``.
+
+The trace function runs in a frame of its own on top of each traced frame,
+so at the interpreter's recursion limit it is the trace function that does
+not fit, and the interpreter then switches it off for the rest of the run.
+Every run that recurses to that limit does so: in the tier-1 tests,
+``tests/test_parse_caps.py::test_deeply_nested_text_is_an_input_error``
+(the parser, on text nested 10,000 deep) and
 ``tests/test_report_writer.py::test_the_deepest_stored_trace_the_reader_accepts_is_written``
-drives the CLI's recursive report writer to that limit and fails here with
-a ``RecursionError``.
+(the CLI's recursive report writer, which fails here with a
+``RecursionError`` because the trace frames use up its depth).  So a
+garbage-collector callback puts the trace function back at the next
+collection after it was switched off, and the run reports on stderr how
+often that happened: a statement that ran only between a switch-off and
+that collection reads as not run.
 """
 
 from __future__ import annotations
 
+import gc
 import runpy
 import sys
 from pathlib import Path
@@ -51,12 +61,14 @@ def statements(path: Path) -> dict[int, str]:
     return out
 
 
-def run_traced(argv: list[str]) -> tuple[int, dict[str, set[int]]]:
+def run_traced(argv: list[str]) -> tuple[int, dict[str, set[int]], int]:
     """Run ``argv`` (a script and its arguments, or ``-m`` and a module
-    and its arguments) under the trace; its exit code and the executed
-    lines of each package file."""
+    and its arguments) under the trace; its exit code, the executed lines
+    of each package file, and how often the trace function was found
+    switched off and put back."""
     executed: dict[str, set[int]] = {}
     prefix = str(PACKAGE) + "/"
+    restored = 0
 
     def tracer(frame, event, _arg):
         if not frame.f_code.co_filename.startswith(prefix):
@@ -70,6 +82,14 @@ def run_traced(argv: list[str]) -> tuple[int, dict[str, set[int]]]:
             return local
         return local
 
+    def restore(phase, _info):
+        # the interpreter switches off a trace function that raises, as
+        # this one does where its frame passes the recursion limit
+        nonlocal restored
+        if phase == "start" and sys.gettrace() is None:
+            restored += 1
+            sys.settrace(tracer)
+
     sys.path.insert(0, str(ROOT / "src"))
     module = argv[0] == "-m"
     target = argv[1] if module else argv[0]
@@ -78,6 +98,7 @@ def run_traced(argv: list[str]) -> tuple[int, dict[str, set[int]]]:
         sys.path.insert(0, str(Path(target).resolve().parent))
     code = 0
     sys.settrace(tracer)
+    gc.callbacks.append(restore)
     try:
         if module:
             runpy.run_module(target, run_name="__main__", alter_sys=True)
@@ -87,8 +108,10 @@ def run_traced(argv: list[str]) -> tuple[int, dict[str, set[int]]]:
         code = exit_.code if isinstance(exit_.code, int) else int(
             exit_.code is not None)
     finally:
+        gc.callbacks.remove(restore)
+        restored += sys.gettrace() is None
         sys.settrace(None)
-    return code, executed
+    return code, executed, restored
 
 
 def main(argv: list[str]) -> int:
@@ -97,7 +120,11 @@ def main(argv: list[str]) -> int:
         print("usage: src_lines_run.py SCRIPT [ARG ...] | -m MODULE [ARG ...]",
               file=sys.stderr)
         return 2
-    code, executed = run_traced(argv)
+    code, executed, restored = run_traced(argv)
+    if restored:
+        print(f"the trace function was switched off {restored} time(s); "
+              "each time it was put back at the next garbage collection, "
+              "unless the run ended first", file=sys.stderr)
     counts = []
     for path in sorted(PACKAGE.glob("*.py")):
         ran = executed.get(str(path), set())
