@@ -166,15 +166,15 @@ class ChartState:
             if g.field != self.field:
                 raise InputError("generator field does not match the chart")
 
-    # nu*, the generators' orders, the directrix and the log-directrix are
-    # derived on first read and kept on this state; nu* is read off the
-    # orders.  ``replace_chart`` copies a state with the values its changes
-    # leave valid (``_CACHE_READS``), and checks the copy again only when a
-    # change is to a field ``__post_init__`` checks (``_CHECKED``); a
+    # nu*, the generators' orders, the directrix, the log-directrix and
+    # the permissibility verdicts by center are derived on first read and
+    # kept on this state; nu* is read off the orders, and the verdicts are
+    # entered one center at a time (``center_verdict``).  ``replace_chart``
+    # copies a state with the values its changes leave valid
+    # (``_CACHE_READS``), and checks the copy again only when a change is
+    # to a field ``__post_init__`` checks (``_CHECKED``); a
     # ``dataclasses.replace`` copy is checked, starts without the values,
     # and inside a ``resolve`` takes its directrix from the per-run memo.
-    # No permissibility verdict is kept here: ``resolve`` hands a state's
-    # verdicts on by center (``center_verdict``).
 
     @cached_property
     def nu(self) -> NuStar:
@@ -199,16 +199,24 @@ class ChartState:
                                       self.variables)
         return e_o, tuple(forms)
 
+    @cached_property
+    def verdicts(self) -> dict[Center, PermissibilityReport]:
+        """The ``permissible_check`` verdicts of this state, by center."""
+        return {}
+
 
 # the fields each cached value of a ``ChartState`` reads: nu* and the
 # orders read the generators, the directrix their initial forms
 # (``compute_directrix`` does not read the frame), the log-directrix also
-# which boundary components are old
+# which boundary components are old, and the verdicts what
+# ``permissible_check`` reads; a copy that keeps the verdicts shares the
+# one table with its source
 _CACHE_READS = {
     "nu": ("generators",),
     "orders": ("generators",),
     "directrix": ("generators",),
     "log_directrix": ("generators", "frame", "variables"),
+    "verdicts": ("generators", "frame", "variables"),
 }
 
 
@@ -227,8 +235,7 @@ def replace_chart(chart: ChartState, **changes: Any) -> ChartState:
     when a change is to the generators, the frame, the variables or the
     field (``_CHECKED``); a copy that changes only other fields (the
     stratum, say) keeps the parent's checked values.  A change that names
-    no field is refused with ``TypeError``, as by ``replace``.  The copy
-    carries no permissibility verdict: ``resolve`` hands those on itself.
+    no field is refused with ``TypeError``, as by ``replace``.
     """
     unknown = changes.keys() - set(_FIELDS)
     if unknown:
@@ -361,28 +368,16 @@ def permissible_check(chart: ChartState, center: Center) -> PermissibilityReport
     return PermissibilityReport(ok=not violations, violations=tuple(violations))
 
 
-Verdicts = dict[Center, PermissibilityReport]
-
-
-def center_verdict(chart: ChartState, center: Center,
-                   verdicts: Verdicts | None = None) -> PermissibilityReport:
-    """``permissible_check(chart, center)``, read from ``verdicts`` when
-    it holds the center and else computed and entered there.
-
-    ``verdicts`` holds the verdicts of this one chart state by center, or
-    of a state with the same generators, variables and frame, which are all
-    the check reads; it is the caller's, and lives as long as its step.
-    """
-    if verdicts is None:
-        return permissible_check(chart, center)
-    report = verdicts.get(center)
+def center_verdict(chart: ChartState, center: Center) -> PermissibilityReport:
+    """``permissible_check(chart, center)``, read from ``chart.verdicts``
+    when it holds the center and else computed and entered there."""
+    report = chart.verdicts.get(center)
     if report is None:
-        report = verdicts[center] = permissible_check(chart, center)
+        report = chart.verdicts[center] = permissible_check(chart, center)
     return report
 
 
-def is_permissible_curve(chart: ChartState, variables: tuple[str, ...],
-                         verdicts: Verdicts | None = None) -> bool:
+def is_permissible_curve(chart: ChartState, variables: tuple[str, ...]) -> bool:
     """Whether V(variables) is usable as a coordinate-curve center, with
     the verdict read through ``center_verdict``.
 
@@ -390,14 +385,13 @@ def is_permissible_curve(chart: ChartState, variables: tuple[str, ...],
     the y-block, say) counts as not permissible, like any other violation.
     """
     try:
-        return center_verdict(
-            chart, Center(variables, COORDINATE_CURVE), verdicts).ok
+        return center_verdict(chart, Center(variables, COORDINATE_CURVE)).ok
     except InputError:
         return False
 
 
-def own_center(chart: ChartState, comps: Sequence[StratumComponent],
-               verdicts: Verdicts | None = None) -> Center | None:
+def own_center(chart: ChartState,
+               comps: Sequence[StratumComponent]) -> Center | None:
     """The closed point or permissible coordinate curve that the components
     are, when they are one coordinate component of that shape, else None;
     a curve's verdict is read through ``center_verdict``."""
@@ -406,8 +400,7 @@ def own_center(chart: ChartState, comps: Sequence[StratumComponent],
     variables, n = comps[0].variables, len(chart.variables)
     if len(variables) == n:
         return Center(variables, CLOSED_POINT)
-    if (len(variables) == n - 1
-            and is_permissible_curve(chart, variables, verdicts)):
+    if len(variables) == n - 1 and is_permissible_curve(chart, variables):
         return Center(variables, COORDINATE_CURVE)
     return None
 
@@ -432,29 +425,26 @@ def _strict_transform(g: Polynomial, center: tuple[str, ...],
     return strict
 
 
-def _require_permissible(chart: ChartState, center: Center,
-                         verdicts: Verdicts | None = None) -> None:
+def _require_permissible(chart: ChartState, center: Center) -> None:
     """Refuse a canonical center that fails ``permissible_check``."""
-    report = center_verdict(chart, center, verdicts)
+    report = center_verdict(chart, center)
     if not report.ok:
         raise InputError(
             "center is not permissible: " + "; ".join(report.violations))
 
 
-def blow_up(chart: ChartState, center: Center,
-            verdicts: Verdicts | None = None) -> tuple[ChartState, ...]:
+def blow_up(chart: ChartState, center: Center) -> tuple[ChartState, ...]:
     """The affine charts D+(w) of the blow-up of the chart in V(center), one
     for each center variable w in the order ``center`` lists them.
 
     The center is canonicalised and checked once for all the charts; its
-    verdict is read from ``verdicts``, the chart state's own, when they
-    hold it (``center_verdict``: ``resolve`` hands on the one that
-    ``select_center`` read).  In
-    the chart of w every other center variable v is replaced by v * w; each
-    generator is divided exactly by w to its order along the center, which
-    the check makes its order at the origin (``ChartState.orders``), and
-    that division is asserted to be exact of exactly that order.  The
-    exceptional divisor V(w) is appended as a new boundary component.
+    verdict is the chart state's own (``center_verdict``), so one that
+    ``select_center`` read is not checked again.  In the chart of w every
+    other center variable v is replaced by v * w; each generator is divided
+    exactly by w to its order along the center, which the check makes its
+    order at the origin (``ChartState.orders``), and that division is
+    asserted to be exact of exactly that order.  The exceptional divisor
+    V(w) is appended as a new boundary component.
 
     Every boundary component is a coordinate divisor c * v here, since
     ``permissible_check`` refuses a center beside any other (condition 3),
@@ -464,7 +454,7 @@ def blow_up(chart: ChartState, center: Center,
     once; so V(v) is kept as it is.
     """
     canonical = _canonical_center(chart, center)
-    _require_permissible(chart, canonical, verdicts)
+    _require_permissible(chart, canonical)
     return tuple(_chart_of(chart, canonical, w) for w in center.variables)
 
 

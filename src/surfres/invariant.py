@@ -31,7 +31,6 @@ from .blowup_engine import (
     CLOSED_POINT,
     ChartState,
     StratumComponent,
-    Verdicts,
     iota0,
     own_center,
 )
@@ -107,8 +106,7 @@ def in_case_v(chart: ChartState) -> bool:
         chart_is_regular(chart) and not chart.frame.old_components())
 
 
-def classify_case(chart: ChartState,
-                  verdicts: Verdicts | None = None) -> CaseInfo:
+def classify_case(chart: ChartState) -> CaseInfo:
     """Classify the chart origin by the original part C of the maximal stratum.
 
     Case V: the chart misses the variety, or the origin is a regular point
@@ -124,9 +122,7 @@ def classify_case(chart: ChartState,
     (``blowup_engine.own_center``), Case I for the origin itself and Case
     II for one permissible coordinate curve; Case III otherwise (several
     components, a curve that is not permissible, or a component with
-    non-coordinate equations).  A curve's verdict is read from
-    ``verdicts``, the chart state's own, when they hold it
-    (``blowup_engine.center_verdict``).
+    non-coordinate equations).
     """
     if in_case_v(chart):
         return CaseInfo(CASE_V)
@@ -136,7 +132,7 @@ def classify_case(chart: ChartState,
     comps = tuple(c for c in chart.stratum if c.original)
     if not comps:
         return CaseInfo(CASE_IV)
-    center = own_center(chart, comps, verdicts)
+    center = own_center(chart, comps)
     if center is None:
         return CaseInfo(CASE_III, comps)
     return CaseInfo(CASE_I if center.kind == CLOSED_POINT else CASE_II, comps)
@@ -399,11 +395,9 @@ class IotaInvariant:
         return self.iota0 + self.iota_c + self.iota_poly
 
 
-def compute_iota(chart: ChartState,
-                 verdicts: Verdicts | None = None) -> IotaInvariant:
-    """iota of the chart origin; ``verdicts`` (the chart state's own) go
-    to ``classify_case``."""
-    case = classify_case(chart, verdicts)
+def compute_iota(chart: ChartState) -> IotaInvariant:
+    """iota of the chart origin."""
+    case = classify_case(chart)
     return IotaInvariant(
         iota0=iota0(chart),
         iota_c=iota_c(chart, case),

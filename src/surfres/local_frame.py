@@ -23,9 +23,9 @@ status (old/new).  On top of it this module computes:
 * the directrix of the ideal multiplied by the old boundary components.
 
 The exact linear algebra runs on one routine, ``echelon_add``, which adds a
-vector to a reduced echelon basis kept as pivot column -> row;
-``row_reduce`` and ``matrix_kernel`` fold it over their rows.  The ridge
-writes a form of degree d as a coefficient row over
+vector to a reduced echelon basis kept as pivot column -> row; ``row_reduce``
+folds it over its rows, and ``_echelon_kernel`` reads the kernel off a basis.
+The ridge writes a form of degree d as a coefficient row over
 ``monomials_of_degree(n, d)``, the degree-d monomials in one fixed order: the
 Hasse-derivative closure is one echelon basis per degree, an ideal slice is
 the echelon basis of the generators' monomial multiples, a slice's additive
@@ -294,15 +294,6 @@ def row_reduce(rows: list[list[Any]], field: FieldDescriptor) -> list[list[Any]]
     for row in rows:
         echelon_add(echelon, row, field)
     return [echelon[col] for col in sorted(echelon)]
-
-
-def matrix_kernel(rows: list[list[Any]], ncols: int, field: FieldDescriptor) -> list[list[Any]]:
-    """Basis of the right kernel of the matrix given by ``rows``, all in
-    stored coefficients."""
-    echelon: dict[int, list[Any]] = {}
-    for row in rows:
-        echelon_add(echelon, row, field)
-    return _echelon_kernel(echelon, ncols, field)
 
 
 def _echelon_kernel(echelon: dict[int, list[Any]], ncols: int,

@@ -37,7 +37,6 @@ from .blowup_engine import (
     Center,
     ChartState,
     StratumComponent,
-    Verdicts,
     blow_up,
     classify_point,
     is_variety_component,
@@ -380,8 +379,7 @@ class CenterChoice:
     label: int | None
 
 
-def select_center(chart: ChartState,
-                  verdicts: Verdicts | None = None) -> CenterChoice:
+def select_center(chart: ChartState) -> CenterChoice:
     """The component of smallest label when usable, else the closed point.
 
     The pool is the set of stratum components of minimal label.  When the
@@ -395,8 +393,6 @@ def select_center(chart: ChartState,
     (``is_variety_component``), which is then not reduced.  So is any
     center beside a boundary component that is not a coordinate divisor:
     normal crossings with it cannot be certified (``permissible_check``).
-    A curve's verdict is read from ``verdicts``, the chart state's own,
-    when they hold it (``blowup_engine.center_verdict``).
     """
     comps = chart.stratum
     if comps is None:
@@ -425,7 +421,7 @@ def select_center(chart: ChartState,
                 f"the boundary component {{{to_string(comp.generator)} = 0}} "
                 "is not a coordinate divisor; certifying normal crossings of "
                 "a center with it is out of scope")
-    center = own_center(chart, pool, verdicts)
+    center = own_center(chart, pool)
     if center is not None:
         return CenterChoice(center, min_label)
     if len(pool) == 1 and len(pool[0].variables) < len(chart.variables) - 1:
@@ -567,12 +563,12 @@ def _plain_delta(chart: ChartState):
 
 def _point_record(
     parent: ChartState, parent_iota: IotaInvariant, point_chart: ChartState,
-    point: str, verdicts: Verdicts | None = None,
+    point: str,
 ) -> PointRecord:
     """Classify a tracked point above the parent and compare its invariant
-    with the parent's; ``verdicts`` are the point state's own."""
+    with the parent's."""
     classification = classify_point(parent, point_chart)
-    iota = compute_iota(point_chart, verdicts)
+    iota = compute_iota(point_chart)
     return PointRecord(
         chart_id=point_chart.chart_id, parent_id=parent.chart_id, point=point,
         classification=classification, iota_before=parent_iota,
@@ -588,25 +584,20 @@ def resolve(
 ) -> ResolutionTrace:
     """Run the blow-up loop until every chart is finished.
 
-    Each round removes one chart from the work queue, selects its center
-    and blows it up once (``blow_up`` builds every chart of the center);
-    the states made of each child keep what it derived (``replace_chart``),
-    and one directrix memo (``local_frame.directrix_memo``) serves the
-    whole run.  Each permissibility verdict is computed once per chart
-    state (``blowup_engine.center_verdict``): a child's table of verdicts,
-    filled by its case and its law check, is handed on to its round, where
-    ``select_center``, its invariant and ``blow_up`` read it, unless the
-    boundary reset changed the frame; the table is dropped when the round
-    takes the chart.  Every tracked point (each child origin, then each point
-    declared on that child) has its stratum labelled against the carried
-    components and goes through one record path, ``_point_record``: it is
-    classified against the parent origin and its invariant compared with
-    the parent's, both on the state before any history reset, which is what
-    the strict-decrease statement refers to.  At a child origin the
-    ``LAW_*`` laws are then checked, and whether the log-multiplicity value
-    dropped is decided once.  When it dropped, the child starts a new era:
-    labels restart at 0 and, when the multiplicity itself dropped, all
-    boundary components become old.
+    Each round removes one chart from the work queue, selects its center and
+    blows it up once (``blow_up`` builds every chart of the center); the
+    states made of each child keep what it derived, permissibility verdicts
+    included (``replace_chart``), and one directrix memo
+    (``local_frame.directrix_memo``) serves the whole run.  Every tracked
+    point (each child origin, then each point declared on that child) has
+    its stratum labelled against the carried components and goes through one
+    record path, ``_point_record``: it is classified against the parent
+    origin and its invariant compared with the parent's, both on the state
+    before any history reset, which is what the strict-decrease statement
+    refers to.  At a child origin the ``LAW_*`` laws are then checked, and
+    whether the log-multiplicity value dropped is decided once.  When it
+    dropped, the child starts a new era: labels restart at 0 and, when the
+    multiplicity itself dropped, all boundary components become old.
 
     ``declared_points`` maps a chart id to move-dictionaries for
     ``locate_point``; each declared point is recorded in addition to the
@@ -620,8 +611,6 @@ def resolve(
     events: list[TraceEvent] = []
     queue: deque[str] = deque([root.chart_id])
     iota_cache: dict[str, IotaInvariant] = {}
-    # chart id -> the permissibility verdicts of its stored state, by center
-    verdicts: dict[str, Verdicts] = {}
     status = RESOLVED
     error: str | None = None
     steps = 0
@@ -632,7 +621,6 @@ def resolve(
                 root, stratum=max_stratum(root, label_mode))
         while queue:
             chart = charts[queue.popleft()]
-            checked = verdicts.pop(chart.chart_id, {})
             if _is_finished(chart):
                 continue
             if steps >= max_steps:
@@ -645,23 +633,20 @@ def resolve(
                 raise ScopeError(
                     f"chart {chart.chart_id}: no representable component of "
                     "the maximal-order locus; cannot pick a center")
-            choice = select_center(chart, checked)
+            choice = select_center(chart)
             steps += 1
-            parent_iota = (iota_cache.get(chart.chart_id)
-                           or compute_iota(chart, checked))
+            parent_iota = iota_cache.get(chart.chart_id) or compute_iota(chart)
             iota_cache[chart.chart_id] = parent_iota
             directrix_vars = _coordinate_directrix_vars(chart)
             parent_delta = None
             created: list[str] = []
             records: list[PointRecord] = []
-            for child in blow_up(chart, choice.center, checked):
+            for child in blow_up(chart, choice.center):
                 w = child.lineage.chart_var
                 fresh = _fresh_components(child)
                 pre = replace_chart(child, stratum=_label_components(
                     child, fresh, label_mode, reset=False))
-                pre_checked: Verdicts = {}
-                record = _point_record(chart, parent_iota, pre, "origin",
-                                       pre_checked)
+                record = _point_record(chart, parent_iota, pre, "origin")
                 records.append(record)
                 classification = record.classification
                 # iota0 opens with the log-multiplicity value (nu*, |O|)
@@ -705,7 +690,7 @@ def resolve(
                                 != len(pre.variables) - 1):
                             continue
                         curve = Center(comp.variables, COORDINATE_CURVE)
-                        report = pre_checked[curve] = permissible_check(
+                        report = pre.verdicts[curve] = permissible_check(
                             pre, curve)
                         if not report.ok:
                             raise LawViolation(
@@ -722,11 +707,9 @@ def resolve(
                         # count constant), and changes what is permissible
                         stored = _reset_boundary(stored)
                         fresh = _reset_components(stored, fresh)
-                        pre_checked = {}
                     stored = replace_chart(stored, stratum=_label_components(
                         stored, fresh, label_mode, reset=True))
                 charts[stored.chart_id] = stored
-                verdicts[stored.chart_id] = pre_checked
                 if stored is pre:
                     iota_cache[pre.chart_id] = record.iota_after
                 created.append(stored.chart_id)

@@ -14,6 +14,9 @@
   ``Polynomial`` residues, each restricted with ``restrict_to_zero``, which
   ``resolution_driver._solve_components`` now runs on support bitmasks;
 * ``contains`` -- F-subset containment of two characteristic polyhedra;
+* ``matrix_kernel`` -- the right kernel of a matrix of stored
+  coefficients, ``local_frame.echelon_add`` folded over its rows and read
+  by ``_echelon_kernel``;
 * ``public_echelon_add``, ``public_row_reduce``, ``public_matrix_kernel``
   and ``public_directrix_rows`` -- the exact linear algebra of
   ``local_frame`` on public elements (``Fraction``, ``Fp``, ...), which it
@@ -73,9 +76,11 @@ from surfres.exact_algebra import (
 from surfres.local_frame import (
     Frame,
     NuStar,
+    _echelon_kernel,
     _top_degree,
     compute_ridge,
     coordinate_variable,
+    echelon_add,
     form_row,
     monomials_of_degree,
     nu_star,
@@ -297,6 +302,16 @@ def public_row(field: FieldDescriptor, row: Sequence[Any]) -> list[Any]:
 def stored_row(field: FieldDescriptor, row: Sequence[Any]) -> list[Any]:
     """The row with every entry in stored form."""
     return [field.to_native(c) for c in row]
+
+
+def matrix_kernel(rows: list[list[Any]], ncols: int,
+                  field: FieldDescriptor) -> list[list[Any]]:
+    """Basis of the right kernel of the matrix given by ``rows``, all in
+    stored coefficients."""
+    echelon: dict[int, list[Any]] = {}
+    for row in rows:
+        echelon_add(echelon, row, field)
+    return _echelon_kernel(echelon, ncols, field)
 
 
 def public_echelon_add(echelon: dict[int, list[Any]], vec: Sequence[Any],

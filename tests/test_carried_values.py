@@ -1,14 +1,17 @@
 """The values a chart-state copy carries are the values of its fields.
 
 ``blowup_engine.replace_chart`` copies a ``ChartState`` and keeps each
-cached value (``nu``, ``directrix``, ``log_directrix``) that reads none of
-the changed fields.  Every copy that ``resolve`` and ``cli.build_chart``
+cached value (``nu``, ``directrix``, ``log_directrix`` and the table of
+permissibility verdicts, ``verdicts``) that reads none of the changed
+fields.  Every copy that ``resolve`` and ``cli.build_chart``
 make goes through it: the states ``resolve`` records and stores, on the
 named traces in both label modes and on 40 pool surfaces, and the charts
 ``build_chart`` makes for the named jobs, for every chart of the named
 traces rebuilt as a job, and for the point jobs.  Each copy, and each
 stored state, must give the same three values as a ``ChartState`` built
-fresh from its fields, outside every directrix memo.
+fresh from its fields, outside every directrix memo, and each verdict it
+holds must be what ``permissible_check`` says on that fresh state.  The
+boundary reset changes the frame, so its copy starts an empty table.
 
 ``local_frame.made_old``, with which ``_reset_boundary`` turns a new
 boundary component old, copies the component without re-running its
@@ -23,7 +26,15 @@ from dataclasses import fields, replace
 import pytest
 
 from surfres import cli, resolution_driver
-from surfres.blowup_engine import ChartState, make_chart, replace_chart
+from surfres.blowup_engine import (
+    COORDINATE_CURVE,
+    Center,
+    ChartState,
+    center_verdict,
+    make_chart,
+    permissible_check,
+    replace_chart,
+)
 from surfres.exact_algebra import (
     FieldDescriptor,
     InputError,
@@ -65,11 +76,18 @@ def fresh(state: ChartState) -> ChartState:
                          for f in fields(ChartState)})
 
 
-def assert_carries_its_own_values(state: ChartState) -> None:
+def assert_carries_its_own_values(state: ChartState) -> int:
+    """Check the cached values and the verdicts the state holds; the
+    number of verdicts."""
     twin = fresh(state)
     for name in CACHED:
         assert getattr(state, name) == getattr(twin, name), (
             state.chart_id, name)
+    verdicts = state.__dict__.get("verdicts", {})
+    for center, report in verdicts.items():
+        assert report == permissible_check(twin, center), (
+            state.chart_id, center)
+    return len(verdicts)
 
 
 @pytest.fixture
@@ -97,14 +115,14 @@ def traced_runs():
 
 
 def test_every_state_resolve_makes_holds_the_values_of_its_fields(copies):
-    stored = 0
+    stored = verdicts = 0
     for trace in traced_runs():
         for state in trace.charts.values():
-            assert_carries_its_own_values(state)
+            verdicts += assert_carries_its_own_values(state)
             stored += 1
     for copy, _carried in copies:
-        assert_carries_its_own_values(copy)
-    assert stored > 500 and len(copies) > stored
+        verdicts += assert_carries_its_own_values(copy)
+    assert stored > 500 and len(copies) > stored and verdicts > 500
     # every copy starts with a value its source derived, some with all three
     assert all(carried for _c, carried in copies)
     assert any(carried == set(CACHED) for _c, carried in copies)
@@ -168,6 +186,21 @@ def test_a_reset_boundary_derives_the_log_directrix_again():
     same = replace_chart(chart, stratum=())
     assert set(CACHED) <= same.__dict__.keys()
     assert_carries_its_own_values(same)
+    # V(x, y) is permissible beside the new V(z); once V(z) is old it must
+    # contain the center, so the reset copy checks V(x, y) again
+    g = parse_polynomial("x^2 + y^3*z^5", QQ, XYZ)
+    chart = make_chart(QQ, XYZ, (g,), ("y", "z"), ("x",),
+                       (BoundaryComponent(z, NEW, 1, 0),))
+    curve = Center(("x", "y"), COORDINATE_CURVE)
+    assert center_verdict(chart, curve).ok and curve in chart.verdicts
+    assert replace_chart(chart, stratum=()).verdicts is chart.verdicts
+    reset = _reset_boundary(chart)
+    assert reset.verdicts == {}
+    assert center_verdict(reset, curve).violations == (
+        "the old boundary component V(z) meets the origin but does not "
+        "contain the center (the number of old components would not be "
+        "constant along it)",)
+    assert chart.verdicts[curve].ok
 
 
 def test_made_old_copies_as_replace_does_without_the_check(monkeypatch):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from surfres import cli
+from surfres import blowup_engine, cli
+from surfres.blowup_engine import COORDINATE_CURVE, Center
 from surfres.cli import EXIT_INPUT, EXIT_MONOTONE, EXIT_OK, EXIT_SCOPE, main
 
 SURFACE_JOB = {
@@ -153,6 +155,23 @@ def test_blowup_accepts_an_explicit_center(tmp_path, capsys):
     by_var = {ch["chart_var"]: ch for ch in report["children"]}
     assert set(by_var) == {"x", "y"}
     assert by_var["y"]["chart"]["generators"] == ["x^2 + y^7*z^10"]
+
+
+def test_blowup_checks_the_center_it_picks_once(tmp_path, capsys,
+                                                monkeypatch):
+    checks = Counter()
+    check = blowup_engine.permissible_check
+
+    def counted(chart, center):
+        checks[center] += 1
+        return check(chart, center)
+
+    monkeypatch.setattr(blowup_engine, "permissible_check", counted)
+    job = dict(SURFACE_JOB, generators=["x^2 + y^3"])
+    report = run_json(capsys, ["blowup", write_job(tmp_path, job)])
+    assert report["center"] == {"variables": ["x", "y"],
+                                "kind": "coordinate_curve"}
+    assert checks == {Center(("x", "y"), COORDINATE_CURVE): 1}
 
 
 # ---------------------------------------------------------------------------

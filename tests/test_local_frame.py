@@ -21,13 +21,12 @@ from surfres.local_frame import (
     compute_ridge,
     directrix_of_JO,
     initial_form,
-    matrix_kernel,
     nu_star,
     row_reduce,
     translation_invariant,
 )
 
-from oracles import Monomial, coefficient, make, zero_polynomial
+from oracles import Monomial, coefficient, make, matrix_kernel, zero_polynomial
 
 QQ = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)

@@ -36,7 +36,6 @@ from surfres.local_frame import (
     compute_directrix,
     compute_ridge,
     initial_form,
-    matrix_kernel,
     monomials_of_degree,
     row_reduce,
 )
@@ -46,6 +45,7 @@ from oracles import (
     Monomial,
     coefficient,
     make,
+    matrix_kernel,
     public_row,
     stored_row,
     terms,

@@ -3,8 +3,9 @@
 Five reads take the place of values that a step used to derive again:
 
 * a center's permissibility verdict is computed once per chart state and
-  read from that state's table of verdicts (``center_verdict``) by
-  ``select_center``, ``classify_case`` and ``blow_up``;
+  read from that state's table of verdicts (``ChartState.verdicts``,
+  through ``center_verdict``) by ``select_center``, ``classify_case`` and
+  ``blow_up``;
 * after the boundary reset, the stored state's stratum components are the
   child's, refined by the new set of old components
   (``resolution_driver._reset_components``);
@@ -141,9 +142,9 @@ def checked_runs():
     constraints = resolution_driver._hasse_constraints
     sigma = invariant.sigma_search
 
-    def checked_verdict(chart, center, verdicts=None):
-        had = verdicts is not None and center in verdicts
-        report = verdict(chart, center, verdicts)
+    def checked_verdict(chart, center):
+        had = center in chart.verdicts
+        report = verdict(chart, center)
         reads.check("verdict", report == oracles.fresh_verdict(chart, center),
                     f"{chart.chart_id} {center}")
         reads.counts["handed on"] += had
@@ -234,16 +235,18 @@ def test_a_table_holds_one_verdict_per_center():
     curves = [Center(("x", "y"), COORDINATE_CURVE),
               Center(("x", "z"), COORDINATE_CURVE)]
     point = Center(XYZ, CLOSED_POINT)
-    table: dict = {}
     for center in [*curves, point, *curves, point]:
-        got = center_verdict(chart, center, table)
+        got = center_verdict(chart, center)
         assert got == oracles.fresh_verdict(chart, center)
-        assert table[center] is got
-    assert list(table) == [*curves, point]
+        assert chart.verdicts[center] is got
+    assert list(chart.verdicts) == [*curves, point]
     # a verdict in the table is what is read, whatever it says
     forced = PermissibilityReport(False, ("forced",))
-    assert center_verdict(chart, point, {point: forced}) is forced
-    assert center_verdict(chart, point, {curves[0]: forced}).ok
+    chart.verdicts[point] = forced
+    assert center_verdict(chart, point) is forced
+    other = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",))
+    other.verdicts[curves[0]] = forced
+    assert center_verdict(other, point).ok
 
 
 # -- one-pass Hasse derivatives ----------------------------------------------------

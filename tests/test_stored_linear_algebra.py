@@ -1,7 +1,8 @@
 """The exact linear algebra on stored coefficients against two oracles.
 
-``local_frame``'s ``echelon_add``, ``row_reduce``, ``matrix_kernel`` and
-``_directrix_rows`` work on stored coefficients
+``local_frame``'s ``echelon_add``, ``row_reduce``, kernel (through
+``matrix_kernel``, kept in ``tests/oracles.py``) and ``_directrix_rows``
+work on stored coefficients
 (``FieldDescriptor.to_native``): ints over Q and F_p, with ``Fraction`` only
 for a rational with a denominator.  On seeded random matrices over Q, F_2,
 F_3, F_5, F_9 and F_3(t), their results, made public, must equal those of
@@ -32,9 +33,10 @@ from surfres.exact_algebra import (
     Polynomial,
     RatFunc,
 )
-from surfres.local_frame import echelon_add, matrix_kernel, row_reduce
+from surfres.local_frame import echelon_add, row_reduce
 
 from oracles import (
+    matrix_kernel,
     public_directrix_rows,
     public_echelon_add,
     public_matrix_kernel,
