@@ -173,8 +173,9 @@ class ChartState:
     # copies a state with the values its changes leave valid
     # (``_CACHE_READS``), and checks the copy again only when a change is
     # to a field ``__post_init__`` checks (``_CHECKED``); a
-    # ``dataclasses.replace`` copy is checked, starts without the values,
-    # and inside a ``resolve`` takes its directrix from the per-run memo.
+    # ``dataclasses.replace`` copy is checked and starts without the
+    # values.  Across states, the directrix is also memoised by the
+    # initial forms (``compute_directrix``).
 
     @cached_property
     def nu(self) -> NuStar:

@@ -33,6 +33,7 @@ from .blowup_engine import (
     StratumComponent,
     iota0,
     own_center,
+    replace_chart,
 )
 from .char_polyhedron import (
     BUDGET_EXHAUSTED,
@@ -291,7 +292,7 @@ def iota_c(chart: ChartState, case: CaseInfo | None = None) -> tuple:
     if case.tag in (CASE_I, CASE_II):
         return (FORMAL_ZERO, 0, 0, 0, 0, 1)
 
-    c = replace(chart, generators=tuple(
+    c = replace_chart(chart, generators=tuple(
         _ideal_of_c(case.components, chart.field, chart.variables)),
         stratum=None)
     nu_c, n_old, e_c, e_c_old = iota0(c)

@@ -8,18 +8,19 @@ status (old/new).  On top of it this module computes:
   with infinity padding, so a shorter list dominates its extensions);
 * the ridge of a cone (additive generators of the saturated derivative span);
 * the directrix (largest linear subspace of the ridge's zero locus),
-  memoised inside a ``directrix_memo`` block (one ``resolve`` run) and
-  nowhere else.  It takes one of three paths.  When every form is a
-  monomial c x^m the directrix is V(x_i : some m_i > 0), read off the
-  exponent vectors, in every characteristic.  Otherwise the split is on
-  the characteristic p and the largest degree d of the forms.  When p = 0
-  or d < p the ridge's only slice is its linear part, the span of the
-  (deg f - 1)-th Hasse derivatives of the forms f, so the directrix is the
-  common kernel of those linear forms, read straight off the terms.  When
-  p > 0 and d >= p it is cut out by the ridge's additive forms, via q-th
-  roots over perfect fields and Frobenius splitting over F_p(t), both done
-  by ``exact_algebra``.  ``compute_directrix`` gives the argument that the
-  paths agree; the translation certificate checks the result on all three;
+  memoised by one bounded ``lru_cache`` on the tuple of nonzero initial
+  forms, for the life of the process.  It takes one of three paths.  When
+  every form is a monomial c x^m the directrix is V(x_i : some m_i > 0),
+  read off the exponent vectors, in every characteristic.  Otherwise the
+  split is on the characteristic p and the largest degree d of the forms.
+  When p = 0 or d < p the ridge's only slice is its linear part, the span
+  of the (deg f - 1)-th Hasse derivatives of the forms f, so the directrix
+  is the common kernel of those linear forms, read straight off the terms.
+  When p > 0 and d >= p it is cut out by the ridge's additive forms, via
+  q-th roots over perfect fields and Frobenius splitting over F_p(t), both
+  done by ``exact_algebra``.  ``compute_directrix`` gives the argument that
+  the paths agree; the translation certificate checks the result on all
+  three;
 * the directrix of the ideal multiplied by the old boundary components.
 
 The exact linear algebra runs on one routine, ``echelon_add``, which adds a
@@ -46,8 +47,6 @@ stored form.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from operator import add
@@ -63,7 +62,7 @@ from .exact_algebra import (
     RATIONALS,
     ScopeError,
     frobenius_split,
-    hasse_derivative,
+    hasse_derivatives,
     ord_at,
     primitive_vector,
     q_th_root,
@@ -391,18 +390,9 @@ def _derivative_closure(gens: Sequence[Polynomial]) -> dict[int, dict[int, list[
     n, zero = len(gens[0].variables), field.native_int(0)
     closure: dict[int, dict[int, list[Any]]] = {}
     for f in gens:
-        if f.is_constant():
-            continue
-        support = sorted(f.support_variables())
-        derivatives = [f] + [
-            hasse_derivative(f, dict(zip(support, a)))
-            for total in range(1, int(f.total_degree()))
-            for a in monomials_of_degree(len(support), total)]
         # Highest orders first: over F_p(t) this order keeps the echelon
         # rows' entries smaller than the reverse one does.
-        for df in reversed(derivatives):
-            if df.is_zero:
-                continue
+        for df in reversed(hasse_derivatives(f, int(f.total_degree()))):
             d = int(df.total_degree())
             index = _column_index(n, d)
             row = [zero] * len(index)
@@ -577,25 +567,6 @@ def translation_invariant(f: Polynomial, w: Sequence[Any]) -> bool:
     return not any(vec[i] for vec, _ in f.vectors)
 
 
-# nonzero initial forms -> (r, forms) in a ``directrix_memo`` block, else None
-_DIRECTRIX_MEMO: ContextVar[dict | None] = ContextVar("directrix_memo", default=None)
-
-
-@contextmanager
-def directrix_memo() -> Iterator[None]:
-    """Memoise ``compute_directrix`` until the block ends; a nested block
-    reuses the open memo.  ``resolve`` opens one for its whole run, where
-    many charts, and the states ``dataclasses.replace`` makes of one, share
-    initial forms.  Outside every block nothing is memoised.
-    """
-    token = None if _DIRECTRIX_MEMO.get() is not None else _DIRECTRIX_MEMO.set({})
-    try:
-        yield
-    finally:
-        if token is not None:
-            _DIRECTRIX_MEMO.reset(token)
-
-
 def _directrix_rows(gens: Sequence[Polynomial]) -> list[list[Any]]:
     """Linear conditions over k whose common zeros are the directrix of the
     nonzero forms; ``compute_directrix`` gives the three paths and why."""
@@ -671,23 +642,28 @@ def compute_directrix(
     ``MAX_DIRECTRIX_DEGREE`` and the homogeneity check come first on all
     three (``_directrix_rows``).
 
-    Inside a ``directrix_memo`` block the result is looked up by the tuple of
-    nonzero initial forms, which hold their field (residue extensions
-    included) and variables; ``frame`` is not read, so it is not in the key.
+    The result is memoised by ``_directrix`` on the tuple of nonzero
+    initial forms, which hold their field (residue extensions included) and
+    variables; ``frame`` is not read, so it is not in the key.  An exception
+    is not memoised, so every call with its input raises it.
     """
-    gens = [f for f in initials if not f.is_zero]
+    gens = tuple(f for f in initials if not f.is_zero)
     if not gens:
         return 0, []
-    memo, key = _DIRECTRIX_MEMO.get(), tuple(gens)
-    if memo is not None and (hit := memo.get(key)) is not None:
-        return hit[0], list(hit[1])
+    r, forms = _directrix(gens)
+    return r, list(forms)
+
+
+@lru_cache(maxsize=1024)
+def _directrix(gens: tuple[Polynomial, ...]) -> tuple[int, tuple[Polynomial, ...]]:
+    """(r, forms) of ``compute_directrix`` for nonzero forms, certified."""
     field = gens[0].field
     variables = gens[0].variables
     echelon: dict[int, list[Any]] = {}
     for row in _directrix_rows(gens):
         echelon_add(echelon, row, field)
-    r = len(echelon)
-    forms = [row_form(echelon[col], field, variables) for col in sorted(echelon)]
+    forms = tuple(row_form(echelon[col], field, variables)
+                  for col in sorted(echelon))
     # Certificate: every direction in the cut-out subspace leaves each input
     # invariant under translation.
     for w in _echelon_kernel(echelon, len(variables), field):
@@ -696,9 +672,7 @@ def compute_directrix(
                 raise RuntimeError(
                     "directrix certificate failed: translation moved an initial form"
                 )
-    if memo is not None:
-        memo[key] = r, tuple(forms)
-    return r, forms
+    return len(echelon), forms
 
 
 def directrix_of_JO(

@@ -69,7 +69,6 @@ from .local_frame import (
     Frame,
     OLD,
     coordinate_variable,
-    directrix_memo,
     made_old,
 )
 
@@ -575,7 +574,6 @@ def _point_record(
         iota_after=iota, comparison=compare_iota(iota, parent_iota))
 
 
-@directrix_memo()
 def resolve(
     root: ChartState,
     max_steps: int = 64,
@@ -587,17 +585,18 @@ def resolve(
     Each round removes one chart from the work queue, selects its center and
     blows it up once (``blow_up`` builds every chart of the center); the
     states made of each child keep what it derived, permissibility verdicts
-    included (``replace_chart``), and one directrix memo
-    (``local_frame.directrix_memo``) serves the whole run.  Every tracked
-    point (each child origin, then each point declared on that child) has
-    its stratum labelled against the carried components and goes through one
-    record path, ``_point_record``: it is classified against the parent
-    origin and its invariant compared with the parent's, both on the state
-    before any history reset, which is what the strict-decrease statement
-    refers to.  At a child origin the ``LAW_*`` laws are then checked, and
-    whether the log-multiplicity value dropped is decided once.  When it
-    dropped, the child starts a new era: labels restart at 0 and, when the
-    multiplicity itself dropped, all boundary components become old.
+    included (``replace_chart``), and charts with equal initial forms share
+    one directrix computation (``local_frame.compute_directrix``).  Every
+    tracked point (each child origin, then each point declared on that
+    child) has its stratum labelled against the carried components and goes
+    through one record path, ``_point_record``: it is classified against the
+    parent origin and its invariant compared with the parent's, both on the
+    state before any history reset, which is what the strict-decrease
+    statement refers to.  At a child origin the ``LAW_*`` laws are then
+    checked, and whether the log-multiplicity value dropped is decided once.
+    When it dropped, the child starts a new era: labels restart at 0 and,
+    when the multiplicity itself dropped, all boundary components become
+    old.
 
     ``declared_points`` maps a chart id to move-dictionaries for
     ``locate_point``; each declared point is recorded in addition to the

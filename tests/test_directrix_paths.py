@@ -77,7 +77,9 @@ def ridge_directrix(forms: list[Polynomial]):
 
 @pytest.fixture
 def ridge_calls(monkeypatch):
-    """The number of ``compute_ridge`` calls, as a one-item list."""
+    """The number of ``compute_ridge`` calls from an empty directrix cache
+    on, as a one-item list."""
+    local_frame._directrix.cache_clear()
     calls = [0]
     ridge = local_frame.compute_ridge
 

@@ -127,7 +127,7 @@ def test_module_reads_no_term_representation(path):
 # traceback.  The only sites left to raise one are the ridge and directrix
 # certificates, which check a computation against its own result, so they
 # fail only on a defect in the program.
-RUNTIME_ERROR_SITES = ["local_frame.py:compute_directrix",
+RUNTIME_ERROR_SITES = ["local_frame.py:_directrix",
                        "local_frame.py:compute_ridge"]
 
 
