@@ -45,7 +45,6 @@ from .local_frame import (
     NuStar,
     add_old_boundary,
     compute_directrix,
-    coordinate_variable,
     initial_form,
     nu_star,
     unchecked_component,
@@ -134,6 +133,7 @@ class Lineage:
 class ChartState:
     """One affine chart: ambient coordinates, defining ideal, local frame.
 
+    The field and the variables are the generators' (read off the first).
     ``frame`` fixes the splitting of the coordinates into a u-block and a
     y-block and carries the boundary components with their old/new history.
     ``stratum`` caches the components of the maximal stratum (None when it
@@ -143,8 +143,6 @@ class ChartState:
     """
 
     chart_id: str
-    field: FieldDescriptor
-    variables: tuple[str, ...]
     generators: tuple[Polynomial, ...]
     frame: Frame
     step: int = 0
@@ -160,11 +158,16 @@ class ChartState:
         for g in self.generators:
             if g.is_zero:
                 raise InputError("zero generator in chart state")
-            if tuple(g.variables) != tuple(self.variables):
-                raise InputError(
-                    "generator variable list does not match the chart")
-            if g.field != self.field:
-                raise InputError("generator field does not match the chart")
+            if (g.field, g.variables) != (self.field, self.variables):
+                raise InputError("the generators' rings differ")
+
+    @property
+    def field(self) -> FieldDescriptor:
+        return self.generators[0].field
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self.generators[0].variables
 
     # nu*, the generators' orders, the directrix, the log-directrix and
     # the permissibility verdicts by center are derived on first read and
@@ -172,14 +175,14 @@ class ChartState:
     # entered one center at a time (``center_verdict``).  ``replace_chart``
     # copies a state with the values its changes leave valid
     # (``_CACHE_READS``), and checks the copy again only when a change is
-    # to a field ``__post_init__`` checks (``_CHECKED``); a
+    # to the generators or the frame (``_CHECKED``); a
     # ``dataclasses.replace`` copy is checked and starts without the
     # values.  Across states, the directrix is also memoised by the
     # initial forms (``compute_directrix``).
 
     @cached_property
     def nu(self) -> NuStar:
-        return nu_star(self.generators, self.orders)
+        return nu_star(self.orders)
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -216,13 +219,13 @@ _CACHE_READS = {
     "nu": ("generators",),
     "orders": ("generators",),
     "directrix": ("generators",),
-    "log_directrix": ("generators", "frame", "variables"),
-    "verdicts": ("generators", "frame", "variables"),
+    "log_directrix": ("generators", "frame"),
+    "verdicts": ("generators", "frame"),
 }
 
 
 # the fields ``ChartState.__post_init__`` checks
-_CHECKED = ("generators", "frame", "variables", "field")
+_CHECKED = ("generators", "frame")
 
 _FIELDS = tuple(f.name for f in fields(ChartState))
 
@@ -233,10 +236,10 @@ def replace_chart(chart: ChartState, **changes: Any) -> ChartState:
 
     The copy is built from the parent's fields and the changes.  It is
     checked by ``ChartState.__post_init__``, as a constructed state is,
-    when a change is to the generators, the frame, the variables or the
-    field (``_CHECKED``); a copy that changes only other fields (the
-    stratum, say) keeps the parent's checked values.  A change that names
-    no field is refused with ``TypeError``, as by ``replace``.
+    when a change is to the generators or the frame (``_CHECKED``); a copy
+    that changes only other fields (the stratum, say) keeps the parent's
+    checked values.  A change that names no field is refused with
+    ``TypeError``, as by ``replace``.
     """
     unknown = changes.keys() - set(_FIELDS)
     if unknown:
@@ -267,17 +270,12 @@ def iota0(chart: ChartState) -> tuple[NuStar, int, int, int]:
             chart.log_directrix[0])
 
 
-def make_chart(
-    field: FieldDescriptor,
-    variables: tuple[str, ...],
-    generators: tuple[Polynomial, ...],
-    u_block: tuple[str, ...],
-    y_block: tuple[str, ...],
-    boundary: tuple[BoundaryComponent, ...] = (),
-) -> ChartState:
+def make_chart(generators: tuple[Polynomial, ...], u_block: tuple[str, ...],
+               y_block: tuple[str, ...],
+               boundary: tuple[BoundaryComponent, ...] = ()) -> ChartState:
     """Convenience constructor wiring a frame into a fresh root chart state."""
-    return ChartState(chart_id="root", field=field, variables=variables,
-                      generators=generators, frame=Frame(u_block, y_block, boundary))
+    return ChartState(chart_id="root", generators=generators,
+                      frame=Frame(u_block, y_block, boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +353,16 @@ def permissible_check(chart: ChartState, center: Center) -> PermissibilityReport
         violations.append(
             "the center contains an irreducible component of the variety")
     for comp in chart.frame.boundary:
-        if coordinate_variable(comp.generator) is None:
+        if comp.variable is None:
             violations.append(
                 "cannot certify normal crossings with the non-coordinate "
                 f"boundary component {{{to_string(comp.generator)} = 0}}")
     for comp in chart.frame.old_components():
-        name = coordinate_variable(comp.generator)
-        if name is not None and name not in center.variables:
+        if comp.variable is not None and comp.variable not in center.variables:
             violations.append(
-                f"the old boundary component V({name}) meets the origin but "
-                "does not contain the center (the number of old components "
-                "would not be constant along it)")
+                f"the old boundary component V({comp.variable}) meets the "
+                "origin but does not contain the center (the number of old "
+                "components would not be constant along it)")
     return PermissibilityReport(ok=not violations, violations=tuple(violations))
 
 
@@ -483,7 +480,7 @@ def _chart_of(chart: ChartState, center: Center, w: str) -> ChartState:
     step = chart.step + 1
 
     new_boundary = [comp for comp in chart.frame.boundary
-                    if coordinate_variable(comp.generator) != w]
+                    if comp.variable != w]
     max_cid = max((c.cid for c in chart.frame.boundary), default=-1)
     new_boundary.append(unchecked_component(
         Polynomial.variable(chart.field, chart.variables, w), NEW, step,
@@ -511,8 +508,6 @@ def _chart_of(chart: ChartState, center: Center, w: str) -> ChartState:
 
     return ChartState(
         chart_id=f"{chart.chart_id}/{w}",
-        field=chart.field,
-        variables=chart.variables,
         generators=new_generators,
         frame=new_frame,
         step=step,
@@ -623,8 +618,6 @@ def locate_point(chart: ChartState, moves: Mapping[str, Any]) -> ChartState:
         f"{v}" for v in sorted(values) if values[v]) or "id"
     return ChartState(
         chart_id=f"{chart.chart_id}@{suffix}",
-        field=new_field,
-        variables=chart.variables,
         generators=new_generators,
         frame=Frame(u_block=chart.frame.u_block, y_block=chart.frame.y_block,
                     boundary=tuple(new_boundary)),

@@ -580,9 +580,13 @@ class PreparationResult:
     changes: tuple[dict, ...]
     polyhedron: FPolyhedron
     status: str
-    solved_vertices: tuple[Point, ...]
     escape_annotation: str | None = None
     stable_polyhedron: FPolyhedron | None = None
+
+    @property
+    def solved_vertices(self) -> tuple[Point, ...]:
+        """The vertex of each solving step, in order, read off ``changes``."""
+        return tuple(change["vertex"] for change in self.changes)
 
 
 # solving steps a one-generator run takes exactly before it may go on
@@ -602,11 +606,11 @@ def _axis_of(v: Point) -> int | None:
 
 
 def _detect_escape(
-    solved: Sequence[Point], snapshots: Sequence[tuple[Point, ...]]
+    changes: Sequence[dict], snapshots: Sequence[tuple[Point, ...]]
 ) -> bool:
-    if len(solved) < 3:
+    if len(changes) < 3:
         return False
-    last = solved[-3:]
+    last = [change["vertex"] for change in changes[-3:]]
     axes = {_axis_of(v) for v in last}
     if len(axes) != 1 or None in axes:
         return False
@@ -689,7 +693,6 @@ class _Run:
     current: list[Polynomial]
     poly: FPolyhedron  # always the polyhedron of current
     changes: list[dict]
-    solved: list[Point]
     snapshots: list[tuple[Point, ...]]
     certified: set[Point]
     escape: str | None = None
@@ -702,7 +705,6 @@ class _Run:
             changes=tuple(self.changes),
             polyhedron=self.poly,
             status=self.status,
-            solved_vertices=tuple(self.solved),
             escape_annotation=self.escape,
             stable_polyhedron=self.stable,
         )
@@ -725,10 +727,10 @@ def _advance(run: _Run, frame: Frame, budget: int, pause: int | None = None,
         if not uncertified:
             run.status = MINIMAL
             return True
-        if len(run.solved) >= budget:
+        if len(run.changes) >= budget:
             run.status = BUDGET_EXHAUSTED
             return True
-        if len(run.solved) == pause:
+        if len(run.changes) == pause:
             return False
         v = min(uncertified)
         if box is not None and all(map(ge, v, box.corner)):
@@ -749,11 +751,10 @@ def _advance(run: _Run, frame: Frame, budget: int, pause: int | None = None,
         if box is not None:
             run.current = [box.reduce(g, frame) for g in run.current]
         run.changes.append({"vertex": v, "witness": lam})
-        run.solved.append(v)
         run.poly = poly = polyhedron_of(run.current, frame)
         run.snapshots.append(
             tuple(w for w in poly.vertices if _axis_of(w) is None))
-        if run.escape is None and _detect_escape(run.solved, run.snapshots):
+        if run.escape is None and _detect_escape(run.changes, run.snapshots):
             run.escape = ESCAPE_ANNOTATION
             run.stable = FPolyhedron.from_points(
                 poly.dim, [w for w in poly.vertices if _axis_of(w) != _axis_of(v)])
@@ -770,7 +771,8 @@ def _run_modulo_a_box(switch: _Run, frame: Frame, budget: int) -> _Run | None:
     corner = floor = tuple(min(v[i] for v in vs) for i in range(frame.e))
     # the solved vertex and the one the loop examines next: the pause
     # returns only while an uncertified vertex is left
-    seen = [*switch.solved, min(v for v in vs if v not in switch.certified)]
+    seen = [change["vertex"] for change in switch.changes] + [
+        min(v for v in vs if v not in switch.certified)]
     # a corner from the drift at the switch, then one enlarged by the drift
     # that a failed run saw
     for _ in range(2):
@@ -782,14 +784,14 @@ def _run_modulo_a_box(switch: _Run, frame: Frame, budget: int) -> _Run | None:
         current = [box.reduce(g, frame) for g in switch.current]
         trial = replace(switch, current=current,
                         poly=polyhedron_of(current, frame),
-                        changes=list(switch.changes), solved=list(switch.solved),
+                        changes=list(switch.changes),
                         snapshots=list(switch.snapshots),
                         certified=set(switch.certified))
         if _advance(trial, frame, budget, box=box):
             return trial
-        if len(trial.solved) == len(switch.solved):
+        if len(trial.changes) == len(switch.changes):
             return None  # it failed before a step: no drift to enlarge by
-        seen = trial.solved
+        seen = [change["vertex"] for change in trial.changes]
     return None
 
 
@@ -850,7 +852,7 @@ def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> Prepa
     """
     if budget < 1:
         raise InputError("preparation budget must be >= 1")
-    run = _Run(list(gens), polyhedron_of(gens, frame), [], [], [], set())
+    run = _Run(list(gens), polyhedron_of(gens, frame), [], [], set())
     if len(gens) == 1 and not _advance(run, frame, budget, pause=_EXACT_STEPS):
         trial = _run_modulo_a_box(run, frame, budget)
         if trial is not None:

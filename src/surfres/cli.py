@@ -287,8 +287,7 @@ def build_chart(job: dict, reads_stratum: bool = False) -> ChartState:
             ))
         _refuse_repeated_entry("boundary", [b.generator for b in boundary],
                                _proportional)
-        chart = make_chart(field, variables, generators, u_block, y_block,
-                           tuple(boundary))
+        chart = make_chart(generators, u_block, y_block, tuple(boundary))
     else:
         # no frame given: boundary components must be coordinate divisors and
         # the frame is inferred from the directrix of the single generator
@@ -847,8 +846,8 @@ def _read_job(path: str) -> dict:
     except UnicodeDecodeError as err:
         raise InputError(f"{source}: the job document is not UTF-8 text: "
                          f"{err.reason} at byte {err.start}") from err
-    # every number of a job is finite: json.loads would take the words NaN,
-    # Infinity and -Infinity, and numbers such as 1e400 overflow to inf
+    # a job's numbers are finite and readable: json.loads would take NaN,
+    # Infinity and -Infinity, make 1e400 inf and raise on an over-long int
     def refuse(word: str) -> None:
         raise InputError(f"{source}: {word} is not a JSON number")
 
@@ -858,8 +857,16 @@ def _read_job(path: str) -> dict:
             raise InputError(f"{source}: the number {text} overflows a float")
         return value
 
+    def integer(text: str) -> int:
+        digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+        if 0 < limit < digits:
+            raise InputError(f"{source}: an integer of {digits} digits is "
+                             f"over the limit of {limit} digits")
+        return int(text)
+
     try:
-        data = json.loads(text, parse_constant=refuse, parse_float=number)
+        data = json.loads(text, parse_constant=refuse, parse_float=number,
+                          parse_int=integer)
     except json.JSONDecodeError as err:
         raise InputError(
             f"{source}: invalid JSON at line {err.lineno} column "

@@ -277,16 +277,14 @@ def _ideal_of_c(comps: Sequence[StratumComponent],
     return gens
 
 
-def iota_c(chart: ChartState, case: CaseInfo | None = None) -> tuple:
+def iota_c(chart: ChartState, case: CaseInfo) -> tuple:
     """The six-slot stratum part (nu*(I_C), |O_C|, e_C, e_C^O, d_C, d_C^O).
 
     Outside Case III the tuple is formal: all-zero in Cases IV and V, and
     all-zero with a trailing 1 in Cases I and II (where C itself is the
     next center).  In Case III it is ``iota0`` of the chart state of I_C,
-    then its delta and delta^O.
+    then its delta and delta^O.  ``case`` is ``classify_case(chart)``.
     """
-    if case is None:
-        case = classify_case(chart)
     if case.tag in (CASE_IV, CASE_V):
         return (FORMAL_ZERO, 0, 0, 0, 0, 0)
     if case.tag in (CASE_I, CASE_II):
@@ -309,16 +307,15 @@ def iota_c(chart: ChartState, case: CaseInfo | None = None) -> tuple:
 def _new_component_variables(frame: Frame) -> list[str]:
     out = []
     for comp in frame.new_components():
-        var = coordinate_variable(comp.generator)
-        if var is None:
+        if comp.variable is None:
             raise ScopeError(
                 "a new boundary component is not a coordinate divisor in "
                 "the adapted frame: " + to_string(comp.generator))
-        if var not in frame.u_block:
+        if comp.variable not in frame.u_block:
             raise ScopeError(
-                f"new boundary component V({var}) is not transverse to the "
-                "log-directrix")
-        out.append(var)
+                f"new boundary component V({comp.variable}) is not transverse "
+                "to the log-directrix")
+        out.append(comp.variable)
     return out
 
 
@@ -332,7 +329,7 @@ def _side_tuple(prepared: PreparationResult, frame: Frame, side: int) -> tuple:
     return (beta, gamma, result.value, alpha)
 
 
-def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
+def iota_poly(chart: ChartState, case: CaseInfo) -> tuple:
     """The polyhedral tail (beta, gamma, sigma, alpha) of the invariant.
 
     Zero when the point is regular or the log-directrix dimension e^O is 0;
@@ -342,8 +339,6 @@ def iota_poly(chart: ChartState, case: CaseInfo | None = None) -> tuple:
     when there are two -- and all-infinite when an original stratum
     component passes through the point or no new component does.
     """
-    if case is None:
-        case = classify_case(chart)
     if case.tag == CASE_V:
         return _ALL_ZERO
 

@@ -2,10 +2,12 @@
 
 A frame splits a chart's ambient variables into a transversal block ``u`` and
 a residual block ``y`` and carries the boundary divisors with their history
-status (old/new).  On top of it this module computes:
+status (old/new), each reading its coordinate once (``variable``).  On top
+of it this module computes:
 
-* initial forms and the ``nu_star`` order vector (compared lexicographically
-  with infinity padding, so a shorter list dominates its extensions);
+* initial forms and ``nu_star``, the sorted orders of the generators
+  (compared lexicographically with infinity padding, so a shorter list
+  dominates its extensions);
 * the ridge of a cone (additive generators of the saturated derivative span);
 * the directrix (largest linear subspace of the ridge's zero locus),
   memoised by one bounded ``lru_cache`` on the tuple of nonzero initial
@@ -48,7 +50,7 @@ stored form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from operator import add
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -100,6 +102,11 @@ class BoundaryComponent:
             raise InputError(
                 f"boundary generator {g} is not regular at the origin (order != 1)"
             )
+
+    @cached_property
+    def variable(self) -> str | None:
+        """``coordinate_variable`` of the generator, read once."""
+        return coordinate_variable(self.generator)
 
 
 def unchecked_component(generator: Polynomial, status: str, birth_step: int,
@@ -210,19 +217,8 @@ def coordinate_variable(f: Polynomial) -> str | None:
     return f.variables[vec.index(1)] if sum(vec) == 1 else None
 
 
-def nu_star(gens: Sequence[Polynomial],
-            orders: Sequence[int] | None = None) -> NuStar:
-    """Sorted list of origin orders of the generators; ``orders`` gives
-    them, in generator order, when the caller has read them already
-    (``ChartState.orders``, of generators checked to be nonzero)."""
-    if not gens:
-        raise InputError("nu_star needs at least one generator")
-    if orders is None:
-        orders = []
-        for g in gens:
-            if g.is_zero:
-                raise InputError("zero generator in nu_star")
-            orders.append(int(ord_at(g, g.variables)))
+def nu_star(orders: Iterable[int]) -> NuStar:
+    """The generators' origin orders (``ChartState.orders``), sorted."""
     return NuStar(tuple(sorted(orders)))
 
 
@@ -707,7 +703,7 @@ def add_old_boundary(
         return len(variables) - r, list(forms)
     field = old[0].generator.field
     names = {coordinate_variable(f) for f in forms}
-    names.update(coordinate_variable(b.generator) for b in old)
+    names.update(b.variable for b in old)
     if None not in names:
         return len(variables) - len(names), [
             Polynomial.variable(field, variables, v)

@@ -199,19 +199,13 @@ def _maximal_components(comps: list[RawComponent]) -> list[RawComponent]:
     return keep
 
 
-def _divisor_vars(components: Iterable[BoundaryComponent]) -> list[str | None]:
-    """The variable of each boundary component, None for one that is not a
-    coordinate divisor."""
-    return [coordinate_variable(comp.generator) for comp in components]
-
-
 def _refine_by_old_components(
     chart: ChartState, comps: list[RawComponent]
 ) -> list[RawComponent]:
     """Drop components along which the number of old boundary components is
     smaller than at the origin (the log-multiplicity would not be constant
     along them); when nothing is left, the origin itself is the stratum."""
-    old_vars = _divisor_vars(chart.frame.old_components())
+    old_vars = [comp.variable for comp in chart.frame.old_components()]
     if not old_vars:
         return comps
     # a non-coordinate old component (None) is in no component's variables
@@ -248,7 +242,7 @@ def _tail_components(chart: ChartState, f: Polynomial) -> list[RawComponent]:
     """
     used = chart.directrix[1][0].support_variables()  # the tangent plane
     support = [v for v in chart.variables if v in used]
-    boundary = set(_divisor_vars(chart.frame.boundary))
+    boundary = {comp.variable for comp in chart.frame.boundary}
     if any(v not in boundary for v in support):
         return []  # the tangent space is transverse to the boundary
     if len(support) == 1:
@@ -415,7 +409,7 @@ def select_center(chart: ChartState) -> CenterChoice:
                     "component of the variety of order at least 2; the input "
                     "is not reduced")
     for comp in chart.frame.boundary:
-        if coordinate_variable(comp.generator) is None:
+        if comp.variable is None:
             raise ScopeError(
                 f"the boundary component {{{to_string(comp.generator)} = 0}} "
                 "is not a coordinate divisor; certifying normal crossings of "
@@ -511,10 +505,8 @@ def root_chart(
         boundary.append(BoundaryComponent(
             generator=Polynomial.variable(field, variables, v),
             status=OLD, birth_step=0, cid=i))
-    chart = ChartState(chart_id="root", field=field, variables=variables,
-                       generators=(f,),
-                       frame=Frame(u_block=variables, y_block=(),
-                                   boundary=tuple(boundary)))
+    chart = ChartState(chart_id="root", generators=(f,),
+                       frame=Frame(variables, (), tuple(boundary)))
     y_block = _coordinate_directrix_vars(chart) or ()
     u_block = tuple(v for v in variables if v not in set(y_block))
     return replace_chart(chart, frame=Frame(u_block=u_block, y_block=y_block,

@@ -27,7 +27,7 @@
   translates every generator and boundary generator by every move;
 * ``repo_module`` -- a module of the repository's ``perfbench/`` or
   ``tools/``, imported without leaving bytecode there;
-* ``reset_components``, ``fresh_verdict``, ``nu_of_generators``,
+* ``reset_components``, ``fresh_verdict``, ``nu_of_generators`` (``nu_of``),
   ``hasse_constraints`` and ``first_face`` -- the reads of one resolution
   step as each reader made them before each value was derived once: a
   second ``_fresh_components`` on a state whose boundary was reset, a
@@ -69,6 +69,7 @@ from surfres.exact_algebra import (
     frobenius_split,
     hasse_derivative,
     name_order,
+    ord_at,
     q_th_root,
     restrict_to_zero,
     translate,
@@ -83,7 +84,6 @@ from surfres.local_frame import (
     echelon_add,
     form_row,
     monomials_of_degree,
-    nu_star,
     row_reduce,
 )
 from surfres.resolution_driver import (
@@ -465,10 +465,14 @@ def fresh_verdict(chart: ChartState, center: Center) -> PermissibilityReport:
     return permissible_check(chart, center)
 
 
+def nu_of(gens: Sequence[Polynomial]) -> NuStar:
+    """nu* of nonzero generators, each order read again with ``ord_at``."""
+    return NuStar(tuple(sorted(int(ord_at(g, g.variables)) for g in gens)))
+
+
 def nu_of_generators(chart: ChartState) -> NuStar:
-    """nu* of the chart's generators, each order read again with
-    ``ord_at``."""
-    return nu_star(chart.generators)
+    """nu* of the chart's generators (``nu_of``)."""
+    return nu_of(chart.generators)
 
 
 def hasse_constraints(f: Polynomial, order: int) -> list[Polynomial]:

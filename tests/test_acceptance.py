@@ -66,6 +66,7 @@ from surfres.exact_algebra import (
 from surfres.invariant import (
     LESS,
     adapt_frame_to_forms,
+    classify_case,
     compare_iota,
     compute_iota,
     iota0,
@@ -76,7 +77,6 @@ from surfres.local_frame import (
     NuStar,
     compute_directrix,
     initial_form,
-    nu_star,
 )
 from surfres.resolution_driver import (
     FRESH_LABELS,
@@ -86,7 +86,13 @@ from surfres.resolution_driver import (
     resolve,
 )
 
-from oracles import Monomial, contains, make, transform_polyhedron_expected
+from oracles import (
+    Monomial,
+    contains,
+    make,
+    nu_of,
+    transform_polyhedron_expected,
+)
 from test_char_polyhedron import (
     FRAME_U12_Y,
     oracle_vertices,
@@ -137,7 +143,7 @@ def random_vertical_chart(rng, field, u_vars, min_value):
              else field.from_int(rng.randint(1, field.characteristic - 1)))
         m = Monomial.from_dict(exps)
         terms[m] = terms.get(m, field.zero()) + c
-    return make_chart(field, vs, (make(field, vs, terms),),
+    return make_chart((make(field, vs, terms),),
                       tuple(u_vars), ("y",))
 
 
@@ -199,13 +205,14 @@ def test_criterion_2_imperfect_residue_fields():
         K = FieldDescriptor.rational_functions(p, "t")
         vs = ("u1", "u2", "y")
         # t is not a p-th power: the directrix needs the inseparable form
-        chart = make_chart(K, vs, (poly(f"y^{p} + t*u1^{p}", K, vs),),
+        chart = make_chart((poly(f"y^{p} + t*u1^{p}", K, vs),),
                            ("u1", "u2"), ("y",))
         assert iota0(chart) == (NuStar((p,)), 0, 1, 1)  # e = e^O = 1
 
         with_stratum = replace(
             chart, stratum=(origin_component(vs, 1),))
-        assert iota_poly(with_stratum) == (0, 0, 0, INF)
+        case = classify_case(with_stratum)
+        assert iota_poly(with_stratum, case) == (0, 0, 0, INF)
 
         # at the special point the frame uses phi = lambda - u2^p
         ws = ("u1", "phi", "z")
@@ -252,22 +259,20 @@ def test_criterion_3_label_chains_in_both_modes():
 
 def test_criterion_4_strict_transform_fixtures():
     # two crossing lines in a cubic: the x-chart transform is self-similar
-    cubic = make_chart(QQ, XYZ, (poly("z^3 + x^2*y^2*z + x^3*y^3"),),
+    cubic = make_chart((poly("z^3 + x^2*y^2*z + x^3*y^3"),),
                        ("x", "y"), ("z",))
     child = blow_up_chart(cubic, Center(XYZ, CLOSED_POINT), "x")
     assert to_string(child.generators[0]) == "z^3 + x^2*y^2*z + x^3*y^3"
 
     # threefold point blow-up over F_2
     vs4 = ("t", "x", "y", "z")
-    threefold = make_chart(F2, vs4,
-                           (poly("t^2 + x*y^2 + z^3 + x^5*y", F2, vs4),),
+    threefold = make_chart((poly("t^2 + x*y^2 + z^3 + x^5*y", F2, vs4),),
                            ("x", "y", "z"), ("t",))
     child = blow_up_chart(threefold, Center(vs4, CLOSED_POINT), "x")
     assert to_string(child.generators[0]) == "t^2 + x*y^2 + x*z^3 + x^4*y"
 
     # threefold curve blow-up in characteristic zero
     curve_case = make_chart(
-        QQ, vs4,
         (poly("t^2 + x^4 + y^2*z^5 + x^2*z^3 + y^7*z", QQ, vs4),),
         ("x", "y", "z"), ("t",))
     child = blow_up_chart(curve_case,
@@ -554,7 +559,7 @@ def test_criterion_8_grid_discreteness(corpus_traces):
 
     collected = 0
     for name, chart in charts:
-        order = int(nu_star(chart.generators).orders[0])
+        order = int(nu_of(chart.generators).orders[0])
         if order < 1:
             continue
         grid = factorial(order)

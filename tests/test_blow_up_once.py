@@ -120,8 +120,8 @@ def oracle_blow_up_chart(chart: ChartState, center: Center,
                 kept.append(comp)
         new_stratum = tuple(kept)
     return ChartState(
-        chart_id=f"{chart.chart_id}/{w}", field=chart.field,
-        variables=chart.variables, generators=new_generators, frame=new_frame,
+        chart_id=f"{chart.chart_id}/{w}", generators=new_generators,
+        frame=new_frame,
         step=step, stratum=new_stratum,
         lineage=Lineage(parent_id=chart.chart_id, center=center, chart_var=w,
                         center_label=None if center_comp is None
@@ -203,9 +203,9 @@ def test_blow_up_refuses_what_the_oracle_refuses():
     variable outside the center.  A permissibility check dropped from
     ``blow_up`` would let the first two charts through."""
     f = parse_polynomial("x^2 + z^3", QQ, XYZ)
-    lower_order = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",))
+    lower_order = make_chart((f,), ("y", "z"), ("x",))
     old_v = make_chart(
-        QQ, XYZ, (parse_polynomial("x^2 + y^3*z^3", QQ, XYZ),), ("y", "z"),
+        (parse_polynomial("x^2 + y^3*z^3", QQ, XYZ),), ("y", "z"),
         ("x",), (BoundaryComponent(parse_polynomial("z", QQ, XYZ), OLD, 0, 0),))
     cases = [
         (lower_order, Center(("x", "y"), COORDINATE_CURVE)),
@@ -252,7 +252,7 @@ def test_blow_up_keeps_a_stratum_and_its_center_label():
     """The carried stratum and the center's label, on a chart whose stratum
     holds the center, a component through the chart variable and one with a
     condition."""
-    chart = make_chart(QQ, XYZ, (parse_polynomial("x^2 + y^3*z^3", QQ, XYZ),),
+    chart = make_chart((parse_polynomial("x^2 + y^3*z^3", QQ, XYZ),),
                        ("y", "z"), ("x",))
     cond = parse_polynomial("y + z^2", QQ, XYZ)
     chart = replace(chart, stratum=(
@@ -290,7 +290,7 @@ def test_every_boundary_component_reaching_a_chart_is_a_coordinate_divisor(
         boundary = tuple(
             BoundaryComponent(parse_polynomial(t, QQ, XYZ), status, 0, i)
             for i, (t, status) in enumerate(zip(texts, (OLD, NEW))))
-        chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",), boundary)
+        chart = make_chart((f,), ("y", "z"), ("x",), boundary)
         for center in (Center(XYZ, CLOSED_POINT),
                        Center(curve, COORDINATE_CURVE)):
             for child in blow_up(chart, center):
@@ -299,7 +299,7 @@ def test_every_boundary_component_reaching_a_chart_is_a_coordinate_divisor(
     assert reached and all(coordinate_variable(g) is not None for g in reached)
     assert {coordinate_variable(g) for g in reached} >= {"x", "y", "z", "u1"}
     count = len(reached)
-    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",), (BoundaryComponent(
+    chart = make_chart((f,), ("y", "z"), ("x",), (BoundaryComponent(
         parse_polynomial("y + z^2", QQ, XYZ), OLD, 0, 0),))
     with pytest.raises(InputError, match="non-coordinate boundary component"):
         blow_up(chart, Center(XYZ, CLOSED_POINT))

@@ -46,7 +46,7 @@ def poly(text, field, variables):
 
 def surface_chart(text, field=QQ, variables=("x", "y", "z"),
                   u_block=("y", "z"), y_block=("x",), boundary=()):
-    return make_chart(field, variables, (poly(text, field, variables),),
+    return make_chart((poly(text, field, variables),),
                       u_block, y_block, boundary)
 
 
@@ -89,8 +89,7 @@ def test_blow_up_curve_y_chart():
 
 
 def test_blow_up_cubic_is_self_similar():
-    chart = make_chart(QQ, ("x", "y", "z"),
-                       (poly("z^3 + x^2*y^2*z + x^3*y^3", QQ, ("x", "y", "z")),),
+    chart = make_chart((poly("z^3 + x^2*y^2*z + x^3*y^3", QQ, ("x", "y", "z")),),
                        ("x", "y"), ("z",))
     child = blow_up_chart(chart, Center(("x", "y", "z"), CLOSED_POINT), "x")
     assert to_string(child.generators[0]) == "z^3 + x^2*y^2*z + x^3*y^3"
@@ -98,8 +97,7 @@ def test_blow_up_cubic_is_self_similar():
 
 def test_blow_up_char2_threefold_point():
     variables = ("t", "x", "y", "z")
-    chart = make_chart(F2, variables,
-                       (poly("t^2 + x*y^2 + z^3 + x^5*y", F2, variables),),
+    chart = make_chart((poly("t^2 + x*y^2 + z^3 + x^5*y", F2, variables),),
                        ("x", "y", "z"), ("t",))
     child = blow_up_chart(chart, Center(variables, CLOSED_POINT), "x")
     assert to_string(child.generators[0]) == "t^2 + x*y^2 + x*z^3 + x^4*y"
@@ -108,7 +106,6 @@ def test_blow_up_char2_threefold_point():
 def test_blow_up_threefold_curve_center():
     variables = ("t", "x", "y", "z")
     chart = make_chart(
-        QQ, variables,
         (poly("t^2 + x^4 + y^2*z^5 + x^2*z^3 + y^7*z", QQ, variables),),
         ("x", "y", "z"), ("t",))
     center = Center(("t", "x", "y"), COORDINATE_CURVE)
@@ -119,7 +116,7 @@ def test_blow_up_threefold_curve_center():
 
 
 def test_blow_up_moves_chart_variable_out_of_y_block():
-    chart = make_chart(QQ, ("u1", "y"), (poly("y^2 + u1^3", QQ, ("u1", "y")),),
+    chart = make_chart((poly("y^2 + u1^3", QQ, ("u1", "y")),),
                        ("u1",), ("y",))
     child = blow_up_chart(chart, Center(("u1", "y"), CLOSED_POINT), "y")
     # unit: the chart no longer meets the hypersurface
@@ -159,7 +156,7 @@ def test_permissible_rejects_non_equimultiple_center():
 
 
 def test_permissible_rejects_center_containing_a_component():
-    chart = make_chart(QQ, ("x", "y", "z"), (poly("y", QQ, ("x", "y", "z")),),
+    chart = make_chart((poly("y", QQ, ("x", "y", "z")),),
                        ("x", "z"), ("y",))
     report = permissible_check(chart, Center(("y",), COORDINATE_CURVE))
     assert not report.ok
@@ -203,7 +200,7 @@ def whirl_chart(statuses=(NEW, NEW)):
         BoundaryComponent(poly("u1", QQ, variables), statuses[0], 0, 0),
         BoundaryComponent(poly("u2", QQ, variables), statuses[1], 0, 1),
     )
-    return make_chart(QQ, variables, gens, ("u1", "u2"), ("y",), boundary)
+    return make_chart(gens, ("u1", "u2"), ("y",), boundary)
 
 
 def test_locate_point_translation_after_blow_up():
@@ -238,8 +235,7 @@ def test_locate_point_must_stay_on_the_exceptional_divisor():
 
 def test_locate_point_quadratic_residue_extension():
     variables = ("u1", "u2", "y")
-    chart = make_chart(F2, variables,
-                       (poly("y^2 + u1*u2^3 + u1^15", F2, variables),),
+    chart = make_chart((poly("y^2 + u1*u2^3 + u1^15", F2, variables),),
                        ("u1", "u2"), ("y",))
     cond = poly("u2^2 + u2 + 1", F2, variables)
     located = locate_point(chart, {"u2": cond})
@@ -257,8 +253,7 @@ def test_locate_point_quadratic_residue_extension():
 
 def test_locate_point_linear_condition_is_a_translation():
     variables = ("u1", "u2", "y")
-    chart = make_chart(F2, variables,
-                       (poly("y^2 + u1*(u2 + 1)^3 + u1^7", F2, variables),),
+    chart = make_chart((poly("y^2 + u1*(u2 + 1)^3 + u1^7", F2, variables),),
                        ("u1", "u2"), ("y",))
     by_condition = locate_point(chart, {"u2": poly("u2 + 1", F2, variables)})
     by_value = locate_point(chart, {"u2": F2.one()})
@@ -269,8 +264,7 @@ def test_locate_point_linear_condition_is_a_translation():
 
 def test_locate_point_rejects_reducible_condition():
     variables = ("u1", "u2", "y")
-    chart = make_chart(F2, variables,
-                       (poly("y^2 + u1*u2^3 + u1^15", F2, variables),),
+    chart = make_chart((poly("y^2 + u1*u2^3 + u1^15", F2, variables),),
                        ("u1", "u2"), ("y",))
     with pytest.raises(InputError):
         locate_point(chart, {"u2": poly("u2^2 + 1", F2, variables)})
@@ -323,8 +317,7 @@ def test_classify_very_near_when_old_components_are_lost():
 
 def test_classify_o_near_and_plain_near():
     parent_plain = surface_chart("x^2 + y^9*z^10")
-    e_drop = make_chart(QQ, ("x", "y", "z"),
-                        (poly("x^2 + y^2 + z^5", QQ, ("x", "y", "z")),),
+    e_drop = make_chart((poly("x^2 + y^2 + z^5", QQ, ("x", "y", "z")),),
                         ("z",), ("x", "y"))
     assert iota0(parent_plain)[2] == 2
     assert iota0(e_drop)[2] == 1
@@ -352,8 +345,7 @@ def test_directrix_dimensions_with_old_boundary():
 
 
 def _frame2():
-    return make_chart(QQ, ("u1", "u2", "y"),
-                      (poly("y", QQ, ("u1", "u2", "y")),),
+    return make_chart((poly("y", QQ, ("u1", "u2", "y")),),
                       ("u1", "u2"), ("y",)).frame
 
 
@@ -392,7 +384,7 @@ def test_transform_curve_blow_up_shifts_one_coordinate():
 
 
 def test_transform_one_dimensional_point_blow_up():
-    frame = make_chart(QQ, ("u1", "y"), (poly("y", QQ, ("u1", "y")),),
+    frame = make_chart((poly("y", QQ, ("u1", "y")),),
                        ("u1",), ("y",)).frame
     before = FPolyhedron.from_points(1, [(frac(5, 2),)])
     out = transform_polyhedron_expected(
@@ -431,7 +423,7 @@ def test_transform_matches_recomputation_along_the_frozen_chain():
 
 
 def test_delta_drops_by_one_at_very_near_curve_points():
-    chart = make_chart(QQ, ("u1", "y"), (poly("y^2 + u1^5", QQ, ("u1", "y")),),
+    chart = make_chart((poly("y^2 + u1^5", QQ, ("u1", "y")),),
                        ("u1",), ("y",))
     before = polyhedron_of(list(chart.generators), chart.frame)
     assert delta(before) == frac(5, 2)
@@ -447,7 +439,7 @@ def test_delta_drops_by_one_at_very_near_curve_points():
 
 
 def test_blowing_up_below_delta_one_leaves_the_singular_locus():
-    chart = make_chart(QQ, ("u1", "y"), (poly("y^2 + u1^3", QQ, ("u1", "y")),),
+    chart = make_chart((poly("y^2 + u1^3", QQ, ("u1", "y")),),
                        ("u1",), ("y",))
     child = blow_up_chart(chart, Center(("u1", "y"), CLOSED_POINT), "u1")
     assert to_string(child.generators[0]) == "u1 + y^2"
@@ -462,8 +454,8 @@ def test_blowing_up_below_delta_one_leaves_the_singular_locus():
 def test_stratum_components_follow_the_blow_up():
     base = surface_chart("x^2 + y^9*z^10")
     chart = ChartState(
-        chart_id=base.chart_id, field=base.field, variables=base.variables,
-        generators=base.generators, frame=base.frame, step=base.step,
+        chart_id=base.chart_id, generators=base.generators, frame=base.frame,
+        step=base.step,
         stratum=(
             StratumComponent(0, ("x", "y"), 0),
             StratumComponent(1, ("x", "z"), 1),

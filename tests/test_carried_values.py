@@ -174,7 +174,7 @@ def test_a_reset_boundary_derives_the_log_directrix_again():
     directrix stay."""
     f = parse_polynomial("x^2 + y^3 + z^5", QQ, XYZ)
     z = parse_polynomial("z", QQ, XYZ)
-    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",),
+    chart = make_chart((f,), ("y", "z"), ("x",),
                        (BoundaryComponent(z, NEW, 1, 0),))
     assert chart.log_directrix[0] == 2 and chart.nu.orders == (2,)
     reset = _reset_boundary(chart)
@@ -189,7 +189,7 @@ def test_a_reset_boundary_derives_the_log_directrix_again():
     # V(x, y) is permissible beside the new V(z); once V(z) is old it must
     # contain the center, so the reset copy checks V(x, y) again
     g = parse_polynomial("x^2 + y^3*z^5", QQ, XYZ)
-    chart = make_chart(QQ, XYZ, (g,), ("y", "z"), ("x",),
+    chart = make_chart((g,), ("y", "z"), ("x",),
                        (BoundaryComponent(z, NEW, 1, 0),))
     curve = Center(("x", "y"), COORDINATE_CURVE)
     assert center_verdict(chart, curve).ok and curve in chart.verdicts

@@ -669,6 +669,39 @@ def test_an_overflowing_option_is_an_input_error_naming_the_source(
         "input error: <stdin>: the number 1e400 overflows a float\n")
 
 
+# Python refuses to read an integer literal of more digits than its limit
+# (``sys.get_int_max_str_digits``) with a ValueError.
+def test_an_integer_over_the_digit_limit_is_an_input_error(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter reads integers of any length")
+    digits = limit + 700
+    text = (json.dumps(SURFACE_JOB)[:-1]
+            + f', "options": {{"max_steps": {"9" * digits}}}}}')
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(["resolve", "-"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: <stdin>: an integer of {digits} digits is over the "
+        f"limit of {limit} digits\n")
+    assert "Traceback" not in captured.err
+
+
+def test_an_integer_at_the_digit_limit_reaches_the_option_checks(
+        capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits() or 4300
+    text = (json.dumps(SURFACE_JOB)[:-1]
+            + f', "options": {{"max_steps": -{"9" * limit}}}}}')
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(["resolve", "-"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.err.startswith(
+        "input error: jobspec.options.max_steps: expected an integer >= ")
+
+
 def test_finite_floats_still_reach_the_option_checks(capsys, monkeypatch):
     text = json.dumps(dict(SURFACE_JOB, options={"max_steps": 1.5e300}))
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

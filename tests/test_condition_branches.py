@@ -66,7 +66,7 @@ def test_locate_point_moves_each_conditioned_component(moves):
                          conditions=() if cond is None
                          else (parse_polynomial(cond, QQ, XYZ),))
         for i, (names, cond) in enumerate(COMPONENTS))
-    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",))
+    chart = make_chart((f,), ("y", "z"), ("x",))
     chart = replace(chart, stratum=stratum)
     located = locate_point(chart, {v: Fraction(a) for v, a in moves.items()})
 

@@ -391,7 +391,7 @@ def test_the_degree_cap_holds_for_a_monomial(field):
 
 def test_replace_chart_refuses_an_unknown_field_and_checks_the_copy():
     f = parse_polynomial("x^2 + y^3*z^4", QQ, XYZ)
-    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",))
+    chart = make_chart((f,), ("y", "z"), ("x",))
     chart.directrix  # noqa: B018  (derive it, to be carried)
     with pytest.raises(TypeError, match="no field"):
         replace_chart(chart, unknown=1)
@@ -410,7 +410,7 @@ def test_a_reset_keeps_each_old_component_as_it_is():
     f = parse_polynomial("x^2 + y^3*z^4", QQ, XYZ)
     y, z = (parse_polynomial(v, QQ, XYZ) for v in ("y", "z"))
     old, new = BoundaryComponent(y, OLD, 0, 0), BoundaryComponent(z, NEW, 1, 1)
-    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",), (old, new))
+    chart = make_chart((f,), ("y", "z"), ("x",), (old, new))
     reset = _reset_boundary(chart).frame.boundary
     assert reset[0] is old and reset[1] == BoundaryComponent(z, OLD, 1, 1)
 

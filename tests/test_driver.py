@@ -57,7 +57,7 @@ def poly(text, field=QQ, variables=XYZ):
 
 def chart_with(text, field=QQ, variables=XYZ, u_block=("y", "z"),
                y_block=("x",), boundary=(), stratum=None):
-    chart = make_chart(field, variables, (poly(text, field, variables),),
+    chart = make_chart((poly(text, field, variables),),
                        u_block, y_block, boundary)
     if stratum is None:
         return chart
@@ -107,8 +107,7 @@ def test_max_stratum_of_an_isolated_singularity():
 
 def test_max_stratum_finds_a_conditioned_curve():
     variables = ("t", "x", "y", "z")
-    chart = make_chart(F2, variables,
-                       (poly("t^2 + x*y^2 + x*z^3 + x^4*y", F2, variables),),
+    chart = make_chart((poly("t^2 + x*y^2 + x*z^3 + x^4*y", F2, variables),),
                        ("x", "y", "z"), ("t",))
     comps = max_stratum(chart)
     assert len(comps) == 1
@@ -147,8 +146,7 @@ def test_max_stratum_tail_ignores_the_divisor_itself():
 
 def test_max_stratum_rejects_multi_generator_charts():
     variables = XYZ
-    chart = make_chart(QQ, variables,
-                       (poly("x"), poly("y^2 + z^3")),
+    chart = make_chart((poly("x"), poly("y^2 + z^3")),
                        ("y", "z"), ("x",))
     with pytest.raises(ScopeError):
         max_stratum(chart)
@@ -348,8 +346,7 @@ def test_step_limit_is_reported():
 
 def test_threefold_with_singular_stratum_curve_is_out_of_scope():
     variables = ("t", "x", "y", "z")
-    root = make_chart(F2, variables,
-                      (poly("t^2 + x*y^2 + z^3 + x^5*y", F2, variables),),
+    root = make_chart((poly("t^2 + x*y^2 + z^3 + x^5*y", F2, variables),),
                       ("x", "y", "z"), ("t",))
     trace = resolve(root)
     assert trace.status == SCOPE_ERROR

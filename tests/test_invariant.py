@@ -59,14 +59,23 @@ def poly(text, field, variables):
 
 def chart_with(text, field=QQ, variables=("x", "y", "z"),
                u_block=("y", "z"), y_block=("x",), boundary=(), stratum=None):
-    base = make_chart(field, variables, (poly(text, field, variables),),
+    base = make_chart((poly(text, field, variables),),
                       u_block, y_block, boundary)
     if stratum is None:
         return base
     return ChartState(
-        chart_id=base.chart_id, field=base.field, variables=base.variables,
-        generators=base.generators, frame=base.frame, step=base.step,
-        stratum=tuple(stratum))
+        chart_id=base.chart_id, generators=base.generators, frame=base.frame,
+        step=base.step, stratum=tuple(stratum))
+
+
+def iota_c_of(chart):
+    """``iota_c`` in the chart's case, as ``compute_iota`` calls it."""
+    return iota_c(chart, classify_case(chart))
+
+
+def iota_poly_of(chart):
+    """``iota_poly`` in the chart's case, as ``compute_iota`` calls it."""
+    return iota_poly(chart, classify_case(chart))
 
 
 def origin_component(variables, label, cid=0):
@@ -102,8 +111,7 @@ def test_iota0_imperfect_residue_example():
     for p in (2, 3):
         K = FieldDescriptor.rational_functions(p, "t")
         variables = ("u1", "u2", "y")
-        chart = make_chart(K, variables,
-                           (poly(f"y^{p} + t*u1^{p}", K, variables),),
+        chart = make_chart((poly(f"y^{p} + t*u1^{p}", K, variables),),
                            ("u1", "u2"), ("y",))
         assert iota0(chart) == (NuStar((p,)), 0, 1, 1)
 
@@ -183,32 +191,32 @@ def test_case_iii_for_a_conditioned_component():
 
 def test_iota_c_formal_values_outside_case_iii():
     regular = chart_with("y", u_block=("x", "z"), y_block=("y",))
-    assert iota_c(regular) == (FORMAL_ZERO, 0, 0, 0, 0, 0)
+    assert iota_c_of(regular) == (FORMAL_ZERO, 0, 0, 0, 0, 0)
 
     case_iv = chart_with("x^2 + y^9*z^10",
                          stratum=[origin_component(("x", "y"), 1)])
-    assert iota_c(case_iv) == (FORMAL_ZERO, 0, 0, 0, 0, 0)
+    assert iota_c_of(case_iv) == (FORMAL_ZERO, 0, 0, 0, 0, 0)
 
     case_i = chart_with("x^2 + y^9*z^10",
                         stratum=[origin_component(("x", "y", "z"), 0)])
-    assert iota_c(case_i) == (FORMAL_ZERO, 0, 0, 0, 0, 1)
+    assert iota_c_of(case_i) == (FORMAL_ZERO, 0, 0, 0, 0, 1)
 
     case_ii = chart_with("x^2 + y^9*z^10",
                          stratum=[origin_component(("x", "y"), 0)])
-    assert iota_c(case_ii) == (FORMAL_ZERO, 0, 0, 0, 0, 1)
+    assert iota_c_of(case_ii) == (FORMAL_ZERO, 0, 0, 0, 0, 1)
 
 
 def test_iota_c_union_of_two_coordinate_curves():
     chart = chart_with("x^2 + y^9*z^10",
                        stratum=[origin_component(("x", "y"), 0),
                                 origin_component(("x", "z"), 0, cid=1)])
-    assert iota_c(chart) == (NuStar((1, 2)), 0, 0, 0, INF, INF)
+    assert iota_c_of(chart) == (NuStar((1, 2)), 0, 0, 0, INF, INF)
 
 
 def test_iota_c_single_non_permissible_curve():
     chart = chart_with("x^2 + y^9*z^10",
                        stratum=[origin_component(("y", "z"), 0)])
-    assert iota_c(chart) == (NuStar((1, 1)), 0, 1, 1, INF, INF)
+    assert iota_c_of(chart) == (NuStar((1, 1)), 0, 1, 1, INF, INF)
 
 
 def test_iota_c_conditioned_component_gets_a_finite_delta():
@@ -218,7 +226,7 @@ def test_iota_c_conditioned_component_gets_a_finite_delta():
                            conditions=(poly("y^2 + z^3", QQ,
                                             ("x", "y", "z")),))])
     assert classify_case(chart).tag == CASE_III
-    assert iota_c(chart) == (NuStar((1, 2)), 0, 1, 1, F(3, 2), F(3, 2))
+    assert iota_c_of(chart) == (NuStar((1, 2)), 0, 1, 1, F(3, 2), F(3, 2))
 
     # delta_C^O is read after multiplying by the old boundary y + z^2: in the
     # frame adapted to (x, y), x*(y + z^2) has the point 2 < 5/2
@@ -229,7 +237,7 @@ def test_iota_c_conditioned_component_gets_a_finite_delta():
                            0, ("x",), 0,
                            conditions=(poly("y^2 + z^5", QQ,
                                             ("x", "y", "z")),))])
-    assert iota_c(chart) == (NuStar((1, 2)), 1, 1, 1, F(5, 2), 2)
+    assert iota_c_of(chart) == (NuStar((1, 2)), 1, 1, 1, F(5, 2), 2)
 
 
 def test_iota_c_supplied_generators_override():
@@ -242,7 +250,7 @@ def test_iota_c_supplied_generators_override():
                 poly("y*z", QQ, ("x", "y", "z"))]
     case = classify_case(chart)
     assert _ideal_of_c(case.components, QQ, chart.variables) == supplied
-    assert iota_c(chart) == (NuStar((1, 2)), 0, 0, 0, INF, INF)
+    assert iota_c_of(chart) == (NuStar((1, 2)), 0, 0, 0, INF, INF)
 
 
 def test_iota_c_counts_old_components():
@@ -250,7 +258,7 @@ def test_iota_c_counts_old_components():
     chart = chart_with("x^2 + y^9*z^10", boundary=boundary,
                        stratum=[origin_component(("x", "y"), 0),
                                 origin_component(("x", "z"), 0, cid=1)])
-    value = iota_c(chart)
+    value = iota_c_of(chart)
     assert value[0] == NuStar((1, 2))
     assert value[1] == 1
 
@@ -291,13 +299,13 @@ def test_adapt_frame_prefers_y_pivots_over_boundary_variables():
 
 def test_iota_poly_zero_for_regular_points():
     chart = chart_with("y", u_block=("x", "z"), y_block=("y",))
-    assert iota_poly(chart) == (0, 0, 0, 0)
+    assert iota_poly_of(chart) == (0, 0, 0, 0)
 
 
 def test_iota_poly_zero_when_log_directrix_vanishes():
     chart = whirl_chart(statuses=(OLD, OLD),
                         stratum=[origin_component(("u1", "u2", "y"), 1)])
-    assert iota_poly(chart) == (0, 0, 0, 0)
+    assert iota_poly_of(chart) == (0, 0, 0, 0)
 
 
 def test_iota_poly_e_one_gives_log_delta():
@@ -305,12 +313,12 @@ def test_iota_poly_e_one_gives_log_delta():
     variables = ("u1", "u2", "y")
     chart = chart_with("y^2 + t*u1^2", K, variables, ("u1", "u2"), ("y",),
                        stratum=[origin_component(variables, 1)])
-    assert iota_poly(chart) == (0, 0, 0, INF)
+    assert iota_poly_of(chart) == (0, 0, 0, INF)
 
 
 def test_iota_poly_two_new_components_frozen():
     chart = whirl_chart(stratum=[origin_component(("u1", "u2", "y"), 1)])
-    assert iota_poly(chart) == (F(3, 2), F(3, 2), F(7, 3), 0)
+    assert iota_poly_of(chart) == (F(3, 2), F(3, 2), F(7, 3), 0)
 
 
 def test_iota_poly_one_new_component_frozen():
@@ -319,7 +327,7 @@ def test_iota_poly_one_new_component_frozen():
     chart = chart_with("y^2 + u1*u2^3 + u1^5", QQ, variables,
                        ("u1", "u2"), ("y",), boundary,
                        stratum=[origin_component(variables, 1)])
-    assert iota_poly(chart) == (F(3, 2), F(3, 2), F(4, 3), F(1, 2))
+    assert iota_poly_of(chart) == (F(3, 2), F(3, 2), F(4, 3), F(1, 2))
 
 
 def test_iota_poly_one_new_component_reorders_the_sides():
@@ -330,19 +338,19 @@ def test_iota_poly_one_new_component_reorders_the_sides():
     chart = chart_with("y^2 + u2*u1^3 + u2^5", QQ, variables,
                        ("u1", "u2"), ("y",), boundary,
                        stratum=[origin_component(variables, 1)])
-    assert iota_poly(chart) == (F(3, 2), F(3, 2), F(4, 3), F(1, 2))
+    assert iota_poly_of(chart) == (F(3, 2), F(3, 2), F(4, 3), F(1, 2))
 
 
 def test_iota_poly_infinite_when_label_zero_component_present():
     chart = whirl_chart(stratum=[origin_component(("u1", "u2", "y"), 0)])
     assert classify_case(chart).tag == CASE_I
-    assert iota_poly(chart) == (INF, INF, INF, INF)
+    assert iota_poly_of(chart) == (INF, INF, INF, INF)
 
 
 def test_iota_poly_infinite_without_new_components():
     chart = chart_with("x^2 + y^9*z^10",
                        stratum=[origin_component(("x", "y"), 1)])
-    assert iota_poly(chart) == (INF, INF, INF, INF)
+    assert iota_poly_of(chart) == (INF, INF, INF, INF)
 
 
 def test_iota_poly_infinite_exits_never_adapt_the_frame(monkeypatch):
@@ -359,7 +367,7 @@ def test_iota_poly_infinite_exits_never_adapt_the_frame(monkeypatch):
     monkeypatch.setattr(invariant, "adapt_frame_to_forms", refuse)
     for chart in charts:
         assert chart.log_directrix[0] == 2
-        assert iota_poly(chart) == (INF, INF, INF, INF)
+        assert iota_poly_of(chart) == (INF, INF, INF, INF)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +387,7 @@ def test_compute_iota_for_the_relocated_chain():
                           Center(("u1", "u2", "y"), CLOSED_POINT), "u1")
     located = locate_point(blown, {"u2": QQ.from_int(-1)})
     located = ChartState(
-        chart_id=located.chart_id, field=located.field,
-        variables=located.variables, generators=located.generators,
+        chart_id=located.chart_id, generators=located.generators,
         frame=located.frame, step=located.step,
         stratum=(origin_component(("u1", "u2", "y"), 1),),
         lineage=located.lineage, residue_degree=located.residue_degree)

@@ -17,6 +17,11 @@ decided in one module.
 Outside the ridge and directrix certificates, no module raises a bare
 ``RuntimeError``, which no documented exit code covers.
 
+A boundary divisor's coordinate is read through
+``BoundaryComponent.variable``, which keeps it on the component: outside
+``local_frame``, which defines it, no module calls
+``coordinate_variable(<x>.generator)``.
+
 nu*, the directrix and the log-directrix are derived in one place: outside
 ``local_frame``, which defines them, only ``blowup_engine`` (the
 ``ChartState`` properties) calls ``nu_star``, ``compute_directrix`` or
@@ -35,6 +40,8 @@ from surfres import exact_algebra as ea
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "surfres"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "exact_algebra.py")
 FORBIDDEN_ATTRIBUTES = ("terms", "exps", "num", "den", "coeffs", "modulus")
+# the one module that reads a boundary divisor's coordinate off its generator
+DIVISOR_MODULE = "local_frame.py"
 
 
 def _forbidden_name(name: str) -> bool:
@@ -42,9 +49,25 @@ def _forbidden_name(name: str) -> bool:
     return name.startswith("_") or name.startswith("fp_") or name in ("Fp", "Monomial")
 
 
+def _called(node: ast.Call) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    func = node.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def _reads_divisor_variable(node: ast.AST) -> bool:
+    """Whether the node is a call ``coordinate_variable(<x>.generator)``."""
+    return (isinstance(node, ast.Call)
+            and _called(node) == "coordinate_variable" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "generator")
+
+
 def violations(source: str, name: str) -> list[str]:
-    """Each read of a forbidden attribute and each use of a private or
-    ``fp_`` name of ``exact_algebra`` in the module source, as
+    """Each read of a forbidden attribute, each use of a private or ``fp_``
+    name of ``exact_algebra`` and, outside ``DIVISOR_MODULE``, each
+    ``coordinate_variable(<x>.generator)`` in the module source, as
     ``name:line what``."""
     tree = ast.parse(source, filename=name)
     aliases = set()  # names the module binds to exact_algebra itself
@@ -65,6 +88,9 @@ def violations(source: str, name: str) -> list[str]:
               and node.module.split(".")[-1] == "exact_algebra"):
             out.extend(f"{name}:{node.lineno} imports {alias.name}"
                        for alias in node.names if _forbidden_name(alias.name))
+        elif name != DIVISOR_MODULE and _reads_divisor_variable(node):
+            out.append(f"{name}:{node.lineno} reads a divisor's variable off "
+                       "its generator")
     return out
 
 
@@ -87,12 +113,18 @@ def test_the_check_finds_each_kind_of_violation():
         "    return ea.Fp(1, p)\n"
         "from .exact_algebra import INF, Monomial\n"
         "def h(f):\n"
-        "    return f.coefficient(ea.Monomial.from_dict({'x': 1}))\n")
+        "    return f.coefficient(ea.Monomial.from_dict({'x': 1}))\n"
+        "def v(b, frame, form):\n"
+        "    return (coordinate_variable(b.generator), b.variable,\n"
+        "            [lf.coordinate_variable(c.generator) for c in frame],\n"
+        "            coordinate_variable(form))\n")
     assert sorted(violations(source, "m.py")) == [
         "m.py:1 imports _layout",
         "m.py:1 imports fp_mul",
         "m.py:10 imports Monomial",
         "m.py:12 uses exact_algebra.Monomial",
+        "m.py:14 reads a divisor's variable off its generator",
+        "m.py:15 reads a divisor's variable off its generator",
         "m.py:4 reads .exps",
         "m.py:4 reads .terms",
         "m.py:4 reads .terms",
@@ -182,13 +214,8 @@ def derivation_calls(source: str, name: str) -> list[str]:
     the module source, by bare name or as an attribute."""
     out = []
     for node in ast.walk(ast.parse(source, filename=name)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            called = (func.id if isinstance(func, ast.Name)
-                      else func.attr if isinstance(func, ast.Attribute)
-                      else None)
-            if called in DERIVATIONS:
-                out.append(f"{name}:{node.lineno} {called}")
+        if isinstance(node, ast.Call) and _called(node) in DERIVATIONS:
+            out.append(f"{name}:{node.lineno} {_called(node)}")
     return out
 
 

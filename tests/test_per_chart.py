@@ -37,7 +37,6 @@ from surfres.local_frame import (
     directrix_of_JO,
     form_row,
     initial_form,
-    nu_star,
     row_reduce,
 )
 from surfres.resolution_driver import (
@@ -47,6 +46,7 @@ from surfres.resolution_driver import (
     trace_to_dot,
     trace_to_jsonable,
 )
+from oracles import nu_of
 from test_invariant import whirl_chart
 
 QQ = FieldDescriptor.rationals()
@@ -124,7 +124,7 @@ def test_cached_directrix_equals_fresh_derivations(named_traces):
             assert chart.directrix == (r, tuple(forms)), chart.chart_id
             e_o, forms_o = directrix_of_JO(gens, chart.frame)
             assert chart.log_directrix == (e_o, tuple(forms_o)), chart.chart_id
-            assert chart.nu == nu_star(gens), chart.chart_id
+            assert chart.nu == nu_of(gens), chart.chart_id
             assert chart.orders == tuple(
                 ord_at(g, g.variables) for g in gens), chart.chart_id
             checked += 1
@@ -191,7 +191,7 @@ def seeded_regularity_charts(field, coeffs, rng, count=40):
         if rng.random() < 0.15:
             texts[rng.randrange(len(texts))] += " + 1"
         gens = tuple(parse_polynomial(t, field, XYZ) for t in texts)
-        charts.append(make_chart(field, XYZ, gens, XYZ, ()))
+        charts.append(make_chart(gens, XYZ, ()))
     return charts
 
 

@@ -152,7 +152,7 @@ def old_vertex_initial(gens, frame, v):
 def old_prepare(gens, frame, budget=64):
     field = gens[0].field
     current = list(gens)
-    changes, solved, snapshots = [], [], []
+    changes, snapshots = [], []
     certified = set()
     escape = None
     stable = None
@@ -186,16 +186,15 @@ def old_prepare(gens, frame, budget=64):
                     field, current[0].variables, {uv: coeff})
                 current = [substitute(g, y_name, replacement) for g in current]
         changes.append({"vertex": v, "witness": lam})
-        solved.append(v)
         after = old_polyhedron_of(current, frame)
         snapshots.append(
             tuple(w for w in after.vertices if cp._axis_of(w) is None))
-        if escape is None and cp._detect_escape(solved, snapshots):
+        if escape is None and cp._detect_escape(changes, snapshots):
             escape = ESCAPE_ANNOTATION
             stable = FPolyhedron(after.dim, old_canonical_vertices(
                 after.dim,
                 [w for w in after.vertices if cp._axis_of(w) != cp._axis_of(v)]))
-        if len(solved) >= budget:
+        if len(changes) >= budget:
             poly = old_polyhedron_of(current, frame)
             if poly.is_empty:
                 status = EMPTY
@@ -208,7 +207,6 @@ def old_prepare(gens, frame, budget=64):
         changes=tuple(changes),
         polyhedron=old_polyhedron_of(current, frame),
         status=status,
-        solved_vertices=tuple(solved),
         escape_annotation=escape,
         stable_polyhedron=stable,
     )
@@ -286,8 +284,7 @@ def unprepared(gens, frame) -> PreparationResult:
     ``prepare`` had left them unchanged."""
     return PreparationResult(
         generators=tuple(gens), changes=(),
-        polyhedron=cp.polyhedron_of(gens, frame), status=MINIMAL,
-        solved_vertices=())
+        polyhedron=cp.polyhedron_of(gens, frame), status=MINIMAL)
 
 
 def adapted(chart):

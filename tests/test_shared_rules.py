@@ -69,7 +69,6 @@ from surfres.local_frame import (
     add_old_boundary,
     compute_directrix,
     initial_form,
-    nu_star,
 )
 from surfres.resolution_driver import (
     DEFAULT_LABELS,
@@ -81,6 +80,7 @@ from surfres.resolution_driver import (
     select_center,
 )
 
+from oracles import nu_of
 from test_acceptance import random_surface
 from test_invariant import whirl_chart
 
@@ -186,7 +186,7 @@ def old_iota_c(chart: ChartState, case: CaseInfo) -> tuple:
     if not gens or any(g.is_zero for g in gens):
         raise InputError("the ideal of C needs nonzero generators")
 
-    nu_c = nu_star(gens)
+    nu_c = nu_of(gens)
     n_old = len(chart.frame.old_components())
 
     initials = [initial_form(g, g.variables) for g in gens]
@@ -309,7 +309,7 @@ def test_iota_c_matches_its_earlier_body_on_a_cusp(cusp, boundary, deltas):
     f = parse_polynomial(f"x^2 + ({cusp})^3", QQ, XYZ)
     old = tuple(BoundaryComponent(parse_polynomial(v, QQ, XYZ), OLD, 0, i)
                 for i, v in enumerate(boundary))
-    chart = replace(make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",), old),
+    chart = replace(make_chart((f,), ("y", "z"), ("x",), old),
                     stratum=(StratumComponent(0, ("x",), 0, (
                         parse_polynomial(cusp, QQ, XYZ),)),))
     case = classify_case(chart)
@@ -323,7 +323,7 @@ def test_iota_c_of_a_component_that_misses_the_point_reads_iota0():
     # the point: iota0 of C reads dimensions 0 off the variety, where the
     # earlier body took the directrix of a constant initial form
     f = parse_polynomial("x^2 + y^3*z^4", QQ, XYZ)
-    chart = replace(make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",)),
+    chart = replace(make_chart((f,), ("y", "z"), ("x",)),
                     stratum=(StratumComponent(0, ("x",), 0, (
                         parse_polynomial("1 + y", QQ, XYZ),)),))
     case = classify_case(chart)
@@ -350,7 +350,7 @@ def test_iota_poly_at_log_directrix_dimension_one_matches_its_earlier_body(
 
 def curve_chart(text: str, boundary=()) -> ChartState:
     f = parse_polynomial(text, QQ, XYZ)
-    return make_chart(QQ, XYZ, (f,), ("z",), ("x", "y"), boundary)
+    return make_chart((f,), ("z",), ("x", "y"), boundary)
 
 
 def with_stratum(chart: ChartState, variables) -> ChartState:
@@ -382,7 +382,7 @@ def test_the_not_reduced_refusal_and_permissibility_share_one_test():
     assert outcome(select_center, chart) == outcome(old_select_center, chart)
     # both generators vanish on V(x, y), of codimension 2: not permissible
     gens = tuple(parse_polynomial(t, QQ, XYZ) for t in ("x^2", "y^2"))
-    pair = make_chart(QQ, XYZ, gens, ("z",), ("x", "y"))
+    pair = make_chart(gens, ("z",), ("x", "y"))
     assert is_variety_component(pair, ("x", "y"))
     assert not is_variety_component(pair, ("x", "y", "z"))
     assert "the center contains an irreducible component of the variety" in (

@@ -219,8 +219,7 @@ def test_every_chart_reads_nu_off_its_orders(checked_runs):
     charts = 0
     for trace in traces:
         for chart in trace.charts.values():
-            twin = ChartState(chart.chart_id, chart.field, chart.variables,
-                              chart.generators, chart.frame)
+            twin = ChartState(chart.chart_id, chart.generators, chart.frame)
             assert twin.nu == oracles.nu_of_generators(chart), chart.chart_id
             assert chart.nu == twin.nu, chart.chart_id
             charts += 1
@@ -231,7 +230,7 @@ def test_every_chart_reads_nu_off_its_orders(checked_runs):
 
 def test_a_table_holds_one_verdict_per_center():
     f = parse_polynomial("x^2 + y^3*z^3", QQ, XYZ)
-    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",))
+    chart = make_chart((f,), ("y", "z"), ("x",))
     curves = [Center(("x", "y"), COORDINATE_CURVE),
               Center(("x", "z"), COORDINATE_CURVE)]
     point = Center(XYZ, CLOSED_POINT)
@@ -244,7 +243,7 @@ def test_a_table_holds_one_verdict_per_center():
     forced = PermissibilityReport(False, ("forced",))
     chart.verdicts[point] = forced
     assert center_verdict(chart, point) is forced
-    other = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",))
+    other = make_chart((f,), ("y", "z"), ("x",))
     other.verdicts[curves[0]] = forced
     assert center_verdict(other, point).ok
 
@@ -298,7 +297,7 @@ def counted_checks(monkeypatch) -> Counter:
 
 def test_a_copy_is_checked_again_only_when_a_checked_field_changes(monkeypatch):
     f = parse_polynomial("x^2 + y^3 + z^5", QQ, XYZ)
-    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",))
+    chart = make_chart((f,), ("y", "z"), ("x",))
     counts = counted_checks(monkeypatch)
     for changes in ({"stratum": ()}, {"chart_id": "other", "step": 3},
                     {"lineage": None, "residue_degree": 2}):
@@ -306,21 +305,26 @@ def test_a_copy_is_checked_again_only_when_a_checked_field_changes(monkeypatch):
     assert counts["checks"] == 0
     g = parse_polynomial("x^3 + y^3", QQ, XYZ)
     for changes in ({"generators": (g,)},
-                    {"frame": Frame(("x", "y"), ("z",))},
-                    {"variables": XYZ}, {"field": QQ}):
+                    {"frame": Frame(("x", "y"), ("z",))}):
         replace_chart(chart, **changes)
-    assert counts["checks"] == 4
+    assert counts["checks"] == 2
+    # the field and the variables are the generators'
+    for changes in ({"variables": XYZ}, {"field": QQ}):
+        with pytest.raises(TypeError):
+            replace_chart(chart, **changes)
 
 
 def test_a_copy_that_breaks_a_checked_field_is_refused():
     f = parse_polynomial("x^2 + y^3 + z^5", QQ, XYZ)
-    chart = make_chart(QQ, XYZ, (f,), ("y", "z"), ("x",))
+    chart = make_chart((f,), ("y", "z"), ("x",))
     zero = Polynomial.from_vectors(QQ, XYZ, {})
     other_ring = parse_polynomial("x^2 + y^3", QQ, ("x", "y"))
+    other_field = parse_polynomial("x^2", FieldDescriptor.prime_field(3), XYZ)
+    renamed = parse_polynomial("x^2", QQ, ("x", "y", "w"))
     for changes in ({"generators": (zero,)}, {"generators": (other_ring,)},
                     {"frame": Frame(("x",), ("y",))},
-                    {"variables": ("x", "y", "w")},
-                    {"field": FieldDescriptor.prime_field(3)}):
+                    {"generators": (f, renamed)},
+                    {"generators": (f, other_field)}):
         with pytest.raises(InputError):
             replace_chart(chart, **changes)
 

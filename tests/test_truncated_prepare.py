@@ -66,7 +66,7 @@ GEOMETRIC = ("root/y/z/y/y/x", "root/y/z/y/y/y", "root/y/z/y/y")
 def exact_prepare(gens, frame, budget=64):
     field = gens[0].field
     current = list(gens)
-    changes, solved, snapshots = [], [], []
+    changes, snapshots = [], []
     certified = set()
     escape = None
     stable = None
@@ -100,16 +100,15 @@ def exact_prepare(gens, frame, budget=64):
                     field, current[0].variables, {uv: coeff})
                 current = [substitute(g, y_name, replacement) for g in current]
         changes.append({"vertex": v, "witness": lam})
-        solved.append(v)
         poly = cp.polyhedron_of(current, frame)
         snapshots.append(
             tuple(w for w in poly.vertices if cp._axis_of(w) is None))
-        if escape is None and cp._detect_escape(solved, snapshots):
+        if escape is None and cp._detect_escape(changes, snapshots):
             escape = ESCAPE_ANNOTATION
             stable = FPolyhedron.from_points(
                 poly.dim,
                 [w for w in poly.vertices if cp._axis_of(w) != cp._axis_of(v)])
-        if len(solved) >= budget:
+        if len(changes) >= budget:
             if poly.is_empty:
                 status = EMPTY
             else:
@@ -121,7 +120,6 @@ def exact_prepare(gens, frame, budget=64):
         changes=tuple(changes),
         polyhedron=poly,
         status=status,
-        solved_vertices=tuple(solved),
         escape_annotation=escape,
         stable_polyhedron=stable,
     )
@@ -310,7 +308,7 @@ def box_trials(monkeypatch, gens, frame, budget):
         if box is not None:
             how = ended or ("check 2" if run.poly.member(box.corner)
                             else "check 1")
-            trials.append((how, len(run.solved)))
+            trials.append((how, len(run.changes)))
         return ended
 
     with monkeypatch.context() as mp:
