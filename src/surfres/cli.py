@@ -23,7 +23,9 @@ its report with the reason in ``trace.error`` and leaves stderr empty.
 Identical jobs produce byte-identical reports.
 
 Infinity is serialized as the string "inf" and non-integral rationals as
-"a/b" strings, keeping every report exact.
+"a/b" strings, keeping every report exact.  Traces and charts (of
+``resolve``, ``export`` and ``blowup``) are written by
+``resolution_driver``'s encoder, the rest by ``_report_text``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .blowup_engine import (
     CLOSED_POINT,
@@ -62,7 +64,6 @@ from .exact_algebra import (
     to_string,
 )
 from .invariant import (
-    IotaInvariant,
     chart_is_regular,
     classify_case,
     compute_iota,
@@ -78,14 +79,15 @@ from .resolution_driver import (
     SCOPE_ERROR,
     LawViolation,
     MonotonicityReport,
-    PointRecord,
     ResolutionTrace,
-    chart_to_jsonable,
+    chart_text,
     check_monotone,
     max_stratum,
     resolve,
     root_chart,
+    scalar_text,
     select_center,
+    trace_text,
     trace_to_dot,
 )
 
@@ -520,7 +522,7 @@ def report_blowup(job: dict) -> dict:
     children = [{
         "chart_var": child.lineage.chart_var,
         "classification": classify_point(chart, child),
-        "chart": chart_to_jsonable(child),
+        "chart": child,
     } for child in blow_up(chart, center)]
     return {
         "command": "blowup",
@@ -624,7 +626,7 @@ def run_export(job: dict, fmt: str) -> str:
     if trace.status == SCOPE_ERROR:
         raise ScopeError(trace.error)
     if fmt == "json":
-        return _trace_text(trace, "\n") + "\n"
+        return trace_text(trace, "\n") + "\n"
     return trace_to_dot(trace)
 
 
@@ -633,33 +635,9 @@ def run_export(job: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_text(value: Any) -> str | None:
-    """A JSON scalar as the stdlib encoder writes it; None for anything
-    else."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
 def _write_container(value: Any, newline: str, out: list[str]) -> None:
-    """Append the text of a dict, list or tuple whose closing bracket
-    follows ``newline``, one fragment per scalar entry."""
+    """Append the text of a dict, list, tuple or chart state whose closing
+    bracket follows ``newline``, one fragment per scalar entry."""
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -667,7 +645,7 @@ def _write_container(value: Any, newline: str, out: list[str]) -> None:
             return
         sep = "{" + inner
         for key, item in value.items():
-            text = _scalar_text(item)
+            text = scalar_text(item)
             if text is None:
                 out.append(f"{sep}{encode_basestring_ascii(key)}: ")
                 _write_container(item, inner, out)
@@ -681,7 +659,7 @@ def _write_container(value: Any, newline: str, out: list[str]) -> None:
             return
         sep = "[" + inner
         for item in value:
-            text = _scalar_text(item)
+            text = scalar_text(item)
             if text is None:
                 out.append(sep)
                 _write_container(item, inner, out)
@@ -689,6 +667,8 @@ def _write_container(value: Any, newline: str, out: list[str]) -> None:
                 out.append(sep + text)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, ChartState):
+        out.append(chart_text(value, newline))
     else:
         raise TypeError(
             f"Object of type {type(value).__name__} is not JSON serializable")
@@ -697,7 +677,7 @@ def _write_container(value: Any, newline: str, out: list[str]) -> None:
 def _json_text(value: Any, newline: str) -> str:
     """``_report_text(value)`` placed where its closing bracket follows
     ``newline``."""
-    text = _scalar_text(value)
+    text = scalar_text(value)
     if text is not None:
         return text
     out: list[str] = []
@@ -708,114 +688,10 @@ def _json_text(value: Any, newline: str) -> str:
 def _report_text(value: Any) -> str:
     """The text the stdlib's ``json.dumps`` writes at indent 2, byte for
     byte, for a value built of dicts with string keys, lists, tuples and
-    JSON scalars.  The stdlib has no C encoder for indented output; this
-    writer calls its C string escaper and builds one fragment per entry."""
+    JSON scalars (and chart states, which ``chart_text`` writes).  The
+    stdlib has no C encoder for indented output; this writer calls its C
+    string escaper and builds one fragment per entry."""
     return _json_text(value, "\n")
-
-
-# The ``resolve`` report and a live trace's ``export --format json`` text
-# are written straight from the trace's objects, with the bytes that
-# ``_report_text`` writes for ``trace_to_jsonable``'s tree.  Each writer
-# takes the ``newline`` (line break and indent) before its closing bracket.
-
-_str = encode_basestring_ascii
-
-
-def _list_text(texts: list[str], newline: str) -> str:
-    """A JSON array of item texts written one level below ``newline``."""
-    if not texts:
-        return "[]"
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
-
-
-def _names_text(names: Iterable[str], newline: str) -> str:
-    return _list_text([_str(name) for name in names], newline)
-
-
-def _iota_text(iota: IotaInvariant, memo: dict) -> str:
-    """The text of ``iota_to_jsonable(iota)`` at depth 0.  ``memo`` keeps it
-    by the iota object's identity, and each slot value's text by its type
-    and value, for one report."""
-    text = memo.get(id(iota))
-    if text is None:
-        parts = []
-        for values in (iota.iota0, iota.iota_c, iota.iota_poly):
-            slots = []
-            for v in values:
-                slot = memo.get((type(v), v))
-                if slot is None:
-                    slot = memo[type(v), v] = _json_text(
-                        value_to_jsonable(v), "\n    ")
-                slots.append(slot)
-            parts.append(_list_text(slots, "\n  "))
-        text = memo[id(iota)] = (
-            f'{{\n  "case": {_str(iota.case)},\n  "iota0": {parts[0]},'
-            f'\n  "iota_c": {parts[1]},\n  "iota_poly": {parts[2]}\n}}')
-    return text
-
-
-def _chart_text(chart: ChartState, newline: str) -> str:
-    """The text of ``chart_to_jsonable(chart)``."""
-    i, ii = newline + "  ", newline + "    "
-    iii = ii + "  "
-    boundary = _list_text([
-        f'{{{iii}"generator": {_str(to_string(b.generator))},{iii}"status": '
-        f'{_str(b.status)},{iii}"birth_step": {_scalar_text(b.birth_step)},'
-        f'{iii}"cid": {_scalar_text(b.cid)}{ii}}}' for b in chart.frame.boundary], i)
-    stratum = "null" if chart.stratum is None else _list_text([
-        f'{{{iii}"cid": {_scalar_text(c.cid)},{iii}"variables": '
-        f'{_names_text(c.variables, iii)},{iii}"label": {_scalar_text(c.label)},'
-        f'{iii}"original": {_scalar_text(c.original)},{iii}"conditions": '
-        f'{_names_text(map(to_string, c.conditions), iii)}{ii}}}'
-        for c in chart.stratum], i)
-    tail = "" if chart.lineage is None else (
-        f',{i}"parent": {_str(chart.lineage.parent_id)},{i}"center": '
-        f'{_names_text(chart.lineage.center.variables, i)},'
-        f'{i}"chart_var": {_str(chart.lineage.chart_var)}')
-    return (
-        f'{{{i}"id": {_str(chart.chart_id)},{i}"step": {_scalar_text(chart.step)},'
-        f'{i}"variables": {_names_text(chart.variables, i)},{i}"generators": '
-        f'{_names_text(map(to_string, chart.generators), i)},{i}"u_block": '
-        f'{_names_text(chart.frame.u_block, i)},{i}"y_block": '
-        f'{_names_text(chart.frame.y_block, i)},{i}"boundary": {boundary},'
-        f'{i}"stratum": {stratum},{i}"residue_degree": '
-        f'{_scalar_text(chart.residue_degree)}{tail}{newline}}}')
-
-
-def _record_text(rec: PointRecord, newline: str, memo: dict) -> str:
-    """The text of ``record_to_jsonable(rec)``; its iotas come from
-    ``_iota_text``, placed at their depth."""
-    i = newline + "  "
-    before = _iota_text(rec.iota_before, memo).replace("\n", i)
-    after = _iota_text(rec.iota_after, memo).replace("\n", i)
-    return (
-        f'{{{i}"chart": {_str(rec.chart_id)},{i}"parent": {_str(rec.parent_id)},'
-        f'{i}"point": {_str(rec.point)},{i}"classification": '
-        f'{_str(rec.classification)},{i}"iota_before": {before},'
-        f'{i}"iota_after": {after},{i}"comparison": {_str(rec.comparison)}'
-        f'{newline}}}')
-
-
-def _trace_text(trace: ResolutionTrace, newline: str) -> str:
-    """The text of ``trace_to_jsonable(trace)``, in one pass."""
-    i, ii = newline + "  ", newline + "    "
-    iii, iv = ii + "  ", ii + "    "
-    memo: dict = {}
-    events = [
-        f'{{{iii}"step": {_scalar_text(ev.step)},{iii}"chart": {_str(ev.chart_id)},'
-        f'{iii}"center": {{{iv}"variables": {_names_text(ev.center.variables, iv)},'
-        f'{iv}"kind": {_str(ev.center.kind)},{iv}"label": '
-        f'{_scalar_text(ev.center_label)}{iii}}},{iii}"created": '
-        f'{_names_text(ev.created, iii)},{iii}"records": '
-        f'{_list_text([_record_text(r, iv, memo) for r in ev.records], iii)}{ii}}}'
-        for ev in trace.events]
-    return (
-        f'{{{i}"label_mode": {_str(trace.label_mode)},{i}"status": '
-        f'{_str(trace.status)},{i}"error": {_scalar_text(trace.error)},{i}"steps": '
-        f'{_scalar_text(len(trace.events))},{i}"charts": '
-        f'{_list_text([_chart_text(c, ii) for c in trace.charts.values()], i)},'
-        f'{i}"events": {_list_text(events, i)}{newline}}}')
 
 
 def _resolve_text(trace: ResolutionTrace, mono: MonotonicityReport) -> str:
@@ -824,7 +700,7 @@ def _resolve_text(trace: ResolutionTrace, mono: MonotonicityReport) -> str:
     monotone = {"ok": mono.ok, "checked": mono.checked,
                 "violations": list(mono.violations)}
     return ('{\n  "command": "resolve",\n  "trace": '
-            + _trace_text(trace, "\n  ") + ',\n  "monotone": '
+            + trace_text(trace, "\n  ") + ',\n  "monotone": '
             + _json_text(monotone, "\n  ") + "\n}")
 
 

@@ -49,8 +49,8 @@ stored form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, total_ordering
+from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache, total_ordering
 from operator import add
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -87,12 +87,14 @@ MAX_DIRECTRIX_DEGREE = 10
 
 @dataclass(frozen=True)
 class BoundaryComponent:
-    """A regular divisor through the chart origin, with history status."""
+    """A regular divisor through the chart origin, with history status;
+    ``variable`` is ``coordinate_variable(generator)``, set when made."""
 
     generator: Polynomial
     status: str
     birth_step: int = 0
     cid: int = -1
+    variable: str | None = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.status not in (OLD, NEW):
@@ -102,11 +104,7 @@ class BoundaryComponent:
             raise InputError(
                 f"boundary generator {g} is not regular at the origin (order != 1)"
             )
-
-    @cached_property
-    def variable(self) -> str | None:
-        """``coordinate_variable`` of the generator, read once."""
-        return coordinate_variable(self.generator)
+        object.__setattr__(self, "variable", coordinate_variable(g))
 
 
 def unchecked_component(generator: Polynomial, status: str, birth_step: int,
@@ -114,12 +112,14 @@ def unchecked_component(generator: Polynomial, status: str, birth_step: int,
     """A boundary component built without the check of ``__post_init__``,
     for a generator known to have order one at the origin: a checked
     component's (``made_old``) or a variable (the exceptional divisor of a
-    blow-up).  Each field is set as the dataclass's ``__init__`` sets it,
-    which keeps the instance's compact attribute storage; filling its
-    ``__dict__`` would double the size of the instance."""
+    blow-up).  Each field is set in the order the dataclass's ``__init__``
+    and ``__post_init__`` set them, which keeps the instance's compact
+    attribute storage; filling its ``__dict__`` would double the size of
+    the instance."""
     comp = object.__new__(BoundaryComponent)
     for name, value in (("generator", generator), ("status", status),
-                        ("birth_step", birth_step), ("cid", cid)):
+                        ("birth_step", birth_step), ("cid", cid),
+                        ("variable", coordinate_variable(generator))):
         object.__setattr__(comp, name, value)
     return comp
 

@@ -20,12 +20,19 @@ depend on the labelling mode.
 
 ``check_monotone`` verifies that the recorded invariant strictly drops at
 every tracked point above every center.
+
+``trace_text`` (``chart_text`` for one chart state) is the one JSON encoder
+of the chart, record and trace shapes, read back by ``trace_to_jsonable``;
+``trace_to_dot`` draws a trace for Graphviz.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping, Sequence
 
 from .blowup_engine import (
@@ -63,6 +70,7 @@ from .invariant import (
     compare_iota,
     compute_iota,
     iota_to_jsonable,
+    value_to_jsonable,
 )
 from .local_frame import (
     BoundaryComponent,
@@ -578,11 +586,12 @@ def resolve(
     blows it up once (``blow_up`` builds every chart of the center); the
     states made of each child keep what it derived, permissibility verdicts
     included (``replace_chart``), and charts with equal initial forms share
-    one directrix computation (``local_frame.compute_directrix``).  Every
-    tracked point (each child origin, then each point declared on that
-    child) has its stratum labelled against the carried components and goes
-    through one record path, ``_point_record``: it is classified against the
-    parent origin and its invariant compared with the parent's, both on the
+    one directrix computation (``local_frame.compute_directrix``); a
+    chart's verdicts are dropped when its round ends.  Every tracked point
+    (each child origin, then each point declared on that child) has its
+    stratum labelled against the carried components and goes through one
+    record path, ``_point_record``: it is classified against the parent
+    origin and its invariant compared with the parent's, both on the
     state before any history reset, which is what the strict-decrease
     statement refers to.  At a child origin the ``LAW_*`` laws are then
     checked, and whether the log-multiplicity value dropped is decided once.
@@ -613,6 +622,7 @@ def resolve(
         while queue:
             chart = charts[queue.popleft()]
             if _is_finished(chart):
+                vars(chart).pop("verdicts", None)
                 continue
             if steps >= max_steps:
                 status = STEP_LIMIT
@@ -717,6 +727,7 @@ def resolve(
                 step=steps, chart_id=chart.chart_id, center=choice.center,
                 center_label=choice.label, created=tuple(created),
                 records=tuple(records)))
+            vars(chart).pop("verdicts", None)
     except ScopeError as exc:
         status = SCOPE_ERROR
         error = str(exc)
@@ -772,78 +783,138 @@ def check_monotone(trace: ResolutionTrace) -> MonotonicityReport:
 # ---------------------------------------------------------------------------
 
 
-def component_to_jsonable(comp: StratumComponent) -> dict:
-    return {
-        "cid": comp.cid,
-        "variables": list(comp.variables),
-        "label": comp.label,
-        "original": comp.original,
-        "conditions": [to_string(q) for q in comp.conditions],
-    }
+# Each writer builds, from the trace's objects, the bytes ``json.dumps(...,
+# indent=2)`` writes for its shape, and takes the ``newline`` (line break
+# and indent) before its closing bracket.
+_str = encode_basestring_ascii
 
 
-def chart_to_jsonable(chart: ChartState) -> dict:
-    out: dict[str, Any] = {
-        "id": chart.chart_id,
-        "step": chart.step,
-        "variables": list(chart.variables),
-        "generators": [to_string(g) for g in chart.generators],
-        "u_block": list(chart.frame.u_block),
-        "y_block": list(chart.frame.y_block),
-        "boundary": [
-            {
-                "generator": to_string(b.generator),
-                "status": b.status,
-                "birth_step": b.birth_step,
-                "cid": b.cid,
-            }
-            for b in chart.frame.boundary
-        ],
-        "stratum": None if chart.stratum is None else [
-            component_to_jsonable(c) for c in chart.stratum],
-        "residue_degree": chart.residue_degree,
-    }
-    if chart.lineage is not None:
-        out["parent"] = chart.lineage.parent_id
-        out["center"] = list(chart.lineage.center.variables)
-        out["chart_var"] = chart.lineage.chart_var
-    return out
+def scalar_text(value: Any) -> str | None:
+    """A JSON scalar as the stdlib encoder writes it; None for anything
+    else."""
+    if isinstance(value, str):
+        return _str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
 
 
-def record_to_jsonable(rec: PointRecord) -> dict:
-    return {
-        "chart": rec.chart_id,
-        "parent": rec.parent_id,
-        "point": rec.point,
-        "classification": rec.classification,
-        "iota_before": iota_to_jsonable(rec.iota_before),
-        "iota_after": iota_to_jsonable(rec.iota_after),
-        "comparison": rec.comparison,
-    }
+def _list_text(texts: list[str], newline: str) -> str:
+    """A JSON array of item texts written one level below ``newline``."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _names_text(names: Iterable[str], newline: str) -> str:
+    return _list_text([_str(name) for name in names], newline)
+
+
+def _iota_text(iota: IotaInvariant, memo: dict) -> str:
+    """The text of ``iota_to_jsonable(iota)`` at depth 0.  ``memo`` keeps it
+    by the iota object's identity, and each slot value's text by its type
+    and value, for one report."""
+    text = memo.get(id(iota))
+    if text is None:
+        parts = []
+        for values in (iota.iota0, iota.iota_c, iota.iota_poly):
+            slots = []
+            for v in values:
+                slot = memo.get((type(v), v))
+                if slot is None:
+                    value = value_to_jsonable(v)  # nu* is a list of ints
+                    slot = memo[type(v), v] = (
+                        _list_text([scalar_text(n) for n in value], "\n    ")
+                        if isinstance(value, list) else scalar_text(value))
+                slots.append(slot)
+            parts.append(_list_text(slots, "\n  "))
+        text = memo[id(iota)] = (
+            f'{{\n  "case": {_str(iota.case)},\n  "iota0": {parts[0]},'
+            f'\n  "iota_c": {parts[1]},\n  "iota_poly": {parts[2]}\n}}')
+    return text
+
+
+def chart_text(chart: ChartState, newline: str) -> str:
+    """The text of one chart state, with its lineage below the root."""
+    i, ii = newline + "  ", newline + "    "
+    iii = ii + "  "
+    boundary = _list_text([
+        f'{{{iii}"generator": {_str(to_string(b.generator))},{iii}"status": '
+        f'{_str(b.status)},{iii}"birth_step": {scalar_text(b.birth_step)},'
+        f'{iii}"cid": {scalar_text(b.cid)}{ii}}}' for b in chart.frame.boundary], i)
+    stratum = "null" if chart.stratum is None else _list_text([
+        f'{{{iii}"cid": {scalar_text(c.cid)},{iii}"variables": '
+        f'{_names_text(c.variables, iii)},{iii}"label": {scalar_text(c.label)},'
+        f'{iii}"original": {scalar_text(c.original)},{iii}"conditions": '
+        f'{_names_text(map(to_string, c.conditions), iii)}{ii}}}'
+        for c in chart.stratum], i)
+    tail = "" if chart.lineage is None else (
+        f',{i}"parent": {_str(chart.lineage.parent_id)},{i}"center": '
+        f'{_names_text(chart.lineage.center.variables, i)},'
+        f'{i}"chart_var": {_str(chart.lineage.chart_var)}')
+    return (
+        f'{{{i}"id": {_str(chart.chart_id)},{i}"step": {scalar_text(chart.step)},'
+        f'{i}"variables": {_names_text(chart.variables, i)},{i}"generators": '
+        f'{_names_text(map(to_string, chart.generators), i)},{i}"u_block": '
+        f'{_names_text(chart.frame.u_block, i)},{i}"y_block": '
+        f'{_names_text(chart.frame.y_block, i)},{i}"boundary": {boundary},'
+        f'{i}"stratum": {stratum},{i}"residue_degree": '
+        f'{scalar_text(chart.residue_degree)}{tail}{newline}}}')
+
+
+def _record_text(rec: PointRecord, newline: str, memo: dict) -> str:
+    """The text of one point record; its iotas come from ``_iota_text``,
+    placed at their depth."""
+    i = newline + "  "
+    before = _iota_text(rec.iota_before, memo).replace("\n", i)
+    after = _iota_text(rec.iota_after, memo).replace("\n", i)
+    return (
+        f'{{{i}"chart": {_str(rec.chart_id)},{i}"parent": {_str(rec.parent_id)},'
+        f'{i}"point": {_str(rec.point)},{i}"classification": '
+        f'{_str(rec.classification)},{i}"iota_before": {before},'
+        f'{i}"iota_after": {after},{i}"comparison": {_str(rec.comparison)}'
+        f'{newline}}}')
+
+
+def trace_text(trace: ResolutionTrace, newline: str) -> str:
+    """The text of a trace, its charts and its events, in one pass."""
+    i, ii = newline + "  ", newline + "    "
+    iii, iv = ii + "  ", ii + "    "
+    memo: dict = {}
+    events = [
+        f'{{{iii}"step": {scalar_text(ev.step)},{iii}"chart": {_str(ev.chart_id)},'
+        f'{iii}"center": {{{iv}"variables": {_names_text(ev.center.variables, iv)},'
+        f'{iv}"kind": {_str(ev.center.kind)},{iv}"label": '
+        f'{scalar_text(ev.center_label)}{iii}}},{iii}"created": '
+        f'{_names_text(ev.created, iii)},{iii}"records": '
+        f'{_list_text([_record_text(r, iv, memo) for r in ev.records], iii)}{ii}}}'
+        for ev in trace.events]
+    return (
+        f'{{{i}"label_mode": {_str(trace.label_mode)},{i}"status": '
+        f'{_str(trace.status)},{i}"error": {scalar_text(trace.error)},{i}"steps": '
+        f'{scalar_text(len(trace.events))},{i}"charts": '
+        f'{_list_text([chart_text(c, ii) for c in trace.charts.values()], i)},'
+        f'{i}"events": {_list_text(events, i)}{newline}}}')
 
 
 def trace_to_jsonable(trace: ResolutionTrace) -> dict:
-    return {
-        "label_mode": trace.label_mode,
-        "status": trace.status,
-        "error": trace.error,
-        "steps": len(trace.events),
-        "charts": [chart_to_jsonable(c) for c in trace.charts.values()],
-        "events": [
-            {
-                "step": ev.step,
-                "chart": ev.chart_id,
-                "center": {
-                    "variables": list(ev.center.variables),
-                    "kind": ev.center.kind,
-                    "label": ev.center_label,
-                },
-                "created": list(ev.created),
-                "records": [record_to_jsonable(r) for r in ev.records],
-            }
-            for ev in trace.events
-        ],
-    }
+    """The trace as the JSON tree that its text (``trace_text``) holds."""
+    return json.loads(trace_text(trace, "\n"))
 
 
 def _dot_escape(text: str) -> str:

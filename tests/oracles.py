@@ -34,7 +34,12 @@
   fresh ``permissible_check`` for every reader of a center's verdict,
   nu* from a second ``ord_at`` per generator, one ``hasse_derivative``
   pass per derivative, and ``face_numbers`` of the first face read again
-  beside ``sigma_search``.
+  beside ``sigma_search``;
+* ``component_to_jsonable``, ``chart_to_jsonable``, ``record_to_jsonable``
+  and ``trace_to_jsonable`` -- the JSON trees of a stratum component, a
+  chart state, a point record and a trace, built as dicts: the trees whose
+  ``json.dumps(..., indent=2)`` text ``resolution_driver``'s one encoder
+  (``chart_text`` and ``trace_text``) must write, byte for byte.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from surfres.blowup_engine import (
     Center,
     ChartState,
     PermissibilityReport,
+    StratumComponent,
     permissible_check,
 )
 from surfres.char_polyhedron import (
@@ -72,8 +78,10 @@ from surfres.exact_algebra import (
     ord_at,
     q_th_root,
     restrict_to_zero,
+    to_string,
     translate,
 )
+from surfres.invariant import iota_to_jsonable
 from surfres.local_frame import (
     Frame,
     NuStar,
@@ -87,7 +95,9 @@ from surfres.local_frame import (
     row_reduce,
 )
 from surfres.resolution_driver import (
+    PointRecord,
     RawComponent,
+    ResolutionTrace,
     _fresh_components,
     _maximal_components,
 )
@@ -489,3 +499,77 @@ def first_face(prepared: PreparationResult, side: int) -> tuple:
     """(alpha, beta, gamma, s) of the side's first face of the prepared
     polyhedron."""
     return face_numbers(prepared.polyhedron, side)
+
+
+def component_to_jsonable(comp: StratumComponent) -> dict:
+    return {
+        "cid": comp.cid,
+        "variables": list(comp.variables),
+        "label": comp.label,
+        "original": comp.original,
+        "conditions": [to_string(q) for q in comp.conditions],
+    }
+
+
+def chart_to_jsonable(chart: ChartState) -> dict:
+    out: dict[str, Any] = {
+        "id": chart.chart_id,
+        "step": chart.step,
+        "variables": list(chart.variables),
+        "generators": [to_string(g) for g in chart.generators],
+        "u_block": list(chart.frame.u_block),
+        "y_block": list(chart.frame.y_block),
+        "boundary": [
+            {
+                "generator": to_string(b.generator),
+                "status": b.status,
+                "birth_step": b.birth_step,
+                "cid": b.cid,
+            }
+            for b in chart.frame.boundary
+        ],
+        "stratum": None if chart.stratum is None else [
+            component_to_jsonable(c) for c in chart.stratum],
+        "residue_degree": chart.residue_degree,
+    }
+    if chart.lineage is not None:
+        out["parent"] = chart.lineage.parent_id
+        out["center"] = list(chart.lineage.center.variables)
+        out["chart_var"] = chart.lineage.chart_var
+    return out
+
+
+def record_to_jsonable(rec: PointRecord) -> dict:
+    return {
+        "chart": rec.chart_id,
+        "parent": rec.parent_id,
+        "point": rec.point,
+        "classification": rec.classification,
+        "iota_before": iota_to_jsonable(rec.iota_before),
+        "iota_after": iota_to_jsonable(rec.iota_after),
+        "comparison": rec.comparison,
+    }
+
+
+def trace_to_jsonable(trace: ResolutionTrace) -> dict:
+    return {
+        "label_mode": trace.label_mode,
+        "status": trace.status,
+        "error": trace.error,
+        "steps": len(trace.events),
+        "charts": [chart_to_jsonable(c) for c in trace.charts.values()],
+        "events": [
+            {
+                "step": ev.step,
+                "chart": ev.chart_id,
+                "center": {
+                    "variables": list(ev.center.variables),
+                    "kind": ev.center.kind,
+                    "label": ev.center_label,
+                },
+                "created": list(ev.created),
+                "records": [record_to_jsonable(r) for r in ev.records],
+            }
+            for ev in trace.events
+        ],
+    }

@@ -22,6 +22,7 @@ check; on every new component of the named traces the copy must be what
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from functools import cached_property
 
 import pytest
 
@@ -45,12 +46,13 @@ from surfres.local_frame import NEW, OLD, BoundaryComponent, made_old
 from surfres.resolution_driver import (
     DEFAULT_LABELS,
     FRESH_LABELS,
+    RESOLVED,
     _reset_boundary,
-    chart_to_jsonable,
     initial_chart,
     resolve,
 )
 
+from oracles import chart_to_jsonable
 from test_blow_up_once import named_roots, pool_surfaces
 from test_cli_inputs import point_jobs
 
@@ -91,7 +93,26 @@ def assert_carries_its_own_values(state: ChartState) -> int:
 
 
 @pytest.fixture
-def copies(monkeypatch) -> list[tuple[ChartState, set[str]]]:
+def tables(monkeypatch) -> list[tuple[ChartState, dict]]:
+    """Each table of verdicts started while the test runs, with the state
+    that started it; ``copies`` adds each copy that shares one.  The
+    tables are kept here because ``resolve`` drops a stored state's table
+    when the state's round ends."""
+    held: list[tuple[ChartState, dict]] = []
+
+    def start(state):
+        table: dict = {}
+        held.append((state, table))
+        return table
+
+    verdicts = cached_property(start)
+    verdicts.__set_name__(ChartState, "verdicts")
+    monkeypatch.setattr(ChartState, "verdicts", verdicts)
+    return held
+
+
+@pytest.fixture
+def copies(monkeypatch, tables) -> list[tuple[ChartState, set[str]]]:
     """Every copy ``replace_chart`` makes while the test runs, with the
     names of the cached values it carried when it was made."""
     made: list[tuple[ChartState, set[str]]] = []
@@ -99,6 +120,8 @@ def copies(monkeypatch) -> list[tuple[ChartState, set[str]]]:
     def recording(chart, **changes):
         copy = replace_chart(chart, **changes)
         made.append((copy, set(CACHED) & copy.__dict__.keys()))
+        if "verdicts" in copy.__dict__:
+            tables.append((copy, copy.__dict__["verdicts"]))
         return copy
 
     for module in (resolution_driver, cli):
@@ -114,7 +137,7 @@ def traced_runs():
         yield resolve(initial_chart(field, XYZ, text))
 
 
-def test_every_state_resolve_makes_holds_the_values_of_its_fields(copies):
+def test_every_state_resolve_makes_holds_the_values_of_its_fields(copies, tables):
     stored = verdicts = 0
     for trace in traced_runs():
         for state in trace.charts.values():
@@ -122,10 +145,26 @@ def test_every_state_resolve_makes_holds_the_values_of_its_fields(copies):
             stored += 1
     for copy, _carried in copies:
         verdicts += assert_carries_its_own_values(copy)
+    for state, table in tables:
+        twin = fresh(state)
+        for center, report in table.items():
+            assert report == permissible_check(twin, center), (
+                state.chart_id, center)
+        verdicts += len(table)
     assert stored > 500 and len(copies) > stored and verdicts > 500
     # every copy starts with a value its source derived, some with all three
     assert all(carried for _c, carried in copies)
     assert any(carried == set(CACHED) for _c, carried in copies)
+
+
+def test_no_chart_of_a_resolved_named_trace_holds_verdicts():
+    """``resolve`` drops a chart's table of verdicts when the chart's round
+    ends, and every chart of a resolved trace has had its round."""
+    for root, options in named_roots().values():
+        trace = resolve(root, **options)
+        assert trace.status == RESOLVED
+        assert not [c.chart_id for c in trace.charts.values()
+                    if "verdicts" in vars(c)]
 
 
 def exported_jobs():

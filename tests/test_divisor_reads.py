@@ -2,7 +2,7 @@
 generators.
 
 ``BoundaryComponent.variable`` keeps ``coordinate_variable(generator)`` on
-the component the first time it is read, and ``ChartState.field`` and
+the component, set once when it is made, and ``ChartState.field`` and
 ``ChartState.variables`` read the first generator.  Both are checked here
 against a fresh reading:
 
@@ -18,11 +18,18 @@ against a fresh reading:
 
 Each source component's variable is read before the new one is made, so a
 reading carried over to a component with another generator would show.
+
+Reading ``variable`` allocates nothing, whichever constructor made the
+component: the instance keeps its compact attribute storage, which a value
+filled into its ``__dict__`` on first read would double.  Equality, the
+hash and the repr leave ``variable`` out.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,3 +194,41 @@ def test_a_chart_refuses_generators_of_two_rings(changed):
          else parse_polynomial("y", QQ, ("x", "y", "z", "w")))
     with pytest.raises(InputError):
         ChartState("root", (f, g), make_chart((f,), ("y", "z"), ("x",)).frame)
+
+
+CONSTRUCTORS = {
+    "checked": lambda b: BoundaryComponent(b.generator, NEW, 1, 0),
+    "unchecked_component": lambda b: unchecked_component(b.generator, NEW, 1, 0),
+    "made_old": made_old,
+    "dataclasses.replace": lambda b: dataclasses.replace(b, status=OLD),
+}
+
+
+@pytest.mark.parametrize("make", list(CONSTRUCTORS))
+def test_reading_the_variable_keeps_the_compact_storage(make):
+    sources = [BoundaryComponent(poly(t), NEW, 1, 0)
+               for t in ("z", "2*z", "x + y*z") for _ in range(1000)]
+    made = [CONSTRUCTORS[make](b) for b in sources]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for comp in made:
+            comp.variable
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < len(made)  # 64 bytes a component with a first-read fill
+    for comp in made[::1000]:
+        size = len(vars(comp)), vars(comp).__sizeof__()
+        assert list(vars(comp)) == [
+            "generator", "status", "birth_step", "cid", "variable"]
+        assert comp.variable == coordinate_variable(comp.generator)
+        assert (len(vars(comp)), vars(comp).__sizeof__()) == size
+
+
+def test_the_variable_is_left_out_of_equality_the_hash_and_the_repr():
+    checked = BoundaryComponent(poly("z"), NEW, 1, 0)
+    other = unchecked_component(poly("z"), NEW, 1, 0)
+    object.__setattr__(other, "variable", "y")
+    assert checked == other and hash(checked) == hash(other)
+    assert repr(checked) == repr(other) and " variable=" not in repr(checked)

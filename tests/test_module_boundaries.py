@@ -26,6 +26,10 @@ nu*, the directrix and the log-directrix are derived in one place: outside
 ``local_frame``, which defines them, only ``blowup_engine`` (the
 ``ChartState`` properties) calls ``nu_star``, ``compute_directrix`` or
 ``add_old_boundary``; every other module reads them off a chart state.
+
+The chart, record and trace shapes have one encoder, in
+``resolution_driver``: no other module writes their keys, as dict keys or
+as JSON text, and ``resolution_driver`` imports nothing from ``cli``.
 """
 
 from __future__ import annotations
@@ -245,3 +249,82 @@ def test_the_chart_state_is_the_derivation_outside_local_frame():
     source = (PACKAGE / "blowup_engine.py").read_text(encoding="utf-8")
     assert sorted(c.split()[1] for c in derivation_calls(
         source, "blowup_engine.py")) == sorted(DERIVATIONS)
+
+
+# ---------------------------------------------------------------------------
+# one encoder of the chart, record and trace shapes
+# ---------------------------------------------------------------------------
+
+# the keys of the chart, record and trace shapes that no other report has;
+# ``check_monotone``'s violations hold a record's keys too
+SHAPE_KEYS = ("label_mode", "created", "birth_step", "stratum", "conditions",
+              "residue_degree", "iota_before", "iota_after", "comparison")
+ENCODER_MODULE = "resolution_driver.py"
+
+
+def shape_key_writes(source: str, name: str) -> list[str]:
+    """``name:line key`` of each ``SHAPE_KEYS`` key the module source
+    writes: a dict literal's key, a keyword of ``dict(...)``, or the JSON
+    text of a key (``"key":``) in a string or f-string."""
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Dict):
+            keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif isinstance(node, ast.Call) and _called(node) == "dict":
+            keys = [k.arg for k in node.keywords]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            keys = [k for k in SHAPE_KEYS if f'"{k}":' in node.value]
+        else:
+            continue
+        out.extend(f"{name}:{node.lineno} {k}" for k in keys if k in SHAPE_KEYS)
+    return out
+
+
+def cli_imports(source: str, name: str) -> list[str]:
+    """``name:line`` of each import of the ``cli`` module or of a name
+    from it."""
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                           for alias in node.names]
+        else:
+            continue
+        if any(path.split(".")[-1] == "cli" for path in paths):
+            out.append(f"{name}:{node.lineno}")
+    return out
+
+
+def test_the_encoder_check_finds_each_kind_of_write():
+    source = (
+        "from .cli import _report_text\n"
+        "from . import cli\n"
+        "import surfres.cli as front\n"
+        "from .invariant import iota_to_jsonable\n"
+        "def chart_to_jsonable(chart):\n"
+        "    return {'id': chart.chart_id, 'residue_degree': 1,\n"
+        "            'stratum': None, **chart.extra}\n"
+        "def record(rec, i):\n"
+        "    return (dict(iota_before=1, point=rec.point),\n"
+        "            f'{i}\"comparison\": {rec.comparison}',\n"
+        "            '\"conditions\": []', rec.get('iota_after'))\n")
+    assert sorted(shape_key_writes(source, "m.py")) == [
+        "m.py:10 comparison", "m.py:11 conditions", "m.py:6 residue_degree",
+        "m.py:6 stratum", "m.py:9 iota_before"]
+    assert cli_imports(source, "m.py") == ["m.py:1", "m.py:2", "m.py:3"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != ENCODER_MODULE], ids=lambda p: p.name)
+def test_only_the_encoder_writes_the_chart_and_record_keys(path):
+    assert shape_key_writes(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_encoder_writes_every_key_and_imports_nothing_from_cli():
+    source = (PACKAGE / ENCODER_MODULE).read_text(encoding="utf-8")
+    written = {w.split()[1] for w in shape_key_writes(source, ENCODER_MODULE)}
+    assert written == set(SHAPE_KEYS)
+    assert cli_imports(source, ENCODER_MODULE) == []

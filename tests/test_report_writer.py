@@ -6,9 +6,12 @@ written straight from the trace (``tests/test_trace_writer.py``).  Every
 text must be the stdlib's, byte for byte:
 
 * on every report of the four named jobs, through all six commands (the
-  two trace reports against ``json.dumps`` of the tree that
-  ``trace_to_jsonable`` builds), and on the stored trace that ``export
-  --format json`` writes, fed back to ``export``;
+  two trace reports against ``json.dumps`` of the tree that the oracle
+  ``trace_to_jsonable`` builds, and ``blowup``'s child charts against the
+  oracle ``chart_to_jsonable``'s trees), and on the stored trace that
+  ``export --format json`` writes, fed back to ``export``;
+* on ``blowup`` of every chart of the named traces with a non-empty
+  stratum;
 * on ``hypothesis``-drawn JSON values: nested empty containers, tuples,
   non-ASCII and control characters, ints beyond 2^64, and floats with nan
   and +-inf (which no report carries, since the job reader refuses them in
@@ -27,8 +30,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfres import cli
+from surfres.blowup_engine import ChartState
 from surfres.cli import EXIT_INPUT, EXIT_OK, main
-from surfres.resolution_driver import check_monotone, trace_to_jsonable
+from surfres.resolution_driver import check_monotone
+
+from oracles import chart_to_jsonable, repo_module, trace_to_jsonable
 
 RATIONALS = {"kind": "rationals"}
 XYZ = ["x", "y", "z"]
@@ -81,7 +87,7 @@ def assert_written_as_json_dumps(code, out, seen):
 
 def oracle_report(command: str, trace) -> dict:
     """The ``resolve`` report or the ``export --format json`` trace of a
-    trace, as the tree that ``trace_to_jsonable`` builds."""
+    trace, as the tree that the oracle ``trace_to_jsonable`` builds."""
     if command == "export":
         return trace_to_jsonable(trace)
     mono = check_monotone(trace)
@@ -103,8 +109,39 @@ def test_every_report_of_the_named_jobs_is_json_dumps_text(
         assert (code, seen) == (EXIT_OK, [])
         report = oracle_report(args[0], cli._run_resolve(job))
         assert out == json.dumps(report, indent=2) + "\n"
+    elif args[0] == "blowup":
+        assert_blowup_written_as_the_oracle(code, out, seen)
     else:
         assert_written_as_json_dumps(code, out, seen)
+
+
+def assert_blowup_written_as_the_oracle(code, out, seen):
+    """The ``blowup`` report's text is ``json.dumps`` of the value the
+    writer was given with each child's chart state, which the writer takes
+    as it is, made the tree that the oracle ``chart_to_jsonable`` builds."""
+    assert code == EXIT_OK
+    (report, _text), = seen
+    assert all(isinstance(c["chart"], ChartState) for c in report["children"])
+    oracle = dict(report, children=[dict(c, chart=chart_to_jsonable(c["chart"]))
+                                    for c in report["children"]])
+    assert out == json.dumps(oracle, indent=2) + "\n"
+
+
+def test_blowup_of_every_named_trace_chart_is_the_oracle_text(monkeypatch, capsys):
+    """``blowup`` of each chart of the named traces with a non-empty
+    stratum, the job rebuilt as the ``chart-queries`` benchmark rebuilds
+    it, writes the text of the oracle's report."""
+    corpus = repo_module("perfbench", "corpus")
+    runs = 0
+    for job in NAMED_JOBS.values():
+        for chart in trace_to_jsonable(cli._run_resolve(job))["charts"]:
+            if not chart["stratum"]:
+                continue
+            assert_blowup_written_as_the_oracle(*run_recorded(
+                monkeypatch, capsys, ("blowup",),
+                corpus.chart_job(chart, job["field"])))
+            runs += 1
+    assert runs > 100
 
 
 @pytest.mark.parametrize("name", list(NAMED_JOBS))

@@ -357,4 +357,5 @@ def test_the_exceptional_divisor_is_built_without_a_second_check(monkeypatch):
     assert len(wanted) > 100
     built = unchecked_component(want.generator, NEW, 1, 0)
     assert built.__dict__ == {"generator": want.generator, "status": NEW,
-                              "birth_step": 1, "cid": 0}
+                              "birth_step": 1, "cid": 0,
+                              "variable": want.variable}

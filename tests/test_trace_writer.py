@@ -1,11 +1,12 @@
-"""The trace writers against ``json.dumps`` of ``trace_to_jsonable``.
+"""The trace writers against ``json.dumps`` of the oracle's trace tree.
 
 ``surfres resolve`` and ``surfres export --format json`` of a job write
-their text straight from the trace's objects (``cli._trace_text`` and
-``cli._resolve_text``), with each iota's text formed once per report and
+their text straight from the trace's objects (``resolution_driver.trace_text``
+and ``cli._resolve_text``), with each iota's text formed once per report and
 placed at its depth.  That text must be the bytes ``json.dumps(...,
-indent=2)`` writes for the tree ``trace_to_jsonable`` builds, which stays
-as the oracle:
+indent=2)`` writes for the tree the oracle ``trace_to_jsonable``
+(``tests/oracles.py``) builds, and ``resolution_driver.trace_to_jsonable``,
+which reads the text back, must give that tree:
 
 * on every trace of the 54-trace acceptance corpus;
 * on every pool surface (``perfbench/pool.json``) whose ``resolve_s`` is
@@ -41,7 +42,13 @@ from surfres.cli import EXIT_OK, main
 from surfres.exact_algebra import INF, InputError, ScopeError
 from surfres.invariant import GREATER, IotaInvariant
 from surfres.local_frame import NuStar
-from surfres.resolution_driver import SCOPE_ERROR, STEP_LIMIT, check_monotone
+from surfres.resolution_driver import (
+    SCOPE_ERROR,
+    STEP_LIMIT,
+    check_monotone,
+    trace_text,
+    trace_to_jsonable,
+)
 
 from test_acceptance import corpus_traces  # noqa: F401  (a fixture)
 from test_cli_inputs import point_jobs
@@ -55,12 +62,14 @@ POOL_FIELDS = {"Q": {"kind": "rationals"},
 
 
 def assert_written_as_the_oracle(trace, name) -> None:
-    """Both trace texts of one trace equal the oracle's bytes."""
+    """Both trace texts of one trace equal the oracle's bytes, and the tree
+    read back from them is the oracle's tree."""
     report = oracle_report("resolve", trace)
     assert cli._resolve_text(trace, check_monotone(trace)) == json.dumps(
         report, indent=2), name
-    assert cli._trace_text(trace, "\n") == json.dumps(
+    assert trace_text(trace, "\n") == json.dumps(
         report["trace"], indent=2), name
+    assert trace_to_jsonable(trace) == report["trace"], name
 
 
 def cli_text(args: tuple[str, ...], job: dict, monkeypatch, capsys):
