@@ -20,13 +20,15 @@ coordinate; infinity is ``float("inf")``.  Every move x <- x + c * monomial
 is ``exact_algebra.translate``.
 
 The steps of the preparation loop read the stored terms on ints.  A box
-span scales its weights and bounds by the lcm of their denominators once,
-tests each term on ints and keeps the other terms in canonical order.  Over
-Q a witness solves a linear system whose rows are read off the vertex
-forms' terms.  Over F_p and F_q the candidates are taken in
-``itertools.product`` order, and each is screened on the forms read with
-U = 1 (see ``_screen``) before it is verified; the screen rejects no
-witness, so the first witness is the one an unscreened search finds.
+span scales its weights and bounds by the lcm of their denominators once
+and tests each term on ints.  Over Q a candidate witness solves a linear
+system whose rows are read off the vertex forms' terms; over F_p and F_q
+the candidates are taken in ``itertools.product`` order.  Every candidate
+is screened on the forms read with U = 1 (see ``_screen``), which rejects
+no witness.  A step translates the generators by each candidate that
+passes and takes the first after which no generator has a term at the
+vertex (see ``prepare``), reading each translated generator once for its
+reduction modulo a box, its points and that check (``_read``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from math import comb, lcm
 from operator import ge, sub
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .exact_algebra import (
     INF,
@@ -211,18 +213,45 @@ def _at_point(v: Point, nu: int, ui: Sequence[int],
     return test
 
 
-def _scan(g: Polynomial, frame: Frame) -> list[tuple[tuple[int, ...], int]]:
-    """The pairs (A, nu - |B|) of the terms u^A y^B of g with |B| < nu, in
-    term order, from one pass that also finds the order nu and refuses a
-    generator in the u-ideal."""
+def _read(g: Polynomial, frame: Frame, box: _Box | None = None,
+          nu: int | None = None
+          ) -> tuple[Polynomial, list[tuple[tuple[int, ...], int]]]:
+    """One pass over the terms u^A y^B of g, of order nu: g modulo the span
+    J_c of ``box`` (g itself without a box), and the pairs (A, nu - |B|) of
+    its kept terms with |B| < nu, in term order.  With a box, nu is the
+    box's order, which the reduction keeps (see ``prepare``).  With neither
+    a box nor nu, g is refused when it lies in the u-ideal, and nu is read
+    off g."""
     ui, yi = g.positions(frame.u_block), g.positions(frame.y_block)
+    if box is not None:
+        d, nu = box.scale, box.order
+        tests = [(i, f, m) for i, (f, m) in zip(ui, box.bounds)]
+        kept, pairs = [], []
+        for term in g.vectors:
+            vec = term[0]
+            b = sum([vec[i] for i in yi])
+            for i, f, m in tests:
+                if vec[i] * d + f * b < m:  # outside J_c in coordinate i
+                    kept.append(term)
+                    if b < nu:
+                        pairs.append((tuple([vec[i] for i in ui]), nu - b))
+                    break
+        return Polynomial(g.field, g.variables, tuple(kept)), pairs
+    if nu is not None:
+        return g, [(tuple([vec[i] for i in ui]), nu - b) for vec, _ in g.vectors
+                   if (b := sum([vec[i] for i in yi])) < nu]
     rows = [(tuple([vec[i] for i in ui]), sum([vec[i] for i in yi]))
             for vec, _ in g.vectors]
     if all(any(a) for a, _ in rows):
         raise InputError("generator lies in the ideal generated by the u-block; "
                          "no valid (u; y) expansion")
     nu = min([sum(a) + b for a, b in rows])
-    return [(a, nu - b) for a, b in rows if b < nu]
+    return g, [(a, nu - b) for a, b in rows if b < nu]
+
+
+def _scan(g: Polynomial, frame: Frame) -> list[tuple[tuple[int, ...], int]]:
+    """The pairs of ``_read`` without a box."""
+    return _read(g, frame)[1]
 
 
 def _lattice_vertices(dim: int, pairs: Iterable[tuple[tuple[int, ...], int]]) -> tuple[Point, ...]:
@@ -308,14 +337,6 @@ def _translated(F: Polynomial, frame: Frame, v: Point, lam: Sequence[Any]) -> Po
     return F
 
 
-def _verify_witness(vi: VertexInitial, lam: Sequence[Any]) -> bool:
-    for form, nu in zip(vi.forms, vi.orders):
-        F = _pure_y_part(form, vi.frame, nu)
-        if _translated(F, vi.frame, vi.vertex, lam) != form:
-            return False
-    return True
-
-
 def _p_adic_valuation(n: int, p: int) -> int:
     out = 0
     while n % p == 0:
@@ -363,10 +384,12 @@ def _solve_char0(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | None:
 
 
 def _solve_ratfunc(vi: VertexInitial, field: FieldDescriptor) -> list[Any] | None:
+    """The one candidate lambda over F_p(t) for one y variable, by unique
+    d-th-root extraction; None when there is none.  With more y variables
+    a scope error: at a vertex some form has a term there, so even
+    lambda = 0 is no witness."""
     frame = vi.frame
     if frame.r != 1:
-        if _verify_witness(vi, [field.zero()]):
-            return [field.zero()]
         raise ScopeError(
             "vertex solvability over F_p(t) is supported for a single y variable"
         )
@@ -437,36 +460,32 @@ def _screen(vi: VertexInitial,
     return passes
 
 
-def is_solvable(vi: VertexInitial, field: FieldDescriptor) -> tuple[Any, ...] | None:
-    """Witness lambda with in_v(f_i) = F_i(Y + lambda U^v), or None.
+def _witnesses(vi: VertexInitial, field: FieldDescriptor) -> Iterator[tuple[Any, ...]]:
+    """The candidate witnesses lambda != 0 at the vertex of ``vi`` that pass
+    ``_screen``, in order; none at a non-integral vertex.
 
-    None for non-integral vertices.  Complete over finite fields (exhaustive),
-    over the rationals (linear extraction), and over F_p(t) for one y variable
-    (unique d-th-root extraction); every candidate is verified symbolically.
-    Over a finite field the candidates run through ``itertools.product`` of
-    the field's elements, and each is first screened on the forms read with
-    U = 1 (``_screen``): no witness fails the screen, so the witness returned
-    is the first one in that order, as without the screen.
+    Over a finite field the candidates are every tuple of the field's
+    elements, in ``itertools.product`` order; over the rationals the one
+    solution of the linear system (``_solve_char0``), and over F_p(t) for one
+    y variable the one d-th root (``_solve_ratfunc``).  No witness fails the
+    screen, whatever the field, so a candidate it rejects is none; the
+    solving step (``_step``) decides on the others.
     """
     if any(coord.denominator != 1 for coord in vi.vertex):
-        return None
-    r = vi.frame.r
+        return
     if field.kind in (PRIME_FIELD, FINITE_EXTENSION):
-        passes = _screen(vi, field)
-        for lam in itertools.product(map(field.to_native, field.elements()),
-                                     repeat=r):
-            if any(lam) and passes(lam):
-                public = tuple(map(field.to_public, lam))
-                if _verify_witness(vi, public):
-                    return public
-        return None
-    if field.kind == RATIONALS:
-        lam = _solve_char0(vi, field)
+        candidates: Iterable[Sequence[Any]] = itertools.product(
+            map(field.to_native, field.elements()), repeat=vi.frame.r)
     else:
-        lam = _solve_ratfunc(vi, field)
-    if lam is None or not any(lam):
-        return None
-    return tuple(lam) if _verify_witness(vi, lam) else None
+        solve = _solve_char0 if field.kind == RATIONALS else _solve_ratfunc
+        lam = solve(vi, field)
+        if lam is None or not any(lam):
+            return
+        candidates = [list(map(field.to_native, lam))]
+    passes = _screen(vi, field)
+    for lam in candidates:
+        if any(lam) and passes(lam):
+            yield tuple(map(field.to_public, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -652,22 +671,6 @@ class _Box:
             (int(f * d), int(self.order * c * d))
             for f, c in zip(self.floor, self.corner)))
 
-    def reduce(self, g: Polynomial, frame: Frame) -> Polynomial:
-        """g with its terms in J_c dropped; the kept terms stay in g's
-        canonical order."""
-        yi, d = g.positions(frame.y_block), self.scale
-        tests = [(i, f, m) for i, (f, m) in zip(g.positions(frame.u_block),
-                                                 self.bounds)]
-        kept = []
-        for term in g.vectors:
-            vec = term[0]
-            b = sum([vec[i] for i in yi])
-            for i, f, m in tests:
-                if vec[i] * d + f * b < m:
-                    kept.append(term)
-                    break
-        return Polynomial(g.field, g.variables, tuple(kept))
-
 
 def _drift_end(solved: Sequence[Point], budget: int) -> Point:
     """Where the vertices ``solved`` (the last one may be the vertex the
@@ -710,12 +713,33 @@ class _Run:
         )
 
 
+def _step(current: Sequence[Polynomial], frame: Frame, vi: VertexInitial,
+          box: _Box | None) -> tuple[tuple[Any, ...], list[Polynomial], FPolyhedron] | None:
+    """The solving step at the vertex v of ``vi``: the first candidate of
+    ``_witnesses`` after whose translation y_j <- y_j - lambda_j U^v no
+    generator has a term at v (see ``prepare``), with the translated
+    generators modulo ``box`` and their polyhedron; None when no candidate
+    is a witness."""
+    v = vi.vertex
+    for lam in _witnesses(vi, current[0].field):
+        minus = [-c for c in lam]
+        kept, pairs = [], set()
+        for g, nu in zip(current, vi.orders):
+            h, g_pairs = _read(_translated(g, frame, v, minus), frame, box, nu)
+            kept.append(h)
+            pairs.update(g_pairs)
+        # a term at v is a pair (d v, d) with 0 < d <= nu
+        if pairs.isdisjoint((tuple([d * int(x) for x in v]), d)
+                            for d in range(1, max(vi.orders) + 1)):
+            return lam, kept, FPolyhedron(frame.e, _lattice_vertices(frame.e, pairs))
+    return None
+
+
 def _advance(run: _Run, frame: Frame, budget: int, pause: int | None = None,
              box: _Box | None = None) -> bool:
     """Run the loop on ``run`` until it ends (True, with ``run.status``
     set), or until it would examine a vertex after ``pause`` solving steps
     or a check of the ``box`` fails (False)."""
-    field = run.current[0].field
     while True:
         poly = run.poly
         if box is not None and not poly.member(box.corner):
@@ -741,17 +765,14 @@ def _advance(run: _Run, frame: Frame, budget: int, pause: int | None = None,
             run.poly = polyhedron_of(run.current, frame)
             if v not in run.poly.vertices:
                 continue
-        vi = _vertex_initial(run.current, frame, v)
-        lam = is_solvable(vi, field)
-        if lam is None:
+        step = _step(run.current, frame, _vertex_initial(run.current, frame, v),
+                     box)
+        if step is None:
             run.certified.add(v)
             continue
-        minus = [-c for c in lam]
-        run.current = [_translated(g, frame, v, minus) for g in run.current]
-        if box is not None:
-            run.current = [box.reduce(g, frame) for g in run.current]
+        lam, run.current, poly = step
+        run.poly = poly
         run.changes.append({"vertex": v, "witness": lam})
-        run.poly = poly = polyhedron_of(run.current, frame)
         run.snapshots.append(
             tuple(w for w in poly.vertices if _axis_of(w) is None))
         if run.escape is None and _detect_escape(run.changes, run.snapshots):
@@ -781,9 +802,9 @@ def _run_modulo_a_box(switch: _Run, frame: Frame, budget: int) -> _Run | None:
             return None
         corner = enlarged
         box = _Box(corner, floor, nu)
-        current = [box.reduce(g, frame) for g in switch.current]
-        trial = replace(switch, current=current,
-                        poly=polyhedron_of(current, frame),
+        reduced, pairs = _read(g, frame, box)
+        trial = replace(switch, current=[reduced],
+                        poly=FPolyhedron(frame.e, _lattice_vertices(frame.e, pairs)),
                         changes=list(switch.changes),
                         snapshots=list(switch.snapshots),
                         certified=set(switch.certified))
@@ -802,6 +823,32 @@ def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> Prepa
     vertex; when the vertex is solvable the y-block is translated by the
     witness (y_j <- y_j - lambda_j u^v) and the loop restarts.  The budget
     counts solving steps.
+
+    A step checks each candidate lambda (``_witnesses``) on the translated
+    generators (``_step``): at an integral vertex v of the polyhedron,
+    lambda is a witness, in_v(f) = F(Y + lambda U^v) for every generator f
+    of order nu with pure part F(Y), exactly when no f(Y - lambda U^v) has a
+    term whose point is v (a pure term has no point).
+
+    * The move y_j <- y_j - lambda_j U^v turns a term u^a y^B into terms
+      u^(a + k v) y^B' with |B'| = |B| - k.  When |B| < nu and
+      a / (nu - |B|) != v, the points (a + k v) / (nu - |B| + k) lie
+      strictly between a / (nu - |B|) and v.  When |B| >= nu, a point v
+      would need a = (nu - |B|) v, so a = 0 and |B| = nu (v != 0, since
+      every point of a term of order nu is nonzero): a pure term, part of
+      in_v(f).  So only in_v(f) can put terms at v.
+    * v is integral and nonzero, so the move maps the maximal ideal onto
+      itself and f(Y - lambda U^v) keeps the order nu; its points are read
+      with nu.
+    * in_v(f)(Y - lambda U^v) has the pure part F (a + k v != 0 for k >= 1)
+      and puts its other terms at v; these are the terms at v of
+      f(Y - lambda U^v).  They are all gone exactly when
+      in_v(f)(Y - lambda U^v) = F(Y), that is in_v(f) = F(Y + lambda U^v).
+
+    Every candidate passes ``_screen`` first, which rejects no witness; so a
+    step translates the generators once for each candidate left, and reads
+    each translated generator once (``_read``) for its reduction modulo a
+    box, its points and the check.
 
     A run on one generator f of order N, where normalization does nothing,
     may spend most of its budget translating terms far from the vertices.
@@ -829,8 +876,10 @@ def prepare(gens: Sequence[Polynomial], frame: Frame, budget: int = 64) -> Prepa
       points add nothing to it, and it is the polyhedron of f_t.
     * Check 2, before every vertex v is examined: v is not >= c.  Then no
       term of J_c has the point v, so g_t and f_t have the same initial
-      form at v and the same witness.  (A vertex of a polyhedron that
-      contains c is >= c only when it is c, so check 2 only acts there.)
+      form at v and the same witness, and the check of a candidate on the
+      reduced translated generator sees the terms at v that f_t(Y - lambda
+      U^v) has.  (A vertex of a polyhedron that contains c is >= c only
+      when it is c, so check 2 only acts there.)
 
     The span is cut out by a box, not by a half-space |a| >= N |c|: the
     box's dropped points lie in c + R>=0^n, which check 1 puts inside the

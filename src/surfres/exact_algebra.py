@@ -8,10 +8,10 @@ a nonzero coefficient, in one canonical order; every operation works on the
 vectors and ends in one canonicalising constructor, ``_canonical``, except
 the maps whose terms come out in that order, which build the ``Polynomial``
 directly: a subset of one polynomial's terms (``restrict_to_zero``,
-``initial_form``, ``_pure_y_part``, ``_vertex_initial``, ``_Box.reduce``),
-``hasse_derivative`` and ``hasse_derivatives`` (m -> m - A on the terms
-with m >= A is injective and keeps the order) and ``Polynomial.variable``
-(one term).
+``initial_form``, ``_pure_y_part``, ``_vertex_initial``,
+``char_polyhedron._read``), ``hasse_derivative`` and ``hasse_derivatives``
+(m -> m - A on the terms with m >= A is injective and keeps the order) and
+``Polynomial.variable`` (one term).
 ``substitute`` and ``substitute_many`` replace variables by polynomials;
 the monomial maps of the resolution have their own kernels on the exponent
 vectors: ``translate`` for a move x <- x + c * monomial (by the binomial
@@ -713,9 +713,10 @@ def _canonical(field: FieldDescriptor, variables: tuple[str, ...],
     in stored form, zeros dropped and the rest sorted into the canonical
     order.  Every polynomial is built here except by the order-keeping maps:
     a subset of one polynomial's terms (``restrict_to_zero``,
-    ``initial_form``, ``_pure_y_part``, ``_vertex_initial``, ``_Box.reduce``),
-    the injective shift m -> m - A of ``hasse_derivative`` and
-    ``hasse_derivatives``, and the one term of ``Polynomial.variable``."""
+    ``initial_form``, ``_pure_y_part``, ``_vertex_initial``,
+    ``char_polyhedron._read``), the injective shift m -> m - A of
+    ``hasse_derivative`` and ``hasse_derivatives``, and the one term of
+    ``Polynomial.variable``."""
     kept = _native_terms(field, terms)
     kept.sort(key=_vector_order, reverse=True)
     return Polynomial(field, variables, tuple(kept))

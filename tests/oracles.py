@@ -10,6 +10,12 @@
   (criterion 6 compares it with the polyhedron recomputed on the chart);
 * ``vertex_initial`` -- the vertex initial forms at a point checked to be
   a vertex of the polyhedron;
+* ``verify_witness``, ``is_solvable``, ``reduce_modulo_box`` and
+  ``advance_by_verified_witness`` -- the solving step of vertex preparation
+  as it was before it checked each witness on the translated generators:
+  ``char_polyhedron._advance`` verified a witness by translating the vertex
+  forms (``is_solvable``), translated the generators, reduced them modulo
+  the box (``_Box.reduce``) and scanned them again (``polyhedron_of``);
 * ``solve_components`` (with ``_support``) -- the maximal-stratum search on
   ``Polynomial`` residues, each restricted with ``restrict_to_zero``, which
   ``resolution_driver._solve_components`` now runs on support bitmasks;
@@ -45,6 +51,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,15 +67,30 @@ from surfres.blowup_engine import (
     permissible_check,
 )
 from surfres.char_polyhedron import (
+    BUDGET_EXHAUSTED,
+    EMPTY,
+    ESCAPE_ANNOTATION,
+    MINIMAL,
     FPolyhedron,
     Point,
     PreparationResult,
     VertexInitial,
+    _axis_of,
+    _detect_escape,
+    _pure_y_part,
+    _screen,
+    _solve_char0,
+    _solve_ratfunc,
+    _translated,
     _vertex_initial,
     face_numbers,
+    normalize_at_vertex,
     polyhedron_of,
 )
 from surfres.exact_algebra import (
+    FINITE_EXTENSION,
+    PRIME_FIELD,
+    RATIONALS,
     FieldDescriptor,
     InputError,
     Polynomial,
@@ -252,6 +274,117 @@ def vertex_initial(gens: Sequence[Polynomial], frame: Frame, v: Point) -> Vertex
     if v not in polyhedron_of(gens, frame).vertices:
         raise InputError(f"{v} is not a vertex of the polyhedron")
     return _vertex_initial(gens, frame, v)
+
+
+def verify_witness(vi: VertexInitial, lam: Sequence[Any]) -> bool:
+    """Whether in_v(f_i) = F_i(Y + lambda U^v) for every vertex form of
+    ``vi``: each form's pure part translated and compared with the form."""
+    for form, nu in zip(vi.forms, vi.orders):
+        F = _pure_y_part(form, vi.frame, nu)
+        if _translated(F, vi.frame, vi.vertex, lam) != form:
+            return False
+    return True
+
+
+def is_solvable(vi: VertexInitial, field: FieldDescriptor) -> tuple[Any, ...] | None:
+    """Witness lambda with in_v(f_i) = F_i(Y + lambda U^v), or None.
+
+    None for non-integral vertices.  Complete over finite fields (exhaustive),
+    over the rationals (linear extraction), and over F_p(t) for one y variable
+    (unique d-th-root extraction); every candidate is verified symbolically
+    (``verify_witness``).  Over a finite field the candidates run through
+    ``itertools.product`` of the field's elements, and each is first
+    screened on the forms read with U = 1 (``_screen``).  With more y
+    variables over F_p(t), where no lambda = 0 is a witness at a vertex,
+    ``_solve_ratfunc`` raises a scope error.
+    """
+    if any(coord.denominator != 1 for coord in vi.vertex):
+        return None
+    r = vi.frame.r
+    if field.kind in (PRIME_FIELD, FINITE_EXTENSION):
+        passes = _screen(vi, field)
+        for lam in itertools.product(map(field.to_native, field.elements()),
+                                     repeat=r):
+            if any(lam) and passes(lam):
+                public = tuple(map(field.to_public, lam))
+                if verify_witness(vi, public):
+                    return public
+        return None
+    if field.kind == RATIONALS:
+        lam = _solve_char0(vi, field)
+    else:
+        lam = _solve_ratfunc(vi, field)
+    if lam is None or not any(lam):
+        return None
+    return tuple(lam) if verify_witness(vi, lam) else None
+
+
+def reduce_modulo_box(box: Any, g: Polynomial, frame: Frame) -> Polynomial:
+    """g with its terms in the span J_c of ``box`` dropped; the kept terms
+    stay in g's canonical order."""
+    yi, d = g.positions(frame.y_block), box.scale
+    tests = [(i, f, m) for i, (f, m) in zip(g.positions(frame.u_block),
+                                             box.bounds)]
+    kept = []
+    for term in g.vectors:
+        vec = term[0]
+        b = sum([vec[i] for i in yi])
+        for i, f, m in tests:
+            if vec[i] * d + f * b < m:
+                kept.append(term)
+                break
+    return Polynomial(g.field, g.variables, tuple(kept))
+
+
+def advance_by_verified_witness(run: Any, frame: Frame, budget: int,
+                                pause: int | None = None,
+                                box: Any = None) -> bool:
+    """``char_polyhedron._advance`` with its earlier step body: the witness
+    verified on the vertex forms, then the generators translated, reduced
+    modulo the box and scanned again."""
+    field = run.current[0].field
+    while True:
+        poly = run.poly
+        if box is not None and not poly.member(box.corner):
+            return False  # check 1
+        uncertified = [v for v in poly.vertices if v not in run.certified]
+        if poly.is_empty:
+            run.status = EMPTY
+            return True
+        if not uncertified:
+            run.status = MINIMAL
+            return True
+        if len(run.changes) >= budget:
+            run.status = BUDGET_EXHAUSTED
+            return True
+        if len(run.changes) == pause:
+            return False
+        v = min(uncertified)
+        if box is not None and all(c >= x for c, x in zip(v, box.corner)):
+            return False  # check 2
+        normalized = normalize_at_vertex(run.current, frame, v)
+        if normalized != run.current:
+            run.current = normalized
+            run.poly = polyhedron_of(run.current, frame)
+            if v not in run.poly.vertices:
+                continue
+        vi = _vertex_initial(run.current, frame, v)
+        lam = is_solvable(vi, field)
+        if lam is None:
+            run.certified.add(v)
+            continue
+        minus = [-c for c in lam]
+        run.current = [_translated(g, frame, v, minus) for g in run.current]
+        if box is not None:
+            run.current = [reduce_modulo_box(box, g, frame) for g in run.current]
+        run.changes.append({"vertex": v, "witness": lam})
+        run.poly = poly = polyhedron_of(run.current, frame)
+        run.snapshots.append(
+            tuple(w for w in poly.vertices if _axis_of(w) is None))
+        if run.escape is None and _detect_escape(run.changes, run.snapshots):
+            run.escape = ESCAPE_ANNOTATION
+            run.stable = FPolyhedron.from_points(
+                poly.dim, [w for w in poly.vertices if _axis_of(w) != _axis_of(v)])
 
 
 def _support(vec: tuple[int, ...], variables: tuple[str, ...]) -> tuple[str, ...]:

@@ -24,7 +24,6 @@ from surfres.char_polyhedron import (
     MINIMAL,
     delta,
     face_numbers,
-    is_solvable,
     normalize_at_vertex,
     polyhedron_of,
     prepare,
@@ -32,7 +31,8 @@ from surfres.char_polyhedron import (
 )
 from surfres.local_frame import Frame
 
-from oracles import Monomial, contains, make, terms, vertex_initial
+from oracles import (Monomial, contains, is_solvable, make, terms,
+                     vertex_initial)
 
 QQ = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)

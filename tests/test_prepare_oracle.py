@@ -43,7 +43,7 @@ from surfres.invariant import adapt_frame_to_forms
 from surfres.local_frame import Frame, compute_directrix, initial_form
 from surfres.resolution_driver import FRESH_LABELS, initial_chart, resolve
 
-from oracles import Monomial, make, terms, vertex_initial
+from oracles import Monomial, is_solvable, make, terms, vertex_initial
 from test_acceptance import random_vertical_chart
 from test_char_polyhedron import FRAME_U12_Y, random_instance
 from test_exact_algebra import stored_form_problems
@@ -174,7 +174,7 @@ def old_prepare(gens, frame, budget=64):
             if v not in new_poly.vertices:
                 continue
         vi = old_vertex_initial(current, frame, v)
-        lam = cp.is_solvable(vi, field)
+        lam = is_solvable(vi, field)
         if lam is None:
             certified.add(v)
             continue

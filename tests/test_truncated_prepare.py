@@ -40,7 +40,7 @@ from surfres.exact_algebra import (
 from surfres.local_frame import Frame
 from surfres.resolution_driver import initial_chart, resolve
 
-from oracles import Monomial, make, repo_module
+from oracles import Monomial, is_solvable, make, repo_module
 from test_prepare_oracle import adapted, criterion_6_cases, named_cases  # noqa: F401
 
 QQ = FieldDescriptor.rationals()
@@ -88,7 +88,7 @@ def exact_prepare(gens, frame, budget=64):
             if v not in poly.vertices:
                 continue
         vi = cp._vertex_initial(current, frame, v)
-        lam = cp.is_solvable(vi, field)
+        lam = is_solvable(vi, field)
         if lam is None:
             certified.add(v)
             continue

@@ -11,17 +11,19 @@ terms, on ints:
   instead of Hasse derivatives and public coefficient maps;
 * over F_p and F_q each candidate witness, in ``itertools.product`` order,
   passes a screen on stored values (``_screen``: the forms read with U = 1)
-  before ``_verify_witness`` checks it.
+  before the solving step (``_step``) translates the generators by it.
 
 The earlier bodies are kept below as oracles: ``OldBox.reduce``,
 ``old_u_power``, ``old_solve_char0`` and the unscreened search
-``old_search``.  Every vertex initial form and every box that ``prepare``
-meets, at budgets 8 and 24, on the charts of the named traces (Q), of a
-seeded sample of pool surfaces (Q, F_2, F_3, F_5), of that sample's F_2 and
-F_3 charts read over F_4 = F_2[s]/(s^2 + s + 1) and F_3(t), and of seeded
-shifted forms over F_4 and F_3(t), must give what the oracles give:
-the same witness (type included) or None, the same reduced generator term
-for term, the same u-power or the same error.  Every witness of a
+``old_search``, which verify each witness on the vertex forms
+(``oracles.verify_witness``).  Every vertex initial form and every box that
+``prepare`` meets, at budgets 8 and 24, on the charts of the named traces
+(Q), of a seeded sample of pool surfaces (Q, F_2, F_3, F_5), of that
+sample's F_2 and F_3 charts read over F_4 = F_2[s]/(s^2 + s + 1) and
+F_3(t), and of seeded shifted forms over F_4 and F_3(t), must give what
+the oracles give: the solving step must take the same witness (type
+included) or none, and the same reduced generator term for term, the same
+u-power or the same error must come out.  Every witness of a
 finite-field vertex must pass the screen.  Seeded two-variable forms over
 F_2 and F_3 with several witnesses pin the choice of the first one in
 product order.
@@ -56,7 +58,8 @@ from surfres.exact_algebra import (
 from surfres.local_frame import Frame
 from surfres.resolution_driver import initial_chart, resolve
 
-from oracles import Monomial, make, public_row_reduce, vertex_initial
+from oracles import (Monomial, make, public_row_reduce, verify_witness,
+                     vertex_initial)
 from test_prepare_oracle import adapted, named_cases  # noqa: F401  (a fixture)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,7 +150,7 @@ def old_solve_char0(vi, field):
 def old_search(vi, field):
     """The unscreened finite-field search: every candidate verified."""
     for lam in itertools.product(field.elements(), repeat=vi.frame.r):
-        if any(lam) and cp._verify_witness(vi, lam):
+        if any(lam) and verify_witness(vi, lam):
             return tuple(lam)
     return None
 
@@ -163,7 +166,7 @@ def old_is_solvable(vi, field):
         lam = cp._solve_ratfunc(vi, field)
     if lam is None or not any(lam):
         return None
-    return tuple(lam) if cp._verify_witness(vi, lam) else None
+    return tuple(lam) if verify_witness(vi, lam) else None
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +251,39 @@ def shifted_cases(field, count=30):
             for i, frame in enumerate([FRAME_U12_Y, FRAME_U12_Y12] * (count // 2))]
 
 
+def step_witness(current, frame, vi, box=None):
+    """The witness the solving step takes at the vertex of ``vi``, or
+    None."""
+    step = cp._step(current, frame, vi, box)
+    return None if step is None else step[0]
+
+
 def met_steps(cases):
-    """Every (vertex initial, field) that ``is_solvable`` and every (box,
-    generator, frame) that ``_Box.reduce`` is given while ``prepare`` runs
-    on the cases at each budget."""
+    """Every (vertex initial, field, the outcome of the witness taken) that
+    the solving step ``_step`` meets and every (box, generator, frame) that
+    ``_read`` reduces modulo a box while ``prepare`` runs on the cases at
+    each budget."""
     vertices, boxes = [], []
-    real_solvable, real_reduce = cp.is_solvable, cp._Box.reduce
+    real_step, real_read = cp._step, cp._read
 
-    def solvable(vi, field):
-        vertices.append((vi, field))
-        return real_solvable(vi, field)
+    def step(current, frame, vi, box):
+        try:
+            result = real_step(current, frame, vi, box)
+        except (InputError, ScopeError) as err:
+            vertices.append((vi, current[0].field, (type(err), str(err))))
+            raise
+        vertices.append((vi, current[0].field,
+                         outcome(lambda: result and result[0])))
+        return result
 
-    def reduce(box, g, frame):
-        boxes.append((box, g, frame))
-        return real_reduce(box, g, frame)
+    def read(g, frame, box=None, nu=None):
+        if box is not None:
+            boxes.append((box, g, frame))
+        return real_read(g, frame, box, nu)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cp, "is_solvable", solvable)
-        mp.setattr(cp._Box, "reduce", reduce)
+        mp.setattr(cp, "_step", step)
+        mp.setattr(cp, "_read", read)
         for _name, gens, frame in cases:
             for budget in BUDGETS:
                 try:
@@ -299,9 +317,9 @@ def steps(named_cases):  # noqa: F811
 def test_every_vertex_met_gets_the_earlier_witness(steps, name):
     vertices, _boxes = steps[name]
     solved = 0
-    for vi, field in vertices:
+    for vi, field, got in vertices:
         want = outcome(old_is_solvable, vi, field)
-        assert outcome(cp.is_solvable, vi, field) == want, (name, vi)
+        assert got == want, (name, vi)
         solved += isinstance(want, list)
         if field.kind == RATIONALS and all(x.denominator == 1 for x in vi.vertex):
             assert outcome(cp._solve_char0, vi, field) == outcome(
@@ -313,14 +331,14 @@ def test_every_vertex_met_gets_the_earlier_witness(steps, name):
 @pytest.mark.parametrize("name", ["F2", "F3", "F5", "F4"])
 def test_every_witness_passes_the_screen(steps, name):
     """The screen is a necessary condition: it rejects no candidate that
-    ``_verify_witness`` accepts."""
+    ``verify_witness`` accepts."""
     witnesses = 0
-    for vi, field in steps[name][0]:
+    for vi, field, _got in steps[name][0]:
         if any(x.denominator != 1 for x in vi.vertex):
             continue
         passes = cp._screen(vi, field)
         for lam in itertools.product(field.elements(), repeat=vi.frame.r):
-            if any(lam) and cp._verify_witness(vi, lam):
+            if any(lam) and verify_witness(vi, lam):
                 witnesses += 1
                 assert passes([field.to_native(c) for c in lam]), (name, vi, lam)
     assert witnesses >= 20, name
@@ -329,7 +347,7 @@ def test_every_witness_passes_the_screen(steps, name):
 @pytest.mark.parametrize("name", list(FIELDS))
 def test_every_u_power_met_matches_the_earlier_one(steps, name):
     checked, refused = set(), 0
-    for vi, _field in steps[name][0]:
+    for vi, _field, _got in steps[name][0]:
         for multiple in (1, 2, 3):
             key = (vi.frame, vi.vertex, multiple)
             if key in checked:
@@ -346,7 +364,7 @@ def test_every_box_met_reduces_as_the_earlier_box(steps, name):
     _vertices, boxes = steps[name]
     for box, g, frame in boxes:
         want = OldBox(box.corner, box.floor, box.order).reduce(g, frame)
-        got = box.reduce(g, frame)
+        got = cp._read(g, frame, box)[0]
         assert got.vectors == want.vectors, (name, box)
     if name in ("Q", "F2", "F3"):
         assert len(boxes) >= 20, name
@@ -376,7 +394,7 @@ def test_random_boxes_reduce_as_the_earlier_box():
             terms[Monomial.from_dict(exps)] = Fraction(rng.randint(1, 5))
         g = make(QQ, vs, terms)
         box = cp._Box(corner, floor, order)
-        assert box.reduce(g, FRAME_U12_Y).vectors == OldBox(
+        assert cp._read(g, FRAME_U12_Y, box)[0].vectors == OldBox(
             corner, floor, order).reduce(g, FRAME_U12_Y).vectors
         d = lcm(*[x.denominator for x in floor + corner])
         on_a_bound += any(vec[0] * d + floor[0] * d * vec[2] == order * corner[0] * d
@@ -403,9 +421,10 @@ def test_the_first_of_several_witnesses_in_product_order(name):
         f, v = several_witness_form(rng, field)
         vi = vertex_initial([f], FRAME_U12_Y12, v)
         witnesses = [lam for lam in itertools.product(field.elements(), repeat=2)
-                     if any(lam) and cp._verify_witness(vi, lam)]
+                     if any(lam) and verify_witness(vi, lam)]
         assert len(witnesses) >= 2, str(f)
-        assert cp.is_solvable(vi, field) == witnesses[0] == old_search(vi, field)
+        assert step_witness([f], FRAME_U12_Y12, vi) == witnesses[0] == old_search(
+            vi, field)
 
 
 def test_pinned_first_witnesses():
@@ -416,6 +435,7 @@ def test_pinned_first_witnesses():
     for name, text, want in (("F2", "y1^2 + y2^2 + u1^2 + u2^5", (0, 1)),
                              ("F3", "y1^3 + y2^3 + u1^3 + u2^7", (0, 1))):
         field = PRIME[name]
-        vi = vertex_initial([parse_polynomial(text, field, vs)],
-                               FRAME_U12_Y12, (Fraction(1), Fraction(0)))
-        assert cp.is_solvable(vi, field) == tuple(map(field.from_int, want))
+        f = parse_polynomial(text, field, vs)
+        vi = vertex_initial([f], FRAME_U12_Y12, (Fraction(1), Fraction(0)))
+        assert step_witness([f], FRAME_U12_Y12, vi) == tuple(
+            map(field.from_int, want))
